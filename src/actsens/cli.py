@@ -388,6 +388,7 @@ def _cmd_optimize(settings) -> int:
         "command": "optimize", "targets": settings["targets"],
         "levels": ",".join(f"{g:g}" for g in targets.levels),
         "rho0_start": settings["rho0_start"], "ell_opt": settings["ell_opt"],
+        "objective_evals": sum(c.objective_evals for c in cells),
         "version": __version__, "files": path.name,
     })
     print(f"{'nu':>4} {'kind':>9} {'w_start':>8} {'width':>8} "

@@ -9,7 +9,10 @@ the state and all parameters, which is what the sensitivity machinery in
 
 All formula functions broadcast over numpy arrays, so the same code serves
 scalar evaluation, batched ensembles (array-valued parameter fields), and
-length sweeps in the optimizer.
+length sweeps in the optimizer. The static formulas (``hatze_rho``,
+``hatze_q_of_gamma``, ``force_length_relative``) check their input and then
+call a private unchecked twin (leading underscore), which callers whose
+input is already checked use directly.
 """
 
 from __future__ import annotations
@@ -269,21 +272,37 @@ def zajac_steady_state(p: ZajacParams) -> float:
 HATZE_VARS = ("q", "sigma", "q0", "m", "rho_c", "nu", "ell_rho", "ell_CErel")
 
 
-def hatze_rho(ell_ce_rel, rho_c, ell_rho):
-    """Length dependency rho_c (ell_rho - 1) / (ell_rho/ell - 1); pole at ell_rho."""
+def _checked_length(ell_ce_rel, ell_rho) -> np.ndarray:
+    """Relative CE length as an array; PoleViolation outside (0, ell_rho)."""
     ell = np.asarray(ell_ce_rel, dtype=float)
     if np.any(ell <= 0.0) or np.any(ell >= ell_rho):
         raise PoleViolation(
             f"ell_ce_rel must lie in (0, {ell_rho}), got {ell_ce_rel}"
         )
-    out = rho_c * (ell_rho - 1.0) / (ell_rho / ell - 1.0)
+    return ell
+
+
+def _hatze_rho(ell, rho_c, ell_rho):
+    # unchecked formula behind hatze_rho
+    return rho_c * (ell_rho - 1.0) / (ell_rho / ell - 1.0)
+
+
+def hatze_rho(ell_ce_rel, rho_c, ell_rho):
+    """Length dependency rho_c (ell_rho - 1) / (ell_rho/ell - 1); pole at ell_rho."""
+    out = _hatze_rho(_checked_length(ell_ce_rel, ell_rho), rho_c, ell_rho)
     return float(out) if np.isscalar(ell_ce_rel) else out
+
+
+def _hatze_q_of_gamma(gamma, ell, p: HatzeParams):
+    # unchecked formula behind hatze_q_of_gamma
+    x = (_hatze_rho(ell, p.rho_c, p.ell_rho) * gamma) ** p.nu
+    return (p.q0 + x) / (1.0 + x)
 
 
 def hatze_q_of_gamma(gamma, ell_ce_rel, p: HatzeParams):
     """Activity from normalized free-calcium concentration via the nu-power saturation."""
-    x = (hatze_rho(ell_ce_rel, p.rho_c, p.ell_rho) * np.asarray(gamma, dtype=float)) ** p.nu
-    out = (p.q0 + x) / (1.0 + x)
+    out = _hatze_q_of_gamma(np.asarray(gamma, dtype=float),
+                            _checked_length(ell_ce_rel, p.ell_rho), p)
     return float(out) if np.isscalar(gamma) and np.isscalar(ell_ce_rel) else out
 
 
@@ -470,15 +489,18 @@ class ForceLengthRelation:
             raise ValueError(f"ell_opt must be positive, got {self.ell_opt}")
 
 
-def force_length_relative(ell_rel, rel: ForceLengthRelation):
-    """Evaluate the force-length relation at relative CE length (value in [0, 1])."""
-    ell_rel = np.asarray(ell_rel, dtype=float)
+def _force_length_relative(ell_rel, rel: ForceLengthRelation):
+    # unchecked formula behind force_length_relative
     delta = ell_rel - 1.0
     if rel.kind == "parabola":
-        out = np.maximum(0.0, 1.0 - (delta / rel.width) ** 2)
-    else:
-        exponent = np.where(ell_rel <= 1.0, rel.nu_asc, rel.nu_des)
-        out = np.exp(-((np.abs(delta) / rel.width) ** exponent))
+        return np.maximum(0.0, 1.0 - (delta / rel.width) ** 2)
+    exponent = np.where(ell_rel <= 1.0, rel.nu_asc, rel.nu_des)
+    return np.exp(-((np.abs(delta) / rel.width) ** exponent))
+
+
+def force_length_relative(ell_rel, rel: ForceLengthRelation):
+    """Evaluate the force-length relation at relative CE length (value in [0, 1])."""
+    out = _force_length_relative(np.asarray(ell_rel, dtype=float), rel)
     return float(out) if out.ndim == 0 else out
 
 

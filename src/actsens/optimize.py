@@ -18,8 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MaxIterationsExceeded, NoInteriorMaximum
-from .models import ForceLengthRelation, HatzeParams, force_length, hatze_q_of_gamma
+from .errors import ActsensError, MaxIterationsExceeded, NoInteriorMaximum
+from .models import (
+    ForceLengthRelation,
+    HatzeParams,
+    _force_length_relative,
+    _hatze_q_of_gamma,
+    force_length,
+    hatze_q_of_gamma,
+)
 
 __all__ = [
     "ShiftTargets",
@@ -134,38 +141,59 @@ def isometric_force(gamma, ell_ce, hatze_params: HatzeParams, flr: ForceLengthRe
     return flr.f_max * q * force_length(ell_ce, flr)
 
 
-def _golden_max(fun, lo: float, hi: float, xtol: float) -> float:
-    """Golden-section maximum refinement on a unimodal bracket."""
+def _golden_max(fun, lo, hi, xtol: float):
+    """Golden-section maximum refinement on unimodal brackets.
+
+    ``lo`` and ``hi`` are scalars or arrays of independent brackets, and
+    ``fun`` maps an array of probes (one per bracket) to their values. Each
+    bracket keeps its own branch and stops once it is narrower than
+    ``xtol``, so it takes the same path as it would on its own.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     x1 = hi - GOLDEN_RATIO * (hi - lo)
     x2 = lo + GOLDEN_RATIO * (hi - lo)
-    f1, f2 = fun(x1), fun(x2)
-    while hi - lo > xtol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN_RATIO * (hi - lo)
-            f2 = fun(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN_RATIO * (hi - lo)
-            f1 = fun(x1)
-    return 0.5 * (lo + hi)
+    # bracket state, one row per quantity: lo, x1, x2, hi, f(x1), f(x2)
+    state = np.array([lo, x1, x2, hi, fun(x1), fun(x2)])
+    active = hi - lo > xtol
+    while active.any():
+        lo, x1, x2, hi, f1, f2 = state
+        right = f1 < f2  # the maximum lies in [x1, hi]
+        probe = np.where(right, x1 + GOLDEN_RATIO * (hi - x1), x2 - GOLDEN_RATIO * (x2 - lo))
+        fp = fun(probe)
+        moved = np.where(right, [x1, x2, probe, hi, f2, fp], [lo, probe, x1, x2, fp, f1])
+        state = np.where(active, moved, state)
+        active = state[3] - state[0] > xtol
+    mid = 0.5 * (state[0] + state[3])
+    return float(mid) if mid.ndim == 0 else mid
 
 
 def _argmax_force(
-    gamma: float, p: HatzeParams, flr: ForceLengthRelation,
+    gammas, p: HatzeParams, flr: ForceLengthRelation,
     span: tuple[float, float], coarse: int, xtol_mm: float,
-) -> float:
-    """Locate the force maximum: coarse grid scan, then golden-section refinement."""
-    lo, hi = span[0] * flr.ell_opt, span[1] * flr.ell_opt
-    ells = np.linspace(lo, hi, coarse)
-    forces = isometric_force(gamma, ells, p, flr)
-    k = int(np.argmax(forces))
-    if k == 0 or k == coarse - 1:
+) -> np.ndarray:
+    """Force-maximizing length (mm) for each stimulation level in ``gammas``.
+
+    One coarse grid scan over all levels goes through the checked
+    isometric_force, so a span outside (0, ell_rho) raises PoleViolation.
+    The golden-section refinement of every level's bracket then probes only
+    inside the scanned interval and uses the unchecked force.
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    ells = np.linspace(span[0] * flr.ell_opt, span[1] * flr.ell_opt, coarse)
+    forces = isometric_force(gammas[:, None], ells, p, flr)
+    k = np.argmax(forces, axis=1)
+    boundary = (k == 0) | (k == coarse - 1)
+    if np.any(boundary):
         raise NoInteriorMaximum(
-            f"force maximum at the search boundary (gamma={gamma}); widen the span"
+            f"force maximum at the search boundary (gamma={gammas[boundary].tolist()}); "
+            "widen the span"
         )
-    fun = lambda ell: float(isometric_force(gamma, ell, p, flr))
-    return _golden_max(fun, ells[k - 1], ells[k + 1], xtol_mm)
+
+    def force(ell):  # isometric_force without its checks
+        ell_rel = ell / flr.ell_opt
+        return flr.f_max * _hatze_q_of_gamma(gammas, ell_rel, p) * _force_length_relative(ell_rel, flr)
+
+    return _golden_max(force, ells[k - 1], ells[k + 1], xtol_mm)
 
 
 def optimal_length_shift(
@@ -179,20 +207,15 @@ def optimal_length_shift(
     activation the activity still depends on length, so the two differ
     slightly.
     """
-    here = _argmax_force(gamma, hatze_params, flr, span, coarse, xtol_mm)
-    ref = _argmax_force(1.0, hatze_params, flr, span, coarse, xtol_mm)
-    return here - ref
+    here, ref = _argmax_force((gamma, 1.0), hatze_params, flr, span, coarse, xtol_mm)
+    return float(here - ref)
 
 
 def predicted_shifts(width: float, rho0: float, problem: FitProblem) -> np.ndarray:
     """Model shift at every target stimulation level for (width, rho0)."""
-    flr = problem.relation(width)
-    p = problem.activation(rho0)
-    ref = _argmax_force(1.0, p, flr, (0.5, 1.5), 201, 1e-4)
-    return np.array([
-        _argmax_force(g, p, flr, (0.5, 1.5), 201, 1e-4) - ref
-        for g in problem.targets.levels
-    ])
+    peaks = _argmax_force((1.0, *problem.targets.levels), problem.activation(rho0),
+                          problem.relation(width), (0.5, 1.5), 201, 1e-4)
+    return peaks[1:] - peaks[0]
 
 
 def fit_error(width: float, rho0: float, problem: FitProblem) -> float:
@@ -292,6 +315,7 @@ class FitResult:
     rho0: float
     error_mm: float
     iterations: int
+    objective_evals: int
 
 
 def fit_shift_parameters(problem: FitProblem, tol: float = 1e-8,
@@ -302,8 +326,11 @@ def fit_shift_parameters(problem: FitProblem, tol: float = 1e-8,
     infinite objective, so the simplex retreats into the feasible region
     instead of aborting the fit.
     """
+    evals = 0
 
     def objective(u):
+        nonlocal evals
+        evals += 1
         try:
             return fit_error(math.exp(u[0]), math.exp(u[1]), problem)
         except NoInteriorMaximum:
@@ -317,7 +344,7 @@ def fit_shift_parameters(problem: FitProblem, tol: float = 1e-8,
         )
     return FitResult(
         width=math.exp(res.argmin[0]), rho0=math.exp(res.argmin[1]),
-        error_mm=res.value, iterations=res.iterations,
+        error_mm=res.value, iterations=res.iterations, objective_evals=evals,
     )
 
 
@@ -330,6 +357,7 @@ class TableCell:
     rho0: float = math.nan
     error_mm: float = math.nan
     iterations: int = 0
+    objective_evals: int = 0
     status: str = "ok"
 
 
@@ -364,7 +392,8 @@ def run_table(
                     )
                     cell.width, cell.rho0 = fit.width, fit.rho0
                     cell.error_mm, cell.iterations = fit.error_mm, fit.iterations
-                except Exception as exc:  # cell failures must not kill the table
+                    cell.objective_evals = fit.objective_evals
+                except (ActsensError, ValueError) as exc:  # a failed cell keeps the table
                     cell.status = f"{type(exc).__name__}: {exc}"
                 cells.append(cell)
     return cells

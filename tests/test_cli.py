@@ -104,6 +104,9 @@ def test_optimize_command(tmp_path):
         fields = line.split(",")
         assert abs(float(fields[3]) - 0.32) < 0.01
         assert fields[-1] == "ok"
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    evals = [line for line in manifest if line.startswith("objective_evals = ")]
+    assert len(evals) == 1 and int(evals[0].split(" = ")[1]) > 0
 
 
 def test_optimize_requires_targets(tmp_path):

@@ -8,6 +8,7 @@ from actsens import (
     HatzeParams,
     MaxIterationsExceeded,
     NoInteriorMaximum,
+    PoleViolation,
     ShiftTargets,
     FitProblem,
     fit_error,
@@ -20,7 +21,12 @@ from actsens import (
     run_table,
     synthesize_targets,
 )
-from actsens.optimize import CALCIUM_CEILING, DEFAULT_LEVELS, _golden_max
+from actsens.optimize import (
+    CALCIUM_CEILING,
+    DEFAULT_LEVELS,
+    _argmax_force,
+    _golden_max,
+)
 
 BELL = ForceLengthRelation(kind="bell", width=0.32, nu_asc=3.0, nu_des=1.5,
                            ell_opt=14.8, f_max=1.0)
@@ -104,6 +110,47 @@ def test_golden_section_matches_micrometre_grid():
 def test_boundary_maximum_raises():
     with pytest.raises(NoInteriorMaximum):
         optimal_length_shift(0.28, HATZE3, BELL, span=(0.9, 1.001))
+
+
+def test_boundary_maximum_in_one_row_raises():
+    # gamma = 1 and 0.55 peak inside (0.8, 1.15) * ell_opt, gamma = 0.08 beyond it
+    span = (0.8, 1.15)
+    _argmax_force((1.0, 0.55), HATZE3, BELL, span, 201, 1e-4)
+    with pytest.raises(NoInteriorMaximum, match="0.08"):
+        _argmax_force((1.0, 0.55, 0.08), HATZE3, BELL, span, 201, 1e-4)
+
+
+@pytest.mark.parametrize("span", [(0.5, 3.0), (0.0, 1.5), (-0.5, 1.5)])
+def test_span_outside_pole_interval_raises(span):
+    # ell_rho = 2.9: relative lengths must stay inside (0, 2.9)
+    with pytest.raises(PoleViolation):
+        optimal_length_shift(0.28, HATZE3, BELL, span=span)
+
+
+@pytest.mark.parametrize("kind,width", [("bell", 0.32), ("parabola", 0.56)])
+@pytest.mark.parametrize("nu,rho0", [(2.0, 6.62e4), (3.0, 5.27e4), (4.0, 5.27e4)])
+def test_batched_argmax_equals_per_level_search(kind, width, nu, rho0):
+    flr = ForceLengthRelation(kind=kind, width=width, ell_opt=14.8)
+    p = HatzeParams(sigma=1.0, q0=0.005, nu=nu, rho_c=rho0 * CALCIUM_CEILING,
+                    ell_rho=2.9, q_init=0.5)
+    levels = (1.0, *DEFAULT_LEVELS)
+    batched = _argmax_force(levels, p, flr, (0.5, 1.5), 201, 1e-4)
+    single = [_argmax_force((g,), p, flr, (0.5, 1.5), 201, 1e-4)[0] for g in levels]
+    assert batched.tolist() == single
+
+
+def test_golden_section_array_brackets_match_scalar_runs():
+    # brackets of different widths finish after different numbers of steps
+    centre = np.array([0.3, 1.7, -2.2, 5.0])
+    lo = np.array([0.0, 1.0, -2.5, 4.9])
+    hi = np.array([1.0, 3.5, -2.1, 5.05])
+    fun = lambda x, c=centre: np.exp(-np.abs(x - c) ** 1.5)
+    rows = _golden_max(fun, lo, hi, 1e-6)
+    for i in range(centre.size):
+        alone = _golden_max(lambda x: fun(x, centre[i]), lo[i], hi[i], 1e-6)
+        assert isinstance(alone, float)
+        assert rows[i] == alone
+        assert alone == pytest.approx(centre[i], abs=1e-6)
 
 
 def test_shift_invariant_under_force_scaling():
@@ -206,6 +253,22 @@ def test_round_trip_recovers_generating_parameters():
     assert fit.error_mm < 1e-6
 
 
+def test_fit_counts_objective_evaluations(monkeypatch):
+    import actsens.optimize as opt
+
+    calls = []
+    counted = lambda *args: calls.append(args) or fit_error(*args)
+    monkeypatch.setattr(opt, "fit_error", counted)
+    targets = synthesize_targets(width=0.32, rho0=3.25e4, nu=3.0, kind="bell")
+    fit = fit_shift_parameters(FitProblem(targets=targets, flr_kind="bell",
+                                          nu=3.0, width_start=0.35))
+    assert fit.objective_evals == len(calls) > fit.iterations
+
+    cells = opt.run_table(targets, nus=(3.0,), kinds=("bell",),
+                          bell_starts=(0.35,), parabola_starts=(0.56,))
+    assert cells[0].objective_evals == fit.objective_evals
+
+
 def test_run_table_layout_and_failure_reporting(monkeypatch):
     targets = synthesize_targets(width=0.32, rho0=3.25e4, nu=3.0, kind="bell")
     cells = run_table(targets, nus=(3.0,), kinds=("bell",),
@@ -224,6 +287,19 @@ def test_run_table_layout_and_failure_reporting(monkeypatch):
     assert len(cells) == 1  # table still emitted
     assert "injected failure" in cells[0].status
     assert math.isnan(cells[0].width)
+
+
+def test_run_table_lets_programming_errors_propagate(monkeypatch):
+    import actsens.optimize as opt
+
+    def broken(problem, tol=1e-8, max_iter=2000):
+        raise TypeError("injected bug")
+
+    monkeypatch.setattr(opt, "fit_shift_parameters", broken)
+    targets = ShiftTargets(levels=(0.28,), shifts_mm=(0.5,))
+    with pytest.raises(TypeError, match="injected bug"):
+        opt.run_table(targets, nus=(3.0,), kinds=("bell",),
+                      bell_starts=(0.25,), parabola_starts=(0.46,))
 
 
 def test_targets_csv_roundtrip(tmp_path):
