@@ -18,11 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ActsensError, ConfigError
+from .errors import ActsensError, ConfigError, PoleViolation
 from .globalsens import ParameterCuboid, analyze_global
 from .localsens import analyze, normalize
 from .models import (
+    HatzeParams,
     ParameterSet,
+    ZajacParams,
     hatze_model,
     simplified_zajac_model,
     simplified_zajac_sensitivities,
@@ -86,14 +88,17 @@ _OVERRIDE_NAMES = tuple(_OVERRIDE_MAP) + ("beta", "nu")
 
 
 def _parse_number(text) -> float:
-    """Accept plain floats and simple fractions like 1/3."""
+    """Accept plain floats and simple fractions like 1/3; ConfigError otherwise."""
     if isinstance(text, (int, float)):
         return float(text)
     s = str(text).strip()
-    if "/" in s:
-        num, den = s.split("/", 1)
-        return float(num) / float(den)
-    return float(s)
+    try:
+        if "/" in s:
+            num, den = s.split("/", 1)
+            return float(num) / float(den)
+        return float(s)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"expected a number or a fraction like 1/3, got {text!r}") from None
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -211,7 +216,32 @@ def _scenario_params(settings) -> tuple:
                 f"parameter {key!r} is not applicable to model {model_name!r}"
             )
         pset = pset.with_value(name, _parse_number(settings[key]))
+    _validate(model_name, pset.as_dict())
     return model, pset
+
+
+def _validate(model_name: str, v: dict[str, float]) -> None:
+    """Range-check the resolved parameters once, before any solve.
+
+    Out-of-range values are configuration errors; a CE length at or beyond
+    the pole ell_rho stays a PoleViolation (numerical failure).
+    """
+    if model_name == "zajac":
+        params = ZajacParams(sigma=v["sigma"], q0=v["q0"], tau=v["tau"],
+                             beta=v["beta"], q_init=v["q_Z0"])
+    elif model_name == "hatze":
+        params = HatzeParams(sigma=v["sigma"], q0=v["q0"], m=v["m"],
+                             rho_c=v["rho_c"], nu=v["nu"], ell_rho=v["ell_rho"],
+                             ell_ce_rel=v["ell_CErel"], q_init=v["q_H0"])
+    else:  # the simplified model is the linear one at beta = 1, q0 = 0
+        params = ZajacParams(sigma=v["sigma"], q0=0.0, tau=v["tau"], beta=1.0,
+                             q_init=v["q_Z0"])
+    try:
+        params.validate()
+    except PoleViolation:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _grid(settings) -> np.ndarray:
@@ -313,6 +343,9 @@ def _cmd_global_sens(settings) -> int:
     model_name = settings["model"]
     if model_name not in ("zajac", "hatze"):
         raise ConfigError("global-sens supports the 'zajac' and 'hatze' models")
+    n = int(settings["n"])
+    if n < 2:
+        raise ConfigError(f"--n must be at least 2, got {n}")
     canonical = builtin_cuboid(model_name).names
     if settings["preset"] == "paper-bounds":
         cuboid = builtin_cuboid(model_name)
@@ -328,7 +361,7 @@ def _cmd_global_sens(settings) -> int:
     grid = _grid(settings)
     result = analyze_global(
         family_evaluator(model_name), cuboid,
-        n=int(settings["n"]), seed=int(settings["seed"]), grid=grid,
+        n=n, seed=int(settings["seed"]), grid=grid,
         validity=row_validity(model_name), sampler=settings["sampler"],
     )
     path = out / "global.csv"

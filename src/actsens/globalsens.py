@@ -257,11 +257,16 @@ def evaluate_family(
     output trajectories; rows it cannot solve must come back non-finite.
     Failed rows are resampled from their substream and re-evaluated
     (bounded retries); they are never silently zero-filled.
+    ``n_evaluations`` counts every row passed to the evaluator, re-evaluated
+    rows included.
     """
     grid = np.asarray(grid, dtype=float)
     n, N = matrices.n, matrices.cuboid.n_params
+    evaluated = 0
 
     def run(rows_matrix):
+        nonlocal evaluated
+        evaluated += rows_matrix.shape[0]
         out = np.asarray(evaluator(rows_matrix, grid), dtype=float)
         if out.shape != (rows_matrix.shape[0], grid.size):
             raise ValueError(
@@ -328,7 +333,7 @@ def evaluate_family(
 
     return FamilyEvaluation(
         times=grid, y_a=y_a, y_b=y_b, y_a_swapped=y_as, y_b_swapped=y_bs,
-        n_evaluations=2 * n * (N + 1),
+        n_evaluations=evaluated,
         resampled_rows=tuple(resampled),
     )
 

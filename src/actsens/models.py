@@ -13,24 +13,30 @@ length sweeps in the optimizer. The static formulas (``hatze_rho``,
 ``hatze_q_of_gamma``, ``force_length_relative``) check their input and then
 call a private unchecked twin (leading underscore), which callers whose
 input is already checked use directly.
+
+``zajac_partials`` and ``hatze_partials`` return ``(f, grad, hess)`` at one
+scalar point: the rhs value, its gradient and its Hessian as numpy arrays
+indexed by the model's variables ``ZAJAC_VARS``/``HATZE_VARS`` (index 0 is
+the state q, then the parameters in ``*_PARAM_NAMES`` order). The Hessian is
+exactly symmetric: each entry below the diagonal is a copy of its mirror.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DegenerateState, DomainViolation, MissingDerivative, PoleViolation
+from .errors import DegenerateState, DomainViolation, PoleViolation
 
 __all__ = [
     "ParameterSet",
     "ZajacParams",
     "HatzeParams",
     "ForceLengthRelation",
-    "PartialBundle",
     "ModelDerivs",
     "ModelSpec",
     "zajac_rhs",
@@ -157,54 +163,29 @@ class HatzeParams:
 
 
 # ---------------------------------------------------------------------------
-# partial-derivative bundles
+# partials as arrays: (value, gradient, Hessian) over a model's VARS
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class PartialBundle:
-    """Value of a right-hand side together with its partial derivatives.
+def _product(a, b):
+    """Partials of A*B from the factors' (value, gradient, Hessian) triples.
 
-    ``first`` is keyed by variable name ('q' plus the parameter names);
-    ``second`` is keyed by sorted name pairs and completed symmetrically
-    through :meth:`d2`.
+    A Hessian is None when second partials are not wanted. The product's
+    Hessian is filled from its upper triangle, so it is exactly symmetric.
     """
-
-    value: float
-    first: dict[str, float]
-    second: dict[tuple[str, str], float] | None = None
-
-    def d1(self, x: str) -> float:
-        return self.first.get(x, 0.0)
-
-    def d2(self, x: str, y: str) -> float:
-        if self.second is None:
-            raise MissingDerivative("second partials were not computed")
-        if (x, y) in self.second:
-            return self.second[(x, y)]
-        return self.second.get((y, x), 0.0)
+    (av, ag, aH), (bv, bg, bH) = a, b
+    if aH is None:
+        return av * bv, ag * bv + av * bg, None
+    H = aH * bv + ag[:, None] * bg + bg[:, None] * ag + av * bH
+    lower = _lower_triangle(len(ag))
+    H[lower] = H.T[lower]
+    return av * bv, ag * bv + av * bg, H
 
 
-def _product_rule(names, aval, a1, a2, bval, b1, b2, second: bool):
-    """Partials of A*B from the partials of the factors (missing keys are 0)."""
-    val = aval * bval
-    first = {
-        x: a1.get(x, 0.0) * bval + aval * b1.get(x, 0.0) for x in names
-    }
-    if not second:
-        return val, first, None
-    d2 = {}
-    for i, x in enumerate(names):
-        for y in names[i:]:
-            axy = a2.get((x, y), a2.get((y, x), 0.0))
-            bxy = b2.get((x, y), b2.get((y, x), 0.0))
-            d2[(x, y)] = (
-                axy * bval
-                + a1.get(x, 0.0) * b1.get(y, 0.0)
-                + a1.get(y, 0.0) * b1.get(x, 0.0)
-                + aval * bxy
-            )
-    return val, first, d2
+@functools.cache
+def _lower_triangle(n: int):
+    # np.tril_indices costs more than the whole product rule; build it once
+    return np.tril_indices(n, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -224,38 +205,40 @@ def zajac_rhs(q, p: ZajacParams):
     return bracket / (p.tau * (1.0 - p.q0))
 
 
-def zajac_partials(q: float, p: ZajacParams, second: bool = True) -> PartialBundle:
-    """All first (and optionally second) partials of the linear model's rhs.
+def zajac_partials(q: float, p: ZajacParams, second: bool = True):
+    """Value, gradient and Hessian of the linear model's rhs over ZAJAC_VARS.
 
     The rhs factors as A(tau, q0) * G(q, sigma, q0, beta) with
-    A = 1/(tau(1-q0)); the bundle is assembled by the product rule.
+    A = 1/(tau(1-q0)); the partials are assembled by the product rule.
+    Returns ``(f, grad, hess)`` with grad[i] = df/dx_i and the symmetric
+    hess[i, j] = d2f/(dx_i dx_j), x = ZAJAC_VARS; hess is None unless
+    ``second``.
     """
+    Q, SIGMA, Q0, TAU, BETA = range(5)  # positions in ZAJAC_VARS
     A = 1.0 / (p.tau * (1.0 - p.q0))
     s = p.sigma * (1.0 - p.beta) + p.beta
     u = q - p.q0
     G = p.sigma * (1.0 - p.q0) - s * u
 
-    a1 = {"tau": -A / p.tau, "q0": A / (1.0 - p.q0)}
-    a2 = {
-        ("tau", "tau"): 2.0 * A / p.tau**2,
-        ("q0", "tau"): -A / (p.tau * (1.0 - p.q0)),
-        ("q0", "q0"): 2.0 * A / (1.0 - p.q0) ** 2,
-    }
-    g1 = {
-        "q": -s,
-        "sigma": (1.0 - p.q0) - (1.0 - p.beta) * u,
-        "q0": -p.sigma + s,
-        "beta": u * (p.sigma - 1.0),
-    }
-    g2 = {
-        ("q", "sigma"): -(1.0 - p.beta),
-        ("beta", "q"): p.sigma - 1.0,
-        ("q0", "sigma"): -p.beta,
-        ("beta", "sigma"): u,
-        ("beta", "q0"): 1.0 - p.sigma,
-    }
-    val, first, d2 = _product_rule(ZAJAC_VARS, A, a1, a2, G, g1, g2, second)
-    return PartialBundle(value=val, first=first, second=d2)
+    a1, g1 = np.zeros(5), np.zeros(5)
+    a1[TAU] = -A / p.tau
+    a1[Q0] = A / (1.0 - p.q0)
+    g1[Q] = -s
+    g1[SIGMA] = (1.0 - p.q0) - (1.0 - p.beta) * u
+    g1[Q0] = -p.sigma + s
+    g1[BETA] = u * (p.sigma - 1.0)
+    a2 = g2 = None
+    if second:
+        a2, g2 = np.zeros((5, 5)), np.zeros((5, 5))
+        a2[TAU, TAU] = 2.0 * A / p.tau**2
+        a2[Q0, TAU] = a2[TAU, Q0] = -A / (p.tau * (1.0 - p.q0))
+        a2[Q0, Q0] = 2.0 * A / (1.0 - p.q0) ** 2
+        g2[Q, SIGMA] = g2[SIGMA, Q] = -(1.0 - p.beta)
+        g2[BETA, Q] = g2[Q, BETA] = p.sigma - 1.0
+        g2[Q0, SIGMA] = g2[SIGMA, Q0] = -p.beta
+        g2[BETA, SIGMA] = g2[SIGMA, BETA] = u
+        g2[BETA, Q0] = g2[Q0, BETA] = 1.0 - p.sigma
+    return _product((A, a1, a2), (G, g1, g2))
 
 
 def zajac_steady_state(p: ZajacParams) -> float:
@@ -342,13 +325,14 @@ def hatze_rhs(q, p: HatzeParams, strict: bool = False):
     return float(out) if np.isscalar(q) else out
 
 
-def hatze_partials(q: float, p: HatzeParams, second: bool = True) -> PartialBundle:
-    """All first (and optionally second) partials of the nonlinear model's rhs.
+def hatze_partials(q: float, p: HatzeParams, second: bool = True):
+    """Value, gradient and Hessian of the nonlinear model's rhs over HATZE_VARS.
 
     The rhs factors as K(q0, m, nu) * (P(sigma, rho_c, ell_rho, ell) * W(q, q0, nu)
-    - V(q, q0)); each factor's partials are closed-form and the bundle is
-    assembled by the product rule. The log terms from differentiating the
-    nu-dependent exponents are included.
+    - V(q, q0)); each factor's partials are closed-form and the product rule
+    assembles them. The log terms from differentiating the nu-dependent
+    exponents are included. Returns ``(f, grad, hess)`` as
+    :func:`zajac_partials` does, over x = HATZE_VARS.
     """
     q = float(_clamp_q(q, p))
     sig, q0, m, rc, nu, lr, ell = (
@@ -356,34 +340,38 @@ def hatze_partials(q: float, p: HatzeParams, second: bool = True) -> PartialBund
     )
     if not 0.0 < ell < lr:
         raise PoleViolation(f"ell_ce_rel must lie in (0, {lr}), got {ell}")
+    Q, SIGMA, Q0, M, RHO_C, NU, ELL_RHO, ELL = range(8)  # positions in HATZE_VARS
+    k1, p1, w1, v1 = (np.zeros(8) for _ in range(4))
+    k2 = p2 = w2 = v2 = None
+    if second:
+        k2, p2, w2, v2 = (np.zeros((8, 8)) for _ in range(4))
 
     K = nu * m / (1.0 - q0)
-    k1 = {"q0": K / (1.0 - q0), "m": K / m, "nu": K / nu}
-    k2 = {
-        ("q0", "q0"): 2.0 * K / (1.0 - q0) ** 2,
-        ("m", "q0"): nu / (1.0 - q0) ** 2,
-        ("nu", "q0"): m / (1.0 - q0) ** 2,
-        ("m", "nu"): 1.0 / (1.0 - q0),
-    }
+    k1[Q0] = K / (1.0 - q0)
+    k1[M] = K / m
+    k1[NU] = K / nu
+    if second:
+        k2[Q0, Q0] = 2.0 * K / (1.0 - q0) ** 2
+        k2[M, Q0] = k2[Q0, M] = nu / (1.0 - q0) ** 2
+        k2[NU, Q0] = k2[Q0, NU] = m / (1.0 - q0) ** 2
+        k2[M, NU] = k2[NU, M] = 1.0 / (1.0 - q0)
 
     dl = lr - ell
     P = sig * rc * (lr - 1.0) * ell / dl
-    p1 = {
-        "sigma": rc * (lr - 1.0) * ell / dl,
-        "rho_c": sig * (lr - 1.0) * ell / dl,
-        "ell_rho": sig * rc * ell * (1.0 - ell) / dl**2,
-        "ell_CErel": sig * rc * (lr - 1.0) * lr / dl**2,
-    }
-    p2 = {
-        ("rho_c", "sigma"): (lr - 1.0) * ell / dl,
-        ("ell_rho", "sigma"): rc * ell * (1.0 - ell) / dl**2,
-        ("ell_CErel", "sigma"): rc * (lr - 1.0) * lr / dl**2,
-        ("ell_rho", "rho_c"): sig * ell * (1.0 - ell) / dl**2,
-        ("ell_CErel", "rho_c"): sig * (lr - 1.0) * lr / dl**2,
-        ("ell_rho", "ell_rho"): -2.0 * sig * rc * ell * (1.0 - ell) / dl**3,
-        ("ell_CErel", "ell_rho"): sig * rc * (lr + ell - 2.0 * ell * lr) / dl**3,
-        ("ell_CErel", "ell_CErel"): 2.0 * sig * rc * (lr - 1.0) * lr / dl**3,
-    }
+    p1[SIGMA] = rc * (lr - 1.0) * ell / dl
+    p1[RHO_C] = sig * (lr - 1.0) * ell / dl
+    p1[ELL_RHO] = sig * rc * ell * (1.0 - ell) / dl**2
+    p1[ELL] = sig * rc * (lr - 1.0) * lr / dl**2
+    if second:
+        p2[RHO_C, SIGMA] = p2[SIGMA, RHO_C] = (lr - 1.0) * ell / dl
+        p2[ELL_RHO, SIGMA] = p2[SIGMA, ELL_RHO] = rc * ell * (1.0 - ell) / dl**2
+        p2[ELL, SIGMA] = p2[SIGMA, ELL] = rc * (lr - 1.0) * lr / dl**2
+        p2[ELL_RHO, RHO_C] = p2[RHO_C, ELL_RHO] = sig * ell * (1.0 - ell) / dl**2
+        p2[ELL, RHO_C] = p2[RHO_C, ELL] = sig * (lr - 1.0) * lr / dl**2
+        p2[ELL_RHO, ELL_RHO] = -2.0 * sig * rc * ell * (1.0 - ell) / dl**3
+        p2[ELL, ELL_RHO] = p2[ELL_RHO, ELL] = (
+            sig * rc * (lr + ell - 2.0 * ell * lr) / dl**3)
+        p2[ELL, ELL] = 2.0 * sig * rc * (lr - 1.0) * lr / dl**3
 
     a = 1.0 + 1.0 / nu
     b = 1.0 - 1.0 / nu
@@ -396,27 +384,28 @@ def hatze_partials(q: float, p: HatzeParams, second: bool = True) -> PartialBund
     g_q = -a / om**2 - b / dq**2
     g_nu = (1.0 / om + 1.0 / dq) / nu**2
     W_nu = W * (L2 - L1) / nu**2
-    w1 = {"q": W * g, "q0": -b * W / dq, "nu": W_nu}
-    w2 = {
-        ("q", "q"): W * (g * g + g_q),
-        ("q", "q0"): W * b * (1.0 / dq**2 - g / dq),
-        ("nu", "q"): W_nu * g + W * g_nu,
-        ("q0", "q0"): W * b * (b - 1.0) / dq**2,
-        ("nu", "q0"): -(W / dq) * (1.0 + b * (L2 - L1)) / nu**2,
-        ("nu", "nu"): W * (L2 - L1) / nu**3 * ((L2 - L1) / nu - 2.0),
-    }
-
-    # G = P*W - V with V = (1-q)(q-q0)
-    gval, g1, g2 = _product_rule(HATZE_VARS, P, p1, p2, W, w1, w2, second)
-    gval -= om * dq
-    g1["q"] -= 1.0 - 2.0 * q + q0
-    g1["q0"] -= -om
+    w1[Q] = W * g
+    w1[Q0] = -b * W / dq
+    w1[NU] = W_nu
     if second:
-        g2[("q", "q")] -= -2.0
-        g2[("q", "q0")] -= 1.0
+        w2[Q, Q] = W * (g * g + g_q)
+        w2[Q, Q0] = w2[Q0, Q] = W * b * (1.0 / dq**2 - g / dq)
+        w2[NU, Q] = w2[Q, NU] = W_nu * g + W * g_nu
+        w2[Q0, Q0] = W * b * (b - 1.0) / dq**2
+        w2[NU, Q0] = w2[Q0, NU] = -(W / dq) * (1.0 + b * (L2 - L1)) / nu**2
+        w2[NU, NU] = W * (L2 - L1) / nu**3 * ((L2 - L1) / nu - 2.0)
 
-    val, first, d2 = _product_rule(HATZE_VARS, K, k1, k2, gval, g1, g2, second)
-    return PartialBundle(value=val, first=first, second=d2)
+    # V = (1-q)(q-q0)
+    V = om * dq
+    v1[Q] = 1.0 - 2.0 * q + q0
+    v1[Q0] = -om
+    if second:
+        v2[Q, Q] = -2.0
+        v2[Q, Q0] = v2[Q0, Q] = 1.0
+
+    pw, pw1, pw2 = _product((P, p1, p2), (W, w1, w2))
+    G = (pw - V, pw1 - v1, pw2 - v2 if second else None)
+    return _product((K, k1, k2), G)
 
 
 def hatze_steady_state(p: HatzeParams) -> float:
@@ -549,7 +538,6 @@ class ModelSpec:
     init_names: tuple[str, ...]
     derivs: Callable[[float, np.ndarray, np.ndarray, int], ModelDerivs]
     state_names: tuple[str, ...] = ("q",)
-    has_second_order: bool = True
 
     @property
     def n_params(self) -> int:
@@ -563,35 +551,18 @@ class ModelSpec:
     def canonical_order(self) -> tuple[str, ...]:
         return self.init_names + self.param_names
 
-    def rhs_for(self, lam: np.ndarray) -> Callable[[float, np.ndarray], np.ndarray]:
-        """Plain state rhs closure at a fixed parameter vector."""
-        return lambda t, y: self.derivs(t, y, lam, 0).f
+
+def _partials_to_derivs(partials) -> ModelDerivs:
+    """Slice a scalar model's (f, grad, hess) over (q, *params) into ModelDerivs blocks."""
+    f, g, H = partials
+    d = ModelDerivs(f=np.array([f]), jac_y=g[:1, None], jac_p=g[1:, None])
+    if H is not None:
+        d.hess_yy, d.hess_py, d.hess_pp = H[:1, :1, None], H[1:, :1, None], H[1:, 1:, None]
+    return d
 
 
-def _bundle_to_derivs(bundle: PartialBundle, names: tuple[str, ...], order: int) -> ModelDerivs:
-    """Pack a scalar-model PartialBundle into the array layout of ModelDerivs."""
-    f = np.array([bundle.value])
-    if order == 0:
-        return ModelDerivs(f=f)
-    jac_y = np.array([[bundle.d1("q")]])
-    jac_p = np.array([[bundle.d1(n)] for n in names])
-    if order == 1:
-        return ModelDerivs(f=f, jac_y=jac_y, jac_p=jac_p)
-    n = len(names)
-    hess_yy = np.array([[[bundle.d2("q", "q")]]])
-    hess_py = np.array([[[bundle.d2(nm, "q")]] for nm in names])
-    hess_pp = np.empty((n, n, 1))
-    for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            hess_pp[i, j, 0] = bundle.d2(a, b)
-    return ModelDerivs(
-        f=f, jac_y=jac_y, jac_p=jac_p,
-        hess_yy=hess_yy, hess_py=hess_py, hess_pp=hess_pp,
-    )
-
-
-ZAJAC_PARAM_NAMES = ("sigma", "q0", "tau", "beta")
-HATZE_PARAM_NAMES = ("sigma", "q0", "m", "rho_c", "nu", "ell_rho", "ell_CErel")
+ZAJAC_PARAM_NAMES = ZAJAC_VARS[1:]
+HATZE_PARAM_NAMES = HATZE_VARS[1:]
 SIMPLIFIED_PARAM_NAMES = ("sigma", "tau")
 
 
@@ -603,8 +574,7 @@ def zajac_model() -> ModelSpec:
                         q_init=float(y[0]))
         if order == 0:
             return ModelDerivs(f=np.array([zajac_rhs(float(y[0]), p)]))
-        bundle = zajac_partials(float(y[0]), p, second=order >= 2)
-        return _bundle_to_derivs(bundle, ZAJAC_PARAM_NAMES, order)
+        return _partials_to_derivs(zajac_partials(float(y[0]), p, second=order >= 2))
 
     return ModelSpec(
         name="zajac", param_names=ZAJAC_PARAM_NAMES, init_names=("q_Z0",),
@@ -622,8 +592,7 @@ def hatze_model() -> ModelSpec:
         )
         if order == 0:
             return ModelDerivs(f=np.array([hatze_rhs(float(y[0]), p)]))
-        bundle = hatze_partials(float(y[0]), p, second=order >= 2)
-        return _bundle_to_derivs(bundle, HATZE_PARAM_NAMES, order)
+        return _partials_to_derivs(hatze_partials(float(y[0]), p, second=order >= 2))
 
     return ModelSpec(
         name="hatze", param_names=HATZE_PARAM_NAMES, init_names=("q_H0",),

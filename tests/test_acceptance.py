@@ -196,7 +196,7 @@ def test_criterion_3_structural_checks():
     ok &= memory_max < 0.05
     details.append(f"max S_init beyond 3*tau: {memory_max:.4f} (bound 0.05; "
                    "slow-deactivation panels satisfy it only beyond ~4*tau, "
-                   "see decisions ledger)")
+                   "see the Tests paragraph of README.md)")
 
     _report(3, "structural sign/null checks", ok, "; ".join(details))
 

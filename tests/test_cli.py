@@ -139,6 +139,22 @@ def test_unknown_model_exits_with_config_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--tau", "-1"],
+    ["simulate", "--model", "zajac", "--beta", "0"],
+    ["simulate", "--model", "hatze", "--q-init", "2"],
+    ["simulate", "--model", "simplified-zajac", "--sigma", "1.5"],
+    ["simulate", "--sigma", "abc"],
+    ["global-sens", "--n", "1"],
+], ids=["negative-tau", "zero-beta", "hatze-q-init-above-one",
+        "simplified-sigma-above-one", "sigma-not-a-number", "global-n-one"])
+def test_invalid_input_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    assert main(argv + ["--t-end", "0.1", "--points", "3", "--output", str(out)]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert not (out / "state.csv").exists() and not (out / "global.csv").exists()
+
+
 def test_numerical_failure_exits_3(tmp_path, capsys):
     # relative CE length beyond the pole makes the model undefined
     code = main(["simulate", "--model", "hatze", "--scenario", "ii",

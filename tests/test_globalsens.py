@@ -131,6 +131,23 @@ def test_failed_rows_are_resampled_not_zero_filled():
     assert len(fam.resampled_rows) > 0
 
 
+def test_evaluation_count_includes_resampled_rows():
+    m = build_sample_matrices(UNIT2, n=16, seed=9)
+    state = {"calls": 0}
+
+    def one_failure(rows, grid):
+        state["calls"] += 1
+        out = np.repeat(rows[:, :1], grid.size, axis=1)
+        if state["calls"] == 1:  # first pass: one base row fails once
+            out[3] = np.nan
+        return out
+
+    fam = evaluate_family(one_failure, m, GRID)
+    assert fam.resampled_rows == (3,)
+    n, N = 16, 2
+    assert fam.n_evaluations == 2 * n * (N + 1) + 2 * (N + 1)
+
+
 def test_unrecoverable_rows_raise():
     m = build_sample_matrices(UNIT2, n=4, seed=9)
 

@@ -113,7 +113,7 @@ def no_hessian_model() -> ModelSpec:
                            jac_p=np.array([[-y[0]]]))
 
     return ModelSpec(name="nohess", param_names=("a",), init_names=("y0",),
-                     derivs=derivs, has_second_order=False)
+                     derivs=derivs)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +316,7 @@ def test_state_only_model_rejects_first_order():
         return ModelDerivs(f=np.array([-y[0]]))
 
     model = ModelSpec(name="bare", param_names=("a",), init_names=("y0",),
-                      derivs=derivs, has_second_order=False)
+                      derivs=derivs)
     ps = ParameterSet.from_dict({"y0": 1.0, "a": 1.0}, order=("y0", "a"))
     with pytest.raises(MissingDerivative):
         first_order(model, ps, np.linspace(0.0, 1.0, 3))

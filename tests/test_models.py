@@ -13,6 +13,7 @@ from actsens import (
     force_length,
     force_length_relative,
     hatze_gamma_of_q,
+    hatze_model,
     hatze_partials,
     hatze_q_of_gamma,
     hatze_rho,
@@ -21,11 +22,13 @@ from actsens import (
     integrate,
     simplified_zajac_sensitivities,
     simplified_zajac_solution,
+    zajac_model,
     zajac_partials,
     zajac_rhs,
     zajac_steady_state,
 )
 from actsens.models import HATZE_VARS, ZAJAC_VARS
+from actsens.presets import builtin_cuboid
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +99,12 @@ def test_zajac_rhs_direct_substitution():
 def test_zajac_beta_partial_vanishes_at_full_stimulation():
     p = ZajacParams(sigma=1.0, q0=0.005, tau=0.025, beta=0.5)
     for q in (0.005, 0.3, 0.9):
-        assert zajac_partials(q, p).d1("beta") == 0.0
+        assert zajac_partials(q, p)[1][ZAJAC_VARS.index("beta")] == 0.0
 
 
 def test_zajac_state_partial_reduces_at_beta_one():
     p = ZajacParams(sigma=0.7, q0=0.01, tau=0.02, beta=1.0)
-    assert zajac_partials(0.4, p).d1("q") == pytest.approx(
+    assert zajac_partials(0.4, p)[1][ZAJAC_VARS.index("q")] == pytest.approx(
         -1.0 / (0.02 * 0.99), rel=1e-12)
 
 
@@ -109,7 +112,8 @@ def test_zajac_beta_partial_formula():
     p = ZajacParams(sigma=0.3, q0=0.005, tau=0.025, beta=0.6)
     q = 0.2
     expect = (q - p.q0) * (p.sigma - 1.0) / (p.tau * (1.0 - p.q0))
-    assert zajac_partials(q, p).d1("beta") == pytest.approx(expect, rel=1e-12)
+    assert zajac_partials(q, p)[1][ZAJAC_VARS.index("beta")] == pytest.approx(
+        expect, rel=1e-12)
 
 
 @pytest.mark.parametrize("q,vals", [
@@ -119,26 +123,27 @@ def test_zajac_beta_partial_formula():
 ])
 def test_zajac_partials_match_finite_differences(q, vals):
     p = ZajacParams(**vals)
-    b = zajac_partials(q, p)
-    for var in ZAJAC_VARS:
+    _, grad, hess = zajac_partials(q, p)
+    for i, var in enumerate(ZAJAC_VARS):
         lam = q if var == "q" else vals[var]
         d1, _ = _fd_bundle(_zajac_f, q, vals, var, 1e-6 * max(1.0, abs(lam)))
-        assert b.d1(var) == pytest.approx(d1, rel=1e-6, abs=1e-8)
+        assert grad[i] == pytest.approx(d1, rel=1e-6, abs=1e-8)
         _, d2 = _fd_bundle(_zajac_f, q, vals, var, 1e-4 * max(1.0, abs(lam)))
-        assert b.d2(var, var) == pytest.approx(d2, rel=1e-4, abs=1e-4)
+        assert hess[i, i] == pytest.approx(d2, rel=1e-4, abs=1e-4)
     for i, va in enumerate(ZAJAC_VARS):
-        for vb in ZAJAC_VARS[i + 1:]:
+        for j, vb in enumerate(ZAJAC_VARS[i + 1:], i + 1):
             ha = 1e-4 * max(1.0, abs(q if va == "q" else vals[va]))
             hb = 1e-4 * max(1.0, abs(q if vb == "q" else vals[vb]))
             ref = _fd_cross(_zajac_f, q, vals, va, vb, ha, hb)
-            assert b.d2(va, vb) == pytest.approx(ref, rel=1e-4, abs=1e-6)
+            assert hess[i, j] == pytest.approx(ref, rel=1e-4, abs=1e-6)
 
 
 def test_zajac_second_tau_partial_is_two_f_over_tau_squared():
     p = ZajacParams(sigma=0.4, q0=0.005, tau=0.025, beta=1.0 / 3.0)
     q = 0.5
-    b = zajac_partials(q, p)
-    assert b.d2("tau", "tau") == pytest.approx(
+    hess = zajac_partials(q, p)[2]
+    tau = ZAJAC_VARS.index("tau")
+    assert hess[tau, tau] == pytest.approx(
         2.0 * zajac_rhs(q, p) / p.tau**2, rel=1e-12)
 
 
@@ -227,16 +232,16 @@ def test_hatze_rhs_strict_domain():
 def test_hatze_sigma_partial_positive_interior():
     p = HatzeParams(sigma=0.4, q0=0.005, nu=3.0, rho_c=7.24, q_init=0.01)
     for q in (0.05, 0.3, 0.9):
-        assert hatze_partials(q, p).d1("sigma") > 0.0
+        assert hatze_partials(q, p)[1][HATZE_VARS.index("sigma")] > 0.0
 
 
 def test_hatze_sigma_rho_c_partials_scale_identically():
     # both enter through one product: sigma * df/dsigma == rho_c * df/drho_c
     p = HatzeParams(sigma=0.4, q0=0.005, nu=3.0, rho_c=7.24, q_init=0.01)
     for q in (0.05, 0.3, 0.9):
-        b = hatze_partials(q, p)
-        assert b.d1("sigma") * p.sigma == pytest.approx(
-            b.d1("rho_c") * p.rho_c, rel=1e-12)
+        grad = hatze_partials(q, p)[1]
+        assert grad[HATZE_VARS.index("sigma")] * p.sigma == pytest.approx(
+            grad[HATZE_VARS.index("rho_c")] * p.rho_c, rel=1e-12)
 
 
 @pytest.mark.parametrize("q,vals", [
@@ -248,24 +253,37 @@ def test_hatze_sigma_rho_c_partials_scale_identically():
                 ell_rho=2.9, ell_CErel=1.2)),
 ])
 def test_hatze_partials_match_finite_differences(q, vals):
-    b = hatze_partials(q, HatzeParams(
+    _, grad, hess = hatze_partials(q, HatzeParams(
         sigma=vals["sigma"], q0=vals["q0"], m=vals["m"], rho_c=vals["rho_c"],
         nu=vals["nu"], ell_rho=vals["ell_rho"], ell_ce_rel=vals["ell_CErel"],
         q_init=0.5))
-    for var in HATZE_VARS:
+    for i, var in enumerate(HATZE_VARS):
         lam = q if var == "q" else vals[var]
         h = 1e-6 * max(1.0, abs(lam))
         d1, _ = _fd_bundle(_hatze_f, q, vals, var, h)
-        assert b.d1(var) == pytest.approx(d1, rel=1e-5, abs=1e-7)
+        assert grad[i] == pytest.approx(d1, rel=1e-5, abs=1e-7)
         h2 = 1e-4 * max(1.0, abs(lam))
         _, d2 = _fd_bundle(_hatze_f, q, vals, var, h2)
-        assert b.d2(var, var) == pytest.approx(d2, rel=1e-4, abs=1e-4)
+        assert hess[i, i] == pytest.approx(d2, rel=1e-4, abs=1e-4)
     for i, va in enumerate(HATZE_VARS):
-        for vb in HATZE_VARS[i + 1:]:
+        for j, vb in enumerate(HATZE_VARS[i + 1:], i + 1):
             ha = 1e-4 * max(1.0, abs(q if va == "q" else vals[va]))
             hb = 1e-4 * max(1.0, abs(q if vb == "q" else vals[vb]))
             ref = _fd_cross(_hatze_f, q, vals, va, vb, ha, hb)
-            assert b.d2(va, vb) == pytest.approx(ref, rel=1e-4, abs=1e-6)
+            assert hess[i, j] == pytest.approx(ref, rel=1e-4, abs=1e-6)
+
+
+@pytest.mark.parametrize("model", ["zajac", "hatze"])
+def test_parameter_hessian_is_exactly_symmetric(model):
+    # the product rule sums its two cross terms in one fixed order on both
+    # sides of the diagonal; without the mirror fill they differ in the
+    # last bit at some points
+    spec = zajac_model() if model == "zajac" else hatze_model()
+    cuboid = builtin_cuboid(model)
+    rows = cuboid.scale(np.random.default_rng(3).random((500, cuboid.n_params)))
+    for row in rows:
+        d = spec.derivs(0.0, row[:1], row[1:], 2)
+        assert np.array_equal(d.hess_pp, d.hess_pp.transpose(1, 0, 2))
 
 
 def test_hatze_steady_state():
