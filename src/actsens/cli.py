@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import ActsensError, ConfigError, PoleViolation
+from .errors import ActsensError, ConfigError, InvalidBounds, PoleViolation
 from .globalsens import ParameterCuboid, analyze_global
 from .localsens import analyze, normalize
 from .models import (
@@ -52,6 +53,7 @@ from .presets import (
 )
 
 _FLOAT_FMT = "%.17g"
+_SAMPLERS = ("pseudo", "halton")
 
 _MODELS = {
     "zajac": (zajac_model, ZAJAC_CANONICAL),
@@ -99,6 +101,20 @@ def _parse_number(text) -> float:
         return float(s)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"expected a number or a fraction like 1/3, got {text!r}") from None
+
+
+def _parse_count(text, key: str, minimum: int) -> int:
+    """An integer setting of at least ``minimum``; ConfigError otherwise."""
+    if isinstance(text, int):
+        value = text
+    else:
+        try:
+            value = int(str(text).strip())
+        except ValueError:
+            raise ConfigError(f"{key} must be an integer, got {text!r}") from None
+    if value < minimum:
+        raise ConfigError(f"{key} must be at least {minimum}, got {value}")
+    return value
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -245,7 +261,10 @@ def _validate(model_name: str, v: dict[str, float]) -> None:
 
 
 def _grid(settings) -> np.ndarray:
-    return make_grid(float(settings["t_end"]), int(settings["points"]))
+    t_end = _parse_number(settings["t_end"])
+    if not (t_end > 0.0 and math.isfinite(t_end)):
+        raise ConfigError(f"t_end must be a positive number of seconds, got {t_end}")
+    return make_grid(t_end, _parse_count(settings["points"], "points", 2))
 
 
 def _pair_labels(names) -> list[str]:
@@ -258,12 +277,12 @@ def _pair_labels(names) -> list[str]:
 
 
 def _cmd_analytic(settings) -> int:
-    out = _out_dir(settings)
     grid = _grid(settings)
     sigma = _parse_number(settings["sigma"])
     tau = _parse_number(settings["tau"])
     q_init = _parse_number(settings["q_init"])
     rel = simplified_zajac_sensitivities(grid, sigma, tau, q_init)
+    out = _out_dir(settings)
     path = out / "analytic_sensitivities.csv"
     write_csv(path, ["t_seconds", "S_sigma", "S_tau", "S_q_Z0"],
               [grid, rel["sigma"], rel["tau"], rel["q_Z0"]])
@@ -281,10 +300,10 @@ def _cmd_analytic(settings) -> int:
 
 
 def _cmd_simulate(settings) -> int:
-    out = _out_dir(settings)
     model, pset = _scenario_params(settings)
     grid = _grid(settings)
     res = analyze(model, pset, grid, order=0)
+    out = _out_dir(settings)
     path = out / "state.csv"
     write_csv(path, ["t_seconds", "q"], [grid, res.state[:, 0]])
     write_manifest(out / "manifest.txt", {
@@ -299,12 +318,12 @@ def _cmd_simulate(settings) -> int:
 
 
 def _cmd_local_sens(settings) -> int:
-    out = _out_dir(settings)
     model, pset = _scenario_params(settings)
     grid = _grid(settings)
     order = 2 if settings["second_order"] else 1
     res = normalize(analyze(model, pset, grid, order=order, include_init=True), pset)
 
+    out = _out_dir(settings)
     files = []
     write_csv(out / "state.csv", ["t_seconds", "q"], [grid, res.state[:, 0]])
     files.append("state.csv")
@@ -339,13 +358,13 @@ def _cmd_local_sens(settings) -> int:
 
 
 def _cmd_global_sens(settings) -> int:
-    out = _out_dir(settings)
     model_name = settings["model"]
     if model_name not in ("zajac", "hatze"):
         raise ConfigError("global-sens supports the 'zajac' and 'hatze' models")
-    n = int(settings["n"])
-    if n < 2:
-        raise ConfigError(f"--n must be at least 2, got {n}")
+    if settings["sampler"] not in _SAMPLERS:
+        raise ConfigError(f"unknown sampler {settings['sampler']!r}; choose from {_SAMPLERS}")
+    n = _parse_count(settings["n"], "n", 2)
+    seed = _parse_count(settings["seed"], "seed", 0)
     canonical = builtin_cuboid(model_name).names
     if settings["preset"] == "paper-bounds":
         cuboid = builtin_cuboid(model_name)
@@ -353,17 +372,21 @@ def _cmd_global_sens(settings) -> int:
         bounds = _load_config(settings["preset"])
         pairs = {k: tuple(_parse_number(v) for v in val.split(","))
                  for k, val in bounds.items()}
-        if set(pairs) != set(canonical):
+        if set(pairs) != set(canonical) or any(len(v) != 2 for v in pairs.values()):
             raise ConfigError(
-                f"bounds file must cover exactly the parameters {list(canonical)}"
+                f"bounds file must give one 'lower,upper' pair for each of {list(canonical)}"
             )
-        cuboid = ParameterCuboid.from_dict({n: pairs[n] for n in canonical})
+        try:
+            cuboid = ParameterCuboid.from_dict({n: pairs[n] for n in canonical})
+        except InvalidBounds as exc:
+            raise ConfigError(str(exc)) from exc
     grid = _grid(settings)
     result = analyze_global(
         family_evaluator(model_name), cuboid,
-        n=n, seed=int(settings["seed"]), grid=grid,
+        n=n, seed=seed, grid=grid,
         validity=row_validity(model_name), sampler=settings["sampler"],
     )
+    out = _out_dir(settings)
     path = out / "global.csv"
     header = ["t_seconds", "V"]
     cols = [grid, result.v_total]
@@ -378,6 +401,7 @@ def _cmd_global_sens(settings) -> int:
         "command": "global-sens", "model": model_name,
         "preset": settings["preset"], "n": result.n, "seed": result.seed,
         "sampler": settings["sampler"], "evaluations": result.n_evaluations,
+        "resampled_rows": result.resampled_rows,
         "t_end": grid[-1], "points": grid.size,
         "undefined_points": int(result.undefined.sum()),
         "bounds": ";".join(f"{n}:[{lo:g},{hi:g}]" for n, lo, hi in
@@ -396,7 +420,6 @@ def _cmd_global_sens(settings) -> int:
 
 
 def _cmd_optimize(settings) -> int:
-    out = _out_dir(settings)
     if not settings.get("targets"):
         raise ConfigError("optimize requires --targets (CSV with columns gamma,shift_mm)")
     targets = load_shift_targets(settings["targets"])
@@ -411,6 +434,7 @@ def _cmd_optimize(settings) -> int:
         rho0_start=_parse_number(settings["rho0_start"]),
         ell_opt=_parse_number(settings["ell_opt"]),
     )
+    out = _out_dir(settings)
     path = out / "fit_table.csv"
     with path.open("w") as fh:
         fh.write("nu,kind,width_start,width,rho0,error_mm,iterations,status\n")
@@ -495,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "(name = lower,upper per line)")
     p.add_argument("--n", type=int, help="sample rows per base matrix")
     p.add_argument("--seed", type=int)
-    p.add_argument("--sampler", choices=["pseudo", "halton"])
+    p.add_argument("--sampler", choices=_SAMPLERS)
     _add_grid(p)
     _add_common(p)
 

@@ -41,6 +41,10 @@ VARIANCE_FLOOR = 1e-12
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71)
 
+#: A joint constraint on sample rows: takes a dict of parameter columns (one
+#: array per cuboid name, one entry per row) and returns a boolean array.
+Validity = Callable[[dict[str, np.ndarray]], np.ndarray]
+
 
 @dataclass(frozen=True)
 class ParameterCuboid:
@@ -94,7 +98,7 @@ class SampleMatrices:
     a_swapped: np.ndarray  # (N, n, N)
     b_swapped: np.ndarray  # (N, n, N)
     blocks_used: np.ndarray  # (n,)
-    validity: Callable[[dict[str, float]], bool] | None = None
+    validity: Validity | None = None
     sampler: str = "pseudo"
 
 
@@ -103,39 +107,36 @@ def _row_stream(seed: int, row: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, row])))
 
 
-def _halton_block(index: int, dims: int) -> np.ndarray:
-    """One 2N-dimensional Halton point (van der Corput per prime base)."""
+def _halton_points(indices: np.ndarray, dims: int) -> np.ndarray:
+    """Halton points of the given indices, (len(indices), dims), van der Corput per prime base."""
     if dims > len(_FIRST_PRIMES):
         raise ValueError(
             f"halton sampler supports up to {len(_FIRST_PRIMES) // 2} parameters"
         )
-    out = np.empty(dims)
+    out = np.zeros((len(indices), dims))
     for d in range(dims):
         base = _FIRST_PRIMES[d]
-        i, f, x = index, 1.0, 0.0
-        while i > 0:
+        i, f, x = np.array(indices, dtype=np.int64), 1.0, out[:, d]
+        while np.any(i > 0):
             f /= base
-            x += f * (i % base)
+            x += f * (i % base)  # adds exactly 0.0 where i has run out of digits
             i //= base
-        out[d] = x
     return out
 
 
-def _row_valid(cuboid, validity, row_a, row_b) -> bool:
-    """A row pair is usable only if every single-column swap stays valid."""
+def _rows_valid(cuboid, validity, a, b) -> np.ndarray:
+    """Rows j whose pair (a[j], b[j]) stays valid in A, B and every single-column swap."""
+    ok = np.ones(a.shape[0], dtype=bool)
     if validity is None:
-        return True
-    names = cuboid.names
-    if not validity(dict(zip(names, row_a))) or not validity(dict(zip(names, row_b))):
-        return False
-    for i in range(cuboid.n_params):
-        sa = row_a.copy()
-        sa[i] = row_b[i]
-        sb = row_b.copy()
-        sb[i] = row_a[i]
-        if not validity(dict(zip(names, sa))) or not validity(dict(zip(names, sb))):
-            return False
-    return True
+        return ok
+    cols_a = dict(zip(cuboid.names, a.T))
+    cols_b = dict(zip(cuboid.names, b.T))
+    ok &= validity(cols_a)
+    ok &= validity(cols_b)
+    for name in cuboid.names:
+        ok &= validity({**cols_a, name: cols_b[name]})
+        ok &= validity({**cols_b, name: cols_a[name]})
+    return ok
 
 
 def _draw_row_pair(cuboid, seed, row, start_block, validity, sampler, max_draws):
@@ -150,13 +151,13 @@ def _draw_row_pair(cuboid, seed, row, start_block, validity, sampler, max_draws)
         if sampler == "pseudo":
             u = gen.random(dims)
         elif sampler == "halton":
-            u = _halton_block(1 + row + block * 1_000_003, dims)
+            u = _halton_points([1 + row + block * 1_000_003], dims)[0]
         else:
             raise ValueError(f"unknown sampler {sampler!r}")
         block += 1
-        vals = cuboid.scale(u.reshape(2, cuboid.n_params))
-        if _row_valid(cuboid, validity, vals[0], vals[1]):
-            return vals[0], vals[1], block
+        vals = cuboid.scale(u.reshape(2, 1, cuboid.n_params))
+        if _rows_valid(cuboid, validity, vals[0], vals[1])[0]:
+            return vals[0, 0], vals[1, 0], block
     raise SamplingError(
         f"row {row}: no valid sample within {max_draws} draws; "
         "check bounds and validity predicate"
@@ -167,40 +168,38 @@ def build_sample_matrices(
     cuboid: ParameterCuboid,
     n: int,
     seed: int,
-    validity: Callable[[dict[str, float]], bool] | None = None,
+    validity: Validity | None = None,
     sampler: str = "pseudo",
     max_draws: int = 10_000,
 ) -> SampleMatrices:
     """Construct A, B and the 2N single-column swap blocks (2n(N+1) rows total).
 
-    Rows violating the validity predicate (in any swap combination) are
-    rejection-resampled from their own substream, so the result is
-    deterministic in (cuboid, n, seed) and independent of other rows.
+    All rows are drawn at once; rows violating the validity predicate (in
+    any swap combination) are rejection-resampled from their own substream,
+    so the result is deterministic in (cuboid, n, seed) and independent of
+    other rows.
     """
     if n < 2:
         raise ValueError(f"need at least two sample rows, got n={n}")
     N = cuboid.n_params
-    a = np.empty((n, N))
-    b = np.empty((n, N))
-    blocks = np.zeros(n, dtype=int)
-
     if sampler == "pseudo":
-        # bulk draw first; only invalid rows fall back to their substream
-        bulk = np.random.Generator(
+        # a bulk stream, not the rows' substreams: no substream block is used
+        u = np.random.Generator(
             np.random.Philox(np.random.SeedSequence([seed]))
         ).random((n, 2 * N))
-        scaled = cuboid.scale(bulk.reshape(n, 2, N))
-        a[:], b[:] = scaled[:, 0, :], scaled[:, 1, :]
-        for j in range(n):
-            if not _row_valid(cuboid, validity, a[j], b[j]):
-                a[j], b[j], blocks[j] = _draw_row_pair(
-                    cuboid, seed, j, 0, validity, sampler, max_draws
-                )
+        blocks = np.zeros(n, dtype=int)
+    elif sampler == "halton":
+        # each row's block 0, as _draw_row_pair would draw it first
+        u = _halton_points(1 + np.arange(n), 2 * N)
+        blocks = np.ones(n, dtype=int)
     else:
-        for j in range(n):
-            a[j], b[j], blocks[j] = _draw_row_pair(
-                cuboid, seed, j, 0, validity, sampler, max_draws
-            )
+        raise ValueError(f"unknown sampler {sampler!r}")
+    scaled = cuboid.scale(u.reshape(n, 2, N))
+    a, b = scaled[:, 0, :].copy(), scaled[:, 1, :].copy()
+    for j in np.nonzero(~_rows_valid(cuboid, validity, a, b))[0]:
+        a[j], b[j], blocks[j] = _draw_row_pair(
+            cuboid, seed, int(j), 0, validity, sampler, max_draws
+        )
 
     a_swapped = np.repeat(a[None, :, :], N, axis=0)
     b_swapped = np.repeat(b[None, :, :], N, axis=0)
@@ -222,27 +221,51 @@ def _refresh_swaps(m: SampleMatrices, rows: np.ndarray) -> None:
         m.b_swapped[i, rows, i] = m.a[rows, i]
 
 
+def _blocks(values: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Views (A, B, A_swapped, B_swapped) into rows stacked in that order."""
+    N = values.shape[0] // (2 * n) - 1
+    return (
+        values[:n],
+        values[n:2 * n],
+        values[2 * n:(N + 2) * n].reshape(N, n, -1),
+        values[(N + 2) * n:].reshape(N, n, -1),
+    )
+
+
 @dataclass
 class FamilyEvaluation:
-    """Model outputs for every sample row: the family of solutions."""
+    """Model outputs for every sample row: the family of solutions.
+
+    ``values`` holds all 2n(N+1) solutions as one C-contiguous (rows, T)
+    array, stacked A, B, then the N blocks of A_swapped and of B_swapped;
+    ``y_a``, ``y_b``, ``y_a_swapped`` and ``y_b_swapped`` are views into it.
+    """
 
     times: np.ndarray
-    y_a: np.ndarray  # (n, T)
-    y_b: np.ndarray  # (n, T)
-    y_a_swapped: np.ndarray  # (N, n, T)
-    y_b_swapped: np.ndarray  # (N, n, T)
+    values: np.ndarray  # (2n(N+1), T)
+    n: int
     n_evaluations: int
     resampled_rows: tuple[int, ...] = ()
 
+    @property
+    def y_a(self) -> np.ndarray:  # (n, T)
+        return _blocks(self.values, self.n)[0]
+
+    @property
+    def y_b(self) -> np.ndarray:  # (n, T)
+        return _blocks(self.values, self.n)[1]
+
+    @property
+    def y_a_swapped(self) -> np.ndarray:  # (N, n, T)
+        return _blocks(self.values, self.n)[2]
+
+    @property
+    def y_b_swapped(self) -> np.ndarray:  # (N, n, T)
+        return _blocks(self.values, self.n)[3]
+
     def pooled(self) -> np.ndarray:
-        """All 2n(N+1) solutions stacked row-wise."""
-        N, n, T = self.y_a_swapped.shape
-        return np.concatenate(
-            [self.y_a, self.y_b,
-             self.y_a_swapped.reshape(N * n, T),
-             self.y_b_swapped.reshape(N * n, T)],
-            axis=0,
-        )
+        """All 2n(N+1) solutions stacked row-wise (the array itself, not a copy)."""
+        return self.values
 
 
 def evaluate_family(
@@ -275,23 +298,16 @@ def evaluate_family(
             )
         return out
 
-    stacked = np.concatenate(
-        [matrices.a, matrices.b,
-         matrices.a_swapped.reshape(N * n, N),
-         matrices.b_swapped.reshape(N * n, N)],
-        axis=0,
-    )
-    y = run(stacked)
-
-    def split(yy):
-        return (
-            yy[:n],
-            yy[n:2 * n],
-            yy[2 * n:2 * n + N * n].reshape(N, n, grid.size),
-            yy[2 * n + N * n:].reshape(N, n, grid.size),
+    def stack(rows):
+        return np.concatenate(
+            [matrices.a[rows], matrices.b[rows],
+             matrices.a_swapped[:, rows, :].reshape(-1, N),
+             matrices.b_swapped[:, rows, :].reshape(-1, N)],
+            axis=0,
         )
 
-    y_a, y_b, y_as, y_bs = (arr.copy() for arr in split(y))
+    values = np.ascontiguousarray(run(stack(slice(None))))  # every row
+    y_a, y_b, y_as, y_bs = _blocks(values, n)
 
     def bad_rows():
         ok_a = np.all(np.isfinite(y_a), axis=1)
@@ -317,23 +333,14 @@ def evaluate_family(
             )
             resampled.append(int(j))
         _refresh_swaps(matrices, rows)
-        sub = np.concatenate(
-            [matrices.a[rows], matrices.b[rows],
-             matrices.a_swapped[:, rows, :].reshape(N * rows.size, N),
-             matrices.b_swapped[:, rows, :].reshape(N * rows.size, N)],
-            axis=0,
-        )
-        ys = run(sub)
-        r = rows.size
-        y_a[rows] = ys[:r]
-        y_b[rows] = ys[r:2 * r]
-        y_as[:, rows, :] = ys[2 * r:2 * r + N * r].reshape(N, r, grid.size)
-        y_bs[:, rows, :] = ys[2 * r + N * r:].reshape(N, r, grid.size)
+        # the block views write the new solutions through into values
+        ys_a, ys_b, ys_as, ys_bs = _blocks(run(stack(rows)), rows.size)
+        y_a[rows], y_b[rows] = ys_a, ys_b
+        y_as[:, rows], y_bs[:, rows] = ys_as, ys_bs
         rows = bad_rows()
 
     return FamilyEvaluation(
-        times=grid, y_a=y_a, y_b=y_b, y_a_swapped=y_as, y_b_swapped=y_bs,
-        n_evaluations=evaluated,
+        times=grid, values=values, n=n, n_evaluations=evaluated,
         resampled_rows=tuple(resampled),
     )
 
@@ -352,6 +359,7 @@ class GlobalResult:
     n: int
     seed: int
     n_evaluations: int
+    resampled_rows: int  # rows redrawn after a failed evaluation, with repeats
     undefined: np.ndarray  # (T,) bool: V below the variance floor
 
     def index_of(self, name: str) -> int:
@@ -391,7 +399,8 @@ def vbs_tsi(family: FamilyEvaluation, matrices: SampleMatrices,
         times=family.times, param_names=matrices.cuboid.names,
         v_total=v_total, v_first=v_first, v_complement=v_complement,
         vbs=vbs, tsi=tsi, n=matrices.n, seed=matrices.seed,
-        n_evaluations=family.n_evaluations, undefined=undefined,
+        n_evaluations=family.n_evaluations,
+        resampled_rows=len(family.resampled_rows), undefined=undefined,
     )
 
 
@@ -401,7 +410,7 @@ def analyze_global(
     n: int,
     seed: int,
     grid,
-    validity: Callable[[dict[str, float]], bool] | None = None,
+    validity: Validity | None = None,
     sampler: str = "pseudo",
 ) -> GlobalResult:
     """Sample, evaluate the family of solutions, and reduce to VBS/TSI."""

@@ -122,6 +122,17 @@ class ZajacParams:
         if not 0.0 <= self.sigma <= 1.0:
             raise ValueError(f"sigma must lie in [0, 1], got {self.sigma}")
 
+    @functools.cached_property
+    def rate_factors(self) -> tuple:
+        """Parameter-only factors of :func:`zajac_rhs`, computed on first use.
+
+        ``(sigma(1-q0), sigma(1-beta), tau(1-q0))``. They are kept for the
+        object's lifetime, so its fields must not change after its rhs has
+        been evaluated.
+        """
+        return (self.sigma * (1.0 - self.q0), self.sigma * (1.0 - self.beta),
+                self.tau * (1.0 - self.q0))
+
 
 @dataclass
 class HatzeParams:
@@ -161,6 +172,20 @@ class HatzeParams:
         if not 0.0 <= self.sigma <= 1.0:
             raise ValueError(f"sigma must lie in [0, 1], got {self.sigma}")
 
+    @functools.cached_property
+    def rate_factors(self) -> tuple:
+        """Parameter-only factors of :func:`hatze_rhs`, computed on first use.
+
+        ``(q0 + eps, sigma*rho, 1 + 1/nu, 1 - 1/nu, nu*m/(1-q0))`` with rho
+        from :func:`hatze_rho`, so a CE length outside (0, ell_rho) raises
+        PoleViolation on every access. They are kept for the object's
+        lifetime, so its fields must not change after its rhs has been
+        evaluated.
+        """
+        rho = hatze_rho(self.ell_ce_rel, self.rho_c, self.ell_rho)
+        return (self.q0 + HATZE_EPS, self.sigma * rho, 1.0 + 1.0 / self.nu,
+                1.0 - 1.0 / self.nu, self.nu * self.m / (1.0 - self.q0))
+
 
 # ---------------------------------------------------------------------------
 # partials as arrays: (value, gradient, Hessian) over a model's VARS
@@ -197,12 +222,9 @@ ZAJAC_VARS = ("q", "sigma", "q0", "tau", "beta")
 
 def zajac_rhs(q, p: ZajacParams):
     """Activity rate: [sigma(1-q0) - sigma(1-beta)(q-q0) - beta(q-q0)] / (tau(1-q0))."""
-    bracket = (
-        p.sigma * (1.0 - p.q0)
-        - p.sigma * (1.0 - p.beta) * (q - p.q0)
-        - p.beta * (q - p.q0)
-    )
-    return bracket / (p.tau * (1.0 - p.q0))
+    sigma_free, sigma_boost, tau_free = p.rate_factors
+    u = q - p.q0
+    return (sigma_free - sigma_boost * u - p.beta * u) / tau_free
 
 
 def zajac_partials(q: float, p: ZajacParams, second: bool = True):
@@ -299,8 +321,9 @@ def hatze_gamma_of_q(q, ell_ce_rel, p: HatzeParams):
     return float(out) if out.ndim == 0 else out
 
 
-def _clamp_q(q, p: HatzeParams):
-    return np.minimum(np.maximum(q, p.q0 + HATZE_EPS), 1.0 - HATZE_EPS)
+def _clamp_q(q, floor):
+    # floor is q0 + HATZE_EPS
+    return np.minimum(np.maximum(q, floor), 1.0 - HATZE_EPS)
 
 
 def hatze_rhs(q, p: HatzeParams, strict: bool = False):
@@ -313,15 +336,11 @@ def hatze_rhs(q, p: HatzeParams, strict: bool = False):
     """
     if strict and (np.any(np.asarray(q) <= p.q0) or np.any(np.asarray(q) >= 1.0)):
         raise DomainViolation(f"q must lie strictly in (q0, 1), got {q}")
-    qc = _clamp_q(q, p)
-    rho = hatze_rho(p.ell_ce_rel, p.rho_c, p.ell_rho)
-    a = 1.0 + 1.0 / p.nu
-    b = 1.0 - 1.0 / p.nu
-    bracket = (
-        p.sigma * rho * (1.0 - qc) ** a * (qc - p.q0) ** b
-        - (1.0 - qc) * (qc - p.q0)
-    )
-    out = p.nu * p.m / (1.0 - p.q0) * bracket
+    q_floor, sigma_rho, a, b, gain = p.rate_factors
+    qc = _clamp_q(q, q_floor)
+    free = 1.0 - qc
+    excess = qc - p.q0
+    out = gain * (sigma_rho * free ** a * excess ** b - free * excess)
     return float(out) if np.isscalar(q) else out
 
 
@@ -334,7 +353,7 @@ def hatze_partials(q: float, p: HatzeParams, second: bool = True):
     exponents are included. Returns ``(f, grad, hess)`` as
     :func:`zajac_partials` does, over x = HATZE_VARS.
     """
-    q = float(_clamp_q(q, p))
+    q = float(_clamp_q(q, p.q0 + HATZE_EPS))
     sig, q0, m, rc, nu, lr, ell = (
         p.sigma, p.q0, p.m, p.rho_c, p.nu, p.ell_rho, p.ell_ce_rel,
     )

@@ -8,12 +8,10 @@ tables drive the global analysis; both are exposed through the CLI.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .errors import IntegrationError
-from .globalsens import ParameterCuboid
+from .globalsens import ParameterCuboid, Validity
 from .models import (
     HATZE_PARAM_NAMES,
     HatzeParams,
@@ -149,8 +147,12 @@ def builtin_cuboid(model: str) -> ParameterCuboid:
     raise ValueError(f"no bounds preset for model {model!r}")
 
 
-def row_validity(model: str) -> Callable[[dict[str, float]], bool]:
-    """Joint constraint between sampled initial and basic activity."""
+def row_validity(model: str) -> Validity:
+    """Joint constraint between sampled initial and basic activity.
+
+    The predicate takes a dict of parameter columns (one array per name) and
+    returns a boolean array, one entry per row.
+    """
     if model == "zajac":
         return lambda row: row["q_Z0"] >= row["q0"]
     if model == "hatze":
@@ -176,20 +178,22 @@ def family_evaluator(model: str, tol: Tolerances | None = None):
 
     All rows are integrated as one diagonal system sharing the adaptive step
     sequence; if that fails, rows are integrated one by one and the bad rows
-    come back as NaN for the caller's resampling pass.
+    come back as NaN for the caller's resampling pass. Each parameter field
+    is a contiguous column, and its rate factors are computed once per
+    solve (see ``rate_factors`` in :mod:`actsens.models`).
     """
     tol = tol or GLOBAL_TOLERANCES
 
     if model == "zajac":
         def params_of(rows):
-            return ZajacParams(sigma=rows[:, 1], q0=rows[:, 2], tau=rows[:, 3],
-                               beta=rows[:, 4], q_init=rows[:, 0])
+            q_init, sigma, q0, tau, beta = rows.T.copy()
+            return ZajacParams(sigma=sigma, q0=q0, tau=tau, beta=beta, q_init=q_init)
         rhs_fn = zajac_rhs
     elif model == "hatze":
         def params_of(rows):
-            return HatzeParams(sigma=rows[:, 1], q0=rows[:, 2], m=rows[:, 3],
-                               rho_c=rows[:, 4], nu=rows[:, 5], ell_rho=rows[:, 6],
-                               ell_ce_rel=rows[:, 7], q_init=rows[:, 0])
+            q_init, sigma, q0, m, rho_c, nu, ell_rho, ell_ce_rel = rows.T.copy()
+            return HatzeParams(sigma=sigma, q0=q0, m=m, rho_c=rho_c, nu=nu,
+                               ell_rho=ell_rho, ell_ce_rel=ell_ce_rel, q_init=q_init)
         rhs_fn = hatze_rhs
     else:
         raise ValueError(f"no family evaluator for model {model!r}")

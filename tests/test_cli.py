@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from actsens import simplified_zajac_sensitivities, synthesize_targets
+from actsens import cli, simplified_zajac_sensitivities, synthesize_targets
 from actsens.cli import main
 
 
@@ -139,20 +139,54 @@ def test_unknown_model_exits_with_config_error():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--tau", "-1"],
-    ["simulate", "--model", "zajac", "--beta", "0"],
-    ["simulate", "--model", "hatze", "--q-init", "2"],
-    ["simulate", "--model", "simplified-zajac", "--sigma", "1.5"],
-    ["simulate", "--sigma", "abc"],
-    ["global-sens", "--n", "1"],
+@pytest.mark.parametrize("argv, config", [
+    (["simulate", "--tau", "-1"], None),
+    (["simulate", "--model", "zajac", "--beta", "0"], None),
+    (["simulate", "--model", "hatze", "--q-init", "2"], None),
+    (["simulate", "--model", "simplified-zajac", "--sigma", "1.5"], None),
+    (["simulate", "--sigma", "abc"], None),
+    (["global-sens", "--n", "1"], None),
+    (["simulate", "--t-end", "-1"], None),
+    (["simulate", "--t-end", "0"], None),
+    (["simulate", "--points", "1"], None),
+    (["analytic", "--points", "1"], None),
+    (["simulate"], "t_end = abc\npoints = 3\n"),
+    (["simulate"], "t_end = 0.1\npoints = 2.5\n"),
+    (["global-sens"], "n = many\nt_end = 0.1\npoints = 3\n"),
+    (["global-sens", "--n", "4"], "seed = x\nt_end = 0.1\npoints = 3\n"),
+    (["global-sens", "--n", "4", "--seed", "-1"], None),
+    (["global-sens", "--n", "4"], "sampler = sobol\nt_end = 0.1\npoints = 3\n"),
 ], ids=["negative-tau", "zero-beta", "hatze-q-init-above-one",
-        "simplified-sigma-above-one", "sigma-not-a-number", "global-n-one"])
-def test_invalid_input_exits_2(tmp_path, capsys, argv):
+        "simplified-sigma-above-one", "sigma-not-a-number", "global-n-one",
+        "negative-t-end", "zero-t-end", "one-point", "analytic-one-point",
+        "config-t-end-not-a-number", "config-points-not-an-integer",
+        "config-n-not-a-number", "config-seed-not-a-number", "negative-seed",
+        "config-unknown-sampler"])
+def test_invalid_input_exits_2(tmp_path, capsys, argv, config):
     out = tmp_path / "x"
-    assert main(argv + ["--t-end", "0.1", "--points", "3", "--output", str(out)]) == 2
+    if config is None:
+        # the case's own flags come last, so they win over these
+        argv = argv[:1] + ["--t-end", "0.1", "--points", "3"] + argv[1:]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv + ["--output", str(out)]) == 2
     assert "ConfigError" in capsys.readouterr().err
-    assert not (out / "state.csv").exists() and not (out / "global.csv").exists()
+    assert not out.exists()  # a rejected command creates no output directory
+
+
+@pytest.mark.parametrize("q_z0_bounds", ["0.01", "0.01,1,2", "1,0.01"],
+                         ids=["one-value", "three-values", "lower-above-upper"])
+def test_malformed_bounds_file_exits_2(tmp_path, capsys, q_z0_bounds):
+    bounds = tmp_path / "bounds.cfg"
+    bounds.write_text(f"q_Z0 = {q_z0_bounds}\nsigma = 0,1\nq0 = 0.001,0.05\n"
+                      "tau = 0.01,0.05\nbeta = 0.1,1\n")
+    out = tmp_path / "x"
+    assert main(["global-sens", "--model", "zajac", "--preset", str(bounds),
+                 "--n", "4", "--points", "3", "--output", str(out)]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):
@@ -162,6 +196,33 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "PoleViolation" in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_global_sens_manifest_counts_resampled_rows(tmp_path, monkeypatch):
+    # the first ensemble solve loses one base row; it is redrawn and solved again
+    real = cli.family_evaluator
+
+    def one_failure(model):
+        evaluate = real(model)
+        calls = []
+
+        def flaky(rows, grid):
+            calls.append(rows.shape[0])
+            out = evaluate(rows, grid)
+            if len(calls) == 1:
+                out[3] = np.nan
+            return out
+
+        return flaky
+
+    monkeypatch.setattr(cli, "family_evaluator", one_failure)
+    out = tmp_path / "run"
+    assert main(["global-sens", "--model", "zajac", "--n", "8", "--seed", "2",
+                 "--t-end", "0.1", "--points", "3", "--output", str(out)]) == 0
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "resampled_rows = 1" in manifest
+    assert f"evaluations = {2 * 8 * 6 + 2 * 6}" in manifest
 
 
 def test_plots_are_emitted(tmp_path):

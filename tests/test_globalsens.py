@@ -10,6 +10,7 @@ from actsens import (
     evaluate_family,
     vbs_tsi,
 )
+from actsens.globalsens import _FIRST_PRIMES, _halton_points, _rows_valid
 from actsens.presets import family_evaluator, builtin_cuboid, row_validity
 
 UNIT2 = ParameterCuboid.from_dict({"x1": (0.0, 1.0), "x2": (0.0, 1.0)})
@@ -85,6 +86,58 @@ def test_halton_sampler_deterministic_and_valid():
     assert np.all(m1.a >= cub.lower) and np.all(m1.a <= cub.upper)
 
 
+def _row_valid_per_row(names, validity, row_a, row_b):
+    """One row pair checked with a dict of scalars per A, B and swap row."""
+    if not validity(dict(zip(names, row_a))) or not validity(dict(zip(names, row_b))):
+        return False
+    for i in range(len(names)):
+        sa, sb = row_a.copy(), row_b.copy()
+        sa[i], sb[i] = row_b[i], row_a[i]
+        if not validity(dict(zip(names, sa))) or not validity(dict(zip(names, sb))):
+            return False
+    return True
+
+
+VALIDITY_CASES = {
+    "zajac": (builtin_cuboid("zajac"), row_validity("zajac")),
+    "hatze": (builtin_cuboid("hatze"), row_validity("hatze")),
+    # three columns: a B swap is not an A swap in disguise
+    "sum-below-two": (UNIT3, lambda row: row["x1"] + row["x2"] + row["x3"] < 2.0),
+}
+
+
+@pytest.mark.parametrize("case", list(VALIDITY_CASES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rows_valid_equals_per_row_dict_evaluation(case, seed):
+    cub, validity = VALIDITY_CASES[case]
+    # raw draws, before any rejection: some rows are invalid
+    u = np.random.default_rng(seed).random((400, 2, cub.n_params))
+    a, b = cub.scale(u[:, 0]), cub.scale(u[:, 1])
+    expect = [_row_valid_per_row(cub.names, validity, ra, rb) for ra, rb in zip(a, b)]
+    got = _rows_valid(cub, validity, a, b)
+    assert got.dtype == bool and got.tolist() == expect
+    assert 0 < got.sum() < got.size
+    assert _rows_valid(cub, lambda row: False, a, b).tolist() == [False] * 400
+    assert _rows_valid(cub, None, a, b).all()
+
+
+def test_halton_points_equal_the_scalar_van_der_corput_sequence():
+    def point(index, dims):
+        out = []
+        for base in _FIRST_PRIMES[:dims]:
+            i, f, x = index, 1.0, 0.0
+            while i > 0:
+                f /= base
+                x += f * (i % base)
+                i //= base
+            out.append(x)
+        return out
+
+    indices = np.array([0, 1, 2, 7, 99, 1000, 1_000_004, 3 * 1_000_003 + 17])
+    expect = [point(int(k), 16) for k in indices]
+    assert _halton_points(indices, 16).tolist() == expect
+
+
 def test_impossible_validity_raises():
     cub = ParameterCuboid.from_dict({"x": (0.0, 1.0)})
     with pytest.raises(SamplingError):
@@ -131,6 +184,32 @@ def test_failed_rows_are_resampled_not_zero_filled():
     assert len(fam.resampled_rows) > 0
 
 
+def test_pooled_is_the_stacked_blocks_after_resampling():
+    m = build_sample_matrices(UNIT2, n=16, seed=9)
+    state = {"calls": 0}
+
+    def flaky(rows, grid):
+        state["calls"] += 1
+        out = np.repeat(rows[:, :1], grid.size, axis=1)
+        if state["calls"] == 1:
+            out[rows[:, 0] < 0.4] = np.nan
+        return out
+
+    fam = evaluate_family(flaky, m, GRID)
+    assert len(fam.resampled_rows) > 0
+    pooled = fam.pooled()
+    assert pooled.flags.c_contiguous and pooled.shape == (2 * 16 * 3, GRID.size)
+    parts = [fam.y_a, fam.y_b, fam.y_a_swapped.reshape(-1, GRID.size),
+             fam.y_b_swapped.reshape(-1, GRID.size)]
+    assert all(np.shares_memory(part, pooled) for part in parts)
+    assert np.array_equal(pooled, np.concatenate(parts))
+    # the resampled solutions were written through: pooled matches the
+    # final sample rows
+    final = np.concatenate([m.a, m.b, m.a_swapped.reshape(-1, 2),
+                            m.b_swapped.reshape(-1, 2)])
+    assert np.array_equal(pooled, np.repeat(final[:, :1], GRID.size, axis=1))
+
+
 def test_evaluation_count_includes_resampled_rows():
     m = build_sample_matrices(UNIT2, n=16, seed=9)
     state = {"calls": 0}
@@ -146,6 +225,9 @@ def test_evaluation_count_includes_resampled_rows():
     assert fam.resampled_rows == (3,)
     n, N = 16, 2
     assert fam.n_evaluations == 2 * n * (N + 1) + 2 * (N + 1)
+    res = vbs_tsi(fam, m)
+    assert res.resampled_rows == 1
+    assert res.n_evaluations == fam.n_evaluations
 
 
 def test_unrecoverable_rows_raise():

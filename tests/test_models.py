@@ -27,7 +27,7 @@ from actsens import (
     zajac_rhs,
     zajac_steady_state,
 )
-from actsens.models import HATZE_VARS, ZAJAC_VARS
+from actsens.models import HATZE_EPS, HATZE_VARS, ZAJAC_VARS
 from actsens.presets import builtin_cuboid
 
 
@@ -284,6 +284,69 @@ def test_parameter_hessian_is_exactly_symmetric(model):
     for row in rows:
         d = spec.derivs(0.0, row[:1], row[1:], 2)
         assert np.array_equal(d.hess_pp, d.hess_pp.transpose(1, 0, 2))
+
+
+def _params_of(model, cols):
+    """Params from parameter columns (arrays) or from one row's values (floats)."""
+    if model == "zajac":
+        q_init, sigma, q0, tau, beta = cols
+        return ZajacParams(sigma=sigma, q0=q0, tau=tau, beta=beta, q_init=q_init)
+    q_init, sigma, q0, m, rho_c, nu, ell_rho, ell = cols
+    return HatzeParams(sigma=sigma, q0=q0, m=m, rho_c=rho_c, nu=nu,
+                       ell_rho=ell_rho, ell_ce_rel=ell, q_init=q_init)
+
+
+def _zajac_rate_as_written(q, sigma, q0, tau, beta):
+    # the rate in the formula's operand order, with no cached factors
+    bracket = sigma * (1.0 - q0) - sigma * (1.0 - beta) * (q - q0) - beta * (q - q0)
+    return bracket / (tau * (1.0 - q0))
+
+
+def _hatze_rate_as_written(q, sigma, q0, m, rho_c, nu, ell_rho, ell):
+    qc = np.minimum(np.maximum(q, q0 + HATZE_EPS), 1.0 - HATZE_EPS)
+    rho = rho_c * (ell_rho - 1.0) / (ell_rho / ell - 1.0)
+    bracket = (sigma * rho * (1.0 - qc) ** (1.0 + 1.0 / nu) * (qc - q0) ** (1.0 - 1.0 / nu)
+               - (1.0 - qc) * (qc - q0))
+    return nu * m / (1.0 - q0) * bracket
+
+
+@pytest.mark.parametrize("model", ["zajac", "hatze"])
+def test_rhs_equals_the_formula_as_written_bit_for_bit(model):
+    # the cached rate factors must keep every expression's operand order, on
+    # contiguous parameter columns (the ensemble path) and on scalars
+    rhs, as_written = ((zajac_rhs, _zajac_rate_as_written) if model == "zajac"
+                       else (hatze_rhs, _hatze_rate_as_written))
+    cuboid = builtin_cuboid(model)
+    rng = np.random.default_rng(17)
+    rows = cuboid.scale(rng.random((1000, cuboid.n_params)))
+    q = rng.random(1000)  # some below q0 or near 1: the hatze clamp acts there
+    cols = rows.T.copy()
+    p = _params_of(model, cols)
+    f = rhs(q, p)
+    assert np.array_equal(f, as_written(q, *cols[1:]))
+    assert np.array_equal(f, rhs(q, p))  # the second call runs on the cached factors
+    scalar = np.array([rhs(float(qj), _params_of(model, [float(v) for v in row]))
+                       for qj, row in zip(q, rows)])
+    assert np.array_equal(scalar, [as_written(float(qj), *(float(v) for v in row[1:]))
+                                   for qj, row in zip(q, rows)])
+    if model == "zajac":
+        # no powers: array and scalar arithmetic agree exactly. numpy's
+        # vectorized float64 power may differ from the scalar one in the last
+        # bit, so the hatze paths are each held to the formula instead.
+        assert np.array_equal(f, scalar)
+
+
+def test_cached_hatze_params_still_raise_at_the_pole():
+    p = HatzeParams(sigma=0.5, ell_rho=2.9, ell_ce_rel=2.9)
+    for _ in range(2):  # a failed factor computation is not cached
+        with pytest.raises(PoleViolation):
+            hatze_rhs(0.3, p)
+    rows = builtin_cuboid("hatze").scale(np.random.default_rng(5).random((50, 8)))
+    rows[17, 7] = rows[17, 6] + 0.1  # one row with ell_CErel past ell_rho
+    p = _params_of("hatze", rows.T.copy())
+    for _ in range(2):
+        with pytest.raises(PoleViolation):
+            hatze_rhs(np.full(50, 0.3), p)
 
 
 def test_hatze_steady_state():
