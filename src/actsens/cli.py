@@ -103,6 +103,14 @@ def _parse_number(text) -> float:
         raise ConfigError(f"expected a number or a fraction like 1/3, got {text!r}") from None
 
 
+def _parse_above(text, key: str, floor: float) -> float:
+    """A finite number above ``floor``; ConfigError otherwise."""
+    value = _parse_number(text)
+    if not (value > floor and math.isfinite(value)):
+        raise ConfigError(f"{key} must be a finite number above {floor:g}, got {value}")
+    return value
+
+
 def _parse_count(text, key: str, minimum: int) -> int:
     """An integer setting of at least ``minimum``; ConfigError otherwise."""
     if isinstance(text, int):
@@ -118,7 +126,10 @@ def _parse_count(text, key: str, minimum: int) -> int:
 
 
 def _load_config(path: str) -> dict[str, str]:
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     out = {}
     for ln, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -261,9 +272,7 @@ def _validate(model_name: str, v: dict[str, float]) -> None:
 
 
 def _grid(settings) -> np.ndarray:
-    t_end = _parse_number(settings["t_end"])
-    if not (t_end > 0.0 and math.isfinite(t_end)):
-        raise ConfigError(f"t_end must be a positive number of seconds, got {t_end}")
+    t_end = _parse_above(settings["t_end"], "t_end", 0.0)
     return make_grid(t_end, _parse_count(settings["points"], "points", 2))
 
 
@@ -374,7 +383,8 @@ def _cmd_global_sens(settings) -> int:
                  for k, val in bounds.items()}
         if set(pairs) != set(canonical) or any(len(v) != 2 for v in pairs.values()):
             raise ConfigError(
-                f"bounds file must give one 'lower,upper' pair for each of {list(canonical)}"
+                f"{settings['preset']}: bounds file must give one 'lower,upper' pair "
+                f"for each of {list(canonical)}"
             )
         try:
             cuboid = ParameterCuboid.from_dict({n: pairs[n] for n in canonical})
@@ -422,18 +432,21 @@ def _cmd_global_sens(settings) -> int:
 def _cmd_optimize(settings) -> int:
     if not settings.get("targets"):
         raise ConfigError("optimize requires --targets (CSV with columns gamma,shift_mm)")
-    targets = load_shift_targets(settings["targets"])
-    nus = ((_parse_number(settings["nu"]),) if settings.get("nu") is not None
+    nus = ((_parse_above(settings["nu"], "nu", 1.0),) if settings.get("nu") is not None
            else (2.0, 3.0, 4.0))
     kinds = ((settings["kind"],) if settings.get("kind") else ("bell", "parabola"))
     for kind in kinds:
         if kind not in ("bell", "parabola"):
             raise ConfigError(f"unknown force-length kind {kind!r}")
-    cells = run_table(
-        targets, nus=nus, kinds=kinds,
-        rho0_start=_parse_number(settings["rho0_start"]),
-        ell_opt=_parse_number(settings["ell_opt"]),
-    )
+    rho0_start = _parse_above(settings["rho0_start"], "rho0_start", 0.0)
+    ell_opt = _parse_above(settings["ell_opt"], "ell_opt", 0.0)
+    try:
+        targets = load_shift_targets(settings["targets"])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {settings['targets']}: {exc}") from exc
+    except ValueError as exc:  # the message names the path and line
+        raise ConfigError(str(exc)) from exc
+    cells = run_table(targets, nus=nus, kinds=kinds, rho0_start=rho0_start, ell_opt=ell_opt)
     out = _out_dir(settings)
     path = out / "fit_table.csv"
     with path.open("w") as fh:

@@ -10,7 +10,7 @@ class IntegrationError(ActsensError):
 
 
 class StepSizeUnderflow(IntegrationError):
-    """Adaptive step control drove the step below the allowed minimum."""
+    """Adaptive step control drove the step below the resolution of t."""
 
 
 class NonFiniteState(IntegrationError):

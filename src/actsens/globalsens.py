@@ -83,11 +83,12 @@ class ParameterCuboid:
 
 @dataclass
 class SampleMatrices:
-    """Base blocks A, B and all single-column swaps, plus resampling state.
+    """Base blocks A and B, plus the state that resampling continues from.
 
-    ``a_swapped[i]`` is A with column i taken from B; ``b_swapped[i]`` is B
-    with column i taken from A. ``blocks_used`` counts per-row draw blocks so
-    a later resampling can continue each row's substream deterministically.
+    The family evaluated from them is ``_family_rows(a, b)``: A, B, then the
+    N single-column swaps of A (column i taken from B) and the N of B (column
+    i taken from A). ``blocks_used`` counts per-row draw blocks so a later
+    resampling can continue each row's substream deterministically.
     """
 
     cuboid: ParameterCuboid
@@ -95,8 +96,6 @@ class SampleMatrices:
     n: int
     a: np.ndarray  # (n, N)
     b: np.ndarray  # (n, N)
-    a_swapped: np.ndarray  # (N, n, N)
-    b_swapped: np.ndarray  # (N, n, N)
     blocks_used: np.ndarray  # (n,)
     validity: Validity | None = None
     sampler: str = "pseudo"
@@ -124,19 +123,26 @@ def _halton_points(indices: np.ndarray, dims: int) -> np.ndarray:
     return out
 
 
+def _family_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (2n(N+1), N) family of base rows a, b: A, B, A_swapped, B_swapped.
+
+    Swap block i of A is A with column i taken from B, and the reverse for
+    B (the A, B, A_B^(i) layout of Saltelli et al. 2010).
+    """
+    N = a.shape[1]
+    swap = np.eye(N, dtype=bool)[:, None, :]  # block i swaps column i
+    return np.concatenate([a, b, np.where(swap, b, a).reshape(-1, N),
+                           np.where(swap, a, b).reshape(-1, N)])
+
+
 def _rows_valid(cuboid, validity, a, b) -> np.ndarray:
     """Rows j whose pair (a[j], b[j]) stays valid in A, B and every single-column swap."""
-    ok = np.ones(a.shape[0], dtype=bool)
+    n = a.shape[0]
     if validity is None:
-        return ok
-    cols_a = dict(zip(cuboid.names, a.T))
-    cols_b = dict(zip(cuboid.names, b.T))
-    ok &= validity(cols_a)
-    ok &= validity(cols_b)
-    for name in cuboid.names:
-        ok &= validity({**cols_a, name: cols_b[name]})
-        ok &= validity({**cols_b, name: cols_a[name]})
-    return ok
+        return np.ones(n, dtype=bool)
+    rows = _family_rows(a, b)
+    ok = np.broadcast_to(validity(dict(zip(cuboid.names, rows.T))), rows.shape[:1])
+    return ok.reshape(-1, n).all(axis=0)
 
 
 def _draw_row_pair(cuboid, seed, row, start_block, validity, sampler, max_draws):
@@ -172,7 +178,7 @@ def build_sample_matrices(
     sampler: str = "pseudo",
     max_draws: int = 10_000,
 ) -> SampleMatrices:
-    """Construct A, B and the 2N single-column swap blocks (2n(N+1) rows total).
+    """Draw the base blocks A and B of a 2n(N+1)-row family.
 
     All rows are drawn at once; rows violating the validity predicate (in
     any swap combination) are rejection-resampled from their own substream,
@@ -200,25 +206,10 @@ def build_sample_matrices(
         a[j], b[j], blocks[j] = _draw_row_pair(
             cuboid, seed, int(j), 0, validity, sampler, max_draws
         )
-
-    a_swapped = np.repeat(a[None, :, :], N, axis=0)
-    b_swapped = np.repeat(b[None, :, :], N, axis=0)
-    for i in range(N):
-        a_swapped[i, :, i] = b[:, i]
-        b_swapped[i, :, i] = a[:, i]
     return SampleMatrices(
-        cuboid=cuboid, seed=seed, n=n, a=a, b=b,
-        a_swapped=a_swapped, b_swapped=b_swapped,
-        blocks_used=blocks, validity=validity, sampler=sampler,
+        cuboid=cuboid, seed=seed, n=n, a=a, b=b, blocks_used=blocks,
+        validity=validity, sampler=sampler,
     )
-
-
-def _refresh_swaps(m: SampleMatrices, rows: np.ndarray) -> None:
-    for i in range(m.cuboid.n_params):
-        m.a_swapped[i, rows, :] = m.a[rows, :]
-        m.a_swapped[i, rows, i] = m.b[rows, i]
-        m.b_swapped[i, rows, :] = m.b[rows, :]
-        m.b_swapped[i, rows, i] = m.a[rows, i]
 
 
 def _blocks(values: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
@@ -237,8 +228,8 @@ class FamilyEvaluation:
     """Model outputs for every sample row: the family of solutions.
 
     ``values`` holds all 2n(N+1) solutions as one C-contiguous (rows, T)
-    array, stacked A, B, then the N blocks of A_swapped and of B_swapped;
-    ``y_a``, ``y_b``, ``y_a_swapped`` and ``y_b_swapped`` are views into it.
+    array, in the row order of ``_family_rows``; ``_blocks(values, n)``
+    splits it into views of the A, B, A_swapped and B_swapped solutions.
     """
 
     times: np.ndarray
@@ -246,26 +237,6 @@ class FamilyEvaluation:
     n: int
     n_evaluations: int
     resampled_rows: tuple[int, ...] = ()
-
-    @property
-    def y_a(self) -> np.ndarray:  # (n, T)
-        return _blocks(self.values, self.n)[0]
-
-    @property
-    def y_b(self) -> np.ndarray:  # (n, T)
-        return _blocks(self.values, self.n)[1]
-
-    @property
-    def y_a_swapped(self) -> np.ndarray:  # (N, n, T)
-        return _blocks(self.values, self.n)[2]
-
-    @property
-    def y_b_swapped(self) -> np.ndarray:  # (N, n, T)
-        return _blocks(self.values, self.n)[3]
-
-    def pooled(self) -> np.ndarray:
-        """All 2n(N+1) solutions stacked row-wise (the array itself, not a copy)."""
-        return self.values
 
 
 def evaluate_family(
@@ -284,7 +255,7 @@ def evaluate_family(
     rows included.
     """
     grid = np.asarray(grid, dtype=float)
-    n, N = matrices.n, matrices.cuboid.n_params
+    n = matrices.n
     evaluated = 0
 
     def run(rows_matrix):
@@ -298,23 +269,12 @@ def evaluate_family(
             )
         return out
 
-    def stack(rows):
-        return np.concatenate(
-            [matrices.a[rows], matrices.b[rows],
-             matrices.a_swapped[:, rows, :].reshape(-1, N),
-             matrices.b_swapped[:, rows, :].reshape(-1, N)],
-            axis=0,
-        )
-
-    values = np.ascontiguousarray(run(stack(slice(None))))  # every row
-    y_a, y_b, y_as, y_bs = _blocks(values, n)
+    values = np.ascontiguousarray(run(_family_rows(matrices.a, matrices.b)))
+    # (2(N+1), n, T): a view, so writes through it land in values
+    by_block = values.reshape(-1, n, grid.size)
 
     def bad_rows():
-        ok_a = np.all(np.isfinite(y_a), axis=1)
-        ok_b = np.all(np.isfinite(y_b), axis=1)
-        ok_as = np.all(np.isfinite(y_as), axis=(0, 2))
-        ok_bs = np.all(np.isfinite(y_bs), axis=(0, 2))
-        return np.nonzero(~(ok_a & ok_b & ok_as & ok_bs))[0]
+        return np.nonzero(~np.all(np.isfinite(by_block), axis=(0, 2)))[0]
 
     resampled: list[int] = []
     rows = bad_rows()
@@ -332,11 +292,8 @@ def evaluate_family(
                 matrices.sampler, 10_000,
             )
             resampled.append(int(j))
-        _refresh_swaps(matrices, rows)
-        # the block views write the new solutions through into values
-        ys_a, ys_b, ys_as, ys_bs = _blocks(run(stack(rows)), rows.size)
-        y_a[rows], y_b[rows] = ys_a, ys_b
-        y_as[:, rows], y_bs[:, rows] = ys_as, ys_bs
+        redone = run(_family_rows(matrices.a[rows], matrices.b[rows]))
+        by_block[:, rows] = redone.reshape(-1, rows.size, grid.size)
         rows = bad_rows()
 
     return FamilyEvaluation(
@@ -373,10 +330,9 @@ def vbs_tsi(family: FamilyEvaluation, matrices: SampleMatrices,
     Negative Monte-Carlo variance estimates are clipped at zero before the
     ratios; times where V(t) falls below the floor are flagged undefined.
     """
-    y_a, y_b = family.y_a, family.y_b
-    y_as, y_bs = family.y_a_swapped, family.y_b_swapped
+    y_a, y_b, y_as, y_bs = _blocks(family.values, family.n)
 
-    v_total = family.pooled().var(axis=0, ddof=1)  # (T,)
+    v_total = family.values.var(axis=0, ddof=1)  # (T,)
 
     # shares-only-column-i pairings: (B, A_i) and (A, B_i)
     v_first = 0.5 * (

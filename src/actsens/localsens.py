@@ -198,23 +198,13 @@ def initial_condition_sensitivity(
     return res.s_init_raw
 
 
-def second_order(
-    model: ModelSpec, params, grid,
-    tol: Tolerances | None = None,
-    fd_fallback: bool = False,
-) -> SensitivityResult:
+def second_order(model: ModelSpec, params, grid, tol: Tolerances | None = None) -> SensitivityResult:
     """First- and second-order sensitivities (S and the symmetric tensor R).
 
-    When the model lacks analytic second partials, ``fd_fallback=True``
-    estimates R by central differences over first-order runs; the result is
-    then marked approximate.
+    A model without analytic second partials raises MissingDerivative; its R
+    can be estimated with :func:`second_order_fd` instead.
     """
-    try:
-        return analyze(model, params, grid, order=2, include_init=False, tol=tol)
-    except MissingDerivative:
-        if not fd_fallback:
-            raise
-        return second_order_fd(model, params, grid, tol=tol)
+    return analyze(model, params, grid, order=2, include_init=False, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -68,11 +68,10 @@ HATZE_EPS = 1e-12
 
 @dataclass(frozen=True)
 class ParameterSet:
-    """Named parameter values with optional [lower, upper] bounds."""
+    """Named parameter values."""
 
     names: tuple[str, ...]
     values: np.ndarray
-    bounds: Mapping[str, tuple[float, float]] | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -97,7 +96,7 @@ class ParameterSet:
     def with_value(self, name: str, value: float) -> "ParameterSet":
         vals = self.values.copy()
         vals[self.names.index(name)] = value
-        return ParameterSet(self.names, vals, self.bounds)
+        return ParameterSet(self.names, vals)
 
 
 @dataclass
@@ -326,16 +325,13 @@ def _clamp_q(q, floor):
     return np.minimum(np.maximum(q, floor), 1.0 - HATZE_EPS)
 
 
-def hatze_rhs(q, p: HatzeParams, strict: bool = False):
+def hatze_rhs(q, p: HatzeParams):
     """Activity rate of the nonlinear model.
 
     The activity is clamped to [q0 + eps, 1 - eps] before the fractional
     powers are taken, which keeps the rhs real when an integrator stage
-    overshoots one of the non-Lipschitz boundary fixed points. With
-    ``strict=True`` an out-of-domain activity raises instead.
+    overshoots one of the non-Lipschitz boundary fixed points.
     """
-    if strict and (np.any(np.asarray(q) <= p.q0) or np.any(np.asarray(q) >= 1.0)):
-        raise DomainViolation(f"q must lie strictly in (q0, 1), got {q}")
     q_floor, sigma_rho, a, b, gain = p.rate_factors
     qc = _clamp_q(q, q_floor)
     free = 1.0 - qc
@@ -620,26 +616,19 @@ def hatze_model() -> ModelSpec:
 
 
 def simplified_zajac_model() -> ModelSpec:
-    """ModelSpec for the simplified linear dynamics (beta = 1, q0 = 0)."""
+    """ModelSpec for the simplified linear dynamics (beta = 1, q0 = 0).
+
+    Its blocks are the linear model's at beta = 1, q0 = 0, restricted to the
+    variables (q, sigma, tau).
+    """
+    keep = [ZAJAC_VARS.index(v) for v in ("q",) + SIMPLIFIED_PARAM_NAMES]
 
     def derivs(t, y, lam, order):
-        sigma, tau = float(lam[0]), float(lam[1])
-        q = float(y[0])
-        f = np.array([(sigma - q) / tau])
+        p = ZajacParams(sigma=lam[0], q0=0.0, tau=lam[1], beta=1.0, q_init=float(y[0]))
         if order == 0:
-            return ModelDerivs(f=f)
-        jac_y = np.array([[-1.0 / tau]])
-        jac_p = np.array([[1.0 / tau], [-(sigma - q) / tau**2]])
-        if order == 1:
-            return ModelDerivs(f=f, jac_y=jac_y, jac_p=jac_p)
-        hess_yy = np.zeros((1, 1, 1))
-        hess_py = np.array([[[0.0]], [[1.0 / tau**2]]])
-        hess_pp = np.array(
-            [[[0.0], [-1.0 / tau**2]],
-             [[-1.0 / tau**2], [2.0 * (sigma - q) / tau**3]]]
-        )
-        return ModelDerivs(f=f, jac_y=jac_y, jac_p=jac_p,
-                           hess_yy=hess_yy, hess_py=hess_py, hess_pp=hess_pp)
+            return ModelDerivs(f=np.array([zajac_rhs(float(y[0]), p)]))
+        f, g, H = zajac_partials(float(y[0]), p, second=order >= 2)
+        return _partials_to_derivs((f, g[keep], None if H is None else H[np.ix_(keep, keep)]))
 
     return ModelSpec(
         name="simplified-zajac", param_names=SIMPLIFIED_PARAM_NAMES,

@@ -50,18 +50,12 @@ class Tolerances:
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    max_step: float = math.inf
-    min_step: float = 0.0
 
     def validate(self) -> None:
         if not self.rel_tol > 0.0:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
         if not self.abs_tol > 0.0:
             raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.min_step > self.max_step:
-            raise ValueError(
-                f"min_step {self.min_step} exceeds max_step {self.max_step}"
-            )
 
 
 @dataclass
@@ -93,10 +87,6 @@ class Trajectory:
     times: np.ndarray  # (T,)
     values: np.ndarray  # (T, M)
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.values[-1]
-
 
 def _hermite(theta: float, h: float, y0, y1, f0, f1) -> np.ndarray:
     """Cubic Hermite interpolant on one accepted step; exact at both endpoints."""
@@ -118,14 +108,14 @@ def _initial_step(y0, f0, span, tol: Tolerances) -> float:
         h = 1e-6 * span
     else:
         h = 0.01 * d0 / d1
-    return min(h, 0.1 * span, tol.max_step)
+    return min(h, 0.1 * span)
 
 
 def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
     """Integrate an ODE system and return values exactly at the output grid.
 
-    Raises StepSizeUnderflow when error control drives the step below the
-    allowed minimum (stiff or singular right-hand side), and NonFiniteState
+    Raises StepSizeUnderflow when error control drives the step so small that
+    t + h == t (stiff or singular right-hand side), and NonFiniteState
     when the right-hand side produces NaN or Inf.
     """
     tol = tol or Tolerances()
@@ -161,8 +151,8 @@ def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
     k = np.empty((7, y.size))
 
     while t < t_end:
-        h = min(h, t_end - t, tol.max_step)
-        if h < tol.min_step or t + h == t:
+        h = min(h, t_end - t)
+        if t + h == t:
             raise StepSizeUnderflow(
                 f"step size {h:.3e} underflowed at t={t:.6e}"
             )

@@ -69,29 +69,54 @@ class ShiftTargets:
             raise ValueError("levels and shifts must have equal length")
         if len(set(self.levels)) != len(self.levels):
             raise ValueError("stimulation levels must be distinct")
-        if not all(0.0 < g < 1.0 for g in self.levels):
-            raise ValueError("stimulation levels must lie in (0, 1)")
-        if not all(math.isfinite(s) for s in self.shifts_mm):
-            raise ValueError("target shifts must be finite")
+        for gamma, shift in zip(self.levels, self.shifts_mm):
+            _check_target(gamma, shift)
+
+
+def _check_target(gamma: float, shift: float) -> None:
+    """Reject a stimulation level outside (0, 1) or a non-finite shift."""
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"stimulation level {gamma:g} must lie in (0, 1)")
+    if not math.isfinite(shift):
+        raise ValueError(f"target shift {shift} must be finite")
 
 
 def load_shift_targets(path) -> ShiftTargets:
-    """Read a two-column CSV ``gamma,shift_mm`` (header row required)."""
+    """Read a two-column CSV ``gamma,shift_mm`` (header row required).
+
+    A malformed file raises ValueError naming the path and, for a bad row,
+    its line.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["gamma", "shift_mm"]:
             raise ValueError(
-                f"{path}: expected header 'gamma,shift_mm', got {header}"
+                f"{path}:1: expected header 'gamma,shift_mm', got {header}"
             )
-        levels, shifts = [], []
-        for line in reader:
-            if not line or not "".join(line).strip():
+        line_of: dict[float, int] = {}  # level -> the line that gave it
+        shifts = []
+        for row in reader:
+            if not "".join(row).strip():
                 continue
-            levels.append(float(line[0]))
-            shifts.append(float(line[1]))
-    return ShiftTargets(tuple(levels), tuple(shifts), source=str(path))
+            where = f"{path}:{reader.line_num}"
+            if len(row) < 2:
+                raise ValueError(f"{where}: expected 'gamma,shift_mm', got {','.join(row)!r}")
+            try:
+                gamma, shift = float(row[0]), float(row[1])
+                _check_target(gamma, shift)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            if gamma in line_of:
+                raise ValueError(
+                    f"{where}: stimulation level {gamma:g} repeats line {line_of[gamma]}"
+                )
+            line_of[gamma] = reader.line_num
+            shifts.append(shift)
+    if not line_of:
+        raise ValueError(f"{path}: no target rows after the header")
+    return ShiftTargets(tuple(line_of), tuple(shifts), source=str(path))
 
 
 @dataclass(frozen=True)

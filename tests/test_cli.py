@@ -156,17 +156,29 @@ def test_unknown_model_exits_with_config_error():
     (["global-sens", "--n", "4"], "seed = x\nt_end = 0.1\npoints = 3\n"),
     (["global-sens", "--n", "4", "--seed", "-1"], None),
     (["global-sens", "--n", "4"], "sampler = sobol\nt_end = 0.1\npoints = 3\n"),
+    (["optimize", "--nu", "1"], None),
+    (["optimize", "--nu", "0.5"], None),
+    (["optimize", "--rho0-start", "-1"], None),
+    (["optimize", "--ell-opt", "0"], None),
+    (["optimize"], "nu = 1\n"),
 ], ids=["negative-tau", "zero-beta", "hatze-q-init-above-one",
         "simplified-sigma-above-one", "sigma-not-a-number", "global-n-one",
         "negative-t-end", "zero-t-end", "one-point", "analytic-one-point",
         "config-t-end-not-a-number", "config-points-not-an-integer",
         "config-n-not-a-number", "config-seed-not-a-number", "negative-seed",
-        "config-unknown-sampler"])
+        "config-unknown-sampler", "optimize-nu-one", "optimize-nu-below-one",
+        "optimize-negative-rho0-start", "optimize-zero-ell-opt", "config-optimize-nu-one"])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, config):
     out = tmp_path / "x"
+    if argv[0] == "optimize":
+        # a well-formed targets file, so only the case's own value is wrong
+        targets = tmp_path / "targets.csv"
+        targets.write_text("gamma,shift_mm\n0.55,0.4\n0.28,0.9\n")
+        argv = argv + ["--kind", "bell", "--targets", str(targets)]
     if config is None:
-        # the case's own flags come last, so they win over these
-        argv = argv[:1] + ["--t-end", "0.1", "--points", "3"] + argv[1:]
+        if argv[0] != "optimize":
+            # the case's own flags come last, so they win over these
+            argv = argv[:1] + ["--t-end", "0.1", "--points", "3"] + argv[1:]
     else:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
@@ -186,6 +198,44 @@ def test_malformed_bounds_file_exits_2(tmp_path, capsys, q_z0_bounds):
     assert main(["global-sens", "--model", "zajac", "--preset", str(bounds),
                  "--n", "4", "--points", "3", "--output", str(out)]) == 2
     assert "ConfigError" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe not text"], ids=["missing", "not-utf8"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "{path}"],
+    ["optimize", "--targets", "{path}"],
+    ["global-sens", "--model", "zajac", "--preset", "{path}", "--n", "4"],
+], ids=["config", "targets", "bounds-file"])
+def test_unreadable_input_file_exits_2(tmp_path, capsys, argv, content):
+    path = tmp_path / "input-file"
+    if content is not None:
+        path.write_bytes(content)
+    out = tmp_path / "x"
+    argv = [a.format(path=path) for a in argv]
+    assert main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "input-file" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, line", [
+    ("0.55,0.4\n0.28\n", 3),
+    ("0.55,0.4\n0.28,far\n", 3),
+    ("0.55,0.4\n0.28,0.9\n0.55,1.0\n", 4),
+    ("0.55,0.4\n1.5,0.9\n", 3),
+    ("", None),
+], ids=["one-column", "non-numeric-shift", "duplicate-level", "level-above-one",
+        "no-rows"])
+def test_malformed_targets_file_exits_2(tmp_path, capsys, rows, line):
+    targets = tmp_path / "targets.csv"
+    targets.write_text("gamma,shift_mm\n" + rows)
+    out = tmp_path / "x"
+    assert main(["optimize", "--targets", str(targets), "--nu", "3", "--kind", "bell",
+                 "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err
+    assert f"targets.csv:{line}:" in err if line else "targets.csv:" in err
     assert not out.exists()
 
 

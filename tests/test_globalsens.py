@@ -10,7 +10,9 @@ from actsens import (
     evaluate_family,
     vbs_tsi,
 )
-from actsens.globalsens import _FIRST_PRIMES, _halton_points, _rows_valid
+from actsens.globalsens import (
+    _FIRST_PRIMES, _blocks, _family_rows, _halton_points, _rows_valid,
+)
 from actsens.presets import family_evaluator, builtin_cuboid, row_validity
 
 UNIT2 = ParameterCuboid.from_dict({"x1": (0.0, 1.0), "x2": (0.0, 1.0)})
@@ -32,8 +34,9 @@ def constant_in_time(values):
 def test_single_parameter_swap_is_total_swap():
     cub = ParameterCuboid.from_dict({"x": (0.0, 1.0)})
     m = build_sample_matrices(cub, n=8, seed=3)
-    assert np.array_equal(m.a_swapped[0], m.b)
-    assert np.array_equal(m.b_swapped[0], m.a)
+    _, _, a_swapped, b_swapped = _blocks(_family_rows(m.a, m.b), m.n)
+    assert np.array_equal(a_swapped[0], m.b)
+    assert np.array_equal(b_swapped[0], m.a)
 
 
 def test_matrices_are_deterministic_and_in_bounds():
@@ -41,7 +44,7 @@ def test_matrices_are_deterministic_and_in_bounds():
     m1 = build_sample_matrices(cub, n=4, seed=11)
     m2 = build_sample_matrices(cub, n=4, seed=11)
     assert np.array_equal(m1.a, m2.a) and np.array_equal(m1.b, m2.b)
-    assert np.array_equal(m1.a_swapped, m2.a_swapped)
+    assert np.array_equal(_family_rows(m1.a, m1.b), _family_rows(m2.a, m2.b))
     for arr in (m1.a, m1.b):
         assert np.all(arr >= cub.lower) and np.all(arr <= cub.upper)
     m3 = build_sample_matrices(cub, n=4, seed=12)
@@ -50,12 +53,16 @@ def test_matrices_are_deterministic_and_in_bounds():
 
 def test_swap_structure():
     m = build_sample_matrices(UNIT3, n=16, seed=0)
+    rows = _family_rows(m.a, m.b)
+    assert rows.shape == (2 * 16 * (3 + 1), 3)
+    a, b, a_swapped, b_swapped = _blocks(rows, 16)
+    assert np.array_equal(a, m.a) and np.array_equal(b, m.b)
     for i in range(3):
         other = [j for j in range(3) if j != i]
-        assert np.array_equal(m.a_swapped[i][:, other], m.a[:, other])
-        assert np.array_equal(m.a_swapped[i][:, i], m.b[:, i])
-        assert np.array_equal(m.b_swapped[i][:, other], m.b[:, other])
-        assert np.array_equal(m.b_swapped[i][:, i], m.a[:, i])
+        assert np.array_equal(a_swapped[i][:, other], m.a[:, other])
+        assert np.array_equal(a_swapped[i][:, i], m.b[:, i])
+        assert np.array_equal(b_swapped[i][:, other], m.b[:, other])
+        assert np.array_equal(b_swapped[i][:, i], m.a[:, i])
 
 
 def test_invalid_bounds_rejected_but_degenerate_allowed():
@@ -71,9 +78,8 @@ def test_validity_predicate_holds_for_all_swaps():
     cub = builtin_cuboid("hatze")
     m = build_sample_matrices(cub, n=64, seed=7, validity=validity)
     names = cub.names
-    for block in (m.a, m.b, *m.a_swapped, *m.b_swapped):
-        for row in block:
-            assert validity(dict(zip(names, row)))
+    for row in _family_rows(m.a, m.b):
+        assert validity(dict(zip(names, row)))
 
 
 def test_halton_sampler_deterministic_and_valid():
@@ -155,7 +161,7 @@ def test_constant_model_gives_identical_trajectories_and_zero_variance():
     fam = evaluate_family(lambda rows, grid: np.full((rows.shape[0], grid.size), 3.5),
                           m, GRID)
     assert fam.n_evaluations == 2 * 32 * (2 + 1)
-    assert np.all(fam.pooled() == 3.5)
+    assert np.all(fam.values == 3.5)
     res = vbs_tsi(fam, m)
     assert np.all(res.undefined)
     assert np.all(np.isnan(res.vbs))
@@ -180,11 +186,11 @@ def test_failed_rows_are_resampled_not_zero_filled():
         return out
 
     fam = evaluate_family(flaky, m, GRID)
-    assert np.all(np.isfinite(fam.pooled()))
+    assert np.all(np.isfinite(fam.values))
     assert len(fam.resampled_rows) > 0
 
 
-def test_pooled_is_the_stacked_blocks_after_resampling():
+def test_values_are_the_stacked_blocks_after_resampling():
     m = build_sample_matrices(UNIT2, n=16, seed=9)
     state = {"calls": 0}
 
@@ -197,17 +203,16 @@ def test_pooled_is_the_stacked_blocks_after_resampling():
 
     fam = evaluate_family(flaky, m, GRID)
     assert len(fam.resampled_rows) > 0
-    pooled = fam.pooled()
-    assert pooled.flags.c_contiguous and pooled.shape == (2 * 16 * 3, GRID.size)
-    parts = [fam.y_a, fam.y_b, fam.y_a_swapped.reshape(-1, GRID.size),
-             fam.y_b_swapped.reshape(-1, GRID.size)]
-    assert all(np.shares_memory(part, pooled) for part in parts)
-    assert np.array_equal(pooled, np.concatenate(parts))
-    # the resampled solutions were written through: pooled matches the
+    values = fam.values
+    assert values.flags.c_contiguous and values.shape == (2 * 16 * 3, GRID.size)
+    y_a, y_b, y_as, y_bs = _blocks(values, fam.n)
+    parts = [y_a, y_b, y_as.reshape(-1, GRID.size), y_bs.reshape(-1, GRID.size)]
+    assert all(np.shares_memory(part, values) for part in parts)
+    assert np.array_equal(values, np.concatenate(parts))
+    # the resampled solutions were written through: values matches the
     # final sample rows
-    final = np.concatenate([m.a, m.b, m.a_swapped.reshape(-1, 2),
-                            m.b_swapped.reshape(-1, 2)])
-    assert np.array_equal(pooled, np.repeat(final[:, :1], GRID.size, axis=1))
+    final = _family_rows(m.a, m.b)
+    assert np.array_equal(values, np.repeat(final[:, :1], GRID.size, axis=1))
 
 
 def test_evaluation_count_includes_resampled_rows():

@@ -304,7 +304,7 @@ def test_missing_second_partials_raise_without_fallback():
     grid = np.linspace(0.0, 1.0, 5)
     with pytest.raises(MissingDerivative):
         second_order(model, ps, grid)
-    res = second_order(model, ps, grid, fd_fallback=True)
+    res = second_order_fd(model, ps, grid)
     assert res.r_approximate
     # d^2 y / da^2 of y0*exp(-a t) is y0 t^2 exp(-a t)
     expect = 1.0 * grid**2 * np.exp(-2.0 * grid)

@@ -3,7 +3,6 @@ import pytest
 
 from actsens import (
     DegenerateState,
-    DomainViolation,
     ForceLengthRelation,
     HatzeParams,
     OdeProblem,
@@ -220,13 +219,10 @@ def test_hatze_rhs_direct_substitution():
     assert hatze_rhs(0.1, p) == pytest.approx(3.0950499909940953, rel=1e-12)
 
 
-def test_hatze_rhs_strict_domain():
+def test_hatze_rhs_clamps_out_of_domain_activity():
     p = HatzeParams(sigma=0.5, q0=0.005, q_init=0.01)
-    with pytest.raises(DomainViolation):
-        hatze_rhs(0.002, p, strict=True)
-    with pytest.raises(DomainViolation):
-        hatze_rhs(1.0, p, strict=True)
-    hatze_rhs(0.002, p)  # non-strict clamps instead
+    assert hatze_rhs(0.002, p) == hatze_rhs(p.q0 + HATZE_EPS, p)
+    assert hatze_rhs(1.0, p) == hatze_rhs(1.0 - HATZE_EPS, p)
 
 
 def test_hatze_sigma_partial_positive_interior():

@@ -113,8 +113,6 @@ def test_problem_validation():
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerances(rel_tol=0.0).validate()
-    with pytest.raises(ValueError):
-        Tolerances(min_step=1.0, max_step=0.5).validate()
 
 
 def test_rhs_dimension_mismatch_rejected():
