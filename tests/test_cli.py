@@ -175,14 +175,13 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, config):
         targets = tmp_path / "targets.csv"
         targets.write_text("gamma,shift_mm\n0.55,0.4\n0.28,0.9\n")
         argv = argv + ["--kind", "bell", "--targets", str(targets)]
-    if config is None:
-        if argv[0] != "optimize":
-            # the case's own flags come last, so they win over these
-            argv = argv[:1] + ["--t-end", "0.1", "--points", "3"] + argv[1:]
-    else:
+    if config is not None:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
         argv = argv + ["--config", str(cfg)]
+    elif argv[0] != "optimize":  # optimize takes no grid flags
+        # the case's own flags come last, so they win over these
+        argv = argv[:1] + ["--t-end", "0.1", "--points", "3"] + argv[1:]
     assert main(argv + ["--output", str(out)]) == 2
     assert "ConfigError" in capsys.readouterr().err
     assert not out.exists()  # a rejected command creates no output directory
