@@ -1,8 +1,9 @@
 """Sensitivity analysis toolkit for muscle activation dynamics ODEs.
 
-Forward local (first/second-order and initial-condition) sensitivities,
-variance-based global sensitivity indices, and an optimal-CE-length shift
-fitting pipeline, with the two classic activation models built in.
+Forward local first- and second-order sensitivities (the initial conditions
+count as parameters), variance-based global sensitivity indices, and an
+optimal-CE-length shift fitting pipeline, with the two classic activation
+models built in.
 """
 
 from .errors import (
@@ -16,6 +17,7 @@ from .errors import (
     MissingDerivative,
     NoInteriorMaximum,
     NonFiniteState,
+    ParameterOutOfRange,
     PoleViolation,
     SamplingError,
     StepSizeUnderflow,
@@ -35,10 +37,7 @@ from .localsens import (
     analyze,
     fd_first_order,
     fd_initial_condition,
-    first_order,
-    initial_condition_sensitivity,
     normalize,
-    second_order,
     second_order_fd,
 )
 from .models import (

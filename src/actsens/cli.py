@@ -19,13 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ActsensError, ConfigError, InvalidBounds, PoleViolation
+from .errors import ActsensError, ConfigError, ParameterOutOfRange
 from .globalsens import ParameterCuboid, analyze_global
 from .localsens import analyze, normalize
 from .models import (
-    HatzeParams,
     ParameterSet,
-    ZajacParams,
     hatze_model,
     simplified_zajac_model,
     simplified_zajac_sensitivities,
@@ -89,6 +87,20 @@ _OVERRIDE_MAP = {
 _OVERRIDE_NAMES = tuple(_OVERRIDE_MAP) + ("beta", "nu")
 
 
+class _FileValue(str):
+    """A setting read from a config or bounds file; ``where`` is 'path:line'."""
+
+    def __new__(cls, text: str, where: str):
+        self = super().__new__(cls, text)
+        self.where = where
+        return self
+
+
+def _where(value) -> str:
+    """The 'path:line: ' prefix of a value read from a file; '' otherwise."""
+    return f"{value.where}: " if isinstance(value, _FileValue) else ""
+
+
 def _parse_number(text) -> float:
     """Accept plain floats and simple fractions like 1/3; ConfigError otherwise."""
     if isinstance(text, (int, float)):
@@ -100,14 +112,18 @@ def _parse_number(text) -> float:
             return float(num) / float(den)
         return float(s)
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"expected a number or a fraction like 1/3, got {text!r}") from None
+        raise ConfigError(
+            f"{_where(text)}expected a number or a fraction like 1/3, got {text!r}"
+        ) from None
 
 
 def _parse_above(text, key: str, floor: float) -> float:
     """A finite number above ``floor``; ConfigError otherwise."""
     value = _parse_number(text)
     if not (value > floor and math.isfinite(value)):
-        raise ConfigError(f"{key} must be a finite number above {floor:g}, got {value}")
+        raise ConfigError(
+            f"{_where(text)}{key} must be a finite number above {floor:g}, got {value}"
+        )
     return value
 
 
@@ -119,13 +135,13 @@ def _parse_count(text, key: str, minimum: int) -> int:
         try:
             value = int(str(text).strip())
         except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {text!r}") from None
+            raise ConfigError(f"{_where(text)}{key} must be an integer, got {text!r}") from None
     if value < minimum:
-        raise ConfigError(f"{key} must be at least {minimum}, got {value}")
+        raise ConfigError(f"{_where(text)}{key} must be at least {minimum}, got {value}")
     return value
 
 
-def _load_config(path: str) -> dict[str, str]:
+def _load_config(path: str) -> dict[str, _FileValue]:
     try:
         lines = Path(path).read_text().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
@@ -138,8 +154,27 @@ def _load_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{ln}: expected 'key = value', got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        out[key.replace("-", "_")] = val
+        out[key.replace("-", "_")] = _FileValue(val, f"{path}:{ln}")
     return out
+
+
+def _load_bounds(path: str, names: tuple[str, ...]) -> ParameterCuboid:
+    """A bounds file: one 'name = lower,upper' line for each of ``names``."""
+    entries = _load_config(path)
+    if set(entries) != set(names):
+        raise ConfigError(f"{path}: bounds file must give one 'lower,upper' pair "
+                          f"for each of {list(names)}")
+    pairs = {}
+    for name in names:
+        text = entries[name]
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise ConfigError(f"{text.where}: expected 'lower,upper', got {text!r}")
+        lo, hi = (_parse_number(_FileValue(part, text.where)) for part in parts)
+        if lo > hi:
+            raise ConfigError(f"{text.where}: lower bound exceeds upper bound for {name!r}")
+        pairs[name] = (lo, hi)
+    return ParameterCuboid.from_dict(pairs)
 
 
 def _merge_settings(command: str, args: argparse.Namespace) -> dict:
@@ -148,9 +183,10 @@ def _merge_settings(command: str, args: argparse.Namespace) -> dict:
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         cfg = _load_config(cfg_path)
-        unknown = set(cfg) - set(settings) - set(_OVERRIDE_NAMES)
+        unknown = [k for k in cfg if k not in settings and k not in _OVERRIDE_NAMES]
         if unknown:
-            raise ConfigError(f"unknown config keys for '{command}': {sorted(unknown)}")
+            raise ConfigError(f"{cfg[unknown[0]].where}: unknown config keys for "
+                              f"'{command}': {sorted(unknown)}")
         settings.update(cfg)
         explicit |= set(cfg)
     for key, val in vars(args).items():
@@ -203,10 +239,11 @@ def _scenario_params(settings) -> tuple:
     """Resolve (ModelSpec, ParameterSet) from the scenario id plus overrides."""
     model_name = settings["model"]
     if model_name not in _MODELS:
-        raise ConfigError(f"unknown model {settings['model']!r}")
+        raise ConfigError(f"{_where(model_name)}unknown model {model_name!r}")
     scenario = settings.get("scenario", "ii")
     if scenario not in SCENARIO_ROWS:
-        raise ConfigError(f"unknown scenario {scenario!r}; choose from {list(SCENARIO_ROWS)}")
+        raise ConfigError(f"{_where(scenario)}unknown scenario {scenario!r}; "
+                          f"choose from {list(SCENARIO_ROWS)}")
 
     if model_name == "zajac":
         pset = zajac_scenario(scenario, _parse_number(settings.get("beta", "1")))
@@ -216,7 +253,8 @@ def _scenario_params(settings) -> tuple:
         if "rho_c" in settings and settings["rho_c"] is not None:
             rho_c = _parse_number(settings["rho_c"])
         if rho_c is None:
-            raise ConfigError(f"no rho_c pairing for nu={nu}; pass --rho-c")
+            raise ConfigError(f"{_where(settings.get('nu'))}no rho_c pairing for nu={nu}; "
+                              "pass --rho-c")
         pset = hatze_scenario(scenario, nu, rho_c)
     else:
         q_init, sigma = SCENARIO_ROWS[scenario]
@@ -229,9 +267,11 @@ def _scenario_params(settings) -> tuple:
     model = factory()
     explicit = settings.get("_explicit", set())
     if model_name != "zajac" and "beta" in explicit:
-        raise ConfigError(f"--beta is not applicable to model {model_name!r}")
+        raise ConfigError(f"{_where(settings['beta'])}--beta is not applicable to "
+                          f"model {model_name!r}")
     if model_name != "hatze" and "nu" in explicit:
-        raise ConfigError(f"--nu is not applicable to model {model_name!r}")
+        raise ConfigError(f"{_where(settings['nu'])}--nu is not applicable to "
+                          f"model {model_name!r}")
     for key, target in _OVERRIDE_MAP.items():
         if key not in explicit or settings.get(key) is None:
             continue
@@ -240,35 +280,26 @@ def _scenario_params(settings) -> tuple:
         name = model.init_names[0] if key == "q_init" else target
         if name not in pset.names:
             raise ConfigError(
-                f"parameter {key!r} is not applicable to model {model_name!r}"
+                f"{_where(settings[key])}parameter {key!r} is not applicable to "
+                f"model {model_name!r}"
             )
         pset = pset.with_value(name, _parse_number(settings[key]))
-    _validate(model_name, pset.as_dict())
+    _validate(model, pset, settings)
     return model, pset
 
 
-def _validate(model_name: str, v: dict[str, float]) -> None:
+def _validate(model, pset, settings) -> None:
     """Range-check the resolved parameters once, before any solve.
 
-    Out-of-range values are configuration errors; a CE length at or beyond
-    the pole ell_rho stays a PoleViolation (numerical failure).
+    An out-of-range value is a configuration error, which names the file line
+    of a value read from a config file (each parameter field is named as its
+    setting); a CE length at or beyond the pole ell_rho stays a PoleViolation
+    (numerical failure).
     """
-    if model_name == "zajac":
-        params = ZajacParams(sigma=v["sigma"], q0=v["q0"], tau=v["tau"],
-                             beta=v["beta"], q_init=v["q_Z0"])
-    elif model_name == "hatze":
-        params = HatzeParams(sigma=v["sigma"], q0=v["q0"], m=v["m"],
-                             rho_c=v["rho_c"], nu=v["nu"], ell_rho=v["ell_rho"],
-                             ell_ce_rel=v["ell_CErel"], q_init=v["q_H0"])
-    else:  # the simplified model is the linear one at beta = 1, q0 = 0
-        params = ZajacParams(sigma=v["sigma"], q0=0.0, tau=v["tau"], beta=1.0,
-                             q_init=v["q_Z0"])
     try:
-        params.validate()
-    except PoleViolation:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        model.params_of(*pset.values_for(model.canonical_order)).validate()
+    except ParameterOutOfRange as exc:
+        raise ConfigError(f"{_where(settings.get(exc.field))}{exc}") from exc
 
 
 def _grid(settings) -> np.ndarray:
@@ -330,17 +361,15 @@ def _cmd_local_sens(settings) -> int:
     model, pset = _scenario_params(settings)
     grid = _grid(settings)
     order = 2 if settings["second_order"] else 1
-    res = normalize(analyze(model, pset, grid, order=order, include_init=True), pset)
+    res = normalize(analyze(model, pset, grid, order=order), pset)
 
     out = _out_dir(settings)
     files = []
     write_csv(out / "state.csv", ["t_seconds", "q"], [grid, res.state[:, 0]])
     files.append("state.csv")
 
-    names = model.canonical_order
-    cols = [grid, res.s_init_rel[:, 0, 0]]
-    cols += [res.s_rel[:, i, 0] for i in range(model.n_params)]
-    write_csv(out / "s_rel.csv", ["t_seconds"] + [f"S_{n}" for n in names], cols)
+    curves = {f"S_{n}": res.s_rel[:, i, 0] for i, n in enumerate(model.canonical_order)}
+    write_csv(out / "s_rel.csv", ["t_seconds", *curves], [grid, *curves.values()])
     files.append("s_rel.csv")
 
     if order == 2:
@@ -358,9 +387,6 @@ def _cmd_local_sens(settings) -> int:
         "version": __version__, "files": ";".join(files),
     })
     if settings["plot"]:
-        curves = {f"S_{n}": res.s_rel[:, i, 0]
-                  for i, n in enumerate(model.param_names)}
-        curves[f"S_{model.init_names[0]}"] = res.s_init_rel[:, 0, 0]
         _plot(out / "s_rel.pdf", grid, curves, "relative sensitivity")
     print(f"wrote {', '.join(files)} to {out}")
     return 0
@@ -369,32 +395,22 @@ def _cmd_local_sens(settings) -> int:
 def _cmd_global_sens(settings) -> int:
     model_name = settings["model"]
     if model_name not in ("zajac", "hatze"):
-        raise ConfigError("global-sens supports the 'zajac' and 'hatze' models")
-    if settings["sampler"] not in _SAMPLERS:
-        raise ConfigError(f"unknown sampler {settings['sampler']!r}; choose from {_SAMPLERS}")
+        raise ConfigError(f"{_where(model_name)}global-sens supports the 'zajac' and "
+                          "'hatze' models")
+    sampler = settings["sampler"]
+    if sampler not in _SAMPLERS:
+        raise ConfigError(f"{_where(sampler)}unknown sampler {sampler!r}; "
+                          f"choose from {_SAMPLERS}")
     n = _parse_count(settings["n"], "n", 2)
     seed = _parse_count(settings["seed"], "seed", 0)
-    canonical = builtin_cuboid(model_name).names
-    if settings["preset"] == "paper-bounds":
-        cuboid = builtin_cuboid(model_name)
-    else:
-        bounds = _load_config(settings["preset"])
-        pairs = {k: tuple(_parse_number(v) for v in val.split(","))
-                 for k, val in bounds.items()}
-        if set(pairs) != set(canonical) or any(len(v) != 2 for v in pairs.values()):
-            raise ConfigError(
-                f"{settings['preset']}: bounds file must give one 'lower,upper' pair "
-                f"for each of {list(canonical)}"
-            )
-        try:
-            cuboid = ParameterCuboid.from_dict({n: pairs[n] for n in canonical})
-        except InvalidBounds as exc:
-            raise ConfigError(str(exc)) from exc
+    cuboid = builtin_cuboid(model_name)
+    if settings["preset"] != "paper-bounds":
+        cuboid = _load_bounds(settings["preset"], cuboid.names)
     grid = _grid(settings)
     result = analyze_global(
         family_evaluator(model_name), cuboid,
         n=n, seed=seed, grid=grid,
-        validity=row_validity(model_name), sampler=settings["sampler"],
+        validity=row_validity(model_name), sampler=sampler,
     )
     out = _out_dir(settings)
     path = out / "global.csv"
@@ -410,7 +426,7 @@ def _cmd_global_sens(settings) -> int:
     write_manifest(out / "manifest.txt", {
         "command": "global-sens", "model": model_name,
         "preset": settings["preset"], "n": result.n, "seed": result.seed,
-        "sampler": settings["sampler"], "evaluations": result.n_evaluations,
+        "sampler": sampler, "evaluations": result.n_evaluations,
         "resampled_rows": result.resampled_rows,
         "t_end": grid[-1], "points": grid.size,
         "undefined_points": int(result.undefined.sum()),
@@ -437,7 +453,7 @@ def _cmd_optimize(settings) -> int:
     kinds = ((settings["kind"],) if settings.get("kind") else ("bell", "parabola"))
     for kind in kinds:
         if kind not in ("bell", "parabola"):
-            raise ConfigError(f"unknown force-length kind {kind!r}")
+            raise ConfigError(f"{_where(kind)}unknown force-length kind {kind!r}")
     rho0_start = _parse_above(settings["rho0_start"], "rho0_start", 0.0)
     ell_opt = _parse_above(settings["ell_opt"], "ell_opt", 0.0)
     try:

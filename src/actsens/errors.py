@@ -21,6 +21,14 @@ class PoleViolation(ActsensError, ValueError):
     """Relative CE length outside (0, ell_rho), where the length-dependency blows up."""
 
 
+class ParameterOutOfRange(ActsensError, ValueError):
+    """A model parameter lies outside its valid range; ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 class DomainViolation(ActsensError, ValueError):
     """Activity outside the open interval where fractional powers are real."""
 

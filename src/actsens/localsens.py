@@ -1,10 +1,13 @@
-"""First/second-order and initial-condition sensitivities of ODE models.
+"""First- and second-order sensitivities of ODE models.
 
-The state is augmented with the sensitivity equations and everything is
-integrated in a single pass, so the sensitivities see exactly the adaptive
-step sequence of the state itself. Augmented layout: state, first-order
-sensitivity rows (one per parameter), initial-condition block, then the
-upper triangle of the second-order tensor.
+The initial conditions are parameters like any other: the first-order block
+holds one row per entry of ``model.canonical_order`` (initial conditions
+first, then the dynamic parameters). The state is augmented with the
+sensitivity equations and everything is integrated in a single pass, so the
+sensitivities see exactly the adaptive step sequence of the state itself.
+Augmented layout: state, first-order rows of the dynamic parameters, those
+of the initial conditions, then the upper triangle of the second-order
+tensor over the dynamic parameters.
 
 Relative (normalized) sensitivities express percentage change of a state
 component per percentage change of a parameter; they are produced by
@@ -26,9 +29,6 @@ from .odecore import OdeProblem, Tolerances, integrate
 __all__ = [
     "SensitivityResult",
     "analyze",
-    "first_order",
-    "initial_condition_sensitivity",
-    "second_order",
     "second_order_fd",
     "fd_first_order",
     "fd_initial_condition",
@@ -43,11 +43,12 @@ NORMALIZATION_FLOOR = 1e-9
 class SensitivityResult:
     """Time-resolved sensitivities of one model at one parameter point.
 
-    Raw arrays are indexed [time, parameter, state] (first order),
-    [time, init-component, state] (initial condition) and
-    [time, parameter, parameter, state] (second order, symmetric).
-    ``*_rel`` fields are filled by :func:`normalize`; ``degenerate`` marks
-    time/state points where normalization was undefined.
+    ``s_raw`` is indexed [time, parameter, state] over the canonical order
+    ``init_names + param_names``, so ``s_raw[:, :M]`` is the sensitivity to
+    the M initial values; ``r_raw`` is indexed [time, parameter, parameter,
+    state] over ``param_names`` and is symmetric. ``*_rel`` fields are
+    filled by :func:`normalize`; ``degenerate`` marks time/state points
+    where normalization was undefined.
     """
 
     times: np.ndarray
@@ -55,10 +56,8 @@ class SensitivityResult:
     param_names: tuple[str, ...]
     init_names: tuple[str, ...]
     s_raw: np.ndarray | None = None
-    s_init_raw: np.ndarray | None = None
     r_raw: np.ndarray | None = None
     s_rel: np.ndarray | None = None
-    s_init_rel: np.ndarray | None = None
     r_rel: np.ndarray | None = None
     degenerate: np.ndarray | None = None
     zero_params: tuple[str, ...] = ()
@@ -80,14 +79,13 @@ def _check_derivs(d, order: int) -> None:
         raise MissingDerivative("model does not supply second partials")
 
 
-def _augmented_system(model: ModelSpec, lam, y0, *, order, include_s, include_init):
+def _augmented_system(model: ModelSpec, lam, y0, *, order):
     """Right-hand side and initial vector of the stacked sensitivity system."""
     M, N = model.dim, model.n_params
     pairs = [(i, j) for i in range(N) for j in range(i, N)]
     ii = np.array([p[0] for p in pairs])
     jj = np.array([p[1] for p in pairs])
-    n_s = N * M if include_s else 0
-    n_i = M * M if include_init else 0
+    n_s = (N + M) * M if order >= 1 else 0
     n_r = len(pairs) * M if order >= 2 else 0
 
     def rhs(t, z):
@@ -95,31 +93,27 @@ def _augmented_system(model: ModelSpec, lam, y0, *, order, include_s, include_in
         d = model.derivs(t, y, lam, order)
         dz = np.empty_like(z)
         dz[:M] = d.f
-        off = M
-        S = None
-        if include_s:
-            S = z[off:off + n_s].reshape(N, M)
-            dz[off:off + n_s] = (S @ d.jac_y.T + d.jac_p).ravel()
-            off += n_s
-        if include_init:
-            s0 = z[off:off + n_i].reshape(M, M)
-            dz[off:off + n_i] = (s0 @ d.jac_y.T).ravel()
-            off += n_i
+        if order >= 1:
+            # rows 0..N-1: dynamic parameters, rows N..N+M-1: initial values
+            S = z[M:M + n_s].reshape(N + M, M)
+            dS = S @ d.jac_y.T
+            dS[:N] += d.jac_p
+            dz[M:M + n_s] = dS.ravel()
         if order >= 2:
-            r = z[off:].reshape(len(pairs), M)
+            r = z[M + n_s:].reshape(len(pairs), M)
             dr = r @ d.jac_y.T
             dr += np.einsum("pkl,pl->pk", d.hess_py[jj], S[ii])
             dr += np.einsum("pkl,pl->pk", d.hess_py[ii], S[jj])
             dr += np.einsum("klm,pl,pm->pk", d.hess_yy, S[ii], S[jj])
             dr += d.hess_pp[ii, jj]
-            dz[off:] = dr.ravel()
+            dz[M + n_s:] = dr.ravel()
         return dz
 
-    z0 = np.zeros(M + n_s + n_i + n_r)
+    z0 = np.zeros(M + n_s + n_r)
     z0[:M] = y0
-    if include_init:
-        z0[M + n_s:M + n_s + n_i] = np.eye(M).ravel()
-    return rhs, z0, (ii, jj, n_s, n_i)
+    if order >= 1:
+        z0[M + N * M:M + n_s] = np.eye(M).ravel()
+    return rhs, z0, (ii, jj)
 
 
 def analyze(
@@ -128,83 +122,48 @@ def analyze(
     grid,
     *,
     order: int = 1,
-    include_s: bool = True,
-    include_init: bool = True,
     tol: Tolerances | None = None,
 ) -> SensitivityResult:
     """Integrate the coupled state + sensitivity system on the output grid.
 
-    ``order=1`` solves dS/dt = S J^T + B from S(0) = 0; ``include_init``
-    adds the homogeneous system dS0/dt = S0 J^T from S0(0) = I; ``order=2``
-    adds the second-order tensor (upper triangle) with its five-term
-    right-hand side from R(0) = 0.
+    ``order=0`` integrates the state only. ``order=1`` adds the first-order
+    block over ``model.canonical_order``: the dynamic-parameter rows solve
+    dS/dt = S J^T + B from S(0) = 0, the initial-condition rows solve
+    dS0/dt = S0 J^T from S0(0) = I. ``order=2`` adds the second-order
+    tensor over the dynamic parameters (upper triangle) with its five-term
+    right-hand side from R(0) = 0. A model that lacks the partials an order
+    needs raises MissingDerivative.
     """
     pset = _as_parameter_set(model, params)
     lam = pset.values_for(model.param_names)
     y0 = pset.values_for(model.init_names)
     grid = np.asarray(grid, dtype=float)
     M, N = model.dim, model.n_params
-    if order >= 2 and not include_s:
-        raise ValueError("second order requires the first-order block")
-    if order == 0:
-        include_s = include_init = False
 
     if order >= 1:
         _check_derivs(model.derivs(0.0, y0, lam, order), order)
-    rhs, z0, (ii, jj, n_s, n_i) = _augmented_system(
-        model, lam, y0, order=order, include_s=include_s, include_init=include_init
-    )
+    rhs, z0, (ii, jj) = _augmented_system(model, lam, y0, order=order)
     traj = integrate(
         OdeProblem(rhs=rhs, y0=z0, t_span=(0.0, float(grid[-1])), output_grid=grid),
         tol or Tolerances(),
     )
 
-    T = grid.size
+    T, n_s = grid.size, (N + M) * M
     vals = traj.values
-    state = vals[:, :M]
-    off = M
-    s_raw = None
-    if include_s:
-        s_raw = vals[:, off:off + n_s].reshape(T, N, M)
-        off += n_s
-    s_init_raw = None
-    if include_init:
-        s_init_raw = vals[:, off:off + n_i].reshape(T, M, M)
-        off += n_i
-    r_raw = None
+    s_raw = r_raw = None
+    if order >= 1:
+        block = vals[:, M:M + n_s].reshape(T, N + M, M)
+        s_raw = np.concatenate([block[:, N:], block[:, :N]], axis=1)  # canonical order
     if order >= 2:
-        tri = vals[:, off:].reshape(T, len(ii), M)
+        tri = vals[:, M + n_s:].reshape(T, len(ii), M)
         r_raw = np.zeros((T, N, N, M))
         r_raw[:, ii, jj, :] = tri
         r_raw[:, jj, ii, :] = tri
     return SensitivityResult(
-        times=traj.times, state=state,
+        times=traj.times, state=vals[:, :M],
         param_names=model.param_names, init_names=model.init_names,
-        s_raw=s_raw, s_init_raw=s_init_raw, r_raw=r_raw,
+        s_raw=s_raw, r_raw=r_raw,
     )
-
-
-def first_order(model: ModelSpec, params, grid, tol: Tolerances | None = None) -> SensitivityResult:
-    """First-order sensitivity matrix S along the solution (S only)."""
-    return analyze(model, params, grid, order=1, include_init=False, tol=tol)
-
-
-def initial_condition_sensitivity(
-    model: ModelSpec, params, grid, tol: Tolerances | None = None
-) -> np.ndarray:
-    """Time-indexed M x M sensitivity of the state to its initial values."""
-    res = analyze(model, params, grid, order=1, include_s=False,
-                  include_init=True, tol=tol)
-    return res.s_init_raw
-
-
-def second_order(model: ModelSpec, params, grid, tol: Tolerances | None = None) -> SensitivityResult:
-    """First- and second-order sensitivities (S and the symmetric tensor R).
-
-    A model without analytic second partials raises MissingDerivative; its R
-    can be estimated with :func:`second_order_fd` instead.
-    """
-    return analyze(model, params, grid, order=2, include_init=False, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +176,9 @@ def second_order(model: ModelSpec, params, grid, tol: Tolerances | None = None) 
 # difference signal can be orders of magnitude below the state itself.
 
 
-def _paired_difference(model, lam_p, y0_p, lam_m, y0_m, grid, tol, *,
-                       order=0, include_s=False):
-    rhs_p, z0_p, _ = _augmented_system(
-        model, lam_p, y0_p, order=order, include_s=include_s, include_init=False
-    )
-    rhs_m, z0_m, _ = _augmented_system(
-        model, lam_m, y0_m, order=order, include_s=include_s, include_init=False
-    )
+def _paired_difference(model, lam_p, y0_p, lam_m, y0_m, grid, tol, *, order=0):
+    rhs_p, z0_p, _ = _augmented_system(model, lam_p, y0_p, order=order)
+    rhs_m, z0_m, _ = _augmented_system(model, lam_m, y0_m, order=order)
     dim = z0_p.size
 
     def rhs(t, z):
@@ -242,7 +196,11 @@ def fd_first_order(
     model: ModelSpec, params, grid,
     rel_step: float = 1e-5, tol: Tolerances | None = None,
 ) -> np.ndarray:
-    """Central-difference estimate of S from pairs of perturbed state runs."""
+    """Central-difference estimate of S from pairs of perturbed state runs.
+
+    Covers the dynamic parameters only: indexed [time, parameter, state]
+    over ``param_names``.
+    """
     pset = _as_parameter_set(model, params)
     lam = pset.values_for(model.param_names)
     y0 = pset.values_for(model.init_names)
@@ -291,7 +249,7 @@ def second_order_fd(
     lam = pset.values_for(model.param_names)
     y0 = pset.values_for(model.init_names)
     grid = np.asarray(grid, dtype=float)
-    base = first_order(model, pset, grid, tol=tol)
+    base = analyze(model, pset, grid, order=1, tol=tol)
     N, M, T = model.n_params, model.dim, grid.size
     r = np.empty((T, N, N, M))
     for i in range(N):
@@ -299,8 +257,7 @@ def second_order_fd(
         lp, lm = lam.copy(), lam.copy()
         lp[i] += h
         lm[i] -= h
-        vp, vm = _paired_difference(model, lp, y0, lm, y0, grid, tol,
-                                    order=1, include_s=True)
+        vp, vm = _paired_difference(model, lp, y0, lm, y0, grid, tol, order=1)
         sp = vp[:, M:M + N * M].reshape(T, N, M)
         sm = vm[:, M:M + N * M].reshape(T, N, M)
         r[:, i, :, :] = (sp - sm) / (2.0 * h)
@@ -316,17 +273,18 @@ def second_order_fd(
 def normalize(result: SensitivityResult, params, floor: float = NORMALIZATION_FLOOR) -> SensitivityResult:
     """Scale raw sensitivities to relative ones: S~ = S * lambda / y(t).
 
-    Initial-condition sensitivities are normalized with the initial value in
-    place of lambda. Points with |y_k(t)| < floor are flagged in
-    ``degenerate`` and set to NaN; parameters whose value is exactly zero
-    produce identically-zero rows and are listed in ``zero_params``.
+    lambda runs over the canonical order, so an initial-condition row is
+    scaled by its initial value; R is scaled by lambda_i * lambda_j over
+    the dynamic parameters. Points with |y_k(t)| < floor are flagged in
+    ``degenerate`` and set to NaN; dynamic parameters whose value is exactly
+    zero produce identically-zero rows and are listed in ``zero_params``.
     """
     if isinstance(params, ParameterSet):
         pdict = params.as_dict()
     else:
         pdict = dict(params)
-    lam = np.array([pdict[n] for n in result.param_names])
-    y0 = np.array([pdict[n] for n in result.init_names])
+    values = np.array([pdict[n] for n in result.init_names + result.param_names])
+    lam = values[len(result.init_names):]
 
     y = result.state  # (T, M)
     degenerate = np.abs(y) < floor
@@ -341,11 +299,8 @@ def normalize(result: SensitivityResult, params, floor: float = NORMALIZATION_FL
         )
         return np.where(mask, np.nan, rel)
 
-    s_rel = _scale(result.s_raw, lam[None, :, None])
-    s_init_rel = _scale(result.s_init_raw, y0[None, :, None])
+    s_rel = _scale(result.s_raw, values[None, :, None])
     r_rel = _scale(result.r_raw, lam[None, :, None, None] * lam[None, None, :, None])
     zero = tuple(n for n, v in zip(result.param_names, lam) if v == 0.0)
-    return dc_replace(
-        result, s_rel=s_rel, s_init_rel=s_init_rel, r_rel=r_rel,
-        degenerate=degenerate, zero_params=zero,
-    )
+    return dc_replace(result, s_rel=s_rel, r_rel=r_rel,
+                      degenerate=degenerate, zero_params=zero)

@@ -30,7 +30,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DegenerateState, DomainViolation, PoleViolation
+from .errors import DegenerateState, DomainViolation, ParameterOutOfRange, PoleViolation
 
 __all__ = [
     "ParameterSet",
@@ -109,17 +109,23 @@ class ZajacParams:
     beta: float = 1.0
     q_init: float = 0.005
 
+    @classmethod
+    def from_canonical(cls, q_init, sigma, q0, tau, beta) -> "ZajacParams":
+        """Fields from values in the canonical order ``q_Z0, sigma, q0, tau, beta``."""
+        return cls(sigma=sigma, q0=q0, tau=tau, beta=beta, q_init=q_init)
+
     def validate(self) -> None:
         if not 0.0 <= self.q0 < 1.0:
-            raise ValueError(f"q0 must lie in [0, 1), got {self.q0}")
+            raise ParameterOutOfRange("q0", f"q0 must lie in [0, 1), got {self.q0}")
         if not self.q0 <= self.q_init <= 1.0:
-            raise ValueError(f"q_init must lie in [q0, 1], got {self.q_init}")
+            raise ParameterOutOfRange(
+                "q_init", f"q_init must lie in [q0, 1], got {self.q_init}")
         if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+            raise ParameterOutOfRange("tau", f"tau must be positive, got {self.tau}")
         if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+            raise ParameterOutOfRange("beta", f"beta must be positive, got {self.beta}")
         if not 0.0 <= self.sigma <= 1.0:
-            raise ValueError(f"sigma must lie in [0, 1], got {self.sigma}")
+            raise ParameterOutOfRange("sigma", f"sigma must lie in [0, 1], got {self.sigma}")
 
     @functools.cached_property
     def rate_factors(self) -> tuple:
@@ -151,25 +157,34 @@ class HatzeParams:
     ell_ce_rel: float = 1.0
     q_init: float = 0.01
 
+    @classmethod
+    def from_canonical(cls, q_init, sigma, q0, m, rho_c, nu, ell_rho,
+                       ell_ce_rel) -> "HatzeParams":
+        """Fields from values in the canonical order
+        ``q_H0, sigma, q0, m, rho_c, nu, ell_rho, ell_CErel``."""
+        return cls(sigma=sigma, q0=q0, m=m, rho_c=rho_c, nu=nu, ell_rho=ell_rho,
+                   ell_ce_rel=ell_ce_rel, q_init=q_init)
+
     def validate(self) -> None:
         if not 0.0 < self.q0 < 1.0:
-            raise ValueError(f"q0 must lie in (0, 1), got {self.q0}")
+            raise ParameterOutOfRange("q0", f"q0 must lie in (0, 1), got {self.q0}")
         if not self.q0 < self.q_init < 1.0:
-            raise ValueError(
-                f"q_init must lie strictly in (q0, 1), got {self.q_init} with q0={self.q0}"
+            raise ParameterOutOfRange(
+                "q_init",
+                f"q_init must lie strictly in (q0, 1), got {self.q_init} with q0={self.q0}",
             )
         if not self.nu > 1.0:
-            raise ValueError(f"nu must exceed 1, got {self.nu}")
+            raise ParameterOutOfRange("nu", f"nu must exceed 1, got {self.nu}")
         if not 0.0 < self.ell_ce_rel < self.ell_rho:
             raise PoleViolation(
                 f"ell_ce_rel must lie in (0, ell_rho), got {self.ell_ce_rel}"
             )
         if not self.m > 0.0:
-            raise ValueError(f"m must be positive, got {self.m}")
+            raise ParameterOutOfRange("m", f"m must be positive, got {self.m}")
         if not self.rho_c > 0.0:
-            raise ValueError(f"rho_c must be positive, got {self.rho_c}")
+            raise ParameterOutOfRange("rho_c", f"rho_c must be positive, got {self.rho_c}")
         if not 0.0 <= self.sigma <= 1.0:
-            raise ValueError(f"sigma must lie in [0, 1], got {self.sigma}")
+            raise ParameterOutOfRange("sigma", f"sigma must lie in [0, 1], got {self.sigma}")
 
     @functools.cached_property
     def rate_factors(self) -> tuple:
@@ -545,7 +560,9 @@ class ModelSpec:
     ``param_names`` are the dynamic parameters (sensitivity targets);
     ``init_names`` name the initial condition of each state component, in
     state order. The canonical full parameter order of a model is
-    init_names + param_names.
+    init_names + param_names. ``params_of`` maps values given positionally
+    in that order to the model's parameter object (one with ``validate()``);
+    a custom model may leave it None.
     """
 
     name: str
@@ -553,6 +570,7 @@ class ModelSpec:
     init_names: tuple[str, ...]
     derivs: Callable[[float, np.ndarray, np.ndarray, int], ModelDerivs]
     state_names: tuple[str, ...] = ("q",)
+    params_of: Callable[..., object] | None = None
 
     @property
     def n_params(self) -> int:
@@ -585,15 +603,14 @@ def zajac_model() -> ModelSpec:
     """ModelSpec for the linear activation dynamics."""
 
     def derivs(t, y, lam, order):
-        p = ZajacParams(sigma=lam[0], q0=lam[1], tau=lam[2], beta=lam[3],
-                        q_init=float(y[0]))
+        p = ZajacParams.from_canonical(float(y[0]), *lam)
         if order == 0:
             return ModelDerivs(f=np.array([zajac_rhs(float(y[0]), p)]))
         return _partials_to_derivs(zajac_partials(float(y[0]), p, second=order >= 2))
 
     return ModelSpec(
         name="zajac", param_names=ZAJAC_PARAM_NAMES, init_names=("q_Z0",),
-        derivs=derivs,
+        derivs=derivs, params_of=ZajacParams.from_canonical,
     )
 
 
@@ -601,17 +618,14 @@ def hatze_model() -> ModelSpec:
     """ModelSpec for the nonlinear length-dependent activation dynamics."""
 
     def derivs(t, y, lam, order):
-        p = HatzeParams(
-            sigma=lam[0], q0=lam[1], m=lam[2], rho_c=lam[3], nu=lam[4],
-            ell_rho=lam[5], ell_ce_rel=lam[6], q_init=float(y[0]),
-        )
+        p = HatzeParams.from_canonical(float(y[0]), *lam)
         if order == 0:
             return ModelDerivs(f=np.array([hatze_rhs(float(y[0]), p)]))
         return _partials_to_derivs(hatze_partials(float(y[0]), p, second=order >= 2))
 
     return ModelSpec(
         name="hatze", param_names=HATZE_PARAM_NAMES, init_names=("q_H0",),
-        derivs=derivs,
+        derivs=derivs, params_of=HatzeParams.from_canonical,
     )
 
 
@@ -623,8 +637,11 @@ def simplified_zajac_model() -> ModelSpec:
     """
     keep = [ZAJAC_VARS.index(v) for v in ("q",) + SIMPLIFIED_PARAM_NAMES]
 
+    def params_of(q_init, sigma, tau):
+        return ZajacParams.from_canonical(q_init, sigma, 0.0, tau, 1.0)
+
     def derivs(t, y, lam, order):
-        p = ZajacParams(sigma=lam[0], q0=0.0, tau=lam[1], beta=1.0, q_init=float(y[0]))
+        p = params_of(float(y[0]), *lam)
         if order == 0:
             return ModelDerivs(f=np.array([zajac_rhs(float(y[0]), p)]))
         f, g, H = zajac_partials(float(y[0]), p, second=order >= 2)
@@ -632,5 +649,5 @@ def simplified_zajac_model() -> ModelSpec:
 
     return ModelSpec(
         name="simplified-zajac", param_names=SIMPLIFIED_PARAM_NAMES,
-        init_names=("q_Z0",), derivs=derivs,
+        init_names=("q_Z0",), derivs=derivs, params_of=params_of,
     )

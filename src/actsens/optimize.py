@@ -129,10 +129,6 @@ class FitProblem:
     width_start: float = 0.35
     rho0_start: float = DEFAULT_RHO0_START
     ell_opt: float = DEFAULT_ELL_OPT
-    q0: float = 0.005
-    ell_rho: float = 2.9
-    nu_asc: float = 3.0
-    nu_des: float = 1.5
 
     def __post_init__(self):
         if not self.width_start > 0.0:
@@ -141,17 +137,12 @@ class FitProblem:
             raise ValueError("rho0_start must be positive")
 
     def relation(self, width: float) -> ForceLengthRelation:
-        return ForceLengthRelation(
-            kind=self.flr_kind, width=width, nu_asc=self.nu_asc,
-            nu_des=self.nu_des, ell_opt=self.ell_opt,
-        )
+        return ForceLengthRelation(kind=self.flr_kind, width=width, ell_opt=self.ell_opt)
 
     def activation(self, rho0: float) -> HatzeParams:
-        # q_init/sigma/m never enter the static force model; placeholders only
-        return HatzeParams(
-            sigma=1.0, q0=self.q0, nu=self.nu, rho_c=rho0 * CALCIUM_CEILING,
-            ell_rho=self.ell_rho, q_init=0.5,
-        )
+        # q0 and ell_rho keep the HatzeParams defaults; q_init/sigma/m never
+        # enter the static force model, so they are placeholders only
+        return HatzeParams(sigma=1.0, nu=self.nu, rho_c=rho0 * CALCIUM_CEILING, q_init=0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -185,18 +185,14 @@ def family_evaluator(model: str, tol: Tolerances | None = None):
     tol = tol or GLOBAL_TOLERANCES
 
     if model == "zajac":
-        def params_of(rows):
-            q_init, sigma, q0, tau, beta = rows.T.copy()
-            return ZajacParams(sigma=sigma, q0=q0, tau=tau, beta=beta, q_init=q_init)
-        rhs_fn = zajac_rhs
+        from_canonical, rhs_fn = ZajacParams.from_canonical, zajac_rhs
     elif model == "hatze":
-        def params_of(rows):
-            q_init, sigma, q0, m, rho_c, nu, ell_rho, ell_ce_rel = rows.T.copy()
-            return HatzeParams(sigma=sigma, q0=q0, m=m, rho_c=rho_c, nu=nu,
-                               ell_rho=ell_rho, ell_ce_rel=ell_ce_rel, q_init=q_init)
-        rhs_fn = hatze_rhs
+        from_canonical, rhs_fn = HatzeParams.from_canonical, hatze_rhs
     else:
         raise ValueError(f"no family evaluator for model {model!r}")
+
+    def params_of(rows):
+        return from_canonical(*rows.T.copy())  # one contiguous column per field
 
     def evaluate(rows: np.ndarray, grid: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)

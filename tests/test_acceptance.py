@@ -77,8 +77,7 @@ def _scenario_sensitivities(order):
         for model, scen in ((zajac_model(), all_zajac_scenarios()),
                             (hatze_model(), all_hatze_scenarios())):
             for label, ps in scen:
-                res = normalize(
-                    analyze(model, ps, grid, order=order, include_init=True), ps)
+                res = normalize(analyze(model, ps, grid, order=order), ps)
                 panels[(model.name, label)] = (model, ps, res)
         _cache[key] = panels
     return _cache[key]
@@ -95,14 +94,10 @@ def test_criterion_1_analytic_oracle_equivalence():
         {"q_Z0": 0.05, "sigma": 1.0, "tau": 0.025},
         order=("q_Z0", "sigma", "tau"))
     t0 = time.perf_counter()
-    res = normalize(analyze(simplified_zajac_model(), params, grid,
-                            include_init=True), params)
+    res = normalize(analyze(simplified_zajac_model(), params, grid), params)
     oracle = simplified_zajac_sensitivities(grid, 1.0, 0.025, 0.05)
-    errs = {
-        "sigma": np.max(np.abs(res.s_rel[:, 0, 0] - oracle["sigma"])),
-        "tau": np.max(np.abs(res.s_rel[:, 1, 0] - oracle["tau"])),
-        "q_Z0": np.max(np.abs(res.s_init_rel[:, 0, 0] - oracle["q_Z0"])),
-    }
+    errs = {name: np.max(np.abs(res.s_rel[:, i, 0] - oracle[name]))
+            for i, name in enumerate(params.names)}  # q_Z0, sigma, tau
     runtime = time.perf_counter() - t0
     worst = max(errs.values())
     _report(1, "analytic-oracle equivalence",
@@ -125,16 +120,16 @@ def test_criterion_2_finite_difference_cross_check():
     ):
         grid = np.array(probes)
         for label, ps in scenarios:
-            res = analyze(model, ps, grid, order=2, include_init=True)
+            res = analyze(model, ps, grid, order=2)
+            s_init, s = res.s_raw[:, :1], res.s_raw[:, 1:]
             # relative error with a floor so structural zeros compare fairly
-            scale1 = 1e-3 * max(1.0, np.max(np.abs(res.s_raw)))
+            scale1 = 1e-3 * max(1.0, np.max(np.abs(s)))
             fd = fd_first_order(model, ps, grid, rel_step=1e-5)
             worst1 = max(worst1, np.max(
-                np.abs(fd - res.s_raw) / np.maximum(np.abs(res.s_raw), scale1)))
+                np.abs(fd - s) / np.maximum(np.abs(s), scale1)))
             fdi = fd_initial_condition(model, ps, grid, rel_step=1e-5)
             worst1 = max(worst1, np.max(
-                np.abs(fdi - res.s_init_raw)
-                / np.maximum(np.abs(res.s_init_raw), scale1)))
+                np.abs(fdi - s_init) / np.maximum(np.abs(s_init), scale1)))
             rfd = second_order_fd(model, ps, grid).r_raw
             scale2 = 1e-2 * max(1.0, np.max(np.abs(res.r_raw)))
             worst2 = max(worst2, np.max(
@@ -156,10 +151,10 @@ def test_criterion_3_structural_checks():
     panels = _scenario_sensitivities(order=1)
     zmodel = zajac_model()
     hmodel = hatze_model()
-    i_beta = zmodel.param_names.index("beta")
-    i_tau = zmodel.param_names.index("tau")
-    i_sig = hmodel.param_names.index("sigma")
-    i_rho = hmodel.param_names.index("rho_c")
+    i_beta = zmodel.canonical_order.index("beta")
+    i_tau = zmodel.canonical_order.index("tau")
+    i_sig = hmodel.canonical_order.index("sigma")
+    i_rho = hmodel.canonical_order.index("rho_c")
     details = []
     ok = True
 
@@ -184,14 +179,14 @@ def test_criterion_3_structural_checks():
 
     # initial-value share starts at one and is forgotten past three
     # activation time constants
-    init_start_dev = max(abs(res.s_init_rel[0, 0, 0] - 1.0)
+    init_start_dev = max(abs(res.s_rel[0, 0, 0] - 1.0)
                          for (_, _, res) in panels.values())
     ok &= init_start_dev < 1e-12
     details.append(f"max|S_init(0)-1|: {init_start_dev:.1e}")
 
     grid = _scenario_sensitivities(order=1)[("zajac", "i-b1")][2].times
     beyond = grid > 3 * 0.025
-    memory_max = max(np.max(res.s_init_rel[beyond, 0, 0])
+    memory_max = max(np.max(res.s_rel[beyond, 0, 0])
                      for (m, _), (_, _, res) in panels.items() if m == "zajac")
     ok &= memory_max < 0.05
     details.append(f"max S_init beyond 3*tau: {memory_max:.4f} (bound 0.05; "

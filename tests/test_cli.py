@@ -139,36 +139,39 @@ def test_unknown_model_exits_with_config_error():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv, config", [
-    (["simulate", "--tau", "-1"], None),
-    (["simulate", "--model", "zajac", "--beta", "0"], None),
-    (["simulate", "--model", "hatze", "--q-init", "2"], None),
-    (["simulate", "--model", "simplified-zajac", "--sigma", "1.5"], None),
-    (["simulate", "--sigma", "abc"], None),
-    (["global-sens", "--n", "1"], None),
-    (["simulate", "--t-end", "-1"], None),
-    (["simulate", "--t-end", "0"], None),
-    (["simulate", "--points", "1"], None),
-    (["analytic", "--points", "1"], None),
-    (["simulate"], "t_end = abc\npoints = 3\n"),
-    (["simulate"], "t_end = 0.1\npoints = 2.5\n"),
-    (["global-sens"], "n = many\nt_end = 0.1\npoints = 3\n"),
-    (["global-sens", "--n", "4"], "seed = x\nt_end = 0.1\npoints = 3\n"),
-    (["global-sens", "--n", "4", "--seed", "-1"], None),
-    (["global-sens", "--n", "4"], "sampler = sobol\nt_end = 0.1\npoints = 3\n"),
-    (["optimize", "--nu", "1"], None),
-    (["optimize", "--nu", "0.5"], None),
-    (["optimize", "--rho0-start", "-1"], None),
-    (["optimize", "--ell-opt", "0"], None),
-    (["optimize"], "nu = 1\n"),
+@pytest.mark.parametrize("argv, config, line", [
+    (["simulate", "--tau", "-1"], None, None),
+    (["simulate", "--model", "zajac", "--beta", "0"], None, None),
+    (["simulate", "--model", "hatze", "--q-init", "2"], None, None),
+    (["simulate", "--model", "simplified-zajac", "--sigma", "1.5"], None, None),
+    (["simulate", "--sigma", "abc"], None, None),
+    (["global-sens", "--n", "1"], None, None),
+    (["simulate", "--t-end", "-1"], None, None),
+    (["simulate", "--t-end", "0"], None, None),
+    (["simulate", "--points", "1"], None, None),
+    (["analytic", "--points", "1"], None, None),
+    (["simulate"], "t_end = abc\npoints = 3\n", 1),
+    (["simulate"], "t_end = 0.1\npoints = 2.5\n", 2),
+    (["global-sens"], "n = many\nt_end = 0.1\npoints = 3\n", 1),
+    (["global-sens", "--n", "4"], "seed = x\nt_end = 0.1\npoints = 3\n", 1),
+    (["global-sens", "--n", "4", "--seed", "-1"], None, None),
+    (["global-sens", "--n", "4"], "sampler = sobol\nt_end = 0.1\npoints = 3\n", 1),
+    (["optimize", "--nu", "1"], None, None),
+    (["optimize", "--nu", "0.5"], None, None),
+    (["optimize", "--rho0-start", "-1"], None, None),
+    (["optimize", "--ell-opt", "0"], None, None),
+    (["optimize"], "nu = 1\n", 1),
+    (["simulate"], "sigma = 0.5\ntau = -1\n", 2),
+    (["simulate", "--model", "hatze"], "q_init = 2\n", 1),
 ], ids=["negative-tau", "zero-beta", "hatze-q-init-above-one",
         "simplified-sigma-above-one", "sigma-not-a-number", "global-n-one",
         "negative-t-end", "zero-t-end", "one-point", "analytic-one-point",
         "config-t-end-not-a-number", "config-points-not-an-integer",
         "config-n-not-a-number", "config-seed-not-a-number", "negative-seed",
         "config-unknown-sampler", "optimize-nu-one", "optimize-nu-below-one",
-        "optimize-negative-rho0-start", "optimize-zero-ell-opt", "config-optimize-nu-one"])
-def test_invalid_input_exits_2(tmp_path, capsys, argv, config):
+        "optimize-negative-rho0-start", "optimize-zero-ell-opt", "config-optimize-nu-one",
+        "config-negative-tau", "config-hatze-q-init-above-one"])
+def test_invalid_input_exits_2(tmp_path, capsys, argv, config, line):
     out = tmp_path / "x"
     if argv[0] == "optimize":
         # a well-formed targets file, so only the case's own value is wrong
@@ -183,12 +186,16 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, config):
         # the case's own flags come last, so they win over these
         argv = argv[:1] + ["--t-end", "0.1", "--points", "3"] + argv[1:]
     assert main(argv + ["--output", str(out)]) == 2
-    assert "ConfigError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "ConfigError" in err
+    if line is not None:  # a bad value from the config file names its line
+        assert f"run.cfg:{line}:" in err
     assert not out.exists()  # a rejected command creates no output directory
 
 
-@pytest.mark.parametrize("q_z0_bounds", ["0.01", "0.01,1,2", "1,0.01"],
-                         ids=["one-value", "three-values", "lower-above-upper"])
+@pytest.mark.parametrize("q_z0_bounds", ["0.01", "0.01,1,2", "1,0.01", "abc,1"],
+                         ids=["one-value", "three-values", "lower-above-upper",
+                              "non-numeric"])
 def test_malformed_bounds_file_exits_2(tmp_path, capsys, q_z0_bounds):
     bounds = tmp_path / "bounds.cfg"
     bounds.write_text(f"q_Z0 = {q_z0_bounds}\nsigma = 0,1\nq0 = 0.001,0.05\n"
@@ -196,7 +203,9 @@ def test_malformed_bounds_file_exits_2(tmp_path, capsys, q_z0_bounds):
     out = tmp_path / "x"
     assert main(["global-sens", "--model", "zajac", "--preset", str(bounds),
                  "--n", "4", "--points", "3", "--output", str(out)]) == 2
-    assert "ConfigError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "ConfigError" in err
+    assert "bounds.cfg:1:" in err  # the q_Z0 line
     assert not out.exists()
 
 

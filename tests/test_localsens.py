@@ -9,11 +9,8 @@ from actsens import (
     analyze,
     fd_first_order,
     fd_initial_condition,
-    first_order,
     hatze_model,
-    initial_condition_sensitivity,
     normalize,
-    second_order,
     second_order_fd,
     simplified_zajac_model,
     simplified_zajac_sensitivities,
@@ -124,26 +121,24 @@ def no_hessian_model() -> ModelSpec:
 def test_simplified_model_matches_closed_forms():
     grid = np.linspace(0.0, 0.2, 201)
     model = simplified_zajac_model()
-    res = normalize(analyze(model, FIG1, grid, order=1, include_init=True), FIG1)
+    res = normalize(analyze(model, FIG1, grid, order=1), FIG1)
     oracle = simplified_zajac_sensitivities(grid, 1.0, 0.025, 0.05)
-    assert np.max(np.abs(res.s_rel[:, 0, 0] - oracle["sigma"])) < 1e-6
-    assert np.max(np.abs(res.s_rel[:, 1, 0] - oracle["tau"])) < 1e-6
-    assert np.max(np.abs(res.s_init_rel[:, 0, 0] - oracle["q_Z0"])) < 1e-6
+    for i, name in enumerate(model.canonical_order):  # q_Z0, sigma, tau
+        assert np.max(np.abs(res.s_rel[:, i, 0] - oracle[name])) < 1e-6
 
 
 def test_initial_sensitivity_is_exponential_decay():
     grid = np.linspace(0.0, 0.2, 51)
-    s0 = initial_condition_sensitivity(simplified_zajac_model(), FIG1, grid)
+    s0 = analyze(simplified_zajac_model(), FIG1, grid, order=1).s_raw[:, :1]
     assert s0[0, 0, 0] == 1.0
     assert np.max(np.abs(s0[:, 0, 0] - np.exp(-grid / 0.025))) < 1e-6
 
 
 def test_sensitivities_start_at_their_initial_values():
     grid = np.array([0.0, 0.1])
-    res = analyze(zajac_model(), zajac_scenario("ii"), grid, order=2,
-                  include_init=True)
-    assert np.all(res.s_raw[0] == 0.0)
-    assert np.all(res.s_init_raw[0] == np.eye(1))
+    res = analyze(zajac_model(), zajac_scenario("ii"), grid, order=2)
+    assert np.all(res.s_raw[0, 1:] == 0.0)
+    assert np.all(res.s_raw[0, :1] == np.eye(1))
     assert np.all(res.r_raw[0] == 0.0)
 
 
@@ -162,20 +157,19 @@ def test_simplified_model_is_linear_in_stimulation():
 def test_inert_parameter_has_zero_sensitivity():
     ps = ParameterSet.from_dict({"y0": 1.0, "a": 2.0, "unused": 5.0},
                                 order=("y0", "a", "unused"))
-    res = first_order(inert_param_model(), ps, np.linspace(0.0, 1.0, 11))
-    assert np.max(np.abs(res.s_raw[:, 1, 0])) < 1e-12
-    assert np.max(np.abs(res.s_raw[:, 0, 0])) > 0.01
+    res = analyze(inert_param_model(), ps, np.linspace(0.0, 1.0, 11), order=1)
+    assert np.max(np.abs(res.s_raw[:, 2, 0])) < 1e-12  # unused
+    assert np.max(np.abs(res.s_raw[:, 1, 0])) > 0.01  # a
 
 
 def test_zajac_beta_sensitivity_vanishes_at_full_stimulation():
     model = zajac_model()
     ps = zajac_scenario("iv", beta=1.0)  # sigma = 1
     grid = np.linspace(0.0, 0.25, 26)
-    res = normalize(analyze(model, ps, grid, include_init=True), ps)
-    ib = model.param_names.index("beta")
-    assert np.max(np.abs(res.s_rel[:, ib, 0])) < 1e-10
+    res = normalize(analyze(model, ps, grid), ps)
+    assert np.max(np.abs(res.s_rel[:, model.canonical_order.index("beta"), 0])) < 1e-10
     fd = fd_first_order(model, ps, grid)
-    assert np.max(np.abs(fd[:, ib, 0])) < 1e-6
+    assert np.max(np.abs(fd[:, model.param_names.index("beta"), 0])) < 1e-6
 
 
 def test_zajac_tau_sensitivity_negative_for_rising_activation():
@@ -184,7 +178,7 @@ def test_zajac_tau_sensitivity_negative_for_rising_activation():
         ps = zajac_scenario(row, beta=1.0)
         grid = np.linspace(0.01, 0.3, 30)
         res = normalize(analyze(model, ps, grid), ps)
-        assert np.all(res.s_rel[:, model.param_names.index("tau"), 0] < 0.0)
+        assert np.all(res.s_rel[:, model.canonical_order.index("tau"), 0] < 0.0)
 
 
 def test_zajac_memory_of_initial_value_decays():
@@ -194,8 +188,8 @@ def test_zajac_memory_of_initial_value_decays():
     model = zajac_model()
     grid = np.array([0.0755, 0.1005, 0.5])
     for label, ps in all_zajac_scenarios():
-        res = normalize(analyze(model, ps, grid, include_init=True), ps)
-        s = res.s_init_rel[:, 0, 0]
+        res = normalize(analyze(model, ps, grid), ps)
+        s = res.s_rel[:, 0, 0]
         assert s[1] < 0.05, f"{label}: S_init(4 tau) = {s[1]:.4f}"
         assert np.all(np.diff(s) < 0.0)
         if label.endswith("b1"):
@@ -207,8 +201,8 @@ def test_hatze_sigma_and_rho_c_relative_sensitivities_identical():
     ps = hatze_scenario("iii", nu=3.0)
     grid = np.linspace(0.0, 0.5, 51)
     res = normalize(analyze(model, ps, grid), ps)
-    i_s = model.param_names.index("sigma")
-    i_r = model.param_names.index("rho_c")
+    i_s = model.canonical_order.index("sigma")
+    i_r = model.canonical_order.index("rho_c")
     assert np.allclose(res.s_rel[:, i_s, 0], res.s_rel[:, i_r, 0], atol=1e-10)
 
 
@@ -221,9 +215,9 @@ def test_hatze_length_sensitivity_ratio_is_pole_elasticity():
     ps = hatze_scenario("iii", nu=3.0)
     grid = np.linspace(0.05, 0.5, 10)
     res = normalize(analyze(model, ps, grid), ps)
-    i_s = model.param_names.index("sigma")
-    i_l = model.param_names.index("ell_CErel")
-    i_p = model.param_names.index("ell_rho")
+    i_s = model.canonical_order.index("sigma")
+    i_l = model.canonical_order.index("ell_CErel")
+    i_p = model.canonical_order.index("ell_rho")
     ratio = res.s_rel[:, i_l, 0] / res.s_rel[:, i_s, 0]
     assert np.allclose(ratio, 2.9 / 1.9, rtol=1e-8)
     assert np.max(np.abs(res.s_rel[:, i_p, 0])) < 1e-12
@@ -242,15 +236,15 @@ def test_first_order_matches_fd_on_scenarios():
         grid = np.array(probes)
         res = analyze(model, ps, grid)
         fd = fd_first_order(model, ps, grid, rel_step=1e-5)
-        scale = np.max(np.abs(res.s_raw))
-        assert np.allclose(fd, res.s_raw, rtol=1e-3, atol=1e-3 * scale)
+        s = res.s_raw[:, model.dim:]  # the dynamic parameters
+        assert np.allclose(fd, s, rtol=1e-3, atol=1e-3 * np.max(np.abs(s)))
 
 
 def test_initial_condition_sensitivity_matches_fd():
     model = zajac_model()
     ps = zajac_scenario("iii", beta=1.0 / 3.0)
     grid = np.array([0.025, 0.125])
-    s0 = initial_condition_sensitivity(model, ps, grid)
+    s0 = analyze(model, ps, grid, order=1).s_raw[:, :model.dim]
     fd = fd_initial_condition(model, ps, grid)
     assert np.allclose(fd, s0, rtol=1e-3, atol=1e-8)
 
@@ -260,7 +254,7 @@ def test_affine_model_second_order_matches_fd_of_first_order():
     ps = ParameterSet.from_dict({"y0": 0.5, "a": -2.0, "b": 1.0},
                                 order=("y0", "a", "b"))
     grid = np.linspace(0.1, 1.0, 4)
-    res = second_order(model, ps, grid)
+    res = analyze(model, ps, grid, order=2)
     oracle = second_order_fd(model, ps, grid, rel_step=1e-4)
     assert oracle.r_approximate
     scale = max(np.max(np.abs(res.r_raw)), 1.0)
@@ -276,11 +270,11 @@ def test_planar_model_sensitivities_match_fd():
         {"y1_0": 1.0, "y2_0": 0.5, "a": 1.2, "b": 0.4, "c": -0.8},
         order=("y1_0", "y2_0", "a", "b", "c"))
     grid = np.array([0.2, 0.7])
-    res = analyze(model, ps, grid, order=2, include_init=True)
+    res = analyze(model, ps, grid, order=2)
     fd = fd_first_order(model, ps, grid)
-    assert np.allclose(fd, res.s_raw, rtol=1e-3, atol=1e-5)
+    assert np.allclose(fd, res.s_raw[:, 2:], rtol=1e-3, atol=1e-5)
     fdi = fd_initial_condition(model, ps, grid)
-    assert np.allclose(fdi, res.s_init_raw, rtol=1e-3, atol=1e-5)
+    assert np.allclose(fdi, res.s_raw[:, :2], rtol=1e-3, atol=1e-5)
     rfd = second_order_fd(model, ps, grid).r_raw
     scale = max(np.max(np.abs(res.r_raw)), 1.0)
     assert np.allclose(rfd, res.r_raw, rtol=1e-3, atol=1e-5 * scale)
@@ -289,7 +283,7 @@ def test_planar_model_sensitivities_match_fd():
 def test_second_order_tensor_is_symmetric():
     model = hatze_model()
     ps = hatze_scenario("ii", nu=3.0)
-    res = second_order(model, ps, np.linspace(0.0, 0.3, 7))
+    res = analyze(model, ps, np.linspace(0.0, 0.3, 7), order=2)
     assert np.array_equal(res.r_raw, res.r_raw.transpose(0, 2, 1, 3))
 
 
@@ -303,7 +297,7 @@ def test_missing_second_partials_raise_without_fallback():
     ps = ParameterSet.from_dict({"y0": 1.0, "a": 2.0}, order=("y0", "a"))
     grid = np.linspace(0.0, 1.0, 5)
     with pytest.raises(MissingDerivative):
-        second_order(model, ps, grid)
+        analyze(model, ps, grid, order=2)
     res = second_order_fd(model, ps, grid)
     assert res.r_approximate
     # d^2 y / da^2 of y0*exp(-a t) is y0 t^2 exp(-a t)
@@ -319,7 +313,7 @@ def test_state_only_model_rejects_first_order():
                       derivs=derivs)
     ps = ParameterSet.from_dict({"y0": 1.0, "a": 1.0}, order=("y0", "a"))
     with pytest.raises(MissingDerivative):
-        first_order(model, ps, np.linspace(0.0, 1.0, 3))
+        analyze(model, ps, np.linspace(0.0, 1.0, 3), order=1)
 
 
 # ---------------------------------------------------------------------------
@@ -331,17 +325,18 @@ def test_normalize_arithmetic():
     res = SensitivityResult(
         times=np.array([0.0]), state=np.array([[4.0]]),
         param_names=("lam",), init_names=("y0",),
-        s_raw=np.array([[[2.0]]]),
+        s_raw=np.array([[[3.0], [2.0]]]),  # rows y0, lam
     )
     out = normalize(res, {"lam": 0.5, "y0": 4.0})
-    assert out.s_rel[0, 0, 0] == pytest.approx(0.25)
+    assert out.s_rel[0, 0, 0] == pytest.approx(3.0)
+    assert out.s_rel[0, 1, 0] == pytest.approx(0.25)
 
 
 def test_normalize_flags_zero_parameter():
     model = zajac_model()
     ps = zajac_scenario("ii").with_value("sigma", 0.0)
     res = normalize(analyze(model, ps, np.linspace(0.0, 0.1, 5)), ps)
-    i = model.param_names.index("sigma")
+    i = model.canonical_order.index("sigma")
     assert "sigma" in res.zero_params
     assert np.all(res.s_rel[:, i, 0] == 0.0)
 
@@ -360,7 +355,6 @@ def test_normalize_flags_degenerate_state():
 
 def test_normalize_scales_initial_condition_with_start_value():
     grid = np.linspace(0.0, 0.1, 5)
-    res = normalize(analyze(simplified_zajac_model(), FIG1, grid,
-                            include_init=True), FIG1)
+    res = normalize(analyze(simplified_zajac_model(), FIG1, grid), FIG1)
     expect = np.exp(-grid / 0.025) * 0.05 / res.state[:, 0]
-    assert np.allclose(res.s_init_rel[:, 0, 0], expect, atol=1e-9)
+    assert np.allclose(res.s_rel[:, 0, 0], expect, atol=1e-9)

@@ -1,17 +1,21 @@
-"""The benchmark tracer hooks package names by attribute; a refactor that
-renames or deletes one of them must fail here, not only in a traced run."""
+"""The benchmark reaches the package by attribute (tracer hooks) and checks
+its output with correctness gates; a change that breaks either must fail
+here, not only in a benchmark run."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 from actsens import cli, localsens, presets
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _import_for_test(monkeypatch, name, path):
+    """Import ``path`` as module ``name`` until the test ends."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # dataclasses look it up there
     spec.loader.exec_module(module)
     return module
 
@@ -21,8 +25,8 @@ def _hooked():
             presets.integrate, presets.zajac_rhs, presets.hatze_rhs)
 
 
-def test_tracer_installs_on_every_hooked_name_and_restores(tmp_path):
-    tracer = _load_tracer()
+def test_tracer_installs_on_every_hooked_name_and_restores(tmp_path, monkeypatch):
+    tracer = _import_for_test(monkeypatch, "perfbench_tracer", PERFBENCH / "tracer.py")
     originals = _hooked()
     spans = tracer.Tracer()
     hooks = tracer.Instrumentation(spans)
@@ -46,3 +50,18 @@ def test_tracer_installs_on_every_hooked_name_and_restores(tmp_path):
     assert summary["models.batch_rhs"]["calls"] > 0
     assert spans.counts["rows_evaluated"] == 2 * 4 * (8 + 1)  # hatze: N = 8
     assert summary["presets.rhs"]["calls"] == summary["models.batch_rhs"]["calls"]
+
+
+def test_local_panel_gates_pass(tmp_path, monkeypatch):
+    # workloads.py imports its sibling reference.py as a top-level module
+    _import_for_test(monkeypatch, "reference", PERFBENCH / "reference.py")
+    workloads = _import_for_test(monkeypatch, "perfbench_workloads",
+                                 PERFBENCH / "workloads.py")
+    panels = workloads.LocalPanels(seed=1, work=tmp_path)
+    items = panels.pass_items(0)
+    for kind, gate in (("zajac-local-sens-2", panels._zajac),
+                       ("hatze-local-sens", panels._hatze)):
+        item = next(it for it in items if it.kind == kind)
+        assert cli.main(item.argv) == 0
+        err, ok = gate(item)
+        assert ok, f"{kind} {item.argv}: reference deviation {err:.3e}"
