@@ -23,7 +23,6 @@ from .errors import ActsensError, ConfigError, ParameterOutOfRange
 from .globalsens import ParameterCuboid, analyze_global
 from .localsens import analyze, normalize
 from .models import (
-    ParameterSet,
     hatze_model,
     simplified_zajac_model,
     simplified_zajac_sensitivities,
@@ -37,26 +36,27 @@ from .optimize import (
     run_table,
 )
 from .presets import (
+    BUILTIN_MODELS,
     FIG1_PARAMS,
     FIG1_T_END,
-    HATZE_CANONICAL,
     NU_RHO_C_PAIRING,
     SCENARIO_ROWS,
-    ZAJAC_CANONICAL,
+    builtin_cuboid,
     family_evaluator,
     hatze_scenario,
-    builtin_cuboid,
     row_validity,
+    simplified_zajac_scenario,
     zajac_scenario,
 )
 
 _FLOAT_FMT = "%.17g"
 _SAMPLERS = ("pseudo", "halton")
 
+# model name -> (ModelSpec factory, the flag that selects its scenario column)
 _MODELS = {
-    "zajac": (zajac_model, ZAJAC_CANONICAL),
-    "hatze": (hatze_model, HATZE_CANONICAL),
-    "simplified-zajac": (simplified_zajac_model, ("q_Z0", "sigma", "tau")),
+    "zajac": (zajac_model, "beta"),
+    "hatze": (hatze_model, "nu"),
+    "simplified-zajac": (simplified_zajac_model, None),
 }
 
 # defaults merged below config-file values and explicit flags
@@ -141,6 +141,14 @@ def _parse_count(text, key: str, minimum: int) -> int:
     return value
 
 
+def _parse_bool(text, key: str) -> bool:
+    """A flag's bool, or 'true'/'false' in any case; ConfigError otherwise."""
+    word = str(text).strip().lower()
+    if word not in ("true", "false"):
+        raise ConfigError(f"{_where(text)}{key} must be true or false, got {text!r}")
+    return word == "true"
+
+
 def _load_config(path: str) -> dict[str, _FileValue]:
     try:
         lines = Path(path).read_text().splitlines()
@@ -195,6 +203,9 @@ def _merge_settings(command: str, args: argparse.Namespace) -> dict:
         if val is not None:
             settings[key] = val
             explicit.add(key)
+    for key in ("second_order", "plot"):
+        if key in settings:
+            settings[key] = _parse_bool(settings[key], key)
     settings["_explicit"] = explicit
     return settings
 
@@ -245,38 +256,28 @@ def _scenario_params(settings) -> tuple:
         raise ConfigError(f"{_where(scenario)}unknown scenario {scenario!r}; "
                           f"choose from {list(SCENARIO_ROWS)}")
 
-    if model_name == "zajac":
-        pset = zajac_scenario(scenario, _parse_number(settings.get("beta", "1")))
-    elif model_name == "hatze":
-        nu = _parse_number(settings.get("nu", 3.0))
-        rho_c = NU_RHO_C_PAIRING.get(nu)
-        if "rho_c" in settings and settings["rho_c"] is not None:
-            rho_c = _parse_number(settings["rho_c"])
-        if rho_c is None:
-            raise ConfigError(f"{_where(settings.get('nu'))}no rho_c pairing for nu={nu}; "
-                              "pass --rho-c")
-        pset = hatze_scenario(scenario, nu, rho_c)
-    else:
-        q_init, sigma = SCENARIO_ROWS[scenario]
-        pset = ParameterSet.from_dict(
-            {"q_Z0": q_init, "sigma": sigma, "tau": 0.025},
-            order=("q_Z0", "sigma", "tau"),
-        )
-
-    factory, _canonical = _MODELS[model_name]
-    model = factory()
+    factory, column = _MODELS[model_name]
     explicit = settings.get("_explicit", set())
-    if model_name != "zajac" and "beta" in explicit:
-        raise ConfigError(f"{_where(settings['beta'])}--beta is not applicable to "
-                          f"model {model_name!r}")
-    if model_name != "hatze" and "nu" in explicit:
-        raise ConfigError(f"{_where(settings['nu'])}--nu is not applicable to "
-                          f"model {model_name!r}")
+    for flag in ("beta", "nu"):
+        if flag in explicit and flag != column:
+            raise ConfigError(f"{_where(settings[flag])}--{flag} is not applicable to "
+                              f"model {model_name!r}")
+    if column == "beta":
+        pset = zajac_scenario(scenario, _parse_number(settings["beta"]))
+    elif column == "nu":
+        nu = _parse_number(settings["nu"])
+        rho_c = settings.get("rho_c")  # replaces the pairing; set again with the overrides
+        if rho_c is None and nu not in NU_RHO_C_PAIRING:
+            raise ConfigError(f"{_where(settings['nu'])}no rho_c pairing for nu={nu}; "
+                              "pass --rho-c")
+        pset = hatze_scenario(scenario, nu, None if rho_c is None else _parse_number(rho_c))
+    else:
+        pset = simplified_zajac_scenario(scenario)
+
+    model = factory()
     for key, target in _OVERRIDE_MAP.items():
         if key not in explicit or settings.get(key) is None:
             continue
-        if key == "rho_c" and model_name == "hatze":
-            continue  # already applied through the scenario column
         name = model.init_names[0] if key == "q_init" else target
         if name not in pset.names:
             raise ConfigError(
@@ -394,9 +395,9 @@ def _cmd_local_sens(settings) -> int:
 
 def _cmd_global_sens(settings) -> int:
     model_name = settings["model"]
-    if model_name not in ("zajac", "hatze"):
-        raise ConfigError(f"{_where(model_name)}global-sens supports the 'zajac' and "
-                          "'hatze' models")
+    if model_name not in BUILTIN_MODELS:
+        raise ConfigError(f"{_where(model_name)}global-sens supports the models "
+                          f"{list(BUILTIN_MODELS)}, got {model_name!r}")
     sampler = settings["sampler"]
     if sampler not in _SAMPLERS:
         raise ConfigError(f"{_where(sampler)}unknown sampler {sampler!r}; "
@@ -473,7 +474,7 @@ def _cmd_optimize(settings) -> int:
     write_manifest(out / "manifest.txt", {
         "command": "optimize", "targets": settings["targets"],
         "levels": ",".join(f"{g:g}" for g in targets.levels),
-        "rho0_start": settings["rho0_start"], "ell_opt": settings["ell_opt"],
+        "rho0_start": rho0_start, "ell_opt": ell_opt,
         "objective_evals": sum(c.objective_evals for c in cells),
         "version": __version__, "files": path.name,
     })
@@ -500,8 +501,8 @@ def _add_common(p, with_plot=True):
 
 
 def _add_grid(p):
-    p.add_argument("--t-end", dest="t_end", type=float, help="simulation horizon [s]")
-    p.add_argument("--points", type=int, help="output grid points")
+    p.add_argument("--t-end", dest="t_end", help="simulation horizon [s]")
+    p.add_argument("--points", help="output grid points")
 
 
 def _add_model(p):
@@ -543,11 +544,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("global-sens", help="variance-based indices VBS/TSI")
-    p.add_argument("--model", choices=["zajac", "hatze"])
+    p.add_argument("--model", choices=list(BUILTIN_MODELS))
     p.add_argument("--preset", help="'paper-bounds' or a bounds file "
                                     "(name = lower,upper per line)")
-    p.add_argument("--n", type=int, help="sample rows per base matrix")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--n", help="sample rows per base matrix")
+    p.add_argument("--seed")
     p.add_argument("--sampler", choices=_SAMPLERS)
     _add_grid(p)
     _add_common(p)

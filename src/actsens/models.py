@@ -17,8 +17,8 @@ input is already checked use directly.
 ``zajac_partials`` and ``hatze_partials`` return ``(f, grad, hess)`` at one
 scalar point: the rhs value, its gradient and its Hessian as numpy arrays
 indexed by the model's variables ``ZAJAC_VARS``/``HATZE_VARS`` (index 0 is
-the state q, then the parameters in ``*_PARAM_NAMES`` order). The Hessian is
-exactly symmetric: each entry below the diagonal is a copy of its mirror.
+the state q, then the model's parameters). The Hessian is exactly
+symmetric: each entry below the diagonal is a copy of its mirror.
 """
 
 from __future__ import annotations
@@ -585,48 +585,53 @@ class ModelSpec:
         return self.init_names + self.param_names
 
 
-def _partials_to_derivs(partials) -> ModelDerivs:
-    """Slice a scalar model's (f, grad, hess) over (q, *params) into ModelDerivs blocks."""
-    f, g, H = partials
-    d = ModelDerivs(f=np.array([f]), jac_y=g[:1, None], jac_p=g[1:, None])
-    if H is not None:
-        d.hess_yy, d.hess_py, d.hess_pp = H[:1, :1, None], H[1:, :1, None], H[1:, 1:, None]
-    return d
+def _scalar_model(name, init_name, param_names, params_of, rhs, partials) -> ModelSpec:
+    """ModelSpec of a scalar model from its parameter map, rhs and partials.
 
+    ``params_of`` maps canonical-order values to a parameter object p,
+    ``rhs(q, p)`` is the activity rate and ``partials(q, p, second)`` its
+    ``(f, grad, hess)`` over (q, *param_names), which derivs slices into blocks.
+    """
 
-ZAJAC_PARAM_NAMES = ZAJAC_VARS[1:]
-HATZE_PARAM_NAMES = HATZE_VARS[1:]
-SIMPLIFIED_PARAM_NAMES = ("sigma", "tau")
+    def derivs(t, y, lam, order):
+        q = float(y[0])
+        p = params_of(q, *lam)
+        if order == 0:
+            return ModelDerivs(f=np.array([rhs(q, p)]))
+        f, g, H = partials(q, p, order >= 2)
+        d = ModelDerivs(f=np.array([f]), jac_y=g[:1, None], jac_p=g[1:, None])
+        if H is not None:
+            d.hess_yy, d.hess_py, d.hess_pp = H[:1, :1, None], H[1:, :1, None], H[1:, 1:, None]
+        return d
+
+    return ModelSpec(name=name, param_names=param_names, init_names=(init_name,),
+                     derivs=derivs, params_of=params_of)
 
 
 def zajac_model() -> ModelSpec:
     """ModelSpec for the linear activation dynamics."""
-
-    def derivs(t, y, lam, order):
-        p = ZajacParams.from_canonical(float(y[0]), *lam)
-        if order == 0:
-            return ModelDerivs(f=np.array([zajac_rhs(float(y[0]), p)]))
-        return _partials_to_derivs(zajac_partials(float(y[0]), p, second=order >= 2))
-
-    return ModelSpec(
-        name="zajac", param_names=ZAJAC_PARAM_NAMES, init_names=("q_Z0",),
-        derivs=derivs, params_of=ZajacParams.from_canonical,
-    )
+    return _scalar_model("zajac", "q_Z0", ZAJAC_VARS[1:], ZajacParams.from_canonical,
+                         zajac_rhs, zajac_partials)
 
 
 def hatze_model() -> ModelSpec:
     """ModelSpec for the nonlinear length-dependent activation dynamics."""
+    return _scalar_model("hatze", "q_H0", HATZE_VARS[1:], HatzeParams.from_canonical,
+                         hatze_rhs, hatze_partials)
 
-    def derivs(t, y, lam, order):
-        p = HatzeParams.from_canonical(float(y[0]), *lam)
-        if order == 0:
-            return ModelDerivs(f=np.array([hatze_rhs(float(y[0]), p)]))
-        return _partials_to_derivs(hatze_partials(float(y[0]), p, second=order >= 2))
 
-    return ModelSpec(
-        name="hatze", param_names=HATZE_PARAM_NAMES, init_names=("q_H0",),
-        derivs=derivs, params_of=HatzeParams.from_canonical,
-    )
+# positions of (q, sigma, tau) in ZAJAC_VARS, for the gradient and the Hessian
+_SIMPLIFIED_KEEP = [ZAJAC_VARS.index(v) for v in ("q", "sigma", "tau")]
+_SIMPLIFIED_BLOCK = np.ix_(_SIMPLIFIED_KEEP, _SIMPLIFIED_KEEP)
+
+
+def _simplified_params(q_init, sigma, tau) -> ZajacParams:
+    return ZajacParams.from_canonical(q_init, sigma, 0.0, tau, 1.0)
+
+
+def _simplified_partials(q, p, second):
+    f, g, H = zajac_partials(q, p, second)
+    return f, g[_SIMPLIFIED_KEEP], None if H is None else H[_SIMPLIFIED_BLOCK]
 
 
 def simplified_zajac_model() -> ModelSpec:
@@ -635,19 +640,5 @@ def simplified_zajac_model() -> ModelSpec:
     Its blocks are the linear model's at beta = 1, q0 = 0, restricted to the
     variables (q, sigma, tau).
     """
-    keep = [ZAJAC_VARS.index(v) for v in ("q",) + SIMPLIFIED_PARAM_NAMES]
-
-    def params_of(q_init, sigma, tau):
-        return ZajacParams.from_canonical(q_init, sigma, 0.0, tau, 1.0)
-
-    def derivs(t, y, lam, order):
-        p = params_of(float(y[0]), *lam)
-        if order == 0:
-            return ModelDerivs(f=np.array([zajac_rhs(float(y[0]), p)]))
-        f, g, H = zajac_partials(float(y[0]), p, second=order >= 2)
-        return _partials_to_derivs((f, g[keep], None if H is None else H[np.ix_(keep, keep)]))
-
-    return ModelSpec(
-        name="simplified-zajac", param_names=SIMPLIFIED_PARAM_NAMES,
-        init_names=("q_Z0",), derivs=derivs, params_of=params_of,
-    )
+    return _scalar_model("simplified-zajac", "q_Z0", ("sigma", "tau"),
+                         _simplified_params, zajac_rhs, _simplified_partials)

@@ -2,35 +2,40 @@
 
 The scenario grid spans four (initial activity, stimulation) rows at two
 model variants each: the linear model at two deactivation boosts, the
-nonlinear model at the two published (nu, rho_c) pairings. The bounds
-tables drive the global analysis; both are exposed through the CLI.
+nonlinear model at the two published (nu, rho_c) pairings; the simplified
+linear model takes each row's linear panel. Scenarios are read by name.
+``BUILTIN_MODELS`` declares each model of the global analysis once: its
+ModelSpec factory (canonical order, parameter map), bounds, row validity
+and batched rhs. The CLI offers its keys to ``global-sens``.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import IntegrationError
 from .globalsens import ParameterCuboid, Validity
 from .models import (
-    HATZE_PARAM_NAMES,
-    HatzeParams,
+    ModelSpec,
     ParameterSet,
-    ZAJAC_PARAM_NAMES,
-    ZajacParams,
-    hatze_rhs,
-    zajac_rhs,
+    hatze_model,
+    hatze_rhs,  # looked up by name, see _Builtin.rhs
+    zajac_model,
+    zajac_rhs,  # looked up by name, see _Builtin.rhs
 )
 from .odecore import OdeProblem, Tolerances, integrate
 
 __all__ = [
-    "ZAJAC_CANONICAL",
-    "HATZE_CANONICAL",
     "SCENARIO_ROWS",
     "NU_RHO_C_PAIRING",
     "FIG1_PARAMS",
+    "BUILTIN_MODELS",
     "zajac_scenario",
     "hatze_scenario",
+    "simplified_zajac_scenario",
     "all_zajac_scenarios",
     "all_hatze_scenarios",
     "builtin_cuboid",
@@ -38,10 +43,6 @@ __all__ = [
     "family_evaluator",
     "GLOBAL_TOLERANCES",
 ]
-
-#: Canonical parameter orders (initial condition first).
-ZAJAC_CANONICAL = ("q_Z0",) + ZAJAC_PARAM_NAMES
-HATZE_CANONICAL = ("q_H0",) + HATZE_PARAM_NAMES
 
 #: Scenario rows (i)-(iv): increasing initial activity and stimulation.
 SCENARIO_ROWS = {
@@ -67,32 +68,12 @@ HATZE_START_OFFSET = 1e-5
 #: dominates well before this level.
 GLOBAL_TOLERANCES = Tolerances(rel_tol=1e-6, abs_tol=1e-9)
 
-_ZAJAC_BOUNDS = {
-    "q_Z0": (0.01, 1.0),
-    "sigma": (0.0, 1.0),
-    "q0": (0.001, 0.05),
-    "tau": (0.01, 0.05),
-    "beta": (0.1, 1.0),
-}
-_HATZE_BOUNDS = {
-    "q_H0": (0.01, 1.0),
-    "sigma": (0.0, 1.0),
-    "q0": (0.001, 0.05),
-    "m": (3.0, 11.0),
-    "rho_c": (4.0, 11.0),
-    "nu": (1.5, 4.0),
-    "ell_rho": (2.2, 3.6),
-    "ell_CErel": (0.4, 1.6),
-}
-
 
 def zajac_scenario(row: str, beta: float = 1.0) -> ParameterSet:
     """One linear-model scenario panel: row (i)-(iv) at the given boost."""
     q_init, sigma = SCENARIO_ROWS[row]
     return ParameterSet.from_dict(
-        {"q_Z0": q_init, "sigma": sigma, "q0": 0.005, "tau": 0.025, "beta": beta},
-        order=ZAJAC_CANONICAL,
-    )
+        {"q_Z0": q_init, "sigma": sigma, "q0": 0.005, "tau": 0.025, "beta": beta})
 
 
 def hatze_scenario(row: str, nu: float = 3.0, rho_c: float | None = None) -> ParameterSet:
@@ -115,9 +96,13 @@ def hatze_scenario(row: str, nu: float = 3.0, rho_c: float | None = None) -> Par
         q_init = q0 + HATZE_START_OFFSET
     return ParameterSet.from_dict(
         {"q_H0": q_init, "sigma": sigma, "q0": q0, "m": 10.0, "rho_c": rho_c,
-         "nu": float(nu), "ell_rho": 2.9, "ell_CErel": 1.0},
-        order=HATZE_CANONICAL,
-    )
+         "nu": float(nu), "ell_rho": 2.9, "ell_CErel": 1.0})
+
+
+def simplified_zajac_scenario(row: str) -> ParameterSet:
+    """One simplified linear-model panel: the row's linear panel at (q_Z0, sigma, tau)."""
+    panel = zajac_scenario(row)
+    return ParameterSet.from_dict({n: panel.value(n) for n in ("q_Z0", "sigma", "tau")})
 
 
 def all_zajac_scenarios() -> list[tuple[str, ParameterSet]]:
@@ -138,13 +123,47 @@ def all_hatze_scenarios() -> list[tuple[str, ParameterSet]]:
     return out
 
 
+@dataclass(frozen=True)
+class _Builtin:
+    model: Callable[[], ModelSpec]
+    bounds: dict[str, tuple[float, float]]
+    valid: Validity
+    # name of the batched rhs in this module; family_evaluator looks it up at
+    # each call, so a wrapper installed on that global sees every evaluation
+    rhs: str
+
+
+BUILTIN_MODELS = {
+    "zajac": _Builtin(
+        zajac_model,
+        bounds={"q_Z0": (0.01, 1.0), "sigma": (0.0, 1.0), "q0": (0.001, 0.05),
+                "tau": (0.01, 0.05), "beta": (0.1, 1.0)},
+        valid=lambda row: row["q_Z0"] >= row["q0"],
+        rhs="zajac_rhs",
+    ),
+    "hatze": _Builtin(
+        hatze_model,
+        bounds={"q_H0": (0.01, 1.0), "sigma": (0.0, 1.0), "q0": (0.001, 0.05),
+                "m": (3.0, 11.0), "rho_c": (4.0, 11.0), "nu": (1.5, 4.0),
+                "ell_rho": (2.2, 3.6), "ell_CErel": (0.4, 1.6)},
+        valid=lambda row: row["q_H0"] > row["q0"],
+        rhs="hatze_rhs",
+    ),
+}
+
+
+def _builtin(model: str) -> _Builtin:
+    try:
+        return BUILTIN_MODELS[model]
+    except KeyError:
+        raise ValueError(f"no built-in preset for model {model!r}; "
+                         f"choose from {list(BUILTIN_MODELS)}") from None
+
+
 def builtin_cuboid(model: str) -> ParameterCuboid:
-    """The built-in parameter bounds for 'zajac' or 'hatze'."""
-    if model == "zajac":
-        return ParameterCuboid.from_dict(_ZAJAC_BOUNDS)
-    if model == "hatze":
-        return ParameterCuboid.from_dict(_HATZE_BOUNDS)
-    raise ValueError(f"no bounds preset for model {model!r}")
+    """The built-in parameter bounds of a model, in its canonical order."""
+    b = _builtin(model)
+    return ParameterCuboid.from_dict({n: b.bounds[n] for n in b.model().canonical_order})
 
 
 def row_validity(model: str) -> Validity:
@@ -153,11 +172,7 @@ def row_validity(model: str) -> Validity:
     The predicate takes a dict of parameter columns (one array per name) and
     returns a boolean array, one entry per row.
     """
-    if model == "zajac":
-        return lambda row: row["q_Z0"] >= row["q0"]
-    if model == "hatze":
-        return lambda row: row["q_H0"] > row["q0"]
-    raise ValueError(f"no validity predicate for model {model!r}")
+    return _builtin(model).valid
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +189,7 @@ def _batch_integrate(rhs, y0, grid, tol) -> np.ndarray:
 
 
 def family_evaluator(model: str, tol: Tolerances | None = None):
-    """Vectorized map from cuboid-order parameter rows to activity trajectories.
+    """Vectorized map from canonical-order parameter rows to activity trajectories.
 
     All rows are integrated as one diagonal system sharing the adaptive step
     sequence; if that fails, rows are integrated one by one and the bad rows
@@ -183,13 +198,8 @@ def family_evaluator(model: str, tol: Tolerances | None = None):
     solve (see ``rate_factors`` in :mod:`actsens.models`).
     """
     tol = tol or GLOBAL_TOLERANCES
-
-    if model == "zajac":
-        from_canonical, rhs_fn = ZajacParams.from_canonical, zajac_rhs
-    elif model == "hatze":
-        from_canonical, rhs_fn = HatzeParams.from_canonical, hatze_rhs
-    else:
-        raise ValueError(f"no family evaluator for model {model!r}")
+    b = _builtin(model)
+    from_canonical, rhs_fn = b.model().params_of, globals()[b.rhs]
 
     def params_of(rows):
         return from_canonical(*rows.T.copy())  # one contiguous column per field

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from actsens import cli, simplified_zajac_sensitivities, synthesize_targets
+from actsens import (
+    cli,
+    simplified_zajac_sensitivities,
+    simplified_zajac_solution,
+    synthesize_targets,
+)
 from actsens.cli import main
+from actsens.presets import SCENARIO_ROWS
 
 
 def _read_csv(path):
@@ -37,6 +43,19 @@ def test_simulate_command(tmp_path):
     assert data[0, 1] == pytest.approx(0.2)  # scenario (iii) initial activity
     manifest = (out / "manifest.txt").read_text()
     assert "rho_c = 9.1" in manifest  # nu=2 pairing applied
+
+
+@pytest.mark.parametrize("row", list(SCENARIO_ROWS))
+def test_simulate_simplified_zajac_matches_closed_form(tmp_path, row):
+    out = tmp_path / "run"
+    assert main(["simulate", "--model", "simplified-zajac", "--scenario", row,
+                 "--output", str(out)]) == 0
+    _, data = _read_csv(out / "state.csv")
+    q_init, sigma = SCENARIO_ROWS[row]
+    exact = simplified_zajac_solution(data[:, 0], sigma, 0.025, q_init)
+    # criterion 1's bound for the same closed form; the default tolerances
+    # give at most 1.1e-7 here (row iv)
+    assert np.max(np.abs(data[:, 1] - exact)) < 1e-6
 
 
 def test_local_sens_columns_follow_canonical_order(tmp_path):
@@ -95,7 +114,7 @@ def test_optimize_command(tmp_path):
         f"{g},{s}" for g, s in zip(targets.levels, targets.shifts_mm)) + "\n")
     out = tmp_path / "run"
     code = main(["optimize", "--targets", str(tfile), "--nu", "3",
-                 "--kind", "bell", "--output", str(out)])
+                 "--kind", "bell", "--rho0-start", "6e4", "--output", str(out)])
     assert code == 0
     lines = (out / "fit_table.csv").read_text().strip().splitlines()
     assert lines[0] == "nu,kind,width_start,width,rho0,error_mm,iterations,status"
@@ -107,6 +126,8 @@ def test_optimize_command(tmp_path):
     manifest = (out / "manifest.txt").read_text().splitlines()
     evals = [line for line in manifest if line.startswith("objective_evals = ")]
     assert len(evals) == 1 and int(evals[0].split(" = ")[1]) > 0
+    # the values the fit used, not the text they were given as
+    assert "rho0_start = 60000.0" in manifest and "ell_opt = 14.8" in manifest
 
 
 def test_optimize_requires_targets(tmp_path):
@@ -123,6 +144,18 @@ def test_config_file_with_cli_override(tmp_path):
     manifest = (out / "manifest.txt").read_text()
     assert "sigma = 0.5" in manifest  # explicit flag beats config
     assert "t_end = 0.1" in manifest  # config beats default
+
+
+@pytest.mark.parametrize("text, second", [("false", False), ("TRUE", True)])
+def test_config_booleans_are_parsed(tmp_path, capsys, text, second):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"second_order = {text}\nplot = false\nt_end = 0.1\npoints = 3\n")
+    out = tmp_path / "run"
+    assert main(["local-sens", "--config", str(cfg), "--output", str(out)]) == 0
+    assert (out / "r_rel.csv").exists() == second
+    assert f"second_order = {second}" in (out / "manifest.txt").read_text().splitlines()
+    # plot = false: no plot, and no attempt at one
+    assert not (out / "s_rel.pdf").exists() and "plot" not in capsys.readouterr().err
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -163,6 +196,9 @@ def test_unknown_model_exits_with_config_error():
     (["optimize"], "nu = 1\n", 1),
     (["simulate"], "sigma = 0.5\ntau = -1\n", 2),
     (["simulate", "--model", "hatze"], "q_init = 2\n", 1),
+    (["simulate"], "plot = maybe\nt_end = 0.1\npoints = 3\n", 1),
+    (["local-sens"], "t_end = 0.1\npoints = 3\nsecond_order = 0\n", 3),
+    (["simulate", "--points", "2.5"], None, None),
 ], ids=["negative-tau", "zero-beta", "hatze-q-init-above-one",
         "simplified-sigma-above-one", "sigma-not-a-number", "global-n-one",
         "negative-t-end", "zero-t-end", "one-point", "analytic-one-point",
@@ -170,7 +206,8 @@ def test_unknown_model_exits_with_config_error():
         "config-n-not-a-number", "config-seed-not-a-number", "negative-seed",
         "config-unknown-sampler", "optimize-nu-one", "optimize-nu-below-one",
         "optimize-negative-rho0-start", "optimize-zero-ell-opt", "config-optimize-nu-one",
-        "config-negative-tau", "config-hatze-q-init-above-one"])
+        "config-negative-tau", "config-hatze-q-init-above-one", "config-plot-maybe",
+        "config-second-order-not-a-boolean", "points-flag-not-an-integer"])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, config, line):
     out = tmp_path / "x"
     if argv[0] == "optimize":

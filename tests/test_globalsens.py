@@ -8,7 +8,9 @@ from actsens import (
     analyze_global,
     build_sample_matrices,
     evaluate_family,
+    hatze_model,
     vbs_tsi,
+    zajac_model,
 )
 from actsens.globalsens import (
     _FIRST_PRIMES, _blocks, _family_rows, _halton_points, _rows_valid,
@@ -71,6 +73,12 @@ def test_invalid_bounds_rejected_but_degenerate_allowed():
     cub = ParameterCuboid.from_dict({"x1": (0.0, 1.0), "x2": (0.7, 0.7)})
     m = build_sample_matrices(cub, n=8, seed=1)
     assert np.all(m.a[:, 1] == 0.7) and np.all(m.b[:, 1] == 0.7)
+
+
+@pytest.mark.parametrize("name, factory", [("zajac", zajac_model), ("hatze", hatze_model)])
+def test_builtin_cuboid_follows_canonical_order(name, factory):
+    # family_evaluator unpacks a row positionally in this order
+    assert builtin_cuboid(name).names == factory().canonical_order
 
 
 def test_validity_predicate_holds_for_all_swaps():

@@ -37,18 +37,28 @@ def test_tracer_installs_on_every_hooked_name_and_restores(tmp_path, monkeypatch
                          "--t-end", "0.05", "--points", "3",
                          "--output", str(tmp_path / "local")]) == 0
         local_rhs_evals = spans.counts["rhs_evals"]
-        # the global path: the ensemble evaluator, its batched rhs and solve
-        assert cli.main(["global-sens", "--model", "hatze", "--n", "4",
-                         "--t-end", "0.05", "--points", "3",
-                         "--output", str(tmp_path / "global")]) == 0
+        local_aug_rhs = spans.summary()["localsens.aug_rhs"]["calls"]
+        # every model factory goes through the tracer's wrapper
+        for name in cli._MODELS:
+            before = spans.summary()["models.derivs"]["calls"]
+            assert cli.main(["simulate", "--model", name, "--t-end", "0.05",
+                             "--points", "3", "--output", str(tmp_path / name)]) == 0
+            assert spans.summary()["models.derivs"]["calls"] > before, name
+        # the global path of each built-in: the ensemble evaluator, its
+        # batched rhs and solve
+        for name in presets.BUILTIN_MODELS:
+            before = spans.summary().get("models.batch_rhs", {}).get("calls", 0)
+            assert cli.main(["global-sens", "--model", name, "--n", "4",
+                             "--t-end", "0.05", "--points", "3",
+                             "--output", str(tmp_path / f"global-{name}")]) == 0
+            assert spans.summary()["models.batch_rhs"]["calls"] > before, name
     finally:
         hooks.restore()
     assert _hooked() == originals
     summary = spans.summary()
     assert summary["models.derivs"]["calls"] > 0
-    assert local_rhs_evals == summary["localsens.aug_rhs"]["calls"] > 0
-    assert summary["models.batch_rhs"]["calls"] > 0
-    assert spans.counts["rows_evaluated"] == 2 * 4 * (8 + 1)  # hatze: N = 8
+    assert local_rhs_evals == local_aug_rhs > 0
+    assert spans.counts["rows_evaluated"] == 2 * 4 * (5 + 1) + 2 * 4 * (8 + 1)  # N = 5, 8
     assert summary["presets.rhs"]["calls"] == summary["models.batch_rhs"]["calls"]
 
 
