@@ -14,7 +14,9 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,7 +52,6 @@ from .presets import (
 )
 
 _FLOAT_FMT = "%.17g"
-_SAMPLERS = ("pseudo", "halton")
 
 # model name -> (ModelSpec factory, the flag that selects its scenario column)
 _MODELS = {
@@ -59,32 +60,12 @@ _MODELS = {
     "simplified-zajac": (simplified_zajac_model, None),
 }
 
-# defaults merged below config-file values and explicit flags
-_DEFAULTS = {
-    "analytic": {"t_end": FIG1_T_END, "points": 201, "sigma": FIG1_PARAMS["sigma"],
-                 "tau": FIG1_PARAMS["tau"], "q_init": FIG1_PARAMS["q_Z0"],
-                 "output": "actsens_out", "plot": False},
-    "simulate": {"model": "zajac", "scenario": "ii", "beta": "1", "nu": 3.0,
-                 "t_end": 0.5, "points": 501, "output": "actsens_out",
-                 "plot": False},
-    "local-sens": {"model": "zajac", "scenario": "ii", "beta": "1", "nu": 3.0,
-                   "t_end": 0.5, "points": 501, "second_order": False,
-                   "output": "actsens_out", "plot": False},
-    "global-sens": {"model": "zajac", "preset": "paper-bounds", "n": 2048,
-                    "seed": 0, "t_end": 0.5, "points": 101,
-                    "sampler": "pseudo", "output": "actsens_out", "plot": False},
-    "optimize": {"targets": None, "kind": None, "nu": None,
-                 "rho0_start": DEFAULT_RHO0_START, "ell_opt": DEFAULT_ELL_OPT,
-                 "output": "actsens_out"},
-}
-
-# CLI/config key -> canonical parameter name ('beta' and 'nu' select the
-# scenario column instead; 'q_init' targets the model's initial condition)
+# CLI/config key -> canonical parameter name ('q_init' targets the model's
+# initial condition)
 _OVERRIDE_MAP = {
     "sigma": "sigma", "q0": "q0", "tau": "tau", "m": "m", "rho_c": "rho_c",
     "ell_rho": "ell_rho", "ell_cerel": "ell_CErel", "q_init": "q_init",
 }
-_OVERRIDE_NAMES = tuple(_OVERRIDE_MAP) + ("beta", "nu")
 
 
 class _FileValue(str):
@@ -101,10 +82,8 @@ def _where(value) -> str:
     return f"{value.where}: " if isinstance(value, _FileValue) else ""
 
 
-def _parse_number(text) -> float:
+def _parse_number(text, key: str = "") -> float:
     """Accept plain floats and simple fractions like 1/3; ConfigError otherwise."""
-    if isinstance(text, (int, float)):
-        return float(text)
     s = str(text).strip()
     try:
         if "/" in s:
@@ -129,16 +108,20 @@ def _parse_above(text, key: str, floor: float) -> float:
 
 def _parse_count(text, key: str, minimum: int) -> int:
     """An integer setting of at least ``minimum``; ConfigError otherwise."""
-    if isinstance(text, int):
-        value = text
-    else:
-        try:
-            value = int(str(text).strip())
-        except ValueError:
-            raise ConfigError(f"{_where(text)}{key} must be an integer, got {text!r}") from None
+    try:
+        value = int(str(text).strip())
+    except ValueError:
+        raise ConfigError(f"{_where(text)}{key} must be an integer, got {text!r}") from None
     if value < minimum:
         raise ConfigError(f"{_where(text)}{key} must be at least {minimum}, got {value}")
     return value
+
+
+def _parse_choice(text, key: str, options) -> str:
+    """One of the names in ``options``; ConfigError otherwise."""
+    if text not in options:
+        raise ConfigError(f"{_where(text)}unknown {key} {text!r}; choose from {tuple(options)}")
+    return str(text)
 
 
 def _parse_bool(text, key: str) -> bool:
@@ -147,6 +130,10 @@ def _parse_bool(text, key: str) -> bool:
     if word not in ("true", "false"):
         raise ConfigError(f"{_where(text)}{key} must be true or false, got {text!r}")
     return word == "true"
+
+
+def _parse_text(text, key: str) -> str:
+    return str(text)
 
 
 def _load_config(path: str) -> dict[str, _FileValue]:
@@ -162,7 +149,11 @@ def _load_config(path: str) -> dict[str, _FileValue]:
         if "=" not in line:
             raise ConfigError(f"{path}:{ln}: expected 'key = value', got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        out[key.replace("-", "_")] = _FileValue(val, f"{path}:{ln}")
+        key = key.replace("-", "_")
+        if key in out:
+            raise ConfigError(f"{path}:{ln}: key {key!r} repeats line "
+                              f"{out[key].where.rpartition(':')[2]}")
+        out[key] = _FileValue(val, f"{path}:{ln}")
     return out
 
 
@@ -185,28 +176,24 @@ def _load_bounds(path: str, names: tuple[str, ...]) -> ParameterCuboid:
     return ParameterCuboid.from_dict(pairs)
 
 
-def _merge_settings(command: str, args: argparse.Namespace) -> dict:
-    settings = dict(_DEFAULTS[command])
-    explicit = set()
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        cfg = _load_config(cfg_path)
-        unknown = [k for k in cfg if k not in settings and k not in _OVERRIDE_NAMES]
-        if unknown:
-            raise ConfigError(f"{cfg[unknown[0]].where}: unknown config keys for "
-                              f"'{command}': {sorted(unknown)}")
-        settings.update(cfg)
-        explicit |= set(cfg)
-    for key, val in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if val is not None:
-            settings[key] = val
-            explicit.add(key)
-    for key in ("second_order", "plot"):
-        if key in settings:
-            settings[key] = _parse_bool(settings[key], key)
-    settings["_explicit"] = explicit
+class _Settings(dict):
+    """A command's typed settings; ``given`` maps each key given to its text."""
+
+    given: dict
+
+
+def _merge_settings(command: str, args: argparse.Namespace) -> _Settings:
+    """Defaults, then the config file, then flags; each given value parsed once."""
+    table = _COMMANDS[command][1]
+    given = _load_config(args.config) if args.config else {}
+    unknown = [k for k in given if k not in table]
+    if unknown:
+        raise ConfigError(f"{given[unknown[0]].where}: unknown config keys for "
+                          f"'{command}': {sorted(unknown)}")
+    given.update((k, v) for k, v in vars(args).items() if k in table and v is not None)
+    settings = _Settings({key: s.default for key, s in table.items()})
+    settings.update((key, table[key].parse(text, key)) for key, text in given.items())
+    settings.given = given
     return settings
 
 
@@ -249,42 +236,35 @@ def _plot(path: Path, times, curves: dict[str, np.ndarray], ylabel: str) -> None
 def _scenario_params(settings) -> tuple:
     """Resolve (ModelSpec, ParameterSet) from the scenario id plus overrides."""
     model_name = settings["model"]
-    if model_name not in _MODELS:
-        raise ConfigError(f"{_where(model_name)}unknown model {model_name!r}")
-    scenario = settings.get("scenario", "ii")
-    if scenario not in SCENARIO_ROWS:
-        raise ConfigError(f"{_where(scenario)}unknown scenario {scenario!r}; "
-                          f"choose from {list(SCENARIO_ROWS)}")
-
     factory, column = _MODELS[model_name]
-    explicit = settings.get("_explicit", set())
+    # the panel's given keywords; row (i) starts at the basic activity q0
+    panel = {k: settings[k] for k in ("beta", "nu", "q0") if settings[k] is not None}
     for flag in ("beta", "nu"):
-        if flag in explicit and flag != column:
-            raise ConfigError(f"{_where(settings[flag])}--{flag} is not applicable to "
-                              f"model {model_name!r}")
+        if flag in panel and flag != column:
+            raise ConfigError(f"{_where(settings.given.get(flag))}--{flag} is not "
+                              f"applicable to model {model_name!r}")
     if column == "beta":
-        pset = zajac_scenario(scenario, _parse_number(settings["beta"]))
+        pset = zajac_scenario(settings["scenario"], **panel)
     elif column == "nu":
-        nu = _parse_number(settings["nu"])
-        rho_c = settings.get("rho_c")  # replaces the pairing; set again with the overrides
-        if rho_c is None and nu not in NU_RHO_C_PAIRING:
-            raise ConfigError(f"{_where(settings['nu'])}no rho_c pairing for nu={nu}; "
-                              "pass --rho-c")
-        pset = hatze_scenario(scenario, nu, None if rho_c is None else _parse_number(rho_c))
+        rho_c = settings["rho_c"]  # replaces the pairing; set again with the overrides
+        if rho_c is None and "nu" in panel and panel["nu"] not in NU_RHO_C_PAIRING:
+            raise ConfigError(f"{_where(settings.given.get('nu'))}no rho_c pairing for "
+                              f"nu={panel['nu']}; pass --rho-c")
+        pset = hatze_scenario(settings["scenario"], rho_c=rho_c, **panel)
     else:
-        pset = simplified_zajac_scenario(scenario)
+        pset = simplified_zajac_scenario(settings["scenario"])
 
     model = factory()
     for key, target in _OVERRIDE_MAP.items():
-        if key not in explicit or settings.get(key) is None:
+        if settings[key] is None:
             continue
         name = model.init_names[0] if key == "q_init" else target
         if name not in pset.names:
             raise ConfigError(
-                f"{_where(settings[key])}parameter {key!r} is not applicable to "
+                f"{_where(settings.given.get(key))}parameter {key!r} is not applicable to "
                 f"model {model_name!r}"
             )
-        pset = pset.with_value(name, _parse_number(settings[key]))
+        pset = pset.with_value(name, settings[key])
     _validate(model, pset, settings)
     return model, pset
 
@@ -300,12 +280,7 @@ def _validate(model, pset, settings) -> None:
     try:
         model.params_of(*pset.values_for(model.canonical_order)).validate()
     except ParameterOutOfRange as exc:
-        raise ConfigError(f"{_where(settings.get(exc.field))}{exc}") from exc
-
-
-def _grid(settings) -> np.ndarray:
-    t_end = _parse_above(settings["t_end"], "t_end", 0.0)
-    return make_grid(t_end, _parse_count(settings["points"], "points", 2))
+        raise ConfigError(f"{_where(settings.given.get(exc.field))}{exc}") from exc
 
 
 def _pair_labels(names) -> list[str]:
@@ -318,10 +293,9 @@ def _pair_labels(names) -> list[str]:
 
 
 def _cmd_analytic(settings) -> int:
-    grid = _grid(settings)
-    sigma = _parse_number(settings["sigma"])
-    tau = _parse_number(settings["tau"])
-    q_init = _parse_number(settings["q_init"])
+    """Closed-form relative sensitivities of the simplified linear model."""
+    grid = make_grid(settings["t_end"], settings["points"])
+    sigma, tau, q_init = settings["sigma"], settings["tau"], settings["q_init"]
     rel = simplified_zajac_sensitivities(grid, sigma, tau, q_init)
     out = _out_dir(settings)
     path = out / "analytic_sensitivities.csv"
@@ -341,8 +315,9 @@ def _cmd_analytic(settings) -> int:
 
 
 def _cmd_simulate(settings) -> int:
+    """Integrate one activation model."""
     model, pset = _scenario_params(settings)
-    grid = _grid(settings)
+    grid = make_grid(settings["t_end"], settings["points"])
     res = analyze(model, pset, grid, order=0)
     out = _out_dir(settings)
     path = out / "state.csv"
@@ -359,8 +334,9 @@ def _cmd_simulate(settings) -> int:
 
 
 def _cmd_local_sens(settings) -> int:
+    """Relative sensitivity functions."""
     model, pset = _scenario_params(settings)
-    grid = _grid(settings)
+    grid = make_grid(settings["t_end"], settings["points"])
     order = 2 if settings["second_order"] else 1
     res = normalize(analyze(model, pset, grid, order=order), pset)
 
@@ -394,23 +370,15 @@ def _cmd_local_sens(settings) -> int:
 
 
 def _cmd_global_sens(settings) -> int:
-    model_name = settings["model"]
-    if model_name not in BUILTIN_MODELS:
-        raise ConfigError(f"{_where(model_name)}global-sens supports the models "
-                          f"{list(BUILTIN_MODELS)}, got {model_name!r}")
-    sampler = settings["sampler"]
-    if sampler not in _SAMPLERS:
-        raise ConfigError(f"{_where(sampler)}unknown sampler {sampler!r}; "
-                          f"choose from {_SAMPLERS}")
-    n = _parse_count(settings["n"], "n", 2)
-    seed = _parse_count(settings["seed"], "seed", 0)
+    """Variance-based indices VBS/TSI."""
+    model_name, sampler = settings["model"], settings["sampler"]
     cuboid = builtin_cuboid(model_name)
     if settings["preset"] != "paper-bounds":
         cuboid = _load_bounds(settings["preset"], cuboid.names)
-    grid = _grid(settings)
+    grid = make_grid(settings["t_end"], settings["points"])
     result = analyze_global(
         family_evaluator(model_name), cuboid,
-        n=n, seed=seed, grid=grid,
+        n=settings["n"], seed=settings["seed"], grid=grid,
         validity=row_validity(model_name), sampler=sampler,
     )
     out = _out_dir(settings)
@@ -447,23 +415,19 @@ def _cmd_global_sens(settings) -> int:
 
 
 def _cmd_optimize(settings) -> int:
-    if not settings.get("targets"):
+    """Fit force-length width and rho0 to optimal-length shift targets."""
+    if not settings["targets"]:
         raise ConfigError("optimize requires --targets (CSV with columns gamma,shift_mm)")
-    nus = ((_parse_above(settings["nu"], "nu", 1.0),) if settings.get("nu") is not None
-           else (2.0, 3.0, 4.0))
-    kinds = ((settings["kind"],) if settings.get("kind") else ("bell", "parabola"))
-    for kind in kinds:
-        if kind not in ("bell", "parabola"):
-            raise ConfigError(f"{_where(kind)}unknown force-length kind {kind!r}")
-    rho0_start = _parse_above(settings["rho0_start"], "rho0_start", 0.0)
-    ell_opt = _parse_above(settings["ell_opt"], "ell_opt", 0.0)
     try:
         targets = load_shift_targets(settings["targets"])
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {settings['targets']}: {exc}") from exc
     except ValueError as exc:  # the message names the path and line
         raise ConfigError(str(exc)) from exc
-    cells = run_table(targets, nus=nus, kinds=kinds, rho0_start=rho0_start, ell_opt=ell_opt)
+    rho0_start, ell_opt = settings["rho0_start"], settings["ell_opt"]
+    only = {"nus": settings["nu"], "kinds": settings["kind"]}  # None: run_table's full grid
+    cells = run_table(targets, rho0_start=rho0_start, ell_opt=ell_opt,
+                      **{k: (v,) for k, v in only.items() if v is not None})
     out = _out_dir(settings)
     path = out / "fit_table.csv"
     with path.open("w") as fh:
@@ -488,32 +452,69 @@ def _cmd_optimize(settings) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# settings: one table per command drives its flags, config keys and parsing
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, with_plot=True):
-    p.add_argument("--config", help="flat key=value settings file; flags override")
-    p.add_argument("--output", help="output directory (default actsens_out)")
-    if with_plot:
-        p.add_argument("--plot", action="store_true", default=None,
-                       help="emit static vector plots alongside the CSVs")
+class _Setting(NamedTuple):
+    default: object  # typed; None where "not given" differs from every value
+    parse: Callable  # (text, key) -> typed value, or a ConfigError naming path:line
+    help: str
 
 
-def _add_grid(p):
-    p.add_argument("--t-end", dest="t_end", help="simulation horizon [s]")
-    p.add_argument("--points", help="output grid points")
+def _grid_settings(t_end: float, points: int) -> dict[str, _Setting]:
+    return {"t_end": _Setting(t_end, partial(_parse_above, floor=0.0), "simulation horizon [s]"),
+            "points": _Setting(points, partial(_parse_count, minimum=2), "output grid points")}
 
 
-def _add_model(p):
-    p.add_argument("--model", choices=list(_MODELS))
-    p.add_argument("--scenario", choices=list(SCENARIO_ROWS),
-                   help="preset row of the scenario grid")
-    p.add_argument("--beta", help="deactivation boost, e.g. 1 or 1/3")
-    p.add_argument("--nu", help="saturation exponent (selects rho_c pairing)")
-    for name in ("sigma", "q0", "tau", "m", "rho-c", "ell-rho", "ell-cerel", "q-init"):
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"),
-                       help=argparse.SUPPRESS)
+_OUTPUT = {"output": _Setting("actsens_out", _parse_text, "output directory")}
+_PLOT = {"plot": _Setting(False, _parse_bool, "emit static vector plots alongside the CSVs")}
+_SCENARIO = {
+    "model": _Setting("zajac", partial(_parse_choice, options=_MODELS),
+                      "zajac, hatze or simplified-zajac"),
+    "scenario": _Setting("ii", partial(_parse_choice, options=SCENARIO_ROWS), "row i, ii, iii or iv"),
+    "beta": _Setting(None, _parse_number, "zajac's deactivation boost, e.g. 1/3 (default 1)"),
+    "nu": _Setting(None, _parse_number, "hatze's exponent; picks the rho_c pairing (default 3)"),
+    **{key: _Setting(None, _parse_number, f"override the scenario's {name}")
+       for key, name in _OVERRIDE_MAP.items()},
+}
+
+# command -> (runner, key -> setting): every key a command takes, as a flag or config key
+_COMMANDS = {
+    "analytic": (_cmd_analytic, {
+        "sigma": _Setting(FIG1_PARAMS["sigma"], _parse_number, "stimulation"),
+        "tau": _Setting(FIG1_PARAMS["tau"], _parse_number, "activation time constant [s]"),
+        "q_init": _Setting(FIG1_PARAMS["q_Z0"], _parse_number, "initial activity"),
+        **_grid_settings(FIG1_T_END, 201), **_OUTPUT, **_PLOT,
+    }),
+    "simulate": (_cmd_simulate, {**_SCENARIO, **_grid_settings(0.5, 501), **_OUTPUT, **_PLOT}),
+    "local-sens": (_cmd_local_sens, {
+        **_SCENARIO, **_grid_settings(0.5, 501),
+        "second_order": _Setting(False, _parse_bool, "also integrate the second-order tensor"),
+        **_OUTPUT, **_PLOT,
+    }),
+    "global-sens": (_cmd_global_sens, {
+        "model": _Setting("zajac", partial(_parse_choice, options=BUILTIN_MODELS),
+                          "zajac or hatze"),
+        "preset": _Setting("paper-bounds", _parse_text, "paper-bounds or a bounds file"),
+        "n": _Setting(2048, partial(_parse_count, minimum=2), "sample rows per base matrix"),
+        "seed": _Setting(0, partial(_parse_count, minimum=0), "sampler seed"),
+        "sampler": _Setting("pseudo", partial(_parse_choice, options=("pseudo", "halton")),
+                            "pseudo or halton"),
+        **_grid_settings(0.5, 101), **_OUTPUT, **_PLOT,
+    }),
+    "optimize": (_cmd_optimize, {
+        "targets": _Setting(None, _parse_text, "CSV file with columns gamma,shift_mm"),
+        "nu": _Setting(None, partial(_parse_above, floor=1.0), "fit only this exponent"),
+        "kind": _Setting(None, partial(_parse_choice, options=("bell", "parabola")),
+                         "fit only this force-length kind: bell or parabola"),
+        "rho0_start": _Setting(DEFAULT_RHO0_START, partial(_parse_above, floor=0.0),
+                               "start value of the calcium scale [l/mol]"),
+        "ell_opt": _Setting(DEFAULT_ELL_OPT, partial(_parse_above, floor=0.0),
+                            "optimal CE length [mm]"),
+        **_OUTPUT,
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -523,61 +524,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analytic", help="closed-form relative sensitivities "
-                                        "of the simplified linear model")
-    for name in ("sigma", "tau", "q-init"):
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"))
-    _add_grid(p)
-    _add_common(p)
-
-    p = sub.add_parser("simulate", help="integrate one activation model")
-    _add_model(p)
-    _add_grid(p)
-    _add_common(p)
-
-    p = sub.add_parser("local-sens", help="relative sensitivity functions")
-    _add_model(p)
-    _add_grid(p)
-    p.add_argument("--second-order", dest="second_order", action="store_true",
-                   default=None, help="also integrate the second-order tensor")
-    _add_common(p)
-
-    p = sub.add_parser("global-sens", help="variance-based indices VBS/TSI")
-    p.add_argument("--model", choices=list(BUILTIN_MODELS))
-    p.add_argument("--preset", help="'paper-bounds' or a bounds file "
-                                    "(name = lower,upper per line)")
-    p.add_argument("--n", help="sample rows per base matrix")
-    p.add_argument("--seed")
-    p.add_argument("--sampler", choices=_SAMPLERS)
-    _add_grid(p)
-    _add_common(p)
-
-    p = sub.add_parser("optimize", help="fit force-length width and rho0 "
-                                        "to optimal-length shift targets")
-    p.add_argument("--targets", help="CSV file with columns gamma,shift_mm")
-    p.add_argument("--nu", help="fit only this exponent (default 2,3,4)")
-    p.add_argument("--kind", help="fit only this force-length kind")
-    p.add_argument("--rho0-start", dest="rho0_start")
-    p.add_argument("--ell-opt", dest="ell_opt")
-    _add_common(p, with_plot=False)
+    for command, (run, settings) in _COMMANDS.items():
+        p = sub.add_parser(command, help=run.__doc__)
+        for key, setting in settings.items():
+            p.add_argument("--" + key.replace("_", "-"), default=None, help=setting.help,
+                           action="store_true" if setting.parse is _parse_bool else "store")
+        p.add_argument("--config", help="flat key = value settings file; flags override it")
     return parser
-
-
-_RUNNERS = {
-    "analytic": _cmd_analytic,
-    "simulate": _cmd_simulate,
-    "local-sens": _cmd_local_sens,
-    "global-sens": _cmd_global_sens,
-    "optimize": _cmd_optimize,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         settings = _merge_settings(args.command, args)
-        return _RUNNERS[args.command](settings)
+        return _COMMANDS[args.command][0](settings)
     except ConfigError as exc:
         record = {"error": type(exc).__name__, "message": str(exc),
                   "command": args.command}

@@ -326,7 +326,7 @@ def hatze_q_of_gamma(gamma, ell_ce_rel, p: HatzeParams):
 
 
 def hatze_gamma_of_q(q, ell_ce_rel, p: HatzeParams):
-    """Exact inverse of the activity map; used to start both integration paths consistently."""
+    """Free-calcium level gamma of an activity q: the exact inverse of hatze_q_of_gamma."""
     q = np.asarray(q, dtype=float)
     if np.any(q < p.q0) or np.any(q >= 1.0):
         raise DomainViolation(f"q must lie in [q0, 1), got {q}")

@@ -55,6 +55,13 @@ DEFAULT_RHO0_START = 6.0e4
 
 GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 
+#: Search for the force-maximizing length: span in units of ell_opt, coarse
+#: grid points over it, and golden-section tolerance (mm). The fit's
+#: predicted shifts and optimal_length_shift both use them.
+SHIFT_SEARCH_SPAN = (0.5, 1.5)
+SHIFT_SEARCH_COARSE = 201
+SHIFT_SEARCH_XTOL_MM = 1e-4
+
 
 @dataclass(frozen=True)
 class ShiftTargets:
@@ -214,8 +221,8 @@ def _argmax_force(
 
 def optimal_length_shift(
     gamma: float, hatze_params: HatzeParams, flr: ForceLengthRelation,
-    span: tuple[float, float] = (0.5, 1.5), coarse: int = 201,
-    xtol_mm: float = 1e-4,
+    span: tuple[float, float] = SHIFT_SEARCH_SPAN, coarse: int = SHIFT_SEARCH_COARSE,
+    xtol_mm: float = SHIFT_SEARCH_XTOL_MM,
 ) -> float:
     """Shift (mm) of the submaximal force optimum against the full-activation one.
 
@@ -230,7 +237,8 @@ def optimal_length_shift(
 def predicted_shifts(width: float, rho0: float, problem: FitProblem) -> np.ndarray:
     """Model shift at every target stimulation level for (width, rho0)."""
     peaks = _argmax_force((1.0, *problem.targets.levels), problem.activation(rho0),
-                          problem.relation(width), (0.5, 1.5), 201, 1e-4)
+                          problem.relation(width), SHIFT_SEARCH_SPAN, SHIFT_SEARCH_COARSE,
+                          SHIFT_SEARCH_XTOL_MM)
     return peaks[1:] - peaks[0]
 
 

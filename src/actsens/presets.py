@@ -44,9 +44,13 @@ __all__ = [
     "GLOBAL_TOLERANCES",
 ]
 
-#: Scenario rows (i)-(iv): increasing initial activity and stimulation.
+#: Basic activity q0 of every scenario panel.
+BASIC_ACTIVITY = 0.005
+
+#: Scenario rows (i)-(iv): increasing initial activity and stimulation. Row
+#: (i) starts at the basic activity, whatever q0 a panel is given.
 SCENARIO_ROWS = {
-    "i": (0.005, 0.01),
+    "i": (BASIC_ACTIVITY, 0.01),
     "ii": (0.05, 0.1),
     "iii": (0.2, 0.4),
     "iv": (0.5, 1.0),
@@ -69,19 +73,22 @@ HATZE_START_OFFSET = 1e-5
 GLOBAL_TOLERANCES = Tolerances(rel_tol=1e-6, abs_tol=1e-9)
 
 
-def zajac_scenario(row: str, beta: float = 1.0) -> ParameterSet:
-    """One linear-model scenario panel: row (i)-(iv) at the given boost."""
+def zajac_scenario(row: str, beta: float = 1.0, q0: float = BASIC_ACTIVITY) -> ParameterSet:
+    """One linear-model scenario panel: row (i)-(iv) at the given boost; row (i) starts at q0."""
     q_init, sigma = SCENARIO_ROWS[row]
+    if row == "i":
+        q_init = q0
     return ParameterSet.from_dict(
-        {"q_Z0": q_init, "sigma": sigma, "q0": 0.005, "tau": 0.025, "beta": beta})
+        {"q_Z0": q_init, "sigma": sigma, "q0": q0, "tau": 0.025, "beta": beta})
 
 
-def hatze_scenario(row: str, nu: float = 3.0, rho_c: float | None = None) -> ParameterSet:
+def hatze_scenario(row: str, nu: float = 3.0, rho_c: float | None = None,
+                   q0: float = BASIC_ACTIVITY) -> ParameterSet:
     """One nonlinear-model scenario panel: row (i)-(iv) at the given exponent.
 
-    rho_c defaults to the published pairing for the chosen nu. Row (i) pins
-    the initial activity to the basic activity; it is nudged just inside the
-    open domain (see HATZE_START_OFFSET).
+    rho_c defaults to the published pairing for the chosen nu. Row (i) starts
+    at the basic activity q0, nudged just inside the open domain (see
+    HATZE_START_OFFSET).
     """
     q_init, sigma = SCENARIO_ROWS[row]
     if rho_c is None:
@@ -91,8 +98,7 @@ def hatze_scenario(row: str, nu: float = 3.0, rho_c: float | None = None) -> Par
             raise ValueError(
                 f"no published rho_c pairing for nu={nu}; pass rho_c explicitly"
             ) from None
-    q0 = 0.005
-    if q_init <= q0:
+    if row == "i":
         q_init = q0 + HATZE_START_OFFSET
     return ParameterSet.from_dict(
         {"q_H0": q_init, "sigma": sigma, "q0": q0, "m": 10.0, "rho_c": rho_c,

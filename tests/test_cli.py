@@ -1,3 +1,10 @@
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,7 +15,7 @@ from actsens import (
     synthesize_targets,
 )
 from actsens.cli import main
-from actsens.presets import SCENARIO_ROWS
+from actsens.presets import HATZE_START_OFFSET, SCENARIO_ROWS
 
 
 def _read_csv(path):
@@ -166,10 +173,54 @@ def test_unknown_config_key_rejected(tmp_path):
     assert code == 2
 
 
-def test_unknown_model_exits_with_config_error():
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--model", "nosuch", "--output", "x"])
-    assert exc.value.code == 2
+def test_unknown_model_exits_with_config_error(tmp_path, capsys):
+    # flag values outside their choices get the JSON record of a file value
+    for argv in (["simulate", "--model", "nosuch"], ["simulate", "--scenario", "v"],
+                 ["global-sens", "--sampler", "sobol"]):
+        out = tmp_path / "x"
+        assert main(argv + ["--output", str(out)]) == 2, argv
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError" and argv[-1] in record["message"], argv
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, text, line", [
+    (["simulate", "--config", "{path}"], "sigma = 0.3\nt_end = 0.1\nsigma = 0.5\n", 3),
+    (["global-sens", "--model", "zajac", "--preset", "{path}", "--n", "4"],
+     "q_Z0 = 0.01,1\nsigma = 0,1\nq0 = 0.001,0.05\ntau = 0.01,0.05\nbeta = 0.1,1\n"
+     "q_Z0 = 0.5,0.6\n", 6),
+], ids=["config", "bounds-file"])
+def test_repeated_key_in_a_file_exits_2(tmp_path, capsys, argv, text, line):
+    path = tmp_path / "input-file"
+    path.write_text(text)
+    out = tmp_path / "x"
+    argv = [a.format(path=path) for a in argv]
+    assert main(argv + ["--points", "3", "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and f"input-file:{line}: key " in err and "repeats line 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model, start", [("zajac", 0.01), ("hatze", 0.01 + HATZE_START_OFFSET)])
+def test_row_i_starts_at_an_overridden_basic_activity(tmp_path, model, start):
+    out = tmp_path / "run"
+    assert main(["simulate", "--model", model, "--scenario", "i", "--q0", "0.01",
+                 "--t-end", "0.1", "--points", "3", "--output", str(out)]) == 0
+    _, data = _read_csv(out / "state.csv")
+    assert data[0, 1] == start
+    assert "q0 = 0.01" in (out / "manifest.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_help_lists_every_setting_as_a_flag(command):
+    # run as a program: a table-generated parser can fail only when help is rendered
+    paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    done = subprocess.run([sys.executable, "-m", "actsens.cli", command, "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    for key in cli._COMMANDS[command][1]:
+        assert re.search(rf"^ +--{key.replace('_', '-')}\b", done.stdout, re.M), key
 
 
 @pytest.mark.parametrize("argv, config, line", [
@@ -199,6 +250,15 @@ def test_unknown_model_exits_with_config_error():
     (["simulate"], "plot = maybe\nt_end = 0.1\npoints = 3\n", 1),
     (["local-sens"], "t_end = 0.1\npoints = 3\nsecond_order = 0\n", 3),
     (["simulate", "--points", "2.5"], None, None),
+    (["simulate", "--model", "hatze", "--beta", "1/3"], None, None),
+    (["simulate", "--model", "simplified-zajac", "--beta", "1/3"], None, None),
+    (["simulate", "--model", "zajac", "--nu", "2"], None, None),
+    (["simulate", "--model", "zajac", "--m", "5"], None, None),
+    (["simulate", "--model", "simplified-zajac", "--q0", "0.01"], None, None),
+    (["simulate", "--model", "zajac"], "t_end = 0.1\npoints = 3\nrho_c = 8\n", 3),
+    (["global-sens", "--n", "4"], "t_end = 0.1\npoints = 3\ntau = 0.03\n", 3),
+    (["analytic"], "t_end = 0.1\npoints = 3\nm = 5\n", 3),
+    (["optimize"], "sigma = 0.3\n", 1),
 ], ids=["negative-tau", "zero-beta", "hatze-q-init-above-one",
         "simplified-sigma-above-one", "sigma-not-a-number", "global-n-one",
         "negative-t-end", "zero-t-end", "one-point", "analytic-one-point",
@@ -207,7 +267,9 @@ def test_unknown_model_exits_with_config_error():
         "config-unknown-sampler", "optimize-nu-one", "optimize-nu-below-one",
         "optimize-negative-rho0-start", "optimize-zero-ell-opt", "config-optimize-nu-one",
         "config-negative-tau", "config-hatze-q-init-above-one", "config-plot-maybe",
-        "config-second-order-not-a-boolean", "points-flag-not-an-integer"])
+        "config-second-order-not-a-boolean", "points-flag-not-an-integer",
+        "hatze-beta", "simplified-beta", "zajac-nu", "zajac-m", "simplified-q0",
+        "config-zajac-rho-c", "config-global-tau", "config-analytic-m", "config-optimize-sigma"])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, config, line):
     out = tmp_path / "x"
     if argv[0] == "optimize":
