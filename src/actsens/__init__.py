@@ -43,7 +43,6 @@ from .localsens import (
 from .models import (
     ForceLengthRelation,
     HatzeParams,
-    ModelDerivs,
     ModelSpec,
     ParameterSet,
     ZajacParams,

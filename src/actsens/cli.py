@@ -25,6 +25,8 @@ from .errors import ActsensError, ConfigError, ParameterOutOfRange
 from .globalsens import ParameterCuboid, analyze_global
 from .localsens import analyze, normalize
 from .models import (
+    ParameterSet,
+    check_ranges,
     hatze_model,
     simplified_zajac_model,
     simplified_zajac_sensitivities,
@@ -66,6 +68,9 @@ _OVERRIDE_MAP = {
     "sigma": "sigma", "q0": "q0", "tau": "tau", "m": "m", "rho_c": "rho_c",
     "ell_rho": "ell_rho", "ell_cerel": "ell_CErel", "q_init": "q_init",
 }
+
+# parameter-object field -> CLI/config key, where the two differ
+_FIELD_KEYS = {"ell_ce_rel": "ell_cerel"}
 
 
 class _FileValue(str):
@@ -157,8 +162,15 @@ def _load_config(path: str) -> dict[str, _FileValue]:
     return out
 
 
-def _load_bounds(path: str, names: tuple[str, ...]) -> ParameterCuboid:
-    """A bounds file: one 'name = lower,upper' line for each of ``names``."""
+def _load_bounds(path: str, model_name: str) -> ParameterCuboid:
+    """A bounds file: one 'name = lower,upper' line for each parameter of a model.
+
+    Every range must lie within the values its parameter takes on its own
+    (:func:`~actsens.models.check_ranges`, the field limits ``validate``
+    applies); the sampler never draws an upper end itself.
+    """
+    spec = BUILTIN_MODELS[model_name].model()
+    names = spec.canonical_order
     entries = _load_config(path)
     if set(entries) != set(names):
         raise ConfigError(f"{path}: bounds file must give one 'lower,upper' pair "
@@ -173,7 +185,15 @@ def _load_bounds(path: str, names: tuple[str, ...]) -> ParameterCuboid:
         if lo > hi:
             raise ConfigError(f"{text.where}: lower bound exceeds upper bound for {name!r}")
         pairs[name] = (lo, hi)
-    return ParameterCuboid.from_dict(pairs)
+    cuboid = ParameterCuboid.from_dict(pairs)
+    for corner, upper_end in ((cuboid.lower, False), (cuboid.upper, True)):
+        p = spec.params_of(*corner)
+        try:
+            check_ranges(p, upper_end=upper_end)
+        except ParameterOutOfRange as exc:
+            name = names[list(p.RANGES).index(exc.field)]
+            raise ConfigError(f"{entries[name].where}: bounds of {name!r}: {exc}") from exc
+    return cuboid
 
 
 class _Settings(dict):
@@ -280,7 +300,8 @@ def _validate(model, pset, settings) -> None:
     try:
         model.params_of(*pset.values_for(model.canonical_order)).validate()
     except ParameterOutOfRange as exc:
-        raise ConfigError(f"{_where(settings.given.get(exc.field))}{exc}") from exc
+        key = _FIELD_KEYS.get(exc.field, exc.field)
+        raise ConfigError(f"{_where(settings.given.get(key))}{exc}") from exc
 
 
 def _pair_labels(names) -> list[str]:
@@ -294,8 +315,11 @@ def _pair_labels(names) -> list[str]:
 
 def _cmd_analytic(settings) -> int:
     """Closed-form relative sensitivities of the simplified linear model."""
-    grid = make_grid(settings["t_end"], settings["points"])
     sigma, tau, q_init = settings["sigma"], settings["tau"], settings["q_init"]
+    model = simplified_zajac_model()
+    pset = ParameterSet(model.canonical_order, [q_init, sigma, tau])
+    _validate(model, pset, settings)
+    grid = make_grid(settings["t_end"], settings["points"])
     rel = simplified_zajac_sensitivities(grid, sigma, tau, q_init)
     out = _out_dir(settings)
     path = out / "analytic_sensitivities.csv"
@@ -374,7 +398,7 @@ def _cmd_global_sens(settings) -> int:
     model_name, sampler = settings["model"], settings["sampler"]
     cuboid = builtin_cuboid(model_name)
     if settings["preset"] != "paper-bounds":
-        cuboid = _load_bounds(settings["preset"], cuboid.names)
+        cuboid = _load_bounds(settings["preset"], model_name)
     grid = make_grid(settings["t_end"], settings["points"])
     result = analyze_global(
         family_evaluator(model_name), cuboid,
@@ -517,8 +541,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ConfigErrors, not exits."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="actsens",
         description="Sensitivity analysis of muscle activation dynamics",
     )
@@ -533,21 +564,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(exc: Exception, command, code: int) -> int:
+    """Print one JSON error record to stderr; return the exit code."""
+    record = {"error": type(exc).__name__, "message": str(exc), "command": command}
+    print(json.dumps(record), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    command = None  # unknown until the arguments parse
     try:
-        settings = _merge_settings(args.command, args)
-        return _COMMANDS[args.command][0](settings)
+        args = build_parser().parse_args(argv)
+        command = args.command
+        return _COMMANDS[command][0](_merge_settings(command, args))
     except ConfigError as exc:
-        record = {"error": type(exc).__name__, "message": str(exc),
-                  "command": args.command}
-        print(json.dumps(record), file=sys.stderr)
-        return 2
+        return _report(exc, command, 2)
     except (ActsensError, ValueError) as exc:
-        record = {"error": type(exc).__name__, "message": str(exc),
-                  "command": args.command}
-        print(json.dumps(record), file=sys.stderr)
-        return 3
+        return _report(exc, command, 3)
 
 
 if __name__ == "__main__":

@@ -72,40 +72,41 @@ def _as_parameter_set(model: ModelSpec, params) -> ParameterSet:
     raise TypeError(f"params must be a ParameterSet or mapping, got {type(params)}")
 
 
-def _check_derivs(d, order: int) -> None:
-    if d.jac_y is None or d.jac_p is None:
-        raise MissingDerivative("model does not supply first partials (jac_y, jac_p)")
-    if order >= 2 and (d.hess_yy is None or d.hess_py is None or d.hess_pp is None):
-        raise MissingDerivative("model does not supply second partials")
+def _check_derivs(derivs, order: int) -> None:
+    _, grad, hess = derivs
+    if grad is None:
+        raise MissingDerivative("model does not supply first partials (grad)")
+    if order >= 2 and hess is None:
+        raise MissingDerivative("model does not supply second partials (hess)")
 
 
 def _augmented_system(model: ModelSpec, lam, y0, *, order):
     """Right-hand side and initial vector of the stacked sensitivity system."""
     M, N = model.dim, model.n_params
-    pairs = [(i, j) for i in range(N) for j in range(i, N)]
-    ii = np.array([p[0] for p in pairs])
-    jj = np.array([p[1] for p in pairs])
+    ii, jj = np.triu_indices(N)
     n_s = (N + M) * M if order >= 1 else 0
-    n_r = len(pairs) * M if order >= 2 else 0
+    n_r = ii.size * M if order >= 2 else 0
+    eye = np.eye(N)
 
     def rhs(t, z):
         y = z[:M]
-        d = model.derivs(t, y, lam, order)
+        f, grad, hess = model.derivs(t, y, lam, order)
         dz = np.empty_like(z)
-        dz[:M] = d.f
+        dz[:M] = f
         if order >= 1:
             # rows 0..N-1: dynamic parameters, rows N..N+M-1: initial values
             S = z[M:M + n_s].reshape(N + M, M)
-            dS = S @ d.jac_y.T
-            dS[:N] += d.jac_p
+            J_y = grad[:, :M]
+            dS = S @ J_y.T
+            dS[:N] += grad[:, M:].T
             dz[M:M + n_s] = dS.ravel()
         if order >= 2:
-            r = z[M + n_s:].reshape(len(pairs), M)
-            dr = r @ d.jac_y.T
-            dr += np.einsum("pkl,pl->pk", d.hess_py[jj], S[ii])
-            dr += np.einsum("pkl,pl->pk", d.hess_py[ii], S[jj])
-            dr += np.einsum("klm,pl,pm->pk", d.hess_yy, S[ii], S[jj])
-            dr += d.hess_pp[ii, jj]
+            # W[i] = dx/dlam_i = (S_i, e_i); the forcing of R_ij is W_i^T H W_j
+            W = np.concatenate([S[:N], eye], axis=1)
+            quad = W @ hess @ W.T
+            r = z[M + n_s:].reshape(ii.size, M)
+            dr = r @ J_y.T
+            dr += quad[:, ii, jj].T
             dz[M + n_s:] = dr.ravel()
         return dz
 
@@ -130,9 +131,10 @@ def analyze(
     block over ``model.canonical_order``: the dynamic-parameter rows solve
     dS/dt = S J^T + B from S(0) = 0, the initial-condition rows solve
     dS0/dt = S0 J^T from S0(0) = I. ``order=2`` adds the second-order
-    tensor over the dynamic parameters (upper triangle) with its five-term
-    right-hand side from R(0) = 0. A model that lacks the partials an order
-    needs raises MissingDerivative.
+    tensor over the dynamic parameters (upper triangle) from R(0) = 0:
+    dR_ij/dt = R_ij J^T + W_i^T H W_j, one quadratic form in the Hessian H
+    of f over x = (y, lam) with W_i = (S_i, e_i) = dx/dlam_i. A model that
+    lacks the partials an order needs raises MissingDerivative.
     """
     pset = _as_parameter_set(model, params)
     lam = pset.values_for(model.param_names)
@@ -176,20 +178,37 @@ def analyze(
 # difference signal can be orders of magnitude below the state itself.
 
 
-def _paired_difference(model, lam_p, y0_p, lam_m, y0_m, grid, tol, *, order=0):
-    rhs_p, z0_p, _ = _augmented_system(model, lam_p, y0_p, order=order)
-    rhs_m, z0_m, _ = _augmented_system(model, lam_m, y0_m, order=order)
-    dim = z0_p.size
+def _central_differences(model, params, grid, rows, rel_step, tol, *, order=0):
+    """Central differences of the augmented state over canonical positions.
 
-    def rhs(t, z):
-        return np.concatenate([rhs_p(t, z[:dim]), rhs_m(t, z[dim:])])
+    For each canonical position i in ``rows`` (x = initial values, then
+    dynamic parameters), runs x +- h e_i as one stacked system and returns
+    the difference quotients of the order-``order`` augmented state,
+    indexed [time, row, augmented component].
+    """
+    M = model.dim
+    x = _as_parameter_set(model, params).values_for(model.canonical_order)
+    grid = np.asarray(grid, dtype=float)
+    dim = _augmented_system(model, x[M:], x[:M], order=order)[1].size
+    out = np.empty((grid.size, len(rows), dim))
+    for row, i in enumerate(rows):
+        h = rel_step * abs(x[i]) if x[i] != 0.0 else rel_step
+        xp, xm = x.copy(), x.copy()
+        xp[i] += h
+        xm[i] -= h
+        rhs_p, z0_p, _ = _augmented_system(model, xp[M:], xp[:M], order=order)
+        rhs_m, z0_m, _ = _augmented_system(model, xm[M:], xm[:M], order=order)
 
-    traj = integrate(
-        OdeProblem(rhs=rhs, y0=np.concatenate([z0_p, z0_m]),
-                   t_span=(0.0, float(grid[-1])), output_grid=grid),
-        tol or Tolerances(),
-    )
-    return traj.values[:, :dim], traj.values[:, dim:]
+        def rhs(t, z):
+            return np.concatenate([rhs_p(t, z[:dim]), rhs_m(t, z[dim:])])
+
+        traj = integrate(
+            OdeProblem(rhs=rhs, y0=np.concatenate([z0_p, z0_m]),
+                       t_span=(0.0, float(grid[-1])), output_grid=grid),
+            tol or Tolerances(),
+        )
+        out[:, row] = (traj.values[:, :dim] - traj.values[:, dim:]) / (2.0 * h)
+    return out
 
 
 def fd_first_order(
@@ -201,19 +220,9 @@ def fd_first_order(
     Covers the dynamic parameters only: indexed [time, parameter, state]
     over ``param_names``.
     """
-    pset = _as_parameter_set(model, params)
-    lam = pset.values_for(model.param_names)
-    y0 = pset.values_for(model.init_names)
-    grid = np.asarray(grid, dtype=float)
-    out = np.empty((grid.size, model.n_params, model.dim))
-    for i in range(model.n_params):
-        h = rel_step * abs(lam[i]) if lam[i] != 0.0 else rel_step
-        lp, lm = lam.copy(), lam.copy()
-        lp[i] += h
-        lm[i] -= h
-        yp, ym = _paired_difference(model, lp, y0, lm, y0, grid, tol)
-        out[:, i, :] = (yp - ym) / (2.0 * h)
-    return out
+    M = model.dim
+    return _central_differences(model, params, grid, range(M, M + model.n_params),
+                                rel_step, tol)
 
 
 def fd_initial_condition(
@@ -221,19 +230,7 @@ def fd_initial_condition(
     rel_step: float = 1e-5, tol: Tolerances | None = None,
 ) -> np.ndarray:
     """Central-difference estimate of the initial-condition sensitivity."""
-    pset = _as_parameter_set(model, params)
-    lam = pset.values_for(model.param_names)
-    y0 = pset.values_for(model.init_names)
-    grid = np.asarray(grid, dtype=float)
-    out = np.empty((grid.size, model.dim, model.dim))
-    for i in range(model.dim):
-        h = rel_step * abs(y0[i]) if y0[i] != 0.0 else rel_step
-        yp0, ym0 = y0.copy(), y0.copy()
-        yp0[i] += h
-        ym0[i] -= h
-        yp, ym = _paired_difference(model, lam, yp0, lam, ym0, grid, tol)
-        out[:, i, :] = (yp - ym) / (2.0 * h)
-    return out
+    return _central_differences(model, params, grid, range(model.dim), rel_step, tol)
 
 
 def second_order_fd(
@@ -245,22 +242,10 @@ def second_order_fd(
     Serves both as the fallback for models without analytic second partials
     and as the independent oracle against the analytic second-order path.
     """
-    pset = _as_parameter_set(model, params)
-    lam = pset.values_for(model.param_names)
-    y0 = pset.values_for(model.init_names)
-    grid = np.asarray(grid, dtype=float)
-    base = analyze(model, pset, grid, order=1, tol=tol)
-    N, M, T = model.n_params, model.dim, grid.size
-    r = np.empty((T, N, N, M))
-    for i in range(N):
-        h = rel_step * abs(lam[i]) if lam[i] != 0.0 else rel_step
-        lp, lm = lam.copy(), lam.copy()
-        lp[i] += h
-        lm[i] -= h
-        vp, vm = _paired_difference(model, lp, y0, lm, y0, grid, tol, order=1)
-        sp = vp[:, M:M + N * M].reshape(T, N, M)
-        sm = vm[:, M:M + N * M].reshape(T, N, M)
-        r[:, i, :, :] = (sp - sm) / (2.0 * h)
+    N, M = model.n_params, model.dim
+    base = analyze(model, params, grid, order=1, tol=tol)
+    diff = _central_differences(model, params, grid, range(M, M + N), rel_step, tol, order=1)
+    r = diff[:, :, M:M + N * M].reshape(-1, N, N, M)
     r = 0.5 * (r + r.transpose(0, 2, 1, 3))  # enforce Schwarz symmetry
     return dc_replace(base, r_raw=r, r_approximate=True)
 

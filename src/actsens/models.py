@@ -19,6 +19,17 @@ scalar point: the rhs value, its gradient and its Hessian as numpy arrays
 indexed by the model's variables ``ZAJAC_VARS``/``HATZE_VARS`` (index 0 is
 the state q, then the model's parameters). The Hessian is exactly
 symmetric: each entry below the diagonal is a copy of its mirror.
+
+The sensitivity machinery sees a model through one interface,
+:class:`ModelSpec`: ``derivs(t, y, lam, order)`` returns the same triple
+over x = (y, lam) with a leading state axis, shapes (M,), (M, M+N) and
+(M, M+N, M+N) for M states and N dynamic parameters, grad None at order 0
+and hess None below order 2. The built-in specs pass their partials
+through unchanged.
+
+``ZajacParams.RANGES``/``HatzeParams.RANGES`` give each parameter field's
+own range; ``validate`` checks them with :func:`check_ranges` (so every
+field must be finite), then the constraints that couple fields.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, ClassVar, Mapping
 
 import numpy as np
 
@@ -37,8 +48,8 @@ __all__ = [
     "ZajacParams",
     "HatzeParams",
     "ForceLengthRelation",
-    "ModelDerivs",
     "ModelSpec",
+    "check_ranges",
     "zajac_rhs",
     "zajac_partials",
     "zajac_steady_state",
@@ -99,6 +110,23 @@ class ParameterSet:
         return ParameterSet(self.names, vals)
 
 
+def check_ranges(p, *, upper_end: bool = False) -> None:
+    """ParameterOutOfRange naming the first field of p outside its own range.
+
+    ``p.RANGES`` maps each field, in canonical order, to ``(low, high,
+    ends)``, where ends such as "[)" tell which limits are valid values; a
+    value must also be finite. With ``upper_end`` the values are the upper
+    ends of sampling ranges, which the sampler never draws, so each may
+    equal an open upper limit.
+    """
+    for field, (low, high, ends) in p.RANGES.items():
+        v = getattr(p, field)
+        if not (math.isfinite(v) and (low < v or ends[0] == "[" and v == low)
+                and (v < high or (upper_end or ends[1] == "]") and v == high)):
+            raise ParameterOutOfRange(
+                field, f"{field} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}, got {v}")
+
+
 @dataclass
 class ZajacParams:
     """Parameters of the linear activation dynamics with deactivation boost."""
@@ -109,23 +137,22 @@ class ZajacParams:
     beta: float = 1.0
     q_init: float = 0.005
 
+    # each field's own range (see check_ranges); validate adds q0 <= q_init
+    RANGES: ClassVar[dict] = {
+        "q_init": (0.0, 1.0, "[]"), "sigma": (0.0, 1.0, "[]"), "q0": (0.0, 1.0, "[)"),
+        "tau": (0.0, math.inf, "()"), "beta": (0.0, math.inf, "()"),
+    }
+
     @classmethod
     def from_canonical(cls, q_init, sigma, q0, tau, beta) -> "ZajacParams":
         """Fields from values in the canonical order ``q_Z0, sigma, q0, tau, beta``."""
         return cls(sigma=sigma, q0=q0, tau=tau, beta=beta, q_init=q_init)
 
     def validate(self) -> None:
-        if not 0.0 <= self.q0 < 1.0:
-            raise ParameterOutOfRange("q0", f"q0 must lie in [0, 1), got {self.q0}")
-        if not self.q0 <= self.q_init <= 1.0:
+        check_ranges(self)
+        if not self.q0 <= self.q_init:
             raise ParameterOutOfRange(
-                "q_init", f"q_init must lie in [q0, 1], got {self.q_init}")
-        if not self.tau > 0.0:
-            raise ParameterOutOfRange("tau", f"tau must be positive, got {self.tau}")
-        if not self.beta > 0.0:
-            raise ParameterOutOfRange("beta", f"beta must be positive, got {self.beta}")
-        if not 0.0 <= self.sigma <= 1.0:
-            raise ParameterOutOfRange("sigma", f"sigma must lie in [0, 1], got {self.sigma}")
+                "q_init", f"q_init must lie in [q0, 1], got {self.q_init} with q0={self.q0}")
 
     @functools.cached_property
     def rate_factors(self) -> tuple:
@@ -157,6 +184,15 @@ class HatzeParams:
     ell_ce_rel: float = 1.0
     q_init: float = 0.01
 
+    # each field's own range (see check_ranges); validate adds q0 < q_init
+    # and ell_ce_rel < ell_rho
+    RANGES: ClassVar[dict] = {
+        "q_init": (0.0, 1.0, "()"), "sigma": (0.0, 1.0, "[]"), "q0": (0.0, 1.0, "()"),
+        "m": (0.0, math.inf, "()"), "rho_c": (0.0, math.inf, "()"),
+        "nu": (1.0, math.inf, "()"), "ell_rho": (-math.inf, math.inf, "()"),
+        "ell_ce_rel": (0.0, math.inf, "()"),
+    }
+
     @classmethod
     def from_canonical(cls, q_init, sigma, q0, m, rho_c, nu, ell_rho,
                        ell_ce_rel) -> "HatzeParams":
@@ -166,25 +202,16 @@ class HatzeParams:
                    ell_ce_rel=ell_ce_rel, q_init=q_init)
 
     def validate(self) -> None:
-        if not 0.0 < self.q0 < 1.0:
-            raise ParameterOutOfRange("q0", f"q0 must lie in (0, 1), got {self.q0}")
-        if not self.q0 < self.q_init < 1.0:
+        check_ranges(self)
+        if not self.q0 < self.q_init:
             raise ParameterOutOfRange(
                 "q_init",
                 f"q_init must lie strictly in (q0, 1), got {self.q_init} with q0={self.q0}",
             )
-        if not self.nu > 1.0:
-            raise ParameterOutOfRange("nu", f"nu must exceed 1, got {self.nu}")
-        if not 0.0 < self.ell_ce_rel < self.ell_rho:
+        if not self.ell_ce_rel < self.ell_rho:
             raise PoleViolation(
                 f"ell_ce_rel must lie in (0, ell_rho), got {self.ell_ce_rel}"
             )
-        if not self.m > 0.0:
-            raise ParameterOutOfRange("m", f"m must be positive, got {self.m}")
-        if not self.rho_c > 0.0:
-            raise ParameterOutOfRange("rho_c", f"rho_c must be positive, got {self.rho_c}")
-        if not 0.0 <= self.sigma <= 1.0:
-            raise ParameterOutOfRange("sigma", f"sigma must lie in [0, 1], got {self.sigma}")
 
     @functools.cached_property
     def rate_factors(self) -> tuple:
@@ -537,22 +564,6 @@ def force_length(ell_ce, rel: ForceLengthRelation):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ModelDerivs:
-    """Right-hand side and its derivative blocks at one (t, y, lam) point.
-
-    Index conventions: jac_y[k, l] = df_k/dy_l, jac_p[i, k] = df_k/dlam_i,
-    hess_yy[k, l1, l2], hess_py[i, k, l], hess_pp[i, j, k].
-    """
-
-    f: np.ndarray
-    jac_y: np.ndarray | None = None
-    jac_p: np.ndarray | None = None
-    hess_yy: np.ndarray | None = None
-    hess_py: np.ndarray | None = None
-    hess_pp: np.ndarray | None = None
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """An ODE system bundled with the derivative information it can supply.
@@ -563,13 +574,18 @@ class ModelSpec:
     init_names + param_names. ``params_of`` maps values given positionally
     in that order to the model's parameter object (one with ``validate()``);
     a custom model may leave it None.
+
+    ``derivs(t, y, lam, order)`` returns ``(f, grad, hess)`` over
+    x = (y, lam), with M states and N dynamic parameters: f[k] is the rhs,
+    grad[k, a] = df_k/dx_a and hess[k, a, b] = d2f_k/(dx_a dx_b), of shapes
+    (M,), (M, M+N) and (M, M+N, M+N). grad is None at order 0 and hess is
+    None below order 2.
     """
 
     name: str
     param_names: tuple[str, ...]
     init_names: tuple[str, ...]
-    derivs: Callable[[float, np.ndarray, np.ndarray, int], ModelDerivs]
-    state_names: tuple[str, ...] = ("q",)
+    derivs: Callable[[float, np.ndarray, np.ndarray, int], tuple]
     params_of: Callable[..., object] | None = None
 
     @property
@@ -590,19 +606,17 @@ def _scalar_model(name, init_name, param_names, params_of, rhs, partials) -> Mod
 
     ``params_of`` maps canonical-order values to a parameter object p,
     ``rhs(q, p)`` is the activity rate and ``partials(q, p, second)`` its
-    ``(f, grad, hess)`` over (q, *param_names), which derivs slices into blocks.
+    ``(f, grad, hess)`` over (q, *param_names), which derivs returns with a
+    leading state axis.
     """
 
     def derivs(t, y, lam, order):
         q = float(y[0])
         p = params_of(q, *lam)
         if order == 0:
-            return ModelDerivs(f=np.array([rhs(q, p)]))
+            return np.array([rhs(q, p)]), None, None
         f, g, H = partials(q, p, order >= 2)
-        d = ModelDerivs(f=np.array([f]), jac_y=g[:1, None], jac_p=g[1:, None])
-        if H is not None:
-            d.hess_yy, d.hess_py, d.hess_pp = H[:1, :1, None], H[1:, :1, None], H[1:, 1:, None]
-        return d
+        return np.array([f]), g[None], None if H is None else H[None]
 
     return ModelSpec(name=name, param_names=param_names, init_names=(init_name,),
                      derivs=derivs, params_of=params_of)

@@ -15,7 +15,7 @@ from actsens import (
     synthesize_targets,
 )
 from actsens.cli import main
-from actsens.presets import HATZE_START_OFFSET, SCENARIO_ROWS
+from actsens.presets import BUILTIN_MODELS, HATZE_START_OFFSET, SCENARIO_ROWS
 
 
 def _read_csv(path):
@@ -259,6 +259,17 @@ def test_help_lists_every_setting_as_a_flag(command):
     (["global-sens", "--n", "4"], "t_end = 0.1\npoints = 3\ntau = 0.03\n", 3),
     (["analytic"], "t_end = 0.1\npoints = 3\nm = 5\n", 3),
     (["optimize"], "sigma = 0.3\n", 1),
+    (["simulate", "--model", "zajac", "--tau", "inf"], None, None),
+    (["simulate", "--model", "zajac", "--beta", "inf"], None, None),
+    (["simulate", "--model", "hatze", "--m", "inf"], None, None),
+    (["simulate", "--model", "hatze", "--ell-rho", "inf"], None, None),
+    (["simulate", "--model", "hatze"], "t_end = 0.1\npoints = 3\nell_cerel = nan\n", 3),
+    (["analytic", "--tau", "0"], None, None),
+    (["analytic", "--tau", "-0.025"], None, None),
+    (["analytic", "--tau", "inf"], None, None),
+    (["analytic", "--sigma", "nan"], None, None),
+    (["analytic", "--q-init", "-1"], None, None),
+    (["analytic"], "t_end = 0.1\npoints = 3\ntau = 0\n", 3),
 ], ids=["negative-tau", "zero-beta", "hatze-q-init-above-one",
         "simplified-sigma-above-one", "sigma-not-a-number", "global-n-one",
         "negative-t-end", "zero-t-end", "one-point", "analytic-one-point",
@@ -269,7 +280,11 @@ def test_help_lists_every_setting_as_a_flag(command):
         "config-negative-tau", "config-hatze-q-init-above-one", "config-plot-maybe",
         "config-second-order-not-a-boolean", "points-flag-not-an-integer",
         "hatze-beta", "simplified-beta", "zajac-nu", "zajac-m", "simplified-q0",
-        "config-zajac-rho-c", "config-global-tau", "config-analytic-m", "config-optimize-sigma"])
+        "config-zajac-rho-c", "config-global-tau", "config-analytic-m", "config-optimize-sigma",
+    "infinite-tau", "infinite-beta", "hatze-infinite-m", "hatze-infinite-ell-rho",
+    "config-hatze-nan-ell-cerel", "analytic-zero-tau", "analytic-negative-tau",
+    "analytic-infinite-tau", "analytic-nan-sigma", "analytic-negative-q-init",
+    "config-analytic-zero-tau"])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, config, line):
     out = tmp_path / "x"
     if argv[0] == "optimize":
@@ -292,20 +307,59 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, config, line):
     assert not out.exists()  # a rejected command creates no output directory
 
 
-@pytest.mark.parametrize("q_z0_bounds", ["0.01", "0.01,1,2", "1,0.01", "abc,1"],
-                         ids=["one-value", "three-values", "lower-above-upper",
-                              "non-numeric"])
-def test_malformed_bounds_file_exits_2(tmp_path, capsys, q_z0_bounds):
+_ZAJAC_BOUNDS = ["q_Z0 = 0.01,1", "sigma = 0,1", "q0 = 0.001,0.05", "tau = 0.01,0.05",
+                 "beta = 0.1,1"]
+
+
+@pytest.mark.parametrize("entry", [
+    "q_Z0 = 0.01", "q_Z0 = 0.01,1,2", "q_Z0 = 1,0.01", "q_Z0 = abc,1",
+    "tau = 0.01,inf", "tau = -1,0.05", "tau = nan,0.05",
+], ids=["one-value", "three-values", "lower-above-upper", "non-numeric",
+        "infinite-tau", "negative-tau", "nan-tau"])
+def test_malformed_bounds_file_exits_2(tmp_path, capsys, entry):
+    name = entry.split(" = ")[0]
+    lines = [entry if line.startswith(name + " ") else line for line in _ZAJAC_BOUNDS]
     bounds = tmp_path / "bounds.cfg"
-    bounds.write_text(f"q_Z0 = {q_z0_bounds}\nsigma = 0,1\nq0 = 0.001,0.05\n"
-                      "tau = 0.01,0.05\nbeta = 0.1,1\n")
+    bounds.write_text("\n".join(lines) + "\n")
     out = tmp_path / "x"
     assert main(["global-sens", "--model", "zajac", "--preset", str(bounds),
                  "--n", "4", "--points", "3", "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert "ConfigError" in err
-    assert "bounds.cfg:1:" in err  # the q_Z0 line
+    assert f"bounds.cfg:{lines.index(entry) + 1}:" in err  # the bad entry's line
     assert not out.exists()
+
+
+@pytest.mark.parametrize("model", list(BUILTIN_MODELS))
+def test_paper_bounds_as_a_file_match_the_preset(tmp_path, model):
+    # the built-in bounds pass the bounds-file range check, hatze's open
+    # q_H0 < 1 included: the sampler never draws an upper end
+    bounds = tmp_path / "bounds.cfg"
+    bounds.write_text("".join(f"{n} = {lo!r},{hi!r}\n"
+                              for n, (lo, hi) in BUILTIN_MODELS[model].bounds.items()))
+    args = ["global-sens", "--model", model, "--n", "4", "--seed", "3", "--points", "3"]
+    assert main(args + ["--output", str(tmp_path / "file"), "--preset", str(bounds)]) == 0
+    assert main(args + ["--output", str(tmp_path / "preset")]) == 0
+    csv = [(tmp_path / run / "global.csv").read_bytes() for run in ("file", "preset")]
+    assert csv[0] == csv[1]
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["simulate", "--bogus", "1"], "--bogus"),
+    (["simulate", "--points"], "--points"),
+    (["nosuch"], "nosuch"),
+], ids=["unknown-flag", "missing-value", "unknown-command"])
+def test_usage_error_is_one_json_config_record(capsys, argv, bad):
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().err)  # one record, no usage text
+    assert record["error"] == "ConfigError" and bad in record["message"]
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["simulate", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0 and capsys.readouterr().out
 
 
 @pytest.mark.parametrize("content", [None, b"\xff\xfe not text"], ids=["missing", "not-utf8"])

@@ -3,7 +3,6 @@ import pytest
 
 from actsens import (
     MissingDerivative,
-    ModelDerivs,
     ModelSpec,
     ParameterSet,
     analyze,
@@ -35,16 +34,13 @@ def inert_param_model() -> ModelSpec:
         a = lam[0]
         f = np.array([-a * y[0]])
         if order == 0:
-            return ModelDerivs(f=f)
-        jac_y = np.array([[-a]])
-        jac_p = np.array([[-y[0]], [0.0]])
+            return f, None, None
+        grad = np.array([[-a, -y[0], 0.0]])  # over x = (y, a, unused)
         if order == 1:
-            return ModelDerivs(f=f, jac_y=jac_y, jac_p=jac_p)
-        hess_yy = np.zeros((1, 1, 1))
-        hess_py = np.array([[[-1.0]], [[0.0]]])
-        hess_pp = np.zeros((2, 2, 1))
-        return ModelDerivs(f=f, jac_y=jac_y, jac_p=jac_p, hess_yy=hess_yy,
-                           hess_py=hess_py, hess_pp=hess_pp)
+            return f, grad, None
+        hess = np.zeros((1, 3, 3))
+        hess[0, 0, 1] = hess[0, 1, 0] = -1.0
+        return f, grad, hess
 
     return ModelSpec(name="inert", param_names=("a", "unused"),
                      init_names=("y0",), derivs=derivs)
@@ -57,57 +53,46 @@ def affine_model() -> ModelSpec:
         a, b = lam
         f = np.array([a * y[0] + b])
         if order == 0:
-            return ModelDerivs(f=f)
-        jac_y = np.array([[a]])
-        jac_p = np.array([[y[0]], [1.0]])
+            return f, None, None
+        grad = np.array([[a, y[0], 1.0]])  # over x = (y, a, b)
         if order == 1:
-            return ModelDerivs(f=f, jac_y=jac_y, jac_p=jac_p)
-        return ModelDerivs(
-            f=f, jac_y=jac_y, jac_p=jac_p,
-            hess_yy=np.zeros((1, 1, 1)),
-            hess_py=np.array([[[1.0]], [[0.0]]]),
-            hess_pp=np.zeros((2, 2, 1)),
-        )
+            return f, grad, None
+        hess = np.zeros((1, 3, 3))
+        hess[0, 0, 1] = hess[0, 1, 0] = 1.0
+        return f, grad, hess
 
     return ModelSpec(name="affine", param_names=("a", "b"),
                      init_names=("y0",), derivs=derivs)
 
 
 def planar_model() -> ModelSpec:
-    """Two-state nonlinear system exercising every tensor contraction."""
+    """Two-state nonlinear system exercising every block of the Hessian."""
 
     def derivs(t, y, lam, order):
         a, b, c = lam
         y1, y2 = y
         f = np.array([-a * y1 + b * y2**2, c * y1 * y2])
         if order == 0:
-            return ModelDerivs(f=f)
-        jac_y = np.array([[-a, 2 * b * y2], [c * y2, c * y1]])
-        jac_p = np.array([[-y1, 0.0], [y2**2, 0.0], [0.0, y1 * y2]])
+            return f, None, None
+        # over x = (y1, y2, a, b, c)
+        grad = np.array([[-a, 2 * b * y2, -y1, y2**2, 0.0],
+                         [c * y2, c * y1, 0.0, 0.0, y1 * y2]])
         if order == 1:
-            return ModelDerivs(f=f, jac_y=jac_y, jac_p=jac_p)
-        hess_yy = np.zeros((2, 2, 2))
-        hess_yy[0, 1, 1] = 2 * b
-        hess_yy[1, 0, 1] = hess_yy[1, 1, 0] = c
-        hess_py = np.zeros((3, 2, 2))
-        hess_py[0, 0, 0] = -1.0
-        hess_py[1, 0, 1] = 2 * y2
-        hess_py[2, 1, 0] = y2
-        hess_py[2, 1, 1] = y1
-        hess_pp = np.zeros((3, 3, 2))
-        return ModelDerivs(f=f, jac_y=jac_y, jac_p=jac_p, hess_yy=hess_yy,
-                           hess_py=hess_py, hess_pp=hess_pp)
+            return f, grad, None
+        hess = np.zeros((2, 5, 5))
+        for k, u, v, value in [(0, 1, 1, 2 * b), (0, 0, 2, -1.0), (0, 1, 3, 2 * y2),
+                               (1, 0, 1, c), (1, 1, 4, y1), (1, 0, 4, y2)]:
+            hess[k, u, v] = hess[k, v, u] = value
+        return f, grad, hess
 
     return ModelSpec(name="planar", param_names=("a", "b", "c"),
-                     init_names=("y1_0", "y2_0"), state_names=("y1", "y2"),
-                     derivs=derivs)
+                     init_names=("y1_0", "y2_0"), derivs=derivs)
 
 
 def no_hessian_model() -> ModelSpec:
     def derivs(t, y, lam, order):
         f = np.array([-lam[0] * y[0]])
-        return ModelDerivs(f=f, jac_y=np.array([[-lam[0]]]),
-                           jac_p=np.array([[-y[0]]]))
+        return f, np.array([[-lam[0], -y[0]]]), None
 
     return ModelSpec(name="nohess", param_names=("a",), init_names=("y0",),
                      derivs=derivs)
@@ -307,7 +292,7 @@ def test_missing_second_partials_raise_without_fallback():
 
 def test_state_only_model_rejects_first_order():
     def derivs(t, y, lam, order):
-        return ModelDerivs(f=np.array([-y[0]]))
+        return np.array([-y[0]]), None, None
 
     model = ModelSpec(name="bare", param_names=("a",), init_names=("y0",),
                       derivs=derivs)

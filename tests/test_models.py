@@ -1,3 +1,7 @@
+import dataclasses
+import inspect
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +10,7 @@ from actsens import (
     ForceLengthRelation,
     HatzeParams,
     OdeProblem,
+    ParameterOutOfRange,
     PoleViolation,
     Tolerances,
     ZajacParams,
@@ -26,6 +31,7 @@ from actsens import (
     zajac_rhs,
     zajac_steady_state,
 )
+from actsens.cli import _MODELS
 from actsens.models import HATZE_EPS, HATZE_VARS, ZAJAC_VARS
 from actsens.presets import builtin_cuboid
 
@@ -278,8 +284,70 @@ def test_parameter_hessian_is_exactly_symmetric(model):
     cuboid = builtin_cuboid(model)
     rows = cuboid.scale(np.random.default_rng(3).random((500, cuboid.n_params)))
     for row in rows:
-        d = spec.derivs(0.0, row[:1], row[1:], 2)
-        assert np.array_equal(d.hess_pp, d.hess_pp.transpose(1, 0, 2))
+        hess = spec.derivs(0.0, row[:1], row[1:], 2)[2]
+        assert np.array_equal(hess, hess.transpose(0, 2, 1))
+
+
+def _interior_points(model, n=50):
+    """Seeded points x = (q_init, params) inside the model's built-in bounds.
+
+    u stays in [0.05, 0.95], so the activity keeps clear of the hatze
+    model's clamped ends; simplified-zajac takes zajac's (q_Z0, sigma, tau).
+    """
+    cuboid = builtin_cuboid("zajac" if model == "simplified-zajac" else model)
+    rows = cuboid.scale(np.random.default_rng(5).uniform(0.05, 0.95, (n, cuboid.n_params)))
+    if model == "simplified-zajac":
+        rows = rows[:, [cuboid.names.index(k) for k in ("q_Z0", "sigma", "tau")]]
+    return rows
+
+
+@pytest.mark.parametrize("model", list(_MODELS))
+def test_derivs_contract_of_builtin_models(model):
+    # (f, grad, hess) over x = (y, lam): shapes by order, an exactly symmetric
+    # hess, and grad/hess equal to central differences of derivs itself
+    spec = _MODELS[model][0]()
+    M, D = spec.dim, spec.dim + spec.n_params
+
+    def at(x, order):
+        return spec.derivs(0.0, x[:M], x[M:], order)
+
+    for x in _interior_points(model):
+        f0, g0, h0 = at(x, 0)
+        f1, g1, h1 = at(x, 1)
+        f, grad, hess = at(x, 2)
+        assert f0.shape == f1.shape == f.shape == (M,)
+        assert g0 is None and h0 is None and h1 is None
+        assert g1.shape == grad.shape == (M, D) and hess.shape == (M, D, D)
+        assert np.array_equal(f1, f) and np.array_equal(g1, grad)
+        assert np.array_equal(hess, hess.transpose(0, 2, 1))
+        for a in range(D):
+            # step 1e-6 relative: truncation and rounding stay near 1e-8 of
+            # max(1, |partial|) (measured at most 1.4e-8)
+            h = 1e-6 * max(1.0, abs(x[a]))
+            up, dn = x.copy(), x.copy()
+            up[a] += h
+            dn[a] -= h
+            d1 = (at(up, 0)[0] - at(dn, 0)[0]) / (2.0 * h)
+            d2 = (at(up, 1)[1] - at(dn, 1)[1]) / (2.0 * h)
+            assert np.all(np.abs(d1 - grad[:, a]) <= 1e-6 * np.maximum(1.0, np.abs(grad[:, a])))
+            assert np.all(np.abs(d2 - hess[:, a]) <= 1e-6 * np.maximum(1.0, np.abs(hess[:, a])))
+
+
+@pytest.mark.parametrize("cls", [ZajacParams, HatzeParams])
+def test_ranges_follow_the_canonical_order(cls):
+    # the CLI maps a field outside its range to its bounds-file line by position
+    assert list(cls.RANGES) == list(inspect.signature(cls.from_canonical).parameters)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("params", [ZajacParams(sigma=0.5), HatzeParams(sigma=0.5, q_init=0.5)],
+                         ids=["zajac", "hatze"])
+def test_validate_rejects_non_finite_fields(params, bad):
+    params.validate()
+    for field in params.RANGES:
+        with pytest.raises(ParameterOutOfRange) as exc:
+            dataclasses.replace(params, **{field: bad}).validate()
+        assert exc.value.field == field
 
 
 def _params_of(model, cols):
