@@ -189,7 +189,7 @@ class HatzeParams:
     RANGES: ClassVar[dict] = {
         "q_init": (0.0, 1.0, "()"), "sigma": (0.0, 1.0, "[]"), "q0": (0.0, 1.0, "()"),
         "m": (0.0, math.inf, "()"), "rho_c": (0.0, math.inf, "()"),
-        "nu": (1.0, math.inf, "()"), "ell_rho": (-math.inf, math.inf, "()"),
+        "nu": (1.0, math.inf, "()"), "ell_rho": (1.0, math.inf, "()"),
         "ell_ce_rel": (0.0, math.inf, "()"),
     }
 
@@ -318,13 +318,29 @@ def zajac_steady_state(p: ZajacParams) -> float:
 HATZE_VARS = ("q", "sigma", "q0", "m", "rho_c", "nu", "ell_rho", "ell_CErel")
 
 
+def _where_bad(bad, **values) -> str:
+    """Name the entries of a failed check without printing whole arrays.
+
+    ``bad`` marks the failing entries of the broadcast ``values``; the text
+    gives the values at the first one and, for arrays, how many fail.
+    """
+    bad = np.asarray(bad)
+    first = np.unravel_index(np.argmax(bad), bad.shape)
+    got = ", ".join(f"{name}={float(np.broadcast_to(v, bad.shape)[first])!r}"
+                    for name, v in values.items())
+    if bad.ndim == 0:
+        return f"got {got}"
+    index = first[0] if len(first) == 1 else tuple(int(i) for i in first)
+    return f"{int(bad.sum())} of {bad.size} entries fail, the first at index {index}: {got}"
+
+
 def _checked_length(ell_ce_rel, ell_rho) -> np.ndarray:
     """Relative CE length as an array; PoleViolation outside (0, ell_rho)."""
     ell = np.asarray(ell_ce_rel, dtype=float)
-    if np.any(ell <= 0.0) or np.any(ell >= ell_rho):
-        raise PoleViolation(
-            f"ell_ce_rel must lie in (0, {ell_rho}), got {ell_ce_rel}"
-        )
+    bad = (ell <= 0.0) | (ell >= ell_rho)
+    if np.any(bad):
+        raise PoleViolation("ell_ce_rel must lie in (0, ell_rho); "
+                            + _where_bad(bad, ell_ce_rel=ell, ell_rho=ell_rho))
     return ell
 
 
@@ -355,8 +371,9 @@ def hatze_q_of_gamma(gamma, ell_ce_rel, p: HatzeParams):
 def hatze_gamma_of_q(q, ell_ce_rel, p: HatzeParams):
     """Free-calcium level gamma of an activity q: the exact inverse of hatze_q_of_gamma."""
     q = np.asarray(q, dtype=float)
-    if np.any(q < p.q0) or np.any(q >= 1.0):
-        raise DomainViolation(f"q must lie in [q0, 1), got {q}")
+    bad = (q < p.q0) | (q >= 1.0)
+    if np.any(bad):
+        raise DomainViolation("q must lie in [q0, 1); " + _where_bad(bad, q=q, q0=p.q0))
     rho = hatze_rho(ell_ce_rel, p.rho_c, p.ell_rho)
     out = ((q - p.q0) / (1.0 - q)) ** (1.0 / p.nu) / rho
     return float(out) if out.ndim == 0 else out
@@ -527,7 +544,7 @@ class ForceLengthRelation:
     def __post_init__(self):
         if self.kind not in ("parabola", "bell"):
             raise ValueError(f"kind must be 'parabola' or 'bell', got {self.kind!r}")
-        if not self.width > 0.0:
+        if not np.all(np.greater(self.width, 0.0)):  # width may be a column of rows
             raise ValueError(f"width must be positive, got {self.width}")
         if not (self.nu_asc > 0.0 and self.nu_des > 0.0):
             raise ValueError("bell exponents must be positive")

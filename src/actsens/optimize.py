@@ -7,6 +7,11 @@ maximum shifts to longer lengths at submaximal stimulation; the shift is
 measured against the model's own full-activation optimum. A log-space
 Nelder-Mead fits the force-length width and the calcium scale rho0 to a set
 of target shifts.
+
+The width starts of one (nu, kind) cell are fitted in lockstep: each round,
+the pending trial point of every live fit goes through one batched
+:func:`fit_error` call, whose rows are independent. So every fit takes the
+path, and gets the result, it would get on its own.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ __all__ = [
     "optimal_length_shift",
     "fit_error",
     "nelder_mead",
+    "nelder_mead_steps",
     "fit_shift_parameters",
     "run_table",
     "synthesize_targets",
@@ -196,27 +202,37 @@ def _argmax_force(
 ) -> np.ndarray:
     """Force-maximizing length (mm) for each stimulation level in ``gammas``.
 
+    ``gammas`` holds L levels. Fields of ``p`` and ``flr`` such as rho_c and
+    width may be (F, 1, 1) arrays of F parameter sets, since the last two
+    axes of the scan run over levels and lengths; the result then has shape
+    (F, L), one row per set, instead of (L,).
+
     One coarse grid scan over all levels goes through the checked
     isometric_force, so a span outside (0, ell_rho) raises PoleViolation.
     The golden-section refinement of every level's bracket then probes only
-    inside the scanned interval and uses the unchecked force.
+    inside the scanned interval and uses the unchecked force. A level whose
+    scan maximum sits at an end of the span has no interior maximum: for one
+    set that raises NoInteriorMaximum, and for F sets it makes that set's
+    whole row NaN while the other rows are refined as usual.
     """
-    gammas = np.asarray(gammas, dtype=float)
+    gammas = np.asarray(gammas, dtype=float)[:, None]  # one row per level
     ells = np.linspace(span[0] * flr.ell_opt, span[1] * flr.ell_opt, coarse)
-    forces = isometric_force(gammas[:, None], ells, p, flr)
-    k = np.argmax(forces, axis=1)
+    forces = isometric_force(gammas, ells, p, flr)
+    k = np.argmax(forces, axis=-1)
     boundary = (k == 0) | (k == coarse - 1)
-    if np.any(boundary):
+    if k.ndim == 1 and np.any(boundary):
         raise NoInteriorMaximum(
-            f"force maximum at the search boundary (gamma={gammas[boundary].tolist()}); "
+            f"force maximum at the search boundary (gamma={gammas[boundary, 0].tolist()}); "
             "widen the span"
         )
+    k = np.clip(k, 1, coarse - 2)[..., None]  # a bracket for every row; boundary sets get NaN
 
     def force(ell):  # isometric_force without its checks
         ell_rel = ell / flr.ell_opt
         return flr.f_max * _hatze_q_of_gamma(gammas, ell_rel, p) * _force_length_relative(ell_rel, flr)
 
-    return _golden_max(force, ells[k - 1], ells[k + 1], xtol_mm)
+    peaks = _golden_max(force, ells[k - 1], ells[k + 1], xtol_mm)[..., 0]
+    return np.where(boundary.any(axis=-1, keepdims=True), np.nan, peaks)
 
 
 def optimal_length_shift(
@@ -234,22 +250,35 @@ def optimal_length_shift(
     return float(here - ref)
 
 
-def predicted_shifts(width: float, rho0: float, problem: FitProblem) -> np.ndarray:
-    """Model shift at every target stimulation level for (width, rho0)."""
+def predicted_shifts(width, rho0, problem: FitProblem) -> np.ndarray:
+    """Model shift at every target stimulation level for (width, rho0).
+
+    Scalars give one point's shifts, shape (L,). Arrays of F points give
+    shape (F, L), with a NaN row for a point without an interior force
+    maximum (see :func:`_argmax_force`).
+    """
+    if np.ndim(width):  # F points: (F, 1, 1) fields, see _argmax_force
+        width, rho0 = np.reshape(width, (-1, 1, 1)), np.reshape(rho0, (-1, 1, 1))
     peaks = _argmax_force((1.0, *problem.targets.levels), problem.activation(rho0),
                           problem.relation(width), SHIFT_SEARCH_SPAN, SHIFT_SEARCH_COARSE,
                           SHIFT_SEARCH_XTOL_MM)
-    return peaks[1:] - peaks[0]
+    return peaks[..., 1:] - peaks[..., :1]
 
 
-def fit_error(width: float, rho0: float, problem: FitProblem) -> float:
+def fit_error(width, rho0, problem: FitProblem):
     """RMS-style objective sqrt(sum of squared shift residuals / 5), in mm.
 
     The divisor is the fixed five of the reference experiment's five
     stimulation levels, regardless of how many levels are supplied.
+
+    ``width`` and ``rho0`` are one trial point's scalars or equal-length
+    arrays of F points; each point's error is the one it gets alone. A
+    scalar point without an interior force maximum raises NoInteriorMaximum;
+    in arrays such a point's error is +inf and the others are unaffected.
     """
     residuals = predicted_shifts(width, rho0, problem) - np.asarray(problem.targets.shifts_mm)
-    return math.sqrt(float(np.sum(residuals**2)) / 5.0)
+    error = np.sqrt(np.sum(residuals**2, axis=-1) / 5.0)
+    return float(error) if error.ndim == 0 else np.where(np.isnan(error), math.inf, error)
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +293,14 @@ class NelderMeadResult:
     iterations: int
 
 
-def nelder_mead(
-    objective, start, tol: float = 1e-8, max_iter: int = 2000,
-    initial_step: float = 0.05,
-) -> NelderMeadResult:
-    """Minimize with the standard simplex moves (1, 2, 0.5, 0.5).
+def nelder_mead_steps(start, tol: float = 1e-8, max_iter: int = 2000,
+                      initial_step: float = 0.05):
+    """The simplex search of :func:`nelder_mead` as a generator.
 
-    Terminates when both the simplex diameter and the value spread drop
-    below ``tol``; raises MaxIterationsExceeded past the iteration cap.
+    It yields each trial point and must be sent that point's objective
+    value; it returns the NelderMeadResult (as StopIteration's value) or
+    raises as nelder_mead does. A driver can so advance many searches
+    side by side and evaluate their pending points together.
     """
     x0 = np.asarray(start, dtype=float)
     ndim = x0.size
@@ -280,7 +309,9 @@ def nelder_mead(
         x = x0.copy()
         x[i] += initial_step * abs(x[i]) if x[i] != 0.0 else initial_step
         simplex.append(x)
-    values = [float(objective(x)) for x in simplex]
+    values = []
+    for x in simplex:
+        values.append(float((yield x)))
     if not math.isfinite(values[0]):
         raise ValueError("objective is not finite at the start point")
 
@@ -296,13 +327,13 @@ def nelder_mead(
 
         centroid = np.mean(simplex[:-1], axis=0)
         xr = centroid + (centroid - simplex[-1])
-        fr = float(objective(xr))
+        fr = float((yield xr))
         if values[0] <= fr < values[-2]:
             simplex[-1], values[-1] = xr, fr
             continue
         if fr < values[0]:
             xe = centroid + 2.0 * (centroid - simplex[-1])
-            fe = float(objective(xe))
+            fe = float((yield xe))
             if fe < fr:
                 simplex[-1], values[-1] = xe, fe
             else:
@@ -310,22 +341,43 @@ def nelder_mead(
             continue
         if fr < values[-1]:  # outside contraction
             xc = centroid + 0.5 * (xr - centroid)
-            fc = float(objective(xc))
+            fc = float((yield xc))
             if fc <= fr:
                 simplex[-1], values[-1] = xc, fc
                 continue
         else:  # inside contraction
             xc = centroid + 0.5 * (simplex[-1] - centroid)
-            fc = float(objective(xc))
+            fc = float((yield xc))
             if fc < values[-1]:
                 simplex[-1], values[-1] = xc, fc
                 continue
         # shrink toward the best vertex
         for k in range(1, len(simplex)):
             simplex[k] = simplex[0] + 0.5 * (simplex[k] - simplex[0])
-            values[k] = float(objective(simplex[k]))
+            values[k] = float((yield simplex[k]))
 
     raise MaxIterationsExceeded(f"no convergence within {max_iter} iterations")
+
+
+def nelder_mead(
+    objective, start, tol: float = 1e-8, max_iter: int = 2000,
+    initial_step: float = 0.05,
+) -> NelderMeadResult:
+    """Minimize with the standard simplex moves (1, 2, 0.5, 0.5).
+
+    Terminates when both the simplex diameter and the value spread drop
+    below ``tol``; raises MaxIterationsExceeded past the iteration cap. The
+    search itself is :func:`nelder_mead_steps`; this evaluates its trial
+    points one at a time, so a lockstep driver that evaluates them in
+    batches gets the same result.
+    """
+    steps = nelder_mead_steps(start, tol, max_iter, initial_step)
+    x = next(steps)
+    while True:
+        try:
+            x = steps.send(objective(x))
+        except StopIteration as done:
+            return done.value
 
 
 # ---------------------------------------------------------------------------
@@ -348,24 +400,70 @@ def fit_shift_parameters(problem: FitProblem, tol: float = 1e-8,
 
     Trial points whose force maximum escapes the search interval get an
     infinite objective, so the simplex retreats into the feasible region
-    instead of aborting the fit.
+    instead of aborting the fit. This is the lockstep of one fit, so it
+    gives what :func:`run_table` gives for the same start.
     """
-    evals = 0
+    (outcome,) = _fit_lockstep([problem], tol, max_iter)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
-    def objective(u):
-        nonlocal evals
-        evals += 1
-        try:
-            return fit_error(math.exp(u[0]), math.exp(u[1]), problem)
-        except NoInteriorMaximum:
-            return math.inf
 
-    start = np.array([math.log(problem.width_start), math.log(problem.rho0_start)])
-    res = nelder_mead(objective, start, tol=tol, max_iter=max_iter)
+def _fit_lockstep(problems: list[FitProblem], tol: float = 1e-8, max_iter: int = 2000) -> list:
+    """Fit problems that differ only in their start values, in lockstep.
+
+    Each round sends the pending trial point of every live fit through one
+    :func:`_trial_errors` call. Returns, per problem, its FitResult or the
+    ActsensError or ValueError that ended its fit alone; any other error
+    propagates.
+    """
+    searches = [nelder_mead_steps([math.log(pb.width_start), math.log(pb.rho0_start)],
+                                  tol=tol, max_iter=max_iter) for pb in problems]
+    pending = {i: next(search) for i, search in enumerate(searches)}
+    evals = [0] * len(problems)
+    outcomes: list = [None] * len(problems)
+    while pending:
+        live = list(pending)
+        values = _trial_errors([pending[i] for i in live], problems[0])
+        for i, value in zip(live, values):
+            evals[i] += 1
+            if isinstance(value, Exception):
+                outcome = value
+            else:
+                try:
+                    pending[i] = searches[i].send(value)
+                    continue
+                except StopIteration as done:
+                    outcome = _fit_result(done.value, evals[i])
+                except (ActsensError, ValueError) as exc:
+                    outcome = exc
+            del pending[i]
+            outcomes[i] = outcome
+    return outcomes
+
+
+def _trial_errors(points, problem: FitProblem) -> list:
+    """fit_error at log-space trial points, batched in one call.
+
+    A point without an interior force maximum gets +inf. If the call raises
+    an ActsensError or ValueError, each point is evaluated alone, and one
+    that raises gets its exception in place of a value: it ends only its
+    own fit.
+    """
+    widths = np.array([math.exp(u[0]) for u in points])
+    rho0s = np.array([math.exp(u[1]) for u in points])
+    try:
+        return fit_error(widths, rho0s, problem).tolist()
+    except (ActsensError, ValueError) as exc:
+        if len(points) == 1:
+            return [exc]
+        return [value for u in points for value in _trial_errors([u], problem)]
+
+
+def _fit_result(res: NelderMeadResult, evals: int):
+    """A finished search's FitResult, or NoInteriorMaximum if it stayed infeasible."""
     if not math.isfinite(res.value):
-        raise NoInteriorMaximum(
-            "no feasible force maximum anywhere near the fitted parameters"
-        )
+        return NoInteriorMaximum("no feasible force maximum anywhere near the fitted parameters")
     return FitResult(
         width=math.exp(res.argmin[0]), rho0=math.exp(res.argmin[1]),
         error_mm=res.value, iterations=res.iterations, objective_evals=evals,
@@ -399,26 +497,39 @@ def run_table(
     ell_opt: float = DEFAULT_ELL_OPT,
     tol: float = 1e-8,
 ) -> list[TableCell]:
-    """Fit every (nu, kind, width_start) cell; failures are reported per cell."""
-    cells = []
+    """Fit every (nu, kind, width_start) cell; failures are reported per cell.
+
+    The starts of one (nu, kind) pair are fitted in lockstep, each with the
+    result it gets alone. Cells come start by start, each start's over
+    every (nu, kind).
+    """
+    n_starts = min(len(bell_starts), len(parabola_starts))
     starts = {"bell": bell_starts, "parabola": parabola_starts}
-    for si, _ in enumerate(zip(bell_starts, parabola_starts)):
+    outcomes = {}  # (start index, nu, kind) -> FitResult or the error that ended the fit
+    for nu in nus:
+        for kind in kinds:
+            problems = {}
+            for si in range(n_starts):
+                try:
+                    problems[si] = FitProblem(targets=targets, flr_kind=kind, nu=nu,
+                                              width_start=starts[kind][si],
+                                              rho0_start=rho0_start, ell_opt=ell_opt)
+                except ValueError as exc:
+                    outcomes[si, nu, kind] = exc
+            fits = _fit_lockstep(list(problems.values()), tol)
+            outcomes.update(((si, nu, kind), fit) for si, fit in zip(problems, fits))
+    cells = []
+    for si in range(n_starts):
         for nu in nus:
             for kind in kinds:
-                w0 = starts[kind][si]
-                cell = TableCell(nu=nu, kind=kind, width_start=w0)
-                try:
-                    fit = fit_shift_parameters(
-                        FitProblem(targets=targets, flr_kind=kind, nu=nu,
-                                   width_start=w0, rho0_start=rho0_start,
-                                   ell_opt=ell_opt),
-                        tol=tol,
-                    )
-                    cell.width, cell.rho0 = fit.width, fit.rho0
-                    cell.error_mm, cell.iterations = fit.error_mm, fit.iterations
-                    cell.objective_evals = fit.objective_evals
-                except (ActsensError, ValueError) as exc:  # a failed cell keeps the table
-                    cell.status = f"{type(exc).__name__}: {exc}"
+                cell = TableCell(nu=nu, kind=kind, width_start=starts[kind][si])
+                outcome = outcomes[si, nu, kind]
+                if isinstance(outcome, Exception):  # a failed cell keeps the table
+                    cell.status = f"{type(outcome).__name__}: {outcome}"
+                else:
+                    cell.width, cell.rho0 = outcome.width, outcome.rho0
+                    cell.error_mm, cell.iterations = outcome.error_mm, outcome.iterations
+                    cell.objective_evals = outcome.objective_evals
                 cells.append(cell)
     return cells
 

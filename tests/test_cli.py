@@ -270,6 +270,9 @@ def test_help_lists_every_setting_as_a_flag(command):
     (["analytic", "--sigma", "nan"], None, None),
     (["analytic", "--q-init", "-1"], None, None),
     (["analytic"], "t_end = 0.1\npoints = 3\ntau = 0\n", 3),
+    (["simulate", "--model", "hatze", "--ell-rho", "0.9", "--ell-cerel", "0.5"], None, None),
+    (["global-sens", "--model", "hatze", "--n", "4", "--preset", "ell-rho-bounds.cfg"],
+     None, None),
 ], ids=["negative-tau", "zero-beta", "hatze-q-init-above-one",
         "simplified-sigma-above-one", "sigma-not-a-number", "global-n-one",
         "negative-t-end", "zero-t-end", "one-point", "analytic-one-point",
@@ -284,7 +287,7 @@ def test_help_lists_every_setting_as_a_flag(command):
     "infinite-tau", "infinite-beta", "hatze-infinite-m", "hatze-infinite-ell-rho",
     "config-hatze-nan-ell-cerel", "analytic-zero-tau", "analytic-negative-tau",
     "analytic-infinite-tau", "analytic-nan-sigma", "analytic-negative-q-init",
-    "config-analytic-zero-tau"])
+    "config-analytic-zero-tau", "hatze-ell-rho-below-one", "bounds-ell-rho-reaching-one"])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, config, line):
     out = tmp_path / "x"
     if argv[0] == "optimize":
@@ -292,6 +295,9 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, config, line):
         targets = tmp_path / "targets.csv"
         targets.write_text("gamma,shift_mm\n0.55,0.4\n0.28,0.9\n")
         argv = argv + ["--kind", "bell", "--targets", str(targets)]
+    if "ell-rho-bounds.cfg" in argv:  # hatze_rho is not positive for ell_rho <= 1
+        bounds = _hatze_bounds(tmp_path, ell_rho=(1.0, 3.6))
+        argv = [str(bounds) if a == "ell-rho-bounds.cfg" else a for a in argv]
     if config is not None:
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config)
@@ -305,6 +311,27 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, config, line):
     if line is not None:  # a bad value from the config file names its line
         assert f"run.cfg:{line}:" in err
     assert not out.exists()  # a rejected command creates no output directory
+
+
+def _hatze_bounds(tmp_path, **ranges):
+    """Hatze's built-in bounds as a bounds file, with ``ranges`` replaced."""
+    bounds = dict(BUILTIN_MODELS["hatze"].bounds, **ranges)
+    path = tmp_path / "hatze-bounds.cfg"
+    path.write_text("".join(f"{n} = {lo!r},{hi!r}\n" for n, (lo, hi) in bounds.items()))
+    return path
+
+
+def test_pole_violation_record_is_one_short_line(tmp_path, capsys):
+    # ell_CErel reaching into the ell_rho range puts 57 of the 288 rows past
+    # the pole; the record names the count and the first row, not the arrays
+    path = _hatze_bounds(tmp_path, ell_CErel=(0.4, 3.0))
+    assert main(["global-sens", "--model", "hatze", "--preset", str(path), "--n", "16",
+                 "--t-end", "0.1", "--points", "3", "--output", str(tmp_path / "x")]) == 3
+    (line,) = capsys.readouterr().err.splitlines()
+    assert len(line) < 300
+    record = json.loads(line)
+    assert record["error"] == "PoleViolation"
+    assert "of 288 entries fail, the first at index" in record["message"]
 
 
 _ZAJAC_BOUNDS = ["q_Z0 = 0.01,1", "sigma = 0,1", "q0 = 0.001,0.05", "tau = 0.01,0.05",

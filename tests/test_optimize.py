@@ -278,28 +278,86 @@ def test_run_table_layout_and_failure_reporting(monkeypatch):
 
     import actsens.optimize as opt
 
-    def explode(problem, tol=1e-8, max_iter=2000):
-        raise ValueError("injected failure")
+    def explode(width, rho0, problem):  # fails at the 0.25 start's first point only
+        if np.any(np.asarray(width) == 0.25):
+            raise ValueError("injected failure")
+        return fit_error(width, rho0, problem)
 
-    monkeypatch.setattr(opt, "fit_shift_parameters", explode)
-    cells = opt.run_table(targets, nus=(3.0,), kinds=("bell",),
-                          bell_starts=(0.25,), parabola_starts=(0.46,))
-    assert len(cells) == 1  # table still emitted
-    assert "injected failure" in cells[0].status
-    assert math.isnan(cells[0].width)
+    monkeypatch.setattr(opt, "fit_error", explode)
+    failed = opt.run_table(targets, nus=(3.0,), kinds=("bell",),
+                           bell_starts=(0.25, 0.35), parabola_starts=(0.46, 0.56))
+    assert len(failed) == 2  # table still emitted
+    assert "injected failure" in failed[0].status
+    assert math.isnan(failed[0].width)
+    assert failed[1] == cells[1]  # its lockstep sibling converges as before
 
 
 def test_run_table_lets_programming_errors_propagate(monkeypatch):
     import actsens.optimize as opt
 
-    def broken(problem, tol=1e-8, max_iter=2000):
+    def broken(width, rho0, problem):
         raise TypeError("injected bug")
 
-    monkeypatch.setattr(opt, "fit_shift_parameters", broken)
+    monkeypatch.setattr(opt, "fit_error", broken)
     targets = ShiftTargets(levels=(0.28,), shifts_mm=(0.5,))
     with pytest.raises(TypeError, match="injected bug"):
         opt.run_table(targets, nus=(3.0,), kinds=("bell",),
                       bell_starts=(0.25,), parabola_starts=(0.46,))
+
+
+def _recording_fit_error(monkeypatch):
+    """Patch fit_error to record every batched call's (widths, errors)."""
+    import actsens.optimize as opt
+
+    calls = []
+
+    def recording(width, rho0, problem):
+        errors = fit_error(width, rho0, problem)
+        calls.append((np.atleast_1d(width).tolist(), np.atleast_1d(errors).tolist()))
+        return errors
+
+    monkeypatch.setattr(opt, "fit_error", recording)
+    return calls
+
+
+def test_lockstep_fits_equal_solo_fits(monkeypatch):
+    # criterion 7's targets in the (4, bell) cell: the three starts end after
+    # different iteration counts, and the 0.45 start meets an infeasible
+    # (+inf) trial point while its siblings' points are feasible
+    targets = synthesize_targets(width=0.32, rho0=3.25e4, nu=3.0, kind="bell")
+    calls = _recording_fit_error(monkeypatch)
+    cells = run_table(targets, nus=(4.0,), kinds=("bell",))
+    assert len(cells) == 3 and all(c.status == "ok" for c in cells)
+    assert len({c.iterations for c in cells}) == 3
+    assert len(calls) == max(c.objective_evals for c in cells)  # one call per round
+    infeasible = [w for widths, errors in calls for w, e in zip(widths, errors)
+                  if e == math.inf]
+    assert infeasible and all(w > 0.45 for w in infeasible)
+
+    for cell in cells:
+        solo = fit_shift_parameters(FitProblem(targets=targets, flr_kind="bell", nu=4.0,
+                                               width_start=cell.width_start))
+        assert (cell.width, cell.rho0, cell.error_mm) == (solo.width, solo.rho0, solo.error_mm)
+        assert (cell.iterations, cell.objective_evals) == (solo.iterations,
+                                                            solo.objective_evals)
+    # without the sibling that meets the infeasible point, the others are unchanged
+    pair = run_table(targets, nus=(4.0,), kinds=("bell",), bell_starts=(0.25, 0.35),
+                     parabola_starts=(0.46, 0.56))
+    assert pair == cells[:2]
+
+
+def test_lockstep_iteration_cap_fails_only_its_own_fit():
+    import actsens.optimize as opt
+
+    targets = synthesize_targets(width=0.32, rho0=3.25e4, nu=3.0, kind="bell")
+    problems = [FitProblem(targets=targets, flr_kind="bell", nu=4.0, width_start=w)
+                for w in (0.25, 0.35, 0.45)]  # 48, 61 and 72 iterations
+    outcomes = opt._fit_lockstep(problems, max_iter=60)
+    assert outcomes[0] == fit_shift_parameters(problems[0])
+    for problem, outcome in zip(problems[1:], outcomes[1:]):
+        assert isinstance(outcome, MaxIterationsExceeded)
+        with pytest.raises(MaxIterationsExceeded):
+            fit_shift_parameters(problem, max_iter=60)
 
 
 def test_targets_csv_roundtrip(tmp_path):

@@ -6,7 +6,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from actsens import cli, localsens, presets
+from actsens import cli, localsens, optimize, presets
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -22,7 +22,9 @@ def _import_for_test(monkeypatch, name, path):
 
 def _hooked():
     return (cli.main, cli._MODELS.copy(), cli.family_evaluator, localsens.integrate,
-            presets.integrate, presets.zajac_rhs, presets.hatze_rhs)
+            presets.integrate, presets.zajac_rhs, presets.hatze_rhs, cli.run_table,
+            optimize.fit_shift_parameters, optimize.fit_error, optimize._argmax_force,
+            optimize.isometric_force)
 
 
 def test_tracer_installs_on_every_hooked_name_and_restores(tmp_path, monkeypatch):
@@ -52,6 +54,12 @@ def test_tracer_installs_on_every_hooked_name_and_restores(tmp_path, monkeypatch
                              "--t-end", "0.05", "--points", "3",
                              "--output", str(tmp_path / f"global-{name}")]) == 0
             assert spans.summary()["models.batch_rhs"]["calls"] > before, name
+        # the optimizer path: lockstep fits through the hooked argmax and force
+        targets = tmp_path / "targets.csv"
+        targets.write_text("gamma,shift_mm\n0.55,0.4\n0.28,0.9\n")
+        assert cli.main(["optimize", "--targets", str(targets), "--nu", "3", "--kind", "bell",
+                         "--output", str(tmp_path / "fit")]) == 0
+        assert spans.summary()["optimize.argmax"]["calls"] > 0
     finally:
         hooks.restore()
     assert _hooked() == originals
@@ -75,3 +83,14 @@ def test_local_panel_gates_pass(tmp_path, monkeypatch):
         assert cli.main(item.argv) == 0
         err, ok = gate(item)
         assert ok, f"{kind} {item.argv}: reference deviation {err:.3e}"
+
+
+def test_shift_fit_gates_pass(tmp_path, monkeypatch):
+    _import_for_test(monkeypatch, "reference", PERFBENCH / "reference.py")
+    workloads = _import_for_test(monkeypatch, "perfbench_workloads",
+                                 PERFBENCH / "workloads.py")
+    fits = workloads.ShiftFit(seed=1, work=tmp_path)
+    item = next(it for it in fits.pass_items(0) if it.meta["match"])
+    assert cli.main(item.argv) == 0
+    assert fits.item_ok(item)
+    assert fits.check_pass([item])[1] == []
