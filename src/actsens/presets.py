@@ -152,7 +152,7 @@ BUILTIN_MODELS = {
         bounds={"q_H0": (0.01, 1.0), "sigma": (0.0, 1.0), "q0": (0.001, 0.05),
                 "m": (3.0, 11.0), "rho_c": (4.0, 11.0), "nu": (1.5, 4.0),
                 "ell_rho": (2.2, 3.6), "ell_CErel": (0.4, 1.6)},
-        valid=lambda row: row["q_H0"] > row["q0"],
+        valid=lambda row: (row["q_H0"] > row["q0"]) & (row["ell_CErel"] < row["ell_rho"]),
         rhs="hatze_rhs",
     ),
 }
@@ -173,7 +173,8 @@ def builtin_cuboid(model: str) -> ParameterCuboid:
 
 
 def row_validity(model: str) -> Validity:
-    """Joint constraint between sampled initial and basic activity.
+    """Joint constraints of a sampled row: initial above basic activity, and
+    for hatze a CE length below the pole ell_rho.
 
     The predicate takes a dict of parameter columns (one array per name) and
     returns a boolean array, one entry per row.

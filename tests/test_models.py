@@ -192,6 +192,17 @@ def test_hatze_rho_pole_violation():
         hatze_rho(-0.1, 7.24, 2.9)
 
 
+def test_batched_pole_violation_names_the_first_bad_entry():
+    # a batched check reports the count and the first failing entry, not the arrays
+    ell = np.full(300, 1.0)
+    ell[[7, 40]] = 3.0
+    with pytest.raises(PoleViolation) as info:
+        hatze_rho(ell, 7.24, np.full(300, 2.9))
+    message = str(info.value)
+    assert "2 of 300 entries fail, the first at index 7: ell_ce_rel=3.0, ell_rho=2.9" in message
+    assert len(message) < 300
+
+
 def test_hatze_activity_from_concentration():
     p = HatzeParams(sigma=0.5, q0=0.005, nu=3.0, rho_c=7.24)
     assert hatze_q_of_gamma(0.0, 1.0, p) == pytest.approx(0.005, rel=1e-14)
