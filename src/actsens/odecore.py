@@ -1,10 +1,12 @@
 """Adaptive explicit Runge-Kutta integration on a fixed output grid.
 
-The integrator is a Dormand-Prince 5(4) embedded pair with cubic-Hermite
-dense output. The 5th-order solution propagates; the embedded 4th-order
-solution provides the local error estimate. Output values are interpolated
-exactly at the requested grid times, so the returned time axis is
-bit-identical to the request.
+The integrator is a Dormand-Prince 5(4) embedded pair. The 5th-order
+solution propagates; the embedded 4th-order solution provides the local error
+estimate. Output values come from the pair's 4th-order continuous extension
+(Shampine 1986, Math. Comp. 46:135; Hairer, Norsett & Wanner, Solving ODEs I,
+sec. II.6), built from the seven stages of each accepted step at no extra rhs
+evaluation. They are evaluated exactly at the requested grid times, so the
+returned time axis is bit-identical to the request.
 """
 
 from __future__ import annotations
@@ -31,6 +33,19 @@ _A = (
 _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 # b5 - b4: coefficients of the embedded error estimate.
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# Continuous extension: y(t + theta*h) = y + h * [theta, ..., theta^4] @ (_P.T @ k).
+_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+_POWERS = np.arange(1, 5)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -88,17 +103,6 @@ class Trajectory:
     values: np.ndarray  # (T, M)
 
 
-def _hermite(theta: float, h: float, y0, y1, f0, f1) -> np.ndarray:
-    """Cubic Hermite interpolant on one accepted step; exact at both endpoints."""
-    t2 = theta * theta
-    t3 = t2 * theta
-    h00 = 2 * t3 - 3 * t2 + 1
-    h10 = t3 - 2 * t2 + theta
-    h01 = -2 * t3 + 3 * t2
-    h11 = t3 - t2
-    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
-
-
 def _initial_step(y0, f0, span, tol: Tolerances) -> float:
     """Crude starting-step guess; the controller corrects it within a few steps."""
     scale = tol.abs_tol + tol.rel_tol * np.abs(y0)
@@ -149,6 +153,8 @@ def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
     h = _initial_step(y, f, span, tol)
     t = t0
     k = np.empty((7, y.size))
+    k[0] = f  # FSAL: each step's first stage is the last rhs of the one before
+    dense = np.empty((4, y.size))  # continuous-extension coefficients of a step
 
     while t < t_end:
         h = min(h, t_end - t)
@@ -157,7 +163,6 @@ def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
                 f"step size {h:.3e} underflowed at t={t:.6e}"
             )
 
-        k[0] = f  # FSAL: first stage is the last rhs of the previous step
         for s in range(5):
             ts = t + _C[s + 1] * h
             ys = y + h * (k[: s + 1].T @ np.asarray(_A[s]))
@@ -173,14 +178,20 @@ def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
         err_norm = math.sqrt(float(np.mean((err / scale) ** 2)))
 
         if err_norm <= 1.0:
-            # accept; fill grid points covered by this step via dense output
+            # accept; fill the grid points this step covers from its dense output
             t_new = t + h
-            f_new = k[6].copy()  # k is reused next step; detach the FSAL slope
-            while gi < grid.size and grid[gi] <= t_new:
-                theta = (grid[gi] - t) / h
-                out[gi] = _hermite(theta, h, y, y_new, f, f_new)
-                gi += 1
-            t, y, f = t_new, y_new, f_new
+            if gi < grid.size and grid[gi] <= t_new:
+                end = gi + int(np.searchsorted(grid[gi:], t_new, side="right"))
+                theta = (grid[gi:end] - t) / h
+                np.matmul(_P.T, k, out=dense)
+                block = out[gi:end]
+                np.matmul(h * theta[:, None] ** _POWERS, dense, out=block)
+                block += y
+                if grid[end - 1] == t_new:
+                    out[end - 1] = y_new  # exact at the step's end
+                gi = end
+            t, y = t_new, y_new
+            k[0] = k[6]
             factor = _MAX_FACTOR if err_norm == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * err_norm ** -_ORDER_EXP
             )

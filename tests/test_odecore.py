@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,18 @@ from actsens import (
     StepSizeUnderflow,
     Tolerances,
     ZajacParams,
+    analyze,
+    hatze_gamma_of_q,
+    hatze_model,
+    hatze_q_of_gamma,
     integrate,
     make_grid,
     simplified_zajac_solution,
+    zajac_model,
     zajac_rhs,
+    zajac_steady_state,
 )
+from actsens.presets import all_hatze_scenarios, all_zajac_scenarios
 
 
 def test_zero_rhs_keeps_state_constant():
@@ -127,3 +136,54 @@ def test_make_grid():
     assert np.allclose(g, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])
     with pytest.raises(ValueError):
         make_grid(0.5, 1)
+
+
+# ---------------------------------------------------------------------------
+# the 16 scenario panels against their closed forms
+# ---------------------------------------------------------------------------
+
+PANEL_GRID = make_grid(0.5, 501)
+PANELS = {f"zajac-{tag}": (zajac_model(), pset) for tag, pset in all_zajac_scenarios()}
+PANELS.update({f"hatze-{tag}": (hatze_model(), pset) for tag, pset in all_hatze_scenarios()})
+
+
+def _closed_form(model, pset, t):
+    """Exact activity at constant stimulation: linear decay to the steady
+    state (zajac), or linear calcium dynamics mapped through the saturation
+    (hatze)."""
+    p = model.params_of(*pset.values_for(model.canonical_order))
+    if model.name == "zajac":
+        k = (p.sigma * (1.0 - p.beta) + p.beta) / (p.tau * (1.0 - p.q0))
+        q_ss = zajac_steady_state(p)
+        return q_ss + (p.q_init - q_ss) * np.exp(-k * t)
+    gamma0 = hatze_gamma_of_q(p.q_init, p.ell_ce_rel, p)
+    return hatze_q_of_gamma(p.sigma + (gamma0 - p.sigma) * np.exp(-p.m * t), p.ell_ce_rel, p)
+
+
+def _state_solve(model, pset, tol):
+    """State-only solve of one panel on PANEL_GRID and its rhs evaluation count."""
+    calls = []
+
+    def derivs(*args):
+        calls.append(None)
+        return model.derivs(*args)
+
+    counted = dataclasses.replace(model, derivs=derivs)
+    return analyze(counted, pset, PANEL_GRID, order=0, tol=tol).state[:, 0], len(calls)
+
+
+@pytest.mark.parametrize("model, pset", PANELS.values(), ids=PANELS.keys())
+def test_panel_grid_error_meets_the_default_contract(model, pset):
+    # the Tolerances contract: every grid value within 10 tolerance scales
+    tol = Tolerances()
+    state, _ = _state_solve(model, pset, tol)
+    exact = _closed_form(model, pset, PANEL_GRID)
+    bound = 10.0 * (tol.abs_tol + tol.rel_tol * np.abs(exact))
+    assert np.all(np.abs(state - exact) <= bound)
+
+
+def test_dense_output_keeps_the_step_sequence():
+    # filling the grid from the continuous extension costs no rhs evaluation:
+    # the panels take as many as with the cubic Hermite interpolant before it
+    tight = Tolerances(rel_tol=1e-8, abs_tol=1e-10)
+    assert sum(_state_solve(m, p, tight)[1] for m, p in PANELS.values()) == 4630
