@@ -177,6 +177,11 @@ def analyze(
 # the two runs then cancel in the difference, which matters because the
 # difference signal can be orders of magnitude below the state itself.
 
+#: Default tolerances of the finite-difference oracles: tighter than
+#: ``Tolerances()``, so that integration error stays negligible against
+#: their cross-check tolerances.
+FD_TOLERANCES = Tolerances(rel_tol=1e-8, abs_tol=1e-10)
+
 
 def _central_differences(model, params, grid, rows, rel_step, tol, *, order=0):
     """Central differences of the augmented state over canonical positions.
@@ -205,7 +210,7 @@ def _central_differences(model, params, grid, rows, rel_step, tol, *, order=0):
         traj = integrate(
             OdeProblem(rhs=rhs, y0=np.concatenate([z0_p, z0_m]),
                        t_span=(0.0, float(grid[-1])), output_grid=grid),
-            tol or Tolerances(),
+            tol or FD_TOLERANCES,
         )
         out[:, row] = (traj.values[:, :dim] - traj.values[:, dim:]) / (2.0 * h)
     return out
@@ -243,6 +248,7 @@ def second_order_fd(
     and as the independent oracle against the analytic second-order path.
     """
     N, M = model.n_params, model.dim
+    tol = tol or FD_TOLERANCES
     base = analyze(model, params, grid, order=1, tol=tol)
     diff = _central_differences(model, params, grid, range(M, M + N), rel_step, tol, order=1)
     r = diff[:, :, M:M + N * M].reshape(-1, N, N, M)

@@ -58,13 +58,30 @@ class Tolerances:
     """Error-control settings for :func:`integrate`.
 
     The per-component error is measured against abs_tol + rel_tol*|y| and
-    reduced by an RMS norm over components. Defaults are tight so that
-    integration error stays negligible against finite-difference
-    cross-check tolerances.
+    reduced by an RMS norm over components.
+
+    Grid-accuracy contract: every output value lies within ten tolerance
+    scales, 10*(abs_tol + rel_tol*|y|), of the exact solution. On the 16
+    scenario panels (state only, 501 points over 0.5 s, against the closed
+    forms) the worst value is 5.0 scales at the default and 8.0 at 1e-8/1e-10;
+    the cubic Hermite interpolant this integrator used before reached 583.
+
+    The default is the loosest decade whose output is still at least as
+    accurate as that interpolant's at 1e-8/1e-10, at 0.69x its rhs
+    evaluations (3,184 vs 4,630 on the panels above). At order 2 on the
+    panels (201 points over 0.5 s), max errors move as follows:
+
+    - zajac vs the closed form: state 7.7e-9 -> 7.3e-10, relative S
+      3.9e-8 -> 3.0e-9, relative R 1.8e-7 -> 1.6e-8;
+    - hatze vs a 1e-12 solve (raw S and R, relative to max(1, |ref|)):
+      state 5.2e-8 -> 2.5e-9, S 2.1e-6 -> 1.4e-7, R 1.4e-5 -> 7.7e-7.
+
+    At 1e-6/1e-8 the zajac panels' state error (1.8e-7) would exceed the
+    interpolant's (1.0e-7).
     """
 
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
+    rel_tol: float = 1e-7
+    abs_tol: float = 1e-9
 
     def validate(self) -> None:
         if not self.rel_tol > 0.0:

@@ -5,6 +5,7 @@ from actsens import (
     MissingDerivative,
     ModelSpec,
     ParameterSet,
+    Tolerances,
     analyze,
     fd_first_order,
     fd_initial_condition,
@@ -263,6 +264,21 @@ def test_planar_model_sensitivities_match_fd():
     rfd = second_order_fd(model, ps, grid).r_raw
     scale = max(np.max(np.abs(res.r_raw)), 1.0)
     assert np.allclose(rfd, res.r_raw, rtol=1e-3, atol=1e-5 * scale)
+
+
+def test_fd_oracles_default_to_tight_tolerances():
+    # the oracles stay at 1e-8/1e-10 when the integrator's default loosens
+    model = hatze_model()
+    ps = hatze_scenario("ii", nu=2.0)
+    grid = np.array([0.05, 0.3])
+    tight = Tolerances(rel_tol=1e-8, abs_tol=1e-10)
+    assert np.array_equal(fd_first_order(model, ps, grid),
+                          fd_first_order(model, ps, grid, tol=tight))
+    assert np.array_equal(fd_initial_condition(model, ps, grid),
+                          fd_initial_condition(model, ps, grid, tol=tight))
+    implicit, explicit = second_order_fd(model, ps, grid), second_order_fd(model, ps, grid, tol=tight)
+    for field in ("state", "s_raw", "r_raw"):
+        assert np.array_equal(getattr(implicit, field), getattr(explicit, field))
 
 
 def test_second_order_tensor_is_symmetric():

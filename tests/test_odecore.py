@@ -35,7 +35,7 @@ def test_linear_decay_matches_exponential():
     tau = 0.025
     pr = OdeProblem(rhs=lambda t, y: -y / tau, y0=np.array([1.0]),
                     t_span=(0.0, 0.025), output_grid=np.array([0.025]))
-    tr = integrate(pr)
+    tr = integrate(pr, Tolerances(rel_tol=1e-8, abs_tol=1e-10))
     assert tr.values[-1, 0] == pytest.approx(np.exp(-1.0), rel=1e-8)
 
 
@@ -184,6 +184,10 @@ def test_panel_grid_error_meets_the_default_contract(model, pset):
 
 def test_dense_output_keeps_the_step_sequence():
     # filling the grid from the continuous extension costs no rhs evaluation:
-    # the panels take as many as with the cubic Hermite interpolant before it
-    tight = Tolerances(rel_tol=1e-8, abs_tol=1e-10)
-    assert sum(_state_solve(m, p, tight)[1] for m, p in PANELS.values()) == 4630
+    # at 1e-8/1e-10 the panels take as many as with the cubic Hermite
+    # interpolant before it; the looser default spends the accuracy it frees
+    def rhs_evals(tol):
+        return sum(_state_solve(m, p, tol)[1] for m, p in PANELS.values())
+
+    assert rhs_evals(Tolerances(rel_tol=1e-8, abs_tol=1e-10)) == 4630
+    assert rhs_evals(Tolerances()) == 3184
