@@ -26,7 +26,7 @@ from .globalsens import ParameterCuboid, analyze_global
 from .localsens import analyze, normalize
 from .models import (
     ParameterSet,
-    check_ranges,
+    domain_checks,
     hatze_model,
     simplified_zajac_model,
     simplified_zajac_sensitivities,
@@ -165,9 +165,14 @@ def _load_config(path: str) -> dict[str, _FileValue]:
 def _load_bounds(path: str, model_name: str) -> ParameterCuboid:
     """A bounds file: one 'name = lower,upper' line for each parameter of a model.
 
-    Every range must lie within the values its parameter takes on its own
-    (:func:`~actsens.models.check_ranges`, the field limits ``validate``
-    applies); the sampler never draws an upper end itself.
+    Each range must be finite, and the model's declared domain
+    (:func:`~actsens.models.domain_checks`) decides the rest. The sampler
+    draws from [lower, upper), so a value lies between its lower end and the
+    largest double below its upper end, its top; an upper end may thus
+    equal an open limit. Each field range is checked at both ends. A joint
+    constraint a op b holds in some row exactly when it holds with a at its
+    lower end and b at its top, so it is checked there: a cuboid that fails
+    it holds no valid row.
     """
     spec = BUILTIN_MODELS[model_name].model()
     names = spec.canonical_order
@@ -182,17 +187,26 @@ def _load_bounds(path: str, model_name: str) -> ParameterCuboid:
         if len(parts) != 2:
             raise ConfigError(f"{text.where}: expected 'lower,upper', got {text!r}")
         lo, hi = (_parse_number(_FileValue(part, text.where)) for part in parts)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(f"{text.where}: bounds of {name!r} must be finite, got {text!r}")
         if lo > hi:
             raise ConfigError(f"{text.where}: lower bound exceeds upper bound for {name!r}")
         pairs[name] = (lo, hi)
     cuboid = ParameterCuboid.from_dict(pairs)
-    for corner, upper_end in ((cuboid.lower, False), (cuboid.upper, True)):
-        p = spec.params_of(*corner)
-        try:
-            check_ranges(p, upper_end=upper_end)
-        except ParameterOutOfRange as exc:
-            name = names[list(p.RANGES).index(exc.field)]
-            raise ConfigError(f"{entries[name].where}: bounds of {name!r}: {exc}") from exc
+    lower, top = cuboid.lower, np.nextafter(cuboid.upper, cuboid.lower)
+    declared = type(spec.params_of(*top))
+    fields = list(declared.RANGES)  # in canonical order
+    # each joint constraint a op b where it is likeliest to hold
+    smaller = {a for a, *_ in declared.ORDER}
+    best = np.where([f in smaller for f in fields], lower, top)
+    for corner, joint in ((lower, False), (top, False), (best, True)):
+        for ok, cond, _, rule in domain_checks(spec.params_of(*corner)):
+            if not ok and (len(cond) > 1) == joint:
+                bad = [names[fields.index(f)] for f in cond]
+                raise ConfigError(
+                    ": ".join(entries[n].where for n in bad) + ": bounds of "
+                    + " and ".join(f"{n!r} ({entries[n]})" for n in bad)
+                    + (f" hold no valid row: {rule}" if joint else f" leave the domain: {rule}"))
     return cuboid
 
 

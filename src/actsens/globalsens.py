@@ -145,29 +145,41 @@ def _rows_valid(cuboid, validity, a, b) -> np.ndarray:
     return ok.reshape(-1, n).all(axis=0)
 
 
-def _draw_row_pair(cuboid, seed, row, start_block, validity, sampler, max_draws):
-    """Draw (a_row, b_row) from the row's substream, skipping used blocks."""
-    dims = 2 * cuboid.n_params
+def _draw_row_pairs(cuboid, seed, rows, start_blocks, validity, sampler, max_draws):
+    """Draw (a_row, b_row) for each of ``rows`` from its substream, skipping used blocks.
+
+    Every row still without a valid pair draws its next block each round,
+    and one validity call checks the round, so each row gets the pair it
+    would get drawn alone. Returns the a rows, b rows and blocks used.
+    """
+    N = cuboid.n_params
+    rows, blocks = np.asarray(rows), np.array(start_blocks, dtype=int)
+    a, b = np.empty((rows.size, N)), np.empty((rows.size, N))
     if sampler == "pseudo":
-        gen = _row_stream(seed, row)
-        if start_block:
-            gen.random((start_block, dims))  # burn consumed blocks
-    block = start_block
-    while block - start_block < max_draws:
+        gens = [_row_stream(seed, int(row)) for row in rows]
+        for gen, used in zip(gens, blocks):
+            if used:
+                gen.random((used, 2 * N))  # burn consumed blocks
+    elif sampler != "halton":
+        raise ValueError(f"unknown sampler {sampler!r}")
+    todo, draws = np.arange(rows.size), 0
+    while todo.size:
+        if draws == max_draws:
+            raise SamplingError(
+                f"row {rows[todo[0]]}: no valid sample within {max_draws} draws; "
+                "check bounds and validity predicate"
+            )
+        draws += 1
         if sampler == "pseudo":
-            u = gen.random(dims)
-        elif sampler == "halton":
-            u = _halton_points([1 + row + block * 1_000_003], dims)[0]
+            u = np.array([gens[k].random(2 * N) for k in todo])
         else:
-            raise ValueError(f"unknown sampler {sampler!r}")
-        block += 1
-        vals = cuboid.scale(u.reshape(2, 1, cuboid.n_params))
-        if _rows_valid(cuboid, validity, vals[0], vals[1])[0]:
-            return vals[0, 0], vals[1, 0], block
-    raise SamplingError(
-        f"row {row}: no valid sample within {max_draws} draws; "
-        "check bounds and validity predicate"
-    )
+            u = _halton_points(1 + rows[todo] + blocks[todo] * 1_000_003, 2 * N)
+        blocks[todo] += 1
+        vals = cuboid.scale(u.reshape(-1, 2, N))
+        ok = _rows_valid(cuboid, validity, vals[:, 0], vals[:, 1])
+        a[todo[ok]], b[todo[ok]] = vals[ok, 0], vals[ok, 1]
+        todo = todo[~ok]
+    return a, b, blocks
 
 
 def build_sample_matrices(
@@ -195,17 +207,17 @@ def build_sample_matrices(
         ).random((n, 2 * N))
         blocks = np.zeros(n, dtype=int)
     elif sampler == "halton":
-        # each row's block 0, as _draw_row_pair would draw it first
+        # each row's block 0, as _draw_row_pairs would draw it first
         u = _halton_points(1 + np.arange(n), 2 * N)
         blocks = np.ones(n, dtype=int)
     else:
         raise ValueError(f"unknown sampler {sampler!r}")
     scaled = cuboid.scale(u.reshape(n, 2, N))
     a, b = scaled[:, 0, :].copy(), scaled[:, 1, :].copy()
-    for j in np.nonzero(~_rows_valid(cuboid, validity, a, b))[0]:
-        a[j], b[j], blocks[j] = _draw_row_pair(
-            cuboid, seed, int(j), 0, validity, sampler, max_draws
-        )
+    bad = np.nonzero(~_rows_valid(cuboid, validity, a, b))[0]
+    a[bad], b[bad], blocks[bad] = _draw_row_pairs(
+        cuboid, seed, bad, np.zeros(bad.size, dtype=int), validity, sampler, max_draws
+    )
     return SampleMatrices(
         cuboid=cuboid, seed=seed, n=n, a=a, b=b, blocks_used=blocks,
         validity=validity, sampler=sampler,
@@ -282,16 +294,15 @@ def evaluate_family(
     while rows.size:
         if attempt >= max_retries:
             raise SamplingError(
-                f"rows {rows.tolist()} still fail after {max_retries} resampling rounds"
+                f"{rows.size} of {n} rows still fail after {max_retries} resampling "
+                f"rounds, the first at index {rows[0]}"
             )
         attempt += 1
-        for j in rows:
-            matrices.a[j], matrices.b[j], matrices.blocks_used[j] = _draw_row_pair(
-                matrices.cuboid, matrices.seed, int(j),
-                int(matrices.blocks_used[j]), matrices.validity,
-                matrices.sampler, 10_000,
-            )
-            resampled.append(int(j))
+        matrices.a[rows], matrices.b[rows], matrices.blocks_used[rows] = _draw_row_pairs(
+            matrices.cuboid, matrices.seed, rows, matrices.blocks_used[rows],
+            matrices.validity, matrices.sampler, 10_000,
+        )
+        resampled.extend(rows.tolist())
         redone = run(_family_rows(matrices.a[rows], matrices.b[rows]))
         by_block[:, rows] = redone.reshape(-1, rows.size, grid.size)
         rows = bad_rows()

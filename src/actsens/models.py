@@ -27,9 +27,9 @@ over x = (y, lam) with a leading state axis, shapes (M,), (M, M+N) and
 and hess None below order 2. The built-in specs pass their partials
 through unchanged.
 
-``ZajacParams.RANGES``/``HatzeParams.RANGES`` give each parameter field's
-own range; ``validate`` checks them with :func:`check_ranges` (so every
-field must be finite), then the constraints that couple fields.
+Each parameter class declares its domain once, as field ranges and joint
+order constraints; ``validate``, ensemble row validity and the CLI's
+bounds-file check all read it through :func:`domain_checks`.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ __all__ = [
     "HatzeParams",
     "ForceLengthRelation",
     "ModelSpec",
-    "check_ranges",
+    "domain_checks",
     "zajac_rhs",
     "zajac_partials",
     "zajac_steady_state",
@@ -110,25 +110,38 @@ class ParameterSet:
         return ParameterSet(self.names, vals)
 
 
-def check_ranges(p, *, upper_end: bool = False) -> None:
-    """ParameterOutOfRange naming the first field of p outside its own range.
+def domain_checks(p):
+    """Each condition of p's declared domain as ``(ok, fields, error, text)``.
 
-    ``p.RANGES`` maps each field, in canonical order, to ``(low, high,
-    ends)``, where ends such as "[)" tell which limits are valid values; a
-    value must also be finite. With ``upper_end`` the values are the upper
-    ends of sampling ranges, which the sampler never draws, so each may
-    equal an open upper limit.
+    ``p.RANGES`` maps each field, in canonical order, to ``(low, high, ends)``
+    (ends such as "[)" tell which limits are valid; an infinite one is open);
+    ``p.ORDER`` lists joint constraints ``(a, op, b, error)``, op "<" or "<=".
+    ``ok`` is a bool, or a bool array when p's fields are columns of rows.
     """
     for field, (low, high, ends) in p.RANGES.items():
         v = getattr(p, field)
-        if not (math.isfinite(v) and (low < v or ends[0] == "[" and v == low)
-                and (v < high or (upper_end or ends[1] == "]") and v == high)):
-            raise ParameterOutOfRange(
-                field, f"{field} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}, got {v}")
+        yield (((low <= v) if ends[0] == "[" else (low < v))
+               & ((v <= high) if ends[1] == "]" else (v < high)),
+               (field,), ParameterOutOfRange, f"{field} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}")
+    for a, op, b, error in p.ORDER:
+        x, y, (low, _, ends) = getattr(p, a), getattr(p, b), p.RANGES[a]
+        yield ((x < y) if op == "<" else (x <= y)), (a, b), error, (
+            f"{a} must lie in {ends[0]}{low:g}, {b}{')' if op == '<' else ']'}")
+
+
+class _Domain:
+    """A parameter class whose domain is declared in ``RANGES`` and ``ORDER``."""
+
+    def validate(self) -> None:
+        """Raise for the first failing condition; a ParameterOutOfRange names its last field."""
+        for ok, fields, error, text in domain_checks(self):
+            if not np.all(ok):
+                text += "; " + _where_bad(np.logical_not(ok), **{f: getattr(self, f) for f in fields})
+                raise error(text) if error is PoleViolation else error(fields[-1], text)
 
 
 @dataclass
-class ZajacParams:
+class ZajacParams(_Domain):
     """Parameters of the linear activation dynamics with deactivation boost."""
 
     sigma: float
@@ -137,22 +150,17 @@ class ZajacParams:
     beta: float = 1.0
     q_init: float = 0.005
 
-    # each field's own range (see check_ranges); validate adds q0 <= q_init
+    # the domain (see domain_checks)
     RANGES: ClassVar[dict] = {
         "q_init": (0.0, 1.0, "[]"), "sigma": (0.0, 1.0, "[]"), "q0": (0.0, 1.0, "[)"),
         "tau": (0.0, math.inf, "()"), "beta": (0.0, math.inf, "()"),
     }
+    ORDER: ClassVar[tuple] = (("q0", "<=", "q_init", ParameterOutOfRange),)
 
     @classmethod
     def from_canonical(cls, q_init, sigma, q0, tau, beta) -> "ZajacParams":
         """Fields from values in the canonical order ``q_Z0, sigma, q0, tau, beta``."""
         return cls(sigma=sigma, q0=q0, tau=tau, beta=beta, q_init=q_init)
-
-    def validate(self) -> None:
-        check_ranges(self)
-        if not self.q0 <= self.q_init:
-            raise ParameterOutOfRange(
-                "q_init", f"q_init must lie in [q0, 1], got {self.q_init} with q0={self.q0}")
 
     @functools.cached_property
     def rate_factors(self) -> tuple:
@@ -167,7 +175,7 @@ class ZajacParams:
 
 
 @dataclass
-class HatzeParams:
+class HatzeParams(_Domain):
     """Parameters of the nonlinear, length-dependent activation dynamics.
 
     rho_c merges the calcium ceiling into the length-dependency scale
@@ -184,14 +192,15 @@ class HatzeParams:
     ell_ce_rel: float = 1.0
     q_init: float = 0.01
 
-    # each field's own range (see check_ranges); validate adds q0 < q_init
-    # and ell_ce_rel < ell_rho
+    # the domain (see domain_checks); ell_ce_rel reaching ell_rho is the pole
     RANGES: ClassVar[dict] = {
         "q_init": (0.0, 1.0, "()"), "sigma": (0.0, 1.0, "[]"), "q0": (0.0, 1.0, "()"),
         "m": (0.0, math.inf, "()"), "rho_c": (0.0, math.inf, "()"),
         "nu": (1.0, math.inf, "()"), "ell_rho": (1.0, math.inf, "()"),
         "ell_ce_rel": (0.0, math.inf, "()"),
     }
+    ORDER: ClassVar[tuple] = (("q0", "<", "q_init", ParameterOutOfRange),
+                              ("ell_ce_rel", "<", "ell_rho", PoleViolation))
 
     @classmethod
     def from_canonical(cls, q_init, sigma, q0, m, rho_c, nu, ell_rho,
@@ -200,18 +209,6 @@ class HatzeParams:
         ``q_H0, sigma, q0, m, rho_c, nu, ell_rho, ell_CErel``."""
         return cls(sigma=sigma, q0=q0, m=m, rho_c=rho_c, nu=nu, ell_rho=ell_rho,
                    ell_ce_rel=ell_ce_rel, q_init=q_init)
-
-    def validate(self) -> None:
-        check_ranges(self)
-        if not self.q0 < self.q_init:
-            raise ParameterOutOfRange(
-                "q_init",
-                f"q_init must lie strictly in (q0, 1), got {self.q_init} with q0={self.q0}",
-            )
-        if not self.ell_ce_rel < self.ell_rho:
-            raise PoleViolation(
-                f"ell_ce_rel must lie in (0, ell_rho), got {self.ell_ce_rel}"
-            )
 
     @functools.cached_property
     def rate_factors(self) -> tuple:
@@ -336,9 +333,11 @@ def _where_bad(bad, **values) -> str:
 
 def _checked_length(ell_ce_rel, ell_rho) -> np.ndarray:
     """Relative CE length as an array; PoleViolation outside (0, ell_rho)."""
+    if np.isscalar(ell_rho) and np.isscalar(ell_ce_rel) and 0.0 < ell_ce_rel < ell_rho:
+        return np.asarray(ell_ce_rel, dtype=float)  # the per-call scalar path, cheaply
     ell = np.asarray(ell_ce_rel, dtype=float)
     bad = (ell <= 0.0) | (ell >= ell_rho)
-    if np.any(bad):
+    if bad.any():
         raise PoleViolation("ell_ce_rel must lie in (0, ell_rho); "
                             + _where_bad(bad, ell_ce_rel=ell, ell_rho=ell_rho))
     return ell
@@ -412,8 +411,7 @@ def hatze_partials(q: float, p: HatzeParams, second: bool = True):
     sig, q0, m, rc, nu, lr, ell = (
         p.sigma, p.q0, p.m, p.rho_c, p.nu, p.ell_rho, p.ell_ce_rel,
     )
-    if not 0.0 < ell < lr:
-        raise PoleViolation(f"ell_ce_rel must lie in (0, {lr}), got {ell}")
+    _checked_length(ell, lr)
     Q, SIGMA, Q0, M, RHO_C, NU, ELL_RHO, ELL = range(8)  # positions in HATZE_VARS
     k1, p1, w1, v1 = (np.zeros(8) for _ in range(4))
     k2 = p2 = w2 = v2 = None

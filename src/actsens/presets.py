@@ -5,8 +5,9 @@ model variants each: the linear model at two deactivation boosts, the
 nonlinear model at the two published (nu, rho_c) pairings; the simplified
 linear model takes each row's linear panel. Scenarios are read by name.
 ``BUILTIN_MODELS`` declares each model of the global analysis once: its
-ModelSpec factory (canonical order, parameter map), bounds, row validity
-and batched rhs. The CLI offers its keys to ``global-sens``.
+ModelSpec factory (canonical order, parameter map), bounds and batched rhs;
+row validity is the domain its parameter class declares. The CLI offers its
+keys to ``global-sens``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .globalsens import ParameterCuboid, Validity
 from .models import (
     ModelSpec,
     ParameterSet,
+    domain_checks,
     hatze_model,
     hatze_rhs,  # looked up by name, see _Builtin.rhs
     zajac_model,
@@ -133,7 +135,6 @@ def all_hatze_scenarios() -> list[tuple[str, ParameterSet]]:
 class _Builtin:
     model: Callable[[], ModelSpec]
     bounds: dict[str, tuple[float, float]]
-    valid: Validity
     # name of the batched rhs in this module; family_evaluator looks it up at
     # each call, so a wrapper installed on that global sees every evaluation
     rhs: str
@@ -144,7 +145,6 @@ BUILTIN_MODELS = {
         zajac_model,
         bounds={"q_Z0": (0.01, 1.0), "sigma": (0.0, 1.0), "q0": (0.001, 0.05),
                 "tau": (0.01, 0.05), "beta": (0.1, 1.0)},
-        valid=lambda row: row["q_Z0"] >= row["q0"],
         rhs="zajac_rhs",
     ),
     "hatze": _Builtin(
@@ -152,7 +152,6 @@ BUILTIN_MODELS = {
         bounds={"q_H0": (0.01, 1.0), "sigma": (0.0, 1.0), "q0": (0.001, 0.05),
                 "m": (3.0, 11.0), "rho_c": (4.0, 11.0), "nu": (1.5, 4.0),
                 "ell_rho": (2.2, 3.6), "ell_CErel": (0.4, 1.6)},
-        valid=lambda row: (row["q_H0"] > row["q0"]) & (row["ell_CErel"] < row["ell_rho"]),
         rhs="hatze_rhs",
     ),
 }
@@ -173,13 +172,15 @@ def builtin_cuboid(model: str) -> ParameterCuboid:
 
 
 def row_validity(model: str) -> Validity:
-    """Joint constraints of a sampled row: initial above basic activity, and
-    for hatze a CE length below the pole ell_rho.
+    """The model's domain as a row predicate: a row is valid exactly where
+    ``params_of(*row).validate()`` passes (see :func:`~actsens.models.domain_checks`).
 
-    The predicate takes a dict of parameter columns (one array per name) and
-    returns a boolean array, one entry per row.
+    It takes a dict of parameter columns (one array per name) and returns a
+    boolean array, one entry per row.
     """
-    return _builtin(model).valid
+    spec = _builtin(model).model()
+    return lambda cols: np.logical_and.reduce([ok for ok, *_ in domain_checks(
+        spec.params_of(*(cols[n] for n in spec.canonical_order)))])
 
 
 # ---------------------------------------------------------------------------

@@ -296,7 +296,7 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, config, line):
         targets.write_text("gamma,shift_mm\n0.55,0.4\n0.28,0.9\n")
         argv = argv + ["--kind", "bell", "--targets", str(targets)]
     if "ell-rho-bounds.cfg" in argv:  # hatze_rho is not positive for ell_rho <= 1
-        bounds = _hatze_bounds(tmp_path, ell_rho=(1.0, 3.6))
+        bounds = _bounds_file(tmp_path, "hatze", ell_rho=(1.0, 3.6))
         argv = [str(bounds) if a == "ell-rho-bounds.cfg" else a for a in argv]
     if config is not None:
         cfg = tmp_path / "run.cfg"
@@ -313,10 +313,10 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, config, line):
     assert not out.exists()  # a rejected command creates no output directory
 
 
-def _hatze_bounds(tmp_path, **ranges):
-    """Hatze's built-in bounds as a bounds file, with ``ranges`` replaced."""
-    bounds = dict(BUILTIN_MODELS["hatze"].bounds, **ranges)
-    path = tmp_path / "hatze-bounds.cfg"
+def _bounds_file(tmp_path, model, **ranges):
+    """A model's built-in bounds as a bounds file, with ``ranges`` replaced."""
+    bounds = dict(BUILTIN_MODELS[model].bounds, **ranges)
+    path = tmp_path / f"{model}-bounds.cfg"
     path.write_text("".join(f"{n} = {lo!r},{hi!r}\n" for n, (lo, hi) in bounds.items()))
     return path
 
@@ -324,11 +324,29 @@ def _hatze_bounds(tmp_path, **ranges):
 def test_bounds_reaching_past_the_pole_are_redrawn(tmp_path):
     # ell_CErel reaching into the ell_rho range would put 57 of the 288 rows
     # past the pole; row validity rejects them, so they are redrawn
-    path = _hatze_bounds(tmp_path, ell_CErel=(0.4, 3.0))
+    path = _bounds_file(tmp_path, "hatze", ell_CErel=(0.4, 3.0))
     out = tmp_path / "x"
     assert main(["global-sens", "--model", "hatze", "--preset", str(path), "--n", "16",
                  "--t-end", "0.1", "--points", "3", "--output", str(out)]) == 0
     assert np.all(np.isfinite(np.loadtxt(out / "global.csv", delimiter=",", skiprows=1)))
+
+
+@pytest.mark.parametrize("model, ranges, lines", [
+    ("hatze", {"ell_rho": (2.2, 2.9), "ell_CErel": (3.0, 3.5)}, (8, 7)),
+    ("zajac", {"q_Z0": (0.01, 0.02), "q0": (0.03, 0.05)}, (3, 1)),
+], ids=["hatze-all-past-the-pole", "zajac-q0-above-q-init"])
+def test_bounds_without_a_valid_row_exit_2(tmp_path, capsys, monkeypatch, model, ranges, lines):
+    # rejected from the bounds alone: no row is drawn
+    monkeypatch.setattr(cli, "analyze_global", None)
+    path = _bounds_file(tmp_path, model, **ranges)
+    out = tmp_path / "x"
+    assert main(["global-sens", "--model", model, "--preset", str(path), "--n", "16",
+                 "--t-end", "0.1", "--points", "3", "--output", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err)  # one record
+    assert record["error"] == "ConfigError"
+    for line in lines:  # both parameters' lines
+        assert f"{path.name}:{line}:" in record["message"]
+    assert not out.exists()
 
 
 _ZAJAC_BOUNDS = ["q_Z0 = 0.01,1", "sigma = 0,1", "q0 = 0.001,0.05", "tau = 0.01,0.05",

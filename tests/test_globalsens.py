@@ -4,6 +4,8 @@ import pytest
 from actsens import (
     InvalidBounds,
     ParameterCuboid,
+    ParameterOutOfRange,
+    PoleViolation,
     SamplingError,
     analyze_global,
     build_sample_matrices,
@@ -82,12 +84,63 @@ def test_builtin_cuboid_follows_canonical_order(name, factory):
 
 
 def test_validity_predicate_holds_for_all_swaps():
-    validity = row_validity("hatze")
-    cub = builtin_cuboid("hatze")
-    m = build_sample_matrices(cub, n=64, seed=7, validity=validity)
+    for model in ("hatze", "zajac"):
+        validity = row_validity(model)
+        cub = builtin_cuboid(model)
+        m = build_sample_matrices(cub, n=64, seed=7, validity=validity)
+        names = cub.names
+        for row in _family_rows(m.a, m.b):
+            assert validity(dict(zip(names, row)))
+
+
+# cuboids reaching past every limit of each model's field ranges (canonical order)
+STRADDLING = {
+    "zajac": {"q_Z0": (-0.2, 1.2), "sigma": (-0.2, 1.2), "q0": (-0.2, 1.2),
+              "tau": (-0.01, 0.05), "beta": (-0.2, 1.2)},
+    "hatze": {"q_H0": (-0.2, 1.2), "sigma": (-0.2, 1.2), "q0": (-0.2, 1.2),
+              "m": (-1.0, 11.0), "rho_c": (-1.0, 11.0), "nu": (0.5, 4.0),
+              "ell_rho": (0.5, 3.6), "ell_CErel": (-0.2, 3.6)},
+}
+
+
+def _boundary_rows(model):
+    """Rows exactly on the limits of the model's domain, from one valid row."""
+    cub = builtin_cuboid(model)
     names = cub.names
-    for row in _family_rows(m.a, m.b):
-        assert validity(dict(zip(names, row)))
+    base = dict(zip(names, (cub.lower + cub.upper) / 2))
+    init = names[0]
+    cases = [{"q0": 0.3, init: 0.3}, {"sigma": 1.0}, {"sigma": 0.0}, {"q0": 0.0},
+             {init: 1.0}, {init: 0.0}, {"q0": np.nan}, {"sigma": np.inf}]
+    if model == "hatze":
+        cases += [{"ell_CErel": 2.9, "ell_rho": 2.9}, {"ell_rho": 1.0, "ell_CErel": 0.5},
+                  {"nu": 1.0}, {"ell_CErel": 0.0}]
+    else:
+        cases += [{"tau": 0.0}, {"beta": 0.0}, {"q0": 1.0, init: 1.0}]
+    return np.array([[dict(base, **case)[n] for n in names] for case in cases])
+
+
+@pytest.mark.parametrize("model", ["zajac", "hatze"])
+def test_row_validity_accepts_exactly_what_validate_accepts(model):
+    spec = {"zajac": zajac_model, "hatze": hatze_model}[model]()
+    cub = ParameterCuboid.from_dict(STRADDLING[model])
+    assert cub.names == spec.canonical_order
+    rows = np.vstack([cub.scale(np.random.default_rng(3).random((2000, cub.n_params))),
+                      _boundary_rows(model)])
+
+    def validates(row):
+        try:
+            spec.params_of(*row).validate()
+        except (ParameterOutOfRange, PoleViolation):
+            return False
+        return True
+
+    expect = [validates(row) for row in rows]
+    validity = row_validity(model)
+    got = validity(dict(zip(cub.names, rows.T)))
+    assert got.dtype == bool and got.tolist() == expect
+    assert 50 < sum(expect) < len(expect) - 50  # both kinds of row are well represented
+    # and row by row, on a dict of scalars
+    assert [bool(validity(dict(zip(cub.names, row)))) for row in rows] == expect
 
 
 def test_halton_sampler_deterministic_and_valid():
@@ -244,13 +297,17 @@ def test_evaluation_count_includes_resampled_rows():
 
 
 def test_unrecoverable_rows_raise():
-    m = build_sample_matrices(UNIT2, n=4, seed=9)
-
     def broken(rows, grid):
         return np.full((rows.shape[0], grid.size), np.nan)
 
-    with pytest.raises(SamplingError):
-        evaluate_family(broken, m, GRID, max_retries=2)
+    for n in (4, 512):
+        m = build_sample_matrices(UNIT2, n=n, seed=9)
+        with pytest.raises(SamplingError) as info:
+            evaluate_family(broken, m, GRID, max_retries=2)
+        # the count and the first failing row, not every row index
+        message = str(info.value)
+        assert f"{n} of {n} rows" in message and "index 0" in message
+        assert len(message) < 120
 
 
 # ---------------------------------------------------------------------------

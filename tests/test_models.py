@@ -441,6 +441,18 @@ def test_hatze_params_validation():
         HatzeParams(sigma=0.5, ell_ce_rel=3.0, q_init=0.5).validate()
 
 
+def test_the_pole_has_one_message():
+    # validate, the checked formula, the rhs and the partials report it alike
+    p = HatzeParams(sigma=0.5, ell_ce_rel=3.0, ell_rho=2.9, q_init=0.5)
+    messages = set()
+    for call in (p.validate, lambda: hatze_rho(3.0, p.rho_c, 2.9),
+                 lambda: hatze_rhs(0.3, p), lambda: hatze_partials(0.3, p)):
+        with pytest.raises(PoleViolation) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {"ell_ce_rel must lie in (0, ell_rho); got ell_ce_rel=3.0, ell_rho=2.9"}
+
+
 # ---------------------------------------------------------------------------
 # simplified model oracles
 # ---------------------------------------------------------------------------
