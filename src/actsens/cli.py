@@ -195,14 +195,14 @@ def _load_bounds(path: str, model_name: str) -> ParameterCuboid:
     cuboid = ParameterCuboid.from_dict(pairs)
     lower, top = cuboid.lower, np.nextafter(cuboid.upper, cuboid.lower)
     declared = type(spec.params_of(*top))
-    fields = list(declared.RANGES)  # in canonical order
+    canonical = dict(zip(declared.RANGES, names))  # field -> its name in the file
     # each joint constraint a op b where it is likeliest to hold
     smaller = {a for a, *_ in declared.ORDER}
-    best = np.where([f in smaller for f in fields], lower, top)
+    best = np.where([f in smaller for f in canonical], lower, top)
     for corner, joint in ((lower, False), (top, False), (best, True)):
-        for ok, cond, _, rule in domain_checks(spec.params_of(*corner)):
+        for ok, cond, _, rule in domain_checks(spec.params_of(*corner), canonical):
             if not ok and (len(cond) > 1) == joint:
-                bad = [names[fields.index(f)] for f in cond]
+                bad = [canonical[f] for f in cond]
                 raise ConfigError(
                     ": ".join(entries[n].where for n in bad) + ": bounds of "
                     + " and ".join(f"{n!r} ({entries[n]})" for n in bad)

@@ -59,6 +59,10 @@ class ParameterCuboid:
         hi = np.asarray(self.upper, dtype=float)
         if lo.shape != (len(self.names),) or hi.shape != (len(self.names),):
             raise InvalidBounds("bounds must align with parameter names")
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        if not finite.all():
+            bad = [n for n, ok in zip(self.names, finite) if not ok]
+            raise InvalidBounds(f"bounds must be finite for {bad}")
         if np.any(lo > hi):
             bad = [n for n, l, h in zip(self.names, lo, hi) if l > h]
             raise InvalidBounds(f"lower bound exceeds upper bound for {bad}")

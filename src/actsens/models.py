@@ -110,23 +110,26 @@ class ParameterSet:
         return ParameterSet(self.names, vals)
 
 
-def domain_checks(p):
+def domain_checks(p, label: dict | None = None):
     """Each condition of p's declared domain as ``(ok, fields, error, text)``.
 
     ``p.RANGES`` maps each field, in canonical order, to ``(low, high, ends)``
     (ends such as "[)" tell which limits are valid; an infinite one is open);
     ``p.ORDER`` lists joint constraints ``(a, op, b, error)``, op "<" or "<=".
     ``ok`` is a bool, or a bool array when p's fields are columns of rows.
+    ``text`` names a field by its entry in ``label``, or else by itself.
     """
+    name = (label or {}).get
     for field, (low, high, ends) in p.RANGES.items():
         v = getattr(p, field)
         yield (((low <= v) if ends[0] == "[" else (low < v))
                & ((v <= high) if ends[1] == "]" else (v < high)),
-               (field,), ParameterOutOfRange, f"{field} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}")
+               (field,), ParameterOutOfRange,
+               f"{name(field, field)} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}")
     for a, op, b, error in p.ORDER:
         x, y, (low, _, ends) = getattr(p, a), getattr(p, b), p.RANGES[a]
         yield ((x < y) if op == "<" else (x <= y)), (a, b), error, (
-            f"{a} must lie in {ends[0]}{low:g}, {b}{')' if op == '<' else ']'}")
+            f"{name(a, a)} must lie in {ends[0]}{low:g}, {name(b, b)}{')' if op == '<' else ']'}")
 
 
 class _Domain:

@@ -123,8 +123,9 @@ class Trajectory:
 def _initial_step(y0, f0, span, tol: Tolerances) -> float:
     """Crude starting-step guess; the controller corrects it within a few steps."""
     scale = tol.abs_tol + tol.rel_tol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
+    with np.errstate(over="ignore"):  # a stiff row's f0 may overflow the square: d1 = inf
+        d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
+        d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
     if d0 < 1e-5 or d1 < 1e-5:
         h = 1e-6 * span
     else:

@@ -4,7 +4,9 @@ The isometric force combines the length-dependent steady-state activity with
 a force-length relation: F(gamma, ell) = F_max * q(gamma, ell/ell_opt) *
 F_L(ell). Because the activity gains from longer CE lengths, the force
 maximum shifts to longer lengths at submaximal stimulation; the shift is
-measured against the model's own full-activation optimum. A log-space
+measured against the model's own full-activation optimum. Each maximum
+comes from a coarse grid scan and a two-level grid zoom around its best
+point, whose result is within half the zoom's tolerance. A log-space
 Nelder-Mead fits the force-length width and the calcium scale rho0 to a set
 of target shifts.
 
@@ -59,11 +61,10 @@ DEFAULT_ELL_OPT = 14.8
 #: Common start value for the calcium scale (l/mol).
 DEFAULT_RHO0_START = 6.0e4
 
-GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
-
 #: Search for the force-maximizing length: span in units of ell_opt, coarse
-#: grid points over it, and golden-section tolerance (mm). The fit's
-#: predicted shifts and optimal_length_shift both use them.
+#: grid points over it, and the width (mm) the grid zoom refines each coarse
+#: bracket to. The fit's predicted shifts and optimal_length_shift both use
+#: them.
 SHIFT_SEARCH_SPAN = (0.5, 1.5)
 SHIFT_SEARCH_COARSE = 201
 SHIFT_SEARCH_XTOL_MM = 1e-4
@@ -170,29 +171,23 @@ def isometric_force(gamma, ell_ce, hatze_params: HatzeParams, flr: ForceLengthRe
     return flr.f_max * q * force_length(ell_ce, flr)
 
 
-def _golden_max(fun, lo, hi, xtol: float):
-    """Golden-section maximum refinement on unimodal brackets.
+def _zoom_max(fun, lo, width: float, xtol: float):
+    """Grid-zoom maximum refinement on unimodal brackets [lo, lo + width].
 
-    ``lo`` and ``hi`` are scalars or arrays of independent brackets, and
-    ``fun`` maps an array of probes (one per bracket) to their values. Each
-    bracket keeps its own branch and stops once it is narrower than
-    ``xtol``, so it takes the same path as it would on its own.
+    ``lo`` is a scalar or an array of independent brackets of one common
+    ``width``, and ``fun`` maps probes with one more trailing axis (K per
+    bracket) to their values. Each level keeps the two grid intervals around
+    the best probe, so the width shrinks by 2/(K+1) until it is at most
+    ``xtol``. K = ceil(2 sqrt(width/xtol)) - 1 makes two levels enough, and
+    since neither depends on ``fun``, every bracket takes the same path
+    batched or alone. Returns the best probe of the last level.
     """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    x1 = hi - GOLDEN_RATIO * (hi - lo)
-    x2 = lo + GOLDEN_RATIO * (hi - lo)
-    # bracket state, one row per quantity: lo, x1, x2, hi, f(x1), f(x2)
-    state = np.array([lo, x1, x2, hi, fun(x1), fun(x2)])
-    active = hi - lo > xtol
-    while active.any():
-        lo, x1, x2, hi, f1, f2 = state
-        right = f1 < f2  # the maximum lies in [x1, hi]
-        probe = np.where(right, x1 + GOLDEN_RATIO * (hi - x1), x2 - GOLDEN_RATIO * (x2 - lo))
-        fp = fun(probe)
-        moved = np.where(right, [x1, x2, probe, hi, f2, fp], [lo, probe, x1, x2, fp, f1])
-        state = np.where(active, moved, state)
-        active = state[3] - state[0] > xtol
-    mid = 0.5 * (state[0] + state[3])
+    k = max(math.ceil(2.0 * math.sqrt(width / xtol)) - 1, 2)
+    lo, grid = np.asarray(lo, dtype=float), np.arange(1, k + 1) / (k + 1)
+    while width > xtol:
+        best = np.argmax(fun(lo[..., None] + width * grid), axis=-1)
+        lo, width = lo + width * best / (k + 1), width * 2.0 / (k + 1)
+    mid = lo + 0.5 * width
     return float(mid) if mid.ndim == 0 else mid
 
 
@@ -209,9 +204,10 @@ def _argmax_force(
 
     One coarse grid scan over all levels goes through the checked
     isometric_force, so a span outside (0, ell_rho) raises PoleViolation.
-    The golden-section refinement of every level's bracket then probes only
-    inside the scanned interval and uses the unchecked force. A level whose
-    scan maximum sits at an end of the span has no interior maximum: for one
+    A grid zoom (:func:`_zoom_max`) then refines every level's bracket of
+    two coarse steps to ``xtol_mm`` in at most two unchecked force calls over
+    (F, L, K) probes inside the scanned interval. A level whose scan
+    maximum sits at an end of the span has no interior maximum: for one
     set that raises NoInteriorMaximum, and for F sets it makes that set's
     whole row NaN while the other rows are refined as usual.
     """
@@ -225,13 +221,13 @@ def _argmax_force(
             f"force maximum at the search boundary (gamma={gammas[boundary, 0].tolist()}); "
             "widen the span"
         )
-    k = np.clip(k, 1, coarse - 2)[..., None]  # a bracket for every row; boundary sets get NaN
+    k = np.clip(k, 1, coarse - 2)  # a bracket for every row; boundary sets get NaN
 
     def force(ell):  # isometric_force without its checks
         ell_rel = ell / flr.ell_opt
         return flr.f_max * _hatze_q_of_gamma(gammas, ell_rel, p) * _force_length_relative(ell_rel, flr)
 
-    peaks = _golden_max(force, ells[k - 1], ells[k + 1], xtol_mm)[..., 0]
+    peaks = _zoom_max(force, ells[k - 1], 2.0 * (ells[1] - ells[0]), xtol_mm)
     return np.where(boundary.any(axis=-1, keepdims=True), np.nan, peaks)
 
 

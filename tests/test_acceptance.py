@@ -376,5 +376,5 @@ def test_criterion_8_shift_prediction_oracle():
     runtime = time.perf_counter() - t0
     _report(8, "shift-prediction oracle",
             worst < 2e-3 and runtime < 10.0,
-            f"30 configurations: max |golden-section - micrometre grid| = "
+            f"30 configurations: max |refined - micrometre grid| = "
             f"{worst * 1000:.2f} um (< 2 um), runtime {runtime:.1f}s (< 10s)")

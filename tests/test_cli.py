@@ -331,11 +331,25 @@ def test_bounds_reaching_past_the_pole_are_redrawn(tmp_path):
     assert np.all(np.isfinite(np.loadtxt(out / "global.csv", delimiter=",", skiprows=1)))
 
 
-@pytest.mark.parametrize("model, ranges, lines", [
-    ("hatze", {"ell_rho": (2.2, 2.9), "ell_CErel": (3.0, 3.5)}, (8, 7)),
-    ("zajac", {"q_Z0": (0.01, 0.02), "q0": (0.03, 0.05)}, (3, 1)),
+def test_stiff_rows_fail_with_one_json_line(tmp_path, capsys):
+    # tau ~ 1e-300 makes f0 overflow the first-step guess's square; the rows
+    # fail in the solver and stderr holds only the SamplingError record
+    path = _bounds_file(tmp_path, "zajac", tau=(1e-300, 2e-300))
+    assert main(["global-sens", "--model", "zajac", "--preset", str(path), "--n", "16",
+                 "--t-end", "0.1", "--points", "3", "--output", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "SamplingError"
+
+
+@pytest.mark.parametrize("model, ranges, lines, rule", [
+    ("hatze", {"ell_rho": (2.2, 2.9), "ell_CErel": (3.0, 3.5)}, (8, 7),
+     "ell_CErel must lie in (0, ell_rho)"),
+    ("zajac", {"q_Z0": (0.01, 0.02), "q0": (0.03, 0.05)}, (3, 1),
+     "q0 must lie in [0, q_Z0]"),
 ], ids=["hatze-all-past-the-pole", "zajac-q0-above-q-init"])
-def test_bounds_without_a_valid_row_exit_2(tmp_path, capsys, monkeypatch, model, ranges, lines):
+def test_bounds_without_a_valid_row_exit_2(tmp_path, capsys, monkeypatch, model, ranges,
+                                           lines, rule):
     # rejected from the bounds alone: no row is drawn
     monkeypatch.setattr(cli, "analyze_global", None)
     path = _bounds_file(tmp_path, model, **ranges)
@@ -346,6 +360,7 @@ def test_bounds_without_a_valid_row_exit_2(tmp_path, capsys, monkeypatch, model,
     assert record["error"] == "ConfigError"
     for line in lines:  # both parameters' lines
         assert f"{path.name}:{line}:" in record["message"]
+    assert record["message"].endswith(f"hold no valid row: {rule}")  # the file's names
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,13 @@ def test_invalid_bounds_rejected_but_degenerate_allowed():
     cub = ParameterCuboid.from_dict({"x1": (0.0, 1.0), "x2": (0.7, 0.7)})
     m = build_sample_matrices(cub, n=8, seed=1)
     assert np.all(m.a[:, 1] == 0.7) and np.all(m.b[:, 1] == 0.7)
+
+
+@pytest.mark.parametrize("bad", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan),
+                                 (math.nan, 1.0), (math.nan, math.nan)])
+def test_non_finite_bounds_rejected_naming_the_parameter(bad):
+    with pytest.raises(InvalidBounds, match=r"finite for \['x'\]"):
+        ParameterCuboid.from_dict({"x": bad, "y": (0.0, 1.0)})
 
 
 @pytest.mark.parametrize("name, factory", [("zajac", zajac_model), ("hatze", hatze_model)])

@@ -23,9 +23,13 @@ from actsens import (
 )
 from actsens.optimize import (
     CALCIUM_CEILING,
+    DEFAULT_ELL_OPT,
     DEFAULT_LEVELS,
+    SHIFT_SEARCH_COARSE,
+    SHIFT_SEARCH_SPAN,
+    SHIFT_SEARCH_XTOL_MM,
     _argmax_force,
-    _golden_max,
+    _zoom_max,
 )
 
 BELL = ForceLengthRelation(kind="bell", width=0.32, nu_asc=3.0, nu_des=1.5,
@@ -88,8 +92,8 @@ def test_shift_vanishes_without_length_dependent_activation():
     flr = ForceLengthRelation(kind="parabola", width=0.56, ell_opt=14.8)
     for gamma in (0.1, 0.4, 1.0):
         q_const = hatze_q_of_gamma(gamma, 1.0, HATZE3)
-        fun = lambda ell: q_const * max(0.0, 1.0 - ((ell / 14.8 - 1.0) / 0.56) ** 2)
-        peak = _golden_max(fun, 0.5 * 14.8, 1.5 * 14.8, 1e-5)
+        fun = lambda ell: q_const * np.maximum(0.0, 1.0 - ((ell / 14.8 - 1.0) / 0.56) ** 2)
+        peak = _zoom_max(fun, 0.5 * 14.8, 14.8, 1e-5)
         assert peak == pytest.approx(14.8, abs=1e-3)
 
 
@@ -100,11 +104,26 @@ def test_shift_positive_below_full_activation():
             assert optimal_length_shift(gamma, HATZE3, flr) > 0.0
 
 
-def test_golden_section_matches_micrometre_grid():
+def test_refined_shift_matches_micrometre_grid():
     shift = optimal_length_shift(0.28, HATZE3, BELL)
     oracle = (brute_force_argmax(0.28, HATZE3, BELL)
               - brute_force_argmax(1.0, HATZE3, BELL))
     assert shift == pytest.approx(oracle, abs=2e-3)  # within 2 micrometres
+
+
+@pytest.mark.parametrize("kind,width", [("bell", 0.32), ("parabola", 0.56)])
+@pytest.mark.parametrize("nu,rho0", [(2.0, 6.62e4), (3.0, 5.27e4), (4.0, 5.27e4)])
+def test_refined_peak_within_half_xtol_of_nanometre_grid(kind, width, nu, rho0):
+    flr = ForceLengthRelation(kind=kind, width=width, ell_opt=14.8)
+    p = HatzeParams(sigma=1.0, q0=0.005, nu=nu, rho_c=rho0 * CALCIUM_CEILING,
+                    ell_rho=2.9, q_init=0.5)
+    for gamma in (1.0, *DEFAULT_LEVELS):
+        peak = _argmax_force((gamma,), p, flr, SHIFT_SEARCH_SPAN, SHIFT_SEARCH_COARSE,
+                             SHIFT_SEARCH_XTOL_MM)[0]
+        near = brute_force_argmax(gamma, p, flr)
+        ells = np.arange(near - 2e-3, near + 2e-3, 1e-6)
+        truth = ells[np.argmax(isometric_force(gamma, ells, p, flr))]
+        assert abs(peak - truth) <= SHIFT_SEARCH_XTOL_MM / 2
 
 
 def test_boundary_maximum_raises():
@@ -139,18 +158,41 @@ def test_batched_argmax_equals_per_level_search(kind, width, nu, rho0):
     assert batched.tolist() == single
 
 
-def test_golden_section_array_brackets_match_scalar_runs():
-    # brackets of different widths finish after different numbers of steps
+def test_zoom_array_brackets_match_scalar_runs():
+    # peaks at different places in their brackets take different zoom paths
     centre = np.array([0.3, 1.7, -2.2, 5.0])
     lo = np.array([0.0, 1.0, -2.5, 4.9])
-    hi = np.array([1.0, 3.5, -2.1, 5.05])
-    fun = lambda x, c=centre: np.exp(-np.abs(x - c) ** 1.5)
-    rows = _golden_max(fun, lo, hi, 1e-6)
+    fun = lambda x, c=centre[:, None]: np.exp(-np.abs(x - c) ** 1.5)
+    rows = _zoom_max(fun, lo, 1.0, 1e-6)
     for i in range(centre.size):
-        alone = _golden_max(lambda x: fun(x, centre[i]), lo[i], hi[i], 1e-6)
+        alone = _zoom_max(lambda x: fun(x, centre[i]), lo[i], 1.0, 1e-6)
         assert isinstance(alone, float)
         assert rows[i] == alone
         assert alone == pytest.approx(centre[i], abs=1e-6)
+
+
+@pytest.mark.parametrize("ell_opt", [5.0, DEFAULT_ELL_OPT, 40.0])
+@pytest.mark.parametrize("coarse", [51, SHIFT_SEARCH_COARSE, 1001])
+@pytest.mark.parametrize("xtol", [1e-6, SHIFT_SEARCH_XTOL_MM, 1e-3, 0.05])
+def test_zoom_reaches_xtol_in_two_levels(ell_opt, coarse, xtol):
+    # the bracket of _argmax_force is two coarse steps wide; K and the level
+    # count follow from that width and xtol alone
+    width = 2.0 * (SHIFT_SEARCH_SPAN[1] - SHIFT_SEARCH_SPAN[0]) * ell_opt / (coarse - 1)
+    peak = 0.6180339887 * width  # an arbitrary point inside the bracket
+    probes = []
+
+    def fun(x):
+        probes.append(x)
+        return -np.abs(x - peak)
+
+    found = _zoom_max(fun, 0.0, width, xtol)
+    k = math.ceil(2.0 * math.sqrt(width / xtol)) - 1
+    assert len(probes) <= 2 and all(x.shape == (k,) for x in probes)
+    assert (len(probes) == 0) == (width <= xtol)
+    # the last level keeps two of its grid steps
+    final_width = 2.0 * (probes[-1][1] - probes[-1][0]) if probes else width
+    assert final_width <= xtol * (1 + 1e-9)
+    assert abs(found - peak) <= xtol / 2
 
 
 def test_shift_invariant_under_force_scaling():
@@ -351,13 +393,18 @@ def test_lockstep_iteration_cap_fails_only_its_own_fit():
 
     targets = synthesize_targets(width=0.32, rho0=3.25e4, nu=3.0, kind="bell")
     problems = [FitProblem(targets=targets, flr_kind="bell", nu=4.0, width_start=w)
-                for w in (0.25, 0.35, 0.45)]  # 48, 61 and 72 iterations
-    outcomes = opt._fit_lockstep(problems, max_iter=60)
-    assert outcomes[0] == fit_shift_parameters(problems[0])
-    for problem, outcome in zip(problems[1:], outcomes[1:]):
-        assert isinstance(outcome, MaxIterationsExceeded)
+                for w in (0.25, 0.35, 0.45)]
+    # a cap that only the fastest of the three uncapped fits stays within
+    counts = [fit.iterations for fit in opt._fit_lockstep(problems)]
+    assert len(set(counts)) == 3
+    order = np.argsort(counts)
+    fastest, cap = order[0], (counts[order[0]] + counts[order[1]]) // 2
+    outcomes = opt._fit_lockstep(problems, max_iter=cap)
+    assert outcomes[fastest] == fit_shift_parameters(problems[fastest])
+    for i in order[1:]:
+        assert isinstance(outcomes[i], MaxIterationsExceeded)
         with pytest.raises(MaxIterationsExceeded):
-            fit_shift_parameters(problem, max_iter=60)
+            fit_shift_parameters(problems[i], max_iter=cap)
 
 
 def test_targets_csv_roundtrip(tmp_path):
