@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -238,9 +238,11 @@ def _out_dir(settings) -> Path:
 
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write the columns under a header line, as ``np.savetxt`` with
+    ``fmt=_FLOAT_FMT`` and ``delimiter=","`` would, byte for byte."""
     data = np.column_stack(columns)
-    np.savetxt(path, data, fmt=_FLOAT_FMT, delimiter=",",
-               header=",".join(header), comments="")
+    row = ",".join([_FLOAT_FMT] * data.shape[1]) + "\n"
+    path.write_text(",".join(header) + "\n" + row * data.shape[0] % tuple(data.ravel().tolist()))
 
 
 def write_manifest(path: Path, entries: dict) -> None:
@@ -562,7 +564,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: each ``parse_args`` call
+    returns a fresh Namespace, so no state carries over between calls."""
     parser = _Parser(
         prog="actsens",
         description="Sensitivity analysis of muscle activation dynamics",

@@ -86,7 +86,9 @@ def _augmented_system(model: ModelSpec, lam, y0, *, order):
     ii, jj = np.triu_indices(N)
     n_s = (N + M) * M if order >= 1 else 0
     n_r = ii.size * M if order >= 2 else 0
-    eye = np.eye(N)
+    # W[i] = dx/dlam_i = (S_i, e_i): the e_i half is fixed, S is written per call
+    W = np.zeros((N, M + N))
+    W[:, M:] = np.eye(N)
 
     def rhs(t, z):
         y = z[:M]
@@ -97,17 +99,15 @@ def _augmented_system(model: ModelSpec, lam, y0, *, order):
             # rows 0..N-1: dynamic parameters, rows N..N+M-1: initial values
             S = z[M:M + n_s].reshape(N + M, M)
             J_y = grad[:, :M]
-            dS = S @ J_y.T
+            dS = np.matmul(S, J_y.T, out=dz[M:M + n_s].reshape(N + M, M))
             dS[:N] += grad[:, M:].T
-            dz[M:M + n_s] = dS.ravel()
         if order >= 2:
-            # W[i] = dx/dlam_i = (S_i, e_i); the forcing of R_ij is W_i^T H W_j
-            W = np.concatenate([S[:N], eye], axis=1)
+            # the forcing of R_ij is W_i^T H W_j
+            W[:, :M] = S[:N]
             quad = W @ hess @ W.T
             r = z[M + n_s:].reshape(ii.size, M)
-            dr = r @ J_y.T
+            dr = np.matmul(r, J_y.T, out=dz[M + n_s:].reshape(ii.size, M))
             dr += quad[:, ii, jj].T
-            dz[M + n_s:] = dr.ravel()
         return dz
 
     z0 = np.zeros(M + n_s + n_r)

@@ -121,15 +121,28 @@ def domain_checks(p, label: dict | None = None):
     """
     name = (label or {}).get
     for field, (low, high, ends) in p.RANGES.items():
-        v = getattr(p, field)
-        yield (((low <= v) if ends[0] == "[" else (low < v))
-               & ((v <= high) if ends[1] == "]" else (v < high)),
-               (field,), ParameterOutOfRange,
+        yield (_in_range(getattr(p, field), low, high, ends), (field,), ParameterOutOfRange,
                f"{name(field, field)} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}")
     for a, op, b, error in p.ORDER:
-        x, y, (low, _, ends) = getattr(p, a), getattr(p, b), p.RANGES[a]
-        yield ((x < y) if op == "<" else (x <= y)), (a, b), error, (
-            f"{name(a, a)} must lie in {ends[0]}{low:g}, {name(b, b)}{')' if op == '<' else ']'}")
+        yield (_ordered(getattr(p, a), op, getattr(p, b)), (a, b), error,
+               _order_text(p.RANGES, a, op, b, name))
+
+
+def _in_range(v, low, high, ends):
+    # written as "inside", so that NaN fails it
+    return (((low <= v) if ends[0] == "[" else (low < v))
+            & ((v <= high) if ends[1] == "]" else (v < high)))
+
+
+def _ordered(x, op, y):
+    return (x < y) if op == "<" else (x <= y)
+
+
+def _order_text(ranges, a, op, b, name) -> str:
+    """The rule of a joint constraint a op b: a between its low limit and b;
+    ``name(field, field)`` gives the name a field goes by."""
+    low, _, ends = ranges[a]
+    return f"{name(a, a)} must lie in {ends[0]}{low:g}, {name(b, b)}{')' if op == '<' else ']'}"
 
 
 class _Domain:
@@ -170,11 +183,18 @@ class ZajacParams(_Domain):
         """Parameter-only factors of :func:`zajac_rhs`, computed on first use.
 
         ``(sigma(1-q0), sigma(1-beta), tau(1-q0))``. They are kept for the
-        object's lifetime, so its fields must not change after its rhs has
-        been evaluated.
+        object's lifetime, as ``a_partials`` is, so its fields must not
+        change after its rhs or partials have been evaluated.
         """
         return (self.sigma * (1.0 - self.q0), self.sigma * (1.0 - self.beta),
                 self.tau * (1.0 - self.q0))
+
+    @functools.cached_property
+    def a_partials(self) -> tuple:
+        """The parameter-only factor A = 1/(tau(1-q0)) of :func:`zajac_partials`
+        with its gradient and Hessian (read-only), computed on first use and
+        kept as ``rate_factors`` is."""
+        return _zajac_a_partials(self)
 
 
 @dataclass
@@ -220,12 +240,26 @@ class HatzeParams(_Domain):
         ``(q0 + eps, sigma*rho, 1 + 1/nu, 1 - 1/nu, nu*m/(1-q0))`` with rho
         from :func:`hatze_rho`, so a CE length outside (0, ell_rho) raises
         PoleViolation on every access. They are kept for the object's
-        lifetime, so its fields must not change after its rhs has been
-        evaluated.
+        lifetime, as ``k_partials`` and ``p_partials`` are, so its fields
+        must not change after its rhs or partials have been evaluated.
         """
         rho = hatze_rho(self.ell_ce_rel, self.rho_c, self.ell_rho)
         return (self.q0 + HATZE_EPS, self.sigma * rho, 1.0 + 1.0 / self.nu,
                 1.0 - 1.0 / self.nu, self.nu * self.m / (1.0 - self.q0))
+
+    @functools.cached_property
+    def k_partials(self) -> tuple:
+        """The parameter-only factor K(q0, m, nu) of :func:`hatze_partials`
+        with its gradient and Hessian (read-only), kept as ``rate_factors`` is."""
+        return _hatze_k_partials(self)
+
+    @functools.cached_property
+    def p_partials(self) -> tuple:
+        """The parameter-only factor P(sigma, rho_c, ell_rho, ell) of
+        :func:`hatze_partials` with its gradient and Hessian (read-only),
+        kept as ``rate_factors`` is; like it, a CE length outside
+        (0, ell_rho) raises PoleViolation on every access."""
+        return _hatze_p_partials(self)
 
 
 # ---------------------------------------------------------------------------
@@ -268,40 +302,54 @@ def zajac_rhs(q, p: ZajacParams):
     return (sigma_free - sigma_boost * u - p.beta * u) / tau_free
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _zajac_a_partials(p: ZajacParams) -> tuple:
+    # A = 1/(tau(1-q0)) over ZAJAC_VARS: see ZajacParams.a_partials
+    Q0, TAU = 2, 3  # positions in ZAJAC_VARS
+    A = 1.0 / (p.tau * (1.0 - p.q0))
+    a1, a2 = np.zeros(5), np.zeros((5, 5))
+    a1[TAU] = -A / p.tau
+    a1[Q0] = A / (1.0 - p.q0)
+    a2[TAU, TAU] = 2.0 * A / p.tau**2
+    a2[Q0, TAU] = a2[TAU, Q0] = -A / (p.tau * (1.0 - p.q0))
+    a2[Q0, Q0] = 2.0 * A / (1.0 - p.q0) ** 2
+    return (A, *_read_only(a1, a2))
+
+
 def zajac_partials(q: float, p: ZajacParams, second: bool = True):
     """Value, gradient and Hessian of the linear model's rhs over ZAJAC_VARS.
 
     The rhs factors as A(tau, q0) * G(q, sigma, q0, beta) with
-    A = 1/(tau(1-q0)); the partials are assembled by the product rule.
-    Returns ``(f, grad, hess)`` with grad[i] = df/dx_i and the symmetric
-    hess[i, j] = d2f/(dx_i dx_j), x = ZAJAC_VARS; hess is None unless
-    ``second``.
+    A = 1/(tau(1-q0)) (``p.a_partials``); the partials are assembled by the
+    product rule. Returns ``(f, grad, hess)`` with grad[i] = df/dx_i and the
+    symmetric hess[i, j] = d2f/(dx_i dx_j), x = ZAJAC_VARS; hess is None
+    unless ``second``.
     """
     Q, SIGMA, Q0, TAU, BETA = range(5)  # positions in ZAJAC_VARS
-    A = 1.0 / (p.tau * (1.0 - p.q0))
+    A, a1, a2 = p.a_partials
     s = p.sigma * (1.0 - p.beta) + p.beta
     u = q - p.q0
     G = p.sigma * (1.0 - p.q0) - s * u
 
-    a1, g1 = np.zeros(5), np.zeros(5)
-    a1[TAU] = -A / p.tau
-    a1[Q0] = A / (1.0 - p.q0)
+    g1 = np.zeros(5)
     g1[Q] = -s
     g1[SIGMA] = (1.0 - p.q0) - (1.0 - p.beta) * u
     g1[Q0] = -p.sigma + s
     g1[BETA] = u * (p.sigma - 1.0)
-    a2 = g2 = None
+    g2 = None
     if second:
-        a2, g2 = np.zeros((5, 5)), np.zeros((5, 5))
-        a2[TAU, TAU] = 2.0 * A / p.tau**2
-        a2[Q0, TAU] = a2[TAU, Q0] = -A / (p.tau * (1.0 - p.q0))
-        a2[Q0, Q0] = 2.0 * A / (1.0 - p.q0) ** 2
+        g2 = np.zeros((5, 5))
         g2[Q, SIGMA] = g2[SIGMA, Q] = -(1.0 - p.beta)
         g2[BETA, Q] = g2[Q, BETA] = p.sigma - 1.0
         g2[Q0, SIGMA] = g2[SIGMA, Q0] = -p.beta
         g2[BETA, SIGMA] = g2[SIGMA, BETA] = u
         g2[BETA, Q0] = g2[Q0, BETA] = 1.0 - p.sigma
-    return _product((A, a1, a2), (G, g1, g2))
+    return _product((A, a1, a2 if second else None), (G, g1, g2))
 
 
 def zajac_steady_state(p: ZajacParams) -> float:
@@ -334,15 +382,19 @@ def _where_bad(bad, **values) -> str:
     return f"{int(bad.sum())} of {bad.size} entries fail, the first at index {index}: {got}"
 
 
+# the pole: ell_ce_rel's declared range, capped by ell_rho
+_POLE = next(c for c in HatzeParams.ORDER if c[3] is PoleViolation)
+_POLE_RANGE = HatzeParams.RANGES[_POLE[0]]
+_POLE_TEXT = _order_text(HatzeParams.RANGES, *_POLE[:3], {}.get)
+
+
 def _checked_length(ell_ce_rel, ell_rho) -> np.ndarray:
-    """Relative CE length as an array; PoleViolation outside (0, ell_rho)."""
-    if np.isscalar(ell_rho) and np.isscalar(ell_ce_rel) and 0.0 < ell_ce_rel < ell_rho:
-        return np.asarray(ell_ce_rel, dtype=float)  # the per-call scalar path, cheaply
+    """Relative CE length as an array; PoleViolation outside the declared
+    (0, ell_rho), NaN in either argument included."""
     ell = np.asarray(ell_ce_rel, dtype=float)
-    bad = (ell <= 0.0) | (ell >= ell_rho)
-    if bad.any():
-        raise PoleViolation("ell_ce_rel must lie in (0, ell_rho); "
-                            + _where_bad(bad, ell_ce_rel=ell, ell_rho=ell_rho))
+    ok = _in_range(ell, *_POLE_RANGE) & _ordered(ell, _POLE[1], ell_rho)
+    if not ok.all():
+        raise _POLE[3](f"{_POLE_TEXT}; " + _where_bad(~ok, ell_ce_rel=ell, ell_rho=ell_rho))
     return ell
 
 
@@ -373,9 +425,9 @@ def hatze_q_of_gamma(gamma, ell_ce_rel, p: HatzeParams):
 def hatze_gamma_of_q(q, ell_ce_rel, p: HatzeParams):
     """Free-calcium level gamma of an activity q: the exact inverse of hatze_q_of_gamma."""
     q = np.asarray(q, dtype=float)
-    bad = (q < p.q0) | (q >= 1.0)
-    if np.any(bad):
-        raise DomainViolation("q must lie in [q0, 1); " + _where_bad(bad, q=q, q0=p.q0))
+    ok = (q >= p.q0) & (q < 1.0)
+    if not np.all(ok):
+        raise DomainViolation("q must lie in [q0, 1); " + _where_bad(~ok, q=q, q0=p.q0))
     rho = hatze_rho(ell_ce_rel, p.rho_c, p.ell_rho)
     out = ((q - p.q0) / (1.0 - q)) ** (1.0 / p.nu) / rho
     return float(out) if out.ndim == 0 else out
@@ -401,52 +453,65 @@ def hatze_rhs(q, p: HatzeParams):
     return float(out) if np.isscalar(q) else out
 
 
-def hatze_partials(q: float, p: HatzeParams, second: bool = True):
-    """Value, gradient and Hessian of the nonlinear model's rhs over HATZE_VARS.
-
-    The rhs factors as K(q0, m, nu) * (P(sigma, rho_c, ell_rho, ell) * W(q, q0, nu)
-    - V(q, q0)); each factor's partials are closed-form and the product rule
-    assembles them. The log terms from differentiating the nu-dependent
-    exponents are included. Returns ``(f, grad, hess)`` as
-    :func:`zajac_partials` does, over x = HATZE_VARS.
-    """
-    q = float(_clamp_q(q, p.q0 + HATZE_EPS))
-    sig, q0, m, rc, nu, lr, ell = (
-        p.sigma, p.q0, p.m, p.rho_c, p.nu, p.ell_rho, p.ell_ce_rel,
-    )
-    _checked_length(ell, lr)
-    Q, SIGMA, Q0, M, RHO_C, NU, ELL_RHO, ELL = range(8)  # positions in HATZE_VARS
-    k1, p1, w1, v1 = (np.zeros(8) for _ in range(4))
-    k2 = p2 = w2 = v2 = None
-    if second:
-        k2, p2, w2, v2 = (np.zeros((8, 8)) for _ in range(4))
-
+def _hatze_k_partials(p: HatzeParams) -> tuple:
+    # K = nu m/(1-q0) over HATZE_VARS: see HatzeParams.k_partials
+    Q0, M, NU = 2, 3, 5  # positions in HATZE_VARS
+    q0, m, nu = p.q0, p.m, p.nu
+    k1, k2 = np.zeros(8), np.zeros((8, 8))
     K = nu * m / (1.0 - q0)
     k1[Q0] = K / (1.0 - q0)
     k1[M] = K / m
     k1[NU] = K / nu
-    if second:
-        k2[Q0, Q0] = 2.0 * K / (1.0 - q0) ** 2
-        k2[M, Q0] = k2[Q0, M] = nu / (1.0 - q0) ** 2
-        k2[NU, Q0] = k2[Q0, NU] = m / (1.0 - q0) ** 2
-        k2[M, NU] = k2[NU, M] = 1.0 / (1.0 - q0)
+    k2[Q0, Q0] = 2.0 * K / (1.0 - q0) ** 2
+    k2[M, Q0] = k2[Q0, M] = nu / (1.0 - q0) ** 2
+    k2[NU, Q0] = k2[Q0, NU] = m / (1.0 - q0) ** 2
+    k2[M, NU] = k2[NU, M] = 1.0 / (1.0 - q0)
+    return (K, *_read_only(k1, k2))
 
+
+def _hatze_p_partials(p: HatzeParams) -> tuple:
+    # P = sigma rho over HATZE_VARS: see HatzeParams.p_partials
+    SIGMA, RHO_C, ELL_RHO, ELL = 1, 4, 6, 7  # positions in HATZE_VARS
+    sig, rc, lr, ell = p.sigma, p.rho_c, p.ell_rho, p.ell_ce_rel
+    _checked_length(ell, lr)  # the pole check of hatze_rho
+    p1, p2 = np.zeros(8), np.zeros((8, 8))
     dl = lr - ell
     P = sig * rc * (lr - 1.0) * ell / dl
     p1[SIGMA] = rc * (lr - 1.0) * ell / dl
     p1[RHO_C] = sig * (lr - 1.0) * ell / dl
     p1[ELL_RHO] = sig * rc * ell * (1.0 - ell) / dl**2
     p1[ELL] = sig * rc * (lr - 1.0) * lr / dl**2
+    p2[RHO_C, SIGMA] = p2[SIGMA, RHO_C] = (lr - 1.0) * ell / dl
+    p2[ELL_RHO, SIGMA] = p2[SIGMA, ELL_RHO] = rc * ell * (1.0 - ell) / dl**2
+    p2[ELL, SIGMA] = p2[SIGMA, ELL] = rc * (lr - 1.0) * lr / dl**2
+    p2[ELL_RHO, RHO_C] = p2[RHO_C, ELL_RHO] = sig * ell * (1.0 - ell) / dl**2
+    p2[ELL, RHO_C] = p2[RHO_C, ELL] = sig * (lr - 1.0) * lr / dl**2
+    p2[ELL_RHO, ELL_RHO] = -2.0 * sig * rc * ell * (1.0 - ell) / dl**3
+    p2[ELL, ELL_RHO] = p2[ELL_RHO, ELL] = (
+        sig * rc * (lr + ell - 2.0 * ell * lr) / dl**3)
+    p2[ELL, ELL] = 2.0 * sig * rc * (lr - 1.0) * lr / dl**3
+    return (P, *_read_only(p1, p2))
+
+
+def hatze_partials(q: float, p: HatzeParams, second: bool = True):
+    """Value, gradient and Hessian of the nonlinear model's rhs over HATZE_VARS.
+
+    The rhs factors as K(q0, m, nu) * (P(sigma, rho_c, ell_rho, ell) * W(q, q0, nu)
+    - V(q, q0)); each factor's partials are closed-form and the product rule
+    assembles them. K and P depend on the parameters only and come from
+    ``p.k_partials`` and ``p.p_partials``. The log terms from
+    differentiating the nu-dependent exponents are included. Returns
+    ``(f, grad, hess)`` as :func:`zajac_partials` does, over x = HATZE_VARS.
+    """
+    q0, nu = p.q0, p.nu
+    q = min(max(float(q), q0 + HATZE_EPS), 1.0 - HATZE_EPS)  # _clamp_q at a scalar
+    Q, Q0, NU = 0, 2, 5  # positions in HATZE_VARS
+    K, k1, k2 = p.k_partials
+    P, p1, p2 = p.p_partials
+    w1, v1 = np.zeros(8), np.zeros(8)
+    w2 = v2 = None
     if second:
-        p2[RHO_C, SIGMA] = p2[SIGMA, RHO_C] = (lr - 1.0) * ell / dl
-        p2[ELL_RHO, SIGMA] = p2[SIGMA, ELL_RHO] = rc * ell * (1.0 - ell) / dl**2
-        p2[ELL, SIGMA] = p2[SIGMA, ELL] = rc * (lr - 1.0) * lr / dl**2
-        p2[ELL_RHO, RHO_C] = p2[RHO_C, ELL_RHO] = sig * ell * (1.0 - ell) / dl**2
-        p2[ELL, RHO_C] = p2[RHO_C, ELL] = sig * (lr - 1.0) * lr / dl**2
-        p2[ELL_RHO, ELL_RHO] = -2.0 * sig * rc * ell * (1.0 - ell) / dl**3
-        p2[ELL, ELL_RHO] = p2[ELL_RHO, ELL] = (
-            sig * rc * (lr + ell - 2.0 * ell * lr) / dl**3)
-        p2[ELL, ELL] = 2.0 * sig * rc * (lr - 1.0) * lr / dl**3
+        w2, v2 = np.zeros((8, 8)), np.zeros((8, 8))
 
     a = 1.0 + 1.0 / nu
     b = 1.0 - 1.0 / nu
@@ -478,9 +543,9 @@ def hatze_partials(q: float, p: HatzeParams, second: bool = True):
         v2[Q, Q] = -2.0
         v2[Q, Q0] = v2[Q0, Q] = 1.0
 
-    pw, pw1, pw2 = _product((P, p1, p2), (W, w1, w2))
+    pw, pw1, pw2 = _product((P, p1, p2 if second else None), (W, w1, w2))
     G = (pw - V, pw1 - v1, pw2 - v2 if second else None)
-    return _product((K, k1, k2), G)
+    return _product((K, k1, k2 if second else None), G)
 
 
 def hatze_steady_state(p: HatzeParams) -> float:
@@ -571,7 +636,7 @@ def force_length_relative(ell_rel, rel: ForceLengthRelation):
 def force_length(ell_ce, rel: ForceLengthRelation):
     """Evaluate the force-length relation at absolute CE length in mm."""
     ell_ce = np.asarray(ell_ce, dtype=float)
-    if np.any(ell_ce <= 0.0):
+    if not np.all(ell_ce > 0.0):
         raise ValueError("ell_ce must be positive")
     out = force_length_relative(ell_ce / rel.ell_opt, rel)
     return float(out) if np.isscalar(out) or np.ndim(out) == 0 else out
@@ -597,7 +662,10 @@ class ModelSpec:
     x = (y, lam), with M states and N dynamic parameters: f[k] is the rhs,
     grad[k, a] = df_k/dx_a and hess[k, a, b] = d2f_k/(dx_a dx_b), of shapes
     (M,), (M, M+N) and (M, M+N, M+N). grad is None at order 0 and hess is
-    None below order 2.
+    None below order 2. A solve calls it many times with one lam, so derivs
+    may bind lam's values to a parameter object once and reuse it (the
+    built-in scalar models do, see :func:`_scalar_model`); the result must
+    depend on lam's values only, never on which array holds them.
     """
 
     name: str
@@ -626,11 +694,24 @@ def _scalar_model(name, init_name, param_names, params_of, rhs, partials) -> Mod
     ``rhs(q, p)`` is the activity rate and ``partials(q, p, second)`` its
     ``(f, grad, hess)`` over (q, *param_names), which derivs returns with a
     leading state axis.
+
+    derivs binds lam to its parameter object once per solve: it keeps the
+    objects of the last two lam values it saw, keyed on those values (so an
+    in-place edit of lam binds anew), and with them their cached factors.
+    Two are kept so that the stacked (+h, -h) systems of a central
+    difference each keep theirs. An object's q_init is the state at its
+    first call, which is harmless because rhs and partials never read it.
     """
+    bound: dict[bytes, object] = {}
 
     def derivs(t, y, lam, order):
         q = float(y[0])
-        p = params_of(q, *lam)
+        key = lam.tobytes()
+        p = bound.get(key)
+        if p is None:
+            if len(bound) == 2:
+                del bound[next(iter(bound))]  # the older one
+            p = bound[key] = params_of(q, *lam)
         if order == 0:
             return np.array([rhs(q, p)]), None, None
         f, g, H = partials(q, p, order >= 2)

@@ -46,6 +46,10 @@ _P = np.array([
     [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
 _POWERS = np.arange(1, 5)
+# the tableau rows as arrays, converted once
+_A_ROWS = tuple(np.array(row) for row in _A)
+_B5_ROW = np.array(_B5[:6])
+_E_ROW = np.array(_E)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -106,9 +110,10 @@ class OdeProblem:
         grid = np.asarray(self.output_grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise ValueError("output_grid must be a non-empty 1-d array")
-        if np.any(np.diff(grid) <= 0.0):
+        # written as "not inside", so that a NaN time fails them
+        if not np.all(np.diff(grid) > 0.0):
             raise ValueError("output_grid must be strictly increasing")
-        if grid[0] < t0 or grid[-1] > t1:
+        if not (t0 <= grid[0] and grid[-1] <= t1):
             raise ValueError("output_grid must lie within t_span")
 
 
@@ -183,17 +188,18 @@ def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
 
         for s in range(5):
             ts = t + _C[s + 1] * h
-            ys = y + h * (k[: s + 1].T @ np.asarray(_A[s]))
+            ys = y + h * (k[: s + 1].T @ _A_ROWS[s])
             k[s + 1] = rhs(ts, ys)
-        y_new = y + h * (k[:6].T @ np.asarray(_B5[:6]))
+        y_new = y + h * (k[:6].T @ _B5_ROW)
         k[6] = rhs(t + h, y_new)
 
-        if not np.all(np.isfinite(k)) or not np.all(np.isfinite(y_new)):
+        if not np.isfinite(k).all() or not np.isfinite(y_new).all():
             raise NonFiniteState(f"non-finite state produced near t={t:.6e}")
 
-        err = h * (k.T @ np.asarray(_E))
+        err = h * (k.T @ _E_ROW)
         scale = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = math.sqrt(float(np.mean((err / scale) ** 2)))
+        r = err / scale
+        err_norm = math.sqrt(float(np.add.reduce(r * r) / r.size))  # RMS over components
 
         if err_norm <= 1.0:
             # accept; fill the grid points this step covers from its dense output

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -410,6 +411,42 @@ def test_usage_error_is_one_json_config_record(capsys, argv, bad):
     assert main(argv) == 2
     record = json.loads(capsys.readouterr().err)  # one record, no usage text
     assert record["error"] == "ConfigError" and bad in record["message"]
+
+
+def test_the_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # one parser serves every call of a process; each call starts from its own flags
+    assert cli.build_parser() is cli.build_parser()
+    base = ["local-sens", "--model", "zajac", "--t-end", "0.05", "--points", "5"]
+    assert main(base + ["--second-order", "--output", str(tmp_path / "second")]) == 0
+    assert main(base + ["--output", str(tmp_path / "first")]) == 0
+    assert (tmp_path / "second" / "r_rel.csv").exists()
+    assert not (tmp_path / "first" / "r_rel.csv").exists()
+    assert "second_order = False" in (tmp_path / "first" / "manifest.txt").read_text()
+
+    capsys.readouterr()
+    assert main(["simulate", "--bogus", "1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"] == "ConfigError"
+
+    config = tmp_path / "points.cfg"
+    config.write_text("points = 7\n")
+    sim = ["simulate", "--t-end", "0.05"]
+    assert main(sim + ["--config", str(config), "--output", str(tmp_path / "cfg")]) == 0
+    assert main(sim + ["--output", str(tmp_path / "plain")]) == 0
+    assert _read_csv(tmp_path / "cfg" / "state.csv")[1].shape[0] == 7
+    assert _read_csv(tmp_path / "plain" / "state.csv")[1].shape[0] == 501
+
+
+def test_write_csv_matches_savetxt_byte_for_byte(tmp_path):
+    tiny = np.nextafter(0.0, 1.0)
+    data = np.array([[0.0, -0.0, math.nan, math.inf],
+                     [-math.inf, tiny, -5e-320, 2.2250738585072014e-308],
+                     [1e300, -1e-300, 1.0 / 3.0, 0.1]])
+    header = ["t_seconds", "a", "b", "c"]
+    cli.write_csv(tmp_path / "fast.csv", header, list(data.T))
+    np.savetxt(tmp_path / "ref.csv", data, fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["simulate", "--help"]])

@@ -7,6 +7,7 @@ import pytest
 
 from actsens import (
     DegenerateState,
+    DomainViolation,
     ForceLengthRelation,
     HatzeParams,
     OdeProblem,
@@ -32,7 +33,7 @@ from actsens import (
     zajac_steady_state,
 )
 from actsens.cli import _MODELS
-from actsens.models import HATZE_EPS, HATZE_VARS, ZAJAC_VARS
+from actsens.models import HATZE_EPS, HATZE_VARS, ZAJAC_VARS, _simplified_partials
 from actsens.presets import builtin_cuboid
 
 
@@ -344,6 +345,45 @@ def test_derivs_contract_of_builtin_models(model):
             assert np.all(np.abs(d2 - hess[:, a]) <= 1e-6 * np.maximum(1.0, np.abs(hess[:, a])))
 
 
+_PARTIALS = {"zajac": (zajac_rhs, zajac_partials), "hatze": (hatze_rhs, hatze_partials),
+             "simplified-zajac": (zajac_rhs, _simplified_partials)}
+
+
+@pytest.mark.parametrize("model", list(_MODELS))
+def test_derivs_binds_parameters_by_value(model):
+    # derivs reuses one parameter object per lam; a lam seen before, another
+    # one, and the same array edited in place must all give what a fresh
+    # object gives
+    spec = _MODELS[model][0]()
+    rhs, partials = _PARTIALS[model]
+    x1, x2 = _interior_points(model)[:2]
+    lam1, lam2 = x1[1:].copy(), x2[1:].copy()
+    q = np.array([0.5 * (x1[0] + x2[0])])
+
+    def check(lam):
+        fresh = spec.params_of(float(q[0]), *lam.copy())
+        f0 = spec.derivs(0.0, q, lam, 0)[0]
+        assert np.array_equal(f0, [rhs(float(q[0]), fresh)])
+        for order in (1, 2):
+            f, grad, hess = spec.derivs(0.0, q, lam, order)
+            ref = partials(float(q[0]), fresh, order == 2)
+            assert np.array_equal(f, [ref[0]]) and np.array_equal(grad, ref[1][None])
+            assert (hess is None) if order == 1 else np.array_equal(hess, ref[2][None])
+
+    for lam in (lam1, lam2, lam1):
+        check(lam)
+    lam1[1] *= 0.99  # in place: same array, new values
+    check(lam1)
+
+
+def test_derivs_raises_at_the_pole_on_every_call():
+    spec = hatze_model()
+    lam = np.array([0.5, 0.005, 10.0, 7.24, 3.0, 2.9, 2.9])  # ell_CErel = ell_rho
+    for order in (0, 2, 0, 1, 2):
+        with pytest.raises(PoleViolation):
+            spec.derivs(0.0, np.array([0.3]), lam, order)
+
+
 @pytest.mark.parametrize("cls", [ZajacParams, HatzeParams])
 def test_ranges_follow_the_canonical_order(cls):
     # the CLI maps a field outside its range to its bounds-file line by position
@@ -451,6 +491,31 @@ def test_the_pole_has_one_message():
             call()
         messages.add(str(info.value))
     assert messages == {"ell_ce_rel must lie in (0, ell_rho); got ell_ce_rel=3.0, ell_rho=2.9"}
+
+
+_NAN_ARRAY = np.array([1.0, math.nan, 1.2])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hatze_rho(math.nan, 7.24, 2.9),
+    lambda: hatze_rho(1.0, 7.24, math.nan),
+    lambda: hatze_rho(_NAN_ARRAY, 7.24, 2.9),
+    lambda: hatze_rho(np.ones(3), 7.24, _NAN_ARRAY + 1.0),
+    lambda: hatze_q_of_gamma(0.3, math.nan, HatzeParams(sigma=0.5)),
+    lambda: hatze_gamma_of_q(0.3, math.nan, HatzeParams(sigma=0.5)),
+    lambda: hatze_gamma_of_q(0.3, _NAN_ARRAY, HatzeParams(sigma=0.5)),
+    lambda: hatze_gamma_of_q(math.nan, 1.0, HatzeParams(sigma=0.5)),
+    lambda: hatze_gamma_of_q(_NAN_ARRAY * 0.3, 1.0, HatzeParams(sigma=0.5)),
+    lambda: hatze_gamma_of_q(0.3, 1.0, HatzeParams(sigma=0.5, q0=math.nan)),
+    lambda: force_length(math.nan, ForceLengthRelation("bell", 0.3)),
+    lambda: force_length(_NAN_ARRAY * 14.8, ForceLengthRelation("parabola", 0.5)),
+], ids=["rho-ell", "rho-ell-rho", "rho-ell-array", "rho-ell-rho-array", "q-of-gamma-ell",
+        "gamma-ell", "gamma-ell-array", "gamma-q", "gamma-q-array", "gamma-q0",
+        "force-length", "force-length-array"])
+def test_formula_checks_reject_nan(call):
+    # each check is written as "not inside", which every comparison with NaN fails
+    with pytest.raises((PoleViolation, DomainViolation, ValueError)):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,15 @@ def test_problem_validation():
                    output_grid=np.array([0.1, 0.3])).validate()
 
 
+@pytest.mark.parametrize("grid", [[0.0, np.nan, 0.2], [np.nan, 0.1], [0.0, np.nan]],
+                         ids=["inner", "first", "last"])
+def test_nan_output_time_is_rejected(grid):
+    problem = OdeProblem(rhs=lambda t, y: -y, y0=np.array([1.0]), t_span=(0.0, 0.2),
+                         output_grid=np.array(grid))
+    with pytest.raises(ValueError):
+        problem.validate()
+
+
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerances(rel_tol=0.0).validate()
