@@ -243,9 +243,12 @@ def _blocks(values: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
 class FamilyEvaluation:
     """Model outputs for every sample row: the family of solutions.
 
-    ``values`` holds all 2n(N+1) solutions as one C-contiguous (rows, T)
-    array, in the row order of ``_family_rows``; ``_blocks(values, n)``
-    splits it into views of the A, B, A_swapped and B_swapped solutions.
+    ``values`` holds all 2n(N+1) solutions as a (rows, T) array, in the row
+    order of ``_family_rows``; ``_blocks(values, n)`` splits it into views
+    of the A, B, A_swapped and B_swapped solutions. Underneath it is
+    time-major, the integrator's own layout: ``values.T`` is one
+    C-contiguous (T, rows) array, so each time's values over all rows are
+    contiguous.
     """
 
     times: np.ndarray
@@ -268,7 +271,10 @@ def evaluate_family(
     Failed rows are resampled from their substream and re-evaluated
     (bounded retries); they are never silently zero-filled.
     ``n_evaluations`` counts every row passed to the evaluator, re-evaluated
-    rows included.
+    rows included. An evaluator that returns the ``.T`` view of a
+    C-contiguous (T, R) array, as :func:`~actsens.presets.family_evaluator`
+    does, hands over its result without a copy; any other layout is copied
+    once into that one.
     """
     grid = np.asarray(grid, dtype=float)
     n = matrices.n
@@ -285,12 +291,13 @@ def evaluate_family(
             )
         return out
 
-    values = np.ascontiguousarray(run(_family_rows(matrices.a, matrices.b)))
-    # (2(N+1), n, T): a view, so writes through it land in values
-    by_block = values.reshape(-1, n, grid.size)
+    values = np.require(run(_family_rows(matrices.a, matrices.b)).T,
+                        requirements=("C", "W")).T
+    # (T, 2(N+1), n): a view, so writes through it land in values
+    by_block = values.T.reshape(grid.size, -1, n)
 
     def bad_rows():
-        return np.nonzero(~np.all(np.isfinite(by_block), axis=(0, 2)))[0]
+        return np.nonzero(~np.all(np.isfinite(by_block), axis=(0, 1)))[0]
 
     resampled: list[int] = []
     rows = bad_rows()
@@ -308,7 +315,7 @@ def evaluate_family(
         )
         resampled.extend(rows.tolist())
         redone = run(_family_rows(matrices.a[rows], matrices.b[rows]))
-        by_block[:, rows] = redone.reshape(-1, rows.size, grid.size)
+        by_block[:, :, rows] = redone.T.reshape(grid.size, -1, rows.size)
         rows = bad_rows()
 
     return FamilyEvaluation(
@@ -344,21 +351,30 @@ def vbs_tsi(family: FamilyEvaluation, matrices: SampleMatrices,
 
     Negative Monte-Carlo variance estimates are clipped at zero before the
     ratios; times where V(t) falls below the floor are flagged undefined.
+    Every mean runs over the sample rows of one time, on (T, n) views of the
+    time-major family, so with ``family.values.T`` C-contiguous it sums
+    along contiguous memory; one (T, n) buffer serves every product.
     """
     y_a, y_b, y_as, y_bs = _blocks(family.values, family.n)
+    a, b = y_a.T, y_b.T  # (T, n)
+    # (T,): one time at a time, so var's temporary is one row, not the family
+    v_total = np.array([y.var(ddof=1) for y in family.values.T])
 
-    v_total = family.values.var(axis=0, ddof=1)  # (T,)
+    buf = np.empty(a.shape)
 
-    # shares-only-column-i pairings: (B, A_i) and (A, B_i)
-    v_first = 0.5 * (
-        np.mean(y_b[None, :, :] * (y_as - y_a[None, :, :]), axis=1)
-        + np.mean(y_a[None, :, :] * (y_bs - y_b[None, :, :]), axis=1)
-    )
-    # shares-all-but-column-i pairings: (A, A_i) and (B, B_i)
-    v_complement = 0.5 * (
-        np.mean(y_a[None, :, :] * (y_as - y_b[None, :, :]), axis=1)
-        + np.mean(y_b[None, :, :] * (y_bs - y_a[None, :, :]), axis=1)
-    )
+    def mean_product(y, swapped, base):
+        # mean over rows of y * (swapped - base), one value per time
+        np.subtract(swapped, base, out=buf)
+        return np.multiply(buf, y, out=buf).mean(axis=1)
+
+    v_first = np.empty((y_as.shape[0], a.shape[0]))  # (N, T)
+    v_complement = np.empty_like(v_first)
+    for i, (a_i, b_i) in enumerate(zip(y_as, y_bs)):
+        a_i, b_i = a_i.T, b_i.T
+        # shares-only-column-i pairings: (B, A_i) and (A, B_i)
+        v_first[i] = 0.5 * (mean_product(b, a_i, a) + mean_product(a, b_i, b))
+        # shares-all-but-column-i pairings: (A, A_i) and (B, B_i)
+        v_complement[i] = 0.5 * (mean_product(a, a_i, b) + mean_product(b, b_i, a))
 
     undefined = v_total < var_floor
     safe_v = np.where(undefined, 1.0, v_total)

@@ -10,9 +10,10 @@ the state and all parameters, which is what the sensitivity machinery in
 All formula functions broadcast over numpy arrays, so the same code serves
 scalar evaluation, batched ensembles (array-valued parameter fields), and
 length sweeps in the optimizer. The static formulas (``hatze_rho``,
-``hatze_q_of_gamma``, ``force_length_relative``) check their input and then
-call a private unchecked twin (leading underscore), which callers whose
-input is already checked use directly.
+``hatze_q_of_gamma``, ``force_length_relative``) check their input, the
+parameters they read included, and then call a private unchecked twin
+(leading underscore), which callers whose input is already checked use
+directly.
 
 ``zajac_partials`` and ``hatze_partials`` return ``(f, grad, hess)`` at one
 scalar point: the rhs value, its gradient and its Hessian as numpy arrays
@@ -37,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, ClassVar, Mapping
 
 import numpy as np
@@ -145,15 +147,21 @@ def _order_text(ranges, a, op, b, name) -> str:
     return f"{name(a, a)} must lie in {ends[0]}{low:g}, {name(b, b)}{')' if op == '<' else ']'}"
 
 
+def _raise_first_failure(p) -> None:
+    """Raise for the first failing condition of ``domain_checks(p)``; a
+    ParameterOutOfRange names its last field."""
+    for ok, fields, error, text in domain_checks(p):
+        if not np.all(ok):
+            text += "; " + _where_bad(np.logical_not(ok), **{f: getattr(p, f) for f in fields})
+            raise error(text) if error is PoleViolation else error(fields[-1], text)
+
+
 class _Domain:
     """A parameter class whose domain is declared in ``RANGES`` and ``ORDER``."""
 
     def validate(self) -> None:
         """Raise for the first failing condition; a ParameterOutOfRange names its last field."""
-        for ok, fields, error, text in domain_checks(self):
-            if not np.all(ok):
-                text += "; " + _where_bad(np.logical_not(ok), **{f: getattr(self, f) for f in fields})
-                raise error(text) if error is PoleViolation else error(fields[-1], text)
+        _raise_first_failure(self)
 
 
 @dataclass
@@ -182,12 +190,15 @@ class ZajacParams(_Domain):
     def rate_factors(self) -> tuple:
         """Parameter-only factors of :func:`zajac_rhs`, computed on first use.
 
-        ``(sigma(1-q0), sigma(1-beta), tau(1-q0))``. They are kept for the
+        ``(c0, c1)`` of the rate c0 - c1*q, which is affine in q:
+        c0 = (sigma + beta*q0*(1-sigma)) / (tau(1-q0)) and
+        c1 = (sigma(1-beta) + beta) / (tau(1-q0)). They are kept for the
         object's lifetime, as ``a_partials`` is, so its fields must not
         change after its rhs or partials have been evaluated.
         """
-        return (self.sigma * (1.0 - self.q0), self.sigma * (1.0 - self.beta),
-                self.tau * (1.0 - self.q0))
+        tau_free = self.tau * (1.0 - self.q0)
+        return ((self.sigma + self.beta * self.q0 * (1.0 - self.sigma)) / tau_free,
+                (self.sigma * (1.0 - self.beta) + self.beta) / tau_free)
 
     @functools.cached_property
     def a_partials(self) -> tuple:
@@ -237,15 +248,15 @@ class HatzeParams(_Domain):
     def rate_factors(self) -> tuple:
         """Parameter-only factors of :func:`hatze_rhs`, computed on first use.
 
-        ``(q0 + eps, sigma*rho, 1 + 1/nu, 1 - 1/nu, nu*m/(1-q0))`` with rho
-        from :func:`hatze_rho`, so a CE length outside (0, ell_rho) raises
+        ``(q0 + eps, sigma*rho, 1/nu, nu*m/(1-q0))`` with rho from
+        :func:`hatze_rho`, so a CE length outside (0, ell_rho) raises
         PoleViolation on every access. They are kept for the object's
         lifetime, as ``k_partials`` and ``p_partials`` are, so its fields
         must not change after its rhs or partials have been evaluated.
         """
         rho = hatze_rho(self.ell_ce_rel, self.rho_c, self.ell_rho)
-        return (self.q0 + HATZE_EPS, self.sigma * rho, 1.0 + 1.0 / self.nu,
-                1.0 - 1.0 / self.nu, self.nu * self.m / (1.0 - self.q0))
+        return (self.q0 + HATZE_EPS, self.sigma * rho, 1.0 / self.nu,
+                self.nu * self.m / (1.0 - self.q0))
 
     @functools.cached_property
     def k_partials(self) -> tuple:
@@ -296,10 +307,16 @@ ZAJAC_VARS = ("q", "sigma", "q0", "tau", "beta")
 
 
 def zajac_rhs(q, p: ZajacParams):
-    """Activity rate: [sigma(1-q0) - sigma(1-beta)(q-q0) - beta(q-q0)] / (tau(1-q0))."""
-    sigma_free, sigma_boost, tau_free = p.rate_factors
-    u = q - p.q0
-    return (sigma_free - sigma_boost * u - p.beta * u) / tau_free
+    """Activity rate: [sigma(1-q0) - sigma(1-beta)(q-q0) - beta(q-q0)] / (tau(1-q0)).
+
+    The rate is affine in q and is evaluated as c0 - c1*q from the cached
+    ``p.rate_factors``; an array q gets one fresh result array.
+    """
+    c0, c1 = p.rate_factors
+    f = c1 * q
+    if isinstance(f, np.ndarray):
+        return np.subtract(c0, f, out=f)
+    return c0 - f
 
 
 def _read_only(*arrays):
@@ -403,8 +420,21 @@ def _hatze_rho(ell, rho_c, ell_rho):
     return rho_c * (ell_rho - 1.0) / (ell_rho / ell - 1.0)
 
 
+def _check_hatze_fields(**fields) -> None:
+    """ParameterOutOfRange, as ``HatzeParams.validate`` raises it, for the
+    first of the given fields outside its declared range, NaN included."""
+    ranges = HatzeParams.RANGES
+    oks = (_in_range(v, *ranges[f]) for f, v in fields.items())
+    # np.all costs microseconds even on a bool; this check runs per force scan
+    if not all(ok is True or np.asarray(ok).all() for ok in oks):
+        # only a failure pays for domain_checks' messages
+        _raise_first_failure(SimpleNamespace(
+            RANGES={f: r for f, r in ranges.items() if f in fields}, ORDER=(), **fields))
+
+
 def hatze_rho(ell_ce_rel, rho_c, ell_rho):
     """Length dependency rho_c (ell_rho - 1) / (ell_rho/ell - 1); pole at ell_rho."""
+    _check_hatze_fields(rho_c=rho_c, ell_rho=ell_rho)
     out = _hatze_rho(_checked_length(ell_ce_rel, ell_rho), rho_c, ell_rho)
     return float(out) if np.isscalar(ell_ce_rel) else out
 
@@ -417,6 +447,7 @@ def _hatze_q_of_gamma(gamma, ell, p: HatzeParams):
 
 def hatze_q_of_gamma(gamma, ell_ce_rel, p: HatzeParams):
     """Activity from normalized free-calcium concentration via the nu-power saturation."""
+    _check_hatze_fields(q0=p.q0, rho_c=p.rho_c, nu=p.nu, ell_rho=p.ell_rho)
     out = _hatze_q_of_gamma(np.asarray(gamma, dtype=float),
                             _checked_length(ell_ce_rel, p.ell_rho), p)
     return float(out) if np.isscalar(gamma) and np.isscalar(ell_ce_rel) else out
@@ -424,6 +455,7 @@ def hatze_q_of_gamma(gamma, ell_ce_rel, p: HatzeParams):
 
 def hatze_gamma_of_q(q, ell_ce_rel, p: HatzeParams):
     """Free-calcium level gamma of an activity q: the exact inverse of hatze_q_of_gamma."""
+    _check_hatze_fields(q0=p.q0, nu=p.nu)  # hatze_rho checks rho_c and ell_rho
     q = np.asarray(q, dtype=float)
     ok = (q >= p.q0) & (q < 1.0)
     if not np.all(ok):
@@ -441,16 +473,31 @@ def _clamp_q(q, floor):
 def hatze_rhs(q, p: HatzeParams):
     """Activity rate of the nonlinear model.
 
-    The activity is clamped to [q0 + eps, 1 - eps] before the fractional
-    powers are taken, which keeps the rhs real when an integrator stage
-    overshoots one of the non-Lipschitz boundary fixed points.
+    The rate gain*(sigma_rho * free^(1+1/nu) * excess^(1-1/nu) - free*excess),
+    with free = 1 - q and excess = q - q0, is evaluated as
+    gain * free*excess * (sigma_rho * (free/excess)^(1/nu) - 1), which takes
+    one fractional power. The activity is clamped to [q0 + eps, 1 - eps]
+    first, which keeps the rhs real when an integrator stage overshoots one
+    of the non-Lipschitz boundary fixed points. An array q is worked on in
+    place in the call's own temporaries; a scalar q stays in float
+    arithmetic.
     """
-    q_floor, sigma_rho, a, b, gain = p.rate_factors
-    qc = _clamp_q(q, q_floor)
-    free = 1.0 - qc
-    excess = qc - p.q0
-    out = gain * (sigma_rho * free ** a * excess ** b - free * excess)
-    return float(out) if np.isscalar(q) else out
+    q_floor, sigma_rho, inv_nu, gain = p.rate_factors
+    if np.isscalar(q):
+        qc = min(max(float(q), q_floor), 1.0 - HATZE_EPS)  # _clamp_q at a scalar
+        free, excess = 1.0 - qc, qc - p.q0
+        return float(gain * (free * excess) * (sigma_rho * (free / excess) ** inv_nu - 1.0))
+    excess = _clamp_q(q, q_floor)
+    free = 1.0 - excess
+    excess -= p.q0
+    out = free / excess
+    out **= inv_nu
+    out *= sigma_rho
+    out -= 1.0
+    free *= excess
+    free *= gain
+    out *= free
+    return out
 
 
 def _hatze_k_partials(p: HatzeParams) -> tuple:

@@ -193,7 +193,7 @@ def _batch_integrate(rhs, y0, grid, tol) -> np.ndarray:
         OdeProblem(rhs=rhs, y0=y0, t_span=(0.0, float(grid[-1])), output_grid=grid),
         tol,
     )
-    return traj.values.T  # (rows, T)
+    return traj.values.T  # (rows, T), a view of the time-major (T, rows) output
 
 
 def family_evaluator(model: str, tol: Tolerances | None = None):
@@ -201,9 +201,12 @@ def family_evaluator(model: str, tol: Tolerances | None = None):
 
     All rows are integrated as one diagonal system sharing the adaptive step
     sequence; if that fails, rows are integrated one by one and the bad rows
-    come back as NaN for the caller's resampling pass. Each parameter field
-    is a contiguous column, and its rate factors are computed once per
-    solve (see ``rate_factors`` in :mod:`actsens.models`).
+    come back as NaN for the caller's resampling pass. Either way the
+    (rows, T) result is the ``.T`` view of one C-contiguous, time-major
+    (T, rows) array, the layout :func:`~actsens.globalsens.evaluate_family`
+    keeps without a copy. Each parameter field is a contiguous column, and
+    its rate factors are computed once per solve (see ``rate_factors`` in
+    :mod:`actsens.models`).
     """
     tol = tol or GLOBAL_TOLERANCES
     b = _builtin(model)
@@ -218,15 +221,15 @@ def family_evaluator(model: str, tol: Tolerances | None = None):
         try:
             return _batch_integrate(lambda t, y: rhs_fn(y, p), rows[:, 0], grid, tol)
         except IntegrationError:
-            out = np.full((rows.shape[0], len(grid)), np.nan)
+            out = np.full((len(grid), rows.shape[0]), np.nan)  # time-major
             for j in range(rows.shape[0]):
                 pj = params_of(rows[j:j + 1])
                 try:
-                    out[j] = _batch_integrate(
+                    out[:, j] = _batch_integrate(
                         lambda t, y: rhs_fn(y, pj), rows[j:j + 1, 0], grid, tol
                     )[0]
                 except IntegrationError:
                     pass  # row stays NaN; caller resamples it
-            return out
+            return out.T
 
     return evaluate

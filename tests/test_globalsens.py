@@ -13,11 +13,12 @@ from actsens import (
     build_sample_matrices,
     evaluate_family,
     hatze_model,
+    presets,
     vbs_tsi,
     zajac_model,
 )
 from actsens.globalsens import (
-    _FIRST_PRIMES, _blocks, _family_rows, _halton_points, _rows_valid,
+    _FIRST_PRIMES, FamilyEvaluation, _blocks, _family_rows, _halton_points, _rows_valid,
 )
 from actsens.presets import family_evaluator, builtin_cuboid, row_validity
 
@@ -244,6 +245,29 @@ def test_evaluation_count_matches_sample_arithmetic():
     assert fam.n_evaluations == 16 * 2 * (5 + 1)
 
 
+@pytest.mark.parametrize("model", ["zajac", "hatze"])
+def test_fallback_returns_nan_for_the_failing_row_only(model, monkeypatch):
+    cub = builtin_cuboid(model)
+    m = build_sample_matrices(cub, n=4, seed=3, validity=row_validity(model))
+    rows, grid, bad = _family_rows(m.a, m.b), np.linspace(0.0, 0.2, 5), 5
+    rows[bad, 0] = bad_q_init = 0.5123  # the one row that starts there
+    assert np.count_nonzero(rows[:, 0] == bad_q_init) == 1
+    solo = family_evaluator(model)
+    rhs_name = presets.BUILTIN_MODELS[model].rhs
+    rhs = getattr(presets, rhs_name)
+
+    def failing_rhs(q, p):
+        # that row's rate is NaN, so every solve it takes part in fails
+        return np.where(p.q_init == bad_q_init, np.nan, rhs(q, p))
+
+    monkeypatch.setattr(presets, rhs_name, failing_rhs)  # looked up by name
+    out = family_evaluator(model)(rows, grid)
+    assert out.shape == (rows.shape[0], grid.size) and out.T.flags.c_contiguous
+    assert np.all(np.isnan(out[bad]))
+    for j in np.delete(np.arange(rows.shape[0]), bad):
+        assert np.array_equal(out[j], solo(rows[j:j + 1], grid)[0])
+
+
 def test_failed_rows_are_resampled_not_zero_filled():
     m = build_sample_matrices(UNIT2, n=16, seed=9)
     state = {"calls": 0}
@@ -274,7 +298,9 @@ def test_values_are_the_stacked_blocks_after_resampling():
     fam = evaluate_family(flaky, m, GRID)
     assert len(fam.resampled_rows) > 0
     values = fam.values
-    assert values.flags.c_contiguous and values.shape == (2 * 16 * 3, GRID.size)
+    # the evaluator returned a C-ordered (rows, T) array, copied once into
+    # the time-major layout
+    assert values.T.flags.c_contiguous and values.shape == (2 * 16 * 3, GRID.size)
     y_a, y_b, y_as, y_bs = _blocks(values, fam.n)
     parts = [y_a, y_b, y_as.reshape(-1, GRID.size), y_bs.reshape(-1, GRID.size)]
     assert all(np.shares_memory(part, values) for part in parts)
@@ -283,6 +309,53 @@ def test_values_are_the_stacked_blocks_after_resampling():
     # final sample rows
     final = _family_rows(m.a, m.b)
     assert np.array_equal(values, np.repeat(final[:, :1], GRID.size, axis=1))
+
+
+def test_time_major_evaluator_output_is_kept_without_a_copy():
+    m = build_sample_matrices(UNIT2, n=16, seed=9)
+    returned = []
+
+    def time_major(rows, grid):
+        out = np.repeat(rows[:, :1].T, grid.size, axis=0)  # (T, R), C-contiguous
+        returned.append(out)
+        return out.T
+
+    fam = evaluate_family(time_major, m, GRID)
+    assert fam.values.base is returned[0]
+
+
+def _vbs_tsi_broadcast(values, n):
+    """The reduction as four broadcast (N, n, T) products over the row-major
+    blocks: the reference the block-by-block reduction must match."""
+    y_a, y_b, y_as, y_bs = _blocks(np.ascontiguousarray(values), n)
+    v_first = 0.5 * (
+        np.mean(y_b[None, :, :] * (y_as - y_a[None, :, :]), axis=1)
+        + np.mean(y_a[None, :, :] * (y_bs - y_b[None, :, :]), axis=1)
+    )
+    v_complement = 0.5 * (
+        np.mean(y_a[None, :, :] * (y_as - y_b[None, :, :]), axis=1)
+        + np.mean(y_b[None, :, :] * (y_bs - y_a[None, :, :]), axis=1)
+    )
+    return np.ascontiguousarray(values).var(axis=0, ddof=1), v_first, v_complement
+
+
+@pytest.mark.parametrize("layout", ["time-major", "row-major"])
+def test_vbs_tsi_matches_the_broadcast_reduction(layout):
+    m = build_sample_matrices(UNIT3, n=512, seed=4)
+    rng = np.random.default_rng(8)
+    t = np.linspace(0.0, 1.0, 7)
+    rows = _family_rows(m.a, m.b)
+    # a nonlinear family with an interaction and a time-dependent mix
+    values = (np.sin(3.0 * rows[:, :1] + t) + rows[:, 1:2] * rows[:, 2:3] * t
+              + 0.01 * rng.standard_normal((rows.shape[0], t.size)))
+    if layout == "time-major":
+        values = np.ascontiguousarray(values.T).T
+    fam = FamilyEvaluation(times=t, values=values, n=m.n, n_evaluations=rows.shape[0])
+    res = vbs_tsi(fam, m)
+    v_total, v_first, v_complement = _vbs_tsi_broadcast(values, m.n)
+    np.testing.assert_allclose(res.v_total, v_total, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(res.v_first, v_first, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(res.v_complement, v_complement, rtol=0.0, atol=1e-13)
 
 
 def test_evaluation_count_includes_resampled_rows():

@@ -412,29 +412,57 @@ def _params_of(model, cols):
 
 
 def _zajac_rate_as_written(q, sigma, q0, tau, beta):
-    # the rate in the formula's operand order, with no cached factors
-    bracket = sigma * (1.0 - q0) - sigma * (1.0 - beta) * (q - q0) - beta * (q - q0)
-    return bracket / (tau * (1.0 - q0))
+    # the affine form c0 - c1*q in its operand order, with no cached factors
+    tau_free = tau * (1.0 - q0)
+    c0 = (sigma + beta * q0 * (1.0 - sigma)) / tau_free
+    c1 = (sigma * (1.0 - beta) + beta) / tau_free
+    return c0 - c1 * q
 
 
 def _hatze_rate_as_written(q, sigma, q0, m, rho_c, nu, ell_rho, ell):
+    # the one-power form in its operand order, with no cached factors
     qc = np.minimum(np.maximum(q, q0 + HATZE_EPS), 1.0 - HATZE_EPS)
     rho = rho_c * (ell_rho - 1.0) / (ell_rho / ell - 1.0)
-    bracket = (sigma * rho * (1.0 - qc) ** (1.0 + 1.0 / nu) * (qc - q0) ** (1.0 - 1.0 / nu)
-               - (1.0 - qc) * (qc - q0))
-    return nu * m / (1.0 - q0) * bracket
+    free, excess = 1.0 - qc, qc - q0
+    return nu * m / (1.0 - q0) * (free * excess) * (
+        sigma * rho * (free / excess) ** (1.0 / nu) - 1.0)
+
+
+def _zajac_rate_paper(q, sigma, q0, tau, beta):
+    """The paper's bracket form and the magnitude its rounding scales with."""
+    terms = (sigma * (1.0 - q0), -sigma * (1.0 - beta) * (q - q0), -beta * (q - q0))
+    tau_free = tau * (1.0 - q0)
+    return sum(terms) / tau_free, sum(np.abs(t) for t in terms) / tau_free
+
+
+def _hatze_rate_paper(q, sigma, q0, m, rho_c, nu, ell_rho, ell):
+    """The paper's two-power form and the magnitude its rounding scales with."""
+    qc = np.minimum(np.maximum(q, q0 + HATZE_EPS), 1.0 - HATZE_EPS)
+    rho = rho_c * (ell_rho - 1.0) / (ell_rho / ell - 1.0)
+    gain = nu * m / (1.0 - q0)
+    powers = gain * sigma * rho * (1.0 - qc) ** (1.0 + 1.0 / nu) * (qc - q0) ** (1.0 - 1.0 / nu)
+    product = gain * (1.0 - qc) * (qc - q0)
+    return powers - product, np.abs(powers) + np.abs(product)
+
+
+_RATE_FORMS = {"zajac": (zajac_rhs, _zajac_rate_as_written, _zajac_rate_paper),
+               "hatze": (hatze_rhs, _hatze_rate_as_written, _hatze_rate_paper)}
+
+
+def _rhs_sample(model, rows=1000, seed=17):
+    """Parameter rows from the model's built-in cuboid and activities in [0, 1),
+    some below q0 or near 1: the hatze clamp acts there."""
+    cuboid = builtin_cuboid(model)
+    rng = np.random.default_rng(seed)
+    return cuboid.scale(rng.random((rows, cuboid.n_params))), rng.random(rows)
 
 
 @pytest.mark.parametrize("model", ["zajac", "hatze"])
 def test_rhs_equals_the_formula_as_written_bit_for_bit(model):
     # the cached rate factors must keep every expression's operand order, on
     # contiguous parameter columns (the ensemble path) and on scalars
-    rhs, as_written = ((zajac_rhs, _zajac_rate_as_written) if model == "zajac"
-                       else (hatze_rhs, _hatze_rate_as_written))
-    cuboid = builtin_cuboid(model)
-    rng = np.random.default_rng(17)
-    rows = cuboid.scale(rng.random((1000, cuboid.n_params)))
-    q = rng.random(1000)  # some below q0 or near 1: the hatze clamp acts there
+    rhs, as_written, _ = _RATE_FORMS[model]
+    rows, q = _rhs_sample(model)
     cols = rows.T.copy()
     p = _params_of(model, cols)
     f = rhs(q, p)
@@ -449,6 +477,49 @@ def test_rhs_equals_the_formula_as_written_bit_for_bit(model):
         # vectorized float64 power may differ from the scalar one in the last
         # bit, so the hatze paths are each held to the formula instead.
         assert np.array_equal(f, scalar)
+
+
+@pytest.mark.parametrize("model", ["zajac", "hatze"])
+def test_rhs_agrees_with_the_papers_form(model):
+    # An independent check of the rewritten forms. Each form rounds in
+    # proportion to its terms' magnitude: the bracket's three terms for
+    # zajac, and for hatze the two products gain*sigma*rho*free^a*excess^b
+    # and gain*free*excess. At the clamp floor the power term exceeds the
+    # other by up to 1e8, so the bound is taken relative to both terms.
+    rhs, _, paper = _RATE_FORMS[model]
+    rows, q = _rhs_sample(model, rows=36_864, seed=5)
+    q[:64], q[64:128] = 0.0, 1.0  # both clamp ends
+    cols = rows.T.copy()
+    expected, magnitude = paper(q, *cols[1:])
+    assert np.all(np.abs(rhs(q, _params_of(model, cols)) - expected) <= 1e-14 * magnitude)
+
+
+@pytest.mark.parametrize("model", ["zajac", "hatze"])
+def test_array_rhs_leaves_its_inputs_unchanged(model):
+    rhs = _RATE_FORMS[model][0]
+    rows, q = _rhs_sample(model)
+    p = _params_of(model, rows.T.copy())
+    q_before = q.copy()
+    factors = [np.array(f, copy=True) for f in p.rate_factors]
+    for _ in range(2):
+        rhs(q, p)
+    assert np.array_equal(q, q_before)
+    assert all(np.array_equal(a, b) for a, b in zip(p.rate_factors, factors))
+
+
+def test_hatze_rhs_at_the_clamp_ends_raises_no_numpy_warning():
+    # the suite turns numpy warnings into errors; at the clamp ends excess or
+    # free is 1e-12 and the ratio free/excess reaches 1e12 or 1e-12
+    rows, _ = _rhs_sample("hatze")
+    cols = rows.T.copy()
+    p = _params_of("hatze", cols)
+    for q in (np.zeros(len(rows)), cols[2] + HATZE_EPS, np.full(len(rows), 1.0 - HATZE_EPS),
+              np.ones(len(rows))):
+        assert np.all(np.isfinite(hatze_rhs(q, p)))
+    for row in rows[:20]:
+        ps = _params_of("hatze", [float(v) for v in row])
+        for q in (0.0, ps.q0 + HATZE_EPS, 1.0 - HATZE_EPS, 1.0):
+            assert math.isfinite(hatze_rhs(q, ps))
 
 
 def test_cached_hatze_params_still_raise_at_the_pole():
@@ -516,6 +587,25 @@ def test_formula_checks_reject_nan(call):
     # each check is written as "not inside", which every comparison with NaN fails
     with pytest.raises((PoleViolation, DomainViolation, ValueError)):
         call()
+
+
+def test_hatze_rho_rejects_a_nan_calcium_scale():
+    with pytest.raises(ParameterOutOfRange) as exc:
+        hatze_rho(1.0, math.nan, 2.9)
+    assert exc.value.field == "rho_c"
+
+
+def test_hatze_rho_rejects_a_negative_calcium_scale():
+    with pytest.raises(ParameterOutOfRange) as exc:
+        hatze_rho(1.0, -7.24, 2.9)
+    assert exc.value.field == "rho_c"
+    assert "rho_c must lie in (0, inf)" in str(exc.value)
+
+
+def test_hatze_q_of_gamma_rejects_a_nan_exponent():
+    with pytest.raises(ParameterOutOfRange) as exc:
+        hatze_q_of_gamma(0.3, 1.0, HatzeParams(sigma=0.5, nu=math.nan))
+    assert exc.value.field == "nu"
 
 
 # ---------------------------------------------------------------------------

@@ -94,3 +94,14 @@ def test_shift_fit_gates_pass(tmp_path, monkeypatch):
     assert cli.main(item.argv) == 0
     assert fits.item_ok(item)
     assert fits.check_pass([item])[1] == []
+
+
+def test_global_ensemble_gates_pass(tmp_path, monkeypatch):
+    _import_for_test(monkeypatch, "reference", PERFBENCH / "reference.py")
+    workloads = _import_for_test(monkeypatch, "perfbench_workloads",
+                                 PERFBENCH / "workloads.py")
+    ensemble = workloads.GlobalEnsemble(seed=1, work=tmp_path)
+    item = next(it for it in ensemble.pass_items(0) if it.kind == "hatze-global")
+    assert cli.main(item.argv) == 0
+    assert ensemble.check_pass([item])[1] == []  # VBS <= TSI + 10/sqrt(n)
+    assert ensemble.final_check([item], cli.main)[1] == []
