@@ -424,12 +424,13 @@ def _check_hatze_fields(**fields) -> None:
     """ParameterOutOfRange, as ``HatzeParams.validate`` raises it, for the
     first of the given fields outside its declared range, NaN included."""
     ranges = HatzeParams.RANGES
-    oks = (_in_range(v, *ranges[f]) for f, v in fields.items())
-    # np.all costs microseconds even on a bool; this check runs per force scan
-    if not all(ok is True or np.asarray(ok).all() for ok in oks):
-        # only a failure pays for domain_checks' messages
-        _raise_first_failure(SimpleNamespace(
-            RANGES={f: r for f, r in ranges.items() if f in fields}, ORDER=(), **fields))
+    for f, v in fields.items():
+        ok = _in_range(v, *ranges[f])
+        # np.all costs microseconds even on a bool; this check runs per force scan
+        if ok is not True and (ok is False or not ok.all()):
+            # only a failure pays for domain_checks' messages
+            _raise_first_failure(SimpleNamespace(
+                RANGES={f: r for f, r in ranges.items() if f in fields}, ORDER=(), **fields))
 
 
 def hatze_rho(ell_ce_rel, rho_c, ell_rho):
@@ -478,15 +479,11 @@ def hatze_rhs(q, p: HatzeParams):
     gain * free*excess * (sigma_rho * (free/excess)^(1/nu) - 1), which takes
     one fractional power. The activity is clamped to [q0 + eps, 1 - eps]
     first, which keeps the rhs real when an integrator stage overshoots one
-    of the non-Lipschitz boundary fixed points. An array q is worked on in
-    place in the call's own temporaries; a scalar q stays in float
-    arithmetic.
+    of the non-Lipschitz boundary fixed points. The arithmetic is done in
+    place on the call's own temporaries, never on q or a cached factor; at a
+    scalar q the same steps run on numpy scalars.
     """
     q_floor, sigma_rho, inv_nu, gain = p.rate_factors
-    if np.isscalar(q):
-        qc = min(max(float(q), q_floor), 1.0 - HATZE_EPS)  # _clamp_q at a scalar
-        free, excess = 1.0 - qc, qc - p.q0
-        return float(gain * (free * excess) * (sigma_rho * (free / excess) ** inv_nu - 1.0))
     excess = _clamp_q(q, q_floor)
     free = 1.0 - excess
     excess -= p.q0
@@ -497,7 +494,7 @@ def hatze_rhs(q, p: HatzeParams):
     free *= excess
     free *= gain
     out *= free
-    return out
+    return float(out) if np.isscalar(q) else out
 
 
 def _hatze_k_partials(p: HatzeParams) -> tuple:
@@ -657,7 +654,7 @@ class ForceLengthRelation:
     def __post_init__(self):
         if self.kind not in ("parabola", "bell"):
             raise ValueError(f"kind must be 'parabola' or 'bell', got {self.kind!r}")
-        if not np.all(np.greater(self.width, 0.0)):  # width may be a column of rows
+        if not np.greater(self.width, 0.0).all():  # width may be a column of rows
             raise ValueError(f"width must be positive, got {self.width}")
         if not (self.nu_asc > 0.0 and self.nu_des > 0.0):
             raise ValueError("bell exponents must be positive")
@@ -683,10 +680,10 @@ def force_length_relative(ell_rel, rel: ForceLengthRelation):
 def force_length(ell_ce, rel: ForceLengthRelation):
     """Evaluate the force-length relation at absolute CE length in mm."""
     ell_ce = np.asarray(ell_ce, dtype=float)
-    if not np.all(ell_ce > 0.0):
+    if not (ell_ce > 0.0).all():
         raise ValueError("ell_ce must be positive")
-    out = force_length_relative(ell_ce / rel.ell_opt, rel)
-    return float(out) if np.isscalar(out) or np.ndim(out) == 0 else out
+    out = _force_length_relative(ell_ce / rel.ell_opt, rel)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------
