@@ -1,10 +1,10 @@
-"""Muscle activation dynamics models with analytic first and second partials.
+"""Muscle activation dynamics models with exact first and second partials.
 
 Two activation models are built in: a linear one with a deactivation boost
 (``zajac_*``) and a nonlinear, length-dependent one (``hatze_*``). Both are
 scalar ODEs for the activity q driven by a constant stimulation sigma. Every
-right-hand side comes with closed-form partial derivatives with respect to
-the state and all parameters, which is what the sensitivity machinery in
+right-hand side comes with exact partial derivatives with respect to the
+state and all parameters, which is what the sensitivity machinery in
 :mod:`actsens.localsens` consumes.
 
 All formula functions broadcast over numpy arrays, so the same code serves
@@ -16,10 +16,12 @@ parameters they read included, and then call a private unchecked twin
 directly.
 
 ``zajac_partials`` and ``hatze_partials`` return ``(f, grad, hess)`` at one
-scalar point: the rhs value, its gradient and its Hessian as numpy arrays
-indexed by the model's variables ``ZAJAC_VARS``/``HATZE_VARS`` (index 0 is
-the state q, then the model's parameters). The Hessian is exactly
-symmetric: each entry below the diagonal is a copy of its mirror.
+scalar point: the rhs value, its gradient and its exactly symmetric Hessian
+as numpy arrays indexed by the model's variables ``ZAJAC_VARS``/``HATZE_VARS``
+(index 0 is the state q, then the model's parameters). Each model writes its
+parameter-only rate factors once; ``rate_factors`` evaluates them on floats
+or columns and ``rate_jets`` on second-order forward-mode jets, which carry
+the gradient and Hessian the partials build on.
 
 The sensitivity machinery sees a model through one interface,
 :class:`ModelSpec`: ``derivs(t, y, lam, order)`` returns the same triple
@@ -193,19 +195,20 @@ class ZajacParams(_Domain):
         ``(c0, c1)`` of the rate c0 - c1*q, which is affine in q:
         c0 = (sigma + beta*q0*(1-sigma)) / (tau(1-q0)) and
         c1 = (sigma(1-beta) + beta) / (tau(1-q0)). They are kept for the
-        object's lifetime, as ``a_partials`` is, so its fields must not
+        object's lifetime, as ``rate_jets`` are, so its fields must not
         change after its rhs or partials have been evaluated.
         """
-        tau_free = self.tau * (1.0 - self.q0)
-        return ((self.sigma + self.beta * self.q0 * (1.0 - self.sigma)) / tau_free,
-                (self.sigma * (1.0 - self.beta) + self.beta) / tau_free)
+        return _zajac_rates(*self._rate_fields())
 
     @functools.cached_property
-    def a_partials(self) -> tuple:
-        """The parameter-only factor A = 1/(tau(1-q0)) of :func:`zajac_partials`
-        with its gradient and Hessian (read-only), computed on first use and
-        kept as ``rate_factors`` is."""
-        return _zajac_a_partials(self)
+    def rate_jets(self) -> tuple:
+        """``rate_factors`` as jets over ZAJAC_VARS (scalar fields only), by the
+        same formulas and kept as it is; their values equal it bit for bit."""
+        return _zajac_rates(*_parameter_jets(self._rate_fields()))
+
+    def _rate_fields(self) -> tuple:
+        # the fields the rates read, in ZAJAC_VARS order
+        return self.sigma, self.q0, self.tau, self.beta
 
 
 @dataclass
@@ -248,55 +251,103 @@ class HatzeParams(_Domain):
     def rate_factors(self) -> tuple:
         """Parameter-only factors of :func:`hatze_rhs`, computed on first use.
 
-        ``(q0 + eps, sigma*rho, 1/nu, nu*m/(1-q0))`` with rho from
-        :func:`hatze_rho`, so a CE length outside (0, ell_rho) raises
-        PoleViolation on every access. They are kept for the object's
-        lifetime, as ``k_partials`` and ``p_partials`` are, so its fields
-        must not change after its rhs or partials have been evaluated.
+        ``(q0 + eps, sigma*rho, 1/nu, nu*m/(1-q0))`` with rho as
+        :func:`hatze_rho` computes and checks it, so a CE length outside
+        (0, ell_rho) raises PoleViolation on every access. They are kept
+        for the object's lifetime, as ``rate_jets`` are, so its fields must
+        not change after its rhs or partials have been evaluated.
         """
-        rho = hatze_rho(self.ell_ce_rel, self.rho_c, self.ell_rho)
-        return (self.q0 + HATZE_EPS, self.sigma * rho, 1.0 / self.nu,
-                self.nu * self.m / (1.0 - self.q0))
+        return _hatze_rates(*self._rate_fields())
 
     @functools.cached_property
-    def k_partials(self) -> tuple:
-        """The parameter-only factor K(q0, m, nu) of :func:`hatze_partials`
-        with its gradient and Hessian (read-only), kept as ``rate_factors`` is."""
-        return _hatze_k_partials(self)
+    def rate_jets(self) -> tuple:
+        """``rate_factors`` as jets over HATZE_VARS (scalar fields only), by the
+        same formulas after the same checks and kept as it is; their values
+        equal it bit for bit."""
+        return _hatze_rates(*_parameter_jets(self._rate_fields()))
 
-    @functools.cached_property
-    def p_partials(self) -> tuple:
-        """The parameter-only factor P(sigma, rho_c, ell_rho, ell) of
-        :func:`hatze_partials` with its gradient and Hessian (read-only),
-        kept as ``rate_factors`` is; like it, a CE length outside
-        (0, ell_rho) raises PoleViolation on every access."""
-        return _hatze_p_partials(self)
+    def _rate_fields(self) -> tuple:
+        # the fields the rates read, in HATZE_VARS order, after hatze_rho's checks
+        _check_hatze_fields(rho_c=self.rho_c, ell_rho=self.ell_rho)
+        _checked_length(self.ell_ce_rel, self.ell_rho)
+        return (self.sigma, self.q0, self.m, self.rho_c, self.nu, self.ell_rho,
+                self.ell_ce_rel)
 
 
 # ---------------------------------------------------------------------------
-# partials as arrays: (value, gradient, Hessian) over a model's VARS
+# second-order forward mode: (value, gradient, Hessian) over a model's VARS
 # ---------------------------------------------------------------------------
 
 
-def _product(a, b):
-    """Partials of A*B from the factors' (value, gradient, Hessian) triples.
+class _Jet:
+    """A value with its gradient and Hessian over a model's VARS.
 
-    A Hessian is None when second partials are not wanted. The product's
-    Hessian is filled from its upper triangle, so it is exactly symmetric.
+    Second-order forward mode (Griewank & Walther, *Evaluating Derivatives*,
+    2nd ed., SIAM 2008, ch. 13) with + - * / between jets and floats; the
+    Hessian is None when second partials are not wanted. A value is computed
+    by the same float operation as on plain numbers, so a formula's jet
+    value equals its float value bit for bit. Every Hessian is exactly
+    symmetric: a product adds cross + cross.T, and IEEE addition commutes.
+    No operation writes into an operand's arrays, so jets may share them.
     """
-    (av, ag, aH), (bv, bg, bH) = a, b
-    if aH is None:
-        return av * bv, ag * bv + av * bg, None
-    H = aH * bv + ag[:, None] * bg + bg[:, None] * ag + av * bH
-    lower = _lower_triangle(len(ag))
-    H[lower] = H.T[lower]
-    return av * bv, ag * bv + av * bg, H
+
+    __slots__ = ("v", "g", "h")
+
+    def __init__(self, v, g, h):
+        self.v, self.g, self.h = v, g, h
+
+    def _lift(self, x) -> "_Jet":
+        # a float as a constant
+        if isinstance(x, _Jet):
+            return x
+        return _Jet(x, np.zeros_like(self.g), None if self.h is None else np.zeros_like(self.h))
+
+    def __add__(self, other):
+        o = self._lift(other)
+        h = None if self.h is None or o.h is None else self.h + o.h
+        return _Jet(self.v + o.v, self.g + o.g, h)
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        h = None if self.h is None or o.h is None else self.h - o.h
+        return _Jet(self.v - o.v, self.g - o.g, h)
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        h = None
+        if self.h is not None and o.h is not None:
+            cross = self.g[:, None] * o.g
+            h = self.h * o.v + (cross + cross.T) + self.v * o.h
+        return _Jet(self.v * o.v, self.g * o.v + self.v * o.g, h)
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        # the quotient rule (g d - v dg)/d^2 keeps exact cancellations exact,
+        # such as the ell_rho slot of rho at ell_CErel = 1
+        q = self.v / o.v
+        g = (self.g * o.v - self.v * o.g) / (o.v * o.v)
+        h = None
+        if self.h is not None and o.h is not None:
+            # from the product rule of v = q d
+            cross = g[:, None] * o.g
+            h = (self.h - (cross + cross.T) - q * o.h) / o.v
+        return _Jet(q, g, h)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __rsub__(self, other):
+        return self._lift(other) - self
+
+    def __rtruediv__(self, other):
+        return self._lift(other) / self
 
 
-@functools.cache
-def _lower_triangle(n: int):
-    # np.tril_indices costs more than the whole product rule; build it once
-    return np.tril_indices(n, -1)
+def _parameter_jets(values) -> list:
+    """Jets of independent parameters at the given scalar values, over
+    (q, *parameters): the i-th value gets the unit gradient of slot i + 1."""
+    n = len(values) + 1
+    eye, zero = np.eye(n), np.zeros((n, n))
+    return [_Jet(v, eye[i], zero) for i, v in enumerate(values, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +355,13 @@ def _lower_triangle(n: int):
 # ---------------------------------------------------------------------------
 
 ZAJAC_VARS = ("q", "sigma", "q0", "tau", "beta")
+
+
+def _zajac_rates(sigma, q0, tau, beta):
+    # (c0, c1) of ZajacParams.rate_factors, on floats, columns or jets
+    tau_free = tau * (1.0 - q0)
+    return ((sigma + beta * q0 * (1.0 - sigma)) / tau_free,
+            (sigma * (1.0 - beta) + beta) / tau_free)
 
 
 def zajac_rhs(q, p: ZajacParams):
@@ -319,54 +377,26 @@ def zajac_rhs(q, p: ZajacParams):
     return c0 - f
 
 
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-def _zajac_a_partials(p: ZajacParams) -> tuple:
-    # A = 1/(tau(1-q0)) over ZAJAC_VARS: see ZajacParams.a_partials
-    Q0, TAU = 2, 3  # positions in ZAJAC_VARS
-    A = 1.0 / (p.tau * (1.0 - p.q0))
-    a1, a2 = np.zeros(5), np.zeros((5, 5))
-    a1[TAU] = -A / p.tau
-    a1[Q0] = A / (1.0 - p.q0)
-    a2[TAU, TAU] = 2.0 * A / p.tau**2
-    a2[Q0, TAU] = a2[TAU, Q0] = -A / (p.tau * (1.0 - p.q0))
-    a2[Q0, Q0] = 2.0 * A / (1.0 - p.q0) ** 2
-    return (A, *_read_only(a1, a2))
-
-
 def zajac_partials(q: float, p: ZajacParams, second: bool = True):
     """Value, gradient and Hessian of the linear model's rhs over ZAJAC_VARS.
 
-    The rhs factors as A(tau, q0) * G(q, sigma, q0, beta) with
-    A = 1/(tau(1-q0)) (``p.a_partials``); the partials are assembled by the
-    product rule. Returns ``(f, grad, hess)`` with grad[i] = df/dx_i and the
-    symmetric hess[i, j] = d2f/(dx_i dx_j), x = ZAJAC_VARS; hess is None
-    unless ``second``.
+    The rhs is affine in q, f = c0 - c1*q, with the parameter-only c0 and
+    c1 of ``p.rate_factors`` and their jets ``p.rate_jets``. So
+    grad = (-c1, grad c0 - q grad c1), and the Hessian is H(c0) - q H(c1)
+    with -grad c1 in the q row and column. Returns ``(f, grad, hess)`` with
+    grad[i] = df/dx_i and the symmetric hess[i, j] = d2f/(dx_i dx_j),
+    x = ZAJAC_VARS; hess is None unless ``second``. f is :func:`zajac_rhs`'s
+    value bit for bit.
     """
-    Q, SIGMA, Q0, TAU, BETA = range(5)  # positions in ZAJAC_VARS
-    A, a1, a2 = p.a_partials
-    s = p.sigma * (1.0 - p.beta) + p.beta
-    u = q - p.q0
-    G = p.sigma * (1.0 - p.q0) - s * u
-
-    g1 = np.zeros(5)
-    g1[Q] = -s
-    g1[SIGMA] = (1.0 - p.q0) - (1.0 - p.beta) * u
-    g1[Q0] = -p.sigma + s
-    g1[BETA] = u * (p.sigma - 1.0)
-    g2 = None
+    (c0, c1), (j0, j1) = p.rate_factors, p.rate_jets
+    grad = j0.g - q * j1.g
+    grad[0] = -c1
+    hess = None
     if second:
-        g2 = np.zeros((5, 5))
-        g2[Q, SIGMA] = g2[SIGMA, Q] = -(1.0 - p.beta)
-        g2[BETA, Q] = g2[Q, BETA] = p.sigma - 1.0
-        g2[Q0, SIGMA] = g2[SIGMA, Q0] = -p.beta
-        g2[BETA, SIGMA] = g2[SIGMA, BETA] = u
-        g2[BETA, Q0] = g2[Q0, BETA] = 1.0 - p.sigma
-    return _product((A, a1, a2 if second else None), (G, g1, g2))
+        hess = j0.h - q * j1.h
+        hess[0] -= j1.g  # onto the zero q row, which keeps zero entries +0.0
+        hess[:, 0] = hess[0]
+    return c0 - c1 * q, grad, hess
 
 
 def zajac_steady_state(p: ZajacParams) -> float:
@@ -497,61 +527,27 @@ def hatze_rhs(q, p: HatzeParams):
     return float(out) if np.isscalar(q) else out
 
 
-def _hatze_k_partials(p: HatzeParams) -> tuple:
-    # K = nu m/(1-q0) over HATZE_VARS: see HatzeParams.k_partials
-    Q0, M, NU = 2, 3, 5  # positions in HATZE_VARS
-    q0, m, nu = p.q0, p.m, p.nu
-    k1, k2 = np.zeros(8), np.zeros((8, 8))
-    K = nu * m / (1.0 - q0)
-    k1[Q0] = K / (1.0 - q0)
-    k1[M] = K / m
-    k1[NU] = K / nu
-    k2[Q0, Q0] = 2.0 * K / (1.0 - q0) ** 2
-    k2[M, Q0] = k2[Q0, M] = nu / (1.0 - q0) ** 2
-    k2[NU, Q0] = k2[Q0, NU] = m / (1.0 - q0) ** 2
-    k2[M, NU] = k2[NU, M] = 1.0 / (1.0 - q0)
-    return (K, *_read_only(k1, k2))
-
-
-def _hatze_p_partials(p: HatzeParams) -> tuple:
-    # P = sigma rho over HATZE_VARS: see HatzeParams.p_partials
-    SIGMA, RHO_C, ELL_RHO, ELL = 1, 4, 6, 7  # positions in HATZE_VARS
-    sig, rc, lr, ell = p.sigma, p.rho_c, p.ell_rho, p.ell_ce_rel
-    _checked_length(ell, lr)  # the pole check of hatze_rho
-    p1, p2 = np.zeros(8), np.zeros((8, 8))
-    dl = lr - ell
-    P = sig * rc * (lr - 1.0) * ell / dl
-    p1[SIGMA] = rc * (lr - 1.0) * ell / dl
-    p1[RHO_C] = sig * (lr - 1.0) * ell / dl
-    p1[ELL_RHO] = sig * rc * ell * (1.0 - ell) / dl**2
-    p1[ELL] = sig * rc * (lr - 1.0) * lr / dl**2
-    p2[RHO_C, SIGMA] = p2[SIGMA, RHO_C] = (lr - 1.0) * ell / dl
-    p2[ELL_RHO, SIGMA] = p2[SIGMA, ELL_RHO] = rc * ell * (1.0 - ell) / dl**2
-    p2[ELL, SIGMA] = p2[SIGMA, ELL] = rc * (lr - 1.0) * lr / dl**2
-    p2[ELL_RHO, RHO_C] = p2[RHO_C, ELL_RHO] = sig * ell * (1.0 - ell) / dl**2
-    p2[ELL, RHO_C] = p2[RHO_C, ELL] = sig * (lr - 1.0) * lr / dl**2
-    p2[ELL_RHO, ELL_RHO] = -2.0 * sig * rc * ell * (1.0 - ell) / dl**3
-    p2[ELL, ELL_RHO] = p2[ELL_RHO, ELL] = (
-        sig * rc * (lr + ell - 2.0 * ell * lr) / dl**3)
-    p2[ELL, ELL] = 2.0 * sig * rc * (lr - 1.0) * lr / dl**3
-    return (P, *_read_only(p1, p2))
+def _hatze_rates(sigma, q0, m, rho_c, nu, ell_rho, ell_ce_rel):
+    # HatzeParams.rate_factors on floats, columns or jets, after its checks
+    return (q0 + HATZE_EPS, sigma * _hatze_rho(ell_ce_rel, rho_c, ell_rho), 1.0 / nu,
+            nu * m / (1.0 - q0))
 
 
 def hatze_partials(q: float, p: HatzeParams, second: bool = True):
     """Value, gradient and Hessian of the nonlinear model's rhs over HATZE_VARS.
 
     The rhs factors as K(q0, m, nu) * (P(sigma, rho_c, ell_rho, ell) * W(q, q0, nu)
-    - V(q, q0)); each factor's partials are closed-form and the product rule
-    assembles them. K and P depend on the parameters only and come from
-    ``p.k_partials`` and ``p.p_partials``. The log terms from
-    differentiating the nu-dependent exponents are included. Returns
-    ``(f, grad, hess)`` as :func:`zajac_partials` does, over x = HATZE_VARS.
+    - V(q, q0)). K = nu m/(1-q0) and P = sigma rho depend on the parameters
+    only; they are the jets ``p.rate_jets`` of the rhs's own gain and
+    sigma_rho. The partials of W and V are written out, the log terms from
+    differentiating the nu-dependent exponents included, and the product is
+    taken on jets. Returns ``(f, grad, hess)`` as :func:`zajac_partials`
+    does, over x = HATZE_VARS.
     """
     q0, nu = p.q0, p.nu
     q = min(max(float(q), q0 + HATZE_EPS), 1.0 - HATZE_EPS)  # _clamp_q at a scalar
     Q, Q0, NU = 0, 2, 5  # positions in HATZE_VARS
-    K, k1, k2 = p.k_partials
-    P, p1, p2 = p.p_partials
+    _, P, _, K = p.rate_jets
     w1, v1 = np.zeros(8), np.zeros(8)
     w2 = v2 = None
     if second:
@@ -587,9 +583,8 @@ def hatze_partials(q: float, p: HatzeParams, second: bool = True):
         v2[Q, Q] = -2.0
         v2[Q, Q0] = v2[Q0, Q] = 1.0
 
-    pw, pw1, pw2 = _product((P, p1, p2 if second else None), (W, w1, w2))
-    G = (pw - V, pw1 - v1, pw2 - v2 if second else None)
-    return _product((K, k1, k2 if second else None), G)
+    f = K * (P * _Jet(W, w1, w2) - _Jet(V, v1, v2))
+    return f.v, f.g, f.h
 
 
 def hatze_steady_state(p: HatzeParams) -> float:
@@ -709,7 +704,9 @@ class ModelSpec:
     None below order 2. A solve calls it many times with one lam, so derivs
     may bind lam's values to a parameter object once and reuse it (the
     built-in scalar models do, see :func:`_scalar_model`); the result must
-    depend on lam's values only, never on which array holds them.
+    depend on lam's values only, never on which array holds them. The
+    built-in models return :func:`zajac_partials`/:func:`hatze_partials`,
+    which differentiate the rhs's own rate factors on jets.
     """
 
     name: str

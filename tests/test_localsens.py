@@ -196,17 +196,23 @@ def test_hatze_length_sensitivity_ratio_is_pole_elasticity():
     # the drive parameters enter through one product, so relative
     # sensitivities stay in fixed ratios; at optimal length the CE-length
     # to stimulation ratio equals ell_rho/(ell_rho - 1) and the pole itself
-    # has no influence at all
+    # has no influence at all. Its partials cancel exactly at ell_CErel = 1,
+    # so S and every second-order term but the one with the length itself
+    # (the pole elasticity moves with ell_CErel) are exactly zero
     model = hatze_model()
     ps = hatze_scenario("iii", nu=3.0)
     grid = np.linspace(0.05, 0.5, 10)
-    res = normalize(analyze(model, ps, grid), ps)
+    res = normalize(analyze(model, ps, grid, order=2), ps)
     i_s = model.canonical_order.index("sigma")
     i_l = model.canonical_order.index("ell_CErel")
     i_p = model.canonical_order.index("ell_rho")
     ratio = res.s_rel[:, i_l, 0] / res.s_rel[:, i_s, 0]
     assert np.allclose(ratio, 2.9 / 1.9, rtol=1e-8)
-    assert np.max(np.abs(res.s_rel[:, i_p, 0])) < 1e-12
+    assert np.all(res.s_rel[:, i_p, 0] == 0.0)
+    j_l, j_p = model.param_names.index("ell_CErel"), model.param_names.index("ell_rho")
+    others = [j for j in range(model.n_params) if j != j_l]
+    assert np.all(res.r_rel[:, others, j_p, 0] == 0.0)
+    assert np.all(res.r_rel[:, j_p, others, 0] == 0.0)
 
 
 # ---------------------------------------------------------------------------

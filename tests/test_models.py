@@ -289,9 +289,10 @@ def test_hatze_partials_match_finite_differences(q, vals):
 
 @pytest.mark.parametrize("model", ["zajac", "hatze"])
 def test_parameter_hessian_is_exactly_symmetric(model):
-    # the product rule sums its two cross terms in one fixed order on both
-    # sides of the diagonal; without the mirror fill they differ in the
-    # last bit at some points
+    # a jet product adds its cross term to its transpose, cross + cross.T,
+    # which is symmetric because IEEE addition commutes; summing the two
+    # cross terms into the rest one by one would differ in the last bit at
+    # some points
     spec = zajac_model() if model == "zajac" else hatze_model()
     cuboid = builtin_cuboid(model)
     rows = cuboid.scale(np.random.default_rng(3).random((500, cuboid.n_params)))
@@ -316,7 +317,9 @@ def _interior_points(model, n=50):
 @pytest.mark.parametrize("model", list(_MODELS))
 def test_derivs_contract_of_builtin_models(model):
     # (f, grad, hess) over x = (y, lam): shapes by order, an exactly symmetric
-    # hess, and grad/hess equal to central differences of derivs itself
+    # hess, and grad/hess equal to central differences of derivs itself; the
+    # parameter-only jets carry the rhs's own rate factors bit for bit, and
+    # the affine zajac form gives the rhs's own value at every order
     spec = _MODELS[model][0]()
     M, D = spec.dim, spec.dim + spec.n_params
 
@@ -332,6 +335,10 @@ def test_derivs_contract_of_builtin_models(model):
         assert g1.shape == grad.shape == (M, D) and hess.shape == (M, D, D)
         assert np.array_equal(f1, f) and np.array_equal(g1, grad)
         assert np.array_equal(hess, hess.transpose(0, 2, 1))
+        if model != "hatze":
+            assert np.array_equal(f0, f)
+        p = spec.params_of(*x)
+        assert tuple(j.v for j in p.rate_jets) == p.rate_factors
         for a in range(D):
             # step 1e-6 relative: truncation and rounding stay near 1e-8 of
             # max(1, |partial|) (measured at most 1.4e-8)
