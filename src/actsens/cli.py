@@ -62,15 +62,9 @@ _MODELS = {
     "simplified-zajac": (simplified_zajac_model, None),
 }
 
-# CLI/config key -> canonical parameter name ('q_init' targets the model's
-# initial condition)
-_OVERRIDE_MAP = {
-    "sigma": "sigma", "q0": "q0", "tau": "tau", "m": "m", "rho_c": "rho_c",
-    "ell_rho": "ell_rho", "ell_cerel": "ell_CErel", "q_init": "q_init",
-}
-
-# parameter-object field -> CLI/config key, where the two differ
-_FIELD_KEYS = {"ell_ce_rel": "ell_cerel"}
+# the canonical names a scenario's parameters may be overridden by, each by
+# the key of its name in lower case ('q_init' is the model's initial value)
+_OVERRIDES = ("sigma", "q0", "tau", "m", "rho_c", "ell_rho", "ell_CErel", "q_init")
 
 
 class _FileValue(str):
@@ -195,7 +189,7 @@ def _load_bounds(path: str, model_name: str) -> ParameterCuboid:
     cuboid = ParameterCuboid.from_dict(pairs)
     lower, top = cuboid.lower, np.nextafter(cuboid.upper, cuboid.lower)
     declared = type(spec.params_of(*top))
-    canonical = dict(zip(declared.RANGES, names))  # field -> its name in the file
+    canonical = dict(zip(declared.RANGES, declared.canonical_order()))  # field -> file name
     # each joint constraint a op b where it is likeliest to hold
     smaller = {a for a, *_ in declared.ORDER}
     best = np.where([f in smaller for f in canonical], lower, top)
@@ -291,10 +285,11 @@ def _scenario_params(settings) -> tuple:
         pset = simplified_zajac_scenario(settings["scenario"])
 
     model = factory()
-    for key, target in _OVERRIDE_MAP.items():
+    for name in _OVERRIDES:
+        key = name.lower()
         if settings[key] is None:
             continue
-        name = model.init_names[0] if key == "q_init" else target
+        name = model.init_names[0] if key == "q_init" else name
         if name not in pset.names:
             raise ConfigError(
                 f"{_where(settings.given.get(key))}parameter {key!r} is not applicable to "
@@ -313,10 +308,12 @@ def _validate(model, pset, settings) -> None:
     setting); a CE length at or beyond the pole ell_rho stays a PoleViolation
     (numerical failure).
     """
+    p = model.params_of(*pset.values_for(model.canonical_order))
     try:
-        model.params_of(*pset.values_for(model.canonical_order)).validate()
+        p.validate()
     except ParameterOutOfRange as exc:
-        key = _FIELD_KEYS.get(exc.field, exc.field)
+        name = type(p).NAMES.get(exc.field, exc.field)  # the field's canonical name
+        key = "q_init" if name in model.init_names else name.lower()
         raise ConfigError(f"{_where(settings.given.get(key))}{exc}") from exc
 
 
@@ -515,8 +512,8 @@ _SCENARIO = {
     "scenario": _Setting("ii", partial(_parse_choice, options=SCENARIO_ROWS), "row i, ii, iii or iv"),
     "beta": _Setting(None, _parse_number, "zajac's deactivation boost, e.g. 1/3 (default 1)"),
     "nu": _Setting(None, _parse_number, "hatze's exponent; picks the rho_c pairing (default 3)"),
-    **{key: _Setting(None, _parse_number, f"override the scenario's {name}")
-       for key, name in _OVERRIDE_MAP.items()},
+    **{name.lower(): _Setting(None, _parse_number, f"override the scenario's {name}")
+       for name in _OVERRIDES},
 }
 
 # command -> (runner, key -> setting): every key a command takes, as a flag or config key

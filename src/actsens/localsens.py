@@ -64,12 +64,17 @@ class SensitivityResult:
     r_approximate: bool = False
 
 
-def _as_parameter_set(model: ModelSpec, params) -> ParameterSet:
+def _values(params, names) -> np.ndarray:
+    """The values of a ParameterSet or mapping in the order of ``names``;
+    ValueError naming each of ``names`` it lacks."""
     if isinstance(params, ParameterSet):
-        return params
-    if isinstance(params, Mapping):
-        return ParameterSet.from_dict(params, order=model.canonical_order)
-    raise TypeError(f"params must be a ParameterSet or mapping, got {type(params)}")
+        params = params.as_dict()
+    elif not isinstance(params, Mapping):
+        raise TypeError(f"params must be a ParameterSet or mapping, got {type(params)}")
+    missing = [n for n in names if n not in params]
+    if missing:
+        raise ValueError(f"params lack {missing} of the model's parameters {list(names)}")
+    return np.array([params[n] for n in names], dtype=float)
 
 
 def _check_derivs(derivs, order: int) -> None:
@@ -134,13 +139,15 @@ def analyze(
     tensor over the dynamic parameters (upper triangle) from R(0) = 0:
     dR_ij/dt = R_ij J^T + W_i^T H W_j, one quadratic form in the Hessian H
     of f over x = (y, lam) with W_i = (S_i, e_i) = dx/dlam_i. A model that
-    lacks the partials an order needs raises MissingDerivative.
+    lacks the partials an order needs raises MissingDerivative; any other
+    order, or params that lack a name of the canonical order, ValueError.
     """
-    pset = _as_parameter_set(model, params)
-    lam = pset.values_for(model.param_names)
-    y0 = pset.values_for(model.init_names)
-    grid = np.asarray(grid, dtype=float)
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     M, N = model.dim, model.n_params
+    x = _values(params, model.canonical_order)
+    y0, lam = x[:M], x[M:]
+    grid = np.asarray(grid, dtype=float)
 
     if order >= 1:
         _check_derivs(model.derivs(0.0, y0, lam, order), order)
@@ -192,7 +199,7 @@ def _central_differences(model, params, grid, rows, rel_step, tol, *, order=0):
     indexed [time, row, augmented component].
     """
     M = model.dim
-    x = _as_parameter_set(model, params).values_for(model.canonical_order)
+    x = _values(params, model.canonical_order)
     grid = np.asarray(grid, dtype=float)
     dim = _augmented_system(model, x[M:], x[:M], order=order)[1].size
     out = np.empty((grid.size, len(rows), dim))
@@ -270,11 +277,7 @@ def normalize(result: SensitivityResult, params, floor: float = NORMALIZATION_FL
     ``degenerate`` and set to NaN; dynamic parameters whose value is exactly
     zero produce identically-zero rows and are listed in ``zero_params``.
     """
-    if isinstance(params, ParameterSet):
-        pdict = params.as_dict()
-    else:
-        pdict = dict(params)
-    values = np.array([pdict[n] for n in result.init_names + result.param_names])
+    values = _values(params, result.init_names + result.param_names)
     lam = values[len(result.init_names):]
 
     y = result.state  # (T, M)

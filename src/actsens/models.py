@@ -19,9 +19,9 @@ directly.
 scalar point: the rhs value, its gradient and its exactly symmetric Hessian
 as numpy arrays indexed by the model's variables ``ZAJAC_VARS``/``HATZE_VARS``
 (index 0 is the state q, then the model's parameters). Each model writes its
-parameter-only rate factors once; ``rate_factors`` evaluates them on floats
-or columns and ``rate_jets`` on second-order forward-mode jets, which carry
-the gradient and Hessian the partials build on.
+parameter-only rate factors once, as ``_rates``; ``rate_factors`` evaluates
+them on floats or columns and ``rate_jets`` on second-order forward-mode
+jets, which carry the gradient and Hessian the partials build on.
 
 The sensitivity machinery sees a model through one interface,
 :class:`ModelSpec`: ``derivs(t, y, lam, order)`` returns the same triple
@@ -30,9 +30,11 @@ over x = (y, lam) with a leading state axis, shapes (M,), (M, M+N) and
 and hess None below order 2. The built-in specs pass their partials
 through unchanged.
 
-Each parameter class declares its domain once, as field ranges and joint
-order constraints; ``validate``, ensemble row validity and the CLI's
-bounds-file check all read it through :func:`domain_checks`.
+Each parameter class declares once its fields' canonical order and names
+(``RANGES``, ``NAMES``), from which the variables, the ModelSpec names and
+the CLI's keys derive, and its domain, as field ranges and joint order
+constraints; ``validate``, ensemble row validity and the CLI's bounds-file
+check all read the domain through :func:`domain_checks`.
 """
 
 from __future__ import annotations
@@ -92,6 +94,8 @@ class ParameterSet:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (len(self.names),):
             raise ValueError("values must align with names")
+        if len(set(self.names)) != len(self.names):
+            raise ValueError(f"names must not repeat, got {self.names}")
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -159,11 +163,45 @@ def _raise_first_failure(p) -> None:
 
 
 class _Domain:
-    """A parameter class whose domain is declared in ``RANGES`` and ``ORDER``."""
+    """A parameter class, declared by ``RANGES``, ``ORDER``, ``NAMES`` and ``_rates``.
+
+    The keys of ``RANGES`` are the fields in canonical order, the initial
+    value first; ``NAMES`` maps each field whose canonical name differs to
+    that name. ``_rates`` computes the rhs's parameter-only factors from the
+    fields after the initial value, on floats, columns or jets.
+    """
+
+    @classmethod
+    def canonical_order(cls) -> tuple:
+        """The canonical names of the fields, in canonical order."""
+        return tuple(cls.NAMES.get(f, f) for f in cls.RANGES)
+
+    @classmethod
+    def from_canonical(cls, *values):
+        """Fields from values in the canonical order."""
+        return cls(**dict(zip(cls.RANGES, values, strict=True)))
 
     def validate(self) -> None:
         """Raise for the first failing condition; a ParameterOutOfRange names its last field."""
         _raise_first_failure(self)
+
+    @functools.cached_property
+    def rate_factors(self) -> tuple:
+        """``_rates`` of the fields, computed on first use and kept for the
+        object's lifetime, as ``rate_jets`` are: its fields must not change
+        after its rhs or partials have been evaluated."""
+        return self._rates(*self._rate_fields())
+
+    @functools.cached_property
+    def rate_jets(self) -> tuple:
+        """``rate_factors`` as jets over the model's VARS (scalar fields only),
+        by the same formulas after the same checks and kept as it is; their
+        values equal it bit for bit."""
+        return self._rates(*_parameter_jets(self._rate_fields()))
+
+    def _rate_fields(self) -> tuple:
+        # the fields the rates read: those after the initial value, in VARS order
+        return tuple(getattr(self, f) for f in self.RANGES)[1:]
 
 
 @dataclass
@@ -182,33 +220,16 @@ class ZajacParams(_Domain):
         "tau": (0.0, math.inf, "()"), "beta": (0.0, math.inf, "()"),
     }
     ORDER: ClassVar[tuple] = (("q0", "<=", "q_init", ParameterOutOfRange),)
+    NAMES: ClassVar[dict] = {"q_init": "q_Z0"}
 
-    @classmethod
-    def from_canonical(cls, q_init, sigma, q0, tau, beta) -> "ZajacParams":
-        """Fields from values in the canonical order ``q_Z0, sigma, q0, tau, beta``."""
-        return cls(sigma=sigma, q0=q0, tau=tau, beta=beta, q_init=q_init)
-
-    @functools.cached_property
-    def rate_factors(self) -> tuple:
-        """Parameter-only factors of :func:`zajac_rhs`, computed on first use.
-
-        ``(c0, c1)`` of the rate c0 - c1*q, which is affine in q:
+    @staticmethod
+    def _rates(sigma, q0, tau, beta):
+        """``(c0, c1)`` of :func:`zajac_rhs`'s rate c0 - c1*q, which is affine in q:
         c0 = (sigma + beta*q0*(1-sigma)) / (tau(1-q0)) and
-        c1 = (sigma(1-beta) + beta) / (tau(1-q0)). They are kept for the
-        object's lifetime, as ``rate_jets`` are, so its fields must not
-        change after its rhs or partials have been evaluated.
-        """
-        return _zajac_rates(*self._rate_fields())
-
-    @functools.cached_property
-    def rate_jets(self) -> tuple:
-        """``rate_factors`` as jets over ZAJAC_VARS (scalar fields only), by the
-        same formulas and kept as it is; their values equal it bit for bit."""
-        return _zajac_rates(*_parameter_jets(self._rate_fields()))
-
-    def _rate_fields(self) -> tuple:
-        # the fields the rates read, in ZAJAC_VARS order
-        return self.sigma, self.q0, self.tau, self.beta
+        c1 = (sigma(1-beta) + beta) / (tau(1-q0))."""
+        tau_free = tau * (1.0 - q0)
+        return ((sigma + beta * q0 * (1.0 - sigma)) / tau_free,
+                (sigma * (1.0 - beta) + beta) / tau_free)
 
 
 @dataclass
@@ -238,40 +259,21 @@ class HatzeParams(_Domain):
     }
     ORDER: ClassVar[tuple] = (("q0", "<", "q_init", ParameterOutOfRange),
                               ("ell_ce_rel", "<", "ell_rho", PoleViolation))
+    NAMES: ClassVar[dict] = {"q_init": "q_H0", "ell_ce_rel": "ell_CErel"}
 
-    @classmethod
-    def from_canonical(cls, q_init, sigma, q0, m, rho_c, nu, ell_rho,
-                       ell_ce_rel) -> "HatzeParams":
-        """Fields from values in the canonical order
-        ``q_H0, sigma, q0, m, rho_c, nu, ell_rho, ell_CErel``."""
-        return cls(sigma=sigma, q0=q0, m=m, rho_c=rho_c, nu=nu, ell_rho=ell_rho,
-                   ell_ce_rel=ell_ce_rel, q_init=q_init)
-
-    @functools.cached_property
-    def rate_factors(self) -> tuple:
-        """Parameter-only factors of :func:`hatze_rhs`, computed on first use.
-
-        ``(q0 + eps, sigma*rho, 1/nu, nu*m/(1-q0))`` with rho as
-        :func:`hatze_rho` computes and checks it, so a CE length outside
-        (0, ell_rho) raises PoleViolation on every access. They are kept
-        for the object's lifetime, as ``rate_jets`` are, so its fields must
-        not change after its rhs or partials have been evaluated.
-        """
-        return _hatze_rates(*self._rate_fields())
-
-    @functools.cached_property
-    def rate_jets(self) -> tuple:
-        """``rate_factors`` as jets over HATZE_VARS (scalar fields only), by the
-        same formulas after the same checks and kept as it is; their values
-        equal it bit for bit."""
-        return _hatze_rates(*_parameter_jets(self._rate_fields()))
+    @staticmethod
+    def _rates(sigma, q0, m, rho_c, nu, ell_rho, ell_ce_rel):
+        """``(q0 + eps, sigma*rho, 1/nu, nu*m/(1-q0))`` of :func:`hatze_rhs`, with
+        rho as :func:`hatze_rho` computes it."""
+        return (q0 + HATZE_EPS, sigma * _hatze_rho(ell_ce_rel, rho_c, ell_rho), 1.0 / nu,
+                nu * m / (1.0 - q0))
 
     def _rate_fields(self) -> tuple:
-        # the fields the rates read, in HATZE_VARS order, after hatze_rho's checks
+        # after hatze_rho's checks, so a CE length outside (0, ell_rho) raises
+        # PoleViolation on every access to the rates
         _check_hatze_fields(rho_c=self.rho_c, ell_rho=self.ell_rho)
         _checked_length(self.ell_ce_rel, self.ell_rho)
-        return (self.sigma, self.q0, self.m, self.rho_c, self.nu, self.ell_rho,
-                self.ell_ce_rel)
+        return super()._rate_fields()
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +356,7 @@ def _parameter_jets(values) -> list:
 # linear model (activation time constant + deactivation boost)
 # ---------------------------------------------------------------------------
 
-ZAJAC_VARS = ("q", "sigma", "q0", "tau", "beta")
-
-
-def _zajac_rates(sigma, q0, tau, beta):
-    # (c0, c1) of ZajacParams.rate_factors, on floats, columns or jets
-    tau_free = tau * (1.0 - q0)
-    return ((sigma + beta * q0 * (1.0 - sigma)) / tau_free,
-            (sigma * (1.0 - beta) + beta) / tau_free)
+ZAJAC_VARS = ("q", *ZajacParams.canonical_order()[1:])
 
 
 def zajac_rhs(q, p: ZajacParams):
@@ -410,7 +405,7 @@ def zajac_steady_state(p: ZajacParams) -> float:
 # nonlinear length-dependent model
 # ---------------------------------------------------------------------------
 
-HATZE_VARS = ("q", "sigma", "q0", "m", "rho_c", "nu", "ell_rho", "ell_CErel")
+HATZE_VARS = ("q", *HatzeParams.canonical_order()[1:])
 
 
 def _where_bad(bad, **values) -> str:
@@ -525,12 +520,6 @@ def hatze_rhs(q, p: HatzeParams):
     free *= gain
     out *= free
     return float(out) if np.isscalar(q) else out
-
-
-def _hatze_rates(sigma, q0, m, rho_c, nu, ell_rho, ell_ce_rel):
-    # HatzeParams.rate_factors on floats, columns or jets, after its checks
-    return (q0 + HATZE_EPS, sigma * _hatze_rho(ell_ce_rel, rho_c, ell_rho), 1.0 / nu,
-            nu * m / (1.0 - q0))
 
 
 def hatze_partials(q: float, p: HatzeParams, second: bool = True):
@@ -728,13 +717,13 @@ class ModelSpec:
         return self.init_names + self.param_names
 
 
-def _scalar_model(name, init_name, param_names, params_of, rhs, partials) -> ModelSpec:
-    """ModelSpec of a scalar model from its parameter map, rhs and partials.
+def _scalar_model(name, names, params_of, rhs, partials) -> ModelSpec:
+    """ModelSpec of a scalar model from its names, parameter map, rhs and partials.
 
-    ``params_of`` maps canonical-order values to a parameter object p,
-    ``rhs(q, p)`` is the activity rate and ``partials(q, p, second)`` its
-    ``(f, grad, hess)`` over (q, *param_names), which derivs returns with a
-    leading state axis.
+    ``names`` is the canonical order, the initial value first; ``params_of``
+    maps values in that order to a parameter object p, ``rhs(q, p)`` is the
+    activity rate and ``partials(q, p, second)`` its ``(f, grad, hess)`` over
+    (q, *names[1:]), which derivs returns with a leading state axis.
 
     derivs binds lam to its parameter object once per solve: it keeps the
     objects of the last two lam values it saw, keyed on those values (so an
@@ -758,19 +747,19 @@ def _scalar_model(name, init_name, param_names, params_of, rhs, partials) -> Mod
         f, g, H = partials(q, p, order >= 2)
         return np.array([f]), g[None], None if H is None else H[None]
 
-    return ModelSpec(name=name, param_names=param_names, init_names=(init_name,),
+    return ModelSpec(name=name, param_names=names[1:], init_names=names[:1],
                      derivs=derivs, params_of=params_of)
 
 
 def zajac_model() -> ModelSpec:
     """ModelSpec for the linear activation dynamics."""
-    return _scalar_model("zajac", "q_Z0", ZAJAC_VARS[1:], ZajacParams.from_canonical,
+    return _scalar_model("zajac", ZajacParams.canonical_order(), ZajacParams.from_canonical,
                          zajac_rhs, zajac_partials)
 
 
 def hatze_model() -> ModelSpec:
     """ModelSpec for the nonlinear length-dependent activation dynamics."""
-    return _scalar_model("hatze", "q_H0", HATZE_VARS[1:], HatzeParams.from_canonical,
+    return _scalar_model("hatze", HatzeParams.canonical_order(), HatzeParams.from_canonical,
                          hatze_rhs, hatze_partials)
 
 
@@ -794,5 +783,5 @@ def simplified_zajac_model() -> ModelSpec:
     Its blocks are the linear model's at beta = 1, q0 = 0, restricted to the
     variables (q, sigma, tau).
     """
-    return _scalar_model("simplified-zajac", "q_Z0", ("sigma", "tau"),
+    return _scalar_model("simplified-zajac", ("q_Z0", "sigma", "tau"),
                          _simplified_params, zajac_rhs, _simplified_partials)

@@ -81,6 +81,27 @@ def test_local_sens_columns_follow_canonical_order(tmp_path):
     assert len(header2) == 1 + 10  # upper triangle of 4 parameters
 
 
+def test_simulate_help_lists_the_override_flags_in_order(capsys):
+    # each flag is a canonical name in lower case; --q-init sets the initial value
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    text = capsys.readouterr().out
+    flags = re.findall(r"^  (--[\w-]+) \w+\s+override\s+the\s+scenario's", text, re.M)
+    assert flags == ["--sigma", "--q0", "--tau", "--m", "--rho-c", "--ell-rho", "--ell-cerel",
+                     "--q-init"]
+
+
+@pytest.mark.parametrize("model", list(BUILTIN_MODELS))
+def test_canonical_order_names_the_columns_and_the_bounds(tmp_path, model):
+    spec = BUILTIN_MODELS[model].model()
+    assert tuple(BUILTIN_MODELS[model].bounds) == spec.canonical_order
+    out = tmp_path / "run"
+    assert main(["local-sens", "--model", model, "--t-end", "0.05", "--points", "3",
+                 "--output", str(out)]) == 0
+    header, _ = _read_csv(out / "s_rel.csv")
+    assert header == ["t_seconds", *(f"S_{n}" for n in spec.canonical_order)]
+
+
 def test_local_sens_accepts_fractional_beta(tmp_path):
     out = tmp_path / "run"
     code = main(["local-sens", "--model", "zajac", "--scenario", "i",

@@ -323,6 +323,33 @@ def test_state_only_model_rejects_first_order():
         analyze(model, ps, np.linspace(0.0, 1.0, 3), order=1)
 
 
+@pytest.mark.parametrize("order", [3, 1.5, -1])
+def test_analyze_rejects_an_order_outside_0_1_2(order):
+    with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
+        analyze(zajac_model(), zajac_scenario("ii"), np.linspace(0.0, 0.1, 3), order=order)
+
+
+_GRID = np.linspace(0.0, 0.05, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: analyze(zajac_model(), p, _GRID),
+    lambda p: normalize(analyze(zajac_model(), zajac_scenario("ii"), _GRID), p),
+    lambda p: fd_first_order(zajac_model(), p, _GRID),
+    lambda p: fd_initial_condition(zajac_model(), p, _GRID),
+    lambda p: second_order_fd(zajac_model(), p, _GRID),
+], ids=["analyze", "normalize", "fd_first_order", "fd_initial_condition", "second_order_fd"])
+@pytest.mark.parametrize("params, missing", [
+    ({"sigma": 0.1}, "['q_Z0', 'q0', 'tau', 'beta']"),
+    (hatze_scenario("ii"), "['q_Z0', 'tau', 'beta']"),
+], ids=["mapping", "hatze-parameter-set"])
+def test_a_point_without_the_models_parameters_raises_one_value_error(call, params, missing):
+    with pytest.raises(ValueError) as exc:
+        call(params)
+    assert str(exc.value) == (f"params lack {missing} of the model's parameters "
+                              "['q_Z0', 'sigma', 'q0', 'tau', 'beta']")
+
+
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
 import dataclasses
-import inspect
 import math
 
 import numpy as np
@@ -12,6 +11,7 @@ from actsens import (
     HatzeParams,
     OdeProblem,
     ParameterOutOfRange,
+    ParameterSet,
     PoleViolation,
     Tolerances,
     ZajacParams,
@@ -393,8 +393,18 @@ def test_derivs_raises_at_the_pole_on_every_call():
 
 @pytest.mark.parametrize("cls", [ZajacParams, HatzeParams])
 def test_ranges_follow_the_canonical_order(cls):
-    # the CLI maps a field outside its range to its bounds-file line by position
-    assert list(cls.RANGES) == list(inspect.signature(cls.from_canonical).parameters)
+    # RANGES lists the fields in canonical order, NAMES renames those whose
+    # canonical name differs; the spec, the CLI and bounds files read both
+    spec = {ZajacParams: zajac_model, HatzeParams: hatze_model}[cls]()
+    assert tuple(cls.NAMES.get(f, f) for f in cls.RANGES) == spec.canonical_order
+    values = np.arange(1.0, len(cls.RANGES) + 1)
+    assert [getattr(cls.from_canonical(*values), f) for f in cls.RANGES] == list(values)
+
+
+def test_parameter_set_rejects_repeated_names():
+    # value("a") would read the first entry and as_dict()["a"] the last
+    with pytest.raises(ValueError, match="must not repeat"):
+        ParameterSet(("a", "sigma", "a"), [1.0, 0.5, 2.0])
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
