@@ -44,7 +44,6 @@ from .models import (
     ForceLengthRelation,
     HatzeParams,
     ModelSpec,
-    ParameterSet,
     ZajacParams,
     force_length,
     force_length_relative,

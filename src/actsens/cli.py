@@ -25,7 +25,6 @@ from .errors import ActsensError, ConfigError, ParameterOutOfRange
 from .globalsens import ParameterCuboid, analyze_global
 from .localsens import analyze, normalize
 from .models import (
-    ParameterSet,
     domain_checks,
     hatze_model,
     simplified_zajac_model,
@@ -264,7 +263,7 @@ def _plot(path: Path, times, curves: dict[str, np.ndarray], ylabel: str) -> None
 
 
 def _scenario_params(settings) -> tuple:
-    """Resolve (ModelSpec, ParameterSet) from the scenario id plus overrides."""
+    """Resolve (ModelSpec, parameter object) from the scenario id plus overrides."""
     model_name = settings["model"]
     factory, column = _MODELS[model_name]
     # the panel's given keywords; row (i) starts at the basic activity q0
@@ -274,33 +273,41 @@ def _scenario_params(settings) -> tuple:
             raise ConfigError(f"{_where(settings.given.get(flag))}--{flag} is not "
                               f"applicable to model {model_name!r}")
     if column == "beta":
-        pset = zajac_scenario(settings["scenario"], **panel)
+        point = zajac_scenario(settings["scenario"], **panel)
     elif column == "nu":
         rho_c = settings["rho_c"]  # replaces the pairing; set again with the overrides
         if rho_c is None and "nu" in panel and panel["nu"] not in NU_RHO_C_PAIRING:
             raise ConfigError(f"{_where(settings.given.get('nu'))}no rho_c pairing for "
                               f"nu={panel['nu']}; pass --rho-c")
-        pset = hatze_scenario(settings["scenario"], rho_c=rho_c, **panel)
+        point = hatze_scenario(settings["scenario"], rho_c=rho_c, **panel)
     else:
-        pset = simplified_zajac_scenario(settings["scenario"])
+        point = simplified_zajac_scenario(settings["scenario"])
 
     model = factory()
+    values = point.as_dict()
     for name in _OVERRIDES:
         key = name.lower()
         if settings[key] is None:
             continue
         name = model.init_names[0] if key == "q_init" else name
-        if name not in pset.names:
+        if name not in model.canonical_order:
             raise ConfigError(
                 f"{_where(settings.given.get(key))}parameter {key!r} is not applicable to "
                 f"model {model_name!r}"
             )
-        pset = pset.with_value(name, settings[key])
-    _validate(model, pset, settings)
-    return model, pset
+        values[name] = settings[key]
+    p = model.params_of(*(values[n] for n in model.canonical_order))
+    _validate(model, p, settings)
+    return model, p
 
 
-def _validate(model, pset, settings) -> None:
+def _point_entries(model, p) -> dict:
+    """The manifest entries of a parameter point: the model's canonical order."""
+    values = p.as_dict()
+    return {n: values[n] for n in model.canonical_order}
+
+
+def _validate(model, p, settings) -> None:
     """Range-check the resolved parameters once, before any solve.
 
     An out-of-range value is a configuration error, which names the file line
@@ -308,7 +315,6 @@ def _validate(model, pset, settings) -> None:
     setting); a CE length at or beyond the pole ell_rho stays a PoleViolation
     (numerical failure).
     """
-    p = model.params_of(*pset.values_for(model.canonical_order))
     try:
         p.validate()
     except ParameterOutOfRange as exc:
@@ -330,8 +336,7 @@ def _cmd_analytic(settings) -> int:
     """Closed-form relative sensitivities of the simplified linear model."""
     sigma, tau, q_init = settings["sigma"], settings["tau"], settings["q_init"]
     model = simplified_zajac_model()
-    pset = ParameterSet(model.canonical_order, [q_init, sigma, tau])
-    _validate(model, pset, settings)
+    _validate(model, model.params_of(q_init, sigma, tau), settings)
     grid = make_grid(settings["t_end"], settings["points"])
     rel = simplified_zajac_sensitivities(grid, sigma, tau, q_init)
     out = _out_dir(settings)
@@ -353,15 +358,15 @@ def _cmd_analytic(settings) -> int:
 
 def _cmd_simulate(settings) -> int:
     """Integrate one activation model."""
-    model, pset = _scenario_params(settings)
+    model, p = _scenario_params(settings)
     grid = make_grid(settings["t_end"], settings["points"])
-    res = analyze(model, pset, grid, order=0)
+    res = analyze(model, p, grid, order=0)
     out = _out_dir(settings)
     path = out / "state.csv"
     write_csv(path, ["t_seconds", "q"], [grid, res.state[:, 0]])
     write_manifest(out / "manifest.txt", {
         "command": "simulate", "model": model.name,
-        **pset.as_dict(), "t_end": grid[-1], "points": grid.size,
+        **_point_entries(model, p), "t_end": grid[-1], "points": grid.size,
         "version": __version__, "files": path.name,
     })
     if settings["plot"]:
@@ -372,10 +377,10 @@ def _cmd_simulate(settings) -> int:
 
 def _cmd_local_sens(settings) -> int:
     """Relative sensitivity functions."""
-    model, pset = _scenario_params(settings)
+    model, p = _scenario_params(settings)
     grid = make_grid(settings["t_end"], settings["points"])
     order = 2 if settings["second_order"] else 1
-    res = normalize(analyze(model, pset, grid, order=order), pset)
+    res = normalize(analyze(model, p, grid, order=order), p)
 
     out = _out_dir(settings)
     files = []
@@ -394,7 +399,7 @@ def _cmd_local_sens(settings) -> int:
         files.append("r_rel.csv")
 
     write_manifest(out / "manifest.txt", {
-        "command": "local-sens", "model": model.name, **pset.as_dict(),
+        "command": "local-sens", "model": model.name, **_point_entries(model, p),
         "second_order": order == 2, "t_end": grid[-1], "points": grid.size,
         "degenerate_points": int(res.degenerate.sum()),
         "zero_params": ",".join(res.zero_params) or "none",

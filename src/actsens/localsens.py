@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import MissingDerivative
-from .models import ModelSpec, ParameterSet
+from .models import ModelSpec, _Domain
 from .odecore import OdeProblem, Tolerances, integrate
 
 __all__ = [
@@ -65,12 +65,14 @@ class SensitivityResult:
 
 
 def _values(params, names) -> np.ndarray:
-    """The values of a ParameterSet or mapping in the order of ``names``;
-    ValueError naming each of ``names`` it lacks."""
-    if isinstance(params, ParameterSet):
+    """The values of a parameter point in the order of ``names``: a built-in
+    model's parameter object (``ZajacParams``, ``HatzeParams``), read by
+    canonical name, or a mapping of canonical names. ValueError naming each
+    of ``names`` it lacks; TypeError for any other type."""
+    if isinstance(params, _Domain):
         params = params.as_dict()
     elif not isinstance(params, Mapping):
-        raise TypeError(f"params must be a ParameterSet or mapping, got {type(params)}")
+        raise TypeError(f"params must be a parameter object or mapping, got {type(params)}")
     missing = [n for n in names if n not in params]
     if missing:
         raise ValueError(f"params lack {missing} of the model's parameters {list(names)}")

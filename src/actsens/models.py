@@ -34,7 +34,11 @@ Each parameter class declares once its fields' canonical order and names
 (``RANGES``, ``NAMES``), from which the variables, the ModelSpec names and
 the CLI's keys derive, and its domain, as field ranges and joint order
 constraints; ``validate``, ensemble row validity and the CLI's bounds-file
-check all read the domain through :func:`domain_checks`.
+check all read the domain through :func:`domain_checks`. The parameter class
+is also the one container of a built-in model's parameter point: the
+scenario presets return one, and the sensitivity drivers read it by
+canonical name through ``as_dict`` (a custom model's point is a plain
+mapping of its canonical names).
 """
 
 from __future__ import annotations
@@ -43,14 +47,13 @@ import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Callable, ClassVar, Mapping
+from typing import Callable, ClassVar
 
 import numpy as np
 
 from .errors import DegenerateState, DomainViolation, ParameterOutOfRange, PoleViolation
 
 __all__ = [
-    "ParameterSet",
     "ZajacParams",
     "HatzeParams",
     "ForceLengthRelation",
@@ -76,46 +79,6 @@ __all__ = [
 
 #: Domain guard half-width for the Hatze activity (non-Lipschitz boundaries).
 HATZE_EPS = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# parameter containers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ParameterSet:
-    """Named parameter values."""
-
-    names: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (len(self.names),):
-            raise ValueError("values must align with names")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError(f"names must not repeat, got {self.names}")
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_dict(cls, mapping: Mapping[str, float], order: tuple[str, ...] | None = None):
-        names = tuple(order) if order is not None else tuple(mapping)
-        return cls(names=names, values=np.array([mapping[n] for n in names]))
-
-    def value(self, name: str) -> float:
-        return float(self.values[self.names.index(name)])
-
-    def values_for(self, names: tuple[str, ...]) -> np.ndarray:
-        return np.array([self.value(n) for n in names])
-
-    def as_dict(self) -> dict[str, float]:
-        return {n: float(v) for n, v in zip(self.names, self.values)}
-
-    def with_value(self, name: str, value: float) -> "ParameterSet":
-        vals = self.values.copy()
-        vals[self.names.index(name)] = value
-        return ParameterSet(self.names, vals)
 
 
 def domain_checks(p, label: dict | None = None):
@@ -168,7 +131,9 @@ class _Domain:
     The keys of ``RANGES`` are the fields in canonical order, the initial
     value first; ``NAMES`` maps each field whose canonical name differs to
     that name. ``_rates`` computes the rhs's parameter-only factors from the
-    fields after the initial value, on floats, columns or jets.
+    fields after the initial value, on floats, columns or jets. An instance
+    with scalar fields is a parameter point, which ``as_dict`` and
+    ``values_for`` read by canonical name.
     """
 
     @classmethod
@@ -180,6 +145,15 @@ class _Domain:
     def from_canonical(cls, *values):
         """Fields from values in the canonical order."""
         return cls(**dict(zip(cls.RANGES, values, strict=True)))
+
+    def as_dict(self) -> dict[str, float]:
+        """A scalar point's values keyed by canonical name, in canonical order."""
+        return {self.NAMES.get(f, f): float(getattr(self, f)) for f in self.RANGES}
+
+    def values_for(self, names) -> np.ndarray:
+        """The values of the given canonical names, in their order."""
+        values = self.as_dict()
+        return np.array([values[n] for n in names])
 
     def validate(self) -> None:
         """Raise for the first failing condition; a ParameterOutOfRange names its last field."""
@@ -597,18 +571,19 @@ def simplified_zajac_sensitivities(t, sigma: float, tau: float, q_init: float):
     """Closed-form relative sensitivities of the simplified model.
 
     Returns a dict keyed 'sigma', 'tau', 'q_Z0'. The stimulation and
-    initial-condition shares always sum to one.
+    initial-condition shares always sum to one. Each share is written in its
+    decaying form, over the state q(t) of :func:`simplified_zajac_solution`,
+    so no term grows with t/tau: S_sigma = sigma(1 - e^(-t/tau))/q,
+    S_q_Z0 = q_init e^(-t/tau)/q and S_tau = t(q_init - sigma)e^(-t/tau)/(tau q).
     """
     t = np.asarray(t, dtype=float)
-    growth = np.expm1(t / tau)  # e^(t/tau) - 1
-    den = sigma * growth + q_init
-    if np.any(den == 0.0):
-        raise DegenerateState(
-            "relative sensitivities are undefined where sigma*(e^(t/tau)-1) + q_init = 0"
-        )
-    s_sigma = sigma * growth / den
-    s_tau = t * (q_init - sigma) / (tau * den)
-    s_init = q_init / den
+    decay = np.exp(-t / tau)
+    state = simplified_zajac_solution(t, sigma, tau, q_init)
+    if np.any(state == 0.0):
+        raise DegenerateState("relative sensitivities are undefined where the state q(t) = 0")
+    s_sigma = sigma * (1.0 - decay) / state
+    s_tau = t * (q_init - sigma) * decay / (tau * state)
+    s_init = q_init * decay / state
     if t.ndim == 0:
         return {"sigma": float(s_sigma), "tau": float(s_tau), "q_Z0": float(s_init)}
     return {"sigma": s_sigma, "tau": s_tau, "q_Z0": s_init}

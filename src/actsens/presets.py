@@ -3,7 +3,9 @@
 The scenario grid spans four (initial activity, stimulation) rows at two
 model variants each: the linear model at two deactivation boosts, the
 nonlinear model at the two published (nu, rho_c) pairings; the simplified
-linear model takes each row's linear panel. Scenarios are read by name.
+linear model takes each row's linear panel. Scenarios are read by name, and
+each panel is its model's parameter object (``ZajacParams``,
+``HatzeParams``): what a panel does not set comes from the class defaults.
 ``BUILTIN_MODELS`` declares each model of the global analysis once: its
 ModelSpec factory (canonical order, parameter map), bounds and batched rhs;
 row validity is the domain its parameter class declares. The CLI offers its
@@ -20,11 +22,13 @@ import numpy as np
 from .errors import IntegrationError
 from .globalsens import ParameterCuboid, Validity
 from .models import (
+    HatzeParams,
     ModelSpec,
-    ParameterSet,
+    ZajacParams,
     domain_checks,
     hatze_model,
     hatze_rhs,  # looked up by name, see _Builtin.rhs
+    simplified_zajac_model,
     zajac_model,
     zajac_rhs,  # looked up by name, see _Builtin.rhs
 )
@@ -75,17 +79,16 @@ HATZE_START_OFFSET = 1e-5
 GLOBAL_TOLERANCES = Tolerances(rel_tol=1e-6, abs_tol=1e-9)
 
 
-def zajac_scenario(row: str, beta: float = 1.0, q0: float = BASIC_ACTIVITY) -> ParameterSet:
+def zajac_scenario(row: str, beta: float = 1.0, q0: float = BASIC_ACTIVITY) -> ZajacParams:
     """One linear-model scenario panel: row (i)-(iv) at the given boost; row (i) starts at q0."""
     q_init, sigma = SCENARIO_ROWS[row]
     if row == "i":
         q_init = q0
-    return ParameterSet.from_dict(
-        {"q_Z0": q_init, "sigma": sigma, "q0": q0, "tau": 0.025, "beta": beta})
+    return ZajacParams(sigma=sigma, q0=q0, beta=beta, q_init=q_init)
 
 
 def hatze_scenario(row: str, nu: float = 3.0, rho_c: float | None = None,
-                   q0: float = BASIC_ACTIVITY) -> ParameterSet:
+                   q0: float = BASIC_ACTIVITY) -> HatzeParams:
     """One nonlinear-model scenario panel: row (i)-(iv) at the given exponent.
 
     rho_c defaults to the published pairing for the chosen nu. Row (i) starts
@@ -102,18 +105,16 @@ def hatze_scenario(row: str, nu: float = 3.0, rho_c: float | None = None,
             ) from None
     if row == "i":
         q_init = q0 + HATZE_START_OFFSET
-    return ParameterSet.from_dict(
-        {"q_H0": q_init, "sigma": sigma, "q0": q0, "m": 10.0, "rho_c": rho_c,
-         "nu": float(nu), "ell_rho": 2.9, "ell_CErel": 1.0})
+    return HatzeParams(sigma=sigma, q0=q0, rho_c=rho_c, nu=float(nu), q_init=q_init)
 
 
-def simplified_zajac_scenario(row: str) -> ParameterSet:
-    """One simplified linear-model panel: the row's linear panel at (q_Z0, sigma, tau)."""
+def simplified_zajac_scenario(row: str) -> ZajacParams:
+    """One simplified linear-model panel: the row's linear panel at q0 = 0, beta = 1."""
     panel = zajac_scenario(row)
-    return ParameterSet.from_dict({n: panel.value(n) for n in ("q_Z0", "sigma", "tau")})
+    return simplified_zajac_model().params_of(panel.q_init, panel.sigma, panel.tau)
 
 
-def all_zajac_scenarios() -> list[tuple[str, ParameterSet]]:
+def all_zajac_scenarios() -> list[tuple[str, ZajacParams]]:
     """The eight linear-model panels: rows (i)-(iv) x beta in {1, 1/3}."""
     out = []
     for beta, tag in ((1.0, "b1"), (1.0 / 3.0, "b13")):
@@ -122,7 +123,7 @@ def all_zajac_scenarios() -> list[tuple[str, ParameterSet]]:
     return out
 
 
-def all_hatze_scenarios() -> list[tuple[str, ParameterSet]]:
+def all_hatze_scenarios() -> list[tuple[str, HatzeParams]]:
     """The eight nonlinear-model panels: rows (i)-(iv) x nu in {2, 3}."""
     out = []
     for nu in (2.0, 3.0):

@@ -28,7 +28,7 @@ from actsens import (
     vbs_tsi,
     zajac_model,
 )
-from actsens.models import ForceLengthRelation, HatzeParams, ParameterSet
+from actsens.models import ForceLengthRelation, HatzeParams
 from actsens.optimize import (
     CALCIUM_CEILING,
     DEFAULT_LEVELS,
@@ -90,14 +90,13 @@ def _scenario_sensitivities(order):
 
 def test_criterion_1_analytic_oracle_equivalence():
     grid = np.linspace(0.0, 0.2, 201)
-    params = ParameterSet.from_dict(
-        {"q_Z0": 0.05, "sigma": 1.0, "tau": 0.025},
-        order=("q_Z0", "sigma", "tau"))
+    model = simplified_zajac_model()
+    params = model.params_of(0.05, 1.0, 0.025)  # q_Z0, sigma, tau
     t0 = time.perf_counter()
-    res = normalize(analyze(simplified_zajac_model(), params, grid), params)
+    res = normalize(analyze(model, params, grid), params)
     oracle = simplified_zajac_sensitivities(grid, 1.0, 0.025, 0.05)
     errs = {name: np.max(np.abs(res.s_rel[:, i, 0] - oracle[name]))
-            for i, name in enumerate(params.names)}  # q_Z0, sigma, tau
+            for i, name in enumerate(model.canonical_order)}
     runtime = time.perf_counter() - t0
     worst = max(errs.values())
     _report(1, "analytic-oracle equivalence",

@@ -39,6 +39,17 @@ def test_analytic_command_writes_closed_forms(tmp_path):
     assert (out / "manifest.txt").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_analytic_command_at_a_short_time_constant(tmp_path):
+    # t/tau reaches 2000 on the default grid: the closed forms stay finite,
+    # with S_sigma at its limit 1, and numpy warns of no overflow
+    out = tmp_path / "run"
+    assert main(["analytic", "--tau", "1e-4", "--output", str(out)]) == 0
+    _, data = _read_csv(out / "analytic_sensitivities.csv")
+    assert np.all(np.isfinite(data))
+    assert data[-1, 1] == 1.0 and data[-1, 3] == 0.0
+
+
 def test_simulate_command(tmp_path):
     out = tmp_path / "run"
     code = main(["simulate", "--model", "hatze", "--scenario", "iii",

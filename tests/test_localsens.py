@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from actsens import (
+    HatzeParams,
     MissingDerivative,
     ModelSpec,
-    ParameterSet,
     Tolerances,
+    ZajacParams,
     analyze,
     fd_first_order,
     fd_initial_condition,
@@ -19,8 +22,7 @@ from actsens import (
 from actsens.localsens import SensitivityResult
 from actsens.presets import all_zajac_scenarios, hatze_scenario, zajac_scenario
 
-FIG1 = ParameterSet.from_dict({"q_Z0": 0.05, "sigma": 1.0, "tau": 0.025},
-                              order=("q_Z0", "sigma", "tau"))
+FIG1 = simplified_zajac_model().params_of(0.05, 1.0, 0.025)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +143,7 @@ def test_simplified_model_is_linear_in_stimulation():
 
 
 def test_inert_parameter_has_zero_sensitivity():
-    ps = ParameterSet.from_dict({"y0": 1.0, "a": 2.0, "unused": 5.0},
-                                order=("y0", "a", "unused"))
+    ps = {"y0": 1.0, "a": 2.0, "unused": 5.0}
     res = analyze(inert_param_model(), ps, np.linspace(0.0, 1.0, 11), order=1)
     assert np.max(np.abs(res.s_raw[:, 2, 0])) < 1e-12  # unused
     assert np.max(np.abs(res.s_raw[:, 1, 0])) > 0.01  # a
@@ -243,8 +244,7 @@ def test_initial_condition_sensitivity_matches_fd():
 
 def test_affine_model_second_order_matches_fd_of_first_order():
     model = affine_model()
-    ps = ParameterSet.from_dict({"y0": 0.5, "a": -2.0, "b": 1.0},
-                                order=("y0", "a", "b"))
+    ps = {"y0": 0.5, "a": -2.0, "b": 1.0}
     grid = np.linspace(0.1, 1.0, 4)
     res = analyze(model, ps, grid, order=2)
     oracle = second_order_fd(model, ps, grid, rel_step=1e-4)
@@ -258,9 +258,7 @@ def test_affine_model_second_order_matches_fd_of_first_order():
 
 def test_planar_model_sensitivities_match_fd():
     model = planar_model()
-    ps = ParameterSet.from_dict(
-        {"y1_0": 1.0, "y2_0": 0.5, "a": 1.2, "b": 0.4, "c": -0.8},
-        order=("y1_0", "y2_0", "a", "b", "c"))
+    ps = {"y1_0": 1.0, "y2_0": 0.5, "a": 1.2, "b": 0.4, "c": -0.8}
     grid = np.array([0.2, 0.7])
     res = analyze(model, ps, grid, order=2)
     fd = fd_first_order(model, ps, grid)
@@ -301,7 +299,7 @@ def test_second_order_tensor_is_symmetric():
 
 def test_missing_second_partials_raise_without_fallback():
     model = no_hessian_model()
-    ps = ParameterSet.from_dict({"y0": 1.0, "a": 2.0}, order=("y0", "a"))
+    ps = {"y0": 1.0, "a": 2.0}
     grid = np.linspace(0.0, 1.0, 5)
     with pytest.raises(MissingDerivative):
         analyze(model, ps, grid, order=2)
@@ -318,7 +316,7 @@ def test_state_only_model_rejects_first_order():
 
     model = ModelSpec(name="bare", param_names=("a",), init_names=("y0",),
                       derivs=derivs)
-    ps = ParameterSet.from_dict({"y0": 1.0, "a": 1.0}, order=("y0", "a"))
+    ps = {"y0": 1.0, "a": 1.0}
     with pytest.raises(MissingDerivative):
         analyze(model, ps, np.linspace(0.0, 1.0, 3), order=1)
 
@@ -350,6 +348,40 @@ def test_a_point_without_the_models_parameters_raises_one_value_error(call, para
                               "['q_Z0', 'sigma', 'q0', 'tau', 'beta']")
 
 
+_POINTS = {
+    "zajac": (zajac_model(), ZajacParams(sigma=0.1, beta=1.0 / 3.0, q_init=0.05),
+              [0.025, 0.125]),
+    "hatze": (hatze_model(), HatzeParams(sigma=0.1, rho_c=9.10, nu=2.0, q_init=0.05),
+              [0.05, 0.3]),
+    "simplified-zajac": (simplified_zajac_model(),
+                         simplified_zajac_model().params_of(0.2, 0.4, 0.025), [0.025, 0.125]),
+}
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, p, g: analyze(m, p, g, order=0).state,
+    lambda m, p, g: analyze(m, p, g, order=1).s_raw,
+    lambda m, p, g: analyze(m, p, g, order=2).r_raw,
+    lambda m, p, g: normalize(analyze(m, p, g, order=2), p).r_rel,
+    lambda m, p, g: fd_first_order(m, p, g),
+    lambda m, p, g: fd_initial_condition(m, p, g),
+    lambda m, p, g: second_order_fd(m, p, g).r_raw,
+], ids=["analyze-0", "analyze-1", "analyze-2", "normalize", "fd_first_order",
+        "fd_initial_condition", "second_order_fd"])
+@pytest.mark.parametrize("model, point, grid", _POINTS.values(), ids=_POINTS.keys())
+def test_a_parameter_object_reads_as_its_mapping(call, model, point, grid):
+    # a scenario point is the model's parameter class; the drivers read it
+    # by canonical name, exactly as the mapping of its values
+    grid = np.array(grid)
+    assert np.array_equal(call(model, point, grid), call(model, point.as_dict(), grid))
+
+
+def test_a_point_of_another_type_raises_type_error():
+    point = zajac_scenario("ii")
+    with pytest.raises(TypeError, match="parameter object or mapping"):
+        analyze(zajac_model(), point.values_for(zajac_model().canonical_order), _GRID)
+
+
 # ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
@@ -368,7 +400,7 @@ def test_normalize_arithmetic():
 
 def test_normalize_flags_zero_parameter():
     model = zajac_model()
-    ps = zajac_scenario("ii").with_value("sigma", 0.0)
+    ps = dataclasses.replace(zajac_scenario("ii"), sigma=0.0)
     res = normalize(analyze(model, ps, np.linspace(0.0, 0.1, 5)), ps)
     i = model.canonical_order.index("sigma")
     assert "sigma" in res.zero_params
@@ -378,8 +410,7 @@ def test_normalize_flags_zero_parameter():
 def test_normalize_flags_degenerate_state():
     # state crosses zero: relative sensitivity undefined there
     model = affine_model()
-    ps = ParameterSet.from_dict({"y0": 1.0, "a": 0.0, "b": -1.0},
-                                order=("y0", "a", "b"))
+    ps = {"y0": 1.0, "a": 0.0, "b": -1.0}
     grid = np.array([0.0, 1.0, 2.0])  # y(t) = 1 - t hits 0 at t=1
     res = normalize(analyze(model, ps, grid), ps)
     assert bool(res.degenerate[1, 0])

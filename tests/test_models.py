@@ -11,7 +11,6 @@ from actsens import (
     HatzeParams,
     OdeProblem,
     ParameterOutOfRange,
-    ParameterSet,
     PoleViolation,
     Tolerances,
     ZajacParams,
@@ -34,7 +33,12 @@ from actsens import (
 )
 from actsens.cli import _MODELS
 from actsens.models import HATZE_EPS, HATZE_VARS, ZAJAC_VARS, _simplified_partials
-from actsens.presets import builtin_cuboid
+from actsens.presets import (
+    all_hatze_scenarios,
+    all_zajac_scenarios,
+    builtin_cuboid,
+    simplified_zajac_scenario,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +405,6 @@ def test_ranges_follow_the_canonical_order(cls):
     assert [getattr(cls.from_canonical(*values), f) for f in cls.RANGES] == list(values)
 
 
-def test_parameter_set_rejects_repeated_names():
-    # value("a") would read the first entry and as_dict()["a"] the last
-    with pytest.raises(ValueError, match="must not repeat"):
-        ParameterSet(("a", "sigma", "a"), [1.0, 0.5, 2.0])
-
-
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("params", [ZajacParams(sigma=0.5), HatzeParams(sigma=0.5, q_init=0.5)],
                          ids=["zajac", "hatze"])
@@ -626,6 +624,41 @@ def test_hatze_q_of_gamma_rejects_a_nan_exponent():
 
 
 # ---------------------------------------------------------------------------
+# scenario panels
+# ---------------------------------------------------------------------------
+
+# the published panels: rows (i)-(iv) of (initial activity, stimulation) at
+# q0 = 0.005, tau = 0.025; hatze at m = 10, ell_rho = 2.9, ell_CErel = 1 and
+# the (nu, rho_c) pairings (2, 9.10) and (3, 7.24), its row (i) starting just
+# inside its open domain; the simplified model at q0 = 0, beta = 1
+_ROWS = {"i": (0.005, 0.01), "ii": (0.05, 0.1), "iii": (0.2, 0.4), "iv": (0.5, 1.0)}
+_PANELS = {f"zajac-{row}-{tag}": {"q_Z0": q, "sigma": s, "q0": 0.005, "tau": 0.025, "beta": beta}
+           for beta, tag in ((1.0, "b1"), (1.0 / 3.0, "b13")) for row, (q, s) in _ROWS.items()}
+_PANELS.update({
+    f"hatze-{row}-nu{nu}": {"q_H0": q + 1e-5 if row == "i" else q, "sigma": s, "q0": 0.005,
+                            "m": 10.0, "rho_c": rho_c, "nu": float(nu), "ell_rho": 2.9,
+                            "ell_CErel": 1.0}
+    for nu, rho_c in ((2, 9.10), (3, 7.24)) for row, (q, s) in _ROWS.items()})
+_PANELS.update({f"simplified-zajac-{row}": {"q_Z0": q, "sigma": s, "q0": 0.0, "tau": 0.025,
+                                            "beta": 1.0}
+                for row, (q, s) in _ROWS.items()})
+
+
+def _scenario_points():
+    points = {f"zajac-{tag}": p for tag, p in all_zajac_scenarios()}
+    points.update((f"hatze-{tag}", p) for tag, p in all_hatze_scenarios())
+    points.update((f"simplified-zajac-{row}", simplified_zajac_scenario(row)) for row in _ROWS)
+    return points
+
+
+@pytest.mark.parametrize("label", _PANELS)
+def test_scenario_panels_keep_their_published_values(label):
+    point = _scenario_points()[label]
+    assert list(point.as_dict().items()) == list(_PANELS[label].items())
+    point.validate()
+
+
+# ---------------------------------------------------------------------------
 # simplified model oracles
 # ---------------------------------------------------------------------------
 
@@ -664,6 +697,18 @@ def test_simplified_tau_sensitivity_negative_for_rising_activation():
     t = np.linspace(1e-4, 0.2, 50)
     rel = simplified_zajac_sensitivities(t, 1.0, 0.025, 0.05)
     assert np.all(rel["tau"] < 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_simplified_sensitivities_take_their_limits_far_beyond_tau():
+    # t/tau up to 2000: the decaying form neither overflows nor divides
+    # inf by inf, and the shares reach their limits 1 and 0
+    t = np.array([0.0, 0.001, 0.2])
+    rel = simplified_zajac_sensitivities(t, 1.0, 1e-4, 0.05)
+    assert rel["sigma"][0] == 0.0 and rel["sigma"][-1] == 1.0
+    assert rel["q_Z0"][0] == 1.0 and rel["q_Z0"][-1] == 0.0
+    assert rel["tau"][-1] == 0.0
+    assert np.allclose(rel["sigma"] + rel["q_Z0"], 1.0, atol=1e-14)
 
 
 def test_simplified_sensitivities_degenerate():

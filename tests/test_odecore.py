@@ -156,11 +156,10 @@ PANELS = {f"zajac-{tag}": (zajac_model(), pset) for tag, pset in all_zajac_scena
 PANELS.update({f"hatze-{tag}": (hatze_model(), pset) for tag, pset in all_hatze_scenarios()})
 
 
-def _closed_form(model, pset, t):
+def _closed_form(model, p, t):
     """Exact activity at constant stimulation: linear decay to the steady
     state (zajac), or linear calcium dynamics mapped through the saturation
     (hatze)."""
-    p = model.params_of(*pset.values_for(model.canonical_order))
     if model.name == "zajac":
         k = (p.sigma * (1.0 - p.beta) + p.beta) / (p.tau * (1.0 - p.q0))
         q_ss = zajac_steady_state(p)

@@ -6,6 +6,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from actsens import cli, localsens, optimize, presets
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -70,19 +72,21 @@ def test_tracer_installs_on_every_hooked_name_and_restores(tmp_path, monkeypatch
     assert summary["presets.rhs"]["calls"] == summary["models.batch_rhs"]["calls"]
 
 
-def test_local_panel_gates_pass(tmp_path, monkeypatch):
+@pytest.mark.parametrize("kind", ["zajac-simulate", "zajac-local-sens", "zajac-local-sens-2",
+                                  "hatze-local-sens"])
+def test_local_panel_gates_pass(tmp_path, monkeypatch, kind):
+    # every gated kind: the gates are the benchmark's only readers of a
+    # scenario point (as_dict, values_for and fd_first_order on it)
     # workloads.py imports its sibling reference.py as a top-level module
     _import_for_test(monkeypatch, "reference", PERFBENCH / "reference.py")
     workloads = _import_for_test(monkeypatch, "perfbench_workloads",
                                  PERFBENCH / "workloads.py")
     panels = workloads.LocalPanels(seed=1, work=tmp_path)
-    items = panels.pass_items(0)
-    for kind, gate in (("zajac-local-sens-2", panels._zajac),
-                       ("hatze-local-sens", panels._hatze)):
-        item = next(it for it in items if it.kind == kind)
-        assert cli.main(item.argv) == 0
-        err, ok = gate(item)
-        assert ok, f"{kind} {item.argv}: reference deviation {err:.3e}"
+    item = next(it for it in panels.pass_items(0) if it.kind == kind)
+    gate = panels._zajac if item.meta["model"] == "zajac" else panels._hatze
+    assert cli.main(item.argv) == 0
+    err, ok = gate(item)
+    assert ok, f"{kind} {item.argv}: reference deviation {err:.3e}"
 
 
 def test_shift_fit_gates_pass(tmp_path, monkeypatch):
