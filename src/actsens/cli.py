@@ -301,12 +301,6 @@ def _scenario_params(settings) -> tuple:
     return model, p
 
 
-def _point_entries(model, p) -> dict:
-    """The manifest entries of a parameter point: the model's canonical order."""
-    values = p.as_dict()
-    return {n: values[n] for n in model.canonical_order}
-
-
 def _validate(model, p, settings) -> None:
     """Range-check the resolved parameters once, before any solve.
 
@@ -366,7 +360,7 @@ def _cmd_simulate(settings) -> int:
     write_csv(path, ["t_seconds", "q"], [grid, res.state[:, 0]])
     write_manifest(out / "manifest.txt", {
         "command": "simulate", "model": model.name,
-        **_point_entries(model, p), "t_end": grid[-1], "points": grid.size,
+        **p.as_dict(), "t_end": grid[-1], "points": grid.size,
         "version": __version__, "files": path.name,
     })
     if settings["plot"]:
@@ -399,7 +393,7 @@ def _cmd_local_sens(settings) -> int:
         files.append("r_rel.csv")
 
     write_manifest(out / "manifest.txt", {
-        "command": "local-sens", "model": model.name, **_point_entries(model, p),
+        "command": "local-sens", "model": model.name, **p.as_dict(),
         "second_order": order == 2, "t_end": grid[-1], "points": grid.size,
         "degenerate_points": int(res.degenerate.sum()),
         "zero_params": ",".join(res.zero_params) or "none",
@@ -524,9 +518,9 @@ _SCENARIO = {
 # command -> (runner, key -> setting): every key a command takes, as a flag or config key
 _COMMANDS = {
     "analytic": (_cmd_analytic, {
-        "sigma": _Setting(FIG1_PARAMS["sigma"], _parse_number, "stimulation"),
-        "tau": _Setting(FIG1_PARAMS["tau"], _parse_number, "activation time constant [s]"),
-        "q_init": _Setting(FIG1_PARAMS["q_Z0"], _parse_number, "initial activity"),
+        "sigma": _Setting(FIG1_PARAMS.sigma, _parse_number, "stimulation"),
+        "tau": _Setting(FIG1_PARAMS.tau, _parse_number, "activation time constant [s]"),
+        "q_init": _Setting(FIG1_PARAMS.q_init, _parse_number, "initial activity"),
         **_grid_settings(FIG1_T_END, 201), **_OUTPUT, **_PLOT,
     }),
     "simulate": (_cmd_simulate, {**_SCENARIO, **_grid_settings(0.5, 501), **_OUTPUT, **_PLOT}),

@@ -196,31 +196,31 @@ def build_sample_matrices(
 ) -> SampleMatrices:
     """Draw the base blocks A and B of a 2n(N+1)-row family.
 
-    All rows are drawn at once; rows violating the validity predicate (in
-    any swap combination) are rejection-resampled from their own substream,
-    so the result is deterministic in (cuboid, n, seed) and independent of
-    other rows.
+    The pseudo sampler draws all rows at once from one bulk stream, the
+    halton sampler each row from its own substream; rows violating the
+    validity predicate (in any swap combination) are rejection-resampled
+    from their own substream, so the result is deterministic in
+    (cuboid, n, seed) and independent of other rows.
     """
     if n < 2:
         raise ValueError(f"need at least two sample rows, got n={n}")
     N = cuboid.n_params
     if sampler == "pseudo":
-        # a bulk stream, not the rows' substreams: no substream block is used
+        # a bulk stream, not the rows' substreams: no substream block is used;
+        # only the rows it leaves invalid are drawn from their substreams
         u = np.random.Generator(
             np.random.Philox(np.random.SeedSequence([seed]))
         ).random((n, 2 * N))
-        blocks = np.zeros(n, dtype=int)
-    elif sampler == "halton":
-        # each row's block 0, as _draw_row_pairs would draw it first
-        u = _halton_points(1 + np.arange(n), 2 * N)
-        blocks = np.ones(n, dtype=int)
+        scaled = cuboid.scale(u.reshape(n, 2, N))
+        a, b = scaled[:, 0, :].copy(), scaled[:, 1, :].copy()
+        rows = np.nonzero(~_rows_valid(cuboid, validity, a, b))[0]
     else:
-        raise ValueError(f"unknown sampler {sampler!r}")
-    scaled = cuboid.scale(u.reshape(n, 2, N))
-    a, b = scaled[:, 0, :].copy(), scaled[:, 1, :].copy()
-    bad = np.nonzero(~_rows_valid(cuboid, validity, a, b))[0]
-    a[bad], b[bad], blocks[bad] = _draw_row_pairs(
-        cuboid, seed, bad, np.zeros(bad.size, dtype=int), validity, sampler, max_draws
+        # every row from its substream; _draw_row_pairs rejects an unknown sampler
+        a, b = np.empty((n, N)), np.empty((n, N))
+        rows = np.arange(n)
+    blocks = np.zeros(n, dtype=int)
+    a[rows], b[rows], blocks[rows] = _draw_row_pairs(
+        cuboid, seed, rows, np.zeros(rows.size, dtype=int), validity, sampler, max_draws
     )
     return SampleMatrices(
         cuboid=cuboid, seed=seed, n=n, a=a, b=b, blocks_used=blocks,
@@ -340,9 +340,6 @@ class GlobalResult:
     n_evaluations: int
     resampled_rows: int  # rows redrawn after a failed evaluation, with repeats
     undefined: np.ndarray  # (T,) bool: V below the variance floor
-
-    def index_of(self, name: str) -> int:
-        return self.param_names.index(name)
 
 
 def vbs_tsi(family: FamilyEvaluation, matrices: SampleMatrices,

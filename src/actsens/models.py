@@ -38,14 +38,16 @@ check all read the domain through :func:`domain_checks`. The parameter class
 is also the one container of a built-in model's parameter point: the
 scenario presets return one, and the sensitivity drivers read it by
 canonical name through ``as_dict`` (a custom model's point is a plain
-mapping of its canonical names).
+mapping of its canonical names). The simplified linear model has its own
+class, a ``ZajacParams`` with q0 = 0 and beta = 1 fixed, whose canonical
+order is (q_Z0, sigma, tau); each ModelSpec takes its names from its class.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, ClassVar
 
@@ -333,6 +335,21 @@ def _parameter_jets(values) -> list:
 ZAJAC_VARS = ("q", *ZajacParams.canonical_order()[1:])
 
 
+@dataclass
+class _SimplifiedZajacParams(ZajacParams):
+    """The simplified model's parameters: zajac's (q_Z0, sigma, tau), with q0
+    and beta fixed, so that the rate jets range over (q, sigma, tau)."""
+
+    q0: float = field(default=0.0, init=False)
+    beta: float = field(default=1.0, init=False)
+    RANGES: ClassVar[dict] = {f: ZajacParams.RANGES[f] for f in ("q_init", "sigma", "tau")}
+    ORDER: ClassVar[tuple] = ()  # q0 = 0 <= q_init always holds
+
+    @staticmethod
+    def _rates(sigma, tau):
+        return ZajacParams._rates(sigma, 0.0, tau, 1.0)
+
+
 def zajac_rhs(q, p: ZajacParams):
     """Activity rate: [sigma(1-q0) - sigma(1-beta)(q-q0) - beta(q-q0)] / (tau(1-q0)).
 
@@ -380,6 +397,8 @@ def zajac_steady_state(p: ZajacParams) -> float:
 # ---------------------------------------------------------------------------
 
 HATZE_VARS = ("q", *HatzeParams.canonical_order()[1:])
+# positions of q, q0 and nu in HATZE_VARS, for hatze_partials
+_HATZE_SLOTS = tuple(HATZE_VARS.index(v) for v in ("q", "q0", "nu"))
 
 
 def _where_bad(bad, **values) -> str:
@@ -509,12 +528,13 @@ def hatze_partials(q: float, p: HatzeParams, second: bool = True):
     """
     q0, nu = p.q0, p.nu
     q = min(max(float(q), q0 + HATZE_EPS), 1.0 - HATZE_EPS)  # _clamp_q at a scalar
-    Q, Q0, NU = 0, 2, 5  # positions in HATZE_VARS
+    Q, Q0, NU = _HATZE_SLOTS
+    n = len(HATZE_VARS)
     _, P, _, K = p.rate_jets
-    w1, v1 = np.zeros(8), np.zeros(8)
+    w1, v1 = np.zeros(n), np.zeros(n)
     w2 = v2 = None
     if second:
-        w2, v2 = np.zeros((8, 8)), np.zeros((8, 8))
+        w2, v2 = np.zeros((n, n)), np.zeros((n, n))
 
     a = 1.0 + 1.0 / nu
     b = 1.0 - 1.0 / nu
@@ -575,10 +595,14 @@ def simplified_zajac_sensitivities(t, sigma: float, tau: float, q_init: float):
     decaying form, over the state q(t) of :func:`simplified_zajac_solution`,
     so no term grows with t/tau: S_sigma = sigma(1 - e^(-t/tau))/q,
     S_q_Z0 = q_init e^(-t/tau)/q and S_tau = t(q_init - sigma)e^(-t/tau)/(tau q).
+    At sigma = 0, where q may underflow, the decay is divided out of each share.
     """
     t = np.asarray(t, dtype=float)
-    decay = np.exp(-t / tau)
-    state = simplified_zajac_solution(t, sigma, tau, q_init)
+    if sigma == 0.0:
+        decay, state = np.ones_like(t), np.full_like(t, q_init)
+    else:
+        decay = np.exp(-t / tau)
+        state = simplified_zajac_solution(t, sigma, tau, q_init)
     if np.any(state == 0.0):
         raise DegenerateState("relative sensitivities are undefined where the state q(t) = 0")
     s_sigma = sigma * (1.0 - decay) / state
@@ -692,13 +716,14 @@ class ModelSpec:
         return self.init_names + self.param_names
 
 
-def _scalar_model(name, names, params_of, rhs, partials) -> ModelSpec:
-    """ModelSpec of a scalar model from its names, parameter map, rhs and partials.
+def _scalar_model(name, cls, rhs, partials) -> ModelSpec:
+    """ModelSpec of a scalar model from its parameter class, rhs and partials.
 
-    ``names`` is the canonical order, the initial value first; ``params_of``
-    maps values in that order to a parameter object p, ``rhs(q, p)`` is the
-    activity rate and ``partials(q, p, second)`` its ``(f, grad, hess)`` over
-    (q, *names[1:]), which derivs returns with a leading state axis.
+    The names are ``cls.canonical_order()``, the initial value first, and
+    ``cls.from_canonical`` maps values in that order to a parameter object p;
+    ``rhs(q, p)`` is the activity rate and ``partials(q, p, second)`` its
+    ``(f, grad, hess)`` over (q, *names[1:]), which derivs returns with a
+    leading state axis.
 
     derivs binds lam to its parameter object once per solve: it keeps the
     objects of the last two lam values it saw, keyed on those values (so an
@@ -707,6 +732,7 @@ def _scalar_model(name, names, params_of, rhs, partials) -> ModelSpec:
     difference each keep theirs. An object's q_init is the state at its
     first call, which is harmless because rhs and partials never read it.
     """
+    names, params_of = cls.canonical_order(), cls.from_canonical
     bound: dict[bytes, object] = {}
 
     def derivs(t, y, lam, order):
@@ -728,35 +754,14 @@ def _scalar_model(name, names, params_of, rhs, partials) -> ModelSpec:
 
 def zajac_model() -> ModelSpec:
     """ModelSpec for the linear activation dynamics."""
-    return _scalar_model("zajac", ZajacParams.canonical_order(), ZajacParams.from_canonical,
-                         zajac_rhs, zajac_partials)
+    return _scalar_model("zajac", ZajacParams, zajac_rhs, zajac_partials)
 
 
 def hatze_model() -> ModelSpec:
     """ModelSpec for the nonlinear length-dependent activation dynamics."""
-    return _scalar_model("hatze", HatzeParams.canonical_order(), HatzeParams.from_canonical,
-                         hatze_rhs, hatze_partials)
-
-
-# positions of (q, sigma, tau) in ZAJAC_VARS, for the gradient and the Hessian
-_SIMPLIFIED_KEEP = [ZAJAC_VARS.index(v) for v in ("q", "sigma", "tau")]
-_SIMPLIFIED_BLOCK = np.ix_(_SIMPLIFIED_KEEP, _SIMPLIFIED_KEEP)
-
-
-def _simplified_params(q_init, sigma, tau) -> ZajacParams:
-    return ZajacParams.from_canonical(q_init, sigma, 0.0, tau, 1.0)
-
-
-def _simplified_partials(q, p, second):
-    f, g, H = zajac_partials(q, p, second)
-    return f, g[_SIMPLIFIED_KEEP], None if H is None else H[_SIMPLIFIED_BLOCK]
+    return _scalar_model("hatze", HatzeParams, hatze_rhs, hatze_partials)
 
 
 def simplified_zajac_model() -> ModelSpec:
-    """ModelSpec for the simplified linear dynamics (beta = 1, q0 = 0).
-
-    Its blocks are the linear model's at beta = 1, q0 = 0, restricted to the
-    variables (q, sigma, tau).
-    """
-    return _scalar_model("simplified-zajac", ("q_Z0", "sigma", "tau"),
-                         _simplified_params, zajac_rhs, _simplified_partials)
+    """ModelSpec for the simplified linear dynamics (beta = 1, q0 = 0)."""
+    return _scalar_model("simplified-zajac", _SimplifiedZajacParams, zajac_rhs, zajac_partials)

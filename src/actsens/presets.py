@@ -65,8 +65,8 @@ SCENARIO_ROWS = {
 #: Published pairing of the saturation exponent with the calcium scale.
 NU_RHO_C_PAIRING = {2.0: 9.10, 3.0: 7.24}
 
-#: Closed-form oracle configuration (simplified linear model).
-FIG1_PARAMS = {"sigma": 1.0, "tau": 0.025, "q_Z0": 0.05}
+#: Closed-form oracle configuration: a simplified linear-model point (q_Z0, sigma, tau).
+FIG1_PARAMS = simplified_zajac_model().params_of(0.05, 1.0, 0.025)
 FIG1_T_END = 0.2
 
 #: Strictly-interior start offset used where a scenario row pins the initial

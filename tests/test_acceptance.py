@@ -301,8 +301,8 @@ def test_criterion_6_importance_ordering():
                    f"ell_CErel={tsi_h['ell_CErel']:.3f}, "
                    f"rho_c={tsi_h['rho_c']:.3f} < 0.1")
 
-    vbs0_z = z.vbs[z.index_of("q_Z0"), 0]
-    vbs0_h = h.vbs[h.index_of("q_H0"), 0]
+    vbs0_z = z.vbs[z.param_names.index("q_Z0"), 0]
+    vbs0_h = h.vbs[h.param_names.index("q_H0"), 0]
     ok &= vbs0_z > 0.9 and vbs0_h > 0.9
     details.append(f"initial-value VBS at t=0: {vbs0_z:.3f} / {vbs0_h:.3f} (> 0.9)")
 

@@ -50,6 +50,17 @@ def test_analytic_command_at_a_short_time_constant(tmp_path):
     assert data[-1, 1] == 1.0 and data[-1, 3] == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_analytic_command_without_stimulation(tmp_path):
+    # at sigma = 0 the state underflows beyond t/tau ~ 745, yet every row
+    # holds the shares' constant values
+    out = tmp_path / "run"
+    assert main(["analytic", "--sigma", "0", "--tau", "1e-4", "--output", str(out)]) == 0
+    _, data = _read_csv(out / "analytic_sensitivities.csv")
+    assert np.all(data[:, 1] == 0.0) and np.all(data[:, 3] == 1.0)
+    assert np.allclose(data[:, 2], data[:, 0] / 1e-4, rtol=1e-12)
+
+
 def test_simulate_command(tmp_path):
     out = tmp_path / "run"
     code = main(["simulate", "--model", "hatze", "--scenario", "iii",

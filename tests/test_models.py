@@ -24,6 +24,7 @@ from actsens import (
     hatze_rhs,
     hatze_steady_state,
     integrate,
+    simplified_zajac_model,
     simplified_zajac_sensitivities,
     simplified_zajac_solution,
     zajac_model,
@@ -32,7 +33,7 @@ from actsens import (
     zajac_steady_state,
 )
 from actsens.cli import _MODELS
-from actsens.models import HATZE_EPS, HATZE_VARS, ZAJAC_VARS, _simplified_partials
+from actsens.models import HATZE_EPS, HATZE_VARS, ZAJAC_VARS
 from actsens.presets import (
     all_hatze_scenarios,
     all_zajac_scenarios,
@@ -357,7 +358,7 @@ def test_derivs_contract_of_builtin_models(model):
 
 
 _PARTIALS = {"zajac": (zajac_rhs, zajac_partials), "hatze": (hatze_rhs, hatze_partials),
-             "simplified-zajac": (zajac_rhs, _simplified_partials)}
+             "simplified-zajac": (zajac_rhs, zajac_partials)}
 
 
 @pytest.mark.parametrize("model", list(_MODELS))
@@ -385,6 +386,30 @@ def test_derivs_binds_parameters_by_value(model):
         check(lam)
     lam1[1] *= 0.99  # in place: same array, new values
     check(lam1)
+
+
+@pytest.mark.parametrize("model", list(_MODELS))
+def test_a_point_lists_exactly_the_canonical_order(model):
+    # a manifest writes as_dict() as it is, so a point names the model's
+    # parameters and nothing else
+    spec = _MODELS[model][0]()
+    assert tuple(spec.params_of(*_interior_points(model)[0]).as_dict()) == spec.canonical_order
+
+
+def test_simplified_derivs_are_the_restricted_linear_partials():
+    # the simplified model's blocks are the linear model's at q0 = 0, beta = 1,
+    # restricted by index to (q, sigma, tau), bit for bit
+    spec = simplified_zajac_model()
+    keep = [ZAJAC_VARS.index(v) for v in ("q", "sigma", "tau")]
+    for q_init, sigma, tau in _interior_points("simplified-zajac"):
+        full = ZajacParams(sigma=sigma, q0=0.0, tau=tau, beta=1.0, q_init=q_init)
+        for order in (1, 2):
+            f, grad, hess = spec.derivs(0.0, np.array([q_init]), np.array([sigma, tau]), order)
+            ref_f, ref_grad, ref_hess = zajac_partials(q_init, full, order == 2)
+            assert f.tobytes() == np.array([ref_f]).tobytes()
+            assert grad[0].tobytes() == ref_grad[keep].tobytes()
+            if order == 2:
+                assert hess[0].tobytes() == ref_hess[np.ix_(keep, keep)].tobytes()
 
 
 def test_derivs_raises_at_the_pole_on_every_call():
@@ -639,8 +664,7 @@ _PANELS.update({
                             "m": 10.0, "rho_c": rho_c, "nu": float(nu), "ell_rho": 2.9,
                             "ell_CErel": 1.0}
     for nu, rho_c in ((2, 9.10), (3, 7.24)) for row, (q, s) in _ROWS.items()})
-_PANELS.update({f"simplified-zajac-{row}": {"q_Z0": q, "sigma": s, "q0": 0.0, "tau": 0.025,
-                                            "beta": 1.0}
+_PANELS.update({f"simplified-zajac-{row}": {"q_Z0": q, "sigma": s, "tau": 0.025}
                 for row, (q, s) in _ROWS.items()})
 
 
@@ -655,6 +679,8 @@ def _scenario_points():
 def test_scenario_panels_keep_their_published_values(label):
     point = _scenario_points()[label]
     assert list(point.as_dict().items()) == list(_PANELS[label].items())
+    if label.startswith("simplified-zajac"):
+        assert point.q0 == 0.0 and point.beta == 1.0
     point.validate()
 
 
@@ -709,6 +735,17 @@ def test_simplified_sensitivities_take_their_limits_far_beyond_tau():
     assert rel["q_Z0"][0] == 1.0 and rel["q_Z0"][-1] == 0.0
     assert rel["tau"][-1] == 0.0
     assert np.allclose(rel["sigma"] + rel["q_Z0"], 1.0, atol=1e-14)
+
+
+@pytest.mark.filterwarnings("error")
+def test_simplified_sensitivities_without_stimulation_stay_finite():
+    # at sigma = 0 the state q_init e^(-t/tau) underflows beyond t/tau ~ 745,
+    # while the shares keep their constant values
+    t = np.array([0.0, 0.05, 0.1, 0.2])
+    rel = simplified_zajac_sensitivities(t, 0.0, 1e-4, 0.05)
+    assert np.array_equal(rel["sigma"], np.zeros(4))
+    assert np.array_equal(rel["q_Z0"], np.ones(4))
+    assert np.allclose(rel["tau"], t / 1e-4, rtol=1e-15)
 
 
 def test_simplified_sensitivities_degenerate():
