@@ -67,14 +67,12 @@ from .odecore import OdeProblem, Tolerances, Trajectory, integrate, make_grid
 from .optimize import (
     FitProblem,
     FitResult,
-    NelderMeadResult,
     ShiftTargets,
     TableCell,
     fit_error,
     fit_shift_parameters,
     isometric_force,
     load_shift_targets,
-    nelder_mead,
     optimal_length_shift,
     run_table,
     synthesize_targets,

@@ -330,7 +330,8 @@ def _cmd_analytic(settings) -> int:
     """Closed-form relative sensitivities of the simplified linear model."""
     sigma, tau, q_init = settings["sigma"], settings["tau"], settings["q_init"]
     model = simplified_zajac_model()
-    _validate(model, model.params_of(q_init, sigma, tau), settings)
+    point = model.params_of(q_init, sigma, tau)
+    _validate(model, point, settings)
     grid = make_grid(settings["t_end"], settings["points"])
     rel = simplified_zajac_sensitivities(grid, sigma, tau, q_init)
     out = _out_dir(settings)
@@ -338,9 +339,8 @@ def _cmd_analytic(settings) -> int:
     write_csv(path, ["t_seconds", "S_sigma", "S_tau", "S_q_Z0"],
               [grid, rel["sigma"], rel["tau"], rel["q_Z0"]])
     write_manifest(out / "manifest.txt", {
-        "command": "analytic", "sigma": sigma, "tau": tau, "q_Z0": q_init,
-        "t_end": grid[-1], "points": grid.size, "version": __version__,
-        "files": path.name,
+        "command": "analytic", **point.as_dict(), "t_end": grid[-1], "points": grid.size,
+        "version": __version__, "files": path.name,
     })
     if settings["plot"]:
         _plot(out / "analytic_sensitivities.pdf", grid,

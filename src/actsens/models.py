@@ -464,6 +464,29 @@ def _hatze_q_of_gamma(gamma, ell, p: HatzeParams):
     return (p.q0 + x) / (1.0 + x)
 
 
+def _hatze_log_q_slopes(gamma, ell, p: HatzeParams):
+    """Length derivatives of log q for :func:`_hatze_q_of_gamma`, unchecked.
+
+    Returns (log q)_ell, (log q)_ell,ell and d/d(log rho_c) of (log q)_ell.
+    With x = (rho gamma)^nu and rho proportional to rho_c ell/(ell_rho - ell),
+    x_ell = nu x h where h = 1/ell + 1/(ell_rho - ell), and
+    (log q)_ell = x_ell D with D = 1/(q0 + x) - 1/(1 + x), written
+    (1 - q0)/((q0 + x)(1 + x)) so that it does not cancel. D' = -D (a + b)
+    with a = 1/(q0 + x) and b = 1/(1 + x); x scales as rho_c^nu, so the cross
+    term is nu x_ell (D + x D').
+    """
+    x = (_hatze_rho(ell, p.rho_c, p.ell_rho) * gamma) ** p.nu
+    free = p.ell_rho - ell
+    h = 1.0 / ell + 1.0 / free
+    x_ell = p.nu * x * h
+    a, b = 1.0 / (p.q0 + x), 1.0 / (1.0 + x)
+    d = (1.0 - p.q0) * a * b
+    d_x = -d * (a + b)
+    x_ell_ell = p.nu * (x_ell * h + x * (1.0 / free**2 - 1.0 / ell**2))
+    return (x_ell * d, x_ell_ell * d + x_ell**2 * d_x,
+            p.nu * x_ell * d * (p.q0 * a - x * b))
+
+
 def hatze_q_of_gamma(gamma, ell_ce_rel, p: HatzeParams):
     """Activity from normalized free-calcium concentration via the nu-power saturation."""
     _check_hatze_fields(q0=p.q0, rho_c=p.rho_c, nu=p.nu, ell_rho=p.ell_rho)
@@ -652,6 +675,36 @@ def _force_length_relative(ell_rel, rel: ForceLengthRelation):
         return np.maximum(0.0, 1.0 - (delta / rel.width) ** 2)
     exponent = np.where(ell_rel <= 1.0, rel.nu_asc, rel.nu_des)
     return np.exp(-((np.abs(delta) / rel.width) ** exponent))
+
+
+def _force_length_log_slopes(ell_rel, rel: ForceLengthRelation):
+    """Descending-branch derivatives of log F_L for :func:`_force_length_relative`.
+
+    Valid for 1 < ell_rel (and ell_rel < 1 + width for the parabola); with
+    delta = ell_rel - 1 and w the width, returns (log F_L)_u, (log F_L)_uu and
+    d/d(log w) of (log F_L)_u. Bell, e = nu_des: -e delta^(e-1)/w^e,
+    (e - 1)/delta times that, and -e times it. Parabola: -2 delta/(w^2 - delta^2),
+    -2 (w^2 + delta^2)/(w^2 - delta^2)^2 and 4 delta w^2/(w^2 - delta^2)^2.
+    """
+    delta = ell_rel - 1.0
+    if rel.kind == "parabola":
+        w2 = rel.width**2
+        gap = w2 - delta**2
+        return -2.0 * delta / gap, -2.0 * (w2 + delta**2) / gap**2, 4.0 * delta * w2 / gap**2
+    e = rel.nu_des
+    slope = -e * delta ** (e - 1.0) / rel.width**e
+    return slope, (e - 1.0) * slope / delta, -e * slope
+
+
+def _force_length_slope_root(a, rel: ForceLengthRelation):
+    """The delta > 0 at which the descending (log F_L)_u of
+    :func:`_force_length_log_slopes` equals -a, for a > 0: (a w^e/e)^(1/(e-1))
+    for the bell, a w^2/(1 + sqrt(1 + a^2 w^2)) for the parabola."""
+    if rel.kind == "parabola":
+        aw = a * rel.width
+        return aw * rel.width / (1.0 + np.sqrt(1.0 + aw * aw))
+    e = rel.nu_des
+    return (a * rel.width**e / e) ** (1.0 / (e - 1.0))
 
 
 def force_length_relative(ell_rel, rel: ForceLengthRelation):

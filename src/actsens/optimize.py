@@ -5,15 +5,17 @@ a force-length relation: F(gamma, ell) = F_max * q(gamma, ell/ell_opt) *
 F_L(ell). Because the activity gains from longer CE lengths, the force
 maximum shifts to longer lengths at submaximal stimulation; the shift is
 measured against the model's own full-activation optimum. Each maximum
-comes from a coarse grid scan and a two-level grid zoom around its best
-point, whose result is within half the zoom's tolerance. A log-space
-Nelder-Mead fits the force-length width and the calcium scale rho0 to a set
-of target shifts.
+comes from a coarse grid scan and a safeguarded Newton iteration on the
+slope of log F inside the scan's bracket, which finds it to rounding.
+Differentiating that slope's root gives each shift's exact derivatives in
+the fitted parameters, so a log-space Levenberg-Marquardt with exact
+Jacobians fits the force-length width and the calcium scale rho0 to a set of
+target shifts.
 
 The width starts of one (nu, kind) cell are fitted in lockstep: each round,
 the pending trial point of every live fit goes through one batched
-:func:`fit_error` call, whose rows are independent. So every fit takes the
-path, and gets the result, it would get on its own.
+evaluation of residuals and Jacobians, whose rows are independent. So every
+fit takes the path, and gets the result, it would get on its own.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from .errors import ActsensError, MaxIterationsExceeded, NoInteriorMaximum
 from .models import (
     ForceLengthRelation,
     HatzeParams,
-    _force_length_relative,
-    _hatze_q_of_gamma,
+    _force_length_log_slopes,
+    _force_length_slope_root,
+    _hatze_log_q_slopes,
     force_length,
     hatze_q_of_gamma,
 )
@@ -40,12 +43,9 @@ __all__ = [
     "FitProblem",
     "FitResult",
     "TableCell",
-    "NelderMeadResult",
     "isometric_force",
     "optimal_length_shift",
     "fit_error",
-    "nelder_mead",
-    "nelder_mead_steps",
     "fit_shift_parameters",
     "run_table",
     "synthesize_targets",
@@ -61,13 +61,11 @@ DEFAULT_ELL_OPT = 14.8
 #: Common start value for the calcium scale (l/mol).
 DEFAULT_RHO0_START = 6.0e4
 
-#: Search for the force-maximizing length: span in units of ell_opt, coarse
-#: grid points over it, and the width (mm) the grid zoom refines each coarse
-#: bracket to. The fit's predicted shifts and optimal_length_shift both use
-#: them.
+#: Search for the force-maximizing length: span in units of ell_opt and
+#: coarse grid points over it. The fit's predicted shifts and
+#: optimal_length_shift both use them.
 SHIFT_SEARCH_SPAN = (0.5, 1.5)
 SHIFT_SEARCH_COARSE = 201
-SHIFT_SEARCH_XTOL_MM = 1e-4
 
 
 @dataclass(frozen=True)
@@ -171,30 +169,51 @@ def isometric_force(gamma, ell_ce, hatze_params: HatzeParams, flr: ForceLengthRe
     return flr.f_max * q * force_length(ell_ce, flr)
 
 
-def _zoom_max(fun, lo, width: float, xtol: float):
-    """Grid-zoom maximum refinement on unimodal brackets [lo, lo + width].
+#: Newton on the log-force slope stops each entry once its step is at most
+#: this fraction of the relative length.
+NEWTON_RTOL = 1e-13
 
-    ``lo`` is a scalar or an array of independent brackets of one common
-    ``width``, and ``fun`` maps probes with one more trailing axis (K per
-    bracket) to their values. Each level keeps the two grid intervals around
-    the best probe, so the width shrinks by 2/(K+1) until it is at most
-    ``xtol``. K = ceil(2 sqrt(width/xtol)) - 1 makes two levels enough, and
-    since neither depends on ``fun``, every bracket takes the same path
-    batched or alone. Returns the best probe of the last level.
+
+def _peak_slopes(u, gammas, p: HatzeParams, flr: ForceLengthRelation):
+    """g = (log F)_u, g_u and g's derivatives in (log width, log rho0) at
+    relative lengths u on the force-length relation's descending branch."""
+    q_slope, q_curv, q_rho = _hatze_log_q_slopes(gammas, u, p)
+    f_slope, f_curv, f_width = _force_length_log_slopes(u, flr)
+    return q_slope + f_slope, q_curv + f_curv, f_width, q_rho
+
+
+def _newton_peak(slopes, lo, hi, u, live):
+    """Root of the decreasing slope g in each bracket (lo, hi), from u.
+
+    ``slopes(u)`` returns g and g_u. Each entry takes a Newton step, or
+    bisects its bracket when the step would leave it or would not halve the
+    previous step, and keeps the side of each iterate that g's sign gives
+    (Press et al., *Numerical Recipes*, rtsafe). An entry is frozen once its
+    own step is at most NEWTON_RTOL * u; the rest go on, and entries not
+    ``live`` at the start never move. No operation mixes entries, so each
+    takes the path it takes alone.
     """
-    k = max(math.ceil(2.0 * math.sqrt(width / xtol)) - 1, 2)
-    lo, grid = np.asarray(lo, dtype=float), np.arange(1, k + 1) / (k + 1)
-    while width > xtol:
-        best = np.argmax(fun(lo[..., None] + width * grid), axis=-1)
-        lo, width = lo + width * best / (k + 1), width * 2.0 / (k + 1)
-    mid = lo + 0.5 * width
-    return float(mid) if mid.ndim == 0 else mid
+    last = hi - lo
+    while True:
+        g, g_u = slopes(u)
+        lo = np.where(g > 0.0, u, lo)
+        hi = np.where(g < 0.0, u, hi)
+        newton = u - g / g_u
+        step = np.abs(newton - u)
+        safe = (step <= NEWTON_RTOL * u) | (  # NaN fails every test
+            (newton > lo) & (newton < hi) & (step <= 0.5 * last))
+        new = np.where(safe, newton, 0.5 * (lo + hi))
+        last = np.abs(new - u)
+        u = np.where(live, new, u)
+        live &= last > NEWTON_RTOL * u
+        if not live.any():
+            return u
 
 
 def _argmax_force(
     gammas, p: HatzeParams, flr: ForceLengthRelation,
-    span: tuple[float, float], coarse: int, xtol_mm: float,
-) -> np.ndarray:
+    span: tuple[float, float], coarse: int, jacobian: bool = False,
+):
     """Force-maximizing length (mm) for each stimulation level in ``gammas``.
 
     ``gammas`` holds L levels. Fields of ``p`` and ``flr`` such as rho_c and
@@ -204,37 +223,72 @@ def _argmax_force(
 
     One coarse grid scan over all levels goes through the checked
     isometric_force, so a span outside (0, ell_rho) raises PoleViolation.
-    A grid zoom (:func:`_zoom_max`) then refines every level's bracket of
-    two coarse steps to ``xtol_mm`` in at most two unchecked force calls over
-    (F, L, K) probes inside the scanned interval. A level whose scan
-    maximum sits at an end of the span has no interior maximum: for one
-    set that raises NoInteriorMaximum, and for F sets it makes that set's
-    whole row NaN while the other rows are refined as usual.
+    The exact maximum is the root of g(u) = d log F / du, u = ell/ell_opt,
+    found by :func:`_newton_peak` inside the scan's bracket of two steps
+    around its best point, clipped to u > 1: the activity rises with length
+    and F_L peaks at u = 1, so the maximum lies on F_L's descending branch
+    (and, for the parabola, below its zero at u = 1 + width).
+
+    A level has no interior maximum when its scan maximum sits at an end of
+    the span, or when g does not change sign over its bracket (the force is
+    then flat to rounding over the scan, whose best point need not bracket
+    the root). For one set that raises NoInteriorMaximum; for F sets it
+    makes that set's whole row NaN while the other rows are refined as usual.
+
+    With ``jacobian`` it also returns the peaks' derivatives in
+    (log width, log rho0), shape (..., L, 2), by implicit differentiation
+    of g(u*) = 0: du*/dtheta = -g_theta / g_u.
     """
     gammas = np.asarray(gammas, dtype=float)[:, None]  # one row per level
     ells = np.linspace(span[0] * flr.ell_opt, span[1] * flr.ell_opt, coarse)
     forces = isometric_force(gammas, ells, p, flr)
     k = np.argmax(forces, axis=-1)
     boundary = (k == 0) | (k == coarse - 1)
-    if k.ndim == 1 and np.any(boundary):
+    single = k.ndim == 1
+    if single and np.any(boundary):
         raise NoInteriorMaximum(
             f"force maximum at the search boundary (gamma={gammas[boundary, 0].tolist()}); "
             "widen the span"
         )
-    k = np.clip(k, 1, coarse - 2)  # a bracket for every row; boundary sets get NaN
-
-    def force(ell):  # isometric_force without its checks
-        ell_rel = ell / flr.ell_opt
-        return flr.f_max * _hatze_q_of_gamma(gammas, ell_rel, p) * _force_length_relative(ell_rel, flr)
-
-    peaks = _zoom_max(force, ells[k - 1], 2.0 * (ells[1] - ells[0]), xtol_mm)
-    return np.where(boundary.any(axis=-1, keepdims=True), np.nan, peaks)
+    k = np.clip(k, 1, coarse - 2)[..., None]
+    grid = ells / flr.ell_opt
+    lo, hi = np.maximum(grid[k - 1], 1.0), grid[k + 1]
+    if flr.kind == "parabola":
+        hi = np.minimum(hi, 1.0 + flr.width)
+    hi = np.maximum(hi, lo + 2 * NEWTON_RTOL)  # only a boundary row's bracket is empty
+    start = np.where((lo < grid[k]) & (grid[k] < hi), grid[k], 0.5 * (lo + hi))
+    # one call at the start and just inside both ends: g must change sign
+    # over the bracket, and the start moves to the root of g with the
+    # activity's slope frozen at it
+    probes = np.concatenate([start, lo + NEWTON_RTOL, hi - NEWTON_RTOL], axis=-1)
+    q_slope = _hatze_log_q_slopes(gammas, probes, p)[0]
+    g = q_slope + _force_length_log_slopes(probes, flr)[0]
+    frozen = 1.0 + _force_length_slope_root(q_slope[..., :1], flr)
+    start = np.where((lo < frozen) & (frozen < hi), frozen, start)
+    # g is positive at u = 1, so if it is not at 1 + NEWTON_RTOL the root lies
+    # between: the maximum is at the force-length optimum to rounding
+    pinned = (lo == 1.0) & (g[..., 1:2] <= 0.0)
+    start = np.where(pinned, lo + NEWTON_RTOL, start)
+    bracketed = pinned | ((g[..., 1:2] > 0.0) & (g[..., 2:] < 0.0))
+    unbracketed = ~bracketed[..., 0]
+    if single and np.any(unbracketed):
+        raise NoInteriorMaximum(
+            f"force maximum not bracketed by the scan (gamma={gammas[unbracketed, 0].tolist()}); "
+            "the force is flat to rounding over it"
+        )
+    u = _newton_peak(lambda v: _peak_slopes(v, gammas, p, flr)[:2], lo, hi, start,
+                     bracketed & ~pinned & ~boundary[..., None])
+    bad = (boundary | unbracketed).any(axis=-1, keepdims=True)  # such a set's row is NaN
+    peaks = np.where(bad, np.nan, flr.ell_opt * u[..., 0])
+    if not jacobian:
+        return peaks
+    _, g_u, g_width, g_rho = _peak_slopes(u, gammas, p, flr)
+    return peaks, (-flr.ell_opt / g_u) * np.concatenate([g_width, g_rho], axis=-1)
 
 
 def optimal_length_shift(
     gamma: float, hatze_params: HatzeParams, flr: ForceLengthRelation,
     span: tuple[float, float] = SHIFT_SEARCH_SPAN, coarse: int = SHIFT_SEARCH_COARSE,
-    xtol_mm: float = SHIFT_SEARCH_XTOL_MM,
 ) -> float:
     """Shift (mm) of the submaximal force optimum against the full-activation one.
 
@@ -242,23 +296,27 @@ def optimal_length_shift(
     activation the activity still depends on length, so the two differ
     slightly.
     """
-    here, ref = _argmax_force((gamma, 1.0), hatze_params, flr, span, coarse, xtol_mm)
+    here, ref = _argmax_force((gamma, 1.0), hatze_params, flr, span, coarse)
     return float(here - ref)
 
 
-def predicted_shifts(width, rho0, problem: FitProblem) -> np.ndarray:
+def predicted_shifts(width, rho0, problem: FitProblem, jacobian: bool = False):
     """Model shift at every target stimulation level for (width, rho0).
 
     Scalars give one point's shifts, shape (L,). Arrays of F points give
     shape (F, L), with a NaN row for a point without an interior force
-    maximum (see :func:`_argmax_force`).
+    maximum (see :func:`_argmax_force`). With ``jacobian`` it also returns
+    the shifts' derivatives in (log width, log rho0), shape (..., L, 2).
     """
     if np.ndim(width):  # F points: (F, 1, 1) fields, see _argmax_force
         width, rho0 = np.reshape(width, (-1, 1, 1)), np.reshape(rho0, (-1, 1, 1))
-    peaks = _argmax_force((1.0, *problem.targets.levels), problem.activation(rho0),
-                          problem.relation(width), SHIFT_SEARCH_SPAN, SHIFT_SEARCH_COARSE,
-                          SHIFT_SEARCH_XTOL_MM)
-    return peaks[..., 1:] - peaks[..., :1]
+    out = _argmax_force((1.0, *problem.targets.levels), problem.activation(rho0),
+                        problem.relation(width), SHIFT_SEARCH_SPAN, SHIFT_SEARCH_COARSE,
+                        jacobian)
+    if not jacobian:
+        return out[..., 1:] - out[..., :1]
+    peaks, d_peaks = out
+    return peaks[..., 1:] - peaks[..., :1], d_peaks[..., 1:, :] - d_peaks[..., :1, :]
 
 
 def fit_error(width, rho0, problem: FitProblem):
@@ -273,107 +331,93 @@ def fit_error(width, rho0, problem: FitProblem):
     in arrays such a point's error is +inf and the others are unaffected.
     """
     residuals = predicted_shifts(width, rho0, problem) - np.asarray(problem.targets.shifts_mm)
-    error = np.sqrt(np.sum(residuals**2, axis=-1) / 5.0)
+    error = _rms(residuals)
     return float(error) if error.ndim == 0 else np.where(np.isnan(error), math.inf, error)
 
 
+def _rms(residuals):
+    return np.sqrt(np.sum(residuals**2, axis=-1) / 5.0)
+
+
 # ---------------------------------------------------------------------------
-# Nelder-Mead simplex search
+# Levenberg-Marquardt in log space
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class NelderMeadResult:
-    argmin: np.ndarray
-    value: float
-    iterations: int
+#: Smallest damping lam, relative to the scaling D^2: along a valley where
+#: J's columns become parallel it keeps the determinant of J'J + lam D^2
+#: about 2 lam of the product of its diagonal, well above rounding, while
+#: the steps along the valley stay those of the undamped system.
+LM_MIN_DAMPING = 1e-14
 
 
-def nelder_mead_steps(start, tol: float = 1e-8, max_iter: int = 2000,
-                      initial_step: float = 0.05):
-    """The simplex search of :func:`nelder_mead` as a generator.
+#: Trust region of a step: no parameter moves by more than this in log
+#: space, a factor e, so that a step from a point where the Jacobian is
+#: nearly flat cannot leap into a plateau or out of the floating-point range.
+LM_MAX_STEP = 1.0
 
-    It yields each trial point and must be sent that point's objective
-    value; it returns the NelderMeadResult (as StopIteration's value) or
-    raises as nelder_mead does. A driver can so advance many searches
-    side by side and evaluate their pending points together.
+
+def _levenberg_marquardt(start, tol: float, max_iter: int):
+    """Levenberg-Marquardt on two parameters' residuals r(theta), as a generator.
+
+    It yields each trial point and must be sent ``(r, J)`` there, or None
+    for an infeasible point, or the exception its evaluation raised. An
+    infeasible or failed start ends the search (ValueError, or that
+    exception); at any later trial point either counts as a rejected step.
+    It returns ``(theta, error, iterations)`` as StopIteration's value:
+    after an accepted step with max|step| < tol and |change of error| < tol,
+    or after a rejected step with max|step| < tol. Past ``max_iter`` steps
+    it raises MaxIterationsExceeded.
+
+    Each step solves the 2x2 system (J'J + lam D^2) step = -J'r in closed
+    form, with D^2 the running maximum of J's squared column norms (Moré
+    1978); lam is doubled until no component of the step exceeds
+    LM_MAX_STEP. lam follows the gain ratio of actual to predicted
+    reduction (Nielsen 1999; Nocedal & Wright 2006, ch. 10), but stays at
+    least LM_MIN_DAMPING.
     """
-    x0 = np.asarray(start, dtype=float)
-    ndim = x0.size
-    simplex = [x0.copy()]
-    for i in range(ndim):
-        x = x0.copy()
-        x[i] += initial_step * abs(x[i]) if x[i] != 0.0 else initial_step
-        simplex.append(x)
-    values = []
-    for x in simplex:
-        values.append(float((yield x)))
-    if not math.isfinite(values[0]):
+    theta = np.asarray(start, dtype=float)
+    at = yield theta
+    if isinstance(at, Exception):
+        raise at
+    if at is None:
         raise ValueError("objective is not finite at the start point")
-
+    r, jac = at
+    cost, error = float(r @ r), float(_rms(r))
+    d0 = d1 = 0.0
+    lam, grow = 1e-3, 2.0
     for iteration in range(1, max_iter + 1):
-        order = np.argsort(values)
-        simplex = [simplex[k] for k in order]
-        values = [values[k] for k in order]
-
-        diameter = max(np.max(np.abs(x - simplex[0])) for x in simplex[1:])
-        spread = values[-1] - values[0]
-        if diameter < tol and spread < tol:
-            return NelderMeadResult(simplex[0].copy(), values[0], iteration)
-
-        centroid = np.mean(simplex[:-1], axis=0)
-        xr = centroid + (centroid - simplex[-1])
-        fr = float((yield xr))
-        if values[0] <= fr < values[-2]:
-            simplex[-1], values[-1] = xr, fr
-            continue
-        if fr < values[0]:
-            xe = centroid + 2.0 * (centroid - simplex[-1])
-            fe = float((yield xe))
-            if fe < fr:
-                simplex[-1], values[-1] = xe, fe
-            else:
-                simplex[-1], values[-1] = xr, fr
-            continue
-        if fr < values[-1]:  # outside contraction
-            xc = centroid + 0.5 * (xr - centroid)
-            fc = float((yield xc))
-            if fc <= fr:
-                simplex[-1], values[-1] = xc, fc
-                continue
-        else:  # inside contraction
-            xc = centroid + 0.5 * (simplex[-1] - centroid)
-            fc = float((yield xc))
-            if fc < values[-1]:
-                simplex[-1], values[-1] = xc, fc
-                continue
-        # shrink toward the best vertex
-        for k in range(1, len(simplex)):
-            simplex[k] = simplex[0] + 0.5 * (simplex[k] - simplex[0])
-            values[k] = float((yield simplex[k]))
-
+        (a, b), (_, c) = (jac.T @ jac).tolist()
+        g0, g1 = (jac.T @ r).tolist()
+        d0, d1 = max(d0, a), max(d1, c)
+        w0, w1 = d0 or 1.0, d1 or 1.0  # a column zero so far gets unit scale, as in MINPACK
+        while True:  # raise lam until the step lies in the trust region
+            a_lam, c_lam = a + lam * w0, c + lam * w1
+            det = a_lam * c_lam - b * b
+            if not det > 0.0:
+                raise ValueError(f"Jacobian is not finite at theta = {theta.tolist()}")
+            s0, s1 = (b * g1 - c_lam * g0) / det, (b * g0 - a_lam * g1) / det
+            if not max(abs(s0), abs(s1)) > LM_MAX_STEP:
+                break
+            lam *= 2.0
+        at = yield theta + (s0, s1)
+        short = max(abs(s0), abs(s1)) < tol
+        trial_cost = float(at[0] @ at[0]) if isinstance(at, tuple) else math.inf
+        if trial_cost <= cost:
+            predicted = s0 * (lam * w0 * s0 - g0) + s1 * (lam * w1 * s1 - g1)
+            gain = (cost - trial_cost) / predicted if predicted > 0.0 else 0.0
+            lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), LM_MIN_DAMPING)
+            grow = 2.0
+            theta, (r, jac), cost = theta + (s0, s1), at, trial_cost
+            last_error, error = error, float(_rms(r))
+            if short and abs(last_error - error) < tol:
+                return theta, error, iteration
+        else:
+            lam *= grow
+            grow *= 2.0
+            if short:
+                return theta, error, iteration
     raise MaxIterationsExceeded(f"no convergence within {max_iter} iterations")
-
-
-def nelder_mead(
-    objective, start, tol: float = 1e-8, max_iter: int = 2000,
-    initial_step: float = 0.05,
-) -> NelderMeadResult:
-    """Minimize with the standard simplex moves (1, 2, 0.5, 0.5).
-
-    Terminates when both the simplex diameter and the value spread drop
-    below ``tol``; raises MaxIterationsExceeded past the iteration cap. The
-    search itself is :func:`nelder_mead_steps`; this evaluates its trial
-    points one at a time, so a lockstep driver that evaluates them in
-    batches gets the same result.
-    """
-    steps = nelder_mead_steps(start, tol, max_iter, initial_step)
-    x = next(steps)
-    while True:
-        try:
-            x = steps.send(objective(x))
-        except StopIteration as done:
-            return done.value
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +438,10 @@ def fit_shift_parameters(problem: FitProblem, tol: float = 1e-8,
                          max_iter: int = 2000) -> FitResult:
     """Fit (width, rho0) to the target shifts; log-space keeps both positive.
 
-    Trial points whose force maximum escapes the search interval get an
-    infinite objective, so the simplex retreats into the feasible region
-    instead of aborting the fit. This is the lockstep of one fit, so it
-    gives what :func:`run_table` gives for the same start.
+    Trial points whose force maximum escapes the search interval count as
+    rejected steps, so the search retreats into the feasible region instead
+    of aborting the fit. This is the lockstep of one fit, so it gives what
+    :func:`run_table` gives for the same start.
     """
     (outcome,) = _fit_lockstep([problem], tol, max_iter)
     if isinstance(outcome, Exception):
@@ -409,61 +453,54 @@ def _fit_lockstep(problems: list[FitProblem], tol: float = 1e-8, max_iter: int =
     """Fit problems that differ only in their start values, in lockstep.
 
     Each round sends the pending trial point of every live fit through one
-    :func:`_trial_errors` call. Returns, per problem, its FitResult or the
+    :func:`_trial_residuals` call. Returns, per problem, its FitResult or the
     ActsensError or ValueError that ended its fit alone; any other error
     propagates.
     """
-    searches = [nelder_mead_steps([math.log(pb.width_start), math.log(pb.rho0_start)],
-                                  tol=tol, max_iter=max_iter) for pb in problems]
+    searches = [_levenberg_marquardt([math.log(pb.width_start), math.log(pb.rho0_start)],
+                                     tol, max_iter) for pb in problems]
     pending = {i: next(search) for i, search in enumerate(searches)}
     evals = [0] * len(problems)
     outcomes: list = [None] * len(problems)
     while pending:
         live = list(pending)
-        values = _trial_errors([pending[i] for i in live], problems[0])
+        values = _trial_residuals([pending[i] for i in live], problems[0])
         for i, value in zip(live, values):
             evals[i] += 1
-            if isinstance(value, Exception):
-                outcome = value
-            else:
-                try:
-                    pending[i] = searches[i].send(value)
-                    continue
-                except StopIteration as done:
-                    outcome = _fit_result(done.value, evals[i])
-                except (ActsensError, ValueError) as exc:
-                    outcome = exc
+            try:
+                pending[i] = searches[i].send(value)
+                continue
+            except StopIteration as done:
+                theta, error, iterations = done.value
+                outcome = FitResult(width=math.exp(theta[0]), rho0=math.exp(theta[1]),
+                                    error_mm=error, iterations=iterations,
+                                    objective_evals=evals[i])
+            except (ActsensError, ValueError) as exc:
+                outcome = exc
             del pending[i]
             outcomes[i] = outcome
     return outcomes
 
 
-def _trial_errors(points, problem: FitProblem) -> list:
-    """fit_error at log-space trial points, batched in one call.
+def _trial_residuals(points, problem: FitProblem) -> list:
+    """Shift residuals and their Jacobian at log-space trial points, in one call.
 
-    A point without an interior force maximum gets +inf. If the call raises
-    an ActsensError or ValueError, each point is evaluated alone, and one
-    that raises gets its exception in place of a value: it ends only its
-    own fit.
+    Each point gets ``(r, J)``, or None without an interior force maximum.
+    If the call raises an ActsensError or ValueError, each point is
+    evaluated alone, and one that raises gets its exception in place of a
+    value.
     """
     widths = np.array([math.exp(u[0]) for u in points])
     rho0s = np.array([math.exp(u[1]) for u in points])
     try:
-        return fit_error(widths, rho0s, problem).tolist()
+        shifts, jac = predicted_shifts(widths, rho0s, problem, jacobian=True)
     except (ActsensError, ValueError) as exc:
         if len(points) == 1:
             return [exc]
-        return [value for u in points for value in _trial_errors([u], problem)]
-
-
-def _fit_result(res: NelderMeadResult, evals: int):
-    """A finished search's FitResult, or NoInteriorMaximum if it stayed infeasible."""
-    if not math.isfinite(res.value):
-        return NoInteriorMaximum("no feasible force maximum anywhere near the fitted parameters")
-    return FitResult(
-        width=math.exp(res.argmin[0]), rho0=math.exp(res.argmin[1]),
-        error_mm=res.value, iterations=res.iterations, objective_evals=evals,
-    )
+        return [value for u in points for value in _trial_residuals([u], problem)]
+    residuals = shifts - np.asarray(problem.targets.shifts_mm)
+    return [(r, j) if np.isfinite(r).all() and np.isfinite(j).all() else None
+            for r, j in zip(residuals, jac)]
 
 
 @dataclass

@@ -11,6 +11,7 @@ import pytest
 
 from actsens import (
     cli,
+    simplified_zajac_model,
     simplified_zajac_sensitivities,
     simplified_zajac_solution,
     synthesize_targets,
@@ -37,6 +38,16 @@ def test_analytic_command_writes_closed_forms(tmp_path):
     assert np.allclose(data[:, 1], oracle["sigma"], atol=1e-12)
     assert np.allclose(data[:, 2], oracle["tau"], atol=1e-12)
     assert (out / "manifest.txt").exists()
+
+
+def test_analytic_manifest_names_the_simplified_models_parameters(tmp_path):
+    out = tmp_path / "run"
+    assert main(["analytic", "--sigma", "1/3", "--output", str(out)]) == 0
+    manifest = dict(line.split(" = ", 1)
+                    for line in (out / "manifest.txt").read_text().splitlines())
+    names = simplified_zajac_model().canonical_order
+    assert set(names) == set(manifest) - {"command", "t_end", "points", "version", "files"}
+    assert [float(manifest[n]) for n in names] == [0.05, 1 / 3, 0.025]
 
 
 @pytest.mark.filterwarnings("error")

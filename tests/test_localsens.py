@@ -13,14 +13,21 @@ from actsens import (
     fd_first_order,
     fd_initial_condition,
     hatze_model,
+    hatze_rhs,
     normalize,
     second_order_fd,
     simplified_zajac_model,
     simplified_zajac_sensitivities,
     zajac_model,
+    zajac_rhs,
 )
 from actsens.localsens import SensitivityResult
-from actsens.presets import all_zajac_scenarios, hatze_scenario, zajac_scenario
+from actsens.presets import (
+    all_hatze_scenarios,
+    all_zajac_scenarios,
+    hatze_scenario,
+    zajac_scenario,
+)
 
 FIG1 = simplified_zajac_model().params_of(0.05, 1.0, 0.025)
 
@@ -120,6 +127,28 @@ def test_initial_sensitivity_is_exponential_decay():
     s0 = analyze(simplified_zajac_model(), FIG1, grid, order=1).s_raw[:, :1]
     assert s0[0, 0, 0] == 1.0
     assert np.max(np.abs(s0[:, 0, 0] - np.exp(-grid / 0.025))) < 1e-6
+
+
+def test_initial_value_column_is_the_flow_derivative():
+    # For a scalar autonomous model the flow's derivative in its start value
+    # is dq(t)/dq_init = f(q(t))/f(q_init) (Hairer, Norsett & Wanner, *Solving
+    # ODEs I*, sec. I.14), an oracle that needs only the computed state and
+    # the rhs. No panel starts at its steady state, so f(q_init) != 0 on all
+    # 16. Held to ten per-column scales, abs_tol + rel_tol * max_t|column|
+    # (the Tolerances contract); the worst panel, hatze i-nu2, reads 1.86,
+    # and zajac agrees to rounding.
+    grid = np.linspace(0.0, 0.5, 201)
+    tol = Tolerances()
+    for model, panels, rhs in ((zajac_model(), all_zajac_scenarios(), zajac_rhs),
+                               (hatze_model(), all_hatze_scenarios(), hatze_rhs)):
+        for label, p in panels:
+            res = analyze(model, p, grid, order=1)
+            start_rate = rhs(p.q_init, p)
+            assert start_rate != 0.0, label
+            column = res.s_raw[:, 0, 0]
+            scale = tol.abs_tol + tol.rel_tol * np.max(np.abs(column))
+            error = np.max(np.abs(column - rhs(res.state[:, 0], p) / start_rate))
+            assert error <= 10.0 * scale, f"{model.name} {label}: {error / scale:.2f} scales"
 
 
 def test_sensitivities_start_at_their_initial_values():

@@ -33,7 +33,15 @@ from actsens import (
     zajac_steady_state,
 )
 from actsens.cli import _MODELS
-from actsens.models import HATZE_EPS, HATZE_VARS, ZAJAC_VARS
+from actsens.models import (
+    HATZE_EPS,
+    HATZE_VARS,
+    ZAJAC_VARS,
+    _force_length_log_slopes,
+    _force_length_slope_root,
+    _hatze_log_q_slopes,
+    _hatze_q_of_gamma,
+)
 from actsens.presets import (
     all_hatze_scenarios,
     all_zajac_scenarios,
@@ -785,6 +793,52 @@ def test_force_length_bounds_and_errors():
         force_length(-1.0, rel)
     with pytest.raises(ValueError):
         ForceLengthRelation(kind="triangle", width=0.3)
+
+
+def _central(fun, x, h):
+    return (fun(x + h) - fun(x - h)) / (2.0 * h)
+
+
+@pytest.mark.parametrize("nu,rho_c,gamma", [(2.0, 9.07, 0.08), (3.0, 7.22, 0.28), (4.0, 7.22, 1.0)])
+def test_log_activity_slopes_match_central_differences(nu, rho_c, gamma):
+    # the optimizer's Newton and implicit Jacobian read these three
+    # derivatives of log q; h = 1e-5 leaves truncation and rounding near 1e-10
+    def point(rho_c):
+        return HatzeParams(sigma=1.0, nu=nu, rho_c=rho_c, q_init=0.5)
+
+    def log_q(ell, rho_c=rho_c):
+        return np.log(_hatze_q_of_gamma(gamma, ell, point(rho_c)))
+
+    ell = np.array([0.7, 1.0, 1.03, 1.4])
+    slope, curvature, cross = _hatze_log_q_slopes(gamma, ell, point(rho_c))
+    np.testing.assert_allclose(slope, _central(log_q, ell, 1e-5), rtol=1e-7)
+    np.testing.assert_allclose(
+        curvature, _central(lambda e: _hatze_log_q_slopes(gamma, e, point(rho_c))[0], ell, 1e-5),
+        rtol=1e-7)
+    np.testing.assert_allclose(
+        cross, _central(lambda r: _hatze_log_q_slopes(gamma, ell, point(rho_c * math.exp(r)))[0],
+                        0.0, 1e-5), rtol=1e-7)
+
+
+@pytest.mark.parametrize("kind,width", [("bell", 0.32), ("parabola", 0.56)])
+def test_force_length_log_slopes_match_central_differences(kind, width):
+    def rel(width):
+        return ForceLengthRelation(kind=kind, width=width, nu_asc=3.0, nu_des=1.5)
+
+    ell = np.array([1.005, 1.03, 1.2, 1.4])  # the descending branch
+    slope, curvature, cross = _force_length_log_slopes(ell, rel(width))
+    np.testing.assert_allclose(
+        slope, _central(lambda e: np.log(force_length_relative(e, rel(width))), ell, 1e-6),
+        rtol=1e-7)
+    np.testing.assert_allclose(
+        curvature, _central(lambda e: _force_length_log_slopes(e, rel(width))[0], ell, 1e-6),
+        rtol=1e-7)
+    np.testing.assert_allclose(
+        cross, _central(lambda w: _force_length_log_slopes(ell, rel(width * math.exp(w)))[0],
+                        0.0, 1e-5), rtol=1e-7)
+    # the slope's inverse gives back each delta
+    delta = _force_length_slope_root(-slope, rel(width))
+    np.testing.assert_allclose(delta, ell - 1.0, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
