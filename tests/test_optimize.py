@@ -48,6 +48,28 @@ def brute_force_argmax(gamma, p, flr, resolution_mm=1e-3):
     return ells[int(np.argmax(forces))]
 
 
+def zoom_max(fun, lo, width, xtol):
+    """Derivative-free grid-zoom maximum of a unimodal ``fun`` on [lo, lo + width].
+
+    An oracle for the Newton maximum that shares none of its slopes. ``lo``
+    is a scalar or an array of independent brackets of one common ``width``,
+    and ``fun`` maps probes with one more trailing axis (K per bracket) to
+    their values. Each level keeps the two grid intervals around the best
+    probe, so the width shrinks by 2/(K+1) until it is at most ``xtol``.
+    K = ceil(2 sqrt(width/xtol)) - 1 makes two levels enough, and since
+    neither depends on ``fun``, every bracket takes the same path batched or
+    alone. Returns the best probe of the last level, whose grid step is at
+    most xtol/2.
+    """
+    k = max(math.ceil(2.0 * math.sqrt(width / xtol)) - 1, 2)
+    lo, grid = np.asarray(lo, dtype=float), np.arange(1, k + 1) / (k + 1)
+    while width > xtol:
+        best = np.argmax(fun(lo[..., None] + width * grid), axis=-1)
+        lo, width = lo + width * best / (k + 1), width * 2.0 / (k + 1)
+    mid = lo + 0.5 * width
+    return float(mid) if mid.ndim == 0 else mid
+
+
 # ---------------------------------------------------------------------------
 # isometric force
 # ---------------------------------------------------------------------------
@@ -118,16 +140,17 @@ def test_refined_shift_matches_micrometre_grid():
 
 @pytest.mark.parametrize("kind,width", [("bell", 0.32), ("parabola", 0.56)])
 @pytest.mark.parametrize("nu,rho0", [(2.0, 6.62e4), (3.0, 5.27e4), (4.0, 5.27e4)])
-def test_newton_peak_within_half_nanometre_of_nanometre_grid(kind, width, nu, rho0):
+def test_refined_peak_within_half_xtol_of_nanometre_grid(kind, width, nu, rho0):
+    # the oracle zooms on the micrometre grid's best point to xtol = 1 nm
+    xtol = 1e-6
     flr = ForceLengthRelation(kind=kind, width=width, ell_opt=14.8)
     p = HatzeParams(sigma=1.0, q0=0.005, nu=nu, rho_c=rho0 * CALCIUM_CEILING,
                     ell_rho=2.9, q_init=0.5)
     for gamma in (1.0, *DEFAULT_LEVELS):
         peak = _argmax_force((gamma,), p, flr, SHIFT_SEARCH_SPAN, SHIFT_SEARCH_COARSE)[0]
         near = brute_force_argmax(gamma, p, flr)
-        ells = np.arange(near - 2e-3, near + 2e-3, 1e-6)
-        truth = ells[np.argmax(isometric_force(gamma, ells, p, flr))]
-        assert abs(peak - truth) <= 0.5e-6
+        truth = zoom_max(lambda x: isometric_force(gamma, x, p, flr), near - 2e-3, 4e-3, xtol)
+        assert abs(peak - truth) <= xtol / 2
 
 
 def test_boundary_maximum_raises():
@@ -199,6 +222,43 @@ def test_batched_argmax_equals_per_level_search(kind, width, nu, rho0):
     batched = _argmax_force(levels, p, flr, (0.5, 1.5), 201)
     single = [_argmax_force((g,), p, flr, (0.5, 1.5), 201)[0] for g in levels]
     assert batched.tolist() == single
+
+
+def test_zoom_array_brackets_match_scalar_runs():
+    # peaks at different places in their brackets take different zoom paths
+    centre = np.array([0.3, 1.7, -2.2, 5.0])
+    lo = np.array([0.0, 1.0, -2.5, 4.9])
+    fun = lambda x, c=centre[:, None]: np.exp(-np.abs(x - c) ** 1.5)
+    rows = zoom_max(fun, lo, 1.0, 1e-6)
+    for i in range(centre.size):
+        alone = zoom_max(lambda x: fun(x, centre[i]), lo[i], 1.0, 1e-6)
+        assert isinstance(alone, float)
+        assert rows[i] == alone
+        assert alone == pytest.approx(centre[i], abs=1e-6)
+
+
+@pytest.mark.parametrize("ell_opt", [5.0, DEFAULT_ELL_OPT, 40.0])
+@pytest.mark.parametrize("coarse", [51, SHIFT_SEARCH_COARSE, 1001])
+@pytest.mark.parametrize("xtol", [1e-6, 1e-4, 1e-3, 0.05])
+def test_zoom_reaches_xtol_in_two_levels(ell_opt, coarse, xtol):
+    # on a bracket of two coarse steps, as _argmax_force's, K and the level
+    # count follow from that width and xtol alone
+    width = 2.0 * (SHIFT_SEARCH_SPAN[1] - SHIFT_SEARCH_SPAN[0]) * ell_opt / (coarse - 1)
+    peak = 0.6180339887 * width  # an arbitrary point inside the bracket
+    probes = []
+
+    def fun(x):
+        probes.append(x)
+        return -np.abs(x - peak)
+
+    found = zoom_max(fun, 0.0, width, xtol)
+    k = math.ceil(2.0 * math.sqrt(width / xtol)) - 1
+    assert len(probes) <= 2 and all(x.shape == (k,) for x in probes)
+    assert (len(probes) == 0) == (width <= xtol)
+    # the last level keeps two of its grid steps
+    final_width = 2.0 * (probes[-1][1] - probes[-1][0]) if probes else width
+    assert final_width <= xtol * (1 + 1e-9)
+    assert abs(found - peak) <= xtol / 2
 
 
 def test_newton_freezes_each_entry_at_its_own_root():
