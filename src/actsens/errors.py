@@ -50,11 +50,12 @@ class SamplingError(ActsensError):
 
 
 class NoInteriorMaximum(ActsensError):
-    """The isometric-force maximum lies on the search-interval boundary."""
+    """The isometric-force maximum lies on the search-interval boundary, or
+    the coarse scan cannot bracket it (the force is flat to rounding)."""
 
 
 class MaxIterationsExceeded(ActsensError):
-    """The simplex search did not converge within the iteration cap."""
+    """The Levenberg-Marquardt fit did not converge within its step cap."""
 
 
 class ConfigError(ActsensError, ValueError):

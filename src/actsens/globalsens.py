@@ -37,6 +37,11 @@ __all__ = [
 
 #: Total variance below this floor leaves VBS/TSI undefined at that time.
 VARIANCE_FLOOR = 1e-12
+#: Draws per row before rejection sampling gives up, in the first draw and
+#: in every resampling round alike.
+MAX_DRAWS = 10_000
+#: Resampling rounds for rows whose evaluation fails.
+MAX_RETRIES = 5
 
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71)
@@ -149,12 +154,13 @@ def _rows_valid(cuboid, validity, a, b) -> np.ndarray:
     return ok.reshape(-1, n).all(axis=0)
 
 
-def _draw_row_pairs(cuboid, seed, rows, start_blocks, validity, sampler, max_draws):
+def _draw_row_pairs(cuboid, seed, rows, start_blocks, validity, sampler):
     """Draw (a_row, b_row) for each of ``rows`` from its substream, skipping used blocks.
 
     Every row still without a valid pair draws its next block each round,
     and one validity call checks the round, so each row gets the pair it
-    would get drawn alone. Returns the a rows, b rows and blocks used.
+    would get drawn alone. A row still without one after MAX_DRAWS draws
+    raises SamplingError. Returns the a rows, b rows and blocks used.
     """
     N = cuboid.n_params
     rows, blocks = np.asarray(rows), np.array(start_blocks, dtype=int)
@@ -168,9 +174,9 @@ def _draw_row_pairs(cuboid, seed, rows, start_blocks, validity, sampler, max_dra
         raise ValueError(f"unknown sampler {sampler!r}")
     todo, draws = np.arange(rows.size), 0
     while todo.size:
-        if draws == max_draws:
+        if draws == MAX_DRAWS:
             raise SamplingError(
-                f"row {rows[todo[0]]}: no valid sample within {max_draws} draws; "
+                f"row {rows[todo[0]]}: no valid sample within {MAX_DRAWS} draws; "
                 "check bounds and validity predicate"
             )
         draws += 1
@@ -192,15 +198,14 @@ def build_sample_matrices(
     seed: int,
     validity: Validity | None = None,
     sampler: str = "pseudo",
-    max_draws: int = 10_000,
 ) -> SampleMatrices:
     """Draw the base blocks A and B of a 2n(N+1)-row family.
 
     The pseudo sampler draws all rows at once from one bulk stream, the
     halton sampler each row from its own substream; rows violating the
     validity predicate (in any swap combination) are rejection-resampled
-    from their own substream, so the result is deterministic in
-    (cuboid, n, seed) and independent of other rows.
+    from their own substream, at most MAX_DRAWS times each, so the result
+    is deterministic in (cuboid, n, seed) and independent of other rows.
     """
     if n < 2:
         raise ValueError(f"need at least two sample rows, got n={n}")
@@ -220,8 +225,7 @@ def build_sample_matrices(
         rows = np.arange(n)
     blocks = np.zeros(n, dtype=int)
     a[rows], b[rows], blocks[rows] = _draw_row_pairs(
-        cuboid, seed, rows, np.zeros(rows.size, dtype=int), validity, sampler, max_draws
-    )
+        cuboid, seed, rows, np.zeros(rows.size, dtype=int), validity, sampler)
     return SampleMatrices(
         cuboid=cuboid, seed=seed, n=n, a=a, b=b, blocks_used=blocks,
         validity=validity, sampler=sampler,
@@ -262,14 +266,13 @@ def evaluate_family(
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray],
     matrices: SampleMatrices,
     grid,
-    max_retries: int = 5,
 ) -> FamilyEvaluation:
     """Evaluate the model on every sample row of every matrix.
 
     ``evaluator(rows, grid)`` maps an (R, N) parameter matrix to (R, T)
     output trajectories; rows it cannot solve must come back non-finite.
     Failed rows are resampled from their substream and re-evaluated
-    (bounded retries); they are never silently zero-filled.
+    (at most MAX_RETRIES rounds); they are never silently zero-filled.
     ``n_evaluations`` counts every row passed to the evaluator, re-evaluated
     rows included. An evaluator that returns the ``.T`` view of a
     C-contiguous (T, R) array, as :func:`~actsens.presets.family_evaluator`
@@ -303,16 +306,15 @@ def evaluate_family(
     rows = bad_rows()
     attempt = 0
     while rows.size:
-        if attempt >= max_retries:
+        if attempt >= MAX_RETRIES:
             raise SamplingError(
-                f"{rows.size} of {n} rows still fail after {max_retries} resampling "
+                f"{rows.size} of {n} rows still fail after {MAX_RETRIES} resampling "
                 f"rounds, the first at index {rows[0]}"
             )
         attempt += 1
         matrices.a[rows], matrices.b[rows], matrices.blocks_used[rows] = _draw_row_pairs(
             matrices.cuboid, matrices.seed, rows, matrices.blocks_used[rows],
-            matrices.validity, matrices.sampler, 10_000,
-        )
+            matrices.validity, matrices.sampler)
         resampled.extend(rows.tolist())
         redone = run(_family_rows(matrices.a[rows], matrices.b[rows]))
         by_block[:, :, rows] = redone.T.reshape(grid.size, -1, rows.size)
@@ -342,12 +344,11 @@ class GlobalResult:
     undefined: np.ndarray  # (T,) bool: V below the variance floor
 
 
-def vbs_tsi(family: FamilyEvaluation, matrices: SampleMatrices,
-            var_floor: float = VARIANCE_FLOOR) -> GlobalResult:
+def vbs_tsi(family: FamilyEvaluation, matrices: SampleMatrices) -> GlobalResult:
     """Estimate V(t), V_i(t), V_~i(t) and form VBS_i = V_i/V, TSI_i = 1 - V_~i/V.
 
     Negative Monte-Carlo variance estimates are clipped at zero before the
-    ratios; times where V(t) falls below the floor are flagged undefined.
+    ratios; times where V(t) falls below VARIANCE_FLOOR are flagged undefined.
     Every mean runs over the sample rows of one time, on (T, n) views of the
     time-major family, so with ``family.values.T`` C-contiguous it sums
     along contiguous memory; one (T, n) buffer serves every product.
@@ -373,7 +374,7 @@ def vbs_tsi(family: FamilyEvaluation, matrices: SampleMatrices,
         # shares-all-but-column-i pairings: (A, A_i) and (B, B_i)
         v_complement[i] = 0.5 * (mean_product(a, a_i, b) + mean_product(b, b_i, a))
 
-    undefined = v_total < var_floor
+    undefined = v_total < VARIANCE_FLOOR
     safe_v = np.where(undefined, 1.0, v_total)
     vbs = np.where(undefined[None, :], np.nan,
                    np.maximum(v_first, 0.0) / safe_v)

@@ -35,7 +35,7 @@ __all__ = [
     "normalize",
 ]
 
-#: Default floor below which |y_k(t)| makes a relative sensitivity meaningless.
+#: Floor below which |y_k(t)| makes a relative sensitivity meaningless.
 NORMALIZATION_FLOOR = 1e-9
 
 
@@ -154,10 +154,7 @@ def analyze(
     if order >= 1:
         _check_derivs(model.derivs(0.0, y0, lam, order), order)
     rhs, z0, (ii, jj) = _augmented_system(model, lam, y0, order=order)
-    traj = integrate(
-        OdeProblem(rhs=rhs, y0=z0, t_span=(0.0, float(grid[-1])), output_grid=grid),
-        tol or Tolerances(),
-    )
+    traj = integrate(OdeProblem(rhs=rhs, y0=z0, output_grid=grid), tol or Tolerances())
 
     T, n_s = grid.size, (N + M) * M
     vals = traj.values
@@ -178,7 +175,7 @@ def analyze(
 
 
 # ---------------------------------------------------------------------------
-# finite-difference oracles / fallbacks
+# finite-difference oracles
 # ---------------------------------------------------------------------------
 #
 # Each central difference integrates its (+h, -h) pair as one stacked system
@@ -217,8 +214,7 @@ def _central_differences(model, params, grid, rows, rel_step, tol, *, order=0):
             return np.concatenate([rhs_p(t, z[:dim]), rhs_m(t, z[dim:])])
 
         traj = integrate(
-            OdeProblem(rhs=rhs, y0=np.concatenate([z0_p, z0_m]),
-                       t_span=(0.0, float(grid[-1])), output_grid=grid),
+            OdeProblem(rhs=rhs, y0=np.concatenate([z0_p, z0_m]), output_grid=grid),
             tol or FD_TOLERANCES,
         )
         out[:, row] = (traj.values[:, :dim] - traj.values[:, dim:]) / (2.0 * h)
@@ -253,8 +249,9 @@ def second_order_fd(
 ) -> SensitivityResult:
     """Estimate R by central differences of first-order runs (approximate).
 
-    Serves both as the fallback for models without analytic second partials
-    and as the independent oracle against the analytic second-order path.
+    The independent oracle against the analytic second-order path; a model
+    without second partials gets no R from :func:`analyze` (it raises
+    MissingDerivative), not this estimate.
     """
     N, M = model.n_params, model.dim
     tol = tol or FD_TOLERANCES
@@ -270,20 +267,21 @@ def second_order_fd(
 # ---------------------------------------------------------------------------
 
 
-def normalize(result: SensitivityResult, params, floor: float = NORMALIZATION_FLOOR) -> SensitivityResult:
+def normalize(result: SensitivityResult, params) -> SensitivityResult:
     """Scale raw sensitivities to relative ones: S~ = S * lambda / y(t).
 
     lambda runs over the canonical order, so an initial-condition row is
     scaled by its initial value; R is scaled by lambda_i * lambda_j over
-    the dynamic parameters. Points with |y_k(t)| < floor are flagged in
-    ``degenerate`` and set to NaN; dynamic parameters whose value is exactly
-    zero produce identically-zero rows and are listed in ``zero_params``.
+    the dynamic parameters. Points with |y_k(t)| < NORMALIZATION_FLOOR are
+    flagged in ``degenerate`` and set to NaN; dynamic parameters whose value
+    is exactly zero produce identically-zero rows and are listed in
+    ``zero_params``.
     """
     values = _values(params, result.init_names + result.param_names)
     lam = values[len(result.init_names):]
 
     y = result.state  # (T, M)
-    degenerate = np.abs(y) < floor
+    degenerate = np.abs(y) < NORMALIZATION_FLOOR
     safe_y = np.where(degenerate, 1.0, y)
 
     def _scale(raw, factors):

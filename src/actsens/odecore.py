@@ -102,25 +102,25 @@ class Tolerances:
 
 @dataclass
 class OdeProblem:
-    """A first-order initial value problem evaluated on a fixed output grid."""
+    """A first-order initial value problem evaluated on a fixed output grid.
+
+    ``y0`` is the state at t = 0; the solve runs from there to the grid's
+    last time.
+    """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
     y0: np.ndarray
-    t_span: tuple[float, float]
     output_grid: np.ndarray
 
     def validate(self) -> None:
-        t0, t1 = self.t_span
-        if not t0 < t1:
-            raise ValueError(f"t_span must satisfy t_start < t_end, got {self.t_span}")
         grid = np.asarray(self.output_grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise ValueError("output_grid must be a non-empty 1-d array")
         # written as "not inside", so that a NaN time fails them
         if not np.all(np.diff(grid) > 0.0):
             raise ValueError("output_grid must be strictly increasing")
-        if not (t0 <= grid[0] and grid[-1] <= t1):
-            raise ValueError("output_grid must lie within t_span")
+        if not (0.0 <= grid[0] and grid[-1] > 0.0):
+            raise ValueError("output_grid must start at t >= 0 and end at t > 0")
 
 
 @dataclass
@@ -131,21 +131,21 @@ class Trajectory:
     values: np.ndarray  # (T, M)
 
 
-def _initial_step(y0, f0, span, tol: Tolerances) -> float:
+def _initial_step(y0, f0, t_end, tol: Tolerances) -> float:
     """Crude starting-step guess; the controller corrects it within a few steps."""
     scale = tol.abs_tol + tol.rel_tol * np.abs(y0)
     with np.errstate(over="ignore"):  # a stiff row's f0 may overflow the square: d1 = inf
         d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
         d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
     if d0 < 1e-5 or d1 < 1e-5:
-        h = 1e-6 * span
+        h = 1e-6 * t_end
     else:
         h = 0.01 * d0 / d1
-    return min(h, 0.1 * span)
+    return min(h, 0.1 * t_end)
 
 
 def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
-    """Integrate an ODE system and return values exactly at the output grid.
+    """Integrate an ODE system from t = 0 and return values exactly at the output grid.
 
     Raises StepSizeUnderflow when error control drives the step so small that
     t + h == t (stiff or singular right-hand side), and NonFiniteState
@@ -156,8 +156,8 @@ def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
     problem.validate()
 
     rhs = problem.rhs
-    t0, t_end = float(problem.t_span[0]), float(problem.t_span[1])
     grid = np.asarray(problem.output_grid, dtype=float)
+    t_end = float(grid[-1])
     y = np.array(problem.y0, dtype=float, copy=True).reshape(-1)
     if y.size == 0:
         raise ValueError("y0 must be non-empty")
@@ -166,21 +166,20 @@ def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
 
     out = np.empty((grid.size, y.size))
     gi = 0  # next grid index awaiting a value
-    if grid[0] == t0:
+    if grid[0] == 0.0:
         out[0] = y
         gi = 1
 
-    f = np.asarray(rhs(t0, y), dtype=float).reshape(-1)
+    f = np.asarray(rhs(0.0, y), dtype=float).reshape(-1)
     if f.shape != y.shape:
         raise ValueError(
             f"rhs returned shape {f.shape}, expected {y.shape}"
         )
     if not np.all(np.isfinite(f)):
-        raise NonFiniteState(f"rhs is non-finite at t={t0}")
+        raise NonFiniteState("rhs is non-finite at t=0.0")
 
-    span = t_end - t0
-    h = _initial_step(y, f, span, tol)
-    t = t0
+    h = _initial_step(y, f, t_end, tol)
+    t = 0.0
     k = np.empty((7, y.size))
     k[0] = f  # FSAL: each step's first stage is the last rhs of the one before
     dense = np.empty((4, y.size))  # continuous-extension coefficients of a step
@@ -234,8 +233,8 @@ def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
     return Trajectory(times=grid.copy(), values=out)
 
 
-def make_grid(t_end: float, n_points: int, t_start: float = 0.0) -> np.ndarray:
-    """Uniform output grid including both endpoints."""
+def make_grid(t_end: float, n_points: int) -> np.ndarray:
+    """Uniform output grid over [0, t_end], both ends included."""
     if n_points < 2:
         raise ValueError("need at least two grid points")
-    return np.linspace(t_start, t_end, n_points)
+    return np.linspace(0.0, t_end, n_points)

@@ -63,7 +63,7 @@ DEFAULT_RHO0_START = 6.0e4
 
 #: Search for the force-maximizing length: span in units of ell_opt and
 #: coarse grid points over it. The fit's predicted shifts and
-#: optimal_length_shift both use them.
+#: optimal_length_shift both read them.
 SHIFT_SEARCH_SPAN = (0.5, 1.5)
 SHIFT_SEARCH_COARSE = 201
 
@@ -288,7 +288,6 @@ def _argmax_force(
 
 def optimal_length_shift(
     gamma: float, hatze_params: HatzeParams, flr: ForceLengthRelation,
-    span: tuple[float, float] = SHIFT_SEARCH_SPAN, coarse: int = SHIFT_SEARCH_COARSE,
 ) -> float:
     """Shift (mm) of the submaximal force optimum against the full-activation one.
 
@@ -296,7 +295,8 @@ def optimal_length_shift(
     activation the activity still depends on length, so the two differ
     slightly.
     """
-    here, ref = _argmax_force((gamma, 1.0), hatze_params, flr, span, coarse)
+    here, ref = _argmax_force((gamma, 1.0), hatze_params, flr,
+                              SHIFT_SEARCH_SPAN, SHIFT_SEARCH_COARSE)
     return float(here - ref)
 
 
@@ -325,14 +325,10 @@ def fit_error(width, rho0, problem: FitProblem):
     The divisor is the fixed five of the reference experiment's five
     stimulation levels, regardless of how many levels are supplied.
 
-    ``width`` and ``rho0`` are one trial point's scalars or equal-length
-    arrays of F points; each point's error is the one it gets alone. A
-    scalar point without an interior force maximum raises NoInteriorMaximum;
-    in arrays such a point's error is +inf and the others are unaffected.
+    A point without an interior force maximum raises NoInteriorMaximum.
     """
     residuals = predicted_shifts(width, rho0, problem) - np.asarray(problem.targets.shifts_mm)
-    error = _rms(residuals)
-    return float(error) if error.ndim == 0 else np.where(np.isnan(error), math.inf, error)
+    return float(_rms(residuals))
 
 
 def _rms(residuals):
@@ -434,8 +430,12 @@ class FitResult:
     objective_evals: int
 
 
-def fit_shift_parameters(problem: FitProblem, tol: float = 1e-8,
-                         max_iter: int = 2000) -> FitResult:
+#: Stop rule and step cap of every fit (see :func:`_levenberg_marquardt`).
+FIT_TOL = 1e-8
+FIT_MAX_ITER = 2000
+
+
+def fit_shift_parameters(problem: FitProblem) -> FitResult:
     """Fit (width, rho0) to the target shifts; log-space keeps both positive.
 
     Trial points whose force maximum escapes the search interval count as
@@ -443,13 +443,13 @@ def fit_shift_parameters(problem: FitProblem, tol: float = 1e-8,
     of aborting the fit. This is the lockstep of one fit, so it gives what
     :func:`run_table` gives for the same start.
     """
-    (outcome,) = _fit_lockstep([problem], tol, max_iter)
+    (outcome,) = _fit_lockstep([problem])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
-def _fit_lockstep(problems: list[FitProblem], tol: float = 1e-8, max_iter: int = 2000) -> list:
+def _fit_lockstep(problems: list[FitProblem]) -> list:
     """Fit problems that differ only in their start values, in lockstep.
 
     Each round sends the pending trial point of every live fit through one
@@ -458,7 +458,7 @@ def _fit_lockstep(problems: list[FitProblem], tol: float = 1e-8, max_iter: int =
     propagates.
     """
     searches = [_levenberg_marquardt([math.log(pb.width_start), math.log(pb.rho0_start)],
-                                     tol, max_iter) for pb in problems]
+                                     FIT_TOL, FIT_MAX_ITER) for pb in problems]
     pending = {i: next(search) for i, search in enumerate(searches)}
     evals = [0] * len(problems)
     outcomes: list = [None] * len(problems)
@@ -516,6 +516,7 @@ class TableCell:
     status: str = "ok"
 
 
+#: Width starts of each force-length kind, which run_table fits per (nu, kind).
 DEFAULT_BELL_STARTS = (0.25, 0.35, 0.45)
 DEFAULT_PARABOLA_STARTS = (0.46, 0.56, 0.66)
 
@@ -524,11 +525,8 @@ def run_table(
     targets: ShiftTargets,
     nus: tuple[float, ...] = (2.0, 3.0, 4.0),
     kinds: tuple[str, ...] = ("bell", "parabola"),
-    bell_starts: tuple[float, ...] = DEFAULT_BELL_STARTS,
-    parabola_starts: tuple[float, ...] = DEFAULT_PARABOLA_STARTS,
     rho0_start: float = DEFAULT_RHO0_START,
     ell_opt: float = DEFAULT_ELL_OPT,
-    tol: float = 1e-8,
 ) -> list[TableCell]:
     """Fit every (nu, kind, width_start) cell; failures are reported per cell.
 
@@ -536,8 +534,8 @@ def run_table(
     result it gets alone. Cells come start by start, each start's over
     every (nu, kind).
     """
-    n_starts = min(len(bell_starts), len(parabola_starts))
-    starts = {"bell": bell_starts, "parabola": parabola_starts}
+    starts = {"bell": DEFAULT_BELL_STARTS, "parabola": DEFAULT_PARABOLA_STARTS}
+    n_starts = min(len(starts["bell"]), len(starts["parabola"]))
     outcomes = {}  # (start index, nu, kind) -> FitResult or the error that ended the fit
     for nu in nus:
         for kind in kinds:
@@ -549,7 +547,7 @@ def run_table(
                                               rho0_start=rho0_start, ell_opt=ell_opt)
                 except ValueError as exc:
                     outcomes[si, nu, kind] = exc
-            fits = _fit_lockstep(list(problems.values()), tol)
+            fits = _fit_lockstep(list(problems.values()))
             outcomes.update(((si, nu, kind), fit) for si, fit in zip(problems, fits))
     cells = []
     for si in range(n_starts):

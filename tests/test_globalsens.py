@@ -12,6 +12,7 @@ from actsens import (
     analyze_global,
     build_sample_matrices,
     evaluate_family,
+    globalsens,
     hatze_model,
     presets,
     vbs_tsi,
@@ -215,11 +216,32 @@ def test_halton_points_equal_the_scalar_van_der_corput_sequence():
     assert _halton_points(indices, 16).tolist() == expect
 
 
-def test_impossible_validity_raises():
+def test_impossible_validity_raises(monkeypatch):
+    monkeypatch.setattr(globalsens, "MAX_DRAWS", 50)
     cub = ParameterCuboid.from_dict({"x": (0.0, 1.0)})
     with pytest.raises(SamplingError):
-        build_sample_matrices(cub, n=2, seed=0, validity=lambda row: False,
-                              max_draws=50)
+        build_sample_matrices(cub, n=2, seed=0, validity=lambda row: False)
+
+
+def test_resampling_honours_the_draw_cap(monkeypatch):
+    # the first draw is valid; every row redrawn after a failed evaluation
+    # is not, so its redraw must stop at the same cap as the first draw
+    monkeypatch.setattr(globalsens, "MAX_DRAWS", 3)
+    calls = []
+
+    def first_call_only(cols):
+        calls.append(1)
+        return np.full(len(cols["x1"]), len(calls) == 1)
+
+    def one_failed_row(rows, grid):
+        out = np.repeat(rows[:, :1], grid.size, axis=1)
+        out[3] = np.nan
+        return out
+
+    m = build_sample_matrices(UNIT2, n=8, seed=9, validity=first_call_only)
+    with pytest.raises(SamplingError, match="row 3: no valid sample within 3 draws"):
+        evaluate_family(one_failed_row, m, GRID)
+    assert len(calls) == 1 + 3
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +400,16 @@ def test_evaluation_count_includes_resampled_rows():
     assert res.n_evaluations == fam.n_evaluations
 
 
-def test_unrecoverable_rows_raise():
+def test_unrecoverable_rows_raise(monkeypatch):
+    monkeypatch.setattr(globalsens, "MAX_RETRIES", 2)
+
     def broken(rows, grid):
         return np.full((rows.shape[0], grid.size), np.nan)
 
     for n in (4, 512):
         m = build_sample_matrices(UNIT2, n=n, seed=9)
         with pytest.raises(SamplingError) as info:
-            evaluate_family(broken, m, GRID, max_retries=2)
+            evaluate_family(broken, m, GRID)
         # the count and the first failing row, not every row index
         message = str(info.value)
         assert f"{n} of {n} rows" in message and "index 0" in message

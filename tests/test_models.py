@@ -850,8 +850,7 @@ def _integrate_scalar(rhs, q0, t_end=0.5, n=201):
     # tight tolerances: these tests probe model-path equivalence, so the
     # integration/interpolation error must sit well below the asserted bound
     grid = np.linspace(0.0, t_end, n)
-    pr = OdeProblem(rhs=rhs, y0=np.array([q0]), t_span=(0.0, t_end),
-                    output_grid=grid)
+    pr = OdeProblem(rhs=rhs, y0=np.array([q0]), output_grid=grid)
     return grid, integrate(pr, Tolerances(rel_tol=1e-10, abs_tol=1e-12)).values[:, 0]
 
 

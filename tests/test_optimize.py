@@ -153,9 +153,10 @@ def test_refined_peak_within_half_xtol_of_nanometre_grid(kind, width, nu, rho0):
         assert abs(peak - truth) <= xtol / 2
 
 
-def test_boundary_maximum_raises():
+def test_boundary_maximum_raises(monkeypatch):
+    monkeypatch.setattr("actsens.optimize.SHIFT_SEARCH_SPAN", (0.9, 1.001))
     with pytest.raises(NoInteriorMaximum):
-        optimal_length_shift(0.28, HATZE3, BELL, span=(0.9, 1.001))
+        optimal_length_shift(0.28, HATZE3, BELL)
 
 
 def test_boundary_maximum_in_one_row_raises():
@@ -206,10 +207,11 @@ def test_maximum_the_scan_cannot_bracket_is_no_interior_maximum():
 
 
 @pytest.mark.parametrize("span", [(0.5, 3.0), (0.0, 1.5), (-0.5, 1.5)])
-def test_span_outside_pole_interval_raises(span):
+def test_span_outside_pole_interval_raises(span, monkeypatch):
     # ell_rho = 2.9: relative lengths must stay inside (0, 2.9)
+    monkeypatch.setattr("actsens.optimize.SHIFT_SEARCH_SPAN", span)
     with pytest.raises(PoleViolation):
-        optimal_length_shift(0.28, HATZE3, BELL, span=span)
+        optimal_length_shift(0.28, HATZE3, BELL)
 
 
 @pytest.mark.parametrize("kind,width", [("bell", 0.32), ("parabola", 0.56)])
@@ -505,15 +507,15 @@ def test_fit_counts_objective_evaluations(monkeypatch):
     # the start, then one evaluation per step
     assert fit.objective_evals == len(calls) == fit.iterations + 1
 
-    cells = opt.run_table(targets, nus=(3.0,), kinds=("bell",),
-                          bell_starts=(0.35,), parabola_starts=(0.56,))
+    _set_starts(monkeypatch, (0.35,), (0.56,))
+    cells = opt.run_table(targets, nus=(3.0,), kinds=("bell",))
     assert cells[0].objective_evals == fit.objective_evals
 
 
 def test_run_table_layout_and_failure_reporting(monkeypatch):
     targets = synthesize_targets(width=0.32, rho0=3.25e4, nu=3.0, kind="bell")
-    cells = run_table(targets, nus=(3.0,), kinds=("bell",),
-                      bell_starts=(0.25, 0.35), parabola_starts=(0.46, 0.56))
+    _set_starts(monkeypatch, (0.25, 0.35), (0.46, 0.56))
+    cells = run_table(targets, nus=(3.0,), kinds=("bell",))
     assert len(cells) == 2
     assert all(c.status == "ok" for c in cells)
 
@@ -525,8 +527,7 @@ def test_run_table_layout_and_failure_reporting(monkeypatch):
         return predicted_shifts(width, rho0, problem, **kw)
 
     monkeypatch.setattr(opt, "predicted_shifts", explode)
-    failed = opt.run_table(targets, nus=(3.0,), kinds=("bell",),
-                           bell_starts=(0.25, 0.35), parabola_starts=(0.46, 0.56))
+    failed = opt.run_table(targets, nus=(3.0,), kinds=("bell",))
     assert len(failed) == 2  # table still emitted
     assert "injected failure" in failed[0].status
     assert math.isnan(failed[0].width)
@@ -537,8 +538,8 @@ def test_failed_trial_point_is_a_rejected_step(monkeypatch):
     import actsens.optimize as opt
 
     targets = synthesize_targets(width=0.32, rho0=3.25e4, nu=3.0, kind="bell")
-    kw = dict(nus=(3.0,), kinds=("bell",), bell_starts=(0.25, 0.35),
-              parabola_starts=(0.46, 0.56))
+    kw = dict(nus=(3.0,), kinds=("bell",))
+    _set_starts(monkeypatch, (0.25, 0.35), (0.46, 0.56))
     cells = run_table(targets, **kw)
     rounds, failed = [], []
 
@@ -578,9 +579,15 @@ def test_run_table_lets_programming_errors_propagate(monkeypatch):
 
     monkeypatch.setattr(opt, "predicted_shifts", broken)
     targets = ShiftTargets(levels=(0.28,), shifts_mm=(0.5,))
+    _set_starts(monkeypatch, (0.25,), (0.46,))
     with pytest.raises(TypeError, match="injected bug"):
-        opt.run_table(targets, nus=(3.0,), kinds=("bell",),
-                      bell_starts=(0.25,), parabola_starts=(0.46,))
+        opt.run_table(targets, nus=(3.0,), kinds=("bell",))
+
+
+def _set_starts(monkeypatch, bell, parabola):
+    """Set run_table's width starts for one test."""
+    monkeypatch.setattr("actsens.optimize.DEFAULT_BELL_STARTS", bell)
+    monkeypatch.setattr("actsens.optimize.DEFAULT_PARABOLA_STARTS", parabola)
 
 
 def _recording_rounds(monkeypatch):
@@ -621,8 +628,8 @@ def test_lockstep_fits_equal_solo_fits(monkeypatch):
         assert (cell.width, cell.rho0, cell.error_mm) == (solo.width, solo.rho0, solo.error_mm)
         assert (cell.iterations, cell.objective_evals) == (solo.iterations,
                                                             solo.objective_evals)
-    pair = run_table(targets, nus=(2.0,), kinds=("parabola",), bell_starts=(0.25, 0.35),
-                     parabola_starts=(0.46, 0.56))
+    _set_starts(monkeypatch, (0.25, 0.35), (0.46, 0.56))
+    pair = run_table(targets, nus=(2.0,), kinds=("parabola",))
     assert pair == cells[:2]
 
 
@@ -637,7 +644,7 @@ def test_degenerate_cell_ends_ok_within_a_bounded_number_of_rounds():
     assert max(errors) - min(errors) < 1e-8
 
 
-def test_lockstep_iteration_cap_fails_only_its_own_fit():
+def test_lockstep_iteration_cap_fails_only_its_own_fit(monkeypatch):
     import actsens.optimize as opt
 
     targets = synthesize_targets(width=0.32, rho0=3.25e4, nu=3.0, kind="bell")
@@ -648,12 +655,13 @@ def test_lockstep_iteration_cap_fails_only_its_own_fit():
     assert len(set(counts)) == 3
     order = np.argsort(counts)
     fastest, cap = order[0], (counts[order[0]] + counts[order[1]]) // 2
-    outcomes = opt._fit_lockstep(problems, max_iter=cap)
+    monkeypatch.setattr(opt, "FIT_MAX_ITER", cap)
+    outcomes = opt._fit_lockstep(problems)
     assert outcomes[fastest] == fit_shift_parameters(problems[fastest])
     for i in order[1:]:
         assert isinstance(outcomes[i], MaxIterationsExceeded)
         with pytest.raises(MaxIterationsExceeded):
-            fit_shift_parameters(problems[i], max_iter=cap)
+            fit_shift_parameters(problems[i])
 
 
 def test_targets_csv_roundtrip(tmp_path):
