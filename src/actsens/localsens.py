@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import MissingDerivative
+from .errors import MissingDerivative, NonFiniteState
 from .models import ModelSpec, _Domain
 from .odecore import OdeProblem, Tolerances, integrate
 
@@ -93,28 +93,36 @@ def _augmented_system(model: ModelSpec, lam, y0, *, order):
     ii, jj = np.triu_indices(N)
     n_s = (N + M) * M if order >= 1 else 0
     n_r = ii.size * M if order >= 2 else 0
+    upper = ii * N + jj  # the upper triangle's positions in a flattened (N, N) block
     # W[i] = dx/dlam_i = (S_i, e_i): the e_i half is fixed, S is written per call
     W = np.zeros((N, M + N))
     W[:, M:] = np.eye(N)
+    W_T = W.T
+    # One output array, rewritten in place by every call: integrate copies
+    # each result into its stage row before its next call, and a central
+    # difference concatenates (so copies) the results of its two systems.
+    dz = np.empty(M + n_s + n_r)
+    dz_s = dz[M:M + n_s].reshape(-1, M)  # (N + M, M) from order 1, else empty
+    dz_s_params = dz_s[:N]
+    dz_r = dz[M + n_s:].reshape(-1, M)  # (ii.size, M) at order 2, else empty
 
     def rhs(t, z):
         y = z[:M]
         f, grad, hess = model.derivs(t, y, lam, order)
-        dz = np.empty_like(z)
         dz[:M] = f
         if order >= 1:
             # rows 0..N-1: dynamic parameters, rows N..N+M-1: initial values
             S = z[M:M + n_s].reshape(N + M, M)
-            J_y = grad[:, :M]
-            dS = np.matmul(S, J_y.T, out=dz[M:M + n_s].reshape(N + M, M))
-            dS[:N] += grad[:, M:].T
+            J_y_T = grad[:, :M].T
+            np.matmul(S, J_y_T, out=dz_s)
+            dz_s_params[...] += grad[:, M:].T
         if order >= 2:
             # the forcing of R_ij is W_i^T H W_j
             W[:, :M] = S[:N]
-            quad = W @ hess @ W.T
+            quad = W @ hess @ W_T
             r = z[M + n_s:].reshape(ii.size, M)
-            dr = np.matmul(r, J_y.T, out=dz[M + n_s:].reshape(ii.size, M))
-            dr += quad[:, ii, jj].T
+            np.matmul(r, J_y_T, out=dz_r)
+            dz_r[...] += quad.reshape(M, -1).take(upper, axis=1).T
         return dz
 
     z0 = np.zeros(M + n_s + n_r)
@@ -141,8 +149,10 @@ def analyze(
     tensor over the dynamic parameters (upper triangle) from R(0) = 0:
     dR_ij/dt = R_ij J^T + W_i^T H W_j, one quadratic form in the Hessian H
     of f over x = (y, lam) with W_i = (S_i, e_i) = dx/dlam_i. A model that
-    lacks the partials an order needs raises MissingDerivative; any other
-    order, or params that lack a name of the canonical order, ValueError.
+    lacks the partials an order needs raises MissingDerivative, and one
+    whose rhs or needed partials are non-finite at the start point
+    NonFiniteState; any other order, or params that lack a name of the
+    canonical order, ValueError.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
@@ -152,7 +162,16 @@ def analyze(
     grid = np.asarray(grid, dtype=float)
 
     if order >= 1:
-        _check_derivs(model.derivs(0.0, y0, lam, order), order)
+        # A time constant near the float range's end overflows the rate
+        # factors' Hessian (it grows like 1/tau^3) even at order 1, where it
+        # is discarded. This call caches the point's factors for the solve,
+        # so a non-finite result is reported once, here, without warnings.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            start = model.derivs(0.0, y0, lam, order)
+        _check_derivs(start, order)
+        if not all(np.isfinite(a).all() for a in start[:order + 1]):
+            point = ", ".join(f"{n}={float(v)!r}" for n, v in zip(model.canonical_order, x))
+            raise NonFiniteState(f"rhs or its partials are non-finite at t=0.0 for {point}")
     rhs, z0, (ii, jj) = _augmented_system(model, lam, y0, order=order)
     traj = integrate(OdeProblem(rhs=rhs, y0=z0, output_grid=grid), tol or Tolerances())
 

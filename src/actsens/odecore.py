@@ -11,6 +11,7 @@ returned time axis is bit-identical to the request.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -105,7 +106,8 @@ class OdeProblem:
     """A first-order initial value problem evaluated on a fixed output grid.
 
     ``y0`` is the state at t = 0; the solve runs from there to the grid's
-    last time.
+    last time. :func:`integrate` copies each ``rhs`` result before its next
+    call, so an rhs may return an array that it reuses.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -165,8 +167,10 @@ def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
         raise ValueError(f"y0 must be finite, got {problem.y0}")
 
     out = np.empty((grid.size, y.size))
+    times = grid.tolist()
+    n_times = len(times)
     gi = 0  # next grid index awaiting a value
-    if grid[0] == 0.0:
+    if times[0] == 0.0:
         out[0] = y
         gi = 1
 
@@ -178,11 +182,16 @@ def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
     if not np.all(np.isfinite(f)):
         raise NonFiniteState("rhs is non-finite at t=0.0")
 
+    abs_tol, rel_tol = tol.abs_tol, tol.rel_tol
     h = _initial_step(y, f, t_end, tol)
     t = 0.0
     k = np.empty((7, y.size))
     k[0] = f  # FSAL: each step's first stage is the last rhs of the one before
+    # per stage s = 1..5: its node, tableau row, the earlier stages and its row
+    stages = tuple(zip(_C[1:], _A_ROWS, (k[:s].T for s in range(1, 6)), k[1:6]))
+    k_b5, k_all, k_first, k_last = k[:6].T, k.T, k[0], k[6]
     dense = np.empty((4, y.size))  # continuous-extension coefficients of a step
+    abs_y = np.abs(y)
 
     while t < t_end:
         h = min(h, t_end - t)
@@ -191,44 +200,60 @@ def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
                 f"step size {h:.3e} underflowed at t={t:.6e}"
             )
 
-        for s in range(5):
-            ts = t + _C[s + 1] * h
-            ys = y + h * (k[: s + 1].T @ _A_ROWS[s])
-            k[s + 1] = rhs(ts, ys)
-        y_new = y + h * (k[:6].T @ _B5_ROW)
-        k[6] = rhs(t + h, y_new)
+        for c, a, k_prev, k_s in stages:
+            ys = k_prev @ a  # y + h * (k_prev @ a), on the fresh product
+            ys *= h
+            ys += y
+            k_s[...] = rhs(t + c * h, ys)
+        y_new = k_b5 @ _B5_ROW
+        y_new *= h
+        y_new += y
+        k_last[...] = rhs(t + h, y_new)
 
-        if not np.isfinite(k).all() or not np.isfinite(y_new).all():
+        # an overflowing y_new makes the scale infinite and the ratio 0, so
+        # the error norm below cannot see it
+        if not np.isfinite(y_new).all():
             raise NonFiniteState(f"non-finite state produced near t={t:.6e}")
 
-        err = h * (k.T @ _E_ROW)
-        scale = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        r = err / scale
-        err_norm = math.sqrt(float(np.add.reduce(r * r) / r.size))  # RMS over components
+        err = k_all @ _E_ROW
+        err *= h
+        abs_new = np.abs(y_new)
+        scale = np.maximum(abs_y, abs_new)
+        scale *= rel_tol
+        scale += abs_tol
+        err /= scale
+        err *= err
+        err_norm = math.sqrt(float(np.add.reduce(err) / err.size))  # RMS over components
 
         if err_norm <= 1.0:
             # accept; fill the grid points this step covers from its dense output
             t_new = t + h
-            if gi < grid.size and grid[gi] <= t_new:
-                end = gi + int(np.searchsorted(grid[gi:], t_new, side="right"))
+            if gi < n_times and times[gi] <= t_new:
+                end = bisect.bisect_right(times, t_new, gi)
                 theta = (grid[gi:end] - t) / h
                 np.matmul(_P.T, k, out=dense)
                 block = out[gi:end]
                 np.matmul(h * theta[:, None] ** _POWERS, dense, out=block)
                 block += y
-                if grid[end - 1] == t_new:
+                if times[end - 1] == t_new:
                     out[end - 1] = y_new  # exact at the step's end
                 gi = end
-            t, y = t_new, y_new
-            k[0] = k[6]
+            t, y, abs_y = t_new, y_new, abs_new
+            k_first[...] = k_last
             factor = _MAX_FACTOR if err_norm == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * err_norm ** -_ORDER_EXP
             )
             h *= factor
         else:
+            # A non-finite stage always makes the norm non-finite (0*inf and
+            # inf - inf are NaN in the error product, also for a stage of
+            # error weight 0), so only such a norm needs the exact check; a
+            # finite state whose squared ratios overflow is a rejected step.
+            if not math.isfinite(err_norm) and not np.isfinite(k).all():
+                raise NonFiniteState(f"non-finite state produced near t={t:.6e}")
             h *= max(_MIN_FACTOR, _SAFETY * err_norm ** -_ORDER_EXP)
 
-    if gi < grid.size:  # grid points at t_end within float fuzz
+    if gi < n_times:  # grid points at t_end within float fuzz
         out[gi:] = y
     return Trajectory(times=grid.copy(), values=out)
 

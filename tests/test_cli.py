@@ -397,6 +397,18 @@ def test_stiff_rows_fail_with_one_json_line(tmp_path, capsys):
     assert json.loads(err)["error"] == "SamplingError"
 
 
+def test_tiny_time_constant_fails_with_one_json_line(tmp_path, capsys):
+    # tau = 1e-120 overflows the rate factors' Hessian, which order 1
+    # discards; the solve's step underflows and stderr holds only its record
+    out = tmp_path / "x"
+    assert main(["local-sens", "--model", "zajac", "--scenario", "ii", "--tau", "1e-120",
+                 "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "StepSizeUnderflow"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model, ranges, lines, rule", [
     ("hatze", {"ell_rho": (2.2, 2.9), "ell_CErel": (3.0, 3.5)}, (8, 7),
      "ell_CErel must lie in (0, ell_rho)"),

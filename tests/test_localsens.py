@@ -7,6 +7,8 @@ from actsens import (
     HatzeParams,
     MissingDerivative,
     ModelSpec,
+    NonFiniteState,
+    StepSizeUnderflow,
     Tolerances,
     ZajacParams,
     analyze,
@@ -14,6 +16,7 @@ from actsens import (
     fd_initial_condition,
     hatze_model,
     hatze_rhs,
+    make_grid,
     normalize,
     second_order_fd,
     simplified_zajac_model,
@@ -21,6 +24,7 @@ from actsens import (
     zajac_model,
     zajac_rhs,
 )
+from actsens import localsens
 from actsens.localsens import SensitivityResult
 from actsens.presets import (
     all_hatze_scenarios,
@@ -409,6 +413,65 @@ def test_a_point_of_another_type_raises_type_error():
     point = zajac_scenario("ii")
     with pytest.raises(TypeError, match="parameter object or mapping"):
         analyze(zajac_model(), point.values_for(zajac_model().canonical_order), _GRID)
+
+
+@pytest.mark.parametrize("order, error", [(1, StepSizeUnderflow), (2, NonFiniteState)])
+def test_a_time_constant_near_the_float_limit_fails_without_warnings(order, error):
+    # at tau = 1e-120 the rate factors' Hessian (about 1/tau^3) overflows,
+    # at order 1 too, where it is discarded: order 2 reports it at the start
+    # point, order 1 fails on its rate of about 1e120/s; under the suite's
+    # warnings-as-errors policy a stray numpy warning would fail this test
+    point = dataclasses.replace(zajac_scenario("ii"), tau=1e-120)
+    with pytest.raises(error) as exc:
+        analyze(zajac_model(), point, np.linspace(0.0, 0.5, 11), order=order)
+    if error is NonFiniteState:
+        assert str(exc.value) == ("rhs or its partials are non-finite at t=0.0 for "
+                                  "q_Z0=0.05, sigma=0.1, q0=0.005, tau=1e-120, beta=1.0")
+
+
+# ---------------------------------------------------------------------------
+# the augmented rhs's output array, rewritten by every call
+# ---------------------------------------------------------------------------
+
+PANEL_GRID = make_grid(0.5, 201)
+PANELS = {f"zajac-{tag}": (zajac_model(), p) for tag, p in all_zajac_scenarios()}
+PANELS.update({f"hatze-{tag}": (hatze_model(), p) for tag, p in all_hatze_scenarios()})
+
+
+def _copy_every_rhs_result(monkeypatch):
+    """Make every augmented system's rhs return a fresh copy of its result."""
+    real = localsens._augmented_system
+
+    def copying(*args, **kwargs):
+        rhs, z0, triangle = real(*args, **kwargs)
+        return (lambda t, z: rhs(t, z).copy()), z0, triangle
+
+    monkeypatch.setattr(localsens, "_augmented_system", copying)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("model, point", PANELS.values(), ids=PANELS.keys())
+def test_reused_rhs_output_solves_as_fresh_copies(monkeypatch, model, point, order):
+    reused = analyze(model, point, PANEL_GRID, order=order)
+    _copy_every_rhs_result(monkeypatch)
+    copied = analyze(model, point, PANEL_GRID, order=order)
+    for field in ("times", "state", "s_raw", "r_raw"):
+        a, b = getattr(reused, field), getattr(copied, field)
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("oracle", [
+    fd_first_order,
+    lambda m, p, g: second_order_fd(m, p, g).r_raw,
+], ids=["fd_first_order", "second_order_fd"])
+@pytest.mark.parametrize("panel", ["zajac-ii-b13", "hatze-ii-nu2"])
+def test_reused_rhs_output_keeps_the_fd_oracles(monkeypatch, oracle, panel):
+    # each central difference concatenates the results of its two systems
+    model, point = PANELS[panel]
+    grid = np.array([0.05, 0.3])
+    reused = oracle(model, point, grid)
+    _copy_every_rhs_result(monkeypatch)
+    assert np.array_equal(reused, oracle(model, point, grid))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from actsens import (
     zajac_rhs,
     zajac_steady_state,
 )
+from actsens import localsens
 from actsens.presets import all_hatze_scenarios, all_zajac_scenarios
 
 
@@ -91,6 +92,57 @@ def test_nonfinite_rhs_raises():
     pr = OdeProblem(rhs=lambda t, y: np.array([np.nan if t > 0.05 else 1.0]),
                     y0=np.array([1.0]), output_grid=np.array([0.1]))
     with pytest.raises(NonFiniteState):
+        integrate(pr)
+
+
+def _rhs_with_one_bad_call(bad_call, bad_value, times):
+    """y' = 1 (whatever y), except that call number ``bad_call`` (0 is the
+    start, attempt a makes calls 6a+1..6a+6, the last one at t + h) returns
+    ``bad_value``; ``times`` collects the t of every call."""
+    def rhs(t, y):
+        times.append(t)
+        return np.array([bad_value if len(times) - 1 == bad_call else 1.0])
+    return rhs
+
+
+@pytest.mark.parametrize("stage, bad_call", [(1, 19), (6, 24)], ids=["k1", "k6"])
+def test_nan_in_one_stage_raises_at_its_attempt(stage, bad_call):
+    # y' = 1 has zero local error, so every attempt is accepted: attempt 3
+    # starts where attempt 2's last stage (call 18) was evaluated. k[1] has
+    # weight 0 in both the error estimate and the 5th-order solution, k[6]
+    # is in the error estimate only; either NaN is reported, at that t.
+    times = []
+    pr = OdeProblem(rhs=_rhs_with_one_bad_call(bad_call, np.nan, times),
+                    y0=np.array([1.0]), output_grid=np.array([1.0]))
+    with pytest.raises(NonFiniteState) as exc:
+        integrate(pr)
+    assert len(times) == 25  # the check follows the attempt's last stage
+    assert str(exc.value) == f"non-finite state produced near t={times[18]:.6e}"
+
+
+def test_overflowing_error_norm_of_a_finite_state_is_a_rejected_step():
+    # a huge but finite last stage of attempt 1 makes its squared error
+    # ratios overflow (numpy warns of that overflow, as it always has): the
+    # step is rejected and the solve goes on
+    spiked = []
+
+    def rhs(t, y):
+        spiked.append(t)
+        return np.array([1e200]) if len(spiked) - 1 == 12 else -y
+
+    grid = np.array([0.0, 0.5, 1.0])
+    with np.errstate(over="ignore"):
+        tr = integrate(OdeProblem(rhs=rhs, y0=np.array([1.0]), output_grid=grid))
+    assert len(spiked) > 13
+    assert tr.values[:, 0] == pytest.approx(np.exp(-grid), rel=1e-6)
+
+
+def test_overflowing_state_raises():
+    # y_new = 1e308 + h * 1e308 overflows; its infinite error scale would
+    # make the error ratio 0, so the state itself must be checked
+    pr = OdeProblem(rhs=lambda t, y: np.array([1e308]), y0=np.array([1e308]),
+                    output_grid=np.array([1000.0]))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteState):
         integrate(pr)
 
 
@@ -205,3 +257,33 @@ def test_dense_output_keeps_the_step_sequence():
 
     assert rhs_evals(Tolerances(rel_tol=1e-8, abs_tol=1e-10)) == 4630
     assert rhs_evals(Tolerances()) == 3184
+
+
+def test_panel_work_counters_are_pinned(monkeypatch):
+    # the deterministic work of the 16 panels' local solves on the
+    # benchmark's grid: a change that moves the step sequence moves these
+    solves = []
+
+    def counting(problem, tol=None):
+        calls = []
+
+        def rhs(t, z):
+            calls.append(None)
+            return problem.rhs(t, z)
+
+        solves.append(calls)
+        return integrate(dataclasses.replace(problem, rhs=rhs), tol)
+
+    monkeypatch.setattr(localsens, "integrate", counting)
+    grid = make_grid(0.5, 201)
+    evals, attempts = [], []
+    for order in (0, 1, 2):
+        solves.clear()
+        for model, pset in PANELS.values():
+            analyze(model, pset, grid, order=order)
+        # one call at the start, then six per step attempt
+        assert len(solves) == 16 and all((len(c) - 1) % 6 == 0 for c in solves)
+        evals.append(sum(len(c) for c in solves))
+        attempts.append(sum((len(c) - 1) // 6 for c in solves))
+    assert evals == [3184, 6046, 7708]
+    assert attempts == [528, 1005, 1282]
