@@ -20,6 +20,7 @@ from .errors import (
     ParameterOutOfRange,
     PoleViolation,
     SamplingError,
+    StepBudgetExceeded,
     StepSizeUnderflow,
 )
 from .globalsens import (

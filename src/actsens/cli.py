@@ -317,13 +317,30 @@ def _validate(model, p, settings) -> None:
         raise ConfigError(f"{_where(settings.given.get(key))}{exc}") from exc
 
 
-def _pair_labels(names) -> list[str]:
-    return [f"{a}*{b}" for i, a in enumerate(names) for b in names[i:]]
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
+
+
+def _write_outputs(settings, command: str, grid, tables: dict, manifest: dict,
+                   plots: dict) -> int:
+    """Create the output directory; write each table ``name -> (header,
+    columns)`` and the manifest, with the grid, command, version and files
+    added; make the plots ``name -> (curves, ylabel)`` when asked; print what
+    was written."""
+    out = _out_dir(settings)
+    for name, (header, columns) in tables.items():
+        write_csv(out / name, header, columns)
+    write_manifest(out / "manifest.txt", {
+        **manifest, "command": command, "t_end": grid[-1], "points": grid.size,
+        "version": __version__, "files": ";".join(tables),
+    })
+    if settings["plot"]:
+        for name, (curves, ylabel) in plots.items():
+            _plot(out / name, grid, curves, ylabel)
+    wrote = out / next(iter(tables)) if len(tables) == 1 else f"{', '.join(tables)} to {out}"
+    print(f"wrote {wrote}")
+    return 0
 
 
 def _cmd_analytic(settings) -> int:
@@ -334,75 +351,49 @@ def _cmd_analytic(settings) -> int:
     _validate(model, point, settings)
     grid = make_grid(settings["t_end"], settings["points"])
     rel = simplified_zajac_sensitivities(grid, sigma, tau, q_init)
-    out = _out_dir(settings)
-    path = out / "analytic_sensitivities.csv"
-    write_csv(path, ["t_seconds", "S_sigma", "S_tau", "S_q_Z0"],
-              [grid, rel["sigma"], rel["tau"], rel["q_Z0"]])
-    write_manifest(out / "manifest.txt", {
-        "command": "analytic", **point.as_dict(), "t_end": grid[-1], "points": grid.size,
-        "version": __version__, "files": path.name,
-    })
-    if settings["plot"]:
-        _plot(out / "analytic_sensitivities.pdf", grid,
-              {"S_sigma": rel["sigma"], "|S_tau|": np.abs(rel["tau"]),
-               "S_q_Z0": rel["q_Z0"]}, "relative sensitivity")
-    print(f"wrote {path}")
-    return 0
+    return _write_outputs(
+        settings, "analytic", grid,
+        {"analytic_sensitivities.csv": (["t_seconds", "S_sigma", "S_tau", "S_q_Z0"],
+                                        [grid, rel["sigma"], rel["tau"], rel["q_Z0"]])},
+        point.as_dict(),
+        {"analytic_sensitivities.pdf": (
+            {"S_sigma": rel["sigma"], "|S_tau|": np.abs(rel["tau"]), "S_q_Z0": rel["q_Z0"]},
+            "relative sensitivity")})
 
 
 def _cmd_simulate(settings) -> int:
     """Integrate one activation model."""
-    model, p = _scenario_params(settings)
-    grid = make_grid(settings["t_end"], settings["points"])
-    res = analyze(model, p, grid, order=0)
-    out = _out_dir(settings)
-    path = out / "state.csv"
-    write_csv(path, ["t_seconds", "q"], [grid, res.state[:, 0]])
-    write_manifest(out / "manifest.txt", {
-        "command": "simulate", "model": model.name,
-        **p.as_dict(), "t_end": grid[-1], "points": grid.size,
-        "version": __version__, "files": path.name,
-    })
-    if settings["plot"]:
-        _plot(out / "state.pdf", grid, {"q": res.state[:, 0]}, "activity q")
-    print(f"wrote {path}")
-    return 0
+    return _run_local(settings, 0)
 
 
 def _cmd_local_sens(settings) -> int:
     """Relative sensitivity functions."""
+    return _run_local(settings, 2 if settings["second_order"] else 1)
+
+
+def _run_local(settings, order: int) -> int:
+    """The state at order 0 (simulate); relative S, and R at order 2, above it."""
     model, p = _scenario_params(settings)
     grid = make_grid(settings["t_end"], settings["points"])
-    order = 2 if settings["second_order"] else 1
-    res = normalize(analyze(model, p, grid, order=order), p)
+    res = analyze(model, p, grid, order=order)  # by keyword: the tracer splits by order
+    tables = {"state.csv": (["t_seconds", "q"], [grid, res.state[:, 0]])}
+    manifest = {"model": model.name, **p.as_dict()}
+    if order == 0:
+        return _write_outputs(settings, "simulate", grid, tables, manifest,
+                              {"state.pdf": ({"q": res.state[:, 0]}, "activity q")})
 
-    out = _out_dir(settings)
-    files = []
-    write_csv(out / "state.csv", ["t_seconds", "q"], [grid, res.state[:, 0]])
-    files.append("state.csv")
-
+    res = normalize(res, p)
     curves = {f"S_{n}": res.s_rel[:, i, 0] for i, n in enumerate(model.canonical_order)}
-    write_csv(out / "s_rel.csv", ["t_seconds", *curves], [grid, *curves.values()])
-    files.append("s_rel.csv")
-
+    tables["s_rel.csv"] = (["t_seconds", *curves], [grid, *curves.values()])
     if order == 2:
-        labels = _pair_labels(model.param_names)
-        pairs = [(i, j) for i in range(model.n_params) for j in range(i, model.n_params)]
-        cols = [grid] + [res.r_rel[:, i, j, 0] for i, j in pairs]
-        write_csv(out / "r_rel.csv", ["t_seconds"] + [f"R_{l}" for l in labels], cols)
-        files.append("r_rel.csv")
-
-    write_manifest(out / "manifest.txt", {
-        "command": "local-sens", "model": model.name, **p.as_dict(),
-        "second_order": order == 2, "t_end": grid[-1], "points": grid.size,
-        "degenerate_points": int(res.degenerate.sum()),
-        "zero_params": ",".join(res.zero_params) or "none",
-        "version": __version__, "files": ";".join(files),
-    })
-    if settings["plot"]:
-        _plot(out / "s_rel.pdf", grid, curves, "relative sensitivity")
-    print(f"wrote {', '.join(files)} to {out}")
-    return 0
+        ii, jj = np.triu_indices(model.n_params)  # analyze's enumeration of the pairs
+        names = model.param_names
+        pairs = [f"R_{names[i]}*{names[j]}" for i, j in zip(ii, jj)]
+        tables["r_rel.csv"] = (["t_seconds", *pairs], [grid, *res.r_rel[:, ii, jj, 0].T])
+    manifest.update(second_order=order == 2, degenerate_points=int(res.degenerate.sum()),
+                    zero_params=",".join(res.zero_params) or "none")
+    return _write_outputs(settings, "local-sens", grid, tables, manifest,
+                          {"s_rel.pdf": (curves, "relative sensitivity")})
 
 
 def _cmd_global_sens(settings) -> int:
@@ -417,37 +408,20 @@ def _cmd_global_sens(settings) -> int:
         n=settings["n"], seed=settings["seed"], grid=grid,
         validity=row_validity(model_name), sampler=sampler,
     )
-    out = _out_dir(settings)
-    path = out / "global.csv"
-    header = ["t_seconds", "V"]
-    cols = [grid, result.v_total]
-    for i, n in enumerate(result.param_names):
-        header.append(f"VBS_{n}")
-        cols.append(result.vbs[i])
-    for i, n in enumerate(result.param_names):
-        header.append(f"TSI_{n}")
-        cols.append(result.tsi[i])
-    write_csv(path, header, cols)
-    write_manifest(out / "manifest.txt", {
-        "command": "global-sens", "model": model_name,
-        "preset": settings["preset"], "n": result.n, "seed": result.seed,
-        "sampler": sampler, "evaluations": result.n_evaluations,
-        "resampled_rows": result.resampled_rows,
-        "t_end": grid[-1], "points": grid.size,
-        "undefined_points": int(result.undefined.sum()),
-        "bounds": ";".join(f"{n}:[{lo:g},{hi:g}]" for n, lo, hi in
-                           zip(cuboid.names, cuboid.lower, cuboid.upper)),
-        "version": __version__, "files": path.name,
-    })
-    if settings["plot"]:
-        _plot(out / "vbs.pdf", grid,
-              {f"VBS_{n}": result.vbs[i] for i, n in enumerate(result.param_names)},
-              "variance-based sensitivity")
-        _plot(out / "tsi.pdf", grid,
-              {f"TSI_{n}": result.tsi[i] for i, n in enumerate(result.param_names)},
-              "total sensitivity index")
-    print(f"wrote {path}")
-    return 0
+    vbs = {f"VBS_{n}": result.vbs[i] for i, n in enumerate(result.param_names)}
+    tsi = {f"TSI_{n}": result.tsi[i] for i, n in enumerate(result.param_names)}
+    return _write_outputs(
+        settings, "global-sens", grid,
+        {"global.csv": (["t_seconds", "V", *vbs, *tsi],
+                        [grid, result.v_total, *vbs.values(), *tsi.values()])},
+        {"model": model_name, "preset": settings["preset"], "n": result.n,
+         "seed": result.seed, "sampler": sampler, "evaluations": result.n_evaluations,
+         "resampled_rows": result.resampled_rows,
+         "undefined_points": int(result.undefined.sum()),
+         "bounds": ";".join(f"{n}:[{lo:g},{hi:g}]" for n, lo, hi in
+                            zip(cuboid.names, cuboid.lower, cuboid.upper))},
+        {"vbs.pdf": (vbs, "variance-based sensitivity"),
+         "tsi.pdf": (tsi, "total sensitivity index")})
 
 
 def _cmd_optimize(settings) -> int:

@@ -17,6 +17,12 @@ class NonFiniteState(IntegrationError):
     """The right-hand side produced NaN or Inf."""
 
 
+class StepBudgetExceeded(IntegrationError):
+    """A solve made ``odecore.MAX_STEP_ATTEMPTS`` step attempts without
+    reaching the end of its grid: a stiff right-hand side, or a horizon
+    far longer than the model's time constants."""
+
+
 class PoleViolation(ActsensError, ValueError):
     """Relative CE length outside (0, ell_rho), where the length-dependency blows up."""
 

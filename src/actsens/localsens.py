@@ -152,12 +152,16 @@ def analyze(
     lacks the partials an order needs raises MissingDerivative, and one
     whose rhs or needed partials are non-finite at the start point
     NonFiniteState; any other order, or params that lack a name of the
-    canonical order, ValueError.
+    canonical order, ValueError. A point of a model with ``params_of`` (the
+    built-ins) is range-checked before the solve: one outside the declared
+    domain raises ParameterOutOfRange, or PoleViolation past hatze's pole.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     M, N = model.dim, model.n_params
     x = _values(params, model.canonical_order)
+    if model.params_of is not None:
+        model.params_of(*x).validate()
     y0, lam = x[:M], x[M:]
     grid = np.asarray(grid, dtype=float)
 

@@ -548,6 +548,17 @@ def hatze_partials(q: float, p: HatzeParams, second: bool = True):
     differentiating the nu-dependent exponents included, and the product is
     taken on jets. Returns ``(f, grad, hess)`` as :func:`zajac_partials`
     does, over x = HATZE_VARS.
+
+    The W/V block stays hand-written because both rewrites timed against it
+    are slower per call. At scenario ii with nu = 3 and q = 0.3 (fastest of
+    nine runs on one Xeon vCPU, Python 3.11, numpy 2.4), order 2 / order 1:
+
+    - this form: 20.2 / 7.6 us;
+    - W = exp(a log(1-q) + b log(q-q0)) on jets with log and exp: 81.9 / 32.7 us;
+    - the gradient and Hessian of log W written out, scaled by W: 26.5 / 9.3 us.
+
+    Neither rewrite is bit-identical to this form (relative differences up
+    to 1.8e-14), so either would also move the local-sens outputs.
     """
     q0, nu = p.q0, p.nu
     q = min(max(float(q), q0 + HATZE_EPS), 1.0 - HATZE_EPS)  # _clamp_q at a scalar

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteState, StepSizeUnderflow
+from .errors import NonFiniteState, StepBudgetExceeded, StepSizeUnderflow
 
 __all__ = ["OdeProblem", "Tolerances", "Trajectory", "integrate"]
 
@@ -56,6 +56,15 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ORDER_EXP = 0.2  # 1/5 for a 5th-order pair
+
+#: Step attempts (accepted and rejected) per solve before :func:`integrate`
+#: raises StepBudgetExceeded. The largest solve of the test suite takes 333
+#: attempts (a blow-up that ends in StepSizeUnderflow) and the largest of the
+#: benchmark workloads 119 (a second-order scenario panel): a margin of 300x.
+#: Stability bounds an explicit pair's step, so a stiff solve takes attempts
+#: in proportion to its rate: zajac's scenario ii over 0.5 s takes about
+#: 0.16/tau of them and reaches the cap for tau below about 1.6e-6 s.
+MAX_STEP_ATTEMPTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -150,8 +159,9 @@ def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
     """Integrate an ODE system from t = 0 and return values exactly at the output grid.
 
     Raises StepSizeUnderflow when error control drives the step so small that
-    t + h == t (stiff or singular right-hand side), and NonFiniteState
-    when the right-hand side produces NaN or Inf.
+    t + h == t (stiff or singular right-hand side), StepBudgetExceeded
+    after MAX_STEP_ATTEMPTS step attempts short of the grid's end, and
+    NonFiniteState when the right-hand side produces NaN or Inf.
     """
     tol = tol or Tolerances()
     tol.validate()
@@ -192,6 +202,7 @@ def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
     k_b5, k_all, k_first, k_last = k[:6].T, k.T, k[0], k[6]
     dense = np.empty((4, y.size))  # continuous-extension coefficients of a step
     abs_y = np.abs(y)
+    attempts, max_attempts = 0, MAX_STEP_ATTEMPTS
 
     while t < t_end:
         h = min(h, t_end - t)
@@ -199,6 +210,12 @@ def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
             raise StepSizeUnderflow(
                 f"step size {h:.3e} underflowed at t={t:.6e}"
             )
+        if attempts == max_attempts:
+            raise StepBudgetExceeded(
+                f"{attempts} step attempts reached only t={t:.6e} of {t_end:g} at step "
+                f"size {h:.3e}: a stiff rhs or a long horizon"
+            )
+        attempts += 1
 
         for c, a, k_prev, k_s in stages:
             ys = k_prev @ a  # y + h * (k_prev @ a), on the fresh product

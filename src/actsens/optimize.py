@@ -96,8 +96,8 @@ def _check_target(gamma: float, shift: float) -> None:
 def load_shift_targets(path) -> ShiftTargets:
     """Read a two-column CSV ``gamma,shift_mm`` (header row required).
 
-    A malformed file raises ValueError naming the path and, for a bad row,
-    its line.
+    A malformed file raises ValueError naming the path and, for a bad row
+    (one whose field count is not two included), its line.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -113,7 +113,7 @@ def load_shift_targets(path) -> ShiftTargets:
             if not "".join(row).strip():
                 continue
             where = f"{path}:{reader.line_num}"
-            if len(row) < 2:
+            if len(row) != 2:
                 raise ValueError(f"{where}: expected 'gamma,shift_mm', got {','.join(row)!r}")
             try:
                 gamma, shift = float(row[0]), float(row[1])

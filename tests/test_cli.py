@@ -11,6 +11,7 @@ import pytest
 
 from actsens import (
     cli,
+    odecore,
     simplified_zajac_model,
     simplified_zajac_sensitivities,
     simplified_zajac_solution,
@@ -409,6 +410,23 @@ def test_tiny_time_constant_fails_with_one_json_line(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "zajac", "--tau", "1e-9"],
+    ["simulate", "--model", "hatze", "--m", "1e9"],
+    ["local-sens", "--model", "zajac", "--tau", "1e-9", "--second-order"],
+], ids=["zajac-tau", "hatze-m", "zajac-tau-second-order"])
+def test_stiff_point_ends_at_the_step_budget(tmp_path, capsys, monkeypatch, argv):
+    # stability holds the explicit step near tau (or 1/m); a budget of 1,000
+    # instead of the default keeps the test short
+    monkeypatch.setattr(odecore, "MAX_STEP_ATTEMPTS", 1000)
+    out = tmp_path / "x"
+    assert main(argv + ["--output", str(out)]) == 3
+    record = json.loads(capsys.readouterr().err)  # one record
+    assert record["error"] == "StepBudgetExceeded"
+    assert record["message"].startswith("1000 step attempts reached only t=")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model, ranges, lines, rule", [
     ("hatze", {"ell_rho": (2.2, 2.9), "ell_CErel": (3.0, 3.5)}, (8, 7),
      "ell_CErel must lie in (0, ell_rho)"),
@@ -542,12 +560,14 @@ def test_unreadable_input_file_exits_2(tmp_path, capsys, argv, content):
 
 @pytest.mark.parametrize("rows, line", [
     ("0.55,0.4\n0.28\n", 3),
+    ("0.55,0.4\n0.28,0.9,7\n", 3),
+    ("0.55,0.4,\n0.28,0.9\n", 2),
     ("0.55,0.4\n0.28,far\n", 3),
     ("0.55,0.4\n0.28,0.9\n0.55,1.0\n", 4),
     ("0.55,0.4\n1.5,0.9\n", 3),
     ("", None),
-], ids=["one-column", "non-numeric-shift", "duplicate-level", "level-above-one",
-        "no-rows"])
+], ids=["one-column", "three-columns", "trailing-comma", "non-numeric-shift",
+        "duplicate-level", "level-above-one", "no-rows"])
 def test_malformed_targets_file_exits_2(tmp_path, capsys, rows, line):
     targets = tmp_path / "targets.csv"
     targets.write_text("gamma,shift_mm\n" + rows)
@@ -594,6 +614,67 @@ def test_global_sens_manifest_counts_resampled_rows(tmp_path, monkeypatch):
     manifest = (out / "manifest.txt").read_text().splitlines()
     assert "resampled_rows = 1" in manifest
     assert f"evaluations = {2 * 8 * 6 + 2 * 6}" in manifest
+
+
+_TINY_GRID = ["--t-end", "0.05", "--points", "3"]
+_LOCAL_KEYS = {"second_order", "degenerate_points", "zero_params"}
+_ZAJAC_NAMES = BUILTIN_MODELS["zajac"].model().canonical_order
+_HATZE_NAMES = BUILTIN_MODELS["hatze"].model().canonical_order
+
+
+@pytest.mark.parametrize("argv, files, keys", [
+    (["analytic"], ["analytic_sensitivities.csv"], {"q_Z0", "sigma", "tau"}),
+    (["simulate", "--model", "zajac"], ["state.csv"], {"model", *_ZAJAC_NAMES}),
+    (["local-sens", "--model", "hatze"], ["state.csv", "s_rel.csv"],
+     {"model", *_HATZE_NAMES, *_LOCAL_KEYS}),
+    (["local-sens", "--model", "zajac", "--second-order"],
+     ["state.csv", "s_rel.csv", "r_rel.csv"], {"model", *_ZAJAC_NAMES, *_LOCAL_KEYS}),
+    (["global-sens", "--model", "zajac", "--n", "4"], ["global.csv"],
+     {"model", "preset", "n", "seed", "sampler", "evaluations", "resampled_rows",
+      "undefined_points", "bounds"}),
+], ids=["analytic", "simulate", "local-sens", "local-sens-second-order", "global-sens"])
+def test_csv_command_output_contract(tmp_path, capsys, argv, files, keys):
+    # the files written, the manifest's keys and files entry, one stdout line
+    out = tmp_path / "run"
+    assert main(argv + _TINY_GRID + ["--output", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted([*files, "manifest.txt"])
+    manifest = dict(line.split(" = ", 1)
+                    for line in (out / "manifest.txt").read_text().splitlines())
+    assert set(manifest) == keys | {"command", "t_end", "points", "version", "files"}
+    assert manifest["command"] == argv[0] and manifest["version"] == cli.__version__
+    assert manifest["files"] == ";".join(files)
+    assert (manifest["t_end"], manifest["points"]) == ("0.05", "3")
+    line = f"wrote {out / files[0]}" if len(files) == 1 else f"wrote {', '.join(files)} to {out}"
+    assert capsys.readouterr().out == line + "\n"
+
+
+@pytest.mark.parametrize("argv, plots", [
+    (["analytic"], [("analytic_sensitivities.pdf", ["S_sigma", "|S_tau|", "S_q_Z0"],
+                     "relative sensitivity")]),
+    (["simulate", "--model", "hatze"], [("state.pdf", ["q"], "activity q")]),
+    (["local-sens", "--model", "zajac"],
+     [("s_rel.pdf", [f"S_{n}" for n in _ZAJAC_NAMES], "relative sensitivity")]),
+    (["local-sens", "--model", "hatze", "--second-order"],
+     [("s_rel.pdf", [f"S_{n}" for n in _HATZE_NAMES], "relative sensitivity")]),
+    (["global-sens", "--model", "zajac", "--n", "4"],
+     [("vbs.pdf", [f"VBS_{n}" for n in _ZAJAC_NAMES], "variance-based sensitivity"),
+      ("tsi.pdf", [f"TSI_{n}" for n in _ZAJAC_NAMES], "total sensitivity index")]),
+], ids=["analytic", "simulate", "local-sens", "local-sens-second-order", "global-sens"])
+def test_plot_requests_name_their_files_curves_and_axes(tmp_path, monkeypatch, argv, plots):
+    calls = []
+    monkeypatch.setattr(cli, "_plot", lambda path, times, curves, ylabel:
+                        calls.append((path, times, curves, ylabel)))
+    out = tmp_path / "run"
+    assert main(argv + _TINY_GRID + ["--output", str(tmp_path / "plain")]) == 0
+    assert calls == []  # no plot without --plot
+    assert main(argv + _TINY_GRID + ["--plot", "--output", str(out)]) == 0
+    assert [(p, list(c), y) for p, _, c, y in calls] == [(out / n, c, y) for n, c, y in plots]
+    for _, times, curves, _ in calls:
+        assert np.array_equal(times, np.linspace(0.0, 0.05, 3))
+        assert all(np.shape(series) == (3,) for series in curves.values())
+    if argv[0] == "analytic":  # the plot shows |S_tau|, the CSV the signed S_tau
+        _, data = _read_csv(out / "analytic_sensitivities.csv")
+        assert np.array_equal(calls[0][2]["|S_tau|"], np.abs(data[:, 2]))
 
 
 def test_plots_are_emitted(tmp_path):

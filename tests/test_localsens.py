@@ -8,6 +8,7 @@ from actsens import (
     MissingDerivative,
     ModelSpec,
     NonFiniteState,
+    ParameterOutOfRange,
     StepSizeUnderflow,
     Tolerances,
     ZajacParams,
@@ -427,6 +428,20 @@ def test_a_time_constant_near_the_float_limit_fails_without_warnings(order, erro
     if error is NonFiniteState:
         assert str(exc.value) == ("rhs or its partials are non-finite at t=0.0 for "
                                   "q_Z0=0.05, sigma=0.1, q0=0.005, tau=1e-120, beta=1.0")
+
+
+@pytest.mark.parametrize("model, point, field", [
+    # unchecked, the first solves to a flat 1.5, the second grows to 1.2e6 by t = 0.5 s
+    (hatze_model(), HatzeParams(sigma=0.1, q_init=1.5), "q_init"),
+    (zajac_model(), ZajacParams(sigma=0.1, beta=-1.0), "beta"),
+], ids=["hatze-q-init-above-one", "zajac-negative-beta"])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_a_point_outside_the_domain_is_rejected_before_the_solve(model, point, field, order):
+    with pytest.raises(ParameterOutOfRange) as exc:
+        analyze(model, point, _GRID, order=order)
+    assert exc.value.field == field
+    with pytest.raises(ParameterOutOfRange):  # the same point as a mapping
+        analyze(model, point.as_dict(), _GRID, order=order)
 
 
 # ---------------------------------------------------------------------------

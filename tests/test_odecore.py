@@ -6,6 +6,7 @@ import pytest
 from actsens import (
     NonFiniteState,
     OdeProblem,
+    StepBudgetExceeded,
     StepSizeUnderflow,
     Tolerances,
     ZajacParams,
@@ -20,7 +21,7 @@ from actsens import (
     zajac_rhs,
     zajac_steady_state,
 )
-from actsens import localsens
+from actsens import localsens, odecore
 from actsens.presets import all_hatze_scenarios, all_zajac_scenarios
 
 
@@ -153,6 +154,17 @@ def test_blowup_triggers_step_underflow():
         integrate(pr)
 
 
+def test_stiff_solve_stops_at_the_step_budget(monkeypatch):
+    # y' = -1e4 y keeps the explicit step near 3.3e-4 by stability: about
+    # 3,000 attempts over 1 s, so a budget of 50 ends it early
+    pr = OdeProblem(rhs=lambda t, y: -1e4 * y, y0=np.array([1.0]), output_grid=np.array([1.0]))
+    assert integrate(pr).values[-1, 0] == pytest.approx(0.0, abs=1e-8)
+    monkeypatch.setattr(odecore, "MAX_STEP_ATTEMPTS", 50)  # read when integrate is called
+    with pytest.raises(StepBudgetExceeded,
+                       match=r"^50 step attempts reached only t=\S+ of 1 at step size \S+:"):
+        integrate(pr)
+
+
 def test_problem_validation():
     good = dict(rhs=lambda t, y: -y, y0=np.array([1.0]))
     with pytest.raises(ValueError):  # a first time before t = 0
@@ -276,7 +288,7 @@ def test_panel_work_counters_are_pinned(monkeypatch):
 
     monkeypatch.setattr(localsens, "integrate", counting)
     grid = make_grid(0.5, 201)
-    evals, attempts = [], []
+    evals, attempts, largest = [], [], 0
     for order in (0, 1, 2):
         solves.clear()
         for model, pset in PANELS.values():
@@ -285,5 +297,8 @@ def test_panel_work_counters_are_pinned(monkeypatch):
         assert len(solves) == 16 and all((len(c) - 1) % 6 == 0 for c in solves)
         evals.append(sum(len(c) for c in solves))
         attempts.append(sum((len(c) - 1) // 6 for c in solves))
+        largest = max(largest, max((len(c) - 1) // 6 for c in solves))
     assert evals == [3184, 6046, 7708]
     assert attempts == [528, 1005, 1282]
+    # the step budget is far above any panel's solve
+    assert largest == 119 and odecore.MAX_STEP_ATTEMPTS >= 100 * largest

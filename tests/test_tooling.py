@@ -42,6 +42,9 @@ def test_tracer_installs_on_every_hooked_name_and_restores(tmp_path, monkeypatch
                          "--output", str(tmp_path / "local")]) == 0
         local_rhs_evals = spans.counts["rhs_evals"]
         local_aug_rhs = spans.summary()["localsens.aug_rhs"]["calls"]
+        # state.csv, s_rel.csv, r_rel.csv and the manifest, each through the
+        # module-level writer names the tracer wraps
+        local_writes = spans.summary()["cli.write"]["calls"]
         # every model factory goes through the tracer's wrapper
         for name in cli._MODELS:
             before = spans.summary()["models.derivs"]["calls"]
@@ -68,6 +71,7 @@ def test_tracer_installs_on_every_hooked_name_and_restores(tmp_path, monkeypatch
     summary = spans.summary()
     assert summary["models.derivs"]["calls"] > 0
     assert local_rhs_evals == local_aug_rhs > 0
+    assert local_writes == 4
     assert spans.counts["rows_evaluated"] == 2 * 4 * (5 + 1) + 2 * 4 * (8 + 1)  # N = 5, 8
     assert summary["presets.rhs"]["calls"] == summary["models.batch_rhs"]["calls"]
 
