@@ -21,7 +21,10 @@ as numpy arrays indexed by the model's variables ``ZAJAC_VARS``/``HATZE_VARS``
 (index 0 is the state q, then the model's parameters). Each model writes its
 parameter-only rate factors once, as ``_rates``; ``rate_factors`` evaluates
 them on floats or columns and ``rate_jets`` on second-order forward-mode
-jets, which carry the gradient and Hessian the partials build on.
+jets, which carry their gradient and Hessian. With the rate factors fixed,
+each rhs is linear in a few terms that depend on the activity, so each
+parameter point keeps ``partials_basis``, built once from its jets, and a
+call computes those terms and returns their product with the basis.
 
 The sensitivity machinery sees a model through one interface,
 :class:`ModelSpec`: ``derivs(t, y, lam, order)`` returns the same triple
@@ -135,7 +138,8 @@ class _Domain:
     that name. ``_rates`` computes the rhs's parameter-only factors from the
     fields after the initial value, on floats, columns or jets. An instance
     with scalar fields is a parameter point, which ``as_dict`` and
-    ``values_for`` read by canonical name.
+    ``values_for`` read by canonical name; a model's class adds
+    ``partials_basis``, which its partials read.
     """
 
     @classmethod
@@ -207,6 +211,12 @@ class ZajacParams(_Domain):
         return ((sigma + beta * q0 * (1.0 - sigma)) / tau_free,
                 (sigma * (1.0 - beta) + beta) / tau_free)
 
+    @functools.cached_property
+    def partials_basis(self) -> tuple:
+        """:func:`zajac_partials`' basis (see :func:`_zajac_basis`), built on
+        first use and kept, as ``rate_jets`` are."""
+        return _zajac_basis(self)
+
 
 @dataclass
 class HatzeParams(_Domain):
@@ -244,6 +254,12 @@ class HatzeParams(_Domain):
         return (q0 + HATZE_EPS, sigma * _hatze_rho(ell_ce_rel, rho_c, ell_rho), 1.0 / nu,
                 nu * m / (1.0 - q0))
 
+    @functools.cached_property
+    def partials_basis(self) -> tuple:
+        """:func:`hatze_partials`' basis (see :func:`_hatze_basis`), built on
+        first use and kept, as ``rate_jets`` are."""
+        return _hatze_basis(self)
+
     def _rate_fields(self) -> tuple:
         # after hatze_rho's checks, so a CE length outside (0, ell_rho) raises
         # PoleViolation on every access to the rates
@@ -261,12 +277,12 @@ class _Jet:
     """A value with its gradient and Hessian over a model's VARS.
 
     Second-order forward mode (Griewank & Walther, *Evaluating Derivatives*,
-    2nd ed., SIAM 2008, ch. 13) with + - * / between jets and floats; the
-    Hessian is None when second partials are not wanted. A value is computed
-    by the same float operation as on plain numbers, so a formula's jet
-    value equals its float value bit for bit. Every Hessian is exactly
-    symmetric: a product adds cross + cross.T, and IEEE addition commutes.
-    No operation writes into an operand's arrays, so jets may share them.
+    2nd ed., SIAM 2008, ch. 13) with + - * / between jets and floats. A
+    value is computed by the same float operation as on plain numbers, so a
+    formula's jet value equals its float value bit for bit. Every Hessian is
+    exactly symmetric: a product adds cross + cross.T, and IEEE addition
+    commutes. No operation writes into an operand's arrays, so jets may
+    share them.
     """
 
     __slots__ = ("v", "g", "h")
@@ -278,25 +294,21 @@ class _Jet:
         # a float as a constant
         if isinstance(x, _Jet):
             return x
-        return _Jet(x, np.zeros_like(self.g), None if self.h is None else np.zeros_like(self.h))
+        return _Jet(x, np.zeros_like(self.g), np.zeros_like(self.h))
 
     def __add__(self, other):
         o = self._lift(other)
-        h = None if self.h is None or o.h is None else self.h + o.h
-        return _Jet(self.v + o.v, self.g + o.g, h)
+        return _Jet(self.v + o.v, self.g + o.g, self.h + o.h)
 
     def __sub__(self, other):
         o = self._lift(other)
-        h = None if self.h is None or o.h is None else self.h - o.h
-        return _Jet(self.v - o.v, self.g - o.g, h)
+        return _Jet(self.v - o.v, self.g - o.g, self.h - o.h)
 
     def __mul__(self, other):
         o = self._lift(other)
-        h = None
-        if self.h is not None and o.h is not None:
-            cross = self.g[:, None] * o.g
-            h = self.h * o.v + (cross + cross.T) + self.v * o.h
-        return _Jet(self.v * o.v, self.g * o.v + self.v * o.g, h)
+        cross = self.g[:, None] * o.g
+        return _Jet(self.v * o.v, self.g * o.v + self.v * o.g,
+                    self.h * o.v + (cross + cross.T) + self.v * o.h)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -304,12 +316,9 @@ class _Jet:
         # such as the ell_rho slot of rho at ell_CErel = 1
         q = self.v / o.v
         g = (self.g * o.v - self.v * o.g) / (o.v * o.v)
-        h = None
-        if self.h is not None and o.h is not None:
-            # from the product rule of v = q d
-            cross = g[:, None] * o.g
-            h = (self.h - (cross + cross.T) - q * o.h) / o.v
-        return _Jet(q, g, h)
+        # from the product rule of v = q d
+        cross = g[:, None] * o.g
+        return _Jet(q, g, (self.h - (cross + cross.T) - q * o.h) / o.v)
 
     __radd__, __rmul__ = __add__, __mul__
 
@@ -326,6 +335,17 @@ def _parameter_jets(values) -> list:
     n = len(values) + 1
     eye, zero = np.eye(n), np.zeros((n, n))
     return [_Jet(v, eye[i], zero) for i, v in enumerate(values, 1)]
+
+
+def _upper_mirror(n) -> tuple:
+    """The upper triangle of an (n, n) matrix as ``np.triu_indices`` lists it,
+    and an (n, n) index array giving each entry's position in that list, so
+    that ``unique[mirror]`` is the exactly symmetric matrix of the unique
+    entries."""
+    upper = np.triu_indices(n)
+    mirror = np.empty((n, n), dtype=np.intp)
+    mirror[upper] = mirror[upper[::-1]] = np.arange(upper[0].size)
+    return upper, mirror
 
 
 # ---------------------------------------------------------------------------
@@ -363,26 +383,38 @@ def zajac_rhs(q, p: ZajacParams):
     return c0 - f
 
 
+def _zajac_basis(p: ZajacParams) -> tuple:
+    """``(grad0, grad1, hess0, hess1, mirror)`` of :func:`zajac_partials`.
+
+    The rhs is affine in q, f = c0 - c1*q, with the parameter-only c0 and c1
+    of ``p.rate_factors`` and their jets ``p.rate_jets``. So
+    grad = (-c1, grad c0 - q grad c1) = grad0 + q grad1, and the Hessian is
+    H(c0) - q H(c1) with -grad c1 in the q row and column, whose unique
+    entries (see :func:`_upper_mirror`) are hess0 + q hess1.
+    """
+    j0, j1 = p.rate_jets
+    upper, mirror = _upper_mirror(j0.g.size)
+    grad0, hess0 = j0.g.copy(), j0.h.copy()
+    grad0[0] = -j1.v
+    hess0[0] -= j1.g  # onto the jets' zero q row
+    hess0[:, 0] = hess0[0]
+    return grad0, -j1.g, hess0[upper], -j1.h[upper], mirror
+
+
 def zajac_partials(q: float, p: ZajacParams, second: bool = True):
     """Value, gradient and Hessian of the linear model's rhs over ZAJAC_VARS.
 
-    The rhs is affine in q, f = c0 - c1*q, with the parameter-only c0 and
-    c1 of ``p.rate_factors`` and their jets ``p.rate_jets``. So
-    grad = (-c1, grad c0 - q grad c1), and the Hessian is H(c0) - q H(c1)
-    with -grad c1 in the q row and column. Returns ``(f, grad, hess)`` with
-    grad[i] = df/dx_i and the symmetric hess[i, j] = d2f/(dx_i dx_j),
-    x = ZAJAC_VARS; hess is None unless ``second``. f is :func:`zajac_rhs`'s
-    value bit for bit.
+    Returns ``(f, grad, hess)`` with grad[i] = df/dx_i and the exactly
+    symmetric hess[i, j] = d2f/(dx_i dx_j), x = ZAJAC_VARS; hess is None
+    unless ``second``. Both are affine in q, base + q*slope elementwise from
+    ``p.partials_basis`` (:func:`_zajac_basis`), which gives the bits of
+    H(c0) - q H(c1) and grad c0 - q grad c1 on the jets; f is
+    :func:`zajac_rhs`'s value c0 - c1*q bit for bit.
     """
-    (c0, c1), (j0, j1) = p.rate_factors, p.rate_jets
-    grad = j0.g - q * j1.g
-    grad[0] = -c1
-    hess = None
-    if second:
-        hess = j0.h - q * j1.h
-        hess[0] -= j1.g  # onto the zero q row, which keeps zero entries +0.0
-        hess[:, 0] = hess[0]
-    return c0 - c1 * q, grad, hess
+    grad0, grad1, hess0, hess1, mirror = p.partials_basis
+    c0, c1 = p.rate_factors
+    hess = (hess0 + q * hess1)[mirror] if second else None
+    return c0 - c1 * q, grad0 + q * grad1, hess
 
 
 def zajac_steady_state(p: ZajacParams) -> float:
@@ -538,70 +570,97 @@ def hatze_rhs(q, p: HatzeParams):
     return float(out) if np.isscalar(q) else out
 
 
+def _hatze_basis(p: HatzeParams) -> tuple:
+    """``(first, second, mirror)`` of :func:`hatze_partials`.
+
+    Once K and P are fixed, f = K (P W - V) is linear in the activity terms:
+    its gradient is the product of ``first`` with (W, V, the partials of W
+    in q, q0, nu, those of V in q, q0), and its unique Hessian entries (see
+    :func:`_upper_mirror`) the product of ``second`` with those terms, the
+    unique second partials of W over (q, q0, nu) row by row, and a constant
+    1 that carries V's constant second partials (-2 in q, q; 1 in q, q0).
+    By the product rule, a term of W enters with the partials of KP = K*P,
+    one of V with those of -K: W's row is (grad KP, H(KP)), W_x's row is
+    KP at x and grad KP in the x row and column of the Hessian, and W_xy's
+    is KP at (x, y).
+    """
+    _, P, _, K = p.rate_jets
+    KP = K * P
+    n = KP.g.size
+    upper, mirror = _upper_mirror(n)
+    Q, Q0, NU = _HATZE_SLOTS
+    kp, k = (KP.v, KP.g, KP.h), (-K.v, -K.g, -K.h)
+    firsts = ((kp, Q), (kp, Q0), (kp, NU), (k, Q), (k, Q0))
+    pairs = [(a, b) for i, a in enumerate(_HATZE_SLOTS) for b in _HATZE_SLOTS[i:]]
+    first = np.zeros((2 + len(firsts), n))
+    second = np.zeros((len(first) + len(pairs) + 1, n, n))
+    for r, (_, g, h) in enumerate((kp, k)):
+        first[r], second[r] = g, h
+    for r, ((v, g, _), x) in enumerate(firsts, 2):
+        first[r, x] = v
+        second[r, x] += g
+        second[r, :, x] += g
+    for r, (x, y) in enumerate(pairs, len(first)):
+        second[r, x, y] = second[r, y, x] = KP.v
+    second[-1, Q, Q] = 2.0 * K.v
+    second[-1, Q, Q0] = second[-1, Q0, Q] = -K.v
+    return first, second[:, upper[0], upper[1]], mirror
+
+
 def hatze_partials(q: float, p: HatzeParams, second: bool = True):
     """Value, gradient and Hessian of the nonlinear model's rhs over HATZE_VARS.
 
     The rhs factors as K(q0, m, nu) * (P(sigma, rho_c, ell_rho, ell) * W(q, q0, nu)
     - V(q, q0)). K = nu m/(1-q0) and P = sigma rho depend on the parameters
-    only; they are the jets ``p.rate_jets`` of the rhs's own gain and
-    sigma_rho. The partials of W and V are written out, the log terms from
-    differentiating the nu-dependent exponents included, and the product is
-    taken on jets. Returns ``(f, grad, hess)`` as :func:`zajac_partials`
-    does, over x = HATZE_VARS.
+    only; they are the rhs's own gain and sigma_rho, whose jets
+    ``p.rate_jets`` build the basis ``p.partials_basis``
+    (:func:`_hatze_basis`) once per parameter point. A call writes out the
+    partials of W and V, the log terms from differentiating the
+    nu-dependent exponents included, and takes one product with the basis
+    for the gradient and one for the unique Hessian entries, which it
+    mirrors. Returns ``(f, grad, hess)`` as :func:`zajac_partials` does,
+    over x = HATZE_VARS; f is K (P W - V) on floats.
 
-    The W/V block stays hand-written because both rewrites timed against it
-    are slower per call. At scenario ii with nu = 3 and q = 0.3 (fastest of
-    nine runs on one Xeon vCPU, Python 3.11, numpy 2.4), order 2 / order 1:
+    Per call at scenario ii with nu = 3 and q = 0.3 (fastest of nine runs
+    on one Xeon vCPU, Python 3.11, numpy 2.4), order 2 / order 1:
 
-    - this form: 20.2 / 7.6 us;
-    - W = exp(a log(1-q) + b log(q-q0)) on jets with log and exp: 81.9 / 32.7 us;
-    - the gradient and Hessian of log W written out, scaled by W: 26.5 / 9.3 us.
+    - the W/V block as jets, multiplied by the jets K and P on every call:
+      19.4 / 7.0 us;
+    - this form: 5.3 / 2.5 us.
 
-    Neither rewrite is bit-identical to this form (relative differences up
-    to 1.8e-14), so either would also move the local-sens outputs.
+    The W/V block itself stays hand-written: W on jets with log and exp,
+    and the partials of log W scaled by W, were both slower than the jet
+    form above. The gradient and Hessian differ from the jet products by
+    rounding only, at most 9e-16 of the largest entry at 500 seeded points
+    and at the clamp ends (see the tests); f equals their value bit for bit.
     """
+    q_floor, sigma_rho, _, gain = p.rate_factors
     q0, nu = p.q0, p.nu
-    q = min(max(float(q), q0 + HATZE_EPS), 1.0 - HATZE_EPS)  # _clamp_q at a scalar
-    Q, Q0, NU = _HATZE_SLOTS
-    n = len(HATZE_VARS)
-    _, P, _, K = p.rate_jets
-    w1, v1 = np.zeros(n), np.zeros(n)
-    w2 = v2 = None
-    if second:
-        w2, v2 = np.zeros((n, n)), np.zeros((n, n))
+    q = min(max(float(q), q_floor), 1.0 - HATZE_EPS)  # _clamp_q at a scalar
+    first, unique, mirror = p.partials_basis
 
     a = 1.0 + 1.0 / nu
     b = 1.0 - 1.0 / nu
     om = 1.0 - q
     dq = q - q0
-    L1 = math.log(om)
-    L2 = math.log(dq)
+    L = math.log(dq) - math.log(om)
     W = om**a * dq**b
     g = -a / om + b / dq
+    W_nu = W * L / nu**2
+    V = om * dq
+    # W, V, W_q, W_q0, W_nu, V_q, V_q0
+    terms = [W, V, W * g, -b * W / dq, W_nu, 1.0 - 2.0 * q + q0, -om]
+    f = gain * (sigma_rho * W - V)
+    grad = np.dot(terms, first)
+    if not second:
+        return f, grad, None
     g_q = -a / om**2 - b / dq**2
     g_nu = (1.0 / om + 1.0 / dq) / nu**2
-    W_nu = W * (L2 - L1) / nu**2
-    w1[Q] = W * g
-    w1[Q0] = -b * W / dq
-    w1[NU] = W_nu
-    if second:
-        w2[Q, Q] = W * (g * g + g_q)
-        w2[Q, Q0] = w2[Q0, Q] = W * b * (1.0 / dq**2 - g / dq)
-        w2[NU, Q] = w2[Q, NU] = W_nu * g + W * g_nu
-        w2[Q0, Q0] = W * b * (b - 1.0) / dq**2
-        w2[NU, Q0] = w2[Q0, NU] = -(W / dq) * (1.0 + b * (L2 - L1)) / nu**2
-        w2[NU, NU] = W * (L2 - L1) / nu**3 * ((L2 - L1) / nu - 2.0)
-
-    # V = (1-q)(q-q0)
-    V = om * dq
-    v1[Q] = 1.0 - 2.0 * q + q0
-    v1[Q0] = -om
-    if second:
-        v2[Q, Q] = -2.0
-        v2[Q, Q0] = v2[Q0, Q] = 1.0
-
-    f = K * (P * _Jet(W, w1, w2) - _Jet(V, v1, v2))
-    return f.v, f.g, f.h
+    # W_qq, W_q,q0, W_q,nu, W_q0,q0, W_q0,nu, W_nu,nu and the constant
+    terms += [W * (g * g + g_q), W * b * (1.0 / dq**2 - g / dq), W_nu * g + W * g_nu,
+              W * b * (b - 1.0) / dq**2, -(W / dq) * (1.0 + b * L) / nu**2,
+              W * L / nu**3 * (L / nu - 2.0), 1.0]
+    return f, grad, np.dot(terms, unique)[mirror]
 
 
 def hatze_steady_state(p: HatzeParams) -> float:
@@ -758,7 +817,9 @@ class ModelSpec:
     built-in scalar models do, see :func:`_scalar_model`); the result must
     depend on lam's values only, never on which array holds them. The
     built-in models return :func:`zajac_partials`/:func:`hatze_partials`,
-    which differentiate the rhs's own rate factors on jets.
+    each a product of the activity terms with the bound point's
+    ``partials_basis``, which is built once from the jets of the rhs's own
+    rate factors.
     """
 
     name: str
@@ -791,10 +852,12 @@ def _scalar_model(name, cls, rhs, partials) -> ModelSpec:
 
     derivs binds lam to its parameter object once per solve: it keeps the
     objects of the last two lam values it saw, keyed on those values (so an
-    in-place edit of lam binds anew), and with them their cached factors.
-    Two are kept so that the stacked (+h, -h) systems of a central
-    difference each keep theirs. An object's q_init is the state at its
-    first call, which is harmless because rhs and partials never read it.
+    in-place edit of lam binds anew), and with them their cached factors,
+    jets and ``partials_basis``: the first call at order 1 or 2 builds the
+    basis, and every later call runs no jet arithmetic. Two are kept so
+    that the stacked (+h, -h) systems of a central difference each keep
+    theirs. An object's q_init is the state at its first call, which is
+    harmless because rhs and partials never read it.
     """
     names, params_of = cls.canonical_order(), cls.from_canonical
     bound: dict[bytes, object] = {}
