@@ -16,12 +16,14 @@ parameters they read included, and then call a private unchecked twin
 directly.
 
 ``zajac_partials`` and ``hatze_partials`` return ``(f, grad, hess)`` at one
-scalar point: the rhs value, its gradient and its exactly symmetric Hessian
-as numpy arrays indexed by the model's variables ``ZAJAC_VARS``/``HATZE_VARS``
-(index 0 is the state q, then the model's parameters). Each model writes its
-parameter-only rate factors once, as ``_rates``; ``rate_factors`` evaluates
-them on floats or columns and ``rate_jets`` on second-order forward-mode
-jets, which carry their gradient and Hessian. With the rate factors fixed,
+scalar point and order 0, 1 or 2: the rhs value, bit for bit what
+``zajac_rhs``/``hatze_rhs`` give at that point, its gradient and its exactly
+symmetric Hessian as numpy arrays indexed by the model's variables
+``ZAJAC_VARS``/``HATZE_VARS`` (index 0 is the state q, then the model's
+parameters), grad None at order 0 and hess None below order 2. Each model
+writes its parameter-only rate factors once, as ``_rates``; ``rate_factors``
+evaluates them on floats or columns and ``rate_jets`` on second-order
+forward-mode jets, which carry their gradient and Hessian. With the rate factors fixed,
 each rhs is linear in a few terms that depend on the activity, so each
 parameter point keeps ``partials_basis``, built once from its jets, and a
 call computes those terms and returns their product with the basis.
@@ -31,7 +33,7 @@ The sensitivity machinery sees a model through one interface,
 over x = (y, lam) with a leading state axis, shapes (M,), (M, M+N) and
 (M, M+N, M+N) for M states and N dynamic parameters, grad None at order 0
 and hess None below order 2. The built-in specs pass their partials
-through unchanged.
+through unchanged at every order, adding only the state axis.
 
 Each parameter class declares once its fields' canonical order and names
 (``RANGES``, ``NAMES``), from which the variables, the ModelSpec names and
@@ -139,7 +141,8 @@ class _Domain:
     fields after the initial value, on floats, columns or jets. An instance
     with scalar fields is a parameter point, which ``as_dict`` and
     ``values_for`` read by canonical name; a model's class adds
-    ``partials_basis``, which its partials read.
+    ``partials_basis``, which its partials read. Subclasses are frozen
+    dataclasses, so the cached factors, jets and basis never go stale.
     """
 
     @classmethod
@@ -168,8 +171,7 @@ class _Domain:
     @functools.cached_property
     def rate_factors(self) -> tuple:
         """``_rates`` of the fields, computed on first use and kept for the
-        object's lifetime, as ``rate_jets`` are: its fields must not change
-        after its rhs or partials have been evaluated."""
+        object's lifetime, as ``rate_jets`` are."""
         return self._rates(*self._rate_fields())
 
     @functools.cached_property
@@ -184,7 +186,7 @@ class _Domain:
         return tuple(getattr(self, f) for f in self.RANGES)[1:]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ZajacParams(_Domain):
     """Parameters of the linear activation dynamics with deactivation boost."""
 
@@ -218,7 +220,7 @@ class ZajacParams(_Domain):
         return _zajac_basis(self)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HatzeParams(_Domain):
     """Parameters of the nonlinear, length-dependent activation dynamics.
 
@@ -355,7 +357,7 @@ def _upper_mirror(n) -> tuple:
 ZAJAC_VARS = ("q", *ZajacParams.canonical_order()[1:])
 
 
-@dataclass
+@dataclass(frozen=True)
 class _SimplifiedZajacParams(ZajacParams):
     """The simplified model's parameters: zajac's (q_Z0, sigma, tau), with q0
     and beta fixed, so that the rate jets range over (q, sigma, tau)."""
@@ -401,20 +403,24 @@ def _zajac_basis(p: ZajacParams) -> tuple:
     return grad0, -j1.g, hess0[upper], -j1.h[upper], mirror
 
 
-def zajac_partials(q: float, p: ZajacParams, second: bool = True):
+def zajac_partials(q: float, p: ZajacParams, order: int = 2):
     """Value, gradient and Hessian of the linear model's rhs over ZAJAC_VARS.
 
     Returns ``(f, grad, hess)`` with grad[i] = df/dx_i and the exactly
-    symmetric hess[i, j] = d2f/(dx_i dx_j), x = ZAJAC_VARS; hess is None
-    unless ``second``. Both are affine in q, base + q*slope elementwise from
-    ``p.partials_basis`` (:func:`_zajac_basis`), which gives the bits of
-    H(c0) - q H(c1) and grad c0 - q grad c1 on the jets; f is
-    :func:`zajac_rhs`'s value c0 - c1*q bit for bit.
+    symmetric hess[i, j] = d2f/(dx_i dx_j), x = ZAJAC_VARS; grad is None at
+    ``order`` 0 and hess None below order 2. f is :func:`zajac_rhs`'s value
+    c0 - c1*q bit for bit, and order 0 reads nothing else. grad and hess are
+    affine in q, base + q*slope elementwise from ``p.partials_basis``
+    (:func:`_zajac_basis`), which gives the bits of H(c0) - q H(c1) and
+    grad c0 - q grad c1 on the jets.
     """
-    grad0, grad1, hess0, hess1, mirror = p.partials_basis
     c0, c1 = p.rate_factors
-    hess = (hess0 + q * hess1)[mirror] if second else None
-    return c0 - c1 * q, grad0 + q * grad1, hess
+    f = c0 - c1 * q
+    if order == 0:
+        return f, None, None
+    grad0, grad1, hess0, hess1, mirror = p.partials_basis
+    hess = (hess0 + q * hess1)[mirror] if order >= 2 else None
+    return f, grad0 + q * grad1, hess
 
 
 def zajac_steady_state(p: ZajacParams) -> float:
@@ -607,52 +613,54 @@ def _hatze_basis(p: HatzeParams) -> tuple:
     return first, second[:, upper[0], upper[1]], mirror
 
 
-def hatze_partials(q: float, p: HatzeParams, second: bool = True):
+def hatze_partials(q: float, p: HatzeParams, order: int = 2):
     """Value, gradient and Hessian of the nonlinear model's rhs over HATZE_VARS.
 
     The rhs factors as K(q0, m, nu) * (P(sigma, rho_c, ell_rho, ell) * W(q, q0, nu)
     - V(q, q0)). K = nu m/(1-q0) and P = sigma rho depend on the parameters
-    only; they are the rhs's own gain and sigma_rho, whose jets
-    ``p.rate_jets`` build the basis ``p.partials_basis``
-    (:func:`_hatze_basis`) once per parameter point. A call writes out the
-    partials of W and V, the log terms from differentiating the
-    nu-dependent exponents included, and takes one product with the basis
-    for the gradient and one for the unique Hessian entries, which it
-    mirrors. Returns ``(f, grad, hess)`` as :func:`zajac_partials` does,
-    over x = HATZE_VARS; f is K (P W - V) on floats.
+    only; they are the rhs's own gain and sigma_rho. f is computed as
+    :func:`hatze_rhs` computes it, (r*P - 1) * (V*K) with one fractional
+    power r = ((1-q)/(q-q0))^(1/nu), so it equals that rhs bit for bit at
+    every order, and order 0 stops there. Orders 1 and 2 take W = V*r and
+    write out the partials of W and V, the log terms from differentiating
+    the nu-dependent exponents included, and take one product with the
+    basis ``p.partials_basis`` (:func:`_hatze_basis`, built once per
+    parameter point from the jets ``p.rate_jets``) for the gradient and one
+    for the unique Hessian entries, which it mirrors. Returns
+    ``(f, grad, hess)`` as :func:`zajac_partials` does, over x = HATZE_VARS.
 
     Per call at scenario ii with nu = 3 and q = 0.3 (fastest of nine runs
-    on one Xeon vCPU, Python 3.11, numpy 2.4), order 2 / order 1:
+    of 20,000 calls on one Xeon vCPU, Python 3.11, numpy 2.4), order 2 /
+    order 1 / order 0: 5.4 / 2.6 / 0.6 us; :func:`hatze_rhs` at a scalar q
+    takes 2.2 us, as its numpy scalars cost more than floats.
 
-    - the W/V block as jets, multiplied by the jets K and P on every call:
-      19.4 / 7.0 us;
-    - this form: 5.3 / 2.5 us.
-
-    The W/V block itself stays hand-written: W on jets with log and exp,
-    and the partials of log W scaled by W, were both slower than the jet
-    form above. The gradient and Hessian differ from the jet products by
-    rounding only, at most 9e-16 of the largest entry at 500 seeded points
-    and at the clamp ends (see the tests); f equals their value bit for bit.
+    The W/V block stays hand-written: W on jets with log and exp, and the
+    partials of log W scaled by W, were both slower. The gradient and
+    Hessian differ from jet products of the same formulas by rounding only
+    (see the tests).
     """
-    q_floor, sigma_rho, _, gain = p.rate_factors
-    q0, nu = p.q0, p.nu
+    q_floor, sigma_rho, inv_nu, gain = p.rate_factors
+    q0 = p.q0
     q = min(max(float(q), q_floor), 1.0 - HATZE_EPS)  # _clamp_q at a scalar
-    first, unique, mirror = p.partials_basis
-
-    a = 1.0 + 1.0 / nu
-    b = 1.0 - 1.0 / nu
     om = 1.0 - q
     dq = q - q0
+    r = (om / dq) ** inv_nu
+    V = om * dq
+    f = (r * sigma_rho - 1.0) * (V * gain)
+    if order == 0:
+        return f, None, None
+    first, unique, mirror = p.partials_basis
+    nu = p.nu
+    a = 1.0 + inv_nu
+    b = 1.0 - inv_nu
     L = math.log(dq) - math.log(om)
-    W = om**a * dq**b
+    W = V * r
     g = -a / om + b / dq
     W_nu = W * L / nu**2
-    V = om * dq
     # W, V, W_q, W_q0, W_nu, V_q, V_q0
     terms = [W, V, W * g, -b * W / dq, W_nu, 1.0 - 2.0 * q + q0, -om]
-    f = gain * (sigma_rho * W - V)
     grad = np.dot(terms, first)
-    if not second:
+    if order < 2:
         return f, grad, None
     g_q = -a / om**2 - b / dq**2
     g_nu = (1.0 / om + 1.0 / dq) / nu**2
@@ -816,8 +824,9 @@ class ModelSpec:
     may bind lam's values to a parameter object once and reuse it (the
     built-in scalar models do, see :func:`_scalar_model`); the result must
     depend on lam's values only, never on which array holds them. The
-    built-in models return :func:`zajac_partials`/:func:`hatze_partials`,
-    each a product of the activity terms with the bound point's
+    built-in models return :func:`zajac_partials`/:func:`hatze_partials` at
+    every order: f is the rhs's value at the scalar state bit for bit, and
+    grad and hess are products of the activity terms with the bound point's
     ``partials_basis``, which is built once from the jets of the rhs's own
     rate factors.
     """
@@ -841,23 +850,24 @@ class ModelSpec:
         return self.init_names + self.param_names
 
 
-def _scalar_model(name, cls, rhs, partials) -> ModelSpec:
-    """ModelSpec of a scalar model from its parameter class, rhs and partials.
+def _scalar_model(name, cls, partials) -> ModelSpec:
+    """ModelSpec of a scalar model from its parameter class and partials.
 
     The names are ``cls.canonical_order()``, the initial value first, and
     ``cls.from_canonical`` maps values in that order to a parameter object p;
-    ``rhs(q, p)`` is the activity rate and ``partials(q, p, second)`` its
-    ``(f, grad, hess)`` over (q, *names[1:]), which derivs returns with a
-    leading state axis.
+    ``partials(q, p, order)`` is the activity rate's ``(f, grad, hess)`` over
+    (q, *names[1:]) at every order, which derivs returns with a leading
+    state axis.
 
     derivs binds lam to its parameter object once per solve: it keeps the
     objects of the last two lam values it saw, keyed on those values (so an
     in-place edit of lam binds anew), and with them their cached factors,
     jets and ``partials_basis``: the first call at order 1 or 2 builds the
-    basis, and every later call runs no jet arithmetic. Two are kept so
-    that the stacked (+h, -h) systems of a central difference each keep
-    theirs. An object's q_init is the state at its first call, which is
-    harmless because rhs and partials never read it.
+    basis, every later call runs no jet arithmetic, and a call at order 0
+    reads the rate factors only. Two are kept so that the stacked (+h, -h)
+    systems of a central difference each keep theirs. An object's q_init is
+    the state at its first call, which is harmless because the partials
+    never read it.
     """
     names, params_of = cls.canonical_order(), cls.from_canonical
     bound: dict[bytes, object] = {}
@@ -870,10 +880,8 @@ def _scalar_model(name, cls, rhs, partials) -> ModelSpec:
             if len(bound) == 2:
                 del bound[next(iter(bound))]  # the older one
             p = bound[key] = params_of(q, *lam)
-        if order == 0:
-            return np.array([rhs(q, p)]), None, None
-        f, g, H = partials(q, p, order >= 2)
-        return np.array([f]), g[None], None if H is None else H[None]
+        f, g, H = partials(q, p, order)
+        return np.array([f]), None if g is None else g[None], None if H is None else H[None]
 
     return ModelSpec(name=name, param_names=names[1:], init_names=names[:1],
                      derivs=derivs, params_of=params_of)
@@ -881,14 +889,14 @@ def _scalar_model(name, cls, rhs, partials) -> ModelSpec:
 
 def zajac_model() -> ModelSpec:
     """ModelSpec for the linear activation dynamics."""
-    return _scalar_model("zajac", ZajacParams, zajac_rhs, zajac_partials)
+    return _scalar_model("zajac", ZajacParams, zajac_partials)
 
 
 def hatze_model() -> ModelSpec:
     """ModelSpec for the nonlinear length-dependent activation dynamics."""
-    return _scalar_model("hatze", HatzeParams, hatze_rhs, hatze_partials)
+    return _scalar_model("hatze", HatzeParams, hatze_partials)
 
 
 def simplified_zajac_model() -> ModelSpec:
     """ModelSpec for the simplified linear dynamics (beta = 1, q0 = 0)."""
-    return _scalar_model("simplified-zajac", _SimplifiedZajacParams, zajac_rhs, zajac_partials)
+    return _scalar_model("simplified-zajac", _SimplifiedZajacParams, zajac_partials)

@@ -307,9 +307,9 @@ def test_hatze_partials_match_finite_differences(q, vals):
 
 @pytest.mark.parametrize("model", ["zajac", "hatze"])
 def test_parameter_hessian_is_exactly_symmetric(model):
-    # a jet product adds its cross term to its transpose, cross + cross.T,
-    # which is symmetric because IEEE addition commutes; summing the two
-    # cross terms into the rest one by one would differ in the last bit at
+    # the partials compute each unique Hessian entry once and mirror it
+    # (models._upper_mirror), so hess[a, b] and hess[b, a] are one value;
+    # summing mirrored terms separately would differ in the last bit at
     # some points
     spec = zajac_model() if model == "zajac" else hatze_model()
     cuboid = builtin_cuboid(model)
@@ -332,13 +332,18 @@ def _interior_points(model, n=50):
     return rows
 
 
+_PARTIALS = {"zajac": (zajac_rhs, zajac_partials), "hatze": (hatze_rhs, hatze_partials),
+             "simplified-zajac": (zajac_rhs, zajac_partials)}
+
+
 @pytest.mark.parametrize("model", list(_MODELS))
 def test_derivs_contract_of_builtin_models(model):
     # (f, grad, hess) over x = (y, lam): shapes by order, an exactly symmetric
     # hess, and grad/hess equal to central differences of derivs itself; the
     # parameter-only jets carry the rhs's own rate factors bit for bit, and
-    # the affine zajac form gives the rhs's own value at every order
+    # f is the rhs's own value at every order
     spec = _MODELS[model][0]()
+    rhs = _PARTIALS[model][0]
     M, D = spec.dim, spec.dim + spec.n_params
 
     def at(x, order):
@@ -353,9 +358,8 @@ def test_derivs_contract_of_builtin_models(model):
         assert g1.shape == grad.shape == (M, D) and hess.shape == (M, D, D)
         assert np.array_equal(f1, f) and np.array_equal(g1, grad)
         assert np.array_equal(hess, hess.transpose(0, 2, 1))
-        if model != "hatze":
-            assert np.array_equal(f0, f)
         p = spec.params_of(*x)
+        assert np.array_equal(f0, f) and np.array_equal(f, [rhs(x[0], p)])
         assert tuple(j.v for j in p.rate_jets) == p.rate_factors
         for a in range(D):
             # step 1e-6 relative: truncation and rounding stay near 1e-8 of
@@ -368,10 +372,6 @@ def test_derivs_contract_of_builtin_models(model):
             d2 = (at(up, 1)[1] - at(dn, 1)[1]) / (2.0 * h)
             assert np.all(np.abs(d1 - grad[:, a]) <= 1e-6 * np.maximum(1.0, np.abs(grad[:, a])))
             assert np.all(np.abs(d2 - hess[:, a]) <= 1e-6 * np.maximum(1.0, np.abs(hess[:, a])))
-
-
-_PARTIALS = {"zajac": (zajac_rhs, zajac_partials), "hatze": (hatze_rhs, hatze_partials),
-             "simplified-zajac": (zajac_rhs, zajac_partials)}
 
 
 @pytest.mark.parametrize("model", list(_MODELS))
@@ -387,13 +387,12 @@ def test_derivs_binds_parameters_by_value(model):
 
     def check(lam):
         fresh = spec.params_of(float(q[0]), *lam.copy())
-        f0 = spec.derivs(0.0, q, lam, 0)[0]
-        assert np.array_equal(f0, [rhs(float(q[0]), fresh)])
-        for order in (1, 2):
+        for order in (0, 1, 2):
             f, grad, hess = spec.derivs(0.0, q, lam, order)
-            ref = partials(float(q[0]), fresh, order == 2)
-            assert np.array_equal(f, [ref[0]]) and np.array_equal(grad, ref[1][None])
-            assert (hess is None) if order == 1 else np.array_equal(hess, ref[2][None])
+            ref = partials(float(q[0]), fresh, order)
+            assert np.array_equal(f, [ref[0]]) and ref[0] == rhs(float(q[0]), fresh)
+            assert (grad is None) if order == 0 else np.array_equal(grad, ref[1][None])
+            assert (hess is None) if order < 2 else np.array_equal(hess, ref[2][None])
 
     for lam in (lam1, lam2, lam1):
         check(lam)
@@ -418,7 +417,7 @@ def test_simplified_derivs_are_the_restricted_linear_partials():
         full = ZajacParams(sigma=sigma, q0=0.0, tau=tau, beta=1.0, q_init=q_init)
         for order in (1, 2):
             f, grad, hess = spec.derivs(0.0, np.array([q_init]), np.array([sigma, tau]), order)
-            ref_f, ref_grad, ref_hess = zajac_partials(q_init, full, order == 2)
+            ref_f, ref_grad, ref_hess = zajac_partials(q_init, full, order)
             assert f.tobytes() == np.array([ref_f]).tobytes()
             assert grad[0].tobytes() == ref_grad[keep].tobytes()
             if order == 2:
@@ -429,12 +428,14 @@ def _jet_partials(model, q, p):
     """The rhs's (f, grad, hess) as products of jets over the model's VARS,
     the form the cached basis replaced: j0 - q*j1 with the state q as a jet
     for zajac, and K * (P * W - V) with the hand-written jets of W and V for
-    hatze. An independent oracle for zajac_partials and hatze_partials."""
+    hatze, W = (1-q)^(1+1/nu) (q-q0)^(1-1/nu) with two powers. An independent
+    oracle for zajac_partials and hatze_partials; a fourth entry is the size
+    of f's terms, |c0| + |c1 q| or K (P W + V)."""
     n = len(p.RANGES)  # the state q, then the parameters
     if model == "zajac":
         j0, j1 = p.rate_jets
         f = j0 - _Jet(q, np.eye(n)[0], np.zeros((n, n))) * j1
-        return f.v, f.g, f.h
+        return f.v, f.g, f.h, abs(j0.v) + abs(j1.v * q)
     q0, nu = p.q0, p.nu
     q = min(max(q, q0 + HATZE_EPS), 1.0 - HATZE_EPS)
     Q, Q0, NU = (HATZE_VARS.index(v) for v in ("q", "q0", "nu"))
@@ -457,7 +458,7 @@ def _jet_partials(model, q, p):
     v2[Q, Q] = -2.0
     v2[Q, Q0] = v2[Q0, Q] = 1.0
     f = K * (P * _Jet(W, w1, w2) - _Jet(om * dq, v1, v2))
-    return f.v, f.g, f.h
+    return f.v, f.g, f.h, K.v * (P.v * W + om * dq)
 
 
 def _basis_points(model):
@@ -473,28 +474,37 @@ def _basis_points(model):
 
 @pytest.mark.parametrize("model", ["zajac", "hatze"])
 def test_basis_partials_match_the_jet_products(model):
-    # Both orders give the same f and grad. f is the jets' value expression
-    # on floats, so it agrees exactly. zajac's base + q*slope rounds as the
-    # jets do, so grad and hess agree exactly too. hatze's products sum the
-    # jets' terms in another order: bound 1e-14 of the largest entry, about
-    # 45 ulp (measured at most 8.1e-16 in grad and 8.9e-16 in hess, both at
-    # interior points; the clamp ends stay below 4.4e-16).
-    partials = zajac_partials if model == "zajac" else hatze_partials
+    # Every order gives the rhs's own f, and orders 1 and 2 the same grad.
+    # zajac's f is the jets' value expression on floats and its
+    # base + q*slope rounds as the jets do, so f, grad and hess agree with
+    # the jets exactly. hatze's f takes one power, W = V*r, where the jets'
+    # W takes two, and its products sum the jets' terms in another order:
+    # bound 1e-14, about 45 ulp, of the size of f's terms and of the
+    # largest entry of grad and hess (measured at most 2.0e-15 in f and
+    # 3.5e-15 in hess, at clamp ends, and 4.7e-15 in grad, at an interior
+    # point).
+    partials, rhs = _PARTIALS[model][::-1]
     bound = 0.0 if model == "zajac" else 1e-14
     for q, p in _basis_points(model):
-        ref_f, ref_g, ref_h = _jet_partials(model, q, p)
-        f1, g1, h1 = partials(q, p, False)
+        ref_f, ref_g, ref_h, size = _jet_partials(model, q, p)
+        f0, g0, h0 = partials(q, p, 0)
+        f1, g1, h1 = partials(q, p, 1)
         f, grad, hess = partials(q, p)
-        assert h1 is None and f1 == f == ref_f and np.array_equal(g1, grad)
+        assert g0 is None and h0 is None and h1 is None
+        assert f0 == f1 == f == rhs(q, p) and np.array_equal(g1, grad)
+        assert abs(f - ref_f) <= bound * size
         for got, ref in ((grad, ref_g), (hess, ref_h)):
             assert np.abs(got - ref).max() <= bound * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("model", ["zajac", "hatze"])
-def test_a_solve_runs_jet_arithmetic_only_to_build_each_basis(model, monkeypatch):
+@pytest.mark.parametrize("model, order", [("zajac", 2), ("hatze", 2), ("zajac", 0), ("hatze", 0)],
+                         ids=["zajac", "hatze", "zajac-order0", "hatze-order0"])
+def test_a_solve_runs_jet_arithmetic_only_to_build_each_basis(model, order, monkeypatch):
     # a deterministic work guard: during analyze at order 2 on a panel, each
     # parameter object that derivs binds builds its basis once, all jet
-    # arithmetic runs inside those builds, and no rhs evaluation runs any
+    # arithmetic runs inside those builds, and no rhs evaluation runs any;
+    # at order 0 every rhs evaluation still goes through the partials, and
+    # none builds a basis or runs jet arithmetic
     counts = collections.Counter()
     inside = []  # where the running code is: "rhs", then "build" within it
 
@@ -518,9 +528,9 @@ def test_a_solve_runs_jet_arithmetic_only_to_build_each_basis(model, monkeypatch
         finally:
             inside.pop()
 
-    def recording_partials(q, p, second=True):
+    def recording_partials(q, p, order=2):
         bound.append(p)
-        return partials(q, p, second)
+        return partials(q, p, order)
 
     monkeypatch.setattr(models, f"_{model}_basis", counting_build)
     monkeypatch.setattr(models, f"{model}_partials", recording_partials)
@@ -535,7 +545,10 @@ def test_a_solve_runs_jet_arithmetic_only_to_build_each_basis(model, monkeypatch
 
     scenarios = all_zajac_scenarios() if model == "zajac" else all_hatze_scenarios()
     analyze(dataclasses.replace(spec, derivs=derivs), scenarios[0][1], make_grid(0.5, 201),
-            order=2)
+            order=order)
+    if order == 0:
+        assert len(bound) > 100 and not built and not counts
+        return
     objects = {id(p) for p in bound}
     assert len(built) == len(objects) and {id(p) for p in built} == objects
     assert len(bound) > 100 * len(built)
@@ -569,6 +582,18 @@ def test_validate_rejects_non_finite_fields(params, bad):
         with pytest.raises(ParameterOutOfRange) as exc:
             dataclasses.replace(params, **{field: bad}).validate()
         assert exc.value.field == field
+
+
+@pytest.mark.parametrize("params", [ZajacParams(sigma=0.5), HatzeParams(sigma=0.5, q_init=0.5),
+                                    simplified_zajac_model().params_of(0.1, 0.5, 0.025)],
+                         ids=["zajac", "hatze", "simplified-zajac"])
+def test_parameter_points_are_frozen(params):
+    # the cached rate factors, jets and partials basis can never go stale
+    basis = params.partials_basis
+    for field in params.RANGES:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(params, field, 0.5)
+    assert params.partials_basis is basis
 
 
 def _params_of(model, cols):
