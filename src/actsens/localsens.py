@@ -93,7 +93,8 @@ def _augmented_system(model: ModelSpec, lam, y0, *, order):
     ii, jj = np.triu_indices(N)
     n_s = (N + M) * M if order >= 1 else 0
     n_r = ii.size * M if order >= 2 else 0
-    upper = ii * N + jj  # the upper triangle's positions in a flattened (N, N) block
+    # the upper triangle's flat positions in an (M, N, N) block, as (pairs, M)
+    upper = (ii * N + jj)[:, None] + N * N * np.arange(M)
     # W[i] = dx/dlam_i = (S_i, e_i): the e_i half is fixed, S is written per call
     W = np.zeros((N, M + N))
     W[:, M:] = np.eye(N)
@@ -102,27 +103,23 @@ def _augmented_system(model: ModelSpec, lam, y0, *, order):
     # each result into its stage row before its next call, and a central
     # difference concatenates (so copies) the results of its two systems.
     dz = np.empty(M + n_s + n_r)
-    dz_s = dz[M:M + n_s].reshape(-1, M)  # (N + M, M) from order 1, else empty
-    dz_s_params = dz_s[:N]
-    dz_r = dz[M + n_s:].reshape(-1, M)  # (ii.size, M) at order 2, else empty
+    dz_rows = dz[M:].reshape(-1, M)  # the S rows, then the R rows
+    dz_s_params = dz_rows[:N]
+    dz_r = dz_rows[N + M:]  # (ii.size, M) at order 2, else empty
 
     def rhs(t, z):
         y = z[:M]
         f, grad, hess = model.derivs(t, y, lam, order)
         dz[:M] = f
         if order >= 1:
-            # rows 0..N-1: dynamic parameters, rows N..N+M-1: initial values
-            S = z[M:M + n_s].reshape(N + M, M)
-            J_y_T = grad[:, :M].T
-            np.matmul(S, J_y_T, out=dz_s)
+            # S rows 0..N-1: dynamic parameters, N..N+M-1: initial values;
+            # every S and R row solves d(row)/dt = row J^T + its forcing
+            np.matmul(z[M:].reshape(-1, M), grad[:, :M].T, out=dz_rows)
             dz_s_params[...] += grad[:, M:].T
         if order >= 2:
             # the forcing of R_ij is W_i^T H W_j
-            W[:, :M] = S[:N]
-            quad = W @ hess @ W_T
-            r = z[M + n_s:].reshape(ii.size, M)
-            np.matmul(r, J_y_T, out=dz_r)
-            dz_r[...] += quad.reshape(M, -1).take(upper, axis=1).T
+            W[:, :M] = z[M:M + N * M].reshape(N, M)
+            dz_r[...] += (W @ hess @ W_T).take(upper)
         return dz
 
     z0 = np.zeros(M + n_s + n_r)

@@ -528,7 +528,7 @@ def test_write_csv_matches_savetxt_byte_for_byte(tmp_path):
                      [1e300, -1e-300, 1.0 / 3.0, 0.1]])
     header = ["t_seconds", "a", "b", "c"]
     cli.write_csv(tmp_path / "fast.csv", header, list(data.T))
-    np.savetxt(tmp_path / "ref.csv", data, fmt="%.17g", delimiter=",",
+    np.savetxt(tmp_path / "ref.csv", data, fmt=cli._FLOAT_FMT, delimiter=",",
                header=",".join(header), comments="")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
@@ -674,7 +674,36 @@ def test_plot_requests_name_their_files_curves_and_axes(tmp_path, monkeypatch, a
         assert all(np.shape(series) == (3,) for series in curves.values())
     if argv[0] == "analytic":  # the plot shows |S_tau|, the CSV the signed S_tau
         _, data = _read_csv(out / "analytic_sensitivities.csv")
-        assert np.array_equal(calls[0][2]["|S_tau|"], np.abs(data[:, 2]))
+        printed = [float(cli._FLOAT_FMT % v) for v in calls[0][2]["|S_tau|"]]
+        assert np.array_equal(printed, np.abs(data[:, 2]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["local-sens", "--model", "hatze", "--second-order"],
+    ["global-sens", "--model", "hatze", "--n", "8", "--seed", "3"],
+], ids=["local-sens-second-order", "global-sens"])
+def test_csv_values_are_the_results_at_fourteen_digits(tmp_path, monkeypatch, argv):
+    # every value printed is the in-memory value rounded to 14 significant
+    # digits: within half a unit in the 14th digit (5e-14 relative) plus the
+    # parse's half ulp of it
+    written, write_csv = {}, cli.write_csv
+
+    def recording_write_csv(path, header, columns):
+        written[path.name] = np.column_stack(columns)
+        write_csv(path, header, columns)
+
+    monkeypatch.setattr(cli, "write_csv", recording_write_csv)
+    out = tmp_path / "run"
+    assert main(argv + ["--t-end", "0.1", "--points", "21", "--output", str(out)]) == 0
+    assert written
+    for name, values in written.items():
+        _, data = _read_csv(out / name)
+        rounded = np.vectorize(lambda v: float(cli._FLOAT_FMT % v))(values)
+        assert np.array_equal(data, rounded, equal_nan=True), name
+        normal = np.abs(values) >= np.finfo(float).tiny
+        assert normal.any(), name
+        err = np.abs(data - values)[normal]
+        assert np.all(err <= 6e-14 * np.abs(values[normal])), name
 
 
 def test_plots_are_emitted(tmp_path):
