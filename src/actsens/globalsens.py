@@ -9,10 +9,12 @@ one parameter column:
     V_i    from pairs sharing only column i      -> VBS_i = V_i / V
     V_~i   from pairs sharing all but column i   -> TSI_i = 1 - V_~i / V
 
-Both estimators are averaged over their two available pairings. Sampling is
-seeded and counter-based: every row owns its own substream, so rejection
-resampling of one row never disturbs any other row and results are
-bit-reproducible for a given (cuboid, n, seed, grid).
+Both estimators are averaged over their two available pairings, and
+:func:`vbs_tsi` takes all of them in one pass over blocks of a few times of
+the time-major family of solutions. Sampling is seeded and counter-based:
+every row owns its own substream, so rejection resampling of one row never
+disturbs any other row and results are bit-reproducible for a given
+(cuboid, n, seed, grid).
 """
 
 from __future__ import annotations
@@ -42,6 +44,11 @@ VARIANCE_FLOOR = 1e-12
 MAX_DRAWS = 10_000
 #: Resampling rounds for rows whose evaluation fails.
 MAX_RETRIES = 5
+#: Times per block of :func:`vbs_tsi`'s reduction. Its temporaries hold two
+#: times' rows, 1.2 MB for hatze's 36,864 rows at n = 2048, and stay in a
+#: core's cache: on the n = 2048 families 3 and 4 were slower, and 1 was as
+#: fast over zajac and hatze together.
+_TIMES_PER_BLOCK = 2
 
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71)
@@ -232,27 +239,16 @@ def build_sample_matrices(
     )
 
 
-def _blocks(values: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """Views (A, B, A_swapped, B_swapped) into rows stacked in that order."""
-    N = values.shape[0] // (2 * n) - 1
-    return (
-        values[:n],
-        values[n:2 * n],
-        values[2 * n:(N + 2) * n].reshape(N, n, -1),
-        values[(N + 2) * n:].reshape(N, n, -1),
-    )
-
-
 @dataclass
 class FamilyEvaluation:
     """Model outputs for every sample row: the family of solutions.
 
     ``values`` holds all 2n(N+1) solutions as a (rows, T) array, in the row
-    order of ``_family_rows``; ``_blocks(values, n)`` splits it into views
-    of the A, B, A_swapped and B_swapped solutions. Underneath it is
-    time-major, the integrator's own layout: ``values.T`` is one
-    C-contiguous (T, rows) array, so each time's values over all rows are
-    contiguous.
+    order of ``_family_rows``. Underneath it is time-major, the
+    integrator's own layout: ``values.T`` is one C-contiguous (T, rows)
+    array, so each time's values over all rows are contiguous, and
+    ``values.T.reshape(T, 2(N+1), n)`` views them as the A, B, N A_swapped
+    and N B_swapped solutions of each time.
     """
 
     times: np.ndarray
@@ -349,30 +345,42 @@ def vbs_tsi(family: FamilyEvaluation, matrices: SampleMatrices) -> GlobalResult:
 
     Negative Monte-Carlo variance estimates are clipped at zero before the
     ratios; times where V(t) falls below VARIANCE_FLOOR are flagged undefined.
-    Every mean runs over the sample rows of one time, on (T, n) views of the
-    time-major family, so with ``family.values.T`` C-contiguous it sums
-    along contiguous memory; one (T, n) buffer serves every product.
+
+    With D_i = A_i - A and E_i = B_i - B, the pairings (B, A_i) and (A, B_i)
+    give V_i = (B.D_i + A.E_i) / 2n, and (A, A_i) and (B, B_i) give
+    V_~i = (A.D_i + B.E_i + (A-B).(A-B)) / 2n, each dot product over the n
+    sample rows of one time. One pass over blocks of _TIMES_PER_BLOCK times
+    of the time-major family writes a block's D_i, E_i and A - B into one
+    reused buffer, dots them all with A - B, A and B in one stacked product,
+    and takes V(t) from the block's centred sum of squares over all rows, so
+    no temporary is larger than a block. Differences come first, so a
+    column that leaves the solutions unchanged gets V_i exactly 0. V(t)'s
+    sums over all rows are numpy's own reductions, and a threaded BLAS
+    product splits its output entries, not their sums, so the result does
+    not depend on the BLAS thread count (unlike one BLAS dot per time).
     """
-    y_a, y_b, y_as, y_bs = _blocks(family.values, family.n)
-    a, b = y_a.T, y_b.T  # (T, n)
-    # (T,): one time at a time, so var's temporary is one row, not the family
-    v_total = np.array([y.var(ddof=1) for y in family.values.T])
-
-    buf = np.empty(a.shape)
-
-    def mean_product(y, swapped, base):
-        # mean over rows of y * (swapped - base), one value per time
-        np.subtract(swapped, base, out=buf)
-        return np.multiply(buf, y, out=buf).mean(axis=1)
-
-    v_first = np.empty((y_as.shape[0], a.shape[0]))  # (N, T)
-    v_complement = np.empty_like(v_first)
-    for i, (a_i, b_i) in enumerate(zip(y_as, y_bs)):
-        a_i, b_i = a_i.T, b_i.T
-        # shares-only-column-i pairings: (B, A_i) and (A, B_i)
-        v_first[i] = 0.5 * (mean_product(b, a_i, a) + mean_product(a, b_i, b))
-        # shares-all-but-column-i pairings: (A, A_i) and (B, B_i)
-        v_complement[i] = 0.5 * (mean_product(a, a_i, b) + mean_product(b, b_i, a))
+    n = family.n
+    by_time = family.values.T  # (T, rows)
+    T, rows = by_time.shape
+    N = rows // (2 * n) - 1
+    v_total = np.empty(T)
+    dots = np.empty((T, 2 * N + 1, 3))
+    work = np.empty((_TIMES_PER_BLOCK, 2 * N + 3, n))  # D_1..D_N, E_1..E_N, A-B, A, B
+    for start in range(0, T, _TIMES_PER_BLOCK):
+        times = slice(start, start + _TIMES_PER_BLOCK)
+        block = by_time[times]
+        runs = block.reshape(block.shape[0], 2 * N + 2, n)  # A, B, A_1..A_N, B_1..B_N
+        w = work[:block.shape[0]]
+        np.subtract(runs[:, 2:N + 2], runs[:, :1], out=w[:, :N])
+        np.subtract(runs[:, N + 2:], runs[:, 1:2], out=w[:, N:2 * N])
+        np.subtract(runs[:, 0], runs[:, 1], out=w[:, 2 * N])
+        w[:, 2 * N + 1:] = runs[:, :2]
+        np.matmul(w[:, :2 * N + 1], w[:, 2 * N:].transpose(0, 2, 1), out=dots[times])
+        v_total[times] = block.var(axis=1, ddof=1)
+    # (with A - B, with A, with B) per parameter: each (3, N, T)
+    d, e = dots[:, :N].T, dots[:, N:2 * N].T
+    v_first = (0.5 / n) * (d[2] + e[1])
+    v_complement = (0.5 / n) * (d[1] + e[2] + dots[:, 2 * N, 0])
 
     undefined = v_total < VARIANCE_FLOOR
     safe_v = np.where(undefined, 1.0, v_total)

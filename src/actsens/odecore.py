@@ -6,7 +6,10 @@ estimate. Output values come from the pair's 4th-order continuous extension
 (Shampine 1986, Math. Comp. 46:135; Hairer, Norsett & Wanner, Solving ODEs I,
 sec. II.6), built from the seven stages of each accepted step at no extra rhs
 evaluation. They are evaluated exactly at the requested grid times, so the
-returned time axis is bit-identical to the request.
+returned time axis is bit-identical to the request: the grid points that a
+step covers get their stage weights as one small (points, 7) block and their
+values as one product of that block with the stages, written straight into
+the output.
 """
 
 from __future__ import annotations
@@ -34,7 +37,9 @@ _A = (
 _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 # b5 - b4: coefficients of the embedded error estimate.
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-# Continuous extension: y(t + theta*h) = y + h * [theta, ..., theta^4] @ (_P.T @ k).
+# Continuous extension: y(t + theta*h) = y + (h * [theta, ..., theta^4] @ _P.T) @ k.
+# The bracket is a (g, 7) block of stage weights, one row per grid point that
+# an accepted step covers, so those g values are one product with the stages.
 _P = np.array([
     [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
     [0.0, 0.0, 0.0, 0.0],
@@ -200,7 +205,6 @@ def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
     # per stage s = 1..5: its node, tableau row, the earlier stages and its row
     stages = tuple(zip(_C[1:], _A_ROWS, (k[:s].T for s in range(1, 6)), k[1:6]))
     k_b5, k_all, k_first, k_last = k[:6].T, k.T, k[0], k[6]
-    dense = np.empty((4, y.size))  # continuous-extension coefficients of a step
     abs_y = np.abs(y)
     attempts, max_attempts = 0, MAX_STEP_ATTEMPTS
 
@@ -248,9 +252,8 @@ def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
             if gi < n_times and times[gi] <= t_new:
                 end = bisect.bisect_right(times, t_new, gi)
                 theta = (grid[gi:end] - t) / h
-                np.matmul(_P.T, k, out=dense)
                 block = out[gi:end]
-                np.matmul(h * theta[:, None] ** _POWERS, dense, out=block)
+                np.matmul((h * theta[:, None] ** _POWERS) @ _P.T, k, out=block)
                 block += y
                 if times[end - 1] == t_new:
                     out[end - 1] = y_new  # exact at the step's end

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,14 +24,22 @@ from actsens import (
     zajac_model,
 )
 from actsens.globalsens import (
-    _FIRST_PRIMES, FamilyEvaluation, _blocks, _family_rows, _halton_points, _rows_valid,
+    _FIRST_PRIMES, FamilyEvaluation, _family_rows, _halton_points, _rows_valid,
 )
+from actsens.odecore import make_grid
 from actsens.presets import family_evaluator, builtin_cuboid, row_validity
 
 UNIT2 = ParameterCuboid.from_dict({"x1": (0.0, 1.0), "x2": (0.0, 1.0)})
 UNIT3 = ParameterCuboid.from_dict({"x1": (0.0, 1.0), "x2": (0.0, 1.0),
                                    "x3": (0.0, 1.0)})
 GRID = np.array([0.0, 1.0])
+
+
+def _blocks(rows, n):
+    """(A, B, A_swapped, B_swapped) of rows stacked in ``_family_rows`` order."""
+    N = rows.shape[0] // (2 * n) - 1
+    return (rows[:n], rows[n:2 * n], rows[2 * n:(N + 2) * n].reshape(N, n, -1),
+            rows[(N + 2) * n:].reshape(N, n, -1))
 
 
 def constant_in_time(values):
@@ -323,7 +336,9 @@ def test_values_are_the_stacked_blocks_after_resampling():
     # the evaluator returned a C-ordered (rows, T) array, copied once into
     # the time-major layout
     assert values.T.flags.c_contiguous and values.shape == (2 * 16 * 3, GRID.size)
-    y_a, y_b, y_as, y_bs = _blocks(values, fam.n)
+    by_block = values.T.reshape(GRID.size, 2 * (2 + 1), fam.n)  # (T, 2(N+1), n)
+    y_a, y_b = by_block[:, 0].T, by_block[:, 1].T
+    y_as, y_bs = by_block[:, 2:4].transpose(1, 2, 0), by_block[:, 4:].transpose(1, 2, 0)
     parts = [y_a, y_b, y_as.reshape(-1, GRID.size), y_bs.reshape(-1, GRID.size)]
     assert all(np.shares_memory(part, values) for part in parts)
     assert np.array_equal(values, np.concatenate(parts))
@@ -378,6 +393,87 @@ def test_vbs_tsi_matches_the_broadcast_reduction(layout):
     np.testing.assert_allclose(res.v_total, v_total, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(res.v_first, v_first, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(res.v_complement, v_complement, rtol=0.0, atol=1e-13)
+
+
+# run in a fresh process, where the BLAS thread count is read at start-up
+_REDUCE_SEEDED_FAMILY = """
+import sys
+import numpy as np
+from actsens.globalsens import (
+    FamilyEvaluation, ParameterCuboid, _family_rows, build_sample_matrices, vbs_tsi)
+cub = ParameterCuboid.from_dict({"x1": (0.0, 1.0), "x2": (0.0, 1.0), "x3": (0.0, 1.0)})
+m = build_sample_matrices(cub, n=2048, seed=5)
+rows = _family_rows(m.a, m.b)
+t = np.linspace(0.0, 1.0, 7)
+values = np.sin(3.0 * rows[:, :1] + t) + rows[:, 1:2] * rows[:, 2:3] * t
+fam = FamilyEvaluation(times=t, values=np.ascontiguousarray(values.T).T, n=m.n,
+                       n_evaluations=rows.shape[0])
+res = vbs_tsi(fam, m)
+np.savez(sys.argv[1], v_total=res.v_total, v_first=res.v_first,
+         v_complement=res.v_complement)
+"""
+
+
+def test_vbs_tsi_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # 16,384 rows per time: OpenBLAS splits a dot product over threads above
+    # 10,000 elements, so one long dot per time would change with the count
+    src = str(Path(globalsens.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    results = []
+    for threads in ("1", None):  # one thread, then the default
+        env = dict(base, OPENBLAS_NUM_THREADS=threads) if threads else base
+        out = tmp_path / f"threads-{threads or 'default'}.npz"
+        done = subprocess.run([sys.executable, "-c", _REDUCE_SEEDED_FAMILY, str(out)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        results.append(np.load(out))
+    one, default = results
+    for key in ("v_total", "v_first", "v_complement"):
+        assert one[key].tobytes() == default[key].tobytes(), key
+
+
+@pytest.mark.parametrize("T", [1, 7, 101])
+def test_a_column_without_effect_has_exactly_zero_first_order_variance(T):
+    cub = ParameterCuboid.from_dict({"x1": (0.0, 1.0), "x2": (0.7, 0.7)})
+    m = build_sample_matrices(cub, n=256, seed=17)
+    t = np.linspace(0.0, 1.0, T)
+    fam = evaluate_family(lambda rows, grid: rows[:, :1] * (1.0 + grid) + rows[:, 1:2],
+                          m, t)
+    res = vbs_tsi(fam, m)
+    assert np.all(res.v_first[1] == 0.0)
+    assert np.all(res.v_first[0] > 0.0)
+
+
+@pytest.mark.parametrize("model", ["zajac", "hatze"])
+def test_columns_without_effect_at_the_start_have_exactly_zero_first_order_variance(model):
+    # at t = 0 every solution is its initial activity, the first column; on
+    # this sample, hatze's products of undifferenced blocks leave 1e-17 there
+    cub = builtin_cuboid(model)
+    m = build_sample_matrices(cub, n=512, seed=2, validity=row_validity(model))
+    fam = evaluate_family(family_evaluator(model), m, make_grid(0.5, 101))
+    for T in (1, 7, 101):  # the first T times, still time-major
+        res = vbs_tsi(FamilyEvaluation(times=fam.times[:T], values=fam.values[:, :T],
+                                       n=fam.n, n_evaluations=fam.n_evaluations), m)
+        assert np.all(res.v_first[1:, 0] == 0.0), T
+        assert res.v_first[0, 0] > 0.0 and np.all(res.v_first[:, 1:] != 0.0)
+
+
+def test_vbs_tsi_holds_no_family_sized_temporary():
+    # hatze's family at n = 2048: 8 parameters, 36,864 rows, 101 times
+    cub = ParameterCuboid.from_dict({f"x{i}": (0.0, 1.0) for i in range(8)})
+    m = build_sample_matrices(cub, n=2048, seed=3)
+    values = np.random.default_rng(3).random((101, 2 * m.n * 9)).T  # time-major
+    fam = FamilyEvaluation(times=np.linspace(0.0, 0.5, 101), values=values, n=m.n,
+                           n_evaluations=values.shape[0])
+    tracemalloc.start()
+    try:
+        vbs_tsi(fam, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes / 8, (peak, values.nbytes)
 
 
 def test_evaluation_count_includes_resampled_rows():
