@@ -169,7 +169,7 @@ def _load_bounds(path: str, model_name: str) -> ParameterCuboid:
     lower end and b at its top, so it is checked there: a cuboid that fails
     it holds no valid row.
     """
-    spec = BUILTIN_MODELS[model_name].model()
+    spec, declared = BUILTIN_MODELS[model_name].model(), BUILTIN_MODELS[model_name].params
     names = spec.canonical_order
     entries = _load_config(path)
     if set(entries) != set(names):
@@ -189,13 +189,12 @@ def _load_bounds(path: str, model_name: str) -> ParameterCuboid:
         pairs[name] = (lo, hi)
     cuboid = ParameterCuboid.from_dict(pairs)
     lower, top = cuboid.lower, np.nextafter(cuboid.upper, cuboid.lower)
-    declared = type(spec.params_of(*top))
-    canonical = dict(zip(declared.RANGES, declared.canonical_order()))  # field -> file name
+    canonical = dict(zip(declared.RANGES, names))  # field -> file name
     # each joint constraint a op b where it is likeliest to hold
     smaller = {a for a, *_ in declared.ORDER}
     best = np.where([f in smaller for f in canonical], lower, top)
     for corner, joint in ((lower, False), (top, False), (best, True)):
-        for ok, cond, _, rule in domain_checks(spec.params_of(*corner), canonical):
+        for ok, cond, _, rule in domain_checks(spec.params_of(*corner)):
             if not ok and (len(cond) > 1) == joint:
                 bad = [canonical[f] for f in cond]
                 raise ConfigError(
@@ -306,10 +305,10 @@ def _scenario_params(settings) -> tuple:
 def _validate(model, p, settings) -> None:
     """Range-check the resolved parameters once, before any solve.
 
-    An out-of-range value is a configuration error, which names the file line
-    of a value read from a config file (each parameter field is named as its
-    setting); a CE length at or beyond the pole ell_rho stays a PoleViolation
-    (numerical failure).
+    An out-of-range value is a configuration error, whose message names each
+    parameter by its canonical name and, for a value read from a config
+    file, the file line of its setting; a CE length at or beyond the pole
+    ell_rho stays a PoleViolation (numerical failure).
     """
     try:
         p.validate()

@@ -24,7 +24,7 @@ class StepBudgetExceeded(IntegrationError):
 
 
 class PoleViolation(ActsensError, ValueError):
-    """Relative CE length outside (0, ell_rho), where the length-dependency blows up."""
+    """Relative CE length at or beyond ell_rho, where the length-dependency blows up."""
 
 
 class ParameterOutOfRange(ActsensError, ValueError):

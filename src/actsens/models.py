@@ -9,11 +9,12 @@ state and all parameters, which is what the sensitivity machinery in
 
 All formula functions broadcast over numpy arrays, so the same code serves
 scalar evaluation, batched ensembles (array-valued parameter fields), and
-length sweeps in the optimizer. The static formulas (``hatze_rho``,
-``hatze_q_of_gamma``, ``force_length_relative``) check their input, the
-parameters they read included, and then call a private unchecked twin
-(leading underscore), which callers whose input is already checked use
-directly.
+length sweeps in the optimizer. The checked formulas ``hatze_rho`` and
+``hatze_q_of_gamma`` run the declared conditions of the fields they read,
+the CE length and its pole included, as ``validate`` runs them (see
+:func:`domain_checks`), and then call a private unchecked twin (leading
+underscore), which callers whose input is already checked use directly;
+``force_length`` checks for a positive length before its twin.
 
 ``zajac_partials`` and ``hatze_partials`` return ``(f, grad, hess)`` at one
 scalar point and order 0, 1 or 2: the rhs value, bit for bit what
@@ -38,14 +39,16 @@ through unchanged at every order, adding only the state axis.
 Each parameter class declares once its fields' canonical order and names
 (``RANGES``, ``NAMES``), from which the variables, the ModelSpec names and
 the CLI's keys derive, and its domain, as field ranges and joint order
-constraints; ``validate``, ensemble row validity and the CLI's bounds-file
-check all read the domain through :func:`domain_checks`. The parameter class
-is also the one container of a built-in model's parameter point: the
-scenario presets return one, and the sensitivity drivers read it by
-canonical name through ``as_dict`` (a custom model's point is a plain
-mapping of its canonical names). The simplified linear model has its own
-class, a ``ZajacParams`` with q0 = 0 and beta = 1 fixed, whose canonical
-order is (q_Z0, sigma, tau); each ModelSpec takes its names from its class.
+constraints; ``validate``, ensemble row validity, the CLI's bounds-file
+check, the checked formulas and a hatze point's rate factors all read the
+domain through :func:`domain_checks`, whose messages name each field by its
+canonical name. The parameter class is also the one container of a built-in
+model's parameter point: the scenario presets return one, and the
+sensitivity drivers read it by canonical name through ``as_dict`` (a custom
+model's point is a plain mapping of its canonical names). The simplified
+linear model has its own class, a ``ZajacParams`` with q0 = 0 and beta = 1
+fixed, whose canonical order is (q_Z0, sigma, tau); each ModelSpec takes its
+names from its class.
 """
 
 from __future__ import annotations
@@ -88,22 +91,25 @@ __all__ = [
 HATZE_EPS = 1e-12
 
 
-def domain_checks(p, label: dict | None = None):
+def domain_checks(p):
     """Each condition of p's declared domain as ``(ok, fields, error, text)``.
 
     ``p.RANGES`` maps each field, in canonical order, to ``(low, high, ends)``
     (ends such as "[)" tell which limits are valid; an infinite one is open);
-    ``p.ORDER`` lists joint constraints ``(a, op, b, error)``, op "<" or "<=".
-    ``ok`` is a bool, or a bool array when p's fields are columns of rows.
-    ``text`` names a field by its entry in ``label``, or else by itself.
+    ``p.ORDER`` lists joint constraints ``(a, op, b, error)``, op "<" or "<=",
+    whose rule puts a between its low limit and b. ``ok`` is a bool, or a
+    bool array when p's fields are columns of rows. ``text`` names each field
+    by its canonical name (``p.NAMES``).
     """
-    name = (label or {}).get
+    name = p.NAMES.get
     for field, (low, high, ends) in p.RANGES.items():
         yield (_in_range(getattr(p, field), low, high, ends), (field,), ParameterOutOfRange,
                f"{name(field, field)} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}")
     for a, op, b, error in p.ORDER:
+        low, _, ends = p.RANGES[a]
+        close = ")" if op == "<" else "]"
         yield (_ordered(getattr(p, a), op, getattr(p, b)), (a, b), error,
-               _order_text(p.RANGES, a, op, b, name))
+               f"{name(a, a)} must lie in {ends[0]}{low:g}, {name(b, b)}{close}")
 
 
 def _in_range(v, low, high, ends):
@@ -116,19 +122,13 @@ def _ordered(x, op, y):
     return (x < y) if op == "<" else (x <= y)
 
 
-def _order_text(ranges, a, op, b, name) -> str:
-    """The rule of a joint constraint a op b: a between its low limit and b;
-    ``name(field, field)`` gives the name a field goes by."""
-    low, _, ends = ranges[a]
-    return f"{name(a, a)} must lie in {ends[0]}{low:g}, {name(b, b)}{')' if op == '<' else ']'}"
-
-
 def _raise_first_failure(p) -> None:
     """Raise for the first failing condition of ``domain_checks(p)``; a
     ParameterOutOfRange names its last field."""
     for ok, fields, error, text in domain_checks(p):
         if not np.all(ok):
-            text += "; " + _where_bad(np.logical_not(ok), **{f: getattr(p, f) for f in fields})
+            text += "; " + _where_bad(np.logical_not(ok),
+                                      **{p.NAMES.get(f, f): getattr(p, f) for f in fields})
             raise error(text) if error is PoleViolation else error(fields[-1], text)
 
 
@@ -263,10 +263,9 @@ class HatzeParams(_Domain):
         return _hatze_basis(self)
 
     def _rate_fields(self) -> tuple:
-        # after hatze_rho's checks, so a CE length outside (0, ell_rho) raises
-        # PoleViolation on every access to the rates
-        _check_hatze_fields(rho_c=self.rho_c, ell_rho=self.ell_rho)
-        _checked_length(self.ell_ce_rel, self.ell_rho)
+        # after hatze_rho's checks, so a bad field that it reads raises on
+        # every access to the rates
+        _check_hatze_fields(rho_c=self.rho_c, ell_rho=self.ell_rho, ell_ce_rel=self.ell_ce_rel)
         return super()._rate_fields()
 
 
@@ -455,44 +454,32 @@ def _where_bad(bad, **values) -> str:
     return f"{int(bad.sum())} of {bad.size} entries fail, the first at index {index}: {got}"
 
 
-# the pole: ell_ce_rel's declared range, capped by ell_rho
-_POLE = next(c for c in HatzeParams.ORDER if c[3] is PoleViolation)
-_POLE_RANGE = HatzeParams.RANGES[_POLE[0]]
-_POLE_TEXT = _order_text(HatzeParams.RANGES, *_POLE[:3], {}.get)
-
-
-def _checked_length(ell_ce_rel, ell_rho) -> np.ndarray:
-    """Relative CE length as an array; PoleViolation outside the declared
-    (0, ell_rho), NaN in either argument included."""
-    ell = np.asarray(ell_ce_rel, dtype=float)
-    ok = _in_range(ell, *_POLE_RANGE) & _ordered(ell, _POLE[1], ell_rho)
-    if not ok.all():
-        raise _POLE[3](f"{_POLE_TEXT}; " + _where_bad(~ok, ell_ce_rel=ell, ell_rho=ell_rho))
-    return ell
-
-
 def _hatze_rho(ell, rho_c, ell_rho):
     # unchecked formula behind hatze_rho
     return rho_c * (ell_rho - 1.0) / (ell_rho / ell - 1.0)
 
 
 def _check_hatze_fields(**fields) -> None:
-    """ParameterOutOfRange, as ``HatzeParams.validate`` raises it, for the
-    first of the given fields outside its declared range, NaN included."""
+    """Raise as ``HatzeParams.validate`` does for the first failing condition
+    of the domain over just the given fields: their ranges, then the joint
+    constraints between them (the pole included), NaN failing each."""
     ranges = HatzeParams.RANGES
-    for f, v in fields.items():
-        ok = _in_range(v, *ranges[f])
+    order = [c for c in HatzeParams.ORDER if c[0] in fields and c[2] in fields]
+    for ok in ([_in_range(v, *ranges[f]) for f, v in fields.items()]
+               + [_ordered(fields[a], op, fields[b]) for a, op, b, _ in order]):
         # np.all costs microseconds even on a bool; this check runs per force scan
         if ok is not True and (ok is False or not ok.all()):
             # only a failure pays for domain_checks' messages
             _raise_first_failure(SimpleNamespace(
-                RANGES={f: r for f, r in ranges.items() if f in fields}, ORDER=(), **fields))
+                RANGES={f: r for f, r in ranges.items() if f in fields}, ORDER=order,
+                NAMES=HatzeParams.NAMES, **fields))
 
 
 def hatze_rho(ell_ce_rel, rho_c, ell_rho):
     """Length dependency rho_c (ell_rho - 1) / (ell_rho/ell - 1); pole at ell_rho."""
-    _check_hatze_fields(rho_c=rho_c, ell_rho=ell_rho)
-    out = _hatze_rho(_checked_length(ell_ce_rel, ell_rho), rho_c, ell_rho)
+    ell = np.asarray(ell_ce_rel, dtype=float)
+    _check_hatze_fields(rho_c=rho_c, ell_rho=ell_rho, ell_ce_rel=ell)
+    out = _hatze_rho(ell, rho_c, ell_rho)
     return float(out) if np.isscalar(ell_ce_rel) else out
 
 
@@ -527,9 +514,9 @@ def _hatze_log_q_slopes(gamma, ell, p: HatzeParams):
 
 def hatze_q_of_gamma(gamma, ell_ce_rel, p: HatzeParams):
     """Activity from normalized free-calcium concentration via the nu-power saturation."""
-    _check_hatze_fields(q0=p.q0, rho_c=p.rho_c, nu=p.nu, ell_rho=p.ell_rho)
-    out = _hatze_q_of_gamma(np.asarray(gamma, dtype=float),
-                            _checked_length(ell_ce_rel, p.ell_rho), p)
+    ell = np.asarray(ell_ce_rel, dtype=float)
+    _check_hatze_fields(q0=p.q0, rho_c=p.rho_c, nu=p.nu, ell_rho=p.ell_rho, ell_ce_rel=ell)
+    out = _hatze_q_of_gamma(np.asarray(gamma, dtype=float), ell, p)
     return float(out) if np.isscalar(gamma) and np.isscalar(ell_ce_rel) else out
 
 

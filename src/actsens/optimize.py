@@ -74,7 +74,6 @@ class ShiftTargets:
 
     levels: tuple[float, ...]
     shifts_mm: tuple[float, ...]
-    source: str = ""
 
     def __post_init__(self):
         if len(self.levels) != len(self.shifts_mm):
@@ -96,14 +95,14 @@ def _check_target(gamma: float, shift: float) -> None:
 def load_shift_targets(path) -> ShiftTargets:
     """Read a two-column CSV ``gamma,shift_mm`` (header row required).
 
-    A malformed file raises ValueError naming the path and, for a bad row
-    (one whose field count is not two included), its line.
+    A malformed file raises ValueError naming the path and, for a bad header
+    or row (one whose field count is not two included), its line.
     """
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["gamma", "shift_mm"]:
+        if [h.strip().lower() for h in header or ()] != ["gamma", "shift_mm"]:
             raise ValueError(
                 f"{path}:1: expected header 'gamma,shift_mm', got {header}"
             )
@@ -128,7 +127,7 @@ def load_shift_targets(path) -> ShiftTargets:
             shifts.append(shift)
     if not line_of:
         raise ValueError(f"{path}: no target rows after the header")
-    return ShiftTargets(tuple(line_of), tuple(shifts), source=str(path))
+    return ShiftTargets(tuple(line_of), tuple(shifts))
 
 
 @dataclass(frozen=True)
@@ -222,7 +221,8 @@ def _argmax_force(
     (F, L), one row per set, instead of (L,).
 
     One coarse grid scan over all levels goes through the checked
-    isometric_force, so a span outside (0, ell_rho) raises PoleViolation.
+    isometric_force, so a span reaching ell_rho raises PoleViolation, and
+    one reaching 0 ParameterOutOfRange.
     The exact maximum is the root of g(u) = d log F / du, u = ell/ell_opt,
     found by :func:`_newton_peak` inside the scan's bracket of two steps
     around its best point, clipped to u > 1: the activity rises with length
@@ -572,9 +572,8 @@ def synthesize_targets(
 ) -> ShiftTargets:
     """Generate self-consistent targets from known parameters (for testing)."""
     probe = FitProblem(
-        targets=ShiftTargets(levels, tuple(0.0 for _ in levels), source="probe"),
+        targets=ShiftTargets(levels, tuple(0.0 for _ in levels)),
         flr_kind=kind, nu=nu, width_start=width, rho0_start=rho0, ell_opt=ell_opt,
     )
     shifts = predicted_shifts(width, rho0, probe)
-    return ShiftTargets(levels, tuple(float(s) for s in shifts),
-                        source=f"synthetic(width={width}, rho0={rho0}, nu={nu}, {kind})")
+    return ShiftTargets(levels, tuple(float(s) for s in shifts))

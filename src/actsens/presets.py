@@ -8,9 +8,9 @@ each panel is its model's parameter object (``ZajacParams``,
 ``HatzeParams``): what a panel does not set comes from the class defaults.
 ``BUILTIN_MODELS`` declares each model of the global analysis once: its
 ModelSpec factory (canonical order, parameter map), its parameter class, its
-bounds keyed by field (named, as every parameter is, through the class's
-``NAMES``) and its batched rhs; row validity is the domain its parameter
-class declares. The CLI offers its keys to ``global-sens``.
+bounds keyed by canonical name in canonical order, and its batched rhs; row
+validity is the domain its parameter class declares. The CLI offers its keys
+to ``global-sens``.
 """
 
 from __future__ import annotations
@@ -136,30 +136,25 @@ def all_hatze_scenarios() -> list[tuple[str, HatzeParams]]:
 @dataclass(frozen=True)
 class _Builtin:
     model: Callable[[], ModelSpec]
-    params: type  # the model's parameter class, whose NAMES name its fields
-    field_bounds: dict[str, tuple[float, float]]
+    params: type  # the model's parameter class, which declares its domain
+    bounds: dict[str, tuple[float, float]]  # by canonical name, in canonical order
     # name of the batched rhs in this module; family_evaluator looks it up at
     # each call, so a wrapper installed on that global sees every evaluation
     rhs: str
-
-    @property
-    def bounds(self) -> dict[str, tuple[float, float]]:
-        """The bounds keyed by canonical name, in canonical order."""
-        return {self.params.NAMES.get(f, f): self.field_bounds[f] for f in self.params.RANGES}
 
 
 BUILTIN_MODELS = {
     "zajac": _Builtin(
         zajac_model, ZajacParams,
-        field_bounds={"q_init": (0.01, 1.0), "sigma": (0.0, 1.0), "q0": (0.001, 0.05),
-                      "tau": (0.01, 0.05), "beta": (0.1, 1.0)},
+        bounds={"q_Z0": (0.01, 1.0), "sigma": (0.0, 1.0), "q0": (0.001, 0.05),
+                "tau": (0.01, 0.05), "beta": (0.1, 1.0)},
         rhs="zajac_rhs",
     ),
     "hatze": _Builtin(
         hatze_model, HatzeParams,
-        field_bounds={"q_init": (0.01, 1.0), "sigma": (0.0, 1.0), "q0": (0.001, 0.05),
-                      "m": (3.0, 11.0), "rho_c": (4.0, 11.0), "nu": (1.5, 4.0),
-                      "ell_rho": (2.2, 3.6), "ell_ce_rel": (0.4, 1.6)},
+        bounds={"q_H0": (0.01, 1.0), "sigma": (0.0, 1.0), "q0": (0.001, 0.05),
+                "m": (3.0, 11.0), "rho_c": (4.0, 11.0), "nu": (1.5, 4.0),
+                "ell_rho": (2.2, 3.6), "ell_CErel": (0.4, 1.6)},
         rhs="hatze_rhs",
     ),
 }

@@ -1,6 +1,8 @@
 import collections
 import dataclasses
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -207,7 +209,7 @@ def test_hatze_rho_direct_evaluation():
 def test_hatze_rho_pole_violation():
     with pytest.raises(PoleViolation):
         hatze_rho(2.9, 7.24, 2.9)
-    with pytest.raises(PoleViolation):
+    with pytest.raises(ParameterOutOfRange):
         hatze_rho(-0.1, 7.24, 2.9)
 
 
@@ -218,7 +220,7 @@ def test_batched_pole_violation_names_the_first_bad_entry():
     with pytest.raises(PoleViolation) as info:
         hatze_rho(ell, 7.24, np.full(300, 2.9))
     message = str(info.value)
-    assert "2 of 300 entries fail, the first at index 7: ell_ce_rel=3.0, ell_rho=2.9" in message
+    assert "2 of 300 entries fail, the first at index 7: ell_CErel=3.0, ell_rho=2.9" in message
     assert len(message) < 300
 
 
@@ -756,7 +758,70 @@ def test_the_pole_has_one_message():
         with pytest.raises(PoleViolation) as info:
             call()
         messages.add(str(info.value))
-    assert messages == {"ell_ce_rel must lie in (0, ell_rho); got ell_ce_rel=3.0, ell_rho=2.9"}
+    assert messages == {"ell_CErel must lie in (0, ell_rho); got ell_CErel=3.0, ell_rho=2.9"}
+
+
+# for each declared range and joint constraint: the fields of a point that
+# fails it alone, its error class, the field a ParameterOutOfRange names, and
+# the text; ranges are checked before joint constraints
+_ONE_FAILURE = {
+    ZajacParams: [
+        ({"q_init": 1.5}, ParameterOutOfRange, "q_init", "q_Z0 must lie in [0, 1]; got q_Z0=1.5"),
+        ({"sigma": -0.1}, ParameterOutOfRange, "sigma",
+         "sigma must lie in [0, 1]; got sigma=-0.1"),
+        ({"q0": 1.0}, ParameterOutOfRange, "q0", "q0 must lie in [0, 1); got q0=1.0"),
+        ({"tau": 0.0}, ParameterOutOfRange, "tau", "tau must lie in (0, inf); got tau=0.0"),
+        ({"beta": 0.0}, ParameterOutOfRange, "beta", "beta must lie in (0, inf); got beta=0.0"),
+        ({"q0": 0.02, "q_init": 0.01}, ParameterOutOfRange, "q_init",
+         "q0 must lie in [0, q_Z0]; got q0=0.02, q_Z0=0.01"),
+    ],
+    HatzeParams: [
+        ({"q_init": 1.0}, ParameterOutOfRange, "q_init", "q_H0 must lie in (0, 1); got q_H0=1.0"),
+        ({"sigma": 1.5}, ParameterOutOfRange, "sigma", "sigma must lie in [0, 1]; got sigma=1.5"),
+        ({"q0": 0.0}, ParameterOutOfRange, "q0", "q0 must lie in (0, 1); got q0=0.0"),
+        ({"m": 0.0}, ParameterOutOfRange, "m", "m must lie in (0, inf); got m=0.0"),
+        ({"rho_c": -7.24}, ParameterOutOfRange, "rho_c",
+         "rho_c must lie in (0, inf); got rho_c=-7.24"),
+        ({"nu": 1.0}, ParameterOutOfRange, "nu", "nu must lie in (1, inf); got nu=1.0"),
+        ({"ell_rho": 1.0}, ParameterOutOfRange, "ell_rho",
+         "ell_rho must lie in (1, inf); got ell_rho=1.0"),
+        ({"ell_ce_rel": 0.0}, ParameterOutOfRange, "ell_ce_rel",
+         "ell_CErel must lie in (0, inf); got ell_CErel=0.0"),
+        ({"q0": 0.01, "q_init": 0.01}, ParameterOutOfRange, "q_init",
+         "q0 must lie in (0, q_H0); got q0=0.01, q_H0=0.01"),
+        ({"ell_ce_rel": 2.9}, PoleViolation, None,
+         "ell_CErel must lie in (0, ell_rho); got ell_CErel=2.9, ell_rho=2.9"),
+    ],
+}
+
+# the hatze formulas that check a field, by field: all four read rho_c,
+# ell_rho and the CE length (and so the pole), hatze_q_of_gamma q0 and nu too
+_FORMULAS = (lambda p: hatze_rho(p.ell_ce_rel, p.rho_c, p.ell_rho),
+             lambda p: hatze_q_of_gamma(0.3, p.ell_ce_rel, p),
+             lambda p: hatze_rhs(0.3, p), lambda p: hatze_partials(0.3, p))
+_READ_BY = {"q0": _FORMULAS[1:2], "nu": _FORMULAS[1:2],
+            **dict.fromkeys(("rho_c", "ell_rho", "ell_ce_rel"), _FORMULAS)}
+
+
+@pytest.mark.parametrize("cls", [ZajacParams, HatzeParams], ids=["zajac", "hatze"])
+def test_each_domain_condition_has_one_answer(cls):
+    # validate and every formula that reads a condition's fields raise one
+    # class with one text, which names each field by its canonical name
+    canonical = set(cls.canonical_order())
+    for fields, error, field, text in _ONE_FAILURE[cls]:
+        p = cls(**{"sigma": 0.5, **fields})
+        calls = [p.validate]
+        if cls is HatzeParams and len(fields) == 1:
+            calls += [functools.partial(f, p) for f in _READ_BY.get(next(iter(fields)), ())]
+        for call in calls:
+            with pytest.raises(error) as info:
+                call()
+            assert type(info.value) is error and str(info.value) == text
+            assert getattr(info.value, "field", None) == field
+        names = set(re.findall(r"[A-Za-z_]\w*", text)) - {"must", "lie", "in", "got", "inf"}
+        assert names <= canonical, text
+    # every declared condition has its case
+    assert len(_ONE_FAILURE[cls]) == len(cls.RANGES) + len(cls.ORDER)
 
 
 _NAN_ARRAY = np.array([1.0, math.nan, 1.2])

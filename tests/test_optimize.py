@@ -8,6 +8,7 @@ from actsens import (
     HatzeParams,
     MaxIterationsExceeded,
     NoInteriorMaximum,
+    ParameterOutOfRange,
     PoleViolation,
     ShiftTargets,
     FitProblem,
@@ -208,9 +209,11 @@ def test_maximum_the_scan_cannot_bracket_is_no_interior_maximum():
 
 @pytest.mark.parametrize("span", [(0.5, 3.0), (0.0, 1.5), (-0.5, 1.5)])
 def test_span_outside_pole_interval_raises(span, monkeypatch):
-    # ell_rho = 2.9: relative lengths must stay inside (0, 2.9)
+    # ell_rho = 2.9: relative lengths must stay inside (0, 2.9); a span
+    # reaching 0 leaves ell_CErel's own range, one reaching 2.9 hits the pole
+    error = PoleViolation if span[0] > 0.0 else ParameterOutOfRange
     monkeypatch.setattr("actsens.optimize.SHIFT_SEARCH_SPAN", span)
-    with pytest.raises(PoleViolation):
+    with pytest.raises(error):
         optimal_length_shift(0.28, HATZE3, BELL)
 
 
@@ -675,6 +678,15 @@ def test_targets_csv_roundtrip(tmp_path):
     bad.write_text("g,s\n0.5,0.4\n")
     with pytest.raises(ValueError):
         load_shift_targets(bad)
+
+
+@pytest.mark.parametrize("header", ["gamma,shift_mm,note", "gamma,shift_mm,", "gamma"])
+def test_targets_header_must_have_two_fields(tmp_path, header):
+    # every row must have exactly two fields, so the header must too
+    path = tmp_path / "targets.csv"
+    path.write_text(f"{header}\n0.55,0.4\n")
+    with pytest.raises(ValueError, match=r"targets\.csv:1: expected header 'gamma,shift_mm'"):
+        load_shift_targets(path)
 
 
 def test_targets_validation():

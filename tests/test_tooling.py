@@ -1,7 +1,9 @@
 """The benchmark reaches the package by attribute (tracer hooks) and checks
 its output with correctness gates; a change that breaks either must fail
-here, not only in a benchmark run."""
+here, not only in a benchmark run. The package's imports are checked here
+too: numpy is its one runtime dependency."""
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 from actsens import cli, localsens, optimize, presets
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "actsens"
 
 
 def _import_for_test(monkeypatch, name, path):
@@ -113,3 +116,32 @@ def test_global_ensemble_gates_pass(tmp_path, monkeypatch):
     assert cli.main(item.argv) == 0
     assert ensemble.check_pass([item])[1] == []  # VBS <= TSI + 10/sqrt(n)
     assert ensemble.final_check([item], cli.main)[1] == []
+
+
+def _imported(node) -> list:
+    """The top-level modules an import statement names; "" for a relative one."""
+    if isinstance(node, ast.Import):
+        return [alias.name.partition(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [""] if node.level else [node.module.partition(".")[0]]
+    return []
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # matplotlib is optional (the plots extra): only cli._plot imports it,
+    # and only when a plot is asked for
+    allowed = set(sys.stdlib_module_names) | {"numpy", ""}
+    plotting = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}  # node -> the innermost function that holds it
+        for fn in ast.walk(tree):  # breadth first: an inner function comes later
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, f"{path.stem}.{fn.name}") for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            for module in _imported(node):
+                if module == "matplotlib":
+                    plotting.add(owner.get(node, path.stem))
+                else:
+                    assert module in allowed, f"{path.name}:{node.lineno} imports {module}"
+    assert plotting == {"cli._plot"}
