@@ -452,6 +452,7 @@ def _cmd_optimize(settings) -> int:
         "levels": ",".join(f"{g:g}" for g in targets.levels),
         "rho0_start": rho0_start, "ell_opt": ell_opt,
         "objective_evals": sum(c.objective_evals for c in cells),
+        "undetermined_fits": sum(c.status == "ok" and not c.determined for c in cells),
         "version": __version__, "files": path.name,
     })
     print(f"{'nu':>4} {'kind':>9} {'w_start':>8} {'width':>8} "

@@ -40,7 +40,7 @@ Each parameter class declares once its fields' canonical order and names
 (``RANGES``, ``NAMES``), from which the variables, the ModelSpec names and
 the CLI's keys derive, and its domain, as field ranges and joint order
 constraints; ``validate``, ensemble row validity, the CLI's bounds-file
-check, the checked formulas and a hatze point's rate factors all read the
+check, the checked formulas and every point's rate factors all read the
 domain through :func:`domain_checks`, whose messages name each field by its
 canonical name. The parameter class is also the one container of a built-in
 model's parameter point: the scenario presets return one, and the
@@ -172,18 +172,27 @@ class _Domain:
     def rate_factors(self) -> tuple:
         """``_rates`` of the fields, computed on first use and kept for the
         object's lifetime, as ``rate_jets`` are."""
-        return self._rates(*self._rate_fields())
+        return self._rates(*self._rate_fields)
 
     @functools.cached_property
     def rate_jets(self) -> tuple:
         """``rate_factors`` as jets over the model's VARS (scalar fields only),
-        by the same formulas after the same checks and kept as it is; their
-        values equal it bit for bit."""
-        return self._rates(*_parameter_jets(self._rate_fields()))
+        by the same formulas and kept as it is; their values equal it bit for
+        bit."""
+        return self._rates(*_parameter_jets(self._rate_fields))
 
+    @functools.cached_property
     def _rate_fields(self) -> tuple:
-        # the fields the rates read: those after the initial value, in VARS order
-        return tuple(getattr(self, f) for f in self.RANGES)[1:]
+        """The fields the rates read, those after the initial value in VARS
+        order, once they pass the declared ranges and the joint constraints
+        between them (see :func:`_check_fields`); a failing point raises on
+        every access to its rates. The stimulation sigma is left out: the
+        rates are affine in it, and the difference oracles of
+        :mod:`actsens.localsens` step past its closed range [0, 1] at zero
+        and full stimulation."""
+        fields = {f: getattr(self, f) for f in list(self.RANGES)[1:]}
+        _check_fields(type(self), **{f: v for f, v in fields.items() if f != "sigma"})
+        return tuple(fields.values())
 
 
 @dataclass(frozen=True)
@@ -261,12 +270,6 @@ class HatzeParams(_Domain):
         """:func:`hatze_partials`' basis (see :func:`_hatze_basis`), built on
         first use and kept, as ``rate_jets`` are."""
         return _hatze_basis(self)
-
-    def _rate_fields(self) -> tuple:
-        # after hatze_rho's checks, so a bad field that it reads raises on
-        # every access to the rates
-        _check_hatze_fields(rho_c=self.rho_c, ell_rho=self.ell_rho, ell_ce_rel=self.ell_ce_rel)
-        return super()._rate_fields()
 
 
 # ---------------------------------------------------------------------------
@@ -459,12 +462,13 @@ def _hatze_rho(ell, rho_c, ell_rho):
     return rho_c * (ell_rho - 1.0) / (ell_rho / ell - 1.0)
 
 
-def _check_hatze_fields(**fields) -> None:
-    """Raise as ``HatzeParams.validate`` does for the first failing condition
-    of the domain over just the given fields: their ranges, then the joint
-    constraints between them (the pole included), NaN failing each."""
-    ranges = HatzeParams.RANGES
-    order = [c for c in HatzeParams.ORDER if c[0] in fields and c[2] in fields]
+def _check_fields(cls, **fields) -> None:
+    """Raise as ``cls.validate`` does for the first failing condition of the
+    parameter class's domain over just the given fields: their ranges, then
+    the joint constraints between them (hatze's pole included), NaN failing
+    each."""
+    ranges = cls.RANGES
+    order = [c for c in cls.ORDER if c[0] in fields and c[2] in fields]
     for ok in ([_in_range(v, *ranges[f]) for f, v in fields.items()]
                + [_ordered(fields[a], op, fields[b]) for a, op, b, _ in order]):
         # np.all costs microseconds even on a bool; this check runs per force scan
@@ -472,13 +476,13 @@ def _check_hatze_fields(**fields) -> None:
             # only a failure pays for domain_checks' messages
             _raise_first_failure(SimpleNamespace(
                 RANGES={f: r for f, r in ranges.items() if f in fields}, ORDER=order,
-                NAMES=HatzeParams.NAMES, **fields))
+                NAMES=cls.NAMES, **fields))
 
 
 def hatze_rho(ell_ce_rel, rho_c, ell_rho):
     """Length dependency rho_c (ell_rho - 1) / (ell_rho/ell - 1); pole at ell_rho."""
     ell = np.asarray(ell_ce_rel, dtype=float)
-    _check_hatze_fields(rho_c=rho_c, ell_rho=ell_rho, ell_ce_rel=ell)
+    _check_fields(HatzeParams, rho_c=rho_c, ell_rho=ell_rho, ell_ce_rel=ell)
     out = _hatze_rho(ell, rho_c, ell_rho)
     return float(out) if np.isscalar(ell_ce_rel) else out
 
@@ -515,14 +519,15 @@ def _hatze_log_q_slopes(gamma, ell, p: HatzeParams):
 def hatze_q_of_gamma(gamma, ell_ce_rel, p: HatzeParams):
     """Activity from normalized free-calcium concentration via the nu-power saturation."""
     ell = np.asarray(ell_ce_rel, dtype=float)
-    _check_hatze_fields(q0=p.q0, rho_c=p.rho_c, nu=p.nu, ell_rho=p.ell_rho, ell_ce_rel=ell)
+    _check_fields(HatzeParams, q0=p.q0, rho_c=p.rho_c, nu=p.nu, ell_rho=p.ell_rho,
+                  ell_ce_rel=ell)
     out = _hatze_q_of_gamma(np.asarray(gamma, dtype=float), ell, p)
     return float(out) if np.isscalar(gamma) and np.isscalar(ell_ce_rel) else out
 
 
 def hatze_gamma_of_q(q, ell_ce_rel, p: HatzeParams):
     """Free-calcium level gamma of an activity q: the exact inverse of hatze_q_of_gamma."""
-    _check_hatze_fields(q0=p.q0, nu=p.nu)  # hatze_rho checks rho_c and ell_rho
+    _check_fields(HatzeParams, q0=p.q0, nu=p.nu)  # hatze_rho checks rho_c and ell_rho
     q = np.asarray(q, dtype=float)
     ok = (q >= p.q0) & (q < 1.0)
     if not np.all(ok):

@@ -10,7 +10,9 @@ slope of log F inside the scan's bracket, which finds it to rounding.
 Differentiating that slope's root gives each shift's exact derivatives in
 the fitted parameters, so a log-space Levenberg-Marquardt with exact
 Jacobians fits the force-length width and the calcium scale rho0 to a set of
-target shifts.
+target shifts. Where the Jacobian's two columns turn parallel, the shifts
+determine only one combination of the two; such a fit ends once its error
+has settled and is reported as not determined.
 
 The width starts of one (nu, kind) cell are fitted in lockstep: each round,
 the pending trial point of every live fit goes through one batched
@@ -343,7 +345,9 @@ def _rms(residuals):
 #: Smallest damping lam, relative to the scaling D^2: along a valley where
 #: J's columns become parallel it keeps the determinant of J'J + lam D^2
 #: about 2 lam of the product of its diagonal, well above rounding, while
-#: the steps along the valley stay those of the undamped system.
+#: the steps along the valley stay those of the undamped system. It is also
+#: the relative determinant of J'J below which J's columns count as
+#: parallel (see :func:`_normal_equations`).
 LM_MIN_DAMPING = 1e-14
 
 
@@ -353,6 +357,17 @@ LM_MIN_DAMPING = 1e-14
 LM_MAX_STEP = 1.0
 
 
+def _normal_equations(r, jac):
+    """``(a, b, c, g0, g1, determined)``: J'J = (a, b; b, c), J'r = (g0, g1),
+    and whether J's two columns are independent to working precision,
+    a*c - b*b > LM_MIN_DAMPING * a*c, a test that does not depend on the
+    columns' scales (a zero column fails it)."""
+    (a, b), (_, c) = (jac.T @ jac).tolist()
+    g0, g1 = (jac.T @ r).tolist()
+    ac = a * c
+    return a, b, c, g0, g1, ac - b * b > LM_MIN_DAMPING * ac
+
+
 def _levenberg_marquardt(start, tol: float, max_iter: int):
     """Levenberg-Marquardt on two parameters' residuals r(theta), as a generator.
 
@@ -360,10 +375,17 @@ def _levenberg_marquardt(start, tol: float, max_iter: int):
     for an infeasible point, or the exception its evaluation raised. An
     infeasible or failed start ends the search (ValueError, or that
     exception); at any later trial point either counts as a rejected step.
-    It returns ``(theta, error, iterations)`` as StopIteration's value:
-    after an accepted step with max|step| < tol and |change of error| < tol,
-    or after a rejected step with max|step| < tol. Past ``max_iter`` steps
-    it raises MaxIterationsExceeded.
+    It returns ``(theta, error, iterations, determined)`` as StopIteration's
+    value, ``determined`` False when J's two columns at theta are parallel
+    to working precision (see :func:`_normal_equations`). It stops after an
+    accepted step with |change of error| < tol that was short (max|step| <
+    tol) or ended where J's columns are parallel, and after a rejected step
+    with max|step| < tol. Where the columns are parallel the residuals
+    determine only one combination of the two parameters (Bates & Watts
+    1988, *Nonlinear Regression Analysis and Its Applications*, ch. 2), so
+    once the error has settled, further steps would only walk along the
+    valley of equal error until the trial points could no longer be
+    evaluated. Past ``max_iter`` steps it raises MaxIterationsExceeded.
 
     Each step solves the 2x2 system (J'J + lam D^2) step = -J'r in closed
     form, with D^2 the running maximum of J's squared column norms (Moré
@@ -380,12 +402,10 @@ def _levenberg_marquardt(start, tol: float, max_iter: int):
         raise ValueError("objective is not finite at the start point")
     r, jac = at
     cost, error = float(r @ r), float(_rms(r))
-    d0 = d1 = 0.0
+    a, b, c, g0, g1, determined = _normal_equations(r, jac)
+    d0, d1 = a, c
     lam, grow = 1e-3, 2.0
     for iteration in range(1, max_iter + 1):
-        (a, b), (_, c) = (jac.T @ jac).tolist()
-        g0, g1 = (jac.T @ r).tolist()
-        d0, d1 = max(d0, a), max(d1, c)
         w0, w1 = d0 or 1.0, d1 or 1.0  # a column zero so far gets unit scale, as in MINPACK
         while True:  # raise lam until the step lies in the trust region
             a_lam, c_lam = a + lam * w0, c + lam * w1
@@ -405,14 +425,16 @@ def _levenberg_marquardt(start, tol: float, max_iter: int):
             lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), LM_MIN_DAMPING)
             grow = 2.0
             theta, (r, jac), cost = theta + (s0, s1), at, trial_cost
+            a, b, c, g0, g1, determined = _normal_equations(r, jac)
+            d0, d1 = max(d0, a), max(d1, c)
             last_error, error = error, float(_rms(r))
-            if short and abs(last_error - error) < tol:
-                return theta, error, iteration
+            if abs(last_error - error) < tol and (short or not determined):
+                return theta, error, iteration, determined
         else:
             lam *= grow
             grow *= 2.0
             if short:
-                return theta, error, iteration
+                return theta, error, iteration, determined
     raise MaxIterationsExceeded(f"no convergence within {max_iter} iterations")
 
 
@@ -423,11 +445,15 @@ def _levenberg_marquardt(start, tol: float, max_iter: int):
 
 @dataclass
 class FitResult:
+    """A fit's end point; ``determined`` is False where the shifts' Jacobian
+    there has parallel columns (see :func:`_levenberg_marquardt`)."""
+
     width: float
     rho0: float
     error_mm: float
     iterations: int
     objective_evals: int
+    determined: bool
 
 
 #: Stop rule and step cap of every fit (see :func:`_levenberg_marquardt`).
@@ -471,10 +497,10 @@ def _fit_lockstep(problems: list[FitProblem]) -> list:
                 pending[i] = searches[i].send(value)
                 continue
             except StopIteration as done:
-                theta, error, iterations = done.value
+                theta, error, iterations, determined = done.value
                 outcome = FitResult(width=math.exp(theta[0]), rho0=math.exp(theta[1]),
                                     error_mm=error, iterations=iterations,
-                                    objective_evals=evals[i])
+                                    objective_evals=evals[i], determined=determined)
             except (ActsensError, ValueError) as exc:
                 outcome = exc
             del pending[i]
@@ -513,6 +539,7 @@ class TableCell:
     error_mm: float = math.nan
     iterations: int = 0
     objective_evals: int = 0
+    determined: bool = False
     status: str = "ok"
 
 
@@ -561,6 +588,7 @@ def run_table(
                     cell.width, cell.rho0 = outcome.width, outcome.rho0
                     cell.error_mm, cell.iterations = outcome.error_mm, outcome.iterations
                     cell.objective_evals = outcome.objective_evals
+                    cell.determined = outcome.determined
                 cells.append(cell)
     return cells
 

@@ -191,6 +191,24 @@ def test_optimize_command(tmp_path):
     assert len(evals) == 1 and int(evals[0].split(" = ")[1]) > 0
     # the values the fit used, not the text they were given as
     assert "rho0_start = 60000.0" in manifest and "ell_opt = 14.8" in manifest
+    assert "undetermined_fits = 0" in manifest
+
+
+def test_optimize_manifest_counts_undetermined_fits(tmp_path):
+    # targets on which the (nu = 2, parabola) cell determines only one
+    # combination of width and rho0: every start ends undetermined
+    targets = synthesize_targets(width=0.29729915352635605, rho0=48251.625410948334,
+                                 nu=3.0, kind="bell")
+    tfile = tmp_path / "targets.csv"
+    tfile.write_text("gamma,shift_mm\n" + "".join(
+        f"{g!r},{s!r}\n" for g, s in zip(targets.levels, targets.shifts_mm)))
+    out = tmp_path / "run"
+    assert main(["optimize", "--targets", str(tfile), "--nu", "2", "--kind", "parabola",
+                 "--output", str(out)]) == 0
+    lines = (out / "fit_table.csv").read_text().splitlines()
+    assert lines[0] == "nu,kind,width_start,width,rho0,error_mm,iterations,status"
+    assert all(line.endswith(",ok") for line in lines[1:]) and len(lines) == 4
+    assert "undetermined_fits = 3" in (out / "manifest.txt").read_text().splitlines()
 
 
 def test_optimize_requires_targets(tmp_path):

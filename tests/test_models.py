@@ -794,11 +794,14 @@ _ONE_FAILURE = {
     ],
 }
 
-# the hatze formulas that check a field, by field: all four read rho_c,
+# each model's rhs and partials check every field they read: all but the
+# initial value and the stimulation sigma, in which their rates are affine
+_RATES = {ZajacParams: (lambda p: zajac_rhs(0.3, p), lambda p: zajac_partials(0.3, p)),
+          HatzeParams: (lambda p: hatze_rhs(0.3, p), lambda p: hatze_partials(0.3, p))}
+# the other hatze formulas that check a field, by field: both read rho_c,
 # ell_rho and the CE length (and so the pole), hatze_q_of_gamma q0 and nu too
 _FORMULAS = (lambda p: hatze_rho(p.ell_ce_rel, p.rho_c, p.ell_rho),
-             lambda p: hatze_q_of_gamma(0.3, p.ell_ce_rel, p),
-             lambda p: hatze_rhs(0.3, p), lambda p: hatze_partials(0.3, p))
+             lambda p: hatze_q_of_gamma(0.3, p.ell_ce_rel, p))
 _READ_BY = {"q0": _FORMULAS[1:2], "nu": _FORMULAS[1:2],
             **dict.fromkeys(("rho_c", "ell_rho", "ell_ce_rel"), _FORMULAS)}
 
@@ -811,8 +814,11 @@ def test_each_domain_condition_has_one_answer(cls):
     for fields, error, field, text in _ONE_FAILURE[cls]:
         p = cls(**{"sigma": 0.5, **fields})
         calls = [p.validate]
-        if cls is HatzeParams and len(fields) == 1:
-            calls += [functools.partial(f, p) for f in _READ_BY.get(next(iter(fields)), ())]
+        if len(fields) == 1 and not {"q_init", "sigma"} & set(fields):
+            formulas = _RATES[cls]
+            if cls is HatzeParams:
+                formulas += _READ_BY.get(next(iter(fields)), ())
+            calls += [functools.partial(f, p) for f in formulas]
         for call in calls:
             with pytest.raises(error) as info:
                 call()
@@ -822,6 +828,28 @@ def test_each_domain_condition_has_one_answer(cls):
         assert names <= canonical, text
     # every declared condition has its case
     assert len(_ONE_FAILURE[cls]) == len(cls.RANGES) + len(cls.ORDER)
+
+
+@pytest.mark.parametrize("rhs,partials,p", [
+    (zajac_rhs, zajac_partials, ZajacParams(sigma=0.5, tau=0.0)),
+    (zajac_rhs, zajac_partials, ZajacParams(sigma=0.5, q0=1.0, q_init=1.0)),
+    (zajac_rhs, zajac_partials, simplified_zajac_model().params_of(0.005, 0.5, 0.0)),
+    (hatze_rhs, hatze_partials, HatzeParams(sigma=0.5, q0=1.0, q_init=0.5)),
+    (hatze_rhs, hatze_partials, HatzeParams(sigma=0.5, nu=0.0)),
+], ids=["zajac-tau", "zajac-q0", "simplified-tau", "hatze-q0", "hatze-nu"])
+def test_rates_of_a_point_outside_the_domain_raise_validates_error(rhs, partials, p):
+    # the rate factors divide by tau, 1 - q0 and nu: a point that validate
+    # rejects gets its error from them, not a ZeroDivisionError, at every
+    # order and on every access
+    with pytest.raises(ParameterOutOfRange) as expected:
+        p.validate()
+    calls = [lambda: rhs(0.3, p), lambda: rhs(np.array([0.2, 0.3]), p)]
+    calls += [functools.partial(partials, 0.3, p, order) for order in (0, 1, 2)]
+    for call in calls * 2:
+        with pytest.raises(ParameterOutOfRange) as info:
+            call()
+        assert str(info.value) == str(expected.value)
+        assert info.value.field == expected.value.field
 
 
 _NAN_ARRAY = np.array([1.0, math.nan, 1.2])

@@ -395,11 +395,11 @@ def _lm(residuals, start, tol=1e-10, max_iter=200):
 def test_levenberg_marquardt_solves_linear_least_squares():
     a = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 4.0], [2.0, 2.0]])
     b = np.array([1.0, -2.0, 3.0, 0.5])
-    theta, error, iterations = _lm(lambda t: (a @ t - b, a), [5.0, -5.0])
+    theta, error, iterations, determined = _lm(lambda t: (a @ t - b, a), [5.0, -5.0])
     expect = np.linalg.lstsq(a, b)[0]
     np.testing.assert_allclose(theta, expect, rtol=1e-10)
     assert error == pytest.approx(math.sqrt(np.sum((a @ expect - b) ** 2) / 5.0), rel=1e-12)
-    assert iterations < 15
+    assert iterations < 15 and determined
 
 
 def test_levenberg_marquardt_rosenbrock():
@@ -407,9 +407,9 @@ def test_levenberg_marquardt_rosenbrock():
         x, y = t
         return np.array([10.0 * (y - x * x), 1.0 - x]), np.array([[-20.0 * x, 10.0], [-1.0, 0.0]])
 
-    theta, error, iterations = _lm(residuals, [-1.2, 1.0])
+    theta, error, iterations, determined = _lm(residuals, [-1.2, 1.0])
     np.testing.assert_allclose(theta, [1.0, 1.0], rtol=1e-10)
-    assert error < 1e-10 and iterations < 100
+    assert error < 1e-10 and iterations < 100 and determined
 
 
 def test_levenberg_marquardt_iteration_cap():
@@ -441,22 +441,39 @@ def test_levenberg_marquardt_steps_stay_in_the_trust_region():
         trials.append(t.copy())
         return t - (50.0, -3.0), np.eye(2)
 
-    theta, error, iterations = _lm(residuals, [0.0, 0.0])
+    theta, error, iterations, determined = _lm(residuals, [0.0, 0.0])
     steps = np.abs(np.diff(trials, axis=0))
     assert steps.max() <= opt.LM_MAX_STEP and steps[0, 0] > 0.5 * opt.LM_MAX_STEP
     np.testing.assert_allclose(theta, [50.0, -3.0], rtol=1e-10)
-    assert error < 1e-10 and iterations < 100
+    assert error < 1e-10 and iterations < 100 and determined
 
 
 def test_levenberg_marquardt_stops_where_the_residuals_do_not_move():
     # a zero Jacobian column is damped on the unit scale: no step, no error
-    theta, error, iterations = _lm(lambda t: (np.ones(2), np.zeros((2, 2))), [0.5, -0.5])
+    theta, error, iterations, determined = _lm(lambda t: (np.ones(2), np.zeros((2, 2))),
+                                               [0.5, -0.5])
     assert theta.tolist() == [0.5, -0.5] and iterations == 1
     assert error == pytest.approx(math.sqrt(2.0 / 5.0))
+    assert not determined  # a zero column determines nothing
     # one parameter without effect keeps its start while the other converges
-    theta, error, _ = _lm(lambda t: (np.array([t[0] - 2.0, 0.0]), np.array([[1.0, 0.0], [0.0, 0.0]])),
-                          [0.0, 7.0])
+    theta, error, _, determined = _lm(
+        lambda t: (np.array([t[0] - 2.0, 0.0]), np.array([[1.0, 0.0], [0.0, 0.0]])), [0.0, 7.0])
     assert theta[0] == pytest.approx(2.0) and theta[1] == 7.0 and error < 1e-10
+    assert not determined
+
+
+def test_levenberg_marquardt_stops_on_a_valley_with_parallel_columns():
+    # r = e^-(t0 + t1) decreases without end along t0 + t1, and J's two
+    # columns are equal: only t0 + t1 is determined. Once the error has
+    # settled the search stops there instead of walking on to the step cap.
+    def valley(t):
+        e = math.exp(-(t[0] + t[1]))
+        return np.array([e]), np.array([[-e, -e]])
+
+    theta, error, iterations, determined = _lm(valley, [0.0, 0.0], max_iter=200)
+    assert not determined and iterations < 200
+    assert theta[0] == theta[1] and error < 1e-8
+    assert error == pytest.approx(math.exp(-2.0 * theta[0]) / math.sqrt(5.0), rel=1e-12)
 
 
 def test_levenberg_marquardt_treats_infeasible_trial_points_as_rejected_steps():
@@ -466,8 +483,8 @@ def test_levenberg_marquardt_treats_infeasible_trial_points_as_rejected_steps():
         def residuals(t, infeasible=infeasible):
             return infeasible if t[0] > 2.0 else (t - (3.0, 1.0), np.eye(2))
 
-        theta, error, _ = _lm(residuals, [0.0, 0.0], tol=1e-8)
-        assert 2.0 - 1e-6 < theta[0] <= 2.0
+        theta, error, _, determined = _lm(residuals, [0.0, 0.0], tol=1e-8)
+        assert 2.0 - 1e-6 < theta[0] <= 2.0 and determined
         assert error == pytest.approx(math.hypot(3.0 - theta[0], 1.0 - theta[1]) / math.sqrt(5.0))
 
 
@@ -608,43 +625,63 @@ def _recording_rounds(monkeypatch):
     return calls
 
 
-#: Targets of a degenerate (nu = 2, parabola) cell: its fits run off along a
-#: valley in which width and rho0 grow together, until their trial points
-#: leave the region where the scan resolves the force maximum.
+#: Targets of a degenerate (nu = 2, parabola) cell: at its fits' end points
+#: J's columns are parallel, so only one combination of width and rho0 is
+#: determined, along a valley in which both grow together.
 DEGENERATE = dict(width=0.29729915352635605, rho0=48251.625410948334, nu=3.0, kind="bell")
+
+#: Targets of a (nu = 2, bell) cell whose three starts end in different
+#: rounds and meet trial points without an interior force maximum in rounds
+#: where their siblings' points have one.
+MIXED_FEASIBILITY = dict(width=0.39449813235544057, rho0=42570.681487883456, nu=3.0,
+                         kind="bell")
 
 
 def test_lockstep_fits_equal_solo_fits(monkeypatch):
     # the starts end in different rounds, and meet infeasible trial points
     # in rounds where their siblings' points are feasible
-    targets = synthesize_targets(**DEGENERATE)
+    targets = synthesize_targets(**MIXED_FEASIBILITY)
     calls = _recording_rounds(monkeypatch)
-    cells = run_table(targets, nus=(2.0,), kinds=("parabola",))
+    cells = run_table(targets, nus=(2.0,), kinds=("bell",))
     assert len(cells) == 3 and all(c.status == "ok" for c in cells)
     assert len({c.iterations for c in cells}) > 1
     assert len(calls) == max(c.objective_evals for c in cells)  # one call per round
     assert any(not all(feasible) and any(feasible) for _, feasible in calls)
 
     for cell in cells:
-        solo = fit_shift_parameters(FitProblem(targets=targets, flr_kind="parabola", nu=2.0,
+        solo = fit_shift_parameters(FitProblem(targets=targets, flr_kind="bell", nu=2.0,
                                                width_start=cell.width_start))
         assert (cell.width, cell.rho0, cell.error_mm) == (solo.width, solo.rho0, solo.error_mm)
         assert (cell.iterations, cell.objective_evals) == (solo.iterations,
                                                             solo.objective_evals)
     _set_starts(monkeypatch, (0.25, 0.35), (0.46, 0.56))
-    pair = run_table(targets, nus=(2.0,), kinds=("parabola",))
+    pair = run_table(targets, nus=(2.0,), kinds=("bell",))
     assert pair == cells[:2]
 
 
-def test_degenerate_cell_ends_ok_within_a_bounded_number_of_rounds():
+def test_degenerate_cell_ends_ok_within_a_bounded_number_of_rounds(monkeypatch):
+    # once the error has settled, parallel columns end each fit, which is
+    # reported as undetermined, long before the valley leaves the scan
     targets = synthesize_targets(**DEGENERATE)
+    calls = _recording_rounds(monkeypatch)
     cells = run_table(targets, nus=(2.0,), kinds=("parabola",))
-    assert all(c.status == "ok" for c in cells)
-    assert max(c.iterations for c in cells) < 2000
-    assert min(c.width for c in cells) > 1e3  # far along the valley
+    assert all(c.status == "ok" and not c.determined for c in cells)
+    assert len(calls) < 50 and max(c.iterations for c in cells) < 50
     # the error is flat along the valley: every start ends at the same error
     errors = [c.error_mm for c in cells]
     assert max(errors) - min(errors) < 1e-8
+
+
+def test_fit_work_counters_are_pinned(monkeypatch):
+    # the deterministic work of the degenerate cell and of criterion 7's
+    # 18-cell table: a change that moves a fit's steps or its stop moves these
+    calls = _recording_rounds(monkeypatch)
+    run_table(synthesize_targets(**DEGENERATE), nus=(2.0,), kinds=("parabola",))
+    assert len(calls) == 41
+    calls.clear()
+    cells = run_table(synthesize_targets(width=0.32, rho0=3.25e4, nu=3.0, kind="bell"))
+    assert len(calls) == 57 and sum(c.iterations for c in cells) == 139
+    assert len(cells) == 18 and all(c.status == "ok" and c.determined for c in cells)
 
 
 def test_lockstep_iteration_cap_fails_only_its_own_fit(monkeypatch):
