@@ -493,10 +493,13 @@ def _hatze_q_of_gamma(gamma, ell, p: HatzeParams):
     return (p.q0 + x) / (1.0 + x)
 
 
-def _hatze_log_q_slopes(gamma, ell, p: HatzeParams):
+def _hatze_log_q_slopes(gamma, ell, p: HatzeParams, n: int = 3):
     """Length derivatives of log q for :func:`_hatze_q_of_gamma`, unchecked.
 
-    Returns (log q)_ell, (log q)_ell,ell and d/d(log rho_c) of (log q)_ell.
+    Returns the first ``n`` of (log q)_ell, (log q)_ell,ell and
+    d/d(log rho_c) of (log q)_ell, as a tuple, and computes only what those
+    need: a bracket probe reads the slope, a Newton step the slope and the
+    curvature, and only the Jacobian at a peak the cross term.
     With x = (rho gamma)^nu and rho proportional to rho_c ell/(ell_rho - ell),
     x_ell = nu x h where h = 1/ell + 1/(ell_rho - ell), and
     (log q)_ell = x_ell D with D = 1/(q0 + x) - 1/(1 + x), written
@@ -510,10 +513,13 @@ def _hatze_log_q_slopes(gamma, ell, p: HatzeParams):
     x_ell = p.nu * x * h
     a, b = 1.0 / (p.q0 + x), 1.0 / (1.0 + x)
     d = (1.0 - p.q0) * a * b
+    slope = x_ell * d
+    if n == 1:
+        return (slope,)
     d_x = -d * (a + b)
     x_ell_ell = p.nu * (x_ell * h + x * (1.0 / free**2 - 1.0 / ell**2))
-    return (x_ell * d, x_ell_ell * d + x_ell**2 * d_x,
-            p.nu * x_ell * d * (p.q0 * a - x * b))
+    curv = x_ell_ell * d + x_ell**2 * d_x
+    return (slope, curv) if n == 2 else (slope, curv, p.nu * x_ell * d * (p.q0 * a - x * b))
 
 
 def hatze_q_of_gamma(gamma, ell_ce_rel, p: HatzeParams):
@@ -747,12 +753,13 @@ def _force_length_relative(ell_rel, rel: ForceLengthRelation):
     return np.exp(-((np.abs(delta) / rel.width) ** exponent))
 
 
-def _force_length_log_slopes(ell_rel, rel: ForceLengthRelation):
+def _force_length_log_slopes(ell_rel, rel: ForceLengthRelation, n: int = 3):
     """Descending-branch derivatives of log F_L for :func:`_force_length_relative`.
 
     Valid for 1 < ell_rel (and ell_rel < 1 + width for the parabola); with
-    delta = ell_rel - 1 and w the width, returns (log F_L)_u, (log F_L)_uu and
-    d/d(log w) of (log F_L)_u. Bell, e = nu_des: -e delta^(e-1)/w^e,
+    delta = ell_rel - 1 and w the width, returns the first ``n`` of
+    (log F_L)_u, (log F_L)_uu and d/d(log w) of (log F_L)_u, as a tuple,
+    computing only those. Bell, e = nu_des: -e delta^(e-1)/w^e,
     (e - 1)/delta times that, and -e times it. Parabola: -2 delta/(w^2 - delta^2),
     -2 (w^2 + delta^2)/(w^2 - delta^2)^2 and 4 delta w^2/(w^2 - delta^2)^2.
     """
@@ -760,10 +767,17 @@ def _force_length_log_slopes(ell_rel, rel: ForceLengthRelation):
     if rel.kind == "parabola":
         w2 = rel.width**2
         gap = w2 - delta**2
-        return -2.0 * delta / gap, -2.0 * (w2 + delta**2) / gap**2, 4.0 * delta * w2 / gap**2
+        slope = -2.0 * delta / gap
+        if n == 1:
+            return (slope,)
+        curv = -2.0 * (w2 + delta**2) / gap**2
+        return (slope, curv) if n == 2 else (slope, curv, 4.0 * delta * w2 / gap**2)
     e = rel.nu_des
     slope = -e * delta ** (e - 1.0) / rel.width**e
-    return slope, (e - 1.0) * slope / delta, -e * slope
+    if n == 1:
+        return (slope,)
+    curv = (e - 1.0) * slope / delta
+    return (slope, curv) if n == 2 else (slope, curv, -e * slope)
 
 
 def _force_length_slope_root(a, rel: ForceLengthRelation):

@@ -23,6 +23,7 @@ fit takes the path, and gets the result, it would get on its own.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -175,24 +176,29 @@ def isometric_force(gamma, ell_ce, hatze_params: HatzeParams, flr: ForceLengthRe
 NEWTON_RTOL = 1e-13
 
 
-def _peak_slopes(u, gammas, p: HatzeParams, flr: ForceLengthRelation):
+def _peak_slopes(u, gammas, p: HatzeParams, flr: ForceLengthRelation, n: int = 3):
     """g = (log F)_u, g_u and g's derivatives in (log width, log rho0) at
-    relative lengths u on the force-length relation's descending branch."""
-    q_slope, q_curv, q_rho = _hatze_log_q_slopes(gammas, u, p)
-    f_slope, f_curv, f_width = _force_length_log_slopes(u, flr)
-    return q_slope + f_slope, q_curv + f_curv, f_width, q_rho
+    relative lengths u on the force-length relation's descending branch.
+
+    With ``n`` = 2 it evaluates and returns only (g, g_u), all a Newton
+    step reads; the cross terms are needed only for the Jacobian at a peak.
+    """
+    q = _hatze_log_q_slopes(gammas, u, p, n)
+    f = _force_length_log_slopes(u, flr, n)
+    return (q[0] + f[0], q[1] + f[1], *f[2:], *q[2:])
 
 
 def _newton_peak(slopes, lo, hi, u, live):
     """Root of the decreasing slope g in each bracket (lo, hi), from u.
 
-    ``slopes(u)`` returns g and g_u. Each entry takes a Newton step, or
-    bisects its bracket when the step would leave it or would not halve the
-    previous step, and keeps the side of each iterate that g's sign gives
-    (Press et al., *Numerical Recipes*, rtsafe). An entry is frozen once its
-    own step is at most NEWTON_RTOL * u; the rest go on, and entries not
-    ``live`` at the start never move. No operation mixes entries, so each
-    takes the path it takes alone.
+    ``slopes(u)`` returns g and g_u, the only derivatives a step reads
+    (:func:`_argmax_force` evaluates just those two). Each entry takes a
+    Newton step, or bisects its bracket when the step would leave it or
+    would not halve the previous step, and keeps the side of each iterate
+    that g's sign gives (Press et al., *Numerical Recipes*, rtsafe). An
+    entry is frozen once its own step is at most NEWTON_RTOL * u; the rest
+    go on, and entries not ``live`` at the start never move. No operation
+    mixes entries, so each takes the path it takes alone.
     """
     last = hi - lo
     while True:
@@ -211,6 +217,17 @@ def _newton_peak(slopes, lo, hi, u, live):
             return u
 
 
+@functools.lru_cache(maxsize=8)
+def _scan_grid(low: float, high: float, coarse: int, ell_opt: float):
+    """The scan's lengths (mm) over (low, high) * ell_opt and the same
+    lengths relative to ell_opt, as read-only arrays shared by every scan
+    with these values."""
+    ells = np.linspace(low * ell_opt, high * ell_opt, coarse)
+    grid = ells / ell_opt
+    ells.flags.writeable = grid.flags.writeable = False
+    return ells, grid
+
+
 def _argmax_force(
     gammas, p: HatzeParams, flr: ForceLengthRelation,
     span: tuple[float, float], coarse: int, jacobian: bool = False,
@@ -224,7 +241,8 @@ def _argmax_force(
 
     One coarse grid scan over all levels goes through the checked
     isometric_force, so a span reaching ell_rho raises PoleViolation, and
-    one reaching 0 ParameterOutOfRange.
+    one reaching 0 ParameterOutOfRange. Its grid is built once per
+    (span, coarse, ell_opt) by :func:`_scan_grid` and shared read-only.
     The exact maximum is the root of g(u) = d log F / du, u = ell/ell_opt,
     found by :func:`_newton_peak` inside the scan's bracket of two steps
     around its best point, clipped to u > 1: the activity rises with length
@@ -240,9 +258,13 @@ def _argmax_force(
     With ``jacobian`` it also returns the peaks' derivatives in
     (log width, log rho0), shape (..., L, 2), by implicit differentiation
     of g(u*) = 0: du*/dtheta = -g_theta / g_u.
+
+    Each stage evaluates only the derivatives it reads: the start and the
+    two bracket probes the slope g, each Newton step g and g_u, and only
+    the Jacobian call at the root the cross terms g_theta.
     """
     gammas = np.asarray(gammas, dtype=float)[:, None]  # one row per level
-    ells = np.linspace(span[0] * flr.ell_opt, span[1] * flr.ell_opt, coarse)
+    ells, grid = _scan_grid(*span, coarse, flr.ell_opt)
     forces = isometric_force(gammas, ells, p, flr)
     k = np.argmax(forces, axis=-1)
     boundary = (k == 0) | (k == coarse - 1)
@@ -252,8 +274,7 @@ def _argmax_force(
             f"force maximum at the search boundary (gamma={gammas[boundary, 0].tolist()}); "
             "widen the span"
         )
-    k = np.clip(k, 1, coarse - 2)[..., None]
-    grid = ells / flr.ell_opt
+    k = np.minimum(np.maximum(k, 1), coarse - 2)[..., None]  # np.clip, at a third of its cost
     lo, hi = np.maximum(grid[k - 1], 1.0), grid[k + 1]
     if flr.kind == "parabola":
         hi = np.minimum(hi, 1.0 + flr.width)
@@ -263,8 +284,8 @@ def _argmax_force(
     # over the bracket, and the start moves to the root of g with the
     # activity's slope frozen at it
     probes = np.concatenate([start, lo + NEWTON_RTOL, hi - NEWTON_RTOL], axis=-1)
-    q_slope = _hatze_log_q_slopes(gammas, probes, p)[0]
-    g = q_slope + _force_length_log_slopes(probes, flr)[0]
+    q_slope = _hatze_log_q_slopes(gammas, probes, p, 1)[0]
+    g = q_slope + _force_length_log_slopes(probes, flr, 1)[0]
     frozen = 1.0 + _force_length_slope_root(q_slope[..., :1], flr)
     start = np.where((lo < frozen) & (frozen < hi), frozen, start)
     # g is positive at u = 1, so if it is not at 1 + NEWTON_RTOL the root lies
@@ -278,7 +299,7 @@ def _argmax_force(
             f"force maximum not bracketed by the scan (gamma={gammas[unbracketed, 0].tolist()}); "
             "the force is flat to rounding over it"
         )
-    u = _newton_peak(lambda v: _peak_slopes(v, gammas, p, flr)[:2], lo, hi, start,
+    u = _newton_peak(lambda v: _peak_slopes(v, gammas, p, flr, 2), lo, hi, start,
                      bracketed & ~pinned & ~boundary[..., None])
     bad = (boundary | unbracketed).any(axis=-1, keepdims=True)  # such a set's row is NaN
     peaks = np.where(bad, np.nan, flr.ell_opt * u[..., 0])

@@ -1081,6 +1081,40 @@ def test_force_length_log_slopes_match_central_differences(kind, width):
     np.testing.assert_allclose(delta, ell - 1.0, rtol=1e-12)
 
 
+def _leading_outputs_match(slopes):
+    """Each shortened call ``slopes(n)`` returns the full call's first n
+    outputs, bit for bit."""
+    full = slopes(3)
+    assert len(full) == 3
+    for n in (1, 2):
+        part = slopes(n)
+        assert len(part) == n
+        assert all(np.array_equal(a, b) for a, b in zip(part, full))
+
+
+@pytest.mark.parametrize("nu", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("rho_c", [7.22, np.reshape([7.22, 9.07, 3.1], (-1, 1, 1))],
+                         ids=["scalar", "column"])
+def test_shortened_log_activity_slopes_are_the_full_calls_leading_outputs(nu, rho_c):
+    # the optimizer's probes ask for the slope, its Newton steps for two
+    # outputs: each must be what the full call returns
+    rng = np.random.default_rng(31)
+    ell = 1.0 + rng.uniform(0.0, 0.5, (6, 9))  # the force-length descending branch
+    gamma = rng.uniform(0.05, 1.0, (6, 1))
+    p = HatzeParams(sigma=1.0, nu=nu, rho_c=rho_c, q_init=0.5)
+    _leading_outputs_match(lambda n: _hatze_log_q_slopes(gamma, ell, p, n))
+
+
+@pytest.mark.parametrize("kind,width", [("bell", 0.32), ("parabola", 0.56),
+                                        ("bell", np.reshape([0.25, 0.32, 0.45], (-1, 1, 1))),
+                                        ("parabola", np.reshape([0.46, 0.56, 0.66], (-1, 1, 1)))])
+def test_shortened_force_length_slopes_are_the_full_calls_leading_outputs(kind, width):
+    rng = np.random.default_rng(32)
+    ell = 1.0 + rng.uniform(0.0, 0.45, (6, 9))  # inside every parabola's support
+    rel = ForceLengthRelation(kind=kind, width=width, nu_asc=3.0, nu_des=1.5)
+    _leading_outputs_match(lambda n: _force_length_log_slopes(ell, rel, n))
+
+
 # ---------------------------------------------------------------------------
 # cross-model trajectory invariants
 # ---------------------------------------------------------------------------

@@ -217,6 +217,37 @@ def test_span_outside_pole_interval_raises(span, monkeypatch):
         optimal_length_shift(0.28, HATZE3, BELL)
 
 
+def test_scan_grid_follows_the_search_constants_and_is_read_only(monkeypatch):
+    # the grid is cached per (span, points, ell_opt) as the constants read at
+    # the call, so patching either changes the next scan
+    import actsens.optimize as opt
+
+    scans, force = [], opt.isometric_force
+
+    def recording(gamma, ell_ce, *args):
+        scans.append(ell_ce)
+        return force(gamma, ell_ce, *args)
+
+    monkeypatch.setattr(opt, "isometric_force", recording)
+    optimal_length_shift(0.28, HATZE3, BELL)
+    assert scans[-1].size == SHIFT_SEARCH_COARSE
+    monkeypatch.setattr(opt, "SHIFT_SEARCH_COARSE", 101)
+    optimal_length_shift(0.28, HATZE3, BELL)
+    assert scans[-1].size == 101
+    monkeypatch.setattr(opt, "SHIFT_SEARCH_SPAN", (0.6, 1.4))
+    optimal_length_shift(0.28, HATZE3, BELL)
+    assert scans[-1].size == 101 and (scans[-1][0], scans[-1][-1]) == (0.6 * 14.8, 1.4 * 14.8)
+    # scans with the same values share one grid, which no caller can write
+    monkeypatch.setattr(opt, "SHIFT_SEARCH_SPAN", SHIFT_SEARCH_SPAN)
+    monkeypatch.setattr(opt, "SHIFT_SEARCH_COARSE", SHIFT_SEARCH_COARSE)
+    optimal_length_shift(0.28, HATZE3, BELL)
+    assert scans[-1] is scans[0]
+    for shared in opt._scan_grid(*SHIFT_SEARCH_SPAN, SHIFT_SEARCH_COARSE, 14.8):
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0.0
+
+
 @pytest.mark.parametrize("kind,width", [("bell", 0.32), ("parabola", 0.56)])
 @pytest.mark.parametrize("nu,rho0", [(2.0, 6.62e4), (3.0, 5.27e4), (4.0, 5.27e4)])
 def test_batched_argmax_equals_per_level_search(kind, width, nu, rho0):
@@ -322,6 +353,42 @@ def test_shift_jacobian_matches_central_differences(kind, width, nu):
     widths, rho0s = np.array([width, 1.1 * width]), np.array([rho0, 0.9 * rho0])
     batched = predicted_shifts(widths, rho0s, problem, jacobian=True)[1]
     assert batched[0].tolist() == jac.tolist()
+
+
+def _full_slopes(monkeypatch):
+    """Patch both slope helpers to compute all three outputs and return the
+    ones asked for."""
+    import actsens.optimize as opt
+
+    for name in ("_hatze_log_q_slopes", "_force_length_log_slopes"):
+        full = getattr(opt, name)
+        monkeypatch.setattr(opt, name, lambda *args, n=3, full=full: full(*args)[:n])
+
+
+#: Point sets as (kind, nu, widths, rho0s): one point, or three with one row
+#: without an interior maximum (the wide bell's scan-boundary maximum; the
+#: degenerate parabola's unbracketed 0.22). Both bell sets hold a level
+#: pinned at the optimum to rounding (rho0 = 100 at gamma = 0.08).
+SLOPE_POINT_SETS = {
+    "bell-pinned": ("bell", 3.0, 0.32, 100.0),
+    "bell-three": ("bell", 3.0, [0.32, 0.32, 3.0], [3.25e4, 100.0, 3.25e4]),
+    "parabola-three": ("parabola", 2.0, [0.56, 7.1e5, 0.46], [3.25e4, 1.46e11, 100.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(SLOPE_POINT_SETS))
+def test_shifts_and_jacobian_do_not_depend_on_the_slope_outputs_computed(name, monkeypatch):
+    # each stage of the force search evaluates only the derivatives it reads;
+    # computing all three everywhere must give the same bits
+    kind, nu, widths, rho0s = SLOPE_POINT_SETS[name]
+    levels = (0.55, 0.28, 0.22, 0.08)
+    problem = FitProblem(targets=ShiftTargets(levels, (0.0,) * len(levels)), flr_kind=kind,
+                         nu=nu)
+    shifts, jac = predicted_shifts(widths, rho0s, problem, jacobian=True)
+    assert np.isnan(shifts).any(axis=-1).sum() == np.ndim(widths)  # a NaN row in a set
+    _full_slopes(monkeypatch)
+    again = predicted_shifts(widths, rho0s, problem, jacobian=True)
+    assert shifts.tobytes() == again[0].tobytes() and jac.tobytes() == again[1].tobytes()
 
 
 def test_shift_invariant_under_force_scaling():
@@ -682,6 +749,26 @@ def test_fit_work_counters_are_pinned(monkeypatch):
     cells = run_table(synthesize_targets(width=0.32, rho0=3.25e4, nu=3.0, kind="bell"))
     assert len(calls) == 57 and sum(c.iterations for c in cells) == 139
     assert len(cells) == 18 and all(c.status == "ok" and c.determined for c in cells)
+
+
+def test_force_search_work_counters_are_pinned(monkeypatch):
+    # calls of the two slope helpers, and the entries they evaluate, over
+    # criterion 7's 18-cell table: a change that moves the force search's
+    # probes, Newton steps or Jacobians, or the fit's rounds, moves these
+    import actsens.optimize as opt
+
+    targets = synthesize_targets(width=0.32, rho0=3.25e4, nu=3.0, kind="bell")
+    counts = {}
+    for name in ("_hatze_log_q_slopes", "_force_length_log_slopes"):
+        def counted(*args, name=name, slopes=getattr(opt, name)):
+            out = slopes(*args)
+            calls, entries = counts.get(name, (0, 0))
+            counts[name] = (calls + 1, entries + np.size(out[0]))
+            return out
+
+        monkeypatch.setattr(opt, name, counted)
+    run_table(targets)
+    assert counts == {"_hatze_log_q_slopes": (334, 7398), "_force_length_log_slopes": (334, 7398)}
 
 
 def test_lockstep_iteration_cap_fails_only_its_own_fit(monkeypatch):

@@ -29,7 +29,7 @@ def _hooked():
     return (cli.main, cli._MODELS.copy(), cli.family_evaluator, localsens.integrate,
             presets.integrate, presets.zajac_rhs, presets.hatze_rhs, cli.run_table,
             optimize.fit_shift_parameters, optimize.fit_error, optimize._argmax_force,
-            optimize.isometric_force)
+            optimize.isometric_force, optimize.hatze_q_of_gamma, optimize.force_length)
 
 
 def test_tracer_installs_on_every_hooked_name_and_restores(tmp_path, monkeypatch):
@@ -62,12 +62,15 @@ def test_tracer_installs_on_every_hooked_name_and_restores(tmp_path, monkeypatch
                              "--t-end", "0.05", "--points", "3",
                              "--output", str(tmp_path / f"global-{name}")]) == 0
             assert spans.summary()["models.batch_rhs"]["calls"] > before, name
-        # the optimizer path: lockstep fits through the hooked argmax and force
+        # the optimizer path: lockstep fits through the hooked argmax and
+        # force, whose scan goes through the checked static formulas
         targets = tmp_path / "targets.csv"
         targets.write_text("gamma,shift_mm\n0.55,0.4\n0.28,0.9\n")
+        static = spans.summary().get("models.static", {}).get("calls", 0)
         assert cli.main(["optimize", "--targets", str(targets), "--nu", "3", "--kind", "bell",
                          "--output", str(tmp_path / "fit")]) == 0
         assert spans.summary()["optimize.argmax"]["calls"] > 0
+        assert spans.summary()["models.static"]["calls"] > static
     finally:
         hooks.restore()
     assert _hooked() == originals
