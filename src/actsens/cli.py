@@ -226,8 +226,13 @@ def _merge_settings(command: str, args: argparse.Namespace) -> _Settings:
 
 
 def _out_dir(settings) -> Path:
+    """The output directory, created if missing; ConfigError if it cannot be."""
     out = Path(settings["output"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, no permission, ...
+        raise ConfigError(f"{_where(settings.given.get('output'))}cannot create output "
+                          f"directory {str(out)!r}: {exc.strerror}") from exc
     return out
 
 

@@ -273,8 +273,7 @@ def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
                 raise NonFiniteState(f"non-finite state produced near t={t:.6e}")
             h *= max(_MIN_FACTOR, _SAFETY * err_norm ** -_ORDER_EXP)
 
-    if gi < n_times:  # grid points at t_end within float fuzz
-        out[gi:] = y
+    # the last accepted step ended at or past t_end, so it filled every grid time
     return Trajectory(times=grid.copy(), values=out)
 
 

@@ -467,14 +467,16 @@ def _levenberg_marquardt(start, tol: float, max_iter: int):
 @dataclass
 class FitResult:
     """A fit's end point; ``determined`` is False where the shifts' Jacobian
-    there has parallel columns (see :func:`_levenberg_marquardt`)."""
+    there has parallel columns (see :func:`_levenberg_marquardt`). A
+    :class:`TableCell` inherits every field; the defaults are a failed cell's.
+    """
 
-    width: float
-    rho0: float
-    error_mm: float
-    iterations: int
-    objective_evals: int
-    determined: bool
+    width: float = math.nan
+    rho0: float = math.nan
+    error_mm: float = math.nan
+    iterations: int = 0
+    objective_evals: int = 0
+    determined: bool = False
 
 
 #: Stop rule and step cap of every fit (see :func:`_levenberg_marquardt`).
@@ -550,17 +552,14 @@ def _trial_residuals(points, problem: FitProblem) -> list:
             for r, j in zip(residuals, jac)]
 
 
-@dataclass
-class TableCell:
+@dataclass(kw_only=True)
+class TableCell(FitResult):
+    """A :func:`run_table` cell: its fit's FitResult, plus (nu, kind, width
+    start) and a status, "ok" or the error that ended the fit."""
+
     nu: float
     kind: str
     width_start: float
-    width: float = math.nan
-    rho0: float = math.nan
-    error_mm: float = math.nan
-    iterations: int = 0
-    objective_evals: int = 0
-    determined: bool = False
     status: str = "ok"
 
 
@@ -580,37 +579,23 @@ def run_table(
 
     The starts of one (nu, kind) pair are fitted in lockstep, each with the
     result it gets alone. Cells come start by start, each start's over
-    every (nu, kind).
+    every (nu, kind). A start that is not positive raises FitProblem's
+    ValueError before any fit.
     """
     starts = {"bell": DEFAULT_BELL_STARTS, "parabola": DEFAULT_PARABOLA_STARTS}
     n_starts = min(len(starts["bell"]), len(starts["parabola"]))
-    outcomes = {}  # (start index, nu, kind) -> FitResult or the error that ended the fit
-    for nu in nus:
-        for kind in kinds:
-            problems = {}
-            for si in range(n_starts):
-                try:
-                    problems[si] = FitProblem(targets=targets, flr_kind=kind, nu=nu,
-                                              width_start=starts[kind][si],
-                                              rho0_start=rho0_start, ell_opt=ell_opt)
-                except ValueError as exc:
-                    outcomes[si, nu, kind] = exc
-            fits = _fit_lockstep(list(problems.values()))
-            outcomes.update(((si, nu, kind), fit) for si, fit in zip(problems, fits))
+    fits = {(nu, kind): _fit_lockstep([  # per start, its FitResult or the error that ended it
+        FitProblem(targets=targets, flr_kind=kind, nu=nu, width_start=start,
+                   rho0_start=rho0_start, ell_opt=ell_opt) for start in starts[kind][:n_starts]])
+        for nu in nus for kind in kinds}
     cells = []
     for si in range(n_starts):
         for nu in nus:
             for kind in kinds:
-                cell = TableCell(nu=nu, kind=kind, width_start=starts[kind][si])
-                outcome = outcomes[si, nu, kind]
-                if isinstance(outcome, Exception):  # a failed cell keeps the table
-                    cell.status = f"{type(outcome).__name__}: {outcome}"
-                else:
-                    cell.width, cell.rho0 = outcome.width, outcome.rho0
-                    cell.error_mm, cell.iterations = outcome.error_mm, outcome.iterations
-                    cell.objective_evals = outcome.objective_evals
-                    cell.determined = outcome.determined
-                cells.append(cell)
+                fit = fits[nu, kind][si]  # a failed fit's cell keeps the table, with its error
+                outcome = vars(fit) if isinstance(fit, FitResult) else {
+                    "status": f"{type(fit).__name__}: {fit}"}
+                cells.append(TableCell(nu=nu, kind=kind, width_start=starts[kind][si], **outcome))
     return cells
 
 

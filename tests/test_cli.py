@@ -608,6 +608,90 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+_EVERY_COMMAND = {
+    "analytic": ["analytic", "--points", "3"],
+    "simulate": ["simulate", "--t-end", "0.01", "--points", "3"],
+    "local-sens": ["local-sens", "--t-end", "0.01", "--points", "3"],
+    "global-sens": ["global-sens", "--n", "2", "--t-end", "0.01", "--points", "3"],
+    "optimize": ["optimize", "--nu", "3", "--kind", "bell", "--targets", "{targets}"],
+}
+
+
+@pytest.mark.parametrize("output", ["afile", "afile/sub"], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", list(_EVERY_COMMAND))
+def test_unusable_output_directory_exits_2(tmp_path, capsys, command, output):
+    # mkdir's FileExistsError or NotADirectoryError becomes one ConfigError record
+    # naming the path, not a traceback
+    (tmp_path / "afile").write_text("in the way\n")
+    targets = tmp_path / "targets.csv"
+    targets.write_text("gamma,shift_mm\n0.55,0.4\n0.28,0.9\n")
+    argv = [a.format(targets=targets) for a in _EVERY_COMMAND[command]]
+    out = tmp_path / output
+    assert main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "ConfigError" and record["command"] == command
+    assert record["message"].startswith(f"cannot create output directory {str(out)!r}: ")
+    assert (tmp_path / "afile").read_text() == "in the way\n"
+
+
+def test_unusable_output_directory_from_a_config_file_names_its_line(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"points = 3\noutput = {tmp_path / 'afile'}\n")
+    assert main(["simulate", "--t-end", "0.01", "--config", str(cfg)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["message"].startswith(f"{cfg}:2: cannot create output directory ")
+
+
+def test_unusable_output_directory_exits_2_as_a_program(tmp_path):
+    (tmp_path / "afile").write_text("")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "actsens.cli", "simulate", "--t-end", "0.01",
+                           "--points", "3", "--output", str(tmp_path / "afile")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert json.loads(lines[0])["error"] == "ConfigError"
+
+
+def test_hatze_exponent_without_a_pairing_needs_rho_c(tmp_path, capsys):
+    out = tmp_path / "x"
+    argv = ["simulate", "--model", "hatze", "--nu", "2.5", "--t-end", "0.01", "--points", "3"]
+    assert main(argv + ["--output", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert record["message"] == "no rho_c pairing for nu=2.5; pass --rho-c"
+    assert not out.exists()
+    assert main(argv + ["--rho-c", "8", "--output", str(out)]) == 0
+
+
+def test_config_line_without_an_equals_sign_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("points = 3\n# a comment\nt_end 0.01\n")
+    assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path / "x")]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert record["message"] == f"{cfg}:3: expected 'key = value', got 't_end 0.01'"
+
+
+def test_bounds_file_missing_a_parameter_exits_2(tmp_path, capsys):
+    bounds = tmp_path / "bounds.cfg"
+    bounds.write_text("\n".join(_ZAJAC_BOUNDS[:-1]) + "\n")  # no beta
+    out = tmp_path / "x"
+    assert main(["global-sens", "--model", "zajac", "--preset", str(bounds),
+                 "--n", "2", "--points", "3", "--output", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(f"{bounds}: bounds file must give one 'lower,upper' "
+                                        "pair for each of ['q_Z0', ")
+    assert "'beta'" in record["message"]
+    assert not out.exists()
+
+
 def test_global_sens_manifest_counts_resampled_rows(tmp_path, monkeypatch):
     # the first ensemble solve loses one base row; it is redrawn and solved again
     real = cli.family_evaluator

@@ -257,9 +257,24 @@ def test_resampling_honours_the_draw_cap(monkeypatch):
     assert len(calls) == 1 + 3
 
 
+def test_sample_matrices_reject_one_row_and_an_unknown_sampler():
+    with pytest.raises(ValueError, match=r"need at least two sample rows, got n=1"):
+        build_sample_matrices(UNIT2, n=1, seed=0)
+    with pytest.raises(ValueError, match=r"unknown sampler 'sobol'"):
+        build_sample_matrices(UNIT2, n=4, seed=0, sampler="sobol")
+
+
 # ---------------------------------------------------------------------------
 # family evaluation
 # ---------------------------------------------------------------------------
+
+
+def test_evaluator_of_the_wrong_shape_is_rejected():
+    m = build_sample_matrices(UNIT2, n=4, seed=0)
+    n_rows = 2 * 4 * (2 + 1)
+    with pytest.raises(ValueError, match=rf"evaluator returned shape \({n_rows}, 3\), "
+                                         rf"expected \({n_rows}, 2\)"):
+        evaluate_family(lambda rows, grid: np.zeros((rows.shape[0], grid.size + 1)), m, GRID)
 
 
 def test_constant_model_gives_identical_trajectories_and_zero_variance():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from actsens import (
     PoleViolation,
     ShiftTargets,
     FitProblem,
+    FitResult,
+    TableCell,
     fit_error,
     fit_shift_parameters,
     hatze_q_of_gamma,
@@ -621,6 +624,33 @@ def test_run_table_layout_and_failure_reporting(monkeypatch):
     assert failed[1] == cells[1]  # its lockstep sibling converges as before
 
 
+def test_table_cell_is_a_fit_result_plus_its_cell(monkeypatch):
+    # every FitResult field reaches the table with no second declaration
+    targets = synthesize_targets(width=0.32, rho0=3.25e4, nu=3.0, kind="bell")
+    _set_starts(monkeypatch, (0.35,), (0.56,))
+    (cell,) = run_table(targets, nus=(3.0,), kinds=("bell",))
+    solo = fit_shift_parameters(FitProblem(targets=targets, flr_kind="bell", nu=3.0,
+                                           width_start=0.35))
+    cell_fields = {f.name for f in dataclasses.fields(TableCell)}
+    for field in dataclasses.fields(FitResult):
+        assert field.name in cell_fields
+        assert getattr(cell, field.name) == getattr(solo, field.name), field.name
+    assert (cell.nu, cell.kind, cell.width_start, cell.status) == (3.0, "bell", 0.35, "ok")
+    # a failed cell keeps every fit field at its FitResult default
+    failed = TableCell(nu=3.0, kind="bell", width_start=0.35, status="ValueError: x")
+    for field in dataclasses.fields(FitResult):
+        assert repr(getattr(failed, field.name)) == repr(field.default), field.name
+
+
+def test_run_table_rejects_a_start_that_is_not_positive(monkeypatch):
+    targets = synthesize_targets(width=0.32, rho0=3.25e4, nu=3.0, kind="bell")
+    with pytest.raises(ValueError, match="rho0_start must be positive"):
+        run_table(targets, rho0_start=0.0)
+    _set_starts(monkeypatch, (0.25, -0.35), (0.46, 0.56))
+    with pytest.raises(ValueError, match="width_start must be positive"):
+        run_table(targets, nus=(3.0,), kinds=("bell",))
+
+
 def test_failed_trial_point_is_a_rejected_step(monkeypatch):
     import actsens.optimize as opt
 
@@ -802,6 +832,18 @@ def test_targets_csv_roundtrip(tmp_path):
     bad.write_text("g,s\n0.5,0.4\n")
     with pytest.raises(ValueError):
         load_shift_targets(bad)
+
+
+def test_targets_csv_skips_blank_rows(tmp_path):
+    # blank rows, or rows of empty fields, between data rows are skipped; a
+    # later row's error still names its own line
+    path = tmp_path / "targets.csv"
+    path.write_text("gamma,shift_mm\n0.55,0.4\n\n , \n0.28,0.9\n\n")
+    targets = load_shift_targets(path)
+    assert targets.levels == (0.55, 0.28) and targets.shifts_mm == (0.4, 0.9)
+    path.write_text("gamma,shift_mm\n0.55,0.4\n\n,\n0.28,far\n")
+    with pytest.raises(ValueError, match=r"targets\.csv:5: could not convert"):
+        load_shift_targets(path)
 
 
 @pytest.mark.parametrize("header", ["gamma,shift_mm,note", "gamma,shift_mm,", "gamma"])
