@@ -10,8 +10,10 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import sys
 from functools import cache, partial
 from pathlib import Path
@@ -225,11 +227,20 @@ def _merge_settings(command: str, args: argparse.Namespace) -> _Settings:
     return settings
 
 
-def _out_dir(settings) -> Path:
-    """The output directory, created if missing; ConfigError if it cannot be."""
+def _out_dir(settings, create: bool = True) -> Path:
+    """The output directory, created if missing; ConfigError if it cannot be.
+    Without ``create`` it creates nothing, and only checks that mkdir would pass."""
     out = Path(settings["output"])
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        if create:
+            out.mkdir(parents=True, exist_ok=True)
+        elif not os.path.isdir(out):  # the error mkdir would raise, without the mkdir
+            ancestor = next(p for p in (out, *out.parents) if os.path.exists(p))
+            if not os.path.isdir(ancestor):
+                code = errno.EEXIST if ancestor == out else errno.ENOTDIR
+                raise OSError(code, os.strerror(code))
+            if not os.access(ancestor, os.W_OK | os.X_OK):
+                raise OSError(errno.EACCES, os.strerror(errno.EACCES))
     except OSError as exc:  # a file in the way, no permission, ...
         raise ConfigError(f"{_where(settings.given.get('output'))}cannot create output "
                           f"directory {str(out)!r}: {exc.strerror}") from exc
@@ -573,7 +584,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         command = args.command
-        return _COMMANDS[command][0](_merge_settings(command, args))
+        settings = _merge_settings(command, args)
+        _out_dir(settings, create=False)  # every command writes there: check before its work
+        return _COMMANDS[command][0](settings)
     except ConfigError as exc:
         return _report(exc, command, 2)
     except (ActsensError, ValueError) as exc:

@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import MissingDerivative, NonFiniteState
-from .models import ModelSpec, _Domain
+from .models import ModelSpec, _Domain, _upper_mirror
 from .odecore import OdeProblem, Tolerances, integrate
 
 __all__ = [
@@ -88,9 +88,9 @@ def _check_derivs(derivs, order: int) -> None:
 
 
 def _augmented_system(model: ModelSpec, lam, y0, *, order):
-    """Right-hand side and initial vector of the stacked sensitivity system."""
+    """Rhs, initial vector and R rows' ``mirror`` (see ``_upper_mirror``) of the stacked system."""
     M, N = model.dim, model.n_params
-    ii, jj = np.triu_indices(N)
+    (ii, jj), mirror = _upper_mirror(N)
     n_s = (N + M) * M if order >= 1 else 0
     n_r = ii.size * M if order >= 2 else 0
     # the upper triangle's flat positions in an (M, N, N) block, as (pairs, M)
@@ -126,7 +126,7 @@ def _augmented_system(model: ModelSpec, lam, y0, *, order):
     z0[:M] = y0
     if order >= 1:
         z0[M + N * M:M + n_s] = np.eye(M).ravel()
-    return rhs, z0, (ii, jj)
+    return rhs, z0, mirror
 
 
 def analyze(
@@ -173,7 +173,7 @@ def analyze(
         if not all(np.isfinite(a).all() for a in start[:order + 1]):
             point = ", ".join(f"{n}={float(v)!r}" for n, v in zip(model.canonical_order, x))
             raise NonFiniteState(f"rhs or its partials are non-finite at t=0.0 for {point}")
-    rhs, z0, (ii, jj) = _augmented_system(model, lam, y0, order=order)
+    rhs, z0, mirror = _augmented_system(model, lam, y0, order=order)
     traj = integrate(OdeProblem(rhs=rhs, y0=z0, output_grid=grid), tol or Tolerances())
 
     T, n_s = grid.size, (N + M) * M
@@ -183,10 +183,7 @@ def analyze(
         block = vals[:, M:M + n_s].reshape(T, N + M, M)
         s_raw = np.concatenate([block[:, N:], block[:, :N]], axis=1)  # canonical order
     if order >= 2:
-        tri = vals[:, M + n_s:].reshape(T, len(ii), M)
-        r_raw = np.zeros((T, N, N, M))
-        r_raw[:, ii, jj, :] = tri
-        r_raw[:, jj, ii, :] = tri
+        r_raw = vals[:, M + n_s:].reshape(T, -1, M)[:, mirror]
     return SensitivityResult(
         times=traj.times, state=vals[:, :M],
         param_names=model.param_names, init_names=model.init_names,

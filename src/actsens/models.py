@@ -717,29 +717,31 @@ def simplified_zajac_sensitivities(t, sigma: float, tau: float, q_init: float):
 # ---------------------------------------------------------------------------
 
 
+#: Rat gastrocnemius optimal CE length (mm).
+DEFAULT_ELL_OPT = 14.8
+#: Exponents of the bell's ascending (ell <= ell_opt) and descending branches.
+BELL_NU_ASC = 3.0
+BELL_NU_DES = 1.5
+
+
 @dataclass(frozen=True)
 class ForceLengthRelation:
     """Normalized force-length relation, parabola or bell-shaped.
 
     ``width`` is the parabola half-width at zero force or the bell width of
-    both branches. Lengths are in millimetres; the curve equals 1 at the
-    optimal CE length.
+    both branches, whose exponents are BELL_NU_ASC and BELL_NU_DES. Lengths
+    are in millimetres; the curve equals 1 at the optimal CE length.
     """
 
     kind: str
     width: float
-    nu_asc: float = 3.0
-    nu_des: float = 1.5
-    ell_opt: float = 14.8
-    f_max: float = 1.0
+    ell_opt: float = DEFAULT_ELL_OPT
 
     def __post_init__(self):
         if self.kind not in ("parabola", "bell"):
             raise ValueError(f"kind must be 'parabola' or 'bell', got {self.kind!r}")
         if not np.greater(self.width, 0.0).all():  # width may be a column of rows
             raise ValueError(f"width must be positive, got {self.width}")
-        if not (self.nu_asc > 0.0 and self.nu_des > 0.0):
-            raise ValueError("bell exponents must be positive")
         if not self.ell_opt > 0.0:
             raise ValueError(f"ell_opt must be positive, got {self.ell_opt}")
 
@@ -749,7 +751,7 @@ def _force_length_relative(ell_rel, rel: ForceLengthRelation):
     delta = ell_rel - 1.0
     if rel.kind == "parabola":
         return np.maximum(0.0, 1.0 - (delta / rel.width) ** 2)
-    exponent = np.where(ell_rel <= 1.0, rel.nu_asc, rel.nu_des)
+    exponent = np.where(ell_rel <= 1.0, BELL_NU_ASC, BELL_NU_DES)
     return np.exp(-((np.abs(delta) / rel.width) ** exponent))
 
 
@@ -759,7 +761,7 @@ def _force_length_log_slopes(ell_rel, rel: ForceLengthRelation, n: int = 3):
     Valid for 1 < ell_rel (and ell_rel < 1 + width for the parabola); with
     delta = ell_rel - 1 and w the width, returns the first ``n`` of
     (log F_L)_u, (log F_L)_uu and d/d(log w) of (log F_L)_u, as a tuple,
-    computing only those. Bell, e = nu_des: -e delta^(e-1)/w^e,
+    computing only those. Bell, e = BELL_NU_DES: -e delta^(e-1)/w^e,
     (e - 1)/delta times that, and -e times it. Parabola: -2 delta/(w^2 - delta^2),
     -2 (w^2 + delta^2)/(w^2 - delta^2)^2 and 4 delta w^2/(w^2 - delta^2)^2.
     """
@@ -772,7 +774,7 @@ def _force_length_log_slopes(ell_rel, rel: ForceLengthRelation, n: int = 3):
             return (slope,)
         curv = -2.0 * (w2 + delta**2) / gap**2
         return (slope, curv) if n == 2 else (slope, curv, 4.0 * delta * w2 / gap**2)
-    e = rel.nu_des
+    e = BELL_NU_DES
     slope = -e * delta ** (e - 1.0) / rel.width**e
     if n == 1:
         return (slope,)
@@ -787,7 +789,7 @@ def _force_length_slope_root(a, rel: ForceLengthRelation):
     if rel.kind == "parabola":
         aw = a * rel.width
         return aw * rel.width / (1.0 + np.sqrt(1.0 + aw * aw))
-    e = rel.nu_des
+    e = BELL_NU_DES
     return (a * rel.width**e / e) ** (1.0 / (e - 1.0))
 
 

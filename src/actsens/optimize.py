@@ -1,18 +1,18 @@
 """Activity-dependent shifts in optimal CE length and the (width, rho0) fit.
 
 The isometric force combines the length-dependent steady-state activity with
-a force-length relation: F(gamma, ell) = F_max * q(gamma, ell/ell_opt) *
-F_L(ell). Because the activity gains from longer CE lengths, the force
-maximum shifts to longer lengths at submaximal stimulation; the shift is
-measured against the model's own full-activation optimum. Each maximum
-comes from a coarse grid scan and a safeguarded Newton iteration on the
-slope of log F inside the scan's bracket, which finds it to rounding.
-Differentiating that slope's root gives each shift's exact derivatives in
-the fitted parameters, so a log-space Levenberg-Marquardt with exact
-Jacobians fits the force-length width and the calcium scale rho0 to a set of
-target shifts. Where the Jacobian's two columns turn parallel, the shifts
-determine only one combination of the two; such a fit ends once its error
-has settled and is reported as not determined.
+a force-length relation: F(gamma, ell) = q(gamma, ell/ell_opt) * F_L(ell), in
+units of the maximal isometric force. Because the activity gains from longer
+CE lengths, the force maximum shifts to longer lengths at submaximal
+stimulation; the shift is measured against the model's own full-activation
+optimum. Each maximum comes from a coarse grid scan and a safeguarded Newton
+iteration on the slope of log F inside the scan's bracket, which finds it to
+rounding. Differentiating that slope's root gives each shift's exact
+derivatives in the fitted parameters, so a log-space Levenberg-Marquardt with
+exact Jacobians fits the force-length width and the calcium scale rho0 to a
+set of target shifts. Where the Jacobian's two columns turn parallel, the
+shifts determine only one combination of the two; such a fit ends once its
+error has settled and is reported as not determined.
 
 The width starts of one (nu, kind) cell are fitted in lockstep: each round,
 the pending trial point of every live fit goes through one batched
@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import ActsensError, MaxIterationsExceeded, NoInteriorMaximum
 from .models import (
+    DEFAULT_ELL_OPT,
     ForceLengthRelation,
     HatzeParams,
     _force_length_log_slopes,
@@ -59,8 +60,6 @@ __all__ = [
 CALCIUM_CEILING = 1.37e-4
 #: Preset stimulation levels of the shift experiment.
 DEFAULT_LEVELS = (0.55, 0.28, 0.22, 0.17, 0.08)
-#: Rat gastrocnemius optimal CE length (mm).
-DEFAULT_ELL_OPT = 14.8
 #: Common start value for the calcium scale (l/mol).
 DEFAULT_RHO0_START = 6.0e4
 
@@ -135,28 +134,19 @@ def load_shift_targets(path) -> ShiftTargets:
 
 @dataclass(frozen=True)
 class FitProblem:
-    """One fit configuration: force-length kind, fixed exponent, start values."""
+    """What a fit matches: targets, force-length kind, nu and ell_opt; starts are fit arguments."""
 
     targets: ShiftTargets
     flr_kind: str = "bell"
     nu: float = 3.0
-    width_start: float = 0.35
-    rho0_start: float = DEFAULT_RHO0_START
     ell_opt: float = DEFAULT_ELL_OPT
 
-    def __post_init__(self):
-        if not self.width_start > 0.0:
-            raise ValueError("width_start must be positive")
-        if not self.rho0_start > 0.0:
-            raise ValueError("rho0_start must be positive")
-
-    def relation(self, width: float) -> ForceLengthRelation:
-        return ForceLengthRelation(kind=self.flr_kind, width=width, ell_opt=self.ell_opt)
-
-    def activation(self, rho0: float) -> HatzeParams:
+    def model(self, width, rho0) -> tuple[HatzeParams, ForceLengthRelation]:
+        """The activation and force-length relation at a fitted point."""
         # q0 and ell_rho keep the HatzeParams defaults; q_init/sigma/m never
         # enter the static force model, so they are placeholders only
-        return HatzeParams(sigma=1.0, nu=self.nu, rho_c=rho0 * CALCIUM_CEILING, q_init=0.5)
+        return (HatzeParams(sigma=1.0, nu=self.nu, rho_c=rho0 * CALCIUM_CEILING, q_init=0.5),
+                ForceLengthRelation(kind=self.flr_kind, width=width, ell_opt=self.ell_opt))
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +155,10 @@ class FitProblem:
 
 
 def isometric_force(gamma, ell_ce, hatze_params: HatzeParams, flr: ForceLengthRelation):
-    """Static force F_max * q(gamma, ell/ell_opt) * F_L(ell); ell_ce in mm."""
+    """Relative static force q(gamma, ell/ell_opt) * F_L(ell); ell_ce in mm."""
     ell_rel = np.asarray(ell_ce, dtype=float) / flr.ell_opt
     q = hatze_q_of_gamma(gamma, ell_rel, hatze_params)
-    return flr.f_max * q * force_length(ell_ce, flr)
+    return q * force_length(ell_ce, flr)
 
 
 #: Newton on the log-force slope stops each entry once its step is at most
@@ -333,9 +323,8 @@ def predicted_shifts(width, rho0, problem: FitProblem, jacobian: bool = False):
     """
     if np.ndim(width):  # F points: (F, 1, 1) fields, see _argmax_force
         width, rho0 = np.reshape(width, (-1, 1, 1)), np.reshape(rho0, (-1, 1, 1))
-    out = _argmax_force((1.0, *problem.targets.levels), problem.activation(rho0),
-                        problem.relation(width), SHIFT_SEARCH_SPAN, SHIFT_SEARCH_COARSE,
-                        jacobian)
+    out = _argmax_force((1.0, *problem.targets.levels), *problem.model(width, rho0),
+                        SHIFT_SEARCH_SPAN, SHIFT_SEARCH_COARSE, jacobian)
     if not jacobian:
         return out[..., 1:] - out[..., :1]
     peaks, d_peaks = out
@@ -484,50 +473,58 @@ FIT_TOL = 1e-8
 FIT_MAX_ITER = 2000
 
 
-def fit_shift_parameters(problem: FitProblem) -> FitResult:
-    """Fit (width, rho0) to the target shifts; log-space keeps both positive.
+def fit_shift_parameters(problem: FitProblem, width_start: float = 0.35,
+                         rho0_start: float = DEFAULT_RHO0_START) -> FitResult:
+    """Fit (width, rho0) to the target shifts from a positive start (else
+    ValueError); log-space keeps both positive.
 
     Trial points whose force maximum escapes the search interval count as
     rejected steps, so the search retreats into the feasible region instead
     of aborting the fit. This is the lockstep of one fit, so it gives what
     :func:`run_table` gives for the same start.
     """
-    (outcome,) = _fit_lockstep([problem])
+    (outcome,) = _fit_lockstep(problem, [(width_start, rho0_start)])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
-def _fit_lockstep(problems: list[FitProblem]) -> list:
-    """Fit problems that differ only in their start values, in lockstep.
+def _check_starts(starts) -> None:
+    """ValueError naming the value at the first (width, rho0) start not positive."""
+    for start in starts:
+        for name, value in zip(("width_start", "rho0_start"), start):
+            if not value > 0.0:
+                raise ValueError(f"{name} must be positive")
+
+
+def _fit_lockstep(problem: FitProblem, starts) -> list:
+    """Fit ``problem`` from each checked (width, rho0) start, in lockstep.
 
     Each round sends the pending trial point of every live fit through one
-    :func:`_trial_residuals` call. Returns, per problem, its FitResult or the
+    :func:`_trial_residuals` call. Returns, per start, its FitResult or the
     ActsensError or ValueError that ended its fit alone; any other error
     propagates.
     """
-    searches = [_levenberg_marquardt([math.log(pb.width_start), math.log(pb.rho0_start)],
-                                     FIT_TOL, FIT_MAX_ITER) for pb in problems]
+    _check_starts(starts)
+    searches = [_levenberg_marquardt([math.log(width), math.log(rho0)], FIT_TOL, FIT_MAX_ITER)
+                for width, rho0 in starts]
     pending = {i: next(search) for i, search in enumerate(searches)}
-    evals = [0] * len(problems)
-    outcomes: list = [None] * len(problems)
+    outcomes: list = [None] * len(starts)
     while pending:
         live = list(pending)
-        values = _trial_residuals([pending[i] for i in live], problems[0])
+        values = _trial_residuals([pending[i] for i in live], problem)
         for i, value in zip(live, values):
-            evals[i] += 1
             try:
                 pending[i] = searches[i].send(value)
                 continue
             except StopIteration as done:
                 theta, error, iterations, determined = done.value
-                outcome = FitResult(width=math.exp(theta[0]), rho0=math.exp(theta[1]),
-                                    error_mm=error, iterations=iterations,
-                                    objective_evals=evals[i], determined=determined)
+                outcomes[i] = FitResult(  # evaluations: the start's and each step's
+                    width=math.exp(theta[0]), rho0=math.exp(theta[1]), error_mm=error,
+                    iterations=iterations, objective_evals=iterations + 1, determined=determined)
             except (ActsensError, ValueError) as exc:
-                outcome = exc
+                outcomes[i] = exc
             del pending[i]
-            outcomes[i] = outcome
     return outcomes
 
 
@@ -577,26 +574,24 @@ def run_table(
 ) -> list[TableCell]:
     """Fit every (nu, kind, width_start) cell; failures are reported per cell.
 
-    The starts of one (nu, kind) pair are fitted in lockstep, each with the
-    result it gets alone. Cells come start by start, each start's over
-    every (nu, kind). A start that is not positive raises FitProblem's
+    One FitProblem per (nu, kind) is fitted in lockstep from every width
+    start of its kind, each with ``rho0_start`` and the result it gets
+    alone. Cells come start by start, each start's over every (nu, kind)
+    that has it. A start that is not positive, of any kind, raises
     ValueError before any fit.
     """
-    starts = {"bell": DEFAULT_BELL_STARTS, "parabola": DEFAULT_PARABOLA_STARTS}
-    n_starts = min(len(starts["bell"]), len(starts["parabola"]))
-    fits = {(nu, kind): _fit_lockstep([  # per start, its FitResult or the error that ended it
-        FitProblem(targets=targets, flr_kind=kind, nu=nu, width_start=start,
-                   rho0_start=rho0_start, ell_opt=ell_opt) for start in starts[kind][:n_starts]])
-        for nu in nus for kind in kinds}
-    cells = []
-    for si in range(n_starts):
-        for nu in nus:
-            for kind in kinds:
-                fit = fits[nu, kind][si]  # a failed fit's cell keeps the table, with its error
+    widths = {"bell": DEFAULT_BELL_STARTS, "parabola": DEFAULT_PARABOLA_STARTS}
+    _check_starts([(w, rho0_start) for kind in kinds for w in widths[kind]])
+    cells = []  # (start index, cell); a failed fit's cell keeps the table, with its error
+    for nu in nus:
+        for kind in kinds:
+            problem = FitProblem(targets=targets, flr_kind=kind, nu=nu, ell_opt=ell_opt)
+            fits = _fit_lockstep(problem, [(w, rho0_start) for w in widths[kind]])
+            for si, (width, fit) in enumerate(zip(widths[kind], fits)):
                 outcome = vars(fit) if isinstance(fit, FitResult) else {
                     "status": f"{type(fit).__name__}: {fit}"}
-                cells.append(TableCell(nu=nu, kind=kind, width_start=starts[kind][si], **outcome))
-    return cells
+                cells.append((si, TableCell(nu=nu, kind=kind, width_start=width, **outcome)))
+    return [cell for _, cell in sorted(cells, key=lambda pair: pair[0])]  # stable: start-major
 
 
 def synthesize_targets(
@@ -605,9 +600,7 @@ def synthesize_targets(
     ell_opt: float = DEFAULT_ELL_OPT,
 ) -> ShiftTargets:
     """Generate self-consistent targets from known parameters (for testing)."""
-    probe = FitProblem(
-        targets=ShiftTargets(levels, tuple(0.0 for _ in levels)),
-        flr_kind=kind, nu=nu, width_start=width, rho0_start=rho0, ell_opt=ell_opt,
-    )
+    probe = FitProblem(targets=ShiftTargets(levels, tuple(0.0 for _ in levels)),
+                       flr_kind=kind, nu=nu, ell_opt=ell_opt)
     shifts = predicted_shifts(width, rho0, probe)
     return ShiftTargets(levels, tuple(float(s) for s in shifts))

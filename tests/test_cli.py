@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -619,9 +620,14 @@ _EVERY_COMMAND = {
 
 @pytest.mark.parametrize("output", ["afile", "afile/sub"], ids=["a-file", "under-a-file"])
 @pytest.mark.parametrize("command", list(_EVERY_COMMAND))
-def test_unusable_output_directory_exits_2(tmp_path, capsys, command, output):
+def test_unusable_output_directory_exits_2(tmp_path, capsys, monkeypatch, command, output):
     # mkdir's FileExistsError or NotADirectoryError becomes one ConfigError record
-    # naming the path, not a traceback
+    # naming the path, not a traceback, and before the command's work starts
+    def unreached(*args, **kwargs):
+        raise AssertionError("the command ran before its output setting was checked")
+
+    for name in ("analyze", "analyze_global", "run_table"):
+        monkeypatch.setattr(cli, name, unreached)
     (tmp_path / "afile").write_text("in the way\n")
     targets = tmp_path / "targets.csv"
     targets.write_text("gamma,shift_mm\n0.55,0.4\n0.28,0.9\n")
@@ -634,6 +640,17 @@ def test_unusable_output_directory_exits_2(tmp_path, capsys, command, output):
     assert record["error"] == "ConfigError" and record["command"] == command
     assert record["message"].startswith(f"cannot create output directory {str(out)!r}: ")
     assert (tmp_path / "afile").read_text() == "in the way\n"
+
+
+def test_output_under_a_directory_without_write_access_exits_2(tmp_path, capsys, monkeypatch):
+    # the nearest existing ancestor must be writable; the check creates nothing
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    out = tmp_path / "new" / "sub"
+    assert main(["simulate", "--t-end", "0.01", "--points", "3", "--output", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["message"] == (f"cannot create output directory {str(out)!r}: "
+                                 f"{os.strerror(errno.EACCES)}")
+    assert not (tmp_path / "new").exists()
 
 
 def test_unusable_output_directory_from_a_config_file_names_its_line(tmp_path, capsys):

@@ -1019,9 +1019,17 @@ def test_parabola_root_one_width_from_optimum():
 
 
 def test_bell_value_one_width_below_optimum():
-    rel = ForceLengthRelation(kind="bell", width=0.32, nu_asc=3.0, nu_des=1.5)
+    rel = ForceLengthRelation(kind="bell", width=0.32)
     assert force_length_relative(0.68, rel) == pytest.approx(
         np.exp(-1.0), rel=1e-12)
+
+
+def test_bell_branches_take_the_module_exponents():
+    # half a width from the optimum: exp(-(1/2)^3) below it, exp(-(1/2)^1.5) above
+    assert (models.BELL_NU_ASC, models.BELL_NU_DES) == (3.0, 1.5)
+    rel = ForceLengthRelation(kind="bell", width=0.32, ell_opt=1.0)
+    assert force_length_relative(0.84, rel) == pytest.approx(math.exp(-0.5**3), rel=1e-12)
+    assert force_length_relative(1.16, rel) == pytest.approx(math.exp(-0.5**1.5), rel=1e-12)
 
 
 def test_force_length_bounds_and_errors():
@@ -1063,7 +1071,7 @@ def test_log_activity_slopes_match_central_differences(nu, rho_c, gamma):
 @pytest.mark.parametrize("kind,width", [("bell", 0.32), ("parabola", 0.56)])
 def test_force_length_log_slopes_match_central_differences(kind, width):
     def rel(width):
-        return ForceLengthRelation(kind=kind, width=width, nu_asc=3.0, nu_des=1.5)
+        return ForceLengthRelation(kind=kind, width=width)
 
     ell = np.array([1.005, 1.03, 1.2, 1.4])  # the descending branch
     slope, curvature, cross = _force_length_log_slopes(ell, rel(width))
@@ -1111,7 +1119,7 @@ def test_shortened_log_activity_slopes_are_the_full_calls_leading_outputs(nu, rh
 def test_shortened_force_length_slopes_are_the_full_calls_leading_outputs(kind, width):
     rng = np.random.default_rng(32)
     ell = 1.0 + rng.uniform(0.0, 0.45, (6, 9))  # inside every parabola's support
-    rel = ForceLengthRelation(kind=kind, width=width, nu_asc=3.0, nu_des=1.5)
+    rel = ForceLengthRelation(kind=kind, width=width)
     _leading_outputs_match(lambda n: _force_length_log_slopes(ell, rel, n))
 
 

@@ -30,6 +30,7 @@ from actsens.optimize import (
     DEFAULT_ELL_OPT,
     DEFAULT_LEVELS,
     DEFAULT_PARABOLA_STARTS,
+    DEFAULT_RHO0_START,
     NEWTON_RTOL,
     SHIFT_SEARCH_COARSE,
     SHIFT_SEARCH_SPAN,
@@ -38,8 +39,7 @@ from actsens.optimize import (
     predicted_shifts,
 )
 
-BELL = ForceLengthRelation(kind="bell", width=0.32, nu_asc=3.0, nu_des=1.5,
-                           ell_opt=14.8, f_max=1.0)
+BELL = ForceLengthRelation(kind="bell", width=0.32, ell_opt=14.8)
 HATZE3 = HatzeParams(sigma=1.0, q0=0.005, nu=3.0, rho_c=3.25e4 * CALCIUM_CEILING,
                      ell_rho=2.9, q_init=0.5)
 
@@ -81,12 +81,11 @@ def zoom_max(fun, lo, width, xtol):
 
 def test_isometric_force_at_zero_stimulation():
     p = HatzeParams(sigma=0.0, q0=0.005, nu=3.0, rho_c=7.24, q_init=0.5)
-    flr = ForceLengthRelation(kind="parabola", width=0.56, ell_opt=14.8,
-                              f_max=100.0)
+    flr = ForceLengthRelation(kind="parabola", width=0.56, ell_opt=14.8)
     for ell in (10.0, 14.8, 18.0):
         q = hatze_q_of_gamma(0.0, ell / 14.8, p)
         assert q == pytest.approx(0.005)
-        expect = 100.0 * 0.005 * max(0.0, 1.0 - ((ell / 14.8 - 1.0) / 0.56) ** 2)
+        expect = 0.005 * max(0.0, 1.0 - ((ell / 14.8 - 1.0) / 0.56) ** 2)
         assert isometric_force(0.0, ell, p, flr) == pytest.approx(expect, rel=1e-12)
 
 
@@ -394,13 +393,6 @@ def test_shifts_and_jacobian_do_not_depend_on_the_slope_outputs_computed(name, m
     assert shifts.tobytes() == again[0].tobytes() and jac.tobytes() == again[1].tobytes()
 
 
-def test_shift_invariant_under_force_scaling():
-    scaled = ForceLengthRelation(kind="bell", width=0.32, ell_opt=14.8,
-                                 f_max=1234.5)
-    assert optimal_length_shift(0.22, HATZE3, scaled) == pytest.approx(
-        optimal_length_shift(0.22, HATZE3, BELL), abs=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # fit objective
 # ---------------------------------------------------------------------------
@@ -408,8 +400,7 @@ def test_shift_invariant_under_force_scaling():
 
 def test_fit_error_zero_on_self_consistent_targets():
     targets = synthesize_targets(width=0.32, rho0=3.25e4, nu=3.0, kind="bell")
-    problem = FitProblem(targets=targets, flr_kind="bell", nu=3.0,
-                         width_start=0.32)
+    problem = FitProblem(targets=targets, flr_kind="bell", nu=3.0)
     assert fit_error(0.32, 3.25e4, problem) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -417,8 +408,7 @@ def test_fit_error_single_level_divides_by_five():
     base = synthesize_targets(width=0.32, rho0=3.25e4, nu=3.0, kind="bell",
                               levels=(0.28,))
     shifted = ShiftTargets(levels=(0.28,), shifts_mm=(base.shifts_mm[0] + 0.1,))
-    problem = FitProblem(targets=shifted, flr_kind="bell", nu=3.0,
-                         width_start=0.32)
+    problem = FitProblem(targets=shifted, flr_kind="bell", nu=3.0)
     assert fit_error(0.32, 3.25e4, problem) == pytest.approx(0.1 / math.sqrt(5.0),
                                                              rel=1e-9)
     assert fit_error(0.32, 3.25e4, problem) == pytest.approx(0.04472135954999579,
@@ -429,17 +419,15 @@ def test_fit_error_constant_offset_over_five_levels():
     base = synthesize_targets(width=0.32, rho0=3.25e4, nu=3.0, kind="bell")
     shifted = ShiftTargets(levels=base.levels,
                            shifts_mm=tuple(s - 0.25 for s in base.shifts_mm))
-    problem = FitProblem(targets=shifted, flr_kind="bell", nu=3.0,
-                         width_start=0.32)
+    problem = FitProblem(targets=shifted, flr_kind="bell", nu=3.0)
     assert fit_error(0.32, 3.25e4, problem) == pytest.approx(0.25, rel=1e-9)
 
 
 def test_fit_error_invariant_under_level_permutation():
     base = synthesize_targets(width=0.35, rho0=4.0e4, nu=2.0, kind="bell")
-    problem = FitProblem(targets=base, flr_kind="bell", nu=2.0, width_start=0.3)
+    problem = FitProblem(targets=base, flr_kind="bell", nu=2.0)
     perm = ShiftTargets(levels=base.levels[::-1], shifts_mm=base.shifts_mm[::-1])
-    problem_perm = FitProblem(targets=perm, flr_kind="bell", nu=2.0,
-                              width_start=0.3)
+    problem_perm = FitProblem(targets=perm, flr_kind="bell", nu=2.0)
     assert fit_error(0.3, 3.5e4, problem) == pytest.approx(
         fit_error(0.3, 3.5e4, problem_perm), rel=1e-12)
 
@@ -565,8 +553,7 @@ def test_levenberg_marquardt_treats_infeasible_trial_points_as_rejected_steps():
 
 def test_round_trip_recovers_generating_parameters():
     targets = synthesize_targets(width=0.32, rho0=3.25e4, nu=3.0, kind="bell")
-    fit = fit_shift_parameters(FitProblem(targets=targets, flr_kind="bell",
-                                          nu=3.0, width_start=0.35))
+    fit = fit_shift_parameters(FitProblem(targets=targets, flr_kind="bell", nu=3.0), 0.35)
     # exact maxima and Jacobians: the truth to near rounding, not to a grid
     assert fit.width == pytest.approx(0.32, rel=1e-10)
     assert fit.rho0 == pytest.approx(3.25e4, rel=1e-10)
@@ -578,8 +565,7 @@ def test_round_trip_recovers_generating_parameters():
 def test_fit_recovers_each_cells_own_truth(kind, width, nu, rho0):
     targets = synthesize_targets(width=width, rho0=rho0, nu=nu, kind=kind)
     start = DEFAULT_BELL_STARTS[0] if kind == "bell" else DEFAULT_PARABOLA_STARTS[0]
-    fit = fit_shift_parameters(FitProblem(targets=targets, flr_kind=kind, nu=nu,
-                                          width_start=start))
+    fit = fit_shift_parameters(FitProblem(targets=targets, flr_kind=kind, nu=nu), start)
     assert fit.width == pytest.approx(width, rel=1e-9)
     assert fit.rho0 == pytest.approx(rho0, rel=1e-9)
     assert fit.error_mm < 1e-10
@@ -592,8 +578,7 @@ def test_fit_counts_objective_evaluations(monkeypatch):
     calls = []
     counted = lambda *args, **kw: calls.append(args) or predicted_shifts(*args, **kw)
     monkeypatch.setattr(opt, "predicted_shifts", counted)
-    fit = fit_shift_parameters(FitProblem(targets=targets, flr_kind="bell",
-                                          nu=3.0, width_start=0.35))
+    fit = fit_shift_parameters(FitProblem(targets=targets, flr_kind="bell", nu=3.0), 0.35)
     # the start, then one evaluation per step
     assert fit.objective_evals == len(calls) == fit.iterations + 1
 
@@ -629,8 +614,7 @@ def test_table_cell_is_a_fit_result_plus_its_cell(monkeypatch):
     targets = synthesize_targets(width=0.32, rho0=3.25e4, nu=3.0, kind="bell")
     _set_starts(monkeypatch, (0.35,), (0.56,))
     (cell,) = run_table(targets, nus=(3.0,), kinds=("bell",))
-    solo = fit_shift_parameters(FitProblem(targets=targets, flr_kind="bell", nu=3.0,
-                                           width_start=0.35))
+    solo = fit_shift_parameters(FitProblem(targets=targets, flr_kind="bell", nu=3.0), 0.35)
     cell_fields = {f.name for f in dataclasses.fields(TableCell)}
     for field in dataclasses.fields(FitResult):
         assert field.name in cell_fields
@@ -649,6 +633,36 @@ def test_run_table_rejects_a_start_that_is_not_positive(monkeypatch):
     _set_starts(monkeypatch, (0.25, -0.35), (0.46, 0.56))
     with pytest.raises(ValueError, match="width_start must be positive"):
         run_table(targets, nus=(3.0,), kinds=("bell",))
+
+
+@pytest.mark.parametrize("bell,parabola,rho0_start,message", [
+    ((0.25, 0.35), (0.46, -0.56), DEFAULT_RHO0_START, "width_start"),
+    ((0.25, 0.0), (0.46, 0.56), DEFAULT_RHO0_START, "width_start"),
+    ((0.25, 0.35), (0.46, 0.56), -1.0, "rho0_start"),
+], ids=["parabola-width", "bell-width", "rho0"])
+def test_a_start_that_is_not_positive_fails_before_the_first_round(
+        monkeypatch, bell, parabola, rho0_start, message):
+    # every start of every kind is checked before any kind's fit runs
+    targets = synthesize_targets(width=0.32, rho0=3.25e4, nu=3.0, kind="bell")
+    _set_starts(monkeypatch, bell, parabola)
+    calls = _recording_rounds(monkeypatch)
+    with pytest.raises(ValueError, match=f"{message} must be positive"):
+        run_table(targets, nus=(3.0,), rho0_start=rho0_start)
+    assert calls == []
+
+
+def test_run_table_fits_every_start_of_each_kind(monkeypatch):
+    # a kind with more starts than the other keeps all of them; the slots of
+    # the shorter kind past its last start are left out, start-major order kept
+    targets = synthesize_targets(width=0.32, rho0=3.25e4, nu=3.0, kind="bell")
+    _set_starts(monkeypatch, (0.25, 0.35, 0.45, 0.55), DEFAULT_PARABOLA_STARTS)
+    cells = run_table(targets, nus=(3.0,))
+    assert [(c.kind, c.width_start) for c in cells] == [
+        ("bell", 0.25), ("parabola", 0.46), ("bell", 0.35), ("parabola", 0.56),
+        ("bell", 0.45), ("parabola", 0.66), ("bell", 0.55)]
+    solo = fit_shift_parameters(FitProblem(targets=targets, flr_kind="bell", nu=3.0), 0.55)
+    assert vars(cells[-1]) == {**vars(solo), "nu": 3.0, "kind": "bell", "width_start": 0.55,
+                               "status": "ok"}
 
 
 def test_failed_trial_point_is_a_rejected_step(monkeypatch):
@@ -746,8 +760,8 @@ def test_lockstep_fits_equal_solo_fits(monkeypatch):
     assert any(not all(feasible) and any(feasible) for _, feasible in calls)
 
     for cell in cells:
-        solo = fit_shift_parameters(FitProblem(targets=targets, flr_kind="bell", nu=2.0,
-                                               width_start=cell.width_start))
+        solo = fit_shift_parameters(FitProblem(targets=targets, flr_kind="bell", nu=2.0),
+                                    cell.width_start)
         assert (cell.width, cell.rho0, cell.error_mm) == (solo.width, solo.rho0, solo.error_mm)
         assert (cell.iterations, cell.objective_evals) == (solo.iterations,
                                                             solo.objective_evals)
@@ -805,20 +819,20 @@ def test_lockstep_iteration_cap_fails_only_its_own_fit(monkeypatch):
     import actsens.optimize as opt
 
     targets = synthesize_targets(width=0.32, rho0=3.25e4, nu=3.0, kind="bell")
-    problems = [FitProblem(targets=targets, flr_kind="bell", nu=2.0, width_start=w)
-                for w in (0.25, 0.35, 0.45)]
+    problem = FitProblem(targets=targets, flr_kind="bell", nu=2.0)
+    starts = [(w, DEFAULT_RHO0_START) for w in (0.25, 0.35, 0.45)]
     # a cap that only the fastest of the three uncapped fits stays within
-    counts = [fit.iterations for fit in opt._fit_lockstep(problems)]
+    counts = [fit.iterations for fit in opt._fit_lockstep(problem, starts)]
     assert len(set(counts)) == 3
     order = np.argsort(counts)
     fastest, cap = order[0], (counts[order[0]] + counts[order[1]]) // 2
     monkeypatch.setattr(opt, "FIT_MAX_ITER", cap)
-    outcomes = opt._fit_lockstep(problems)
-    assert outcomes[fastest] == fit_shift_parameters(problems[fastest])
+    outcomes = opt._fit_lockstep(problem, starts)
+    assert outcomes[fastest] == fit_shift_parameters(problem, *starts[fastest])
     for i in order[1:]:
         assert isinstance(outcomes[i], MaxIterationsExceeded)
         with pytest.raises(MaxIterationsExceeded):
-            fit_shift_parameters(problems[i])
+            fit_shift_parameters(problem, *starts[i])
 
 
 def test_targets_csv_roundtrip(tmp_path):

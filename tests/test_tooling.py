@@ -148,3 +148,13 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
                 else:
                     assert module in allowed, f"{path.name}:{node.lineno} imports {module}"
     assert plotting == {"cli._plot"}
+
+
+def test_pyproject_version_is_the_package_version():
+    # every manifest.txt writes actsens.__version__; the package metadata
+    # must name the same release
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    import actsens
+
+    with (PACKAGE.parents[1] / "pyproject.toml").open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == actsens.__version__
