@@ -26,6 +26,7 @@ from .errors import ActsensError, ConfigError, ParameterOutOfRange
 from .globalsens import ParameterCuboid, analyze_global
 from .localsens import analyze, normalize
 from .models import (
+    _upper_mirror,
     domain_checks,
     hatze_model,
     simplified_zajac_model,
@@ -403,7 +404,7 @@ def _run_local(settings, order: int) -> int:
     curves = {f"S_{n}": res.s_rel[:, i, 0] for i, n in enumerate(model.canonical_order)}
     tables["s_rel.csv"] = (["t_seconds", *curves], [grid, *curves.values()])
     if order == 2:
-        ii, jj = np.triu_indices(model.n_params)  # analyze's enumeration of the pairs
+        (ii, jj), _ = _upper_mirror(model.n_params)  # the pairs as analyze stacks them
         names = model.param_names
         pairs = [f"R_{names[i]}*{names[j]}" for i, j in zip(ii, jj)]
         tables["r_rel.csv"] = (["t_seconds", *pairs], [grid, *res.r_rel[:, ii, jj, 0].T])

@@ -95,34 +95,39 @@ def _augmented_system(model: ModelSpec, lam, y0, *, order):
     n_r = ii.size * M if order >= 2 else 0
     # the upper triangle's flat positions in an (M, N, N) block, as (pairs, M)
     upper = (ii * N + jj)[:, None] + N * N * np.arange(M)
-    # W[i] = dx/dlam_i = (S_i, e_i): the e_i half is fixed, S is written per call
+    # W[i] = dx/dlam_i = (S_i, e_i): the e_i half is fixed, S is copied in per call
     W = np.zeros((N, M + N))
     W[:, M:] = np.eye(N)
-    W_T = W.T
-    # One output array, rewritten in place by every call: integrate copies
-    # each result into its stage row before its next call, and a central
-    # difference concatenates (so copies) the results of its two systems.
-    dz = np.empty(M + n_s + n_r)
-    dz_rows = dz[M:].reshape(-1, M)  # the S rows, then the R rows
-    dz_s_params = dz_rows[:N]
-    dz_r = dz_rows[N + M:]  # (ii.size, M) at order 2, else empty
+    W_s, W_T = W[:, :M], W.T
+    # The rhs reads its input through views of one private copy, and its
+    # result is product + forcing: the S and R rows times J^T in
+    # ``product``, whose state entries stay 0, and f and each row's forcing
+    # in ``forcing``, whose initial-value rows stay 0. One add writes the
+    # sum into ``out``; every view is built here, once per system.
+    z, product, forcing = (np.zeros(M + n_s + n_r) for _ in range(3))
+    y = z[:M]
+    # the S rows (dynamic parameters, then initial values), then the R rows
+    z_rows, product_rows, forcing_rows = (a[M:].reshape(-1, M) for a in (z, product, forcing))
+    forcing_f, forcing_s_T = forcing[:M], forcing_rows[:N].T  # (M,), (M, N)
+    z_s, forcing_r = z_rows[:N], forcing_rows[N + M:]  # the latter (ii.size, M) at order 2
 
-    def rhs(t, z):
-        y = z[:M]
+    def rhs(t, z_in, out):
+        z[...] = z_in
         f, grad, hess = model.derivs(t, y, lam, order)
-        dz[:M] = f
+        forcing_f[...] = f
         if order >= 1:
-            # S rows 0..N-1: dynamic parameters, N..N+M-1: initial values;
-            # every S and R row solves d(row)/dt = row J^T + its forcing
-            np.matmul(z[M:].reshape(-1, M), grad[:, :M].T, out=dz_rows)
-            dz_s_params[...] += grad[:, M:].T
+            # every S and R row solves d(row)/dt = row J^T + its forcing; at
+            # M = 1 the dot multiplies by the scalar J, the matmul's bits
+            np.dot(z_rows, grad[:, :M].T, out=product_rows)
+            forcing_s_T[...] = grad[:, M:]
         if order >= 2:
-            # the forcing of R_ij is W_i^T H W_j
-            W[:, :M] = z[M:M + N * M].reshape(N, M)
-            dz_r[...] += (W @ hess @ W_T).take(upper)
-        return dz
+            # the forcing of R_ij is W_i^T H W_j; every index is in range,
+            # and "clip" skips the buffered copy that "raise" makes
+            W_s[...] = z_s
+            (W @ hess @ W_T).take(upper, out=forcing_r, mode="clip")
+        np.add(product, forcing, out=out)
 
-    z0 = np.zeros(M + n_s + n_r)
+    z0 = np.zeros(z.size)
     z0[:M] = y0
     if order >= 1:
         z0[M + N * M:M + n_s] = np.eye(M).ravel()
@@ -227,8 +232,9 @@ def _central_differences(model, params, grid, rows, rel_step, tol, *, order=0):
         rhs_p, z0_p, _ = _augmented_system(model, xp[M:], xp[:M], order=order)
         rhs_m, z0_m, _ = _augmented_system(model, xm[M:], xm[:M], order=order)
 
-        def rhs(t, z):
-            return np.concatenate([rhs_p(t, z[:dim]), rhs_m(t, z[dim:])])
+        def rhs(t, z, out):
+            rhs_p(t, z[:dim], out[:dim])
+            rhs_m(t, z[dim:], out[dim:])
 
         traj = integrate(
             OdeProblem(rhs=rhs, y0=np.concatenate([z0_p, z0_m]), output_grid=grid),

@@ -341,14 +341,17 @@ def _parameter_jets(values) -> list:
     return [_Jet(v, eye[i], zero) for i, v in enumerate(values, 1)]
 
 
+@functools.lru_cache(maxsize=None)
 def _upper_mirror(n) -> tuple:
     """The upper triangle of an (n, n) matrix as ``np.triu_indices`` lists it,
     and an (n, n) index array giving each entry's position in that list, so
     that ``unique[mirror]`` is the exactly symmetric matrix of the unique
-    entries."""
+    entries. Built once per n and shared, so every array is read-only."""
     upper = np.triu_indices(n)
     mirror = np.empty((n, n), dtype=np.intp)
     mirror[upper] = mirror[upper[::-1]] = np.arange(upper[0].size)
+    for a in (*upper, mirror):
+        a.setflags(write=False)
     return upper, mirror
 
 
@@ -374,17 +377,18 @@ class _SimplifiedZajacParams(ZajacParams):
         return ZajacParams._rates(sigma, 0.0, tau, 1.0)
 
 
-def zajac_rhs(q, p: ZajacParams):
+def zajac_rhs(q, p: ZajacParams, out=None):
     """Activity rate: [sigma(1-q0) - sigma(1-beta)(q-q0) - beta(q-q0)] / (tau(1-q0)).
 
     The rate is affine in q and is evaluated as c0 - c1*q from the cached
-    ``p.rate_factors``; an array q gets one fresh result array.
+    ``p.rate_factors``. An array q gets its result in ``out``, as numpy's
+    ``out=`` does, or in one fresh array; a scalar q gets a float.
     """
     c0, c1 = p.rate_factors
-    f = c1 * q
+    f = np.multiply(c1, q, out=out)
     if isinstance(f, np.ndarray):
         return np.subtract(c0, f, out=f)
-    return c0 - f
+    return float(c0 - f)
 
 
 def _zajac_basis(p: ZajacParams) -> tuple:
@@ -543,12 +547,12 @@ def hatze_gamma_of_q(q, ell_ce_rel, p: HatzeParams):
     return float(out) if out.ndim == 0 else out
 
 
-def _clamp_q(q, floor):
+def _clamp_q(q, floor, out=None):
     # floor is q0 + HATZE_EPS
-    return np.minimum(np.maximum(q, floor), 1.0 - HATZE_EPS)
+    return np.minimum(np.maximum(q, floor, out=out), 1.0 - HATZE_EPS, out=out)
 
 
-def hatze_rhs(q, p: HatzeParams):
+def hatze_rhs(q, p: HatzeParams, out=None):
     """Activity rate of the nonlinear model.
 
     The rate gain*(sigma_rho * free^(1+1/nu) * excess^(1-1/nu) - free*excess),
@@ -556,22 +560,25 @@ def hatze_rhs(q, p: HatzeParams):
     gain * free*excess * (sigma_rho * (free/excess)^(1/nu) - 1), which takes
     one fractional power. The activity is clamped to [q0 + eps, 1 - eps]
     first, which keeps the rhs real when an integrator stage overshoots one
-    of the non-Lipschitz boundary fixed points. The arithmetic is done in
-    place on the call's own temporaries, never on q or a cached factor; at a
-    scalar q the same steps run on numpy scalars.
+    of the non-Lipschitz boundary fixed points. An array q gets its result
+    in ``out``, as numpy's ``out=`` does, or in one fresh array: the clamped
+    excess is formed in that array and the result written over it, and the
+    arithmetic is done in place on it and the call's own temporaries, never
+    on q or a cached factor. At a scalar q the same steps run on numpy
+    scalars and give a float.
     """
     q_floor, sigma_rho, inv_nu, gain = p.rate_factors
-    excess = _clamp_q(q, q_floor)
+    excess = _clamp_q(q, q_floor, out)
     free = 1.0 - excess
     excess -= p.q0
-    out = free / excess
-    out **= inv_nu
-    out *= sigma_rho
-    out -= 1.0
+    ratio = free / excess
+    ratio **= inv_nu
+    ratio *= sigma_rho
+    ratio -= 1.0
     free *= excess
     free *= gain
-    out *= free
-    return float(out) if np.isscalar(q) else out
+    f = np.multiply(ratio, free, out=out)
+    return float(f) if np.isscalar(q) else f
 
 
 def _hatze_basis(p: HatzeParams) -> tuple:
@@ -630,7 +637,8 @@ def hatze_partials(q: float, p: HatzeParams, order: int = 2):
     Per call at scenario ii with nu = 3 and q = 0.3 (fastest of nine runs
     of 20,000 calls on one Xeon vCPU, Python 3.11, numpy 2.4), order 2 /
     order 1 / order 0: 5.4 / 2.6 / 0.6 us; :func:`hatze_rhs` at a scalar q
-    takes 2.2 us, as its numpy scalars cost more than floats.
+    takes about 3.4 us, as it runs ufuncs (those that take its ``out=``) on
+    numpy scalars, which cost more than float arithmetic.
 
     The W/V block stays hand-written: W on jets with log and exp, and the
     partials of log W scaled by W, were both slower. The gradient and
@@ -738,12 +746,17 @@ class ForceLengthRelation:
     ell_opt: float = DEFAULT_ELL_OPT
 
     def __post_init__(self):
-        if self.kind not in ("parabola", "bell"):
-            raise ValueError(f"kind must be 'parabola' or 'bell', got {self.kind!r}")
+        self.check_kind(self.kind)
         if not np.greater(self.width, 0.0).all():  # width may be a column of rows
             raise ValueError(f"width must be positive, got {self.width}")
         if not self.ell_opt > 0.0:
             raise ValueError(f"ell_opt must be positive, got {self.ell_opt}")
+
+    @staticmethod
+    def check_kind(kind) -> None:
+        """ValueError unless ``kind`` is one of the two relations."""
+        if kind not in ("parabola", "bell"):
+            raise ValueError(f"kind must be 'parabola' or 'bell', got {kind!r}")
 
 
 def _force_length_relative(ell_rel, rel: ForceLengthRelation):

@@ -6,10 +6,18 @@ estimate. Output values come from the pair's 4th-order continuous extension
 (Shampine 1986, Math. Comp. 46:135; Hairer, Norsett & Wanner, Solving ODEs I,
 sec. II.6), built from the seven stages of each accepted step at no extra rhs
 evaluation. They are evaluated exactly at the requested grid times, so the
-returned time axis is bit-identical to the request: the grid points that a
-step covers get their stage weights as one small (points, 7) block and their
-values as one product of that block with the stages, written straight into
-the output.
+returned time axis is bit-identical to the request.
+
+A solve keeps the state and the seven stages stacked in one (8, M) array,
+row 0 the state y and rows 1-7 the stages k1..k7. Everything a step forms
+from them is a linear combination of those rows: the input of each stage,
+the 5th-order solution and the error estimate are one product each of a
+row of the step's coefficient table (``_STEP`` with its stage columns
+scaled by h) with the stacked rows, and the grid points that a step covers
+get their weights as one small (points, 8) block (:func:`_dense_weights`)
+and their values as one product of that block with the stacked rows,
+written straight into the output. The rhs writes each stage into its row
+of the stacked array (see :class:`OdeProblem`), so no stage is copied.
 """
 
 from __future__ import annotations
@@ -38,8 +46,6 @@ _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 # b5 - b4: coefficients of the embedded error estimate.
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 # Continuous extension: y(t + theta*h) = y + (h * [theta, ..., theta^4] @ _P.T) @ k.
-# The bracket is a (g, 7) block of stage weights, one row per grid point that
-# an accepted step covers, so those g values are one product with the stages.
 _P = np.array([
     [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
     [0.0, 0.0, 0.0, 0.0],
@@ -51,11 +57,32 @@ _P = np.array([
     [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
     [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
-_POWERS = np.arange(1, 5)
-# the tableau rows as arrays, converted once
-_A_ROWS = tuple(np.array(row) for row in _A)
-_B5_ROW = np.array(_B5[:6])
-_E_ROW = np.array(_E)
+# The same over the stacked rows (y, k1, ..., k7): their weights are
+# [1, h*theta, ..., h*theta^4] @ _DENSE, whose first row carries y.
+_DENSE = np.zeros((5, 8))
+_DENSE[0, 0] = 1.0
+_DENSE[1:, 1:] = _P.T
+_POWERS = np.arange(5.0)
+
+# The step's coefficient table over the stacked rows (y, k1, ..., k7), one
+# row per product: the inputs of stages 2-6, y_new (the input of stage 7)
+# and the error estimate. y enters every input with weight 1 and the error
+# with weight 0; a step scales the stage columns (1-7) by h.
+_STEP = np.zeros((7, 8))
+_STEP[:6, 0] = 1.0
+for _row, _a in enumerate(_A):
+    _STEP[_row, 1:1 + len(_a)] = _a
+_STEP[5, 1:] = _B5
+_STEP[6, 1:] = _E
+for _table in (_DENSE, _STEP):
+    _table.setflags(write=False)
+
+
+def _dense_weights(theta, h) -> np.ndarray:
+    """(points, 8) weights of the stacked rows (y, k1, ..., k7) for the
+    continuous extension at t + theta*h, one row per entry of ``theta``."""
+    return (theta[:, None] ** _POWERS * (1.0, h, h, h, h)) @ _DENSE
+
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -120,11 +147,13 @@ class OdeProblem:
     """A first-order initial value problem evaluated on a fixed output grid.
 
     ``y0`` is the state at t = 0; the solve runs from there to the grid's
-    last time. :func:`integrate` copies each ``rhs`` result before its next
-    call, so an rhs may return an array that it reuses.
+    last time. ``rhs(t, y, out)`` writes dy/dt at (t, y) into ``out``, an
+    (M,) row of the solve's stacked stage array, and its return value is
+    not read. It must write every entry of ``out``, leave ``y`` unchanged
+    and keep neither array: :func:`integrate` rewrites both between calls.
     """
 
-    rhs: Callable[[float, np.ndarray], np.ndarray]
+    rhs: Callable[[float, np.ndarray, np.ndarray], object]
     y0: np.ndarray
     output_grid: np.ndarray
 
@@ -163,6 +192,10 @@ def _initial_step(y0, f0, t_end, tol: Tolerances) -> float:
 def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
     """Integrate an ODE system from t = 0 and return values exactly at the output grid.
 
+    The state and the stages live in one (8, M) array for the whole solve,
+    and the rhs writes each stage into its row (see :class:`OdeProblem`);
+    every view a step reads or writes is built once, before the first step.
+
     Raises StepSizeUnderflow when error control drives the step so small that
     t + h == t (stiff or singular right-hand side), StepBudgetExceeded
     after MAX_STEP_ATTEMPTS step attempts short of the grid's end, and
@@ -175,12 +208,17 @@ def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
     rhs = problem.rhs
     grid = np.asarray(problem.output_grid, dtype=float)
     t_end = float(grid[-1])
-    y = np.array(problem.y0, dtype=float, copy=True).reshape(-1)
-    if y.size == 0:
+    y0 = np.asarray(problem.y0, dtype=float).reshape(-1)
+    if y0.size == 0:
         raise ValueError("y0 must be non-empty")
-    if not np.all(np.isfinite(y)):
+    if not np.all(np.isfinite(y0)):
         raise ValueError(f"y0 must be finite, got {problem.y0}")
 
+    # row 0: y; rows 1-7: the stages k1..k7. NaN until written, so an rhs
+    # that leaves its row unwritten fails the check at t = 0.
+    stack = np.full((8, y0.size), np.nan)
+    y, k_first, k_last = stack[0], stack[1], stack[7]
+    y[...] = y0
     out = np.empty((grid.size, y.size))
     times = grid.tolist()
     n_times = len(times)
@@ -189,23 +227,23 @@ def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
         out[0] = y
         gi = 1
 
-    f = np.asarray(rhs(0.0, y), dtype=float).reshape(-1)
-    if f.shape != y.shape:
-        raise ValueError(
-            f"rhs returned shape {f.shape}, expected {y.shape}"
-        )
-    if not np.all(np.isfinite(f)):
+    rhs(0.0, y, k_first)  # FSAL: each step's first stage is the last rhs of the one before
+    if not np.all(np.isfinite(k_first)):
         raise NonFiniteState("rhs is non-finite at t=0.0")
 
     abs_tol, rel_tol = tol.abs_tol, tol.rel_tol
-    h = _initial_step(y, f, t_end, tol)
+    h = _initial_step(y, k_first, t_end, tol)
     t = 0.0
-    k = np.empty((7, y.size))
-    k[0] = f  # FSAL: each step's first stage is the last rhs of the one before
-    # per stage s = 1..5: its node, tableau row, the earlier stages and its row
-    stages = tuple(zip(_C[1:], _A_ROWS, (k[:s].T for s in range(1, 6)), k[1:6]))
-    k_b5, k_all, k_first, k_last = k[:6].T, k.T, k[0], k[6]
-    abs_y = np.abs(y)
+    table = np.empty_like(_STEP)  # _STEP with its stage columns scaled by each step's h
+    table[:, 0] = _STEP[:, 0]
+    table_h, step_h = table[:, 1:], _STEP[:, 1:]
+    # per stage s = 2..6: its node, its table row over y and k1..k(s-1), those
+    # rows, and its own row
+    stages = tuple((c, table[s - 2, :s], stack[:s], stack[s]) for s, c in enumerate(_C[1:], 2))
+    new_row, new_rows, err_row = table[5, :7], stack[:7], table[6]
+    ys, y_new, err = (np.empty(y.size) for _ in range(3))
+    scale = ys  # the stage input is free once the step's last stage has run
+    abs_y, abs_new = np.abs(y), np.empty(y.size)
     attempts, max_attempts = 0, MAX_STEP_ATTEMPTS
 
     while t < t_end:
@@ -221,25 +259,21 @@ def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
             )
         attempts += 1
 
-        for c, a, k_prev, k_s in stages:
-            ys = k_prev @ a  # y + h * (k_prev @ a), on the fresh product
-            ys *= h
-            ys += y
-            k_s[...] = rhs(t + c * h, ys)
-        y_new = k_b5 @ _B5_ROW
-        y_new *= h
-        y_new += y
-        k_last[...] = rhs(t + h, y_new)
+        np.multiply(step_h, h, out=table_h)
+        for c, row, rows, k_s in stages:
+            np.dot(row, rows, out=ys)
+            rhs(t + c * h, ys, k_s)
+        np.dot(new_row, new_rows, out=y_new)
+        rhs(t + h, y_new, k_last)
 
         # an overflowing y_new makes the scale infinite and the ratio 0, so
-        # the error norm below cannot see it
-        if not np.isfinite(y_new).all():
+        # the error norm below cannot see it: its |y_new| is checked here
+        np.abs(y_new, out=abs_new)
+        if not np.maximum.reduce(abs_new) < math.inf:  # NaN compares False too
             raise NonFiniteState(f"non-finite state produced near t={t:.6e}")
 
-        err = k_all @ _E_ROW
-        err *= h
-        abs_new = np.abs(y_new)
-        scale = np.maximum(abs_y, abs_new)
+        np.dot(err_row, stack, out=err)
+        np.maximum(abs_y, abs_new, out=scale)
         scale *= rel_tol
         scale += abs_tol
         err /= scale
@@ -252,14 +286,14 @@ def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
             if gi < n_times and times[gi] <= t_new:
                 end = bisect.bisect_right(times, t_new, gi)
                 theta = (grid[gi:end] - t) / h
-                block = out[gi:end]
-                np.matmul((h * theta[:, None] ** _POWERS) @ _P.T, k, out=block)
-                block += y
+                np.matmul(_dense_weights(theta, h), stack, out=out[gi:end])
                 if times[end - 1] == t_new:
                     out[end - 1] = y_new  # exact at the step's end
                 gi = end
-            t, y, abs_y = t_new, y_new, abs_new
+            t = t_new
+            y[...] = y_new
             k_first[...] = k_last
+            abs_y, abs_new = abs_new, abs_y
             factor = _MAX_FACTOR if err_norm == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * err_norm ** -_ORDER_EXP
             )
@@ -269,7 +303,7 @@ def integrate(problem: OdeProblem, tol: Tolerances | None = None) -> Trajectory:
             # inf - inf are NaN in the error product, also for a stage of
             # error weight 0), so only such a norm needs the exact check; a
             # finite state whose squared ratios overflow is a rejected step.
-            if not math.isfinite(err_norm) and not np.isfinite(k).all():
+            if not math.isfinite(err_norm) and not np.isfinite(stack).all():
                 raise NonFiniteState(f"non-finite state produced near t={t:.6e}")
             h *= max(_MIN_FACTOR, _SAFETY * err_norm ** -_ORDER_EXP)
 

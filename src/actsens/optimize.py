@@ -577,9 +577,11 @@ def run_table(
     One FitProblem per (nu, kind) is fitted in lockstep from every width
     start of its kind, each with ``rho0_start`` and the result it gets
     alone. Cells come start by start, each start's over every (nu, kind)
-    that has it. A start that is not positive, of any kind, raises
-    ValueError before any fit.
+    that has it. A kind that is not a force-length relation's, or a start
+    that is not positive, of any kind, raises ValueError before any fit.
     """
+    for kind in kinds:
+        ForceLengthRelation.check_kind(kind)
     widths = {"bell": DEFAULT_BELL_STARTS, "parabola": DEFAULT_PARABOLA_STARTS}
     _check_starts([(w, rho0_start) for kind in kinds for w in widths[kind]])
     cells = []  # (start index, cell); a failed fit's cell keeps the table, with its error

@@ -217,14 +217,14 @@ def family_evaluator(model: str):
         rows = np.asarray(rows, dtype=float)
         p = params_of(rows)
         try:
-            return _batch_integrate(lambda t, y: rhs_fn(y, p), rows[:, 0], grid)
+            return _batch_integrate(lambda t, y, dy: rhs_fn(y, p, out=dy), rows[:, 0], grid)
         except IntegrationError:
             out = np.full((len(grid), rows.shape[0]), np.nan)  # time-major
             for j in range(rows.shape[0]):
                 pj = params_of(rows[j:j + 1])
                 try:
                     out[:, j] = _batch_integrate(
-                        lambda t, y: rhs_fn(y, pj), rows[j:j + 1, 0], grid)[0]
+                        lambda t, y, dy: rhs_fn(y, pj, out=dy), rows[j:j + 1, 0], grid)[0]
                 except IntegrationError:
                     pass  # row stays NaN; caller resamples it
             return out.T

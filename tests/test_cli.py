@@ -114,6 +114,8 @@ def test_local_sens_columns_follow_canonical_order(tmp_path):
     assert header2[0] == "t_seconds"
     assert header2[1] == "R_sigma*sigma"
     assert len(header2) == 1 + 10  # upper triangle of 4 parameters
+    names = ("sigma", "q0", "tau", "beta")
+    assert header2[1:] == [f"R_{names[i]}*{names[j]}" for i in range(4) for j in range(i, 4)]
 
 
 def test_simulate_help_lists_the_override_flags_in_order(capsys):

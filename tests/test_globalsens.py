@@ -306,9 +306,9 @@ def test_fallback_returns_nan_for_the_failing_row_only(model, monkeypatch):
     rhs_name = presets.BUILTIN_MODELS[model].rhs
     rhs = getattr(presets, rhs_name)
 
-    def failing_rhs(q, p):
+    def failing_rhs(q, p, out):
         # that row's rate is NaN, so every solve it takes part in fails
-        return np.where(p.q_init == bad_q_init, np.nan, rhs(q, p))
+        np.copyto(out, np.where(p.q_init == bad_q_init, np.nan, rhs(q, p)))
 
     monkeypatch.setattr(presets, rhs_name, failing_rhs)  # looked up by name
     out = family_evaluator(model)(rows, grid)
@@ -489,6 +489,28 @@ def test_vbs_tsi_holds_no_family_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak < values.nbytes / 8, (peak, values.nbytes)
+
+
+def test_batched_solve_holds_a_fixed_working_set():
+    # the seed-1 hatze family at n = 2048: 36,864 rows, 101 times. Beyond
+    # its (rows, 101) output the solve peaks at 27.04 (rows,) float64
+    # arrays: the parameter columns and their rate factors, the stacked
+    # (y, k1..k7) array, the step's buffers and the rhs's two temporaries.
+    # The bound leaves under one array of margin, so a new per-step
+    # temporary of the state's size fails it.
+    m = build_sample_matrices(builtin_cuboid("hatze"), n=2048, seed=1,
+                              validity=row_validity("hatze"))
+    rows, evaluate = _family_rows(m.a, m.b), family_evaluator("hatze")
+    assert rows.shape[0] == 36_864
+    tracemalloc.start()
+    try:
+        out = evaluate(rows, make_grid(0.5, 101))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(out).all()
+    arrays = (peak - out.nbytes) / (8 * rows.shape[0])
+    assert arrays < 28.0, arrays
 
 
 def test_evaluation_count_includes_resampled_rows():

@@ -454,12 +454,19 @@ PANELS.update({f"hatze-{tag}": (hatze_model(), p) for tag, p in all_hatze_scenar
 
 
 def _copy_every_rhs_result(monkeypatch):
-    """Make every augmented system's rhs return a fresh copy of its result."""
+    """Make every augmented system's rhs write into a fresh array, which is
+    then copied into the row the solve gave it."""
     real = localsens._augmented_system
 
     def copying(*args, **kwargs):
         rhs, z0, triangle = real(*args, **kwargs)
-        return (lambda t, z: rhs(t, z).copy()), z0, triangle
+
+        def fresh(t, z, out):
+            result = np.empty_like(out)
+            rhs(t, z, result)
+            out[...] = result
+
+        return fresh, z0, triangle
 
     monkeypatch.setattr(localsens, "_augmented_system", copying)
 
@@ -481,7 +488,7 @@ def test_reused_rhs_output_solves_as_fresh_copies(monkeypatch, model, point, ord
 ], ids=["fd_first_order", "second_order_fd"])
 @pytest.mark.parametrize("panel", ["zajac-ii-b13", "hatze-ii-nu2"])
 def test_reused_rhs_output_keeps_the_fd_oracles(monkeypatch, oracle, panel):
-    # each central difference concatenates the results of its two systems
+    # each central difference has its two systems write the halves of its row
     model, point = PANELS[panel]
     grid = np.array([0.05, 0.3])
     reused = oracle(model, point, grid)

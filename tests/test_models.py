@@ -321,6 +321,18 @@ def test_parameter_hessian_is_exactly_symmetric(model):
         assert np.array_equal(hess, hess.transpose(0, 2, 1))
 
 
+def test_upper_mirror_is_built_once_per_size_and_read_only():
+    # localsens stacks R's rows and the CLI names r_rel.csv's columns from
+    # this one enumeration, so nobody may edit the shared arrays
+    (ii, jj), mirror = models._upper_mirror(4)
+    assert models._upper_mirror(4)[1] is mirror
+    assert [(int(i), int(j)) for i, j in zip(ii, jj)] == [
+        (i, j) for i in range(4) for j in range(i, 4)]
+    assert np.array_equal(mirror, mirror.T)
+    for a in (ii, jj, mirror):
+        assert not a.flags.writeable
+
+
 def _interior_points(model, n=50):
     """Seeded points x = (q_init, params) inside the model's built-in bounds.
 
@@ -702,6 +714,20 @@ def test_array_rhs_leaves_its_inputs_unchanged(model):
         rhs(q, p)
     assert np.array_equal(q, q_before)
     assert all(np.array_equal(a, b) for a, b in zip(p.rate_factors, factors))
+
+
+@pytest.mark.parametrize("model", ["zajac", "hatze"])
+def test_array_rhs_writes_its_fresh_result_into_out(model):
+    # the batched solve hands each call a stage row of its stacked array;
+    # whatever that row held, the rate written there is the fresh result
+    rhs = _RATE_FORMS[model][0]
+    rows, q = _rhs_sample(model)
+    p = _params_of(model, rows.T.copy())
+    out = np.full_like(q, np.nan)
+    q_before = q.copy()
+    assert rhs(q, p, out=out) is out
+    assert np.array_equal(out, rhs(q, p))
+    assert np.array_equal(q, q_before)
 
 
 def test_hatze_rhs_at_the_clamp_ends_raises_no_numpy_warning():
@@ -1138,7 +1164,7 @@ def _integrate_scalar(rhs, q0, t_end=0.5, n=201):
 
 def test_full_zajac_reduces_to_simplified_form():
     p = ZajacParams(sigma=0.8, q0=0.0, tau=0.025, beta=1.0, q_init=0.05)
-    grid, q = _integrate_scalar(lambda t, y: np.array([zajac_rhs(y[0], p)]), 0.05)
+    grid, q = _integrate_scalar(lambda t, y, out: np.copyto(out, zajac_rhs(y[0], p)), 0.05)
     exact = simplified_zajac_solution(grid, 0.8, 0.025, 0.05)
     assert np.max(np.abs(q - exact)) < 1e-8
 
@@ -1146,7 +1172,7 @@ def test_full_zajac_reduces_to_simplified_form():
 def test_zajac_solution_stays_between_start_and_steady_state():
     for sigma, beta, q_init in ((0.9, 1.0, 0.05), (0.2, 0.5, 0.8), (0.0, 1.0, 0.3)):
         p = ZajacParams(sigma=sigma, q0=0.005, tau=0.025, beta=beta, q_init=q_init)
-        _, q = _integrate_scalar(lambda t, y: np.array([zajac_rhs(y[0], p)]), q_init)
+        _, q = _integrate_scalar(lambda t, y, out: np.copyto(out, zajac_rhs(y[0], p)), q_init)
         lo = min(q_init, zajac_steady_state(p)) - 1e-9
         hi = max(q_init, zajac_steady_state(p)) + 1e-9
         assert np.all((q >= lo) & (q <= hi))
@@ -1156,7 +1182,7 @@ def test_hatze_solution_stays_in_open_interval():
     for sigma, q_init in ((1.0, 0.01), (0.0, 0.9), (0.3, 0.5)):
         p = HatzeParams(sigma=sigma, q0=0.005, m=10.0, nu=3.0, rho_c=7.24,
                         q_init=q_init)
-        _, q = _integrate_scalar(lambda t, y: np.array([hatze_rhs(y[0], p)]), q_init)
+        _, q = _integrate_scalar(lambda t, y, out: np.copyto(out, hatze_rhs(y[0], p)), q_init)
         assert np.all(q >= p.q0 - 1e-9)
         assert np.all(q <= 1.0 + 1e-12)
 
@@ -1168,8 +1194,8 @@ def test_hatze_concentration_path_matches_direct_path():
                     ell_ce_rel=1.0, q_init=0.05)
     gamma0 = hatze_gamma_of_q(p.q_init, p.ell_ce_rel, p)
     grid, gamma = _integrate_scalar(
-        lambda t, y: np.array([p.m * (p.sigma - y[0])]), gamma0)
+        lambda t, y, out: np.copyto(out, np.array([p.m * (p.sigma - y[0])])), gamma0)
     q_via_gamma = hatze_q_of_gamma(gamma, p.ell_ce_rel, p)
-    _, q_direct = _integrate_scalar(lambda t, y: np.array([hatze_rhs(y[0], p)]),
+    _, q_direct = _integrate_scalar(lambda t, y, out: np.copyto(out, hatze_rhs(y[0], p)),
                                     p.q_init)
     assert np.max(np.abs(q_via_gamma - q_direct)) < 1e-6

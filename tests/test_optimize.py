@@ -651,6 +651,15 @@ def test_a_start_that_is_not_positive_fails_before_the_first_round(
     assert calls == []
 
 
+def test_an_unknown_kind_fails_before_the_first_round(monkeypatch):
+    # the relation's own message, before any round of the valid kind ahead of it
+    targets = synthesize_targets(width=0.32, rho0=3.25e4, nu=3.0, kind="bell")
+    calls = _recording_rounds(monkeypatch)
+    with pytest.raises(ValueError, match="^kind must be 'parabola' or 'bell', got 'Bell'$"):
+        run_table(targets, nus=(3.0,), kinds=("bell", "Bell"))
+    assert calls == []
+
+
 def test_run_table_fits_every_start_of_each_kind(monkeypatch):
     # a kind with more starts than the other keeps all of them; the slots of
     # the shorter kind past its last start are left out, start-major order kept
