@@ -243,16 +243,15 @@ def build_sample_matrices(
 class FamilyEvaluation:
     """Model outputs for every sample row: the family of solutions.
 
-    ``values`` holds all 2n(N+1) solutions as a (rows, T) array, in the row
-    order of ``_family_rows``. Underneath it is time-major, the
-    integrator's own layout: ``values.T`` is one C-contiguous (T, rows)
-    array, so each time's values over all rows are contiguous, and
-    ``values.T.reshape(T, 2(N+1), n)`` views them as the A, B, N A_swapped
-    and N B_swapped solutions of each time.
+    ``values`` holds all 2n(N+1) solutions as one C-contiguous, time-major
+    (T, rows) array (an API change: it was (rows, T)), the integrator's own
+    layout, with the rows in the order of ``_family_rows``: each time's
+    values over all rows are contiguous, and ``values.reshape(T, 2(N+1), n)``
+    views them as the A, B, N A_swapped and N B_swapped solutions of each time.
     """
 
     times: np.ndarray
-    values: np.ndarray  # (2n(N+1), T)
+    values: np.ndarray  # (T, 2n(N+1))
     n: int
     n_evaluations: int
     resampled_rows: tuple[int, ...] = ()
@@ -265,15 +264,16 @@ def evaluate_family(
 ) -> FamilyEvaluation:
     """Evaluate the model on every sample row of every matrix.
 
-    ``evaluator(rows, grid)`` maps an (R, N) parameter matrix to (R, T)
-    output trajectories; rows it cannot solve must come back non-finite.
-    Failed rows are resampled from their substream and re-evaluated
-    (at most MAX_RETRIES rounds); they are never silently zero-filled.
-    ``n_evaluations`` counts every row passed to the evaluator, re-evaluated
-    rows included. An evaluator that returns the ``.T`` view of a
-    C-contiguous (T, R) array, as :func:`~actsens.presets.family_evaluator`
-    does, hands over its result without a copy; any other layout is copied
-    once into that one.
+    ``evaluator(rows, grid)`` maps an (R, N) parameter matrix to time-major
+    (T, R) output trajectories, column j the solution of row j; rows it
+    cannot solve must come back non-finite. This is an API change for
+    custom evaluators, which used to return (R, T): the shape check rejects
+    such a result, unless R == T. Failed rows are resampled from their
+    substream and re-evaluated (at most MAX_RETRIES rounds); they are never
+    silently zero-filled. ``n_evaluations`` counts every row passed to the
+    evaluator, re-evaluated rows included. A C-contiguous, writable result,
+    as :func:`~actsens.presets.family_evaluator` returns, is kept without a
+    copy; any other is copied once into that layout.
     """
     grid = np.asarray(grid, dtype=float)
     n = matrices.n
@@ -283,17 +283,16 @@ def evaluate_family(
         nonlocal evaluated
         evaluated += rows_matrix.shape[0]
         out = np.asarray(evaluator(rows_matrix, grid), dtype=float)
-        if out.shape != (rows_matrix.shape[0], grid.size):
+        if out.shape != (grid.size, rows_matrix.shape[0]):
             raise ValueError(
                 f"evaluator returned shape {out.shape}, "
-                f"expected {(rows_matrix.shape[0], grid.size)}"
+                f"expected (T, R) = {(grid.size, rows_matrix.shape[0])}"
             )
         return out
 
-    values = np.require(run(_family_rows(matrices.a, matrices.b)).T,
-                        requirements=("C", "W")).T
+    values = np.require(run(_family_rows(matrices.a, matrices.b)), requirements=("C", "W"))
     # (T, 2(N+1), n): a view, so writes through it land in values
-    by_block = values.T.reshape(grid.size, -1, n)
+    by_block = values.reshape(grid.size, -1, n)
 
     def bad_rows():
         return np.nonzero(~np.all(np.isfinite(by_block), axis=(0, 1)))[0]
@@ -313,7 +312,7 @@ def evaluate_family(
             matrices.validity, matrices.sampler)
         resampled.extend(rows.tolist())
         redone = run(_family_rows(matrices.a[rows], matrices.b[rows]))
-        by_block[:, :, rows] = redone.T.reshape(grid.size, -1, rows.size)
+        by_block[:, :, rows] = redone.reshape(grid.size, -1, rows.size)
         rows = bad_rows()
 
     return FamilyEvaluation(
@@ -360,15 +359,14 @@ def vbs_tsi(family: FamilyEvaluation, matrices: SampleMatrices) -> GlobalResult:
     not depend on the BLAS thread count (unlike one BLAS dot per time).
     """
     n = family.n
-    by_time = family.values.T  # (T, rows)
-    T, rows = by_time.shape
+    T, rows = family.values.shape
     N = rows // (2 * n) - 1
     v_total = np.empty(T)
     dots = np.empty((T, 2 * N + 1, 3))
     work = np.empty((_TIMES_PER_BLOCK, 2 * N + 3, n))  # D_1..D_N, E_1..E_N, A-B, A, B
     for start in range(0, T, _TIMES_PER_BLOCK):
         times = slice(start, start + _TIMES_PER_BLOCK)
-        block = by_time[times]
+        block = family.values[times]
         runs = block.reshape(block.shape[0], 2 * N + 2, n)  # A, B, A_1..A_N, B_1..B_N
         w = work[:block.shape[0]]
         np.subtract(runs[:, 2:N + 2], runs[:, :1], out=w[:, :N])

@@ -5,9 +5,9 @@ holds one row per entry of ``model.canonical_order`` (initial conditions
 first, then the dynamic parameters). The state is augmented with the
 sensitivity equations and everything is integrated in a single pass, so the
 sensitivities see exactly the adaptive step sequence of the state itself.
-Augmented layout: state, first-order rows of the dynamic parameters, those
-of the initial conditions, then the upper triangle of the second-order
-tensor over the dynamic parameters.
+Augmented layout: state, the first-order rows in canonical order (those of
+the initial conditions, then those of the dynamic parameters), then the
+upper triangle of the second-order tensor over the dynamic parameters.
 
 Relative (normalized) sensitivities express percentage change of a state
 component per percentage change of a parameter; they are produced by
@@ -106,10 +106,10 @@ def _augmented_system(model: ModelSpec, lam, y0, *, order):
     # sum into ``out``; every view is built here, once per system.
     z, product, forcing = (np.zeros(M + n_s + n_r) for _ in range(3))
     y = z[:M]
-    # the S rows (dynamic parameters, then initial values), then the R rows
+    # the S rows in canonical order, initial values first, then the R rows
     z_rows, product_rows, forcing_rows = (a[M:].reshape(-1, M) for a in (z, product, forcing))
-    forcing_f, forcing_s_T = forcing[:M], forcing_rows[:N].T  # (M,), (M, N)
-    z_s, forcing_r = z_rows[:N], forcing_rows[N + M:]  # the latter (ii.size, M) at order 2
+    forcing_f, forcing_s_T = forcing[:M], forcing_rows[M:M + N].T  # (M,), (M, N)
+    z_s, forcing_r = z_rows[M:M + N], forcing_rows[N + M:]  # the latter (ii.size, M) at order 2
 
     def rhs(t, z_in, out):
         z[...] = z_in
@@ -130,7 +130,7 @@ def _augmented_system(model: ModelSpec, lam, y0, *, order):
     z0 = np.zeros(z.size)
     z0[:M] = y0
     if order >= 1:
-        z0[M + N * M:M + n_s] = np.eye(M).ravel()
+        z0[M:M + M * M] = np.eye(M).ravel()
     return rhs, z0, mirror
 
 
@@ -185,8 +185,7 @@ def analyze(
     vals = traj.values
     s_raw = r_raw = None
     if order >= 1:
-        block = vals[:, M:M + n_s].reshape(T, N + M, M)
-        s_raw = np.concatenate([block[:, N:], block[:, :N]], axis=1)  # canonical order
+        s_raw = vals[:, M:M + n_s].reshape(T, N + M, M)
     if order >= 2:
         r_raw = vals[:, M + n_s:].reshape(T, -1, M)[:, mirror]
     return SensitivityResult(
@@ -280,7 +279,7 @@ def second_order_fd(
     tol = tol or FD_TOLERANCES
     base = analyze(model, params, grid, order=1, tol=tol)
     diff = _central_differences(model, params, grid, range(M, M + N), rel_step, tol, order=1)
-    r = diff[:, :, M:M + N * M].reshape(-1, N, N, M)
+    r = diff[:, :, M + M * M:M + (M + N) * M].reshape(-1, N, N, M)
     r = 0.5 * (r + r.transpose(0, 2, 1, 3))  # enforce Schwarz symmetry
     return dc_replace(base, r_raw=r, r_approximate=True)
 

@@ -191,42 +191,40 @@ def row_validity(model: str) -> Validity:
 
 
 def _batch_integrate(rhs, y0, grid) -> np.ndarray:
-    traj = integrate(OdeProblem(rhs=rhs, y0=y0, output_grid=grid), GLOBAL_TOLERANCES)
-    return traj.values.T  # (rows, T), a view of the time-major (T, rows) output
+    return integrate(OdeProblem(rhs=rhs, y0=y0, output_grid=grid), GLOBAL_TOLERANCES).values
 
 
 def family_evaluator(model: str):
-    """Vectorized map from canonical-order parameter rows to activity trajectories.
+    """Vectorized map from (R, N) canonical-order parameter rows to (T, R) activity trajectories.
 
     All rows are integrated, at GLOBAL_TOLERANCES, as one diagonal system
     sharing the adaptive step sequence; if that fails, rows are integrated
     one by one and the bad rows come back as NaN for the caller's
-    resampling pass. Either way the (rows, T) result is the ``.T`` view of
-    one C-contiguous, time-major (T, rows) array, the layout
-    :func:`~actsens.globalsens.evaluate_family` keeps without a copy. Each parameter field is a contiguous column, and
-    its rate factors are computed once per solve (see ``rate_factors`` in
-    :mod:`actsens.models`).
+    resampling pass. Either way the result is one C-contiguous, time-major
+    (T, R) array (it was (R, T) before, an API change for custom
+    evaluators), the integrator's own layout, which
+    :func:`~actsens.globalsens.evaluate_family` keeps without a copy. Each
+    parameter field is a contiguous column, and its rate factors are
+    computed once per solve (see ``rate_factors`` in :mod:`actsens.models`).
     """
     b = _builtin(model)
     from_canonical, rhs_fn = b.model().params_of, globals()[b.rhs]
 
-    def params_of(rows):
-        return from_canonical(*rows.T.copy())  # one contiguous column per field
+    def solve(rows, grid):
+        p = from_canonical(*rows.T.copy())  # one contiguous column per field
+        return _batch_integrate(lambda t, y, dy: rhs_fn(y, p, out=dy), rows[:, 0], grid)
 
     def evaluate(rows: np.ndarray, grid: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows, dtype=float)
-        p = params_of(rows)
         try:
-            return _batch_integrate(lambda t, y, dy: rhs_fn(y, p, out=dy), rows[:, 0], grid)
+            return solve(rows, grid)
         except IntegrationError:
-            out = np.full((len(grid), rows.shape[0]), np.nan)  # time-major
+            out = np.full((len(grid), rows.shape[0]), np.nan)
             for j in range(rows.shape[0]):
-                pj = params_of(rows[j:j + 1])
                 try:
-                    out[:, j] = _batch_integrate(
-                        lambda t, y, dy: rhs_fn(y, pj, out=dy), rows[j:j + 1, 0], grid)[0]
+                    out[:, j:j + 1] = solve(rows[j:j + 1], grid)
                 except IntegrationError:
                     pass  # row stays NaN; caller resamples it
-            return out.T
+            return out
 
     return evaluate

@@ -245,7 +245,7 @@ def test_criterion_5_global_properties():
     def run(fun, cuboid):
         m = build_sample_matrices(cuboid, n=GLOBAL_N, seed=GLOBAL_SEED)
         fam = evaluate_family(
-            lambda rows, g: np.repeat(fun(rows)[:, None], g.size, axis=1), m, grid)
+            lambda rows, g: np.repeat(fun(rows)[None, :], g.size, axis=0), m, grid)
         return vbs_tsi(fam, m)
 
     unit3 = ParameterCuboid.from_dict(

@@ -723,7 +723,7 @@ def test_global_sens_manifest_counts_resampled_rows(tmp_path, monkeypatch):
             calls.append(rows.shape[0])
             out = evaluate(rows, grid)
             if len(calls) == 1:
-                out[3] = np.nan
+                out[:, 3] = np.nan
             return out
 
         return flaky

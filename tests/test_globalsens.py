@@ -43,8 +43,8 @@ def _blocks(rows, n):
 
 
 def constant_in_time(values):
-    """Trajectory ensemble that repeats a per-row scalar at every time."""
-    return np.repeat(np.asarray(values, dtype=float)[:, None], GRID.size, axis=1)
+    """Time-major (T, R) trajectory ensemble that repeats a per-row scalar at every time."""
+    return np.repeat(np.asarray(values, dtype=float)[None, :], GRID.size, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +247,8 @@ def test_resampling_honours_the_draw_cap(monkeypatch):
         return np.full(len(cols["x1"]), len(calls) == 1)
 
     def one_failed_row(rows, grid):
-        out = np.repeat(rows[:, :1], grid.size, axis=1)
-        out[3] = np.nan
+        out = np.repeat(rows[:, :1].T, grid.size, axis=0)
+        out[:, 3] = np.nan
         return out
 
     m = build_sample_matrices(UNIT2, n=8, seed=9, validity=first_call_only)
@@ -272,14 +272,18 @@ def test_sample_matrices_reject_one_row_and_an_unknown_sampler():
 def test_evaluator_of_the_wrong_shape_is_rejected():
     m = build_sample_matrices(UNIT2, n=4, seed=0)
     n_rows = 2 * 4 * (2 + 1)
-    with pytest.raises(ValueError, match=rf"evaluator returned shape \({n_rows}, 3\), "
-                                         rf"expected \({n_rows}, 2\)"):
-        evaluate_family(lambda rows, grid: np.zeros((rows.shape[0], grid.size + 1)), m, GRID)
+    with pytest.raises(ValueError, match=rf"evaluator returned shape \(3, {n_rows}\), "
+                                         rf"expected \(T, R\) = \(2, {n_rows}\)"):
+        evaluate_family(lambda rows, grid: np.zeros((grid.size + 1, rows.shape[0])), m, GRID)
+    # an evaluator of the former (R, T) contract, R != T
+    with pytest.raises(ValueError, match=rf"evaluator returned shape \({n_rows}, 2\), "
+                                         rf"expected \(T, R\) = \(2, {n_rows}\)"):
+        evaluate_family(lambda rows, grid: np.zeros((rows.shape[0], grid.size)), m, GRID)
 
 
 def test_constant_model_gives_identical_trajectories_and_zero_variance():
     m = build_sample_matrices(UNIT2, n=32, seed=2)
-    fam = evaluate_family(lambda rows, grid: np.full((rows.shape[0], grid.size), 3.5),
+    fam = evaluate_family(lambda rows, grid: np.full((grid.size, rows.shape[0]), 3.5),
                           m, GRID)
     assert fam.n_evaluations == 2 * 32 * (2 + 1)
     assert np.all(fam.values == 3.5)
@@ -312,10 +316,10 @@ def test_fallback_returns_nan_for_the_failing_row_only(model, monkeypatch):
 
     monkeypatch.setattr(presets, rhs_name, failing_rhs)  # looked up by name
     out = family_evaluator(model)(rows, grid)
-    assert out.shape == (rows.shape[0], grid.size) and out.T.flags.c_contiguous
-    assert np.all(np.isnan(out[bad]))
+    assert out.shape == (grid.size, rows.shape[0]) and out.flags.c_contiguous
+    assert np.all(np.isnan(out[:, bad]))
     for j in np.delete(np.arange(rows.shape[0]), bad):
-        assert np.array_equal(out[j], solo(rows[j:j + 1], grid)[0])
+        assert np.array_equal(out[:, j], solo(rows[j:j + 1], grid)[:, 0])
 
 
 def test_failed_rows_are_resampled_not_zero_filled():
@@ -324,9 +328,9 @@ def test_failed_rows_are_resampled_not_zero_filled():
 
     def flaky(rows, grid):
         state["calls"] += 1
-        out = np.repeat(rows[:, :1], grid.size, axis=1)
+        out = np.repeat(rows[:, :1].T, grid.size, axis=0)
         if state["calls"] == 1:  # first pass: rows with small x1 fail
-            out[rows[:, 0] < 0.4] = np.nan
+            out[:, rows[:, 0] < 0.4] = np.nan
         return out
 
     fam = evaluate_family(flaky, m, GRID)
@@ -340,27 +344,26 @@ def test_values_are_the_stacked_blocks_after_resampling():
 
     def flaky(rows, grid):
         state["calls"] += 1
-        out = np.repeat(rows[:, :1], grid.size, axis=1)
+        out = np.repeat(rows[:, :1].T, grid.size, axis=0)
         if state["calls"] == 1:
-            out[rows[:, 0] < 0.4] = np.nan
+            out[:, rows[:, 0] < 0.4] = np.nan
         return out
 
     fam = evaluate_family(flaky, m, GRID)
     assert len(fam.resampled_rows) > 0
     values = fam.values
-    # the evaluator returned a C-ordered (rows, T) array, copied once into
-    # the time-major layout
-    assert values.T.flags.c_contiguous and values.shape == (2 * 16 * 3, GRID.size)
-    by_block = values.T.reshape(GRID.size, 2 * (2 + 1), fam.n)  # (T, 2(N+1), n)
-    y_a, y_b = by_block[:, 0].T, by_block[:, 1].T
-    y_as, y_bs = by_block[:, 2:4].transpose(1, 2, 0), by_block[:, 4:].transpose(1, 2, 0)
-    parts = [y_a, y_b, y_as.reshape(-1, GRID.size), y_bs.reshape(-1, GRID.size)]
+    # the evaluator returned a C-ordered (T, rows) array, kept as it is
+    assert values.flags.c_contiguous and values.shape == (GRID.size, 2 * 16 * 3)
+    by_block = values.reshape(GRID.size, 2 * (2 + 1), fam.n)  # (T, 2(N+1), n)
+    y_a, y_b = by_block[:, 0], by_block[:, 1]
+    y_as, y_bs = by_block[:, 2:4], by_block[:, 4:]
+    parts = [y_a, y_b, y_as.reshape(GRID.size, -1), y_bs.reshape(GRID.size, -1)]
     assert all(np.shares_memory(part, values) for part in parts)
-    assert np.array_equal(values, np.concatenate(parts))
+    assert np.array_equal(values, np.concatenate(parts, axis=1))
     # the resampled solutions were written through: values matches the
     # final sample rows
     final = _family_rows(m.a, m.b)
-    assert np.array_equal(values, np.repeat(final[:, :1], GRID.size, axis=1))
+    assert np.array_equal(values, np.repeat(final[:, :1].T, GRID.size, axis=0))
 
 
 def test_time_major_evaluator_output_is_kept_without_a_copy():
@@ -368,12 +371,23 @@ def test_time_major_evaluator_output_is_kept_without_a_copy():
     returned = []
 
     def time_major(rows, grid):
-        out = np.repeat(rows[:, :1].T, grid.size, axis=0)  # (T, R), C-contiguous
+        out = np.repeat(rows[:, :1].T, grid.size + 1, axis=0)
         returned.append(out)
-        return out.T
+        return out[:-1]  # (T, R), a C-contiguous view
 
     fam = evaluate_family(time_major, m, GRID)
     assert fam.values.base is returned[0]
+    # family_evaluator's output is kept as well
+    evaluate = family_evaluator("zajac")
+
+    def recorded(rows, grid):
+        returned.append(evaluate(rows, grid))
+        return returned[-1]
+
+    m = build_sample_matrices(builtin_cuboid("zajac"), n=16, seed=9,
+                              validity=row_validity("zajac"))
+    fam = evaluate_family(recorded, m, np.linspace(0.0, 0.2, 5))
+    assert fam.values is returned[-1]
 
 
 def _vbs_tsi_broadcast(values, n):
@@ -393,6 +407,7 @@ def _vbs_tsi_broadcast(values, n):
 
 @pytest.mark.parametrize("layout", ["time-major", "row-major"])
 def test_vbs_tsi_matches_the_broadcast_reduction(layout):
+    # the (T, rows) family C-ordered (time-major) and F-ordered (row-major)
     m = build_sample_matrices(UNIT3, n=512, seed=4)
     rng = np.random.default_rng(8)
     t = np.linspace(0.0, 1.0, 7)
@@ -400,11 +415,10 @@ def test_vbs_tsi_matches_the_broadcast_reduction(layout):
     # a nonlinear family with an interaction and a time-dependent mix
     values = (np.sin(3.0 * rows[:, :1] + t) + rows[:, 1:2] * rows[:, 2:3] * t
               + 0.01 * rng.standard_normal((rows.shape[0], t.size)))
-    if layout == "time-major":
-        values = np.ascontiguousarray(values.T).T
+    values = values.T.copy(order="C" if layout == "time-major" else "F")
     fam = FamilyEvaluation(times=t, values=values, n=m.n, n_evaluations=rows.shape[0])
     res = vbs_tsi(fam, m)
-    v_total, v_first, v_complement = _vbs_tsi_broadcast(values, m.n)
+    v_total, v_first, v_complement = _vbs_tsi_broadcast(values.T, m.n)
     np.testing.assert_allclose(res.v_total, v_total, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(res.v_first, v_first, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(res.v_complement, v_complement, rtol=0.0, atol=1e-13)
@@ -421,7 +435,7 @@ m = build_sample_matrices(cub, n=2048, seed=5)
 rows = _family_rows(m.a, m.b)
 t = np.linspace(0.0, 1.0, 7)
 values = np.sin(3.0 * rows[:, :1] + t) + rows[:, 1:2] * rows[:, 2:3] * t
-fam = FamilyEvaluation(times=t, values=np.ascontiguousarray(values.T).T, n=m.n,
+fam = FamilyEvaluation(times=t, values=np.ascontiguousarray(values.T), n=m.n,
                        n_evaluations=rows.shape[0])
 res = vbs_tsi(fam, m)
 np.savez(sys.argv[1], v_total=res.v_total, v_first=res.v_first,
@@ -454,7 +468,7 @@ def test_a_column_without_effect_has_exactly_zero_first_order_variance(T):
     cub = ParameterCuboid.from_dict({"x1": (0.0, 1.0), "x2": (0.7, 0.7)})
     m = build_sample_matrices(cub, n=256, seed=17)
     t = np.linspace(0.0, 1.0, T)
-    fam = evaluate_family(lambda rows, grid: rows[:, :1] * (1.0 + grid) + rows[:, 1:2],
+    fam = evaluate_family(lambda rows, grid: rows[:, 0] * (1.0 + grid[:, None]) + rows[:, 1],
                           m, t)
     res = vbs_tsi(fam, m)
     assert np.all(res.v_first[1] == 0.0)
@@ -469,7 +483,7 @@ def test_columns_without_effect_at_the_start_have_exactly_zero_first_order_varia
     m = build_sample_matrices(cub, n=512, seed=2, validity=row_validity(model))
     fam = evaluate_family(family_evaluator(model), m, make_grid(0.5, 101))
     for T in (1, 7, 101):  # the first T times, still time-major
-        res = vbs_tsi(FamilyEvaluation(times=fam.times[:T], values=fam.values[:, :T],
+        res = vbs_tsi(FamilyEvaluation(times=fam.times[:T], values=fam.values[:T],
                                        n=fam.n, n_evaluations=fam.n_evaluations), m)
         assert np.all(res.v_first[1:, 0] == 0.0), T
         assert res.v_first[0, 0] > 0.0 and np.all(res.v_first[:, 1:] != 0.0)
@@ -479,9 +493,9 @@ def test_vbs_tsi_holds_no_family_sized_temporary():
     # hatze's family at n = 2048: 8 parameters, 36,864 rows, 101 times
     cub = ParameterCuboid.from_dict({f"x{i}": (0.0, 1.0) for i in range(8)})
     m = build_sample_matrices(cub, n=2048, seed=3)
-    values = np.random.default_rng(3).random((101, 2 * m.n * 9)).T  # time-major
+    values = np.random.default_rng(3).random((101, 2 * m.n * 9))  # time-major
     fam = FamilyEvaluation(times=np.linspace(0.0, 0.5, 101), values=values, n=m.n,
-                           n_evaluations=values.shape[0])
+                           n_evaluations=values.shape[1])
     tracemalloc.start()
     try:
         vbs_tsi(fam, m)
@@ -493,7 +507,7 @@ def test_vbs_tsi_holds_no_family_sized_temporary():
 
 def test_batched_solve_holds_a_fixed_working_set():
     # the seed-1 hatze family at n = 2048: 36,864 rows, 101 times. Beyond
-    # its (rows, 101) output the solve peaks at 27.04 (rows,) float64
+    # its (101, rows) output the solve peaks at 27.04 (rows,) float64
     # arrays: the parameter columns and their rate factors, the stacked
     # (y, k1..k7) array, the step's buffers and the rhs's two temporaries.
     # The bound leaves under one array of margin, so a new per-step
@@ -519,9 +533,9 @@ def test_evaluation_count_includes_resampled_rows():
 
     def one_failure(rows, grid):
         state["calls"] += 1
-        out = np.repeat(rows[:, :1], grid.size, axis=1)
+        out = np.repeat(rows[:, :1].T, grid.size, axis=0)
         if state["calls"] == 1:  # first pass: one base row fails once
-            out[3] = np.nan
+            out[:, 3] = np.nan
         return out
 
     fam = evaluate_family(one_failure, m, GRID)
@@ -537,7 +551,7 @@ def test_unrecoverable_rows_raise(monkeypatch):
     monkeypatch.setattr(globalsens, "MAX_RETRIES", 2)
 
     def broken(rows, grid):
-        return np.full((rows.shape[0], grid.size), np.nan)
+        return np.full((grid.size, rows.shape[0]), np.nan)
 
     for n in (4, 512):
         m = build_sample_matrices(UNIT2, n=n, seed=9)
