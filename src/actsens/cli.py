@@ -400,7 +400,7 @@ def _run_local(settings, order: int) -> int:
         return _write_outputs(settings, "simulate", grid, tables, manifest,
                               {"state.pdf": ({"q": res.state[:, 0]}, "activity q")})
 
-    res = normalize(res, p)
+    res = normalize(res)
     curves = {f"S_{n}": res.s_rel[:, i, 0] for i, n in enumerate(model.canonical_order)}
     tables["s_rel.csv"] = (["t_seconds", *curves], [grid, *curves.values()])
     if order == 2:

@@ -244,15 +244,16 @@ class FamilyEvaluation:
     """Model outputs for every sample row: the family of solutions.
 
     ``values`` holds all 2n(N+1) solutions as one C-contiguous, time-major
-    (T, rows) array (an API change: it was (rows, T)), the integrator's own
-    layout, with the rows in the order of ``_family_rows``: each time's
-    values over all rows are contiguous, and ``values.reshape(T, 2(N+1), n)``
-    views them as the A, B, N A_swapped and N B_swapped solutions of each time.
+    (T, rows) array, the integrator's own layout, with the rows in the order
+    of ``_family_rows``: each time's values over all rows are contiguous,
+    and ``values.reshape(T, 2(N+1), n)`` views them as the A, B, N
+    A_swapped and N B_swapped solutions of each time. ``matrices`` are the
+    sample matrices the family was solved on, as resampling left them.
     """
 
     times: np.ndarray
     values: np.ndarray  # (T, 2n(N+1))
-    n: int
+    matrices: SampleMatrices
     n_evaluations: int
     resampled_rows: tuple[int, ...] = ()
 
@@ -266,9 +267,8 @@ def evaluate_family(
 
     ``evaluator(rows, grid)`` maps an (R, N) parameter matrix to time-major
     (T, R) output trajectories, column j the solution of row j; rows it
-    cannot solve must come back non-finite. This is an API change for
-    custom evaluators, which used to return (R, T): the shape check rejects
-    such a result, unless R == T. Failed rows are resampled from their
+    cannot solve must come back non-finite; the shape check rejects an
+    (R, T) result unless R == T. Failed rows are resampled from their
     substream and re-evaluated (at most MAX_RETRIES rounds); they are never
     silently zero-filled. ``n_evaluations`` counts every row passed to the
     evaluator, re-evaluated rows included. A C-contiguous, writable result,
@@ -316,7 +316,7 @@ def evaluate_family(
         rows = bad_rows()
 
     return FamilyEvaluation(
-        times=grid, values=values, n=n, n_evaluations=evaluated,
+        times=grid, values=values, matrices=matrices, n_evaluations=evaluated,
         resampled_rows=tuple(resampled),
     )
 
@@ -339,8 +339,10 @@ class GlobalResult:
     undefined: np.ndarray  # (T,) bool: V below the variance floor
 
 
-def vbs_tsi(family: FamilyEvaluation, matrices: SampleMatrices) -> GlobalResult:
+def vbs_tsi(family: FamilyEvaluation) -> GlobalResult:
     """Estimate V(t), V_i(t), V_~i(t) and form VBS_i = V_i/V, TSI_i = 1 - V_~i/V.
+
+    The parameter names, n and seed are those of ``family.matrices``.
 
     Negative Monte-Carlo variance estimates are clipped at zero before the
     ratios; times where V(t) falls below VARIANCE_FLOOR are flagged undefined.
@@ -358,9 +360,9 @@ def vbs_tsi(family: FamilyEvaluation, matrices: SampleMatrices) -> GlobalResult:
     product splits its output entries, not their sums, so the result does
     not depend on the BLAS thread count (unlike one BLAS dot per time).
     """
-    n = family.n
-    T, rows = family.values.shape
-    N = rows // (2 * n) - 1
+    matrices = family.matrices
+    n, N = matrices.n, matrices.cuboid.n_params
+    T = family.values.shape[0]
     v_total = np.empty(T)
     dots = np.empty((T, 2 * N + 1, 3))
     work = np.empty((_TIMES_PER_BLOCK, 2 * N + 3, n))  # D_1..D_N, E_1..E_N, A-B, A, B
@@ -406,5 +408,4 @@ def analyze_global(
 ) -> GlobalResult:
     """Sample, evaluate the family of solutions, and reduce to VBS/TSI."""
     matrices = build_sample_matrices(cuboid, n, seed, validity=validity, sampler=sampler)
-    family = evaluate_family(evaluator, matrices, grid)
-    return vbs_tsi(family, matrices)
+    return vbs_tsi(evaluate_family(evaluator, matrices, grid))

@@ -43,9 +43,10 @@ NORMALIZATION_FLOOR = 1e-9
 class SensitivityResult:
     """Time-resolved sensitivities of one model at one parameter point.
 
-    ``s_raw`` is indexed [time, parameter, state] over the canonical order
-    ``init_names + param_names``, so ``s_raw[:, :M]`` is the sensitivity to
-    the M initial values; ``r_raw`` is indexed [time, parameter, parameter,
+    ``point`` holds the analyzed point's values over the canonical order
+    ``init_names + param_names``. ``s_raw`` is indexed [time, parameter,
+    state] over that order, so ``s_raw[:, :M]`` is the sensitivity to the M
+    initial values; ``r_raw`` is indexed [time, parameter, parameter,
     state] over ``param_names`` and is symmetric. ``*_rel`` fields are
     filled by :func:`normalize`; ``degenerate`` marks time/state points
     where normalization was undefined.
@@ -55,6 +56,7 @@ class SensitivityResult:
     state: np.ndarray
     param_names: tuple[str, ...]
     init_names: tuple[str, ...]
+    point: np.ndarray  # (M + N,)
     s_raw: np.ndarray | None = None
     r_raw: np.ndarray | None = None
     s_rel: np.ndarray | None = None
@@ -190,7 +192,7 @@ def analyze(
         r_raw = vals[:, M + n_s:].reshape(T, -1, M)[:, mirror]
     return SensitivityResult(
         times=traj.times, state=vals[:, :M],
-        param_names=model.param_names, init_names=model.init_names,
+        param_names=model.param_names, init_names=model.init_names, point=x,
         s_raw=s_raw, r_raw=r_raw,
     )
 
@@ -289,18 +291,17 @@ def second_order_fd(
 # ---------------------------------------------------------------------------
 
 
-def normalize(result: SensitivityResult, params) -> SensitivityResult:
+def normalize(result: SensitivityResult) -> SensitivityResult:
     """Scale raw sensitivities to relative ones: S~ = S * lambda / y(t).
 
-    lambda runs over the canonical order, so an initial-condition row is
-    scaled by its initial value; R is scaled by lambda_i * lambda_j over
-    the dynamic parameters. Points with |y_k(t)| < NORMALIZATION_FLOOR are
-    flagged in ``degenerate`` and set to NaN; dynamic parameters whose value
-    is exactly zero produce identically-zero rows and are listed in
-    ``zero_params``.
+    lambda is ``result.point``, the point the sensitivities were computed
+    at, over the canonical order, so an initial-condition row is scaled by
+    its initial value; R is scaled by lambda_i * lambda_j over the dynamic
+    parameters. Points with |y_k(t)| < NORMALIZATION_FLOOR are flagged in
+    ``degenerate`` and set to NaN; dynamic parameters whose value is exactly
+    zero produce identically-zero rows and are listed in ``zero_params``.
     """
-    values = _values(params, result.init_names + result.param_names)
-    lam = values[len(result.init_names):]
+    lam = result.point[len(result.init_names):]
 
     y = result.state  # (T, M)
     degenerate = np.abs(y) < NORMALIZATION_FLOOR
@@ -315,7 +316,7 @@ def normalize(result: SensitivityResult, params) -> SensitivityResult:
         )
         return np.where(mask, np.nan, rel)
 
-    s_rel = _scale(result.s_raw, values[None, :, None])
+    s_rel = _scale(result.s_raw, result.point[None, :, None])
     r_rel = _scale(result.r_raw, lam[None, :, None, None] * lam[None, None, :, None])
     zero = tuple(n for n, v in zip(result.param_names, lam) if v == 0.0)
     return dc_replace(result, s_rel=s_rel, r_rel=r_rel,

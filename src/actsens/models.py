@@ -12,9 +12,11 @@ scalar evaluation, batched ensembles (array-valued parameter fields), and
 length sweeps in the optimizer. The checked formulas ``hatze_rho`` and
 ``hatze_q_of_gamma`` run the declared conditions of the fields they read,
 the CE length and its pole included, as ``validate`` runs them (see
-:func:`domain_checks`), and then call a private unchecked twin (leading
-underscore), which callers whose input is already checked use directly;
-``force_length`` checks for a positive length before its twin.
+:func:`domain_checks`), and then evaluate the unchecked ``_hatze_rho``,
+which the rate factors and the length slopes of log q, whose input is
+already checked, call directly. ``force_length`` checks for a positive
+length and returns ``force_length_relative`` at the length over
+``ell_opt``.
 
 ``zajac_partials`` and ``hatze_partials`` return ``(f, grad, hess)`` at one
 scalar point and order 0, 1 or 2: the rhs value, bit for bit what
@@ -492,14 +494,8 @@ def hatze_rho(ell_ce_rel, rho_c, ell_rho):
     return float(out) if np.isscalar(ell_ce_rel) else out
 
 
-def _hatze_q_of_gamma(gamma, ell, p: HatzeParams):
-    # unchecked formula behind hatze_q_of_gamma
-    x = (_hatze_rho(ell, p.rho_c, p.ell_rho) * gamma) ** p.nu
-    return (p.q0 + x) / (1.0 + x)
-
-
 def _hatze_log_q_slopes(gamma, ell, p: HatzeParams, n: int = 3):
-    """Length derivatives of log q for :func:`_hatze_q_of_gamma`, unchecked.
+    """Length derivatives of log q for :func:`hatze_q_of_gamma`, unchecked.
 
     Returns the first ``n`` of (log q)_ell, (log q)_ell,ell and
     d/d(log rho_c) of (log q)_ell, as a tuple, and computes only what those
@@ -532,7 +528,8 @@ def hatze_q_of_gamma(gamma, ell_ce_rel, p: HatzeParams):
     ell = np.asarray(ell_ce_rel, dtype=float)
     _check_fields(HatzeParams, q0=p.q0, rho_c=p.rho_c, nu=p.nu, ell_rho=p.ell_rho,
                   ell_ce_rel=ell)
-    out = _hatze_q_of_gamma(np.asarray(gamma, dtype=float), ell, p)
+    x = (_hatze_rho(ell, p.rho_c, p.ell_rho) * np.asarray(gamma, dtype=float)) ** p.nu
+    out = (p.q0 + x) / (1.0 + x)
     return float(out) if np.isscalar(gamma) and np.isscalar(ell_ce_rel) else out
 
 
@@ -639,8 +636,7 @@ def hatze_partials(q: float, p: HatzeParams, order: int = 2):
     Per call at scenario ii with nu = 3 and q = 0.3 (fastest of nine runs
     of 20,000 calls on one Xeon vCPU, Python 3.11, numpy 2.4), order 2 /
     order 1 / order 0: 5.4 / 2.6 / 0.6 us; :func:`hatze_rhs` at a scalar q
-    returns the order-0 value as a float in about 1.0 us (it took 3.8 us
-    when it ran its array path's ufuncs on numpy scalars).
+    returns the order-0 value as a float in about 1.0 us.
 
     The W/V block stays hand-written: W on jets with log and exp, and the
     partials of log W scaled by W, were both slower. The gradient and
@@ -761,17 +757,8 @@ class ForceLengthRelation:
             raise ValueError(f"kind must be 'parabola' or 'bell', got {kind!r}")
 
 
-def _force_length_relative(ell_rel, rel: ForceLengthRelation):
-    # unchecked formula behind force_length_relative
-    delta = ell_rel - 1.0
-    if rel.kind == "parabola":
-        return np.maximum(0.0, 1.0 - (delta / rel.width) ** 2)
-    exponent = np.where(ell_rel <= 1.0, BELL_NU_ASC, BELL_NU_DES)
-    return np.exp(-((np.abs(delta) / rel.width) ** exponent))
-
-
 def _force_length_log_slopes(ell_rel, rel: ForceLengthRelation, n: int = 3):
-    """Descending-branch derivatives of log F_L for :func:`_force_length_relative`.
+    """Descending-branch derivatives of log F_L for :func:`force_length_relative`.
 
     Valid for 1 < ell_rel (and ell_rel < 1 + width for the parabola); with
     delta = ell_rel - 1 and w the width, returns the first ``n`` of
@@ -810,7 +797,13 @@ def _force_length_slope_root(a, rel: ForceLengthRelation):
 
 def force_length_relative(ell_rel, rel: ForceLengthRelation):
     """Evaluate the force-length relation at relative CE length (value in [0, 1])."""
-    out = _force_length_relative(np.asarray(ell_rel, dtype=float), rel)
+    ell_rel = np.asarray(ell_rel, dtype=float)
+    delta = ell_rel - 1.0
+    if rel.kind == "parabola":
+        out = np.maximum(0.0, 1.0 - (delta / rel.width) ** 2)
+    else:
+        exponent = np.where(ell_rel <= 1.0, BELL_NU_ASC, BELL_NU_DES)
+        out = np.exp(-((np.abs(delta) / rel.width) ** exponent))
     return float(out) if out.ndim == 0 else out
 
 
@@ -819,8 +812,7 @@ def force_length(ell_ce, rel: ForceLengthRelation):
     ell_ce = np.asarray(ell_ce, dtype=float)
     if not (ell_ce > 0.0).all():
         raise ValueError("ell_ce must be positive")
-    out = _force_length_relative(ell_ce / rel.ell_opt, rel)
-    return float(out) if np.ndim(out) == 0 else out
+    return force_length_relative(ell_ce / rel.ell_opt, rel)
 
 
 # ---------------------------------------------------------------------------

@@ -201,8 +201,7 @@ def family_evaluator(model: str):
     sharing the adaptive step sequence; if that fails, rows are integrated
     one by one and the bad rows come back as NaN for the caller's
     resampling pass. Either way the result is one C-contiguous, time-major
-    (T, R) array (it was (R, T) before, an API change for custom
-    evaluators), the integrator's own layout, which
+    (T, R) array, the integrator's own layout, which
     :func:`~actsens.globalsens.evaluate_family` keeps without a copy. Each
     parameter field is a contiguous column, and its rate factors are
     computed once per solve (see ``rate_factors`` in :mod:`actsens.models`).

@@ -77,7 +77,7 @@ def _scenario_sensitivities(order):
         for model, scen in ((zajac_model(), all_zajac_scenarios()),
                             (hatze_model(), all_hatze_scenarios())):
             for label, ps in scen:
-                res = normalize(analyze(model, ps, grid, order=order), ps)
+                res = normalize(analyze(model, ps, grid, order=order))
                 panels[(model.name, label)] = (model, ps, res)
         _cache[key] = panels
     return _cache[key]
@@ -93,7 +93,7 @@ def test_criterion_1_analytic_oracle_equivalence():
     model = simplified_zajac_model()
     params = model.params_of(0.05, 1.0, 0.025)  # q_Z0, sigma, tau
     t0 = time.perf_counter()
-    res = normalize(analyze(model, params, grid), params)
+    res = normalize(analyze(model, params, grid))
     oracle = simplified_zajac_sensitivities(grid, 1.0, 0.025, 0.05)
     errs = {name: np.max(np.abs(res.s_rel[:, i, 0] - oracle[name]))
             for i, name in enumerate(model.canonical_order)}
@@ -246,7 +246,7 @@ def test_criterion_5_global_properties():
         m = build_sample_matrices(cuboid, n=GLOBAL_N, seed=GLOBAL_SEED)
         fam = evaluate_family(
             lambda rows, g: np.repeat(fun(rows)[None, :], g.size, axis=0), m, grid)
-        return vbs_tsi(fam, m)
+        return vbs_tsi(fam)
 
     unit3 = ParameterCuboid.from_dict(
         {"x1": (0.0, 1.0), "x2": (0.0, 1.0), "x3": (0.0, 1.0)})

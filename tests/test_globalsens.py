@@ -287,7 +287,7 @@ def test_constant_model_gives_identical_trajectories_and_zero_variance():
                           m, GRID)
     assert fam.n_evaluations == 2 * 32 * (2 + 1)
     assert np.all(fam.values == 3.5)
-    res = vbs_tsi(fam, m)
+    res = vbs_tsi(fam)
     assert np.all(res.undefined)
     assert np.all(np.isnan(res.vbs))
 
@@ -354,7 +354,7 @@ def test_values_are_the_stacked_blocks_after_resampling():
     values = fam.values
     # the evaluator returned a C-ordered (T, rows) array, kept as it is
     assert values.flags.c_contiguous and values.shape == (GRID.size, 2 * 16 * 3)
-    by_block = values.reshape(GRID.size, 2 * (2 + 1), fam.n)  # (T, 2(N+1), n)
+    by_block = values.reshape(GRID.size, 2 * (2 + 1), fam.matrices.n)  # (T, 2(N+1), n)
     y_a, y_b = by_block[:, 0], by_block[:, 1]
     y_as, y_bs = by_block[:, 2:4], by_block[:, 4:]
     parts = [y_a, y_b, y_as.reshape(GRID.size, -1), y_bs.reshape(GRID.size, -1)]
@@ -416,8 +416,8 @@ def test_vbs_tsi_matches_the_broadcast_reduction(layout):
     values = (np.sin(3.0 * rows[:, :1] + t) + rows[:, 1:2] * rows[:, 2:3] * t
               + 0.01 * rng.standard_normal((rows.shape[0], t.size)))
     values = values.T.copy(order="C" if layout == "time-major" else "F")
-    fam = FamilyEvaluation(times=t, values=values, n=m.n, n_evaluations=rows.shape[0])
-    res = vbs_tsi(fam, m)
+    fam = FamilyEvaluation(times=t, values=values, matrices=m, n_evaluations=rows.shape[0])
+    res = vbs_tsi(fam)
     v_total, v_first, v_complement = _vbs_tsi_broadcast(values.T, m.n)
     np.testing.assert_allclose(res.v_total, v_total, rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(res.v_first, v_first, rtol=0.0, atol=1e-13)
@@ -435,9 +435,9 @@ m = build_sample_matrices(cub, n=2048, seed=5)
 rows = _family_rows(m.a, m.b)
 t = np.linspace(0.0, 1.0, 7)
 values = np.sin(3.0 * rows[:, :1] + t) + rows[:, 1:2] * rows[:, 2:3] * t
-fam = FamilyEvaluation(times=t, values=np.ascontiguousarray(values.T), n=m.n,
+fam = FamilyEvaluation(times=t, values=np.ascontiguousarray(values.T), matrices=m,
                        n_evaluations=rows.shape[0])
-res = vbs_tsi(fam, m)
+res = vbs_tsi(fam)
 np.savez(sys.argv[1], v_total=res.v_total, v_first=res.v_first,
          v_complement=res.v_complement)
 """
@@ -470,7 +470,7 @@ def test_a_column_without_effect_has_exactly_zero_first_order_variance(T):
     t = np.linspace(0.0, 1.0, T)
     fam = evaluate_family(lambda rows, grid: rows[:, 0] * (1.0 + grid[:, None]) + rows[:, 1],
                           m, t)
-    res = vbs_tsi(fam, m)
+    res = vbs_tsi(fam)
     assert np.all(res.v_first[1] == 0.0)
     assert np.all(res.v_first[0] > 0.0)
 
@@ -484,7 +484,7 @@ def test_columns_without_effect_at_the_start_have_exactly_zero_first_order_varia
     fam = evaluate_family(family_evaluator(model), m, make_grid(0.5, 101))
     for T in (1, 7, 101):  # the first T times, still time-major
         res = vbs_tsi(FamilyEvaluation(times=fam.times[:T], values=fam.values[:T],
-                                       n=fam.n, n_evaluations=fam.n_evaluations), m)
+                                       matrices=m, n_evaluations=fam.n_evaluations))
         assert np.all(res.v_first[1:, 0] == 0.0), T
         assert res.v_first[0, 0] > 0.0 and np.all(res.v_first[:, 1:] != 0.0)
 
@@ -494,11 +494,11 @@ def test_vbs_tsi_holds_no_family_sized_temporary():
     cub = ParameterCuboid.from_dict({f"x{i}": (0.0, 1.0) for i in range(8)})
     m = build_sample_matrices(cub, n=2048, seed=3)
     values = np.random.default_rng(3).random((101, 2 * m.n * 9))  # time-major
-    fam = FamilyEvaluation(times=np.linspace(0.0, 0.5, 101), values=values, n=m.n,
+    fam = FamilyEvaluation(times=np.linspace(0.0, 0.5, 101), values=values, matrices=m,
                            n_evaluations=values.shape[1])
     tracemalloc.start()
     try:
-        vbs_tsi(fam, m)
+        vbs_tsi(fam)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -542,9 +542,13 @@ def test_evaluation_count_includes_resampled_rows():
     assert fam.resampled_rows == (3,)
     n, N = 16, 2
     assert fam.n_evaluations == 2 * n * (N + 1) + 2 * (N + 1)
-    res = vbs_tsi(fam, m)
+    res = vbs_tsi(fam)
     assert res.resampled_rows == 1
     assert res.n_evaluations == fam.n_evaluations
+    # the family carries the matrices it was solved on, resampled rows
+    # included, and the result reports their names, n and seed
+    assert fam.matrices is m and m.blocks_used[3] == 1
+    assert (res.param_names, res.n, res.seed) == (m.cuboid.names, m.n, m.seed)
 
 
 def test_unrecoverable_rows_raise(monkeypatch):
@@ -571,7 +575,7 @@ def test_unrecoverable_rows_raise(monkeypatch):
 def _global(fun, cuboid, n=2048, seed=17):
     m = build_sample_matrices(cuboid, n=n, seed=seed)
     fam = evaluate_family(lambda rows, grid: constant_in_time(fun(rows)), m, GRID)
-    return vbs_tsi(fam, m)
+    return vbs_tsi(fam)
 
 
 def test_identity_map_attributes_all_variance_to_its_parameter():
@@ -624,3 +628,89 @@ def test_global_analysis_is_bit_reproducible():
     assert np.array_equal(r1.vbs, r2.vbs)
     assert np.array_equal(r1.tsi, r2.tsi)
     assert np.array_equal(r1.v_total, r2.v_total)
+
+
+# ---------------------------------------------------------------------------
+# exact indices of two standard test functions
+# ---------------------------------------------------------------------------
+#
+# Both functions have closed-form first-order and total indices, so they
+# check sampling, the family layout and the reduction against known values
+# other than 0, 0.5 and 1. Each error is the max over parameters of
+# |index - exact| at n = 2048; the pseudo sampler runs at seeds 1-20, fixed
+# before any result was looked at, and halton ignores the seed.
+
+ISHIGAMI_A, ISHIGAMI_B = 7.0, 0.1
+ISHIGAMI_CUBOID = ParameterCuboid.from_dict({f"x{i}": (-math.pi, math.pi) for i in (1, 2, 3)})
+G_A = np.array([0.0, 1.0, 4.5, 9.0, 99.0, 99.0])
+G_CUBOID = ParameterCuboid.from_dict({f"x{i}": (0.0, 1.0) for i in range(1, 7)})
+
+
+def ishigami(rows):
+    """Ishigami & Homma (1990): sin x1 + a sin^2 x2 + b x3^4 sin x1."""
+    return (np.sin(rows[:, 0]) + ISHIGAMI_A * np.sin(rows[:, 1]) ** 2
+            + ISHIGAMI_B * rows[:, 2] ** 4 * np.sin(rows[:, 0]))
+
+
+def ishigami_exact():
+    """(S, T): V1 = (1 + b pi^4/5)^2/2, V2 = a^2/8, V13 = b^2 pi^8 (1/18 - 1/50)."""
+    v1 = 0.5 * (1.0 + ISHIGAMI_B * math.pi ** 4 / 5.0) ** 2
+    v2 = ISHIGAMI_A ** 2 / 8.0
+    v13 = ISHIGAMI_B ** 2 * math.pi ** 8 * (1.0 / 18.0 - 1.0 / 50.0)
+    v = v1 + v2 + v13
+    return np.array([v1, v2, 0.0]) / v, np.array([v1 + v13, v2, v13]) / v
+
+
+def g_function(rows):
+    """Sobol's g-function: the product of (|4 x_i - 2| + a_i) / (1 + a_i)."""
+    return np.prod((np.abs(4.0 * rows - 2.0) + G_A) / (1.0 + G_A), axis=1)
+
+
+def g_exact():
+    """(S, T): V_i = 1/(3 (1 + a_i)^2), V = prod(1 + V_j) - 1, T_i = V_i prod_{j != i}(1 + V_j) / V."""
+    v_i = 1.0 / (3.0 * (1.0 + G_A) ** 2)
+    product = np.prod(1.0 + v_i)
+    v = product - 1.0
+    return v_i / v, v_i * product / (1.0 + v_i) / v
+
+
+_EXACT = {
+    "ishigami": (ishigami, ISHIGAMI_CUBOID, ishigami_exact()),
+    "g": (g_function, G_CUBOID, g_exact()),
+}
+
+
+def test_exact_indices_match_the_published_values():
+    s, t = ishigami_exact()
+    np.testing.assert_allclose(s, [0.3139, 0.4424, 0.0], atol=5e-5)
+    np.testing.assert_allclose(t, [0.5576, 0.4424, 0.2437], atol=5e-5)
+    s, t = g_exact()
+    assert (s[0], t[0]) == (pytest.approx(0.7163, abs=5e-5), pytest.approx(0.7873, abs=5e-5))
+
+
+def _index_errors(name, seed, sampler):
+    """Max over parameters of |VBS - exact| and of |TSI - exact|, n = 2048."""
+    fun, cuboid, (s, t) = _EXACT[name]
+    m = build_sample_matrices(cuboid, n=2048, seed=seed, sampler=sampler)
+    res = vbs_tsi(evaluate_family(lambda rows, grid: constant_in_time(fun(rows)), m, GRID))
+    return np.abs(res.vbs[:, 0] - s).max(), np.abs(res.tsi[:, 0] - t).max()
+
+
+# measured worst (mean) over seeds 1-20, VBS and TSI: Ishigami 0.0600
+# (0.0285) and 0.0592 (0.0297); g 0.0325 (0.0164) and 0.0424 (0.0222)
+@pytest.mark.parametrize("name, seed_bound, mean_bound", [
+    ("ishigami", 0.075, 0.04),
+    ("g", 0.05, 0.03),
+], ids=["ishigami", "g"])
+def test_pseudo_sampler_indices_match_the_exact_ones(name, seed_bound, mean_bound):
+    errors = np.array([_index_errors(name, seed, "pseudo") for seed in range(1, 21)])
+    assert errors.max() < seed_bound, errors.max(axis=0)
+    assert np.all(errors.mean(axis=0) < mean_bound), errors.mean(axis=0)
+
+
+# measured, VBS and TSI: Ishigami 0.0024 and 0.0035; g 0.0081 and 0.0110
+@pytest.mark.parametrize("name, bound", [("ishigami", 0.005), ("g", 0.015)],
+                         ids=["ishigami", "g"])
+def test_halton_sampler_indices_match_the_exact_ones(name, bound):
+    errors = _index_errors(name, 1, "halton")
+    assert max(errors) < bound, errors

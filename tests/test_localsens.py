@@ -121,7 +121,7 @@ def no_hessian_model() -> ModelSpec:
 def test_simplified_model_matches_closed_forms():
     grid = np.linspace(0.0, 0.2, 201)
     model = simplified_zajac_model()
-    res = normalize(analyze(model, FIG1, grid, order=1), FIG1)
+    res = normalize(analyze(model, FIG1, grid, order=1))
     oracle = simplified_zajac_sensitivities(grid, 1.0, 0.025, 0.05)
     for i, name in enumerate(model.canonical_order):  # q_Z0, sigma, tau
         assert np.max(np.abs(res.s_rel[:, i, 0] - oracle[name])) < 1e-6
@@ -187,7 +187,7 @@ def test_zajac_beta_sensitivity_vanishes_at_full_stimulation():
     model = zajac_model()
     ps = zajac_scenario("iv", beta=1.0)  # sigma = 1
     grid = np.linspace(0.0, 0.25, 26)
-    res = normalize(analyze(model, ps, grid), ps)
+    res = normalize(analyze(model, ps, grid))
     assert np.max(np.abs(res.s_rel[:, model.canonical_order.index("beta"), 0])) < 1e-10
     fd = fd_first_order(model, ps, grid)
     assert np.max(np.abs(fd[:, model.param_names.index("beta"), 0])) < 1e-6
@@ -198,7 +198,7 @@ def test_zajac_tau_sensitivity_negative_for_rising_activation():
     for row in ("ii", "iii", "iv"):
         ps = zajac_scenario(row, beta=1.0)
         grid = np.linspace(0.01, 0.3, 30)
-        res = normalize(analyze(model, ps, grid), ps)
+        res = normalize(analyze(model, ps, grid))
         assert np.all(res.s_rel[:, model.canonical_order.index("tau"), 0] < 0.0)
 
 
@@ -209,7 +209,7 @@ def test_zajac_memory_of_initial_value_decays():
     model = zajac_model()
     grid = np.array([0.0755, 0.1005, 0.5])
     for label, ps in all_zajac_scenarios():
-        res = normalize(analyze(model, ps, grid), ps)
+        res = normalize(analyze(model, ps, grid))
         s = res.s_rel[:, 0, 0]
         assert s[1] < 0.05, f"{label}: S_init(4 tau) = {s[1]:.4f}"
         assert np.all(np.diff(s) < 0.0)
@@ -221,7 +221,7 @@ def test_hatze_sigma_and_rho_c_relative_sensitivities_identical():
     model = hatze_model()
     ps = hatze_scenario("iii", nu=3.0)
     grid = np.linspace(0.0, 0.5, 51)
-    res = normalize(analyze(model, ps, grid), ps)
+    res = normalize(analyze(model, ps, grid))
     i_s = model.canonical_order.index("sigma")
     i_r = model.canonical_order.index("rho_c")
     assert np.allclose(res.s_rel[:, i_s, 0], res.s_rel[:, i_r, 0], atol=1e-10)
@@ -237,7 +237,7 @@ def test_hatze_length_sensitivity_ratio_is_pole_elasticity():
     model = hatze_model()
     ps = hatze_scenario("iii", nu=3.0)
     grid = np.linspace(0.05, 0.5, 10)
-    res = normalize(analyze(model, ps, grid, order=2), ps)
+    res = normalize(analyze(model, ps, grid, order=2))
     i_s = model.canonical_order.index("sigma")
     i_l = model.canonical_order.index("ell_CErel")
     i_p = model.canonical_order.index("ell_rho")
@@ -366,11 +366,10 @@ _GRID = np.linspace(0.0, 0.05, 3)
 
 @pytest.mark.parametrize("call", [
     lambda p: analyze(zajac_model(), p, _GRID),
-    lambda p: normalize(analyze(zajac_model(), zajac_scenario("ii"), _GRID), p),
     lambda p: fd_first_order(zajac_model(), p, _GRID),
     lambda p: fd_initial_condition(zajac_model(), p, _GRID),
     lambda p: second_order_fd(zajac_model(), p, _GRID),
-], ids=["analyze", "normalize", "fd_first_order", "fd_initial_condition", "second_order_fd"])
+], ids=["analyze", "fd_first_order", "fd_initial_condition", "second_order_fd"])
 @pytest.mark.parametrize("params, missing", [
     ({"sigma": 0.1}, "['q_Z0', 'q0', 'tau', 'beta']"),
     (hatze_scenario("ii"), "['q_Z0', 'tau', 'beta']"),
@@ -396,7 +395,7 @@ _POINTS = {
     lambda m, p, g: analyze(m, p, g, order=0).state,
     lambda m, p, g: analyze(m, p, g, order=1).s_raw,
     lambda m, p, g: analyze(m, p, g, order=2).r_raw,
-    lambda m, p, g: normalize(analyze(m, p, g, order=2), p).r_rel,
+    lambda m, p, g: normalize(analyze(m, p, g, order=2)).r_rel,
     lambda m, p, g: fd_first_order(m, p, g),
     lambda m, p, g: fd_initial_condition(m, p, g),
     lambda m, p, g: second_order_fd(m, p, g).r_raw,
@@ -504,18 +503,31 @@ def test_reused_rhs_output_keeps_the_fd_oracles(monkeypatch, oracle, panel):
 def test_normalize_arithmetic():
     res = SensitivityResult(
         times=np.array([0.0]), state=np.array([[4.0]]),
-        param_names=("lam",), init_names=("y0",),
+        param_names=("lam",), init_names=("y0",), point=np.array([4.0, 0.5]),
         s_raw=np.array([[[3.0], [2.0]]]),  # rows y0, lam
     )
-    out = normalize(res, {"lam": 0.5, "y0": 4.0})
+    out = normalize(res)
     assert out.s_rel[0, 0, 0] == pytest.approx(3.0)
     assert out.s_rel[0, 1, 0] == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("as_mapping", [False, True], ids=["parameter-object", "mapping"])
+def test_the_result_carries_the_analyzed_point(as_mapping):
+    # normalize scales by result.point, so it must be the point analyze
+    # solved at, over the canonical order, whichever form the point came in
+    model, ps = hatze_model(), hatze_scenario("ii")
+    expect = np.array([ps.as_dict()[n] for n in model.canonical_order])
+    point = ps.as_dict() if as_mapping else ps
+    grid = np.linspace(0.0, 0.05, 3)
+    for order in (0, 1, 2):
+        assert np.array_equal(analyze(model, point, grid, order=order).point, expect), order
+    assert np.array_equal(second_order_fd(model, point, grid).point, expect)
 
 
 def test_normalize_flags_zero_parameter():
     model = zajac_model()
     ps = dataclasses.replace(zajac_scenario("ii"), sigma=0.0)
-    res = normalize(analyze(model, ps, np.linspace(0.0, 0.1, 5)), ps)
+    res = normalize(analyze(model, ps, np.linspace(0.0, 0.1, 5)))
     i = model.canonical_order.index("sigma")
     assert "sigma" in res.zero_params
     assert np.all(res.s_rel[:, i, 0] == 0.0)
@@ -526,7 +538,7 @@ def test_normalize_flags_degenerate_state():
     model = affine_model()
     ps = {"y0": 1.0, "a": 0.0, "b": -1.0}
     grid = np.array([0.0, 1.0, 2.0])  # y(t) = 1 - t hits 0 at t=1
-    res = normalize(analyze(model, ps, grid), ps)
+    res = normalize(analyze(model, ps, grid))
     assert bool(res.degenerate[1, 0])
     assert np.isnan(res.s_rel[1, 0, 0])
     assert not res.degenerate[0, 0] and not res.degenerate[2, 0]
@@ -534,6 +546,6 @@ def test_normalize_flags_degenerate_state():
 
 def test_normalize_scales_initial_condition_with_start_value():
     grid = np.linspace(0.0, 0.1, 5)
-    res = normalize(analyze(simplified_zajac_model(), FIG1, grid), FIG1)
+    res = normalize(analyze(simplified_zajac_model(), FIG1, grid))
     expect = np.exp(-grid / 0.025) * 0.05 / res.state[:, 0]
     assert np.allclose(res.s_rel[:, 0, 0], expect, atol=1e-9)

@@ -47,7 +47,6 @@ from actsens.models import (
     _force_length_log_slopes,
     _force_length_slope_root,
     _hatze_log_q_slopes,
-    _hatze_q_of_gamma,
 )
 from actsens.presets import (
     all_hatze_scenarios,
@@ -1081,7 +1080,7 @@ def test_log_activity_slopes_match_central_differences(nu, rho_c, gamma):
         return HatzeParams(sigma=1.0, nu=nu, rho_c=rho_c, q_init=0.5)
 
     def log_q(ell, rho_c=rho_c):
-        return np.log(_hatze_q_of_gamma(gamma, ell, point(rho_c)))
+        return np.log(hatze_q_of_gamma(gamma, ell, point(rho_c)))
 
     ell = np.array([0.7, 1.0, 1.03, 1.4])
     slope, curvature, cross = _hatze_log_q_slopes(gamma, ell, point(rho_c))

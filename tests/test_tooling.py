@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from actsens import cli, localsens, optimize, presets
+from bench_pairs import summarize
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "actsens"
@@ -158,3 +159,27 @@ def test_pyproject_version_is_the_package_version():
 
     with (PACKAGE.parents[1] / "pyproject.toml").open("rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == actsens.__version__
+
+
+def _bench_result(ref, rss, correct=True, failed=0):
+    return {"correct": correct, "failed": failed,
+            "metrics": {"ref_items_per_s": {"value": ref}, "peak_rss_mb": {"value": rss}}}
+
+
+def test_bench_pairs_summary_on_fixed_numbers():
+    pairs = [(_bench_result(10.0, 5.0), _bench_result(11.0, 5.0)),
+             (_bench_result(12.0, 5.0), _bench_result(11.0, 4.0)),
+             (_bench_result(14.0, 5.0), _bench_result(15.0, 6.0, failed=2)),
+             (_bench_result(16.0, 5.0, correct=False), _bench_result(17.0, 4.0))]
+    lines = summarize(pairs, {"ref_items_per_s": "higher", "peak_rss_mb": "lower",
+                              "setup_s": "lower"}).splitlines()
+    # medians and quartiles by linear interpolation; a tie wins for neither
+    assert lines[1].split() == ["ref_items_per_s", "13", "(11.5-14.5)", "13", "(11-15.5)",
+                                "3/4", "(higher", "is", "better)"]
+    assert lines[2].split() == ["peak_rss_mb", "5", "(5-5)", "4.5", "(4-5.25)",
+                                "2/4", "(lower", "is", "better)"]
+    assert lines[3].split() == ["setup_s", "no", "pair", "reports", "it"]
+    assert lines[4:] == ["FLAG pair 3 new: correct True, failed 2",
+                         "FLAG pair 4 old: correct False, failed 0"]
+    assert summarize(pairs[:2], {"peak_rss_mb": "lower"}).splitlines()[-1] == (
+        "every run correct, 0 failed operations")
