@@ -12,14 +12,14 @@ one parameter column:
 Both estimators are averaged over their two available pairings, and
 :func:`vbs_tsi` takes all of them in one pass over blocks of a few times of
 the time-major family of solutions. Sampling is seeded and counter-based:
-every row owns its own substream, so rejection resampling of one row never
-disturbs any other row and results are bit-reproducible for a given
-(cuboid, n, seed, grid).
+every row owns its own sequence of draw blocks (a substream, or Halton
+indices), so rejection resampling of one row never disturbs any other row
+and results are bit-reproducible for a given (cuboid, n, seed, grid).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -39,8 +39,8 @@ __all__ = [
 
 #: Total variance below this floor leaves VBS/TSI undefined at that time.
 VARIANCE_FLOOR = 1e-12
-#: Draws per row before rejection sampling gives up, in the first draw and
-#: in every resampling round alike.
+#: Draws per row of one redraw before rejection sampling gives up, after the
+#: first block and in every resampling round alike.
 MAX_DRAWS = 10_000
 #: Resampling rounds for rows whose evaluation fails.
 MAX_RETRIES = 5
@@ -97,26 +97,6 @@ class ParameterCuboid:
         return self.lower + u * (self.upper - self.lower)
 
 
-@dataclass
-class SampleMatrices:
-    """Base blocks A and B, plus the state that resampling continues from.
-
-    The family evaluated from them is ``_family_rows(a, b)``: A, B, then the
-    N single-column swaps of A (column i taken from B) and the N of B (column
-    i taken from A). ``blocks_used`` counts per-row draw blocks so a later
-    resampling can continue each row's substream deterministically.
-    """
-
-    cuboid: ParameterCuboid
-    seed: int
-    n: int
-    a: np.ndarray  # (n, N)
-    b: np.ndarray  # (n, N)
-    blocks_used: np.ndarray  # (n,)
-    validity: Validity | None = None
-    sampler: str = "pseudo"
-
-
 def _row_stream(seed: int, row: int) -> np.random.Generator:
     # Philox is counter-based; (seed, row) keys give independent substreams.
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, row])))
@@ -161,42 +141,71 @@ def _rows_valid(cuboid, validity, a, b) -> np.ndarray:
     return ok.reshape(-1, n).all(axis=0)
 
 
-def _draw_row_pairs(cuboid, seed, rows, start_blocks, validity, sampler):
-    """Draw (a_row, b_row) for each of ``rows`` from its substream, skipping used blocks.
+@dataclass(frozen=True)
+class SampleMatrices:
+    """Base blocks A and B, plus the state that resampling continues from.
 
-    Every row still without a valid pair draws its next block each round,
-    and one validity call checks the round, so each row gets the pair it
-    would get drawn alone. A row still without one after MAX_DRAWS draws
-    raises SamplingError. Returns the a rows, b rows and blocks used.
+    The family evaluated from them is ``_family_rows(a, b)``: A, B, then the
+    N single-column swaps of A (column i taken from B) and the N of B (column
+    i taken from A). ``blocks_used`` counts each row's draw blocks, so that
+    :meth:`redrawn` continues the row's own sequence deterministically.
+    Nothing writes into sample matrices: ``a``, ``b`` and ``blocks_used`` are
+    read-only views, and a redraw returns new matrices.
     """
-    N = cuboid.n_params
-    rows, blocks = np.asarray(rows), np.array(start_blocks, dtype=int)
-    a, b = np.empty((rows.size, N)), np.empty((rows.size, N))
-    if sampler == "pseudo":
-        gens = [_row_stream(seed, int(row)) for row in rows]
-        for gen, used in zip(gens, blocks):
-            if used:
-                gen.random((used, 2 * N))  # burn consumed blocks
-    elif sampler != "halton":
-        raise ValueError(f"unknown sampler {sampler!r}")
-    todo, draws = np.arange(rows.size), 0
-    while todo.size:
-        if draws == MAX_DRAWS:
+
+    cuboid: ParameterCuboid
+    seed: int
+    a: np.ndarray  # (n, N)
+    b: np.ndarray  # (n, N)
+    blocks_used: np.ndarray  # (n,)
+    validity: Validity | None = None
+    sampler: str = "pseudo"
+
+    def __post_init__(self):
+        if self.sampler not in ("pseudo", "halton"):
+            raise ValueError(f"unknown sampler {self.sampler!r}")
+        for name in ("a", "b", "blocks_used"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    @property
+    def n(self) -> int:
+        return self.a.shape[0]
+
+    def redrawn(self, rows) -> "SampleMatrices":
+        """These matrices with each of ``rows``' pairs drawn again after its used blocks.
+
+        A pseudo row draws from its own substream, a halton row takes the
+        Halton point of index 1 + row + block * 1,000,003. Every row still
+        without a valid pair draws its next block each round, and one
+        validity call checks the round, so each row gets the pair it would
+        get drawn alone. A row still without one after MAX_DRAWS draws
+        raises SamplingError.
+        """
+        N, rows = self.cuboid.n_params, np.asarray(rows, dtype=int)
+        a, b, blocks = self.a.copy(), self.b.copy(), self.blocks_used.copy()
+        pseudo = self.sampler == "pseudo"
+        gens = [_row_stream(self.seed, int(row)) for row in rows] if pseudo else []
+        for gen, used in zip(gens, blocks[rows]):
+            gen.random((used, 2 * N))  # burn consumed blocks
+        todo = np.arange(rows.size)
+        for _ in range(MAX_DRAWS):
+            if not todo.size:
+                break
+            u = (np.array([gens[k].random(2 * N) for k in todo]) if pseudo else
+                 _halton_points(1 + rows[todo] + blocks[rows[todo]] * 1_000_003, 2 * N))
+            vals = self.cuboid.scale(u.reshape(-1, 2, N))
+            blocks[rows[todo]] += 1
+            ok = _rows_valid(self.cuboid, self.validity, vals[:, 0], vals[:, 1])
+            a[rows[todo[ok]]], b[rows[todo[ok]]] = vals[ok, 0], vals[ok, 1]
+            todo = todo[~ok]
+        if todo.size:
             raise SamplingError(
                 f"row {rows[todo[0]]}: no valid sample within {MAX_DRAWS} draws; "
                 "check bounds and validity predicate"
             )
-        draws += 1
-        if sampler == "pseudo":
-            u = np.array([gens[k].random(2 * N) for k in todo])
-        else:
-            u = _halton_points(1 + rows[todo] + blocks[todo] * 1_000_003, 2 * N)
-        blocks[todo] += 1
-        vals = cuboid.scale(u.reshape(-1, 2, N))
-        ok = _rows_valid(cuboid, validity, vals[:, 0], vals[:, 1])
-        a[todo[ok]], b[todo[ok]] = vals[ok, 0], vals[ok, 1]
-        todo = todo[~ok]
-    return a, b, blocks
+        return replace(self, a=a, b=b, blocks_used=blocks)
 
 
 def build_sample_matrices(
@@ -208,35 +217,22 @@ def build_sample_matrices(
 ) -> SampleMatrices:
     """Draw the base blocks A and B of a 2n(N+1)-row family.
 
-    The pseudo sampler draws all rows at once from one bulk stream, the
-    halton sampler each row from its own substream; rows violating the
-    validity predicate (in any swap combination) are rejection-resampled
-    from their own substream, at most MAX_DRAWS times each, so the result
-    is deterministic in (cuboid, n, seed) and independent of other rows.
+    One first block for all rows at once (pseudo: one bulk stream, which
+    uses no row's own blocks; halton: the points of indices 1..n, each row's
+    block 0), then :meth:`SampleMatrices.redrawn` for the rows that violate
+    the validity predicate in any swap combination, so the result is
+    deterministic in (cuboid, n, seed) and each row independent of the rest.
     """
     if n < 2:
         raise ValueError(f"need at least two sample rows, got n={n}")
-    N = cuboid.n_params
-    if sampler == "pseudo":
-        # a bulk stream, not the rows' substreams: no substream block is used;
-        # only the rows it leaves invalid are drawn from their substreams
-        u = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence([seed]))
-        ).random((n, 2 * N))
-        scaled = cuboid.scale(u.reshape(n, 2, N))
-        a, b = scaled[:, 0, :].copy(), scaled[:, 1, :].copy()
-        rows = np.nonzero(~_rows_valid(cuboid, validity, a, b))[0]
-    else:
-        # every row from its substream; _draw_row_pairs rejects an unknown sampler
-        a, b = np.empty((n, N)), np.empty((n, N))
-        rows = np.arange(n)
-    blocks = np.zeros(n, dtype=int)
-    a[rows], b[rows], blocks[rows] = _draw_row_pairs(
-        cuboid, seed, rows, np.zeros(rows.size, dtype=int), validity, sampler)
-    return SampleMatrices(
-        cuboid=cuboid, seed=seed, n=n, a=a, b=b, blocks_used=blocks,
-        validity=validity, sampler=sampler,
-    )
+    N, halton = cuboid.n_params, sampler == "halton"
+    # an unknown sampler draws as pseudo here, and SampleMatrices rejects it
+    u = (_halton_points(1 + np.arange(n), 2 * N) if halton else
+         np.random.Generator(np.random.Philox(np.random.SeedSequence([seed]))).random((n, 2 * N)))
+    scaled = cuboid.scale(u.reshape(n, 2, N))
+    first = SampleMatrices(cuboid=cuboid, seed=seed, a=scaled[:, 0], b=scaled[:, 1],
+                           blocks_used=np.full(n, int(halton)), validity=validity, sampler=sampler)
+    return first.redrawn(np.nonzero(~_rows_valid(cuboid, validity, first.a, first.b))[0])
 
 
 @dataclass
@@ -248,7 +244,8 @@ class FamilyEvaluation:
     of ``_family_rows``: each time's values over all rows are contiguous,
     and ``values.reshape(T, 2(N+1), n)`` views them as the A, B, N
     A_swapped and N B_swapped solutions of each time. ``matrices`` are the
-    sample matrices the family was solved on, as resampling left them.
+    sample matrices the family was solved on, failed rows redrawn: row j of
+    ``_family_rows(matrices.a, matrices.b)`` is the row of solution j.
     """
 
     times: np.ndarray
@@ -268,12 +265,14 @@ def evaluate_family(
     ``evaluator(rows, grid)`` maps an (R, N) parameter matrix to time-major
     (T, R) output trajectories, column j the solution of row j; rows it
     cannot solve must come back non-finite; the shape check rejects an
-    (R, T) result unless R == T. Failed rows are resampled from their
-    substream and re-evaluated (at most MAX_RETRIES rounds); they are never
-    silently zero-filled. ``n_evaluations`` counts every row passed to the
-    evaluator, re-evaluated rows included. A C-contiguous, writable result,
-    as :func:`~actsens.presets.family_evaluator` returns, is kept without a
-    copy; any other is copied once into that layout.
+    (R, T) result unless R == T. Failed rows are redrawn by
+    :meth:`SampleMatrices.redrawn` and re-evaluated (at most MAX_RETRIES
+    rounds); they are never silently zero-filled. Nothing writes into
+    ``matrices``: the family carries the redrawn ones. ``n_evaluations``
+    counts every row passed to the evaluator, re-evaluated rows included. A
+    C-contiguous, writable result, as :func:`~actsens.presets.family_evaluator`
+    returns, is kept without a copy; any other is copied once into that
+    layout.
     """
     grid = np.asarray(grid, dtype=float)
     n = matrices.n
@@ -307,9 +306,7 @@ def evaluate_family(
                 f"rounds, the first at index {rows[0]}"
             )
         attempt += 1
-        matrices.a[rows], matrices.b[rows], matrices.blocks_used[rows] = _draw_row_pairs(
-            matrices.cuboid, matrices.seed, rows, matrices.blocks_used[rows],
-            matrices.validity, matrices.sampler)
+        matrices = matrices.redrawn(rows)
         resampled.extend(rows.tolist())
         redone = run(_family_rows(matrices.a[rows], matrices.b[rows]))
         by_block[:, :, rows] = redone.reshape(grid.size, -1, rows.size)

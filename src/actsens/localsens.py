@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import MissingDerivative, NonFiniteState
-from .models import ModelSpec, _Domain, _upper_mirror
+from .models import ModelSpec, _Domain, _in_range, _upper_mirror
 from .odecore import OdeProblem, Tolerances, integrate
 
 __all__ = [
@@ -218,18 +218,23 @@ def _central_differences(model, params, grid, rows, rel_step, tol, *, order=0):
     For each canonical position i in ``rows`` (x = initial values, then
     dynamic parameters), runs x +- h e_i as one stacked system and returns
     the difference quotients of the order-``order`` augmented state,
-    indexed [time, row, augmented component].
+    indexed [time, row, augmented component]. Where x +- h would leave the
+    range that the model's parameter class declares for position i (sigma
+    = 1 steps past its closed end), the pair is (x, x - 2h) or (x + 2h, x).
     """
     M = model.dim
     x = _values(params, model.canonical_order)
     grid = np.asarray(grid, dtype=float)
     dim = _augmented_system(model, x[M:], x[:M], order=order)[1].size
+    point = model.params_of(*x) if model.params_of else None
+    ranges = list(point.RANGES.values()) if isinstance(point, _Domain) else None
     out = np.empty((grid.size, len(rows), dim))
     for row, i in enumerate(rows):
         h = rel_step * abs(x[i]) if x[i] != 0.0 else rel_step
+        up, down = (not ranges or bool(_in_range(v, *ranges[i])) for v in (x[i] + h, x[i] - h))
+        shift = h * (up - down)  # -h where x + h leaves the range, h where x - h does
         xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
+        xp[i], xm[i] = x[i] + (h + shift), x[i] - (h - shift)
         rhs_p, z0_p, _ = _augmented_system(model, xp[M:], xp[:M], order=order)
         rhs_m, z0_m, _ = _augmented_system(model, xm[M:], xm[:M], order=order)
 

@@ -188,12 +188,9 @@ class _Domain:
         """The fields the rates read, those after the initial value in VARS
         order, once they pass the declared ranges and the joint constraints
         between them (see :func:`_check_fields`); a failing point raises on
-        every access to its rates. The stimulation sigma is left out: the
-        rates are affine in it, and the difference oracles of
-        :mod:`actsens.localsens` step past its closed range [0, 1] at zero
-        and full stimulation."""
+        every access to its rates."""
         fields = {f: getattr(self, f) for f in list(self.RANGES)[1:]}
-        _check_fields(type(self), **{f: v for f, v in fields.items() if f != "sigma"})
+        _check_fields(type(self), **fields)
         return tuple(fields.values())
 
 

@@ -4,7 +4,8 @@
 
 - the 16 scenario panels x (``simulate``, ``local-sens``,
   ``local-sens --second-order``) at 51 points;
-- ``global-sens`` for zajac and hatze at n 256, seed 11;
+- ``global-sens`` for zajac and hatze at n 256, seed 11, with each sampler
+  (pseudo, the default, and halton);
 - ``optimize``'s full table on acceptance criterion 7's targets, the input
   file ``tests/corpus/targets.csv`` (``synthesize_targets(width=0.32,
   rho0=3.25e4, nu=3.0, kind="bell")``).
@@ -71,8 +72,9 @@ def commands() -> list[tuple[str, list[str]]]:
                          "--points", "51"]
                 tag = f"{model}-{flag}{value.replace('/', '_')}-{row}"
                 out += [(f"{tag}/{kind}", [*argv, *panel]) for kind, argv in _LOCAL]
-    out += [(f"global-sens/{model}", ["global-sens", "--model", model, "--n", "256",
-                                      "--seed", "11"]) for model in ("zajac", "hatze")]
+    for case, sampler in (("global-sens", []), ("global-sens-halton", ["--sampler", "halton"])):
+        out += [(f"{case}/{model}", ["global-sens", "--model", model, "--n", "256",
+                                     "--seed", "11", *sampler]) for model in ("zajac", "hatze")]
     out.append(("optimize", ["optimize", "--targets", TARGETS.name]))
     return out
 

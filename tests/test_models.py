@@ -61,16 +61,25 @@ from actsens.presets import (
 # ---------------------------------------------------------------------------
 
 
+def _sigma_shift(values, var, h):
+    """h where a stencil of half-width h along var would step past sigma's
+    closed end 1, else 0: that stencil is centred at sigma - h instead, which
+    the rates, affine in sigma, do not notice."""
+    return h if var == "sigma" and values["sigma"] + h > 1.0 else 0.0
+
+
 def _fd_bundle(fun, q, values, var, h):
     """Central first/second differences of fun(q, values-dict) along var."""
-    up, dn = dict(values), dict(values)
+    up, dn, mid = dict(values), dict(values), dict(values)
     qp = qm = q
     if var == "q":
         qp, qm = q + h, q - h
     else:
-        up[var] += h
-        dn[var] -= h
-    fp, fm, f0 = fun(qp, up), fun(qm, dn), fun(q, values)
+        shift = _sigma_shift(values, var, h)
+        up[var] += h - shift
+        dn[var] -= h + shift
+        mid[var] -= shift
+    fp, fm, f0 = fun(qp, up), fun(qm, dn), fun(q, mid)
     return (fp - fm) / (2 * h), (fp - 2 * f0 + fm) / h**2
 
 
@@ -78,11 +87,11 @@ def _fd_cross(fun, q, values, va, vb, ha, hb):
     def shifted(da, db):
         vv = dict(values)
         qq = q
-        for var, d in ((va, da), (vb, db)):
+        for var, d, h in ((va, da, ha), (vb, db, hb)):
             if var == "q":
                 qq += d
             else:
-                vv[var] += d
+                vv[var] += d - _sigma_shift(values, var, h)
         return fun(qq, vv)
     return (shifted(ha, hb) - shifted(ha, -hb) - shifted(-ha, hb)
             + shifted(-ha, -hb)) / (4 * ha * hb)
@@ -820,7 +829,7 @@ _ONE_FAILURE = {
 }
 
 # each model's rhs and partials check every field they read: all but the
-# initial value and the stimulation sigma, in which their rates are affine
+# initial value
 _RATES = {ZajacParams: (lambda p: zajac_rhs(0.3, p), lambda p: zajac_partials(0.3, p)),
           HatzeParams: (lambda p: hatze_rhs(0.3, p), lambda p: hatze_partials(0.3, p))}
 # the other hatze formulas that check a field, by field: both read rho_c,
@@ -839,7 +848,7 @@ def test_each_domain_condition_has_one_answer(cls):
     for fields, error, field, text in _ONE_FAILURE[cls]:
         p = cls(**{"sigma": 0.5, **fields})
         calls = [p.validate]
-        if len(fields) == 1 and not {"q_init", "sigma"} & set(fields):
+        if len(fields) == 1 and "q_init" not in fields:
             formulas = _RATES[cls]
             if cls is HatzeParams:
                 formulas += _READ_BY.get(next(iter(fields)), ())
@@ -861,11 +870,16 @@ def test_each_domain_condition_has_one_answer(cls):
     (zajac_rhs, zajac_partials, simplified_zajac_model().params_of(0.005, 0.5, 0.0)),
     (hatze_rhs, hatze_partials, HatzeParams(sigma=0.5, q0=1.0, q_init=0.5)),
     (hatze_rhs, hatze_partials, HatzeParams(sigma=0.5, nu=0.0)),
-], ids=["zajac-tau", "zajac-q0", "simplified-tau", "hatze-q0", "hatze-nu"])
+    *[(rhs, partials, cls(sigma=sigma)) for rhs, partials, cls in (
+        (zajac_rhs, zajac_partials, ZajacParams), (hatze_rhs, hatze_partials, HatzeParams))
+      for sigma in (1.5, -0.1)],
+], ids=["zajac-tau", "zajac-q0", "simplified-tau", "hatze-q0", "hatze-nu",
+        "zajac-sigma-1.5", "zajac-sigma--0.1", "hatze-sigma-1.5", "hatze-sigma--0.1"])
 def test_rates_of_a_point_outside_the_domain_raise_validates_error(rhs, partials, p):
-    # the rate factors divide by tau, 1 - q0 and nu: a point that validate
-    # rejects gets its error from them, not a ZeroDivisionError, at every
-    # order and on every access
+    # the rate factors divide by tau, 1 - q0 and nu, and are affine in a
+    # sigma outside [0, 1]: a point that validate rejects gets its error
+    # from them, not a ZeroDivisionError or a rate, at every order and on
+    # every access
     with pytest.raises(ParameterOutOfRange) as expected:
         p.validate()
     calls = [lambda: rhs(0.3, p), lambda: rhs(np.array([0.2, 0.3]), p)]
