@@ -172,7 +172,7 @@ def _load_bounds(path: str, model_name: str) -> ParameterCuboid:
     lower end and b at its top, so it is checked there: a cuboid that fails
     it holds no valid row.
     """
-    spec, declared = BUILTIN_MODELS[model_name].model(), BUILTIN_MODELS[model_name].params
+    spec = BUILTIN_MODELS[model_name].model()
     names = spec.canonical_order
     entries = _load_config(path)
     if set(entries) != set(names):
@@ -192,14 +192,15 @@ def _load_bounds(path: str, model_name: str) -> ParameterCuboid:
         pairs[name] = (lo, hi)
     cuboid = ParameterCuboid.from_dict(pairs)
     lower, top = cuboid.lower, np.nextafter(cuboid.upper, cuboid.lower)
-    canonical = dict(zip(declared.RANGES, names))  # field -> file name
+    corners = [spec.params_of(*lower), spec.params_of(*top)]
     # each joint constraint a op b where it is likeliest to hold
-    smaller = {a for a, *_ in declared.ORDER}
-    best = np.where([f in smaller for f in canonical], lower, top)
-    for corner, joint in ((lower, False), (top, False), (best, True)):
-        for ok, cond, _, rule in domain_checks(spec.params_of(*corner)):
-            if not ok and (len(cond) > 1) == joint:
-                bad = [canonical[f] for f in cond]
+    smaller = {a for a, *_ in corners[0].ORDER}
+    corners.append(spec.params_of(*np.where([f in smaller for f in corners[0].RANGES],
+                                            lower, top)))
+    for point, joint in zip(corners, (False, False, True)):
+        for _, cond, error in domain_checks(point):
+            if error is not None and (len(cond) > 1) == joint:
+                bad, rule = [point.NAMES.get(f, f) for f in cond], error[1]
                 raise ConfigError(
                     ": ".join(entries[n].where for n in bad) + ": bounds of "
                     + " and ".join(f"{n!r} ({entries[n]})" for n in bad)

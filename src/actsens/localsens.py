@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import MissingDerivative, NonFiniteState
-from .models import ModelSpec, _Domain, _in_range, _upper_mirror
+from .models import ModelSpec, _Domain, _upper_mirror, in_domain
 from .odecore import OdeProblem, Tolerances, integrate
 
 __all__ = [
@@ -81,17 +81,27 @@ def _values(params, names) -> np.ndarray:
     return np.array([params[n] for n in names], dtype=float)
 
 
-def _check_derivs(derivs, order: int) -> None:
-    _, grad, hess = derivs
-    if grad is None:
-        raise MissingDerivative("model does not supply first partials (grad)")
-    if order >= 2 and hess is None:
-        raise MissingDerivative("model does not supply second partials (hess)")
-
-
-def _augmented_system(model: ModelSpec, lam, y0, *, order):
-    """Rhs, initial vector and R rows' ``mirror`` (see ``_upper_mirror``) of the stacked system."""
+def _augmented_system(model: ModelSpec, x, *, order):
+    """Rhs, initial vector and R rows' ``mirror`` (see ``_upper_mirror``) of the
+    stacked system at the canonical point x, once x passes :func:`analyze`'s checks."""
     M, N = model.dim, model.n_params
+    y0, lam = x[:M], x[M:]
+    if model.params_of is not None:
+        model.params_of(*x).validate()
+    if order >= 1:
+        # A time constant near the float range's end overflows the rate
+        # factors' Hessian (it grows like 1/tau^3) even at order 1, where it
+        # is discarded. This call caches the point's factors for the solve,
+        # so a non-finite result is reported once, here, without warnings.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            start = model.derivs(0.0, y0, lam, order)
+        if start[1] is None:
+            raise MissingDerivative("model does not supply first partials (grad)")
+        if order >= 2 and start[2] is None:
+            raise MissingDerivative("model does not supply second partials (hess)")
+        if not all(np.isfinite(a).all() for a in start[:order + 1]):
+            point = ", ".join(f"{n}={float(v)!r}" for n, v in zip(model.canonical_order, x))
+            raise NonFiniteState(f"rhs or its partials are non-finite at t=0.0 for {point}")
     (ii, jj), mirror = _upper_mirror(N)
     n_s = (N + M) * M if order >= 1 else 0
     n_r = ii.size * M if order >= 2 else 0
@@ -164,23 +174,8 @@ def analyze(
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     M, N = model.dim, model.n_params
     x = _values(params, model.canonical_order)
-    if model.params_of is not None:
-        model.params_of(*x).validate()
-    y0, lam = x[:M], x[M:]
+    rhs, z0, mirror = _augmented_system(model, x, order=order)
     grid = np.asarray(grid, dtype=float)
-
-    if order >= 1:
-        # A time constant near the float range's end overflows the rate
-        # factors' Hessian (it grows like 1/tau^3) even at order 1, where it
-        # is discarded. This call caches the point's factors for the solve,
-        # so a non-finite result is reported once, here, without warnings.
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            start = model.derivs(0.0, y0, lam, order)
-        _check_derivs(start, order)
-        if not all(np.isfinite(a).all() for a in start[:order + 1]):
-            point = ", ".join(f"{n}={float(v)!r}" for n, v in zip(model.canonical_order, x))
-            raise NonFiniteState(f"rhs or its partials are non-finite at t=0.0 for {point}")
-    rhs, z0, mirror = _augmented_system(model, lam, y0, order=order)
     traj = integrate(OdeProblem(rhs=rhs, y0=z0, output_grid=grid), tol or Tolerances())
 
     T, n_s = grid.size, (N + M) * M
@@ -218,25 +213,27 @@ def _central_differences(model, params, grid, rows, rel_step, tol, *, order=0):
     For each canonical position i in ``rows`` (x = initial values, then
     dynamic parameters), runs x +- h e_i as one stacked system and returns
     the difference quotients of the order-``order`` augmented state,
-    indexed [time, row, augmented component]. Where x +- h would leave the
-    range that the model's parameter class declares for position i (sigma
-    = 1 steps past its closed end), the pair is (x, x - 2h) or (x + 2h, x).
+    indexed [time, row, augmented component]. Each system is built by
+    :func:`_augmented_system`, so it passes the checks that :func:`analyze`
+    runs. Where x + h or x - h would leave the model's domain, joint
+    constraints included (see :func:`~actsens.models.in_domain`), the pair is
+    (x, x - 2h) or (x + 2h, x): at zajac's row (i), where q0 = q_Z0, q0 gets
+    (q0, q0 - 2h) and q_Z0 gets (q_Z0 + 2h, q_Z0).
     """
-    M = model.dim
     x = _values(params, model.canonical_order)
     grid = np.asarray(grid, dtype=float)
-    dim = _augmented_system(model, x[M:], x[:M], order=order)[1].size
-    point = model.params_of(*x) if model.params_of else None
-    ranges = list(point.RANGES.values()) if isinstance(point, _Domain) else None
-    out = np.empty((grid.size, len(rows), dim))
-    for row, i in enumerate(rows):
+    diffs = []
+    for i in rows:
         h = rel_step * abs(x[i]) if x[i] != 0.0 else rel_step
-        up, down = (not ranges or bool(_in_range(v, *ranges[i])) for v in (x[i] + h, x[i] - h))
-        shift = h * (up - down)  # -h where x + h leaves the range, h where x - h does
         xp, xm = x.copy(), x.copy()
+        xp[i], xm[i] = x[i] + h, x[i] - h
+        up, down = (model.params_of is None or bool(in_domain(model.params_of(*v)))
+                    for v in (xp, xm))
+        shift = h * (up - down)  # -h where x + h leaves the domain, h where x - h does
         xp[i], xm[i] = x[i] + (h + shift), x[i] - (h - shift)
-        rhs_p, z0_p, _ = _augmented_system(model, xp[M:], xp[:M], order=order)
-        rhs_m, z0_m, _ = _augmented_system(model, xm[M:], xm[:M], order=order)
+        rhs_p, z0_p, _ = _augmented_system(model, xp, order=order)
+        rhs_m, z0_m, _ = _augmented_system(model, xm, order=order)
+        dim = z0_p.size
 
         def rhs(t, z, out):
             rhs_p(t, z[:dim], out[:dim])
@@ -246,8 +243,8 @@ def _central_differences(model, params, grid, rows, rel_step, tol, *, order=0):
             OdeProblem(rhs=rhs, y0=np.concatenate([z0_p, z0_m]), output_grid=grid),
             tol or FD_TOLERANCES,
         )
-        out[:, row] = (traj.values[:, :dim] - traj.values[:, dim:]) / (2.0 * h)
-    return out
+        diffs.append((traj.values[:, :dim] - traj.values[:, dim:]) / (2.0 * h))
+    return np.stack(diffs, axis=1)
 
 
 def fd_first_order(
@@ -303,8 +300,9 @@ def normalize(result: SensitivityResult) -> SensitivityResult:
     at, over the canonical order, so an initial-condition row is scaled by
     its initial value; R is scaled by lambda_i * lambda_j over the dynamic
     parameters. Points with |y_k(t)| < NORMALIZATION_FLOOR are flagged in
-    ``degenerate`` and set to NaN; dynamic parameters whose value is exactly
-    zero produce identically-zero rows and are listed in ``zero_params``.
+    ``degenerate`` and set to NaN; each entry of ``result.point`` that is
+    exactly zero gives identically-zero rows and is listed, in canonical
+    order, in ``zero_params``.
     """
     lam = result.point[len(result.init_names):]
 
@@ -323,6 +321,7 @@ def normalize(result: SensitivityResult) -> SensitivityResult:
 
     s_rel = _scale(result.s_raw, result.point[None, :, None])
     r_rel = _scale(result.r_raw, lam[None, :, None, None] * lam[None, None, :, None])
-    zero = tuple(n for n, v in zip(result.param_names, lam) if v == 0.0)
+    names = result.init_names + result.param_names
+    zero = tuple(n for n, v in zip(names, result.point) if v == 0.0)
     return dc_replace(result, s_rel=s_rel, r_rel=r_rel,
                       degenerate=degenerate, zero_params=zero)

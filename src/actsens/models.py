@@ -41,16 +41,16 @@ through unchanged at every order, adding only the state axis.
 Each parameter class declares once its fields' canonical order and names
 (``RANGES``, ``NAMES``), from which the variables, the ModelSpec names and
 the CLI's keys derive, and its domain, as field ranges and joint order
-constraints; ``validate``, ensemble row validity, the CLI's bounds-file
-check, the checked formulas and every point's rate factors all read the
-domain through :func:`domain_checks`, whose messages name each field by its
-canonical name. The parameter class is also the one container of a built-in
-model's parameter point: the scenario presets return one, and the
-sensitivity drivers read it by canonical name through ``as_dict`` (a custom
-model's point is a plain mapping of its canonical names). The simplified
-linear model has its own class, a ``ZajacParams`` with q0 = 0 and beta = 1
-fixed, whose canonical order is (q_Z0, sigma, tau); each ModelSpec takes its
-names from its class.
+constraints. :func:`domain_checks` alone evaluates the domain: ``validate``,
+the checked formulas and every point's rate factors raise its first error,
+ensemble row validity and the local difference oracles ask
+:func:`in_domain`, and the CLI's bounds-file check reads its rules. The
+parameter class is also the one container of a built-in model's parameter
+point: the scenario presets return one, and the sensitivity drivers read it
+by canonical name through ``as_dict`` (a custom model's point is a plain
+mapping of its canonical names). The simplified linear model has its own
+class, a ``ZajacParams`` with q0 = 0 and beta = 1 fixed, whose canonical
+order is (q_Z0, sigma, tau); each ModelSpec takes its names from its class.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -71,6 +70,7 @@ __all__ = [
     "ForceLengthRelation",
     "ModelSpec",
     "domain_checks",
+    "in_domain",
     "zajac_rhs",
     "zajac_partials",
     "zajac_steady_state",
@@ -93,45 +93,62 @@ __all__ = [
 HATZE_EPS = 1e-12
 
 
-def domain_checks(p):
-    """Each condition of p's declared domain as ``(ok, fields, error, text)``.
+def domain_checks(p, fields=None):
+    """Each condition of p's declared domain as ``(ok, condition, error)``.
 
     ``p.RANGES`` maps each field, in canonical order, to ``(low, high, ends)``
     (ends such as "[)" tell which limits are valid; an infinite one is open);
     ``p.ORDER`` lists joint constraints ``(a, op, b, error)``, op "<" or "<=",
-    whose rule puts a between its low limit and b. ``ok`` is a bool, or a
-    bool array when p's fields are columns of rows. ``text`` names each field
-    by its canonical name (``p.NAMES``).
+    whose rule puts a between its low limit and b. Given ``fields``, a map of
+    field values (p may then be the class), only their ranges and the
+    constraints between them are checked. ``ok`` is a bool, or a bool array
+    for columns of rows, and NaN fails it; ``condition`` maps the fields it
+    reads to their values. ``error`` is None where ok holds throughout, else
+    ``(exception class, rule)``, whose text, built only then, names each
+    field by its canonical name (``p.NAMES``).
     """
+    values = {f: getattr(p, f) for f in p.RANGES} if fields is None else fields
     name = p.NAMES.get
-    for field, (low, high, ends) in p.RANGES.items():
-        yield (_in_range(getattr(p, field), low, high, ends), (field,), ParameterOutOfRange,
-               f"{name(field, field)} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}")
+    for f, (low, high, ends) in p.RANGES.items():
+        if f in values:
+            v = values[f]
+            # written as "inside", so that NaN fails it
+            ok = (((low <= v) if ends[0] == "[" else (low < v))
+                  & ((v <= high) if ends[1] == "]" else (v < high)))
+            yield ok, {f: v}, None if _holds(ok) else (ParameterOutOfRange, (
+                f"{name(f, f)} must lie in {ends[0]}{low:g}, {high:g}{ends[1]}"))
     for a, op, b, error in p.ORDER:
-        low, _, ends = p.RANGES[a]
-        close = ")" if op == "<" else "]"
-        yield (_ordered(getattr(p, a), op, getattr(p, b)), (a, b), error,
-               f"{name(a, a)} must lie in {ends[0]}{low:g}, {name(b, b)}{close}")
+        if a in values and b in values:
+            ok = (values[a] < values[b]) if op == "<" else (values[a] <= values[b])
+            low, _, ends = p.RANGES[a]
+            close = ")" if op == "<" else "]"
+            yield ok, {a: values[a], b: values[b]}, None if _holds(ok) else (
+                error, f"{name(a, a)} must lie in {ends[0]}{low:g}, {name(b, b)}{close}")
 
 
-def _in_range(v, low, high, ends):
-    # written as "inside", so that NaN fails it
-    return (((low <= v) if ends[0] == "[" else (low < v))
-            & ((v <= high) if ends[1] == "]" else (v < high)))
+def _holds(ok) -> bool:
+    # np.all costs microseconds even on a bool; the checks run per force scan
+    return ok is True or (ok is not False and bool(ok.all()))
 
 
-def _ordered(x, op, y):
-    return (x < y) if op == "<" else (x <= y)
+def in_domain(p):
+    """Whether the point p lies in its class's declared domain
+    (:func:`domain_checks`): a bool, or one bool per row when p's fields are
+    columns of rows."""
+    return np.logical_and.reduce([ok for ok, *_ in domain_checks(p)])
 
 
-def _raise_first_failure(p) -> None:
-    """Raise for the first failing condition of ``domain_checks(p)``; a
-    ParameterOutOfRange names its last field."""
-    for ok, fields, error, text in domain_checks(p):
-        if not np.all(ok):
-            text += "; " + _where_bad(np.logical_not(ok),
-                                      **{p.NAMES.get(f, f): getattr(p, f) for f in fields})
-            raise error(text) if error is PoleViolation else error(fields[-1], text)
+def _check_fields(p, **fields) -> None:
+    """Raise for the first failing condition of ``domain_checks(p, fields)``,
+    over the given fields or, with none, all of p's; a ParameterOutOfRange
+    names its condition's last field, and the text adds the values of the
+    condition's fields at the first failing entry."""
+    for ok, condition, error in domain_checks(p, fields or None):
+        if error is not None:
+            kind, rule = error
+            text = rule + "; " + _where_bad(
+                np.logical_not(ok), **{p.NAMES.get(f, f): v for f, v in condition.items()})
+            raise kind(text) if kind is PoleViolation else kind(list(condition)[-1], text)
 
 
 class _Domain:
@@ -168,7 +185,7 @@ class _Domain:
 
     def validate(self) -> None:
         """Raise for the first failing condition; a ParameterOutOfRange names its last field."""
-        _raise_first_failure(self)
+        _check_fields(self)
 
     @functools.cached_property
     def rate_factors(self) -> tuple:
@@ -190,7 +207,7 @@ class _Domain:
         between them (see :func:`_check_fields`); a failing point raises on
         every access to its rates."""
         fields = {f: getattr(self, f) for f in list(self.RANGES)[1:]}
-        _check_fields(type(self), **fields)
+        _check_fields(self, **fields)
         return tuple(fields.values())
 
 
@@ -464,23 +481,6 @@ def _where_bad(bad, **values) -> str:
 def _hatze_rho(ell, rho_c, ell_rho):
     # unchecked formula behind hatze_rho
     return rho_c * (ell_rho - 1.0) / (ell_rho / ell - 1.0)
-
-
-def _check_fields(cls, **fields) -> None:
-    """Raise as ``cls.validate`` does for the first failing condition of the
-    parameter class's domain over just the given fields: their ranges, then
-    the joint constraints between them (hatze's pole included), NaN failing
-    each."""
-    ranges = cls.RANGES
-    order = [c for c in cls.ORDER if c[0] in fields and c[2] in fields]
-    for ok in ([_in_range(v, *ranges[f]) for f, v in fields.items()]
-               + [_ordered(fields[a], op, fields[b]) for a, op, b, _ in order]):
-        # np.all costs microseconds even on a bool; this check runs per force scan
-        if ok is not True and (ok is False or not ok.all()):
-            # only a failure pays for domain_checks' messages
-            _raise_first_failure(SimpleNamespace(
-                RANGES={f: r for f, r in ranges.items() if f in fields}, ORDER=order,
-                NAMES=cls.NAMES, **fields))
 
 
 def hatze_rho(ell_ce_rel, rho_c, ell_rho):

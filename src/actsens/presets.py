@@ -7,10 +7,10 @@ linear model takes each row's linear panel. Scenarios are read by name, and
 each panel is its model's parameter object (``ZajacParams``,
 ``HatzeParams``): what a panel does not set comes from the class defaults.
 ``BUILTIN_MODELS`` declares each model of the global analysis once: its
-ModelSpec factory (canonical order, parameter map), its parameter class, its
-bounds keyed by canonical name in canonical order, and its batched rhs; row
-validity is the domain its parameter class declares. The CLI offers its keys
-to ``global-sens``.
+ModelSpec factory (canonical order, parameter map, and through that its
+parameter class), its bounds keyed by canonical name in canonical order, and
+its batched rhs; row validity is the domain its parameter class declares.
+The CLI offers its keys to ``global-sens``.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from .models import (
     HatzeParams,
     ModelSpec,
     ZajacParams,
-    domain_checks,
     hatze_model,
     hatze_rhs,  # looked up by name, see _Builtin.rhs
+    in_domain,
     simplified_zajac_model,
     zajac_model,
     zajac_rhs,  # looked up by name, see _Builtin.rhs
@@ -136,7 +136,6 @@ def all_hatze_scenarios() -> list[tuple[str, HatzeParams]]:
 @dataclass(frozen=True)
 class _Builtin:
     model: Callable[[], ModelSpec]
-    params: type  # the model's parameter class, which declares its domain
     bounds: dict[str, tuple[float, float]]  # by canonical name, in canonical order
     # name of the batched rhs in this module; family_evaluator looks it up at
     # each call, so a wrapper installed on that global sees every evaluation
@@ -145,13 +144,13 @@ class _Builtin:
 
 BUILTIN_MODELS = {
     "zajac": _Builtin(
-        zajac_model, ZajacParams,
+        zajac_model,
         bounds={"q_Z0": (0.01, 1.0), "sigma": (0.0, 1.0), "q0": (0.001, 0.05),
                 "tau": (0.01, 0.05), "beta": (0.1, 1.0)},
         rhs="zajac_rhs",
     ),
     "hatze": _Builtin(
-        hatze_model, HatzeParams,
+        hatze_model,
         bounds={"q_H0": (0.01, 1.0), "sigma": (0.0, 1.0), "q0": (0.001, 0.05),
                 "m": (3.0, 11.0), "rho_c": (4.0, 11.0), "nu": (1.5, 4.0),
                 "ell_rho": (2.2, 3.6), "ell_CErel": (0.4, 1.6)},
@@ -175,14 +174,13 @@ def builtin_cuboid(model: str) -> ParameterCuboid:
 
 def row_validity(model: str) -> Validity:
     """The model's domain as a row predicate: a row is valid exactly where
-    ``params_of(*row).validate()`` passes (see :func:`~actsens.models.domain_checks`).
+    ``params_of(*row).validate()`` passes (see :func:`~actsens.models.in_domain`).
 
     It takes a dict of parameter columns (one array per name) and returns a
     boolean array, one entry per row.
     """
     spec = _builtin(model).model()
-    return lambda cols: np.logical_and.reduce([ok for ok, *_ in domain_checks(
-        spec.params_of(*(cols[n] for n in spec.canonical_order)))])
+    return lambda cols: in_domain(spec.params_of(*(cols[n] for n in spec.canonical_order)))
 
 
 # ---------------------------------------------------------------------------

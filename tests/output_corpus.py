@@ -2,8 +2,10 @@
 
 ``tests/corpus/outputs`` holds what a fixed set of CLI commands writes:
 
-- the 16 scenario panels x (``simulate``, ``local-sens``,
-  ``local-sens --second-order``) at 51 points;
+- the 16 scenario panels and the simplified linear model's rows (i)-(iv)
+  x (``simulate``, ``local-sens``, ``local-sens --second-order``) at 51
+  points;
+- ``analytic`` at 51 points;
 - ``global-sens`` for zajac and hatze at n 256, seed 11, with each sampler
   (pseudo, the default, and halton);
 - ``optimize``'s full table on acceptance criterion 7's targets, the input
@@ -72,6 +74,10 @@ def commands() -> list[tuple[str, list[str]]]:
                          "--points", "51"]
                 tag = f"{model}-{flag}{value.replace('/', '_')}-{row}"
                 out += [(f"{tag}/{kind}", [*argv, *panel]) for kind, argv in _LOCAL]
+    for row in ("i", "ii", "iii", "iv"):
+        panel = ["--model", "simplified-zajac", "--scenario", row, "--points", "51"]
+        out += [(f"simplified-zajac-{row}/{kind}", [*argv, *panel]) for kind, argv in _LOCAL]
+    out.append(("analytic", ["analytic", "--points", "51"]))
     for case, sampler in (("global-sens", []), ("global-sens-halton", ["--sampler", "halton"])):
         out += [(f"{case}/{model}", ["global-sens", "--model", model, "--n", "256",
                                      "--seed", "11", *sampler]) for model in ("zajac", "hatze")]

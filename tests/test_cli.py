@@ -230,6 +230,18 @@ def test_config_file_with_cli_override(tmp_path):
     assert "t_end = 0.1" in manifest  # config beats default
 
 
+@pytest.mark.parametrize("argv, zero", [
+    (["--model", "zajac", "--q-init", "0", "--q0", "0"], "q_Z0,q0"),
+    (["--model", "simplified-zajac", "--q-init", "0"], "q_Z0"),
+], ids=["zajac", "simplified-zajac"])
+def test_manifest_lists_each_zero_entry_of_the_point(tmp_path, argv, zero):
+    # a zero initial value writes an identically zero S column, as a zero
+    # dynamic parameter does, and is named with it
+    out = tmp_path / "run"
+    assert main(["local-sens", *argv, *_TINY_GRID, "--output", str(out)]) == 0
+    assert f"zero_params = {zero}" in (out / "manifest.txt").read_text().splitlines()
+
+
 @pytest.mark.parametrize("text, second", [("false", False), ("TRUE", True)])
 def test_config_booleans_are_parsed(tmp_path, capsys, text, second):
     cfg = tmp_path / "run.cfg"

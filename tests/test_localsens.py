@@ -304,6 +304,61 @@ def test_planar_model_sensitivities_match_fd():
     assert np.allclose(rfd, res.r_raw, rtol=1e-3, atol=1e-5 * scale)
 
 
+def _built_points(model, oracle, point):
+    """The canonical point of each system an oracle builds, in the order it
+    first reaches the rhs: a solve's first rhs call is at t = 0 with the
+    system's initial value."""
+    seen = []
+
+    def derivs(t, y, lam, order):
+        x = (*y, *lam)
+        if t == 0.0 and x not in seen:
+            seen.append(x)
+        return model.derivs(t, y, lam, order)
+
+    oracle(dataclasses.replace(model, derivs=derivs), point)
+    return seen
+
+
+_PROBES = np.array([0.025, 0.125])
+_ORACLES = {
+    "fd_first_order": lambda m, p: fd_first_order(m, p, _PROBES),
+    "fd_initial_condition": lambda m, p: fd_initial_condition(m, p, _PROBES),
+    "second_order_fd": lambda m, p: second_order_fd(m, p, _PROBES),
+}
+
+
+@pytest.mark.parametrize("oracle", _ORACLES.values(), ids=_ORACLES.keys())
+def test_fd_oracles_build_only_points_in_the_domain(oracle):
+    # a perturbation that would leave the domain, joint constraints
+    # included, is taken one-sided, on all 16 panels
+    panels = [(zajac_model(), p) for _, p in all_zajac_scenarios()]
+    panels += [(hatze_model(), p) for _, p in all_hatze_scenarios()]
+    for model, point in panels:
+        for x in _built_points(model, oracle, point):
+            model.params_of(*x).validate()
+
+
+@pytest.mark.parametrize("name, pair", [("q0", (0, -2)), ("q_Z0", (2, 0))], ids=["q0", "q_Z0"])
+def test_fd_pairs_at_row_i_keep_q0_at_most_the_initial_value(name, pair):
+    # zajac row (i) starts at q_Z0 = q0: q0 + h and q_Z0 - h would break
+    # q0 <= q_Z0, so the pairs are (q0, q0 - 2h) and (q_Z0 + 2h, q_Z0)
+    model, point = zajac_model(), zajac_scenario("i")
+    x = point.values_for(model.canonical_order)
+    i = model.canonical_order.index(name)
+    h = 1e-5 * x[i]
+
+    def oracle(m, p):
+        localsens._central_differences(m, p, _PROBES, [i], 1e-5, None)
+
+    expect = []
+    for k in pair:
+        xk = x.copy()
+        xk[i] = x[i] + k * h
+        expect.append(tuple(xk))
+    assert _built_points(model, oracle, point) == expect
+
+
 def test_fd_oracles_default_to_tight_tolerances():
     # the oracles stay at 1e-8/1e-10 when the integrator's default loosens
     model = hatze_model()
@@ -531,6 +586,22 @@ def test_normalize_flags_zero_parameter():
     i = model.canonical_order.index("sigma")
     assert "sigma" in res.zero_params
     assert np.all(res.s_rel[:, i, 0] == 0.0)
+
+
+@pytest.mark.parametrize("model, point, zero", [
+    (zajac_model(), dataclasses.replace(zajac_scenario("ii"), q_init=0.0, q0=0.0),
+     ("q_Z0", "q0")),
+    (simplified_zajac_model(), simplified_zajac_model().params_of(0.0, 0.1, 0.025), ("q_Z0",)),
+], ids=["zajac", "simplified-zajac"])
+def test_normalize_lists_every_zero_entry_of_the_point(model, point, zero):
+    # an initial value of 0 zeroes its row as a dynamic parameter of 0 does,
+    # and each is listed in canonical order (the grid starts after t = 0,
+    # where a zero initial state is degenerate)
+    res = normalize(analyze(model, point, np.linspace(0.01, 0.1, 5)))
+    assert not res.degenerate.any()
+    assert res.zero_params == zero
+    for name in zero:
+        assert np.all(res.s_rel[:, model.canonical_order.index(name), 0] == 0.0)
 
 
 def test_normalize_flags_degenerate_state():

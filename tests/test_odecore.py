@@ -321,6 +321,24 @@ def test_panel_grid_error_meets_the_default_contract(model, pset):
     assert np.all(np.abs(state - exact) <= bound)
 
 
+def test_tolerances_docstring_states_the_measured_panel_errors():
+    # the worst state error on the panels, in tolerance scales, at the
+    # default and at 1e-8/1e-10, as the Tolerances docstring prints them
+    def worst(tol):
+        errors = []
+        for model, pset in PANELS.values():
+            state, _ = _state_solve(model, pset, tol)
+            exact = _closed_form(model, pset, PANEL_GRID)
+            scale = tol.abs_tol + tol.rel_tol * np.abs(exact)
+            errors.append(np.max(np.abs(state - exact) / scale))
+        return max(errors)
+
+    default, tight = worst(Tolerances()), worst(Tolerances(rel_tol=1e-8, abs_tol=1e-10))
+    text = " ".join(Tolerances.__doc__.split())
+    assert (f"the worst value is {default:.1f} scales at the default and {tight:.1f} "
+            "at 1e-8/1e-10") in text
+
+
 def test_dense_output_keeps_the_step_sequence():
     # filling the grid from the continuous extension costs no rhs evaluation:
     # at 1e-8/1e-10 the panels take as many as with the cubic Hermite
