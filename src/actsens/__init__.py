@@ -9,7 +9,6 @@ models built in.
 from .errors import (
     ActsensError,
     ConfigError,
-    DegenerateState,
     DomainViolation,
     IntegrationError,
     InvalidBounds,

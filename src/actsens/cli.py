@@ -66,9 +66,18 @@ _MODELS = {
     "simplified-zajac": (simplified_zajac_model, None),
 }
 
-# the canonical names a scenario's parameters may be overridden by, each by
-# the key of its name in lower case ('q_init' is the model's initial value)
-_OVERRIDES = ("sigma", "q0", "tau", "m", "rho_c", "ell_rho", "ell_CErel", "q_init")
+# canonical parameter name -> its flag and config key: the name in lower
+# case, except an initial value, whose key is 'q_init' for every model
+_KEYS = {name: "q_init" if name in spec.init_names else name.lower()
+         for spec in (factory() for factory, _ in _MODELS.values())
+         for name in spec.canonical_order}
+
+# the parameters whose scenario value a flag may override: every model's
+# dynamic parameters but the scenario columns (beta, nu), by canonical name,
+# then 'q_init' for the model's initial value
+_OVERRIDES = (*(name for name, key in _KEYS.items()
+                if key != "q_init" and name not in {column for _, column in _MODELS.values()}),
+              "q_init")
 
 
 class _FileValue(str):
@@ -304,23 +313,22 @@ def _scenario_params(settings) -> tuple:
 
     model = factory()
     values = point.as_dict()
-    for name in _OVERRIDES:
-        key = name.lower()
+    name_of = {_KEYS[name]: name for name in model.canonical_order}
+    for key in map(str.lower, _OVERRIDES):
         if settings[key] is None:
             continue
-        name = model.init_names[0] if key == "q_init" else name
-        if name not in model.canonical_order:
+        if key not in name_of:
             raise ConfigError(
                 f"{_where(settings.given.get(key))}parameter {key!r} is not applicable to "
                 f"model {model_name!r}"
             )
-        values[name] = settings[key]
+        values[name_of[key]] = settings[key]
     p = model.params_of(*(values[n] for n in model.canonical_order))
-    _validate(model, p, settings)
+    _validate(p, settings)
     return model, p
 
 
-def _validate(model, p, settings) -> None:
+def _validate(p, settings) -> None:
     """Range-check the resolved parameters once, before any solve.
 
     An out-of-range value is a configuration error, whose message names each
@@ -331,8 +339,7 @@ def _validate(model, p, settings) -> None:
     try:
         p.validate()
     except ParameterOutOfRange as exc:
-        name = type(p).NAMES.get(exc.field, exc.field)  # the field's canonical name
-        key = "q_init" if name in model.init_names else name.lower()
+        key = _KEYS[type(p).NAMES.get(exc.field, exc.field)]  # by the field's canonical name
         raise ConfigError(f"{_where(settings.given.get(key))}{exc}") from exc
 
 
@@ -367,7 +374,7 @@ def _cmd_analytic(settings) -> int:
     sigma, tau, q_init = settings["sigma"], settings["tau"], settings["q_init"]
     model = simplified_zajac_model()
     point = model.params_of(q_init, sigma, tau)
-    _validate(model, point, settings)
+    _validate(point, settings)
     grid = make_grid(settings["t_end"], settings["points"])
     rel = simplified_zajac_sensitivities(grid, sigma, tau, q_init)
     return _write_outputs(
@@ -591,7 +598,8 @@ def main(argv=None) -> int:
         return _COMMANDS[command][0](settings)
     except ConfigError as exc:
         return _report(exc, command, 2)
-    except (ActsensError, ValueError) as exc:
+    except (ActsensError, ValueError, MemoryError) as exc:
+        # MemoryError: a grid or sample too large to allocate, before any write
         return _report(exc, command, 3)
 
 

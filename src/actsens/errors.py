@@ -39,10 +39,6 @@ class DomainViolation(ActsensError, ValueError):
     """Activity outside the open interval where fractional powers are real."""
 
 
-class DegenerateState(ActsensError, ValueError):
-    """A closed-form expression is evaluated where its denominator vanishes."""
-
-
 class MissingDerivative(ActsensError):
     """A model does not provide a partial derivative required by the requested analysis."""
 

@@ -70,7 +70,8 @@ def _values(params, names) -> np.ndarray:
     """The values of a parameter point in the order of ``names``: a built-in
     model's parameter object (``ZajacParams``, ``HatzeParams``), read by
     canonical name, or a mapping of canonical names. ValueError naming each
-    of ``names`` it lacks; TypeError for any other type."""
+    of ``names`` it lacks, or each name it holds that ``names`` lacks, so no
+    value given is dropped; TypeError for any other type."""
     if isinstance(params, _Domain):
         params = params.as_dict()
     elif not isinstance(params, Mapping):
@@ -78,6 +79,9 @@ def _values(params, names) -> np.ndarray:
     missing = [n for n in names if n not in params]
     if missing:
         raise ValueError(f"params lack {missing} of the model's parameters {list(names)}")
+    extra = [n for n in params if n not in names]
+    if extra:
+        raise ValueError(f"params give {extra}, which the model's parameters {list(names)} lack")
     return np.array([params[n] for n in names], dtype=float)
 
 
@@ -166,9 +170,10 @@ def analyze(
     lacks the partials an order needs raises MissingDerivative, and one
     whose rhs or needed partials are non-finite at the start point
     NonFiniteState; any other order, or params that lack a name of the
-    canonical order, ValueError. A point of a model with ``params_of`` (the
-    built-ins) is range-checked before the solve: one outside the declared
-    domain raises ParameterOutOfRange, or PoleViolation past hatze's pole.
+    canonical order or give a name outside it, ValueError. A point of a
+    model with ``params_of`` (the built-ins) is range-checked before the
+    solve: one outside the declared domain raises ParameterOutOfRange, or
+    PoleViolation past hatze's pole.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
@@ -176,7 +181,7 @@ def analyze(
     x = _values(params, model.canonical_order)
     rhs, z0, mirror = _augmented_system(model, x, order=order)
     grid = np.asarray(grid, dtype=float)
-    traj = integrate(OdeProblem(rhs=rhs, y0=z0, output_grid=grid), tol or Tolerances())
+    traj = integrate(OdeProblem(rhs=rhs, y0=z0, output_grid=grid), tol)
 
     T, n_s = grid.size, (N + M) * M
     vals = traj.values
@@ -201,24 +206,25 @@ def analyze(
 # the two runs then cancel in the difference, which matters because the
 # difference signal can be orders of magnitude below the state itself.
 
-#: Default tolerances of the finite-difference oracles: tighter than
+#: Tolerances of every finite-difference oracle solve: tighter than
 #: ``Tolerances()``, so that integration error stays negligible against
 #: their cross-check tolerances.
 FD_TOLERANCES = Tolerances(rel_tol=1e-8, abs_tol=1e-10)
 
 
-def _central_differences(model, params, grid, rows, rel_step, tol, *, order=0):
+def _central_differences(model, params, grid, rows, rel_step, *, order=0):
     """Central differences of the augmented state over canonical positions.
 
     For each canonical position i in ``rows`` (x = initial values, then
     dynamic parameters), runs x +- h e_i as one stacked system and returns
     the difference quotients of the order-``order`` augmented state,
-    indexed [time, row, augmented component]. Each system is built by
-    :func:`_augmented_system`, so it passes the checks that :func:`analyze`
-    runs. Where x + h or x - h would leave the model's domain, joint
-    constraints included (see :func:`~actsens.models.in_domain`), the pair is
-    (x, x - 2h) or (x + 2h, x): at zajac's row (i), where q0 = q_Z0, q0 gets
-    (q0, q0 - 2h) and q_Z0 gets (q_Z0 + 2h, q_Z0).
+    indexed [time, row, augmented component]; each solve runs at
+    FD_TOLERANCES. Each system is built by :func:`_augmented_system`, so it
+    passes the checks that :func:`analyze` runs. Where x + h or x - h would
+    leave the model's domain, joint constraints included (see
+    :func:`~actsens.models.in_domain`), the pair is (x, x - 2h) or
+    (x + 2h, x): at zajac's row (i), where q0 = q_Z0, q0 gets (q0, q0 - 2h)
+    and q_Z0 gets (q_Z0 + 2h, q_Z0).
     """
     x = _values(params, model.canonical_order)
     grid = np.asarray(grid, dtype=float)
@@ -241,38 +247,28 @@ def _central_differences(model, params, grid, rows, rel_step, tol, *, order=0):
 
         traj = integrate(
             OdeProblem(rhs=rhs, y0=np.concatenate([z0_p, z0_m]), output_grid=grid),
-            tol or FD_TOLERANCES,
+            FD_TOLERANCES,
         )
         diffs.append((traj.values[:, :dim] - traj.values[:, dim:]) / (2.0 * h))
     return np.stack(diffs, axis=1)
 
 
-def fd_first_order(
-    model: ModelSpec, params, grid,
-    rel_step: float = 1e-5, tol: Tolerances | None = None,
-) -> np.ndarray:
+def fd_first_order(model: ModelSpec, params, grid, rel_step: float = 1e-5) -> np.ndarray:
     """Central-difference estimate of S from pairs of perturbed state runs.
 
     Covers the dynamic parameters only: indexed [time, parameter, state]
     over ``param_names``.
     """
     M = model.dim
-    return _central_differences(model, params, grid, range(M, M + model.n_params),
-                                rel_step, tol)
+    return _central_differences(model, params, grid, range(M, M + model.n_params), rel_step)
 
 
-def fd_initial_condition(
-    model: ModelSpec, params, grid,
-    rel_step: float = 1e-5, tol: Tolerances | None = None,
-) -> np.ndarray:
+def fd_initial_condition(model: ModelSpec, params, grid, rel_step: float = 1e-5) -> np.ndarray:
     """Central-difference estimate of the initial-condition sensitivity."""
-    return _central_differences(model, params, grid, range(model.dim), rel_step, tol)
+    return _central_differences(model, params, grid, range(model.dim), rel_step)
 
 
-def second_order_fd(
-    model: ModelSpec, params, grid,
-    rel_step: float = 1e-4, tol: Tolerances | None = None,
-) -> SensitivityResult:
+def second_order_fd(model: ModelSpec, params, grid, rel_step: float = 1e-4) -> SensitivityResult:
     """Estimate R by central differences of first-order runs (approximate).
 
     The independent oracle against the analytic second-order path; a model
@@ -280,9 +276,8 @@ def second_order_fd(
     MissingDerivative), not this estimate.
     """
     N, M = model.n_params, model.dim
-    tol = tol or FD_TOLERANCES
-    base = analyze(model, params, grid, order=1, tol=tol)
-    diff = _central_differences(model, params, grid, range(M, M + N), rel_step, tol, order=1)
+    base = analyze(model, params, grid, order=1, tol=FD_TOLERANCES)
+    diff = _central_differences(model, params, grid, range(M, M + N), rel_step, order=1)
     r = diff[:, :, M + M * M:M + (M + N) * M].reshape(-1, N, N, M)
     r = 0.5 * (r + r.transpose(0, 2, 1, 3))  # enforce Schwarz symmetry
     return dc_replace(base, r_raw=r, r_approximate=True)

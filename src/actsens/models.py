@@ -62,7 +62,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .errors import DegenerateState, DomainViolation, ParameterOutOfRange, PoleViolation
+from .errors import DomainViolation, ParameterOutOfRange, PoleViolation
 
 __all__ = [
     "ZajacParams",
@@ -698,6 +698,7 @@ def simplified_zajac_sensitivities(t, sigma: float, tau: float, q_init: float):
     so no term grows with t/tau: S_sigma = sigma(1 - e^(-t/tau))/q,
     S_q_Z0 = q_init e^(-t/tau)/q and S_tau = t(q_init - sigma)e^(-t/tau)/(tau q).
     At sigma = 0, where q may underflow, the decay is divided out of each share.
+    Where q(t) = 0 every share is undefined and NaN.
     """
     t = np.asarray(t, dtype=float)
     if sigma == 0.0:
@@ -705,8 +706,7 @@ def simplified_zajac_sensitivities(t, sigma: float, tau: float, q_init: float):
     else:
         decay = np.exp(-t / tau)
         state = simplified_zajac_solution(t, sigma, tau, q_init)
-    if np.any(state == 0.0):
-        raise DegenerateState("relative sensitivities are undefined where the state q(t) = 0")
+    state = np.where(state == 0.0, np.nan, state)  # x / NaN is NaN, and warns of nothing
     s_sigma = sigma * (1.0 - decay) / state
     s_tau = t * (q_init - sigma) * decay / (tau * state)
     s_init = q_init * decay / state

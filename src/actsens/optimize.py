@@ -218,10 +218,7 @@ def _scan_grid(low: float, high: float, coarse: int, ell_opt: float):
     return ells, grid
 
 
-def _argmax_force(
-    gammas, p: HatzeParams, flr: ForceLengthRelation,
-    span: tuple[float, float], coarse: int, jacobian: bool = False,
-):
+def _argmax_force(gammas, p: HatzeParams, flr: ForceLengthRelation, jacobian: bool = False):
     """Force-maximizing length (mm) for each stimulation level in ``gammas``.
 
     ``gammas`` holds L levels. Fields of ``p`` and ``flr`` such as rho_c and
@@ -229,15 +226,17 @@ def _argmax_force(
     axes of the scan run over levels and lengths; the result then has shape
     (F, L), one row per set, instead of (L,).
 
-    One coarse grid scan over all levels goes through the checked
-    isometric_force, so a span reaching ell_rho raises PoleViolation, and
-    one reaching 0 ParameterOutOfRange. Its grid is built once per
-    (span, coarse, ell_opt) by :func:`_scan_grid` and shared read-only.
-    The exact maximum is the root of g(u) = d log F / du, u = ell/ell_opt,
-    found by :func:`_newton_peak` inside the scan's bracket of two steps
-    around its best point, clipped to u > 1: the activity rises with length
-    and F_L peaks at u = 1, so the maximum lies on F_L's descending branch
-    (and, for the parabola, below its zero at u = 1 + width).
+    One coarse grid scan of SHIFT_SEARCH_COARSE points over
+    SHIFT_SEARCH_SPAN (in units of ell_opt) covers all levels and goes
+    through the checked isometric_force, so a span reaching ell_rho raises
+    PoleViolation, and one reaching 0 ParameterOutOfRange. Its grid is built
+    once per (span, coarse, ell_opt) by :func:`_scan_grid` and shared
+    read-only. The exact maximum is the root of g(u) = d log F / du,
+    u = ell/ell_opt, found by :func:`_newton_peak` inside the scan's bracket
+    of two steps around its best point, clipped to u > 1: the activity
+    rises with length and F_L peaks at u = 1, so the maximum lies on F_L's
+    descending branch (and, for the parabola, below its zero at
+    u = 1 + width).
 
     A level has no interior maximum when its scan maximum sits at an end of
     the span, or when g does not change sign over its bracket (the force is
@@ -254,7 +253,8 @@ def _argmax_force(
     the Jacobian call at the root the cross terms g_theta.
     """
     gammas = np.asarray(gammas, dtype=float)[:, None]  # one row per level
-    ells, grid = _scan_grid(*span, coarse, flr.ell_opt)
+    coarse = SHIFT_SEARCH_COARSE
+    ells, grid = _scan_grid(*SHIFT_SEARCH_SPAN, coarse, flr.ell_opt)
     forces = isometric_force(gammas, ells, p, flr)
     k = np.argmax(forces, axis=-1)
     boundary = (k == 0) | (k == coarse - 1)
@@ -308,8 +308,7 @@ def optimal_length_shift(
     activation the activity still depends on length, so the two differ
     slightly.
     """
-    here, ref = _argmax_force((gamma, 1.0), hatze_params, flr,
-                              SHIFT_SEARCH_SPAN, SHIFT_SEARCH_COARSE)
+    here, ref = _argmax_force((gamma, 1.0), hatze_params, flr)
     return float(here - ref)
 
 
@@ -323,8 +322,7 @@ def predicted_shifts(width, rho0, problem: FitProblem, jacobian: bool = False):
     """
     if np.ndim(width):  # F points: (F, 1, 1) fields, see _argmax_force
         width, rho0 = np.reshape(width, (-1, 1, 1)), np.reshape(rho0, (-1, 1, 1))
-    out = _argmax_force((1.0, *problem.targets.levels), *problem.model(width, rho0),
-                        SHIFT_SEARCH_SPAN, SHIFT_SEARCH_COARSE, jacobian)
+    out = _argmax_force((1.0, *problem.targets.levels), *problem.model(width, rho0), jacobian)
     if not jacobian:
         return out[..., 1:] - out[..., :1]
     peaks, d_peaks = out
@@ -378,7 +376,7 @@ def _normal_equations(r, jac):
     return a, b, c, g0, g1, ac - b * b > LM_MIN_DAMPING * ac
 
 
-def _levenberg_marquardt(start, tol: float, max_iter: int):
+def _levenberg_marquardt(start):
     """Levenberg-Marquardt on two parameters' residuals r(theta), as a generator.
 
     It yields each trial point and must be sent ``(r, J)`` there, or None
@@ -387,15 +385,16 @@ def _levenberg_marquardt(start, tol: float, max_iter: int):
     exception); at any later trial point either counts as a rejected step.
     It returns ``(theta, error, iterations, determined)`` as StopIteration's
     value, ``determined`` False when J's two columns at theta are parallel
-    to working precision (see :func:`_normal_equations`). It stops after an
-    accepted step with |change of error| < tol that was short (max|step| <
-    tol) or ended where J's columns are parallel, and after a rejected step
-    with max|step| < tol. Where the columns are parallel the residuals
-    determine only one combination of the two parameters (Bates & Watts
-    1988, *Nonlinear Regression Analysis and Its Applications*, ch. 2), so
-    once the error has settled, further steps would only walk along the
-    valley of equal error until the trial points could no longer be
-    evaluated. Past ``max_iter`` steps it raises MaxIterationsExceeded.
+    to working precision (see :func:`_normal_equations`). With tol =
+    FIT_TOL, it stops after an accepted step with |change of error| < tol
+    that was short (max|step| < tol) or ended where J's columns are
+    parallel, and after a rejected step with max|step| < tol. Where the
+    columns are parallel the residuals determine only one combination of the
+    two parameters (Bates & Watts 1988, *Nonlinear Regression Analysis and
+    Its Applications*, ch. 2), so once the error has settled, further steps
+    would only walk along the valley of equal error until the trial points
+    could no longer be evaluated. Past FIT_MAX_ITER steps it raises
+    MaxIterationsExceeded. Both constants are read when the search starts.
 
     Each step solves the 2x2 system (J'J + lam D^2) step = -J'r in closed
     form, with D^2 the running maximum of J's squared column norms (Moré
@@ -404,6 +403,7 @@ def _levenberg_marquardt(start, tol: float, max_iter: int):
     reduction (Nielsen 1999; Nocedal & Wright 2006, ch. 10), but stays at
     least LM_MIN_DAMPING.
     """
+    tol, max_iter = FIT_TOL, FIT_MAX_ITER
     theta = np.asarray(start, dtype=float)
     at = yield theta
     if isinstance(at, Exception):
@@ -506,8 +506,7 @@ def _fit_lockstep(problem: FitProblem, starts) -> list:
     propagates.
     """
     _check_starts(starts)
-    searches = [_levenberg_marquardt([math.log(width), math.log(rho0)], FIT_TOL, FIT_MAX_ITER)
-                for width, rho0 in starts]
+    searches = [_levenberg_marquardt([math.log(width), math.log(rho0)]) for width, rho0 in starts]
     pending = {i: next(search) for i, search in enumerate(searches)}
     outcomes: list = [None] * len(starts)
     while pending:

@@ -12,8 +12,11 @@ sides alike. ``--seconds`` is passed on when given; without it each run
 takes its checkout's ``run_seconds``. For each end-to-end metric of this
 repository's ``BENCHMARK.json`` the report gives each side's median and
 Q1-Q3 over the pairs and in how many pairs NEW was better (ties count for
-neither side), and it flags every run that is not ``correct`` or has
-failed operations. :func:`summarize` builds the report from the runs'
+neither side). Against the metric's ``bound`` it marks the metric
+``worse beyond bound`` when NEW's median is worse than OLD's by more than
+bound x OLD's median, and ``unresolved`` when OLD's own Q1-Q3 spread is
+wider than that. It flags every run that is not ``correct`` or has failed
+operations. :func:`summarize` builds the report from the runs'
 results alone.
 """
 
@@ -35,16 +38,18 @@ def _median_quartiles(values) -> str:
     return f"{median:.4g} ({q1:.4g}-{q3:.4g})"
 
 
-def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> str:
+def summarize(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> str:
     """The report of alternating pairs.
 
     ``pairs`` holds one (old, new) pair of results per pair, each the JSON
-    object that ``perfbench/run.py`` prints last; ``better`` maps each metric
-    to "higher" or "lower". A metric counts only the pairs in which both
-    runs report it.
+    object that ``perfbench/run.py`` prints last; ``metrics`` holds the
+    end-to-end entries of ``BENCHMARK.json``, each with its ``name``,
+    ``better`` ("higher" or "lower") and relative ``bound``. A metric counts
+    only the pairs in which both runs report it.
     """
     lines = [f"{'metric':18} {'old median (Q1-Q3)':>26} {'new median (Q1-Q3)':>26}  new better"]
-    for metric, direction in better.items():
+    for spec in metrics:
+        metric, direction, bound = spec["name"], spec["better"], spec["bound"]
         both = [(old["metrics"][metric]["value"], new["metrics"][metric]["value"])
                 for old, new in pairs
                 if metric in old.get("metrics", {}) and metric in new.get("metrics", {})]
@@ -54,8 +59,14 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> str:
         old, new = np.array(both).T
         sign = 1.0 if direction == "higher" else -1.0
         wins = int(np.sum(sign * (new - old) > 0.0))
+        q1, median, q3 = np.percentile(old, [25, 50, 75])
+        allowed = bound * abs(median)
+        marks = [mark for mark, hit in (
+            ("worse beyond bound", sign * (np.median(new) - median) < -allowed),
+            ("unresolved", q3 - q1 > allowed)) if hit]
         lines.append(f"{metric:18} {_median_quartiles(old):>26} {_median_quartiles(new):>26}"
-                     f"  {wins}/{len(both)} ({direction} is better)")
+                     f"  {wins}/{len(both)} ({direction} is better)"
+                     + "".join(f"  {mark}" for mark in marks))
     flags = [f"FLAG pair {i} {side}: correct {run.get('correct')}, failed {run.get('failed')}"
              for i, pair in enumerate(pairs, 1) for side, run in zip(("old", "new"), pair)
              if run.get("correct") is not True or run.get("failed") != 0]
@@ -87,8 +98,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    names = [spec["name"] for spec in metrics]
 
     trees = {"old": args.old.resolve(), "new": args.new.resolve()}
     pairs = []
@@ -99,9 +110,9 @@ def main(argv=None) -> int:
         pairs.append((runs["old"], runs["new"]))
         print(f"pair {i + 1} ({order[0]} first): " + "  ".join(
             f"{side} {m} {runs[side].get('metrics', {}).get(m, {}).get('value', float('nan')):.4g}"
-            for side in ("old", "new") for m in better), flush=True)
+            for side in ("old", "new") for m in names), flush=True)
     print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs")
-    print(summarize(pairs, better))
+    print(summarize(pairs, metrics))
     return 0
 
 

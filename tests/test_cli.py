@@ -74,6 +74,15 @@ def test_analytic_command_without_stimulation(tmp_path):
     assert np.allclose(data[:, 2], data[:, 0] / 1e-4, rtol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_analytic_command_without_an_initial_value(tmp_path):
+    # q(0) = q_init = 0, and q(t) > 0 after: only the t = 0 row is undefined
+    out = tmp_path / "run"
+    assert main(["analytic", "--q-init", "0", "--output", str(out)]) == 0
+    _, data = _read_csv(out / "analytic_sensitivities.csv")
+    assert np.isnan(data[0, 1:]).all() and np.isfinite(data[1:]).all()
+
+
 def test_simulate_command(tmp_path):
     out = tmp_path / "run"
     code = main(["simulate", "--model", "hatze", "--scenario", "iii",
@@ -621,6 +630,25 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "PoleViolation" in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--points", "100000000000"],
+                                  ["global-sens", "--n", "100000000000"]],
+                         ids=["simulate", "global-sens"])
+def test_running_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, argv):
+    # an array too large to allocate is one JSON record, not a traceback; the
+    # patched grid raises what numpy would, so nothing large is allocated
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(cli, "make_grid", too_large)
+    out = tmp_path / "x"
+    assert main(argv + ["--output", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert [json.loads(line) for line in err] == [{
+        "error": "MemoryError", "message": "Unable to allocate 745. GiB for an array",
+        "command": argv[0]}]
+    assert not out.exists()
 
 
 _EVERY_COMMAND = {

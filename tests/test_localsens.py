@@ -17,6 +17,7 @@ from actsens import (
     fd_initial_condition,
     hatze_model,
     hatze_rhs,
+    integrate,
     make_grid,
     normalize,
     second_order_fd,
@@ -349,7 +350,7 @@ def test_fd_pairs_at_row_i_keep_q0_at_most_the_initial_value(name, pair):
     h = 1e-5 * x[i]
 
     def oracle(m, p):
-        localsens._central_differences(m, p, _PROBES, [i], 1e-5, None)
+        localsens._central_differences(m, p, _PROBES, [i], 1e-5)
 
     expect = []
     for k in pair:
@@ -359,19 +360,21 @@ def test_fd_pairs_at_row_i_keep_q0_at_most_the_initial_value(name, pair):
     assert _built_points(model, oracle, point) == expect
 
 
-def test_fd_oracles_default_to_tight_tolerances():
-    # the oracles stay at 1e-8/1e-10 when the integrator's default loosens
-    model = hatze_model()
-    ps = hatze_scenario("ii", nu=2.0)
-    grid = np.array([0.05, 0.3])
-    tight = Tolerances(rel_tol=1e-8, abs_tol=1e-10)
-    assert np.array_equal(fd_first_order(model, ps, grid),
-                          fd_first_order(model, ps, grid, tol=tight))
-    assert np.array_equal(fd_initial_condition(model, ps, grid),
-                          fd_initial_condition(model, ps, grid, tol=tight))
-    implicit, explicit = second_order_fd(model, ps, grid), second_order_fd(model, ps, grid, tol=tight)
-    for field in ("state", "s_raw", "r_raw"):
-        assert np.array_equal(getattr(implicit, field), getattr(explicit, field))
+def test_fd_oracles_default_to_tight_tolerances(monkeypatch):
+    # every solve of an oracle runs at 1e-8/1e-10, tighter than the
+    # integrator's default, its first-order base run included
+    received = []
+
+    def recording(problem, tol=None):
+        received.append(tol)
+        return integrate(problem, tol)
+
+    monkeypatch.setattr(localsens, "integrate", recording)
+    model, ps, grid = hatze_model(), hatze_scenario("ii", nu=2.0), np.array([0.05, 0.3])
+    for oracle, solves in ((fd_first_order, 7), (fd_initial_condition, 1), (second_order_fd, 8)):
+        received.clear()
+        oracle(model, ps, grid)
+        assert [(t.rel_tol, t.abs_tol) for t in received] == [(1e-8, 1e-10)] * solves, oracle
 
 
 def test_second_order_tensor_is_symmetric():
@@ -462,6 +465,25 @@ def test_a_parameter_object_reads_as_its_mapping(call, model, point, grid):
     # by canonical name, exactly as the mapping of its values
     grid = np.array(grid)
     assert np.array_equal(call(model, point, grid), call(model, point.as_dict(), grid))
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: analyze(simplified_zajac_model(), p, _GRID, order=0),
+    lambda p: fd_first_order(simplified_zajac_model(), p, _GRID),
+    lambda p: fd_initial_condition(simplified_zajac_model(), p, _GRID),
+    lambda p: second_order_fd(simplified_zajac_model(), p, _GRID),
+], ids=["analyze", "fd_first_order", "fd_initial_condition", "second_order_fd"])
+@pytest.mark.parametrize("params, extra", [
+    (ZajacParams(sigma=0.5, q0=0.01, beta=0.5, q_init=0.05), "['q0', 'beta']"),
+    ({"q_Z0": 0.05, "sigma": 0.5, "tau": 0.025, "beta": 0.5}, "['beta']"),
+], ids=["zajac-parameter-set", "mapping"])
+def test_a_point_with_names_the_model_lacks_raises_one_value_error(call, params, extra):
+    # no value given is dropped: the simplified model has no q0 or beta, so
+    # solving at its fixed q0 = 0 and beta = 1 instead would be silent
+    with pytest.raises(ValueError) as exc:
+        call(params)
+    assert str(exc.value) == (f"params give {extra}, which the model's parameters "
+                              "['q_Z0', 'sigma', 'tau'] lack")
 
 
 def test_a_point_of_another_type_raises_type_error():

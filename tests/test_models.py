@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from actsens import (
-    DegenerateState,
     DomainViolation,
     ForceLengthRelation,
     HatzeParams,
@@ -1035,9 +1034,17 @@ def test_simplified_sensitivities_without_stimulation_stay_finite():
     assert np.allclose(rel["tau"], t / 1e-4, rtol=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
 def test_simplified_sensitivities_degenerate():
-    with pytest.raises(DegenerateState):
-        simplified_zajac_sensitivities(0.1, 0.0, 0.025, 0.0)
+    # every share is NaN where q(t) = 0, and only there: at sigma = q_init = 0
+    # for all t, at q_init = 0 for t = 0 alone
+    still = simplified_zajac_sensitivities(0.1, 0.0, 0.025, 0.0)
+    assert all(math.isnan(v) for v in still.values())
+    t = np.array([0.0, 0.05, 0.1])
+    rel, rest = (simplified_zajac_sensitivities(g, 0.5, 0.025, 0.0) for g in (t, t[1:]))
+    for name, share in rel.items():
+        assert np.isnan(share[0]) and np.array_equal(share[1:], rest[name]), name
+        assert np.isfinite(rest[name]).all(), name
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ def test_shift_vanishes_without_length_dependent_activation():
     for kind, width in (("bell", 0.32), ("parabola", 0.56)):
         flr = ForceLengthRelation(kind=kind, width=width, ell_opt=14.8)
         for gamma in (0.1, 0.4, 1.0):
-            peak = _argmax_force((gamma,), flat, flr, SHIFT_SEARCH_SPAN, SHIFT_SEARCH_COARSE)[0]
+            peak = _argmax_force((gamma,), flat, flr)[0]
             assert peak == pytest.approx(14.8, abs=1e-3)
             assert optimal_length_shift(gamma, flat, flr) == pytest.approx(0.0, abs=2e-4)
 
@@ -150,7 +150,7 @@ def test_refined_peak_within_half_xtol_of_nanometre_grid(kind, width, nu, rho0):
     p = HatzeParams(sigma=1.0, q0=0.005, nu=nu, rho_c=rho0 * CALCIUM_CEILING,
                     ell_rho=2.9, q_init=0.5)
     for gamma in (1.0, *DEFAULT_LEVELS):
-        peak = _argmax_force((gamma,), p, flr, SHIFT_SEARCH_SPAN, SHIFT_SEARCH_COARSE)[0]
+        peak = _argmax_force((gamma,), p, flr)[0]
         near = brute_force_argmax(gamma, p, flr)
         truth = zoom_max(lambda x: isometric_force(gamma, x, p, flr), near - 2e-3, 4e-3, xtol)
         assert abs(peak - truth) <= xtol / 2
@@ -162,23 +162,26 @@ def test_boundary_maximum_raises(monkeypatch):
         optimal_length_shift(0.28, HATZE3, BELL)
 
 
-def test_boundary_maximum_in_one_row_raises():
+def test_boundary_maximum_in_one_row_raises(monkeypatch):
     # gamma = 1 and 0.55 peak inside (0.8, 1.15) * ell_opt, gamma = 0.08 beyond it
-    span = (0.8, 1.15)
-    _argmax_force((1.0, 0.55), HATZE3, BELL, span, 201)
+    monkeypatch.setattr("actsens.optimize.SHIFT_SEARCH_SPAN", (0.8, 1.15))
+    monkeypatch.setattr("actsens.optimize.SHIFT_SEARCH_COARSE", 201)
+    _argmax_force((1.0, 0.55), HATZE3, BELL)
     with pytest.raises(NoInteriorMaximum, match="0.08"):
-        _argmax_force((1.0, 0.55, 0.08), HATZE3, BELL, span, 201)
+        _argmax_force((1.0, 0.55, 0.08), HATZE3, BELL)
 
 
 @pytest.mark.parametrize("kind", ["bell", "parabola"])
-def test_boundary_rows_of_a_batch_are_nan(kind):
+def test_boundary_rows_of_a_batch_are_nan(kind, monkeypatch):
     # a span below the force-length optimum puts every maximum on its upper
     # end; each row is NaN, and the refinement of their empty brackets warns
     # of nothing (warnings are errors in this suite)
     rho_c = np.reshape([HATZE3.rho_c, 2.0 * HATZE3.rho_c], (-1, 1, 1))
     p = HatzeParams(sigma=1.0, q0=0.005, nu=3.0, rho_c=rho_c, ell_rho=2.9, q_init=0.5)
     flr = ForceLengthRelation(kind=kind, width=0.32, ell_opt=14.8)
-    assert np.isnan(_argmax_force((1.0, 0.08), p, flr, (0.2, 0.9), 201)).all()
+    monkeypatch.setattr("actsens.optimize.SHIFT_SEARCH_SPAN", (0.2, 0.9))
+    monkeypatch.setattr("actsens.optimize.SHIFT_SEARCH_COARSE", 201)
+    assert np.isnan(_argmax_force((1.0, 0.08), p, flr)).all()
 
 
 def test_maximum_within_rounding_of_the_optimum_is_pinned_there():
@@ -187,7 +190,7 @@ def test_maximum_within_rounding_of_the_optimum_is_pinned_there():
     # the force is flat to rounding; at 0.55 the Newton still resolves it
     p = HatzeParams(sigma=1.0, q0=0.005, nu=3.0, rho_c=1e2 * CALCIUM_CEILING, ell_rho=2.9,
                     q_init=0.5)
-    low, mid = _argmax_force((0.08, 0.55), p, BELL, SHIFT_SEARCH_SPAN, SHIFT_SEARCH_COARSE)
+    low, mid = _argmax_force((0.08, 0.55), p, BELL)
     assert 0.0 < low - 14.8 <= NEWTON_RTOL * 14.8 * (1 + 1e-9)
     assert mid - 14.8 == pytest.approx(3.27e-8, rel=1e-2)
 
@@ -205,7 +208,7 @@ def test_maximum_the_scan_cannot_bracket_is_no_interior_maximum():
     rho_c = np.reshape([1.46e11 * CALCIUM_CEILING, HATZE3.rho_c], (-1, 1, 1))
     both = HatzeParams(sigma=1.0, q0=0.005, nu=2.0, rho_c=rho_c, ell_rho=2.9, q_init=0.5)
     flr = ForceLengthRelation(kind="parabola", width=np.reshape([7.1e5, 0.56], (-1, 1, 1)))
-    peaks = _argmax_force((1.0, 0.22), both, flr, SHIFT_SEARCH_SPAN, SHIFT_SEARCH_COARSE)
+    peaks = _argmax_force((1.0, 0.22), both, flr)
     assert np.isnan(peaks[0]).all() and np.isfinite(peaks[1]).all()
 
 
@@ -252,13 +255,15 @@ def test_scan_grid_follows_the_search_constants_and_is_read_only(monkeypatch):
 
 @pytest.mark.parametrize("kind,width", [("bell", 0.32), ("parabola", 0.56)])
 @pytest.mark.parametrize("nu,rho0", [(2.0, 6.62e4), (3.0, 5.27e4), (4.0, 5.27e4)])
-def test_batched_argmax_equals_per_level_search(kind, width, nu, rho0):
+def test_batched_argmax_equals_per_level_search(kind, width, nu, rho0, monkeypatch):
     flr = ForceLengthRelation(kind=kind, width=width, ell_opt=14.8)
     p = HatzeParams(sigma=1.0, q0=0.005, nu=nu, rho_c=rho0 * CALCIUM_CEILING,
                     ell_rho=2.9, q_init=0.5)
     levels = (1.0, *DEFAULT_LEVELS)
-    batched = _argmax_force(levels, p, flr, (0.5, 1.5), 201)
-    single = [_argmax_force((g,), p, flr, (0.5, 1.5), 201)[0] for g in levels]
+    monkeypatch.setattr("actsens.optimize.SHIFT_SEARCH_SPAN", (0.5, 1.5))
+    monkeypatch.setattr("actsens.optimize.SHIFT_SEARCH_COARSE", 201)
+    batched = _argmax_force(levels, p, flr)
+    single = [_argmax_force((g,), p, flr)[0] for g in levels]
     assert batched.tolist() == single
 
 
@@ -327,15 +332,16 @@ def test_newton_freezes_each_entry_at_its_own_root():
 @pytest.mark.parametrize("kind,width", [("bell", 0.32), ("parabola", 0.56)])
 @pytest.mark.parametrize("ell_opt", [5.0, DEFAULT_ELL_OPT, 40.0])
 @pytest.mark.parametrize("coarse", [51, SHIFT_SEARCH_COARSE, 1001])
-def test_newton_peak_does_not_depend_on_the_coarse_grid(kind, width, ell_opt, coarse):
+def test_newton_peak_does_not_depend_on_the_coarse_grid(kind, width, ell_opt, coarse,
+                                                        monkeypatch):
     # the scan only brackets the maximum; the force depends on ell/ell_opt
     # alone, so the relative peak is the same for every grid and ell_opt
     levels = (1.0, *DEFAULT_LEVELS)
     flr = ForceLengthRelation(kind=kind, width=width, ell_opt=ell_opt)
     ref = ForceLengthRelation(kind=kind, width=width, ell_opt=DEFAULT_ELL_OPT)
-    peaks = _argmax_force(levels, HATZE3, flr, SHIFT_SEARCH_SPAN, coarse) / ell_opt
-    expect = _argmax_force(levels, HATZE3, ref, SHIFT_SEARCH_SPAN,
-                           SHIFT_SEARCH_COARSE) / DEFAULT_ELL_OPT
+    expect = _argmax_force(levels, HATZE3, ref) / DEFAULT_ELL_OPT
+    monkeypatch.setattr("actsens.optimize.SHIFT_SEARCH_COARSE", coarse)
+    peaks = _argmax_force(levels, HATZE3, flr) / ell_opt
     np.testing.assert_allclose(peaks, expect, rtol=NEWTON_RTOL, atol=0.0)
 
 
@@ -438,16 +444,20 @@ def test_fit_error_invariant_under_level_permutation():
 
 
 def _lm(residuals, start, tol=1e-10, max_iter=200):
-    """Drive the search alone: send each trial point its (r, J), or None."""
+    """Drive the search alone, with FIT_TOL = tol and FIT_MAX_ITER = max_iter:
+    send each trial point its (r, J), or None."""
     import actsens.optimize as opt
 
-    search = opt._levenberg_marquardt(np.asarray(start, dtype=float), tol, max_iter)
-    theta = next(search)
-    try:
-        while True:
-            theta = search.send(residuals(theta))
-    except StopIteration as done:
-        return done.value
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(opt, "FIT_TOL", tol)
+        monkeypatch.setattr(opt, "FIT_MAX_ITER", max_iter)
+        search = opt._levenberg_marquardt(np.asarray(start, dtype=float))
+        theta = next(search)
+        try:
+            while True:
+                theta = search.send(residuals(theta))
+        except StopIteration as done:
+            return done.value
 
 
 def test_levenberg_marquardt_solves_linear_least_squares():

@@ -171,8 +171,9 @@ def test_bench_pairs_summary_on_fixed_numbers():
              (_bench_result(12.0, 5.0), _bench_result(11.0, 4.0)),
              (_bench_result(14.0, 5.0), _bench_result(15.0, 6.0, failed=2)),
              (_bench_result(16.0, 5.0, correct=False), _bench_result(17.0, 4.0))]
-    lines = summarize(pairs, {"ref_items_per_s": "higher", "peak_rss_mb": "lower",
-                              "setup_s": "lower"}).splitlines()
+    lines = summarize(pairs, [{"name": "ref_items_per_s", "better": "higher", "bound": 0.25},
+                              {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+                              {"name": "setup_s", "better": "lower", "bound": 0.25}]).splitlines()
     # medians and quartiles by linear interpolation; a tie wins for neither
     assert lines[1].split() == ["ref_items_per_s", "13", "(11.5-14.5)", "13", "(11-15.5)",
                                 "3/4", "(higher", "is", "better)"]
@@ -181,5 +182,15 @@ def test_bench_pairs_summary_on_fixed_numbers():
     assert lines[3].split() == ["setup_s", "no", "pair", "reports", "it"]
     assert lines[4:] == ["FLAG pair 3 new: correct True, failed 2",
                          "FLAG pair 4 old: correct False, failed 0"]
-    assert summarize(pairs[:2], {"peak_rss_mb": "lower"}).splitlines()[-1] == (
-        "every run correct, 0 failed operations")
+    assert summarize(pairs[:2], [{"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+                     ).splitlines()[-1] == "every run correct, 0 failed operations"
+    # the old Q1-Q3 spread of 3 is wider than 0.2 x 13; a new median of 4.5
+    # against 5 is worse, if higher is better, by more than 0.05 x 5 but
+    # not by more than 0.1 x 5
+    lines = summarize(pairs, [{"name": "ref_items_per_s", "better": "higher", "bound": 0.2},
+                              {"name": "peak_rss_mb", "better": "higher", "bound": 0.05},
+                              {"name": "peak_rss_mb", "better": "higher", "bound": 0.1}]
+                      ).splitlines()
+    assert lines[1].endswith("3/4 (higher is better)  unresolved")
+    assert lines[2].endswith("1/4 (higher is better)  worse beyond bound")
+    assert lines[3].endswith("1/4 (higher is better)")
