@@ -53,14 +53,12 @@ from .models import (
     hatze_q_of_gamma,
     hatze_rho,
     hatze_rhs,
-    hatze_steady_state,
     simplified_zajac_model,
     simplified_zajac_sensitivities,
     simplified_zajac_solution,
     zajac_model,
     zajac_partials,
     zajac_rhs,
-    zajac_steady_state,
 )
 from . import presets
 from .odecore import OdeProblem, Tolerances, Trajectory, integrate, make_grid
@@ -73,7 +71,6 @@ from .optimize import (
     fit_shift_parameters,
     isometric_force,
     load_shift_targets,
-    optimal_length_shift,
     run_table,
     synthesize_targets,
 )

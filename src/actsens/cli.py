@@ -381,7 +381,8 @@ def _cmd_analytic(settings) -> int:
         settings, "analytic", grid,
         {"analytic_sensitivities.csv": (["t_seconds", "S_sigma", "S_tau", "S_q_Z0"],
                                         [grid, rel["sigma"], rel["tau"], rel["q_Z0"]])},
-        point.as_dict(),
+        # the grid times where q(t) = 0, whose shares are all NaN
+        {**point.as_dict(), "degenerate_points": int(np.isnan(rel["q_Z0"]).sum())},
         {"analytic_sensitivities.pdf": (
             {"S_sigma": rel["sigma"], "|S_tau|": np.abs(rel["tau"]), "S_q_Z0": rel["q_Z0"]},
             "relative sensitivity")})
@@ -444,7 +445,7 @@ def _cmd_global_sens(settings) -> int:
          "seed": result.seed, "sampler": sampler, "evaluations": result.n_evaluations,
          "resampled_rows": result.resampled_rows,
          "undefined_points": int(result.undefined.sum()),
-         "bounds": ";".join(f"{n}:[{lo:g},{hi:g}]" for n, lo, hi in
+         "bounds": ";".join(f"{n}:[{_FLOAT_FMT % lo},{_FLOAT_FMT % hi}]" for n, lo, hi in
                             zip(cuboid.names, cuboid.lower, cuboid.upper))},
         {"vbs.pdf": (vbs, "variance-based sensitivity"),
          "tsi.pdf": (tsi, "total sensitivity index")})
@@ -466,7 +467,7 @@ def _cmd_optimize(settings) -> int:
                       **{k: (v,) for k, v in only.items() if v is not None})
     out = _out_dir(settings)
     path = out / "fit_table.csv"
-    row = f"%g,%s,%g,{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT},%s,%s\n"
+    row = f"{_FLOAT_FMT},%s,{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT},{_FLOAT_FMT},%s,%s\n"
     with path.open("w") as fh:
         fh.write("nu,kind,width_start,width,rho0,error_mm,iterations,status\n")
         for c in cells:
@@ -474,7 +475,7 @@ def _cmd_optimize(settings) -> int:
                             c.error_mm, c.iterations, c.status))
     write_manifest(out / "manifest.txt", {
         "command": "optimize", "targets": settings["targets"],
-        "levels": ",".join(f"{g:g}" for g in targets.levels),
+        "levels": ",".join(_FLOAT_FMT % g for g in targets.levels),
         "rho0_start": rho0_start, "ell_opt": ell_opt,
         "objective_evals": sum(c.objective_evals for c in cells),
         "undetermined_fits": sum(c.status == "ok" and not c.determined for c in cells),

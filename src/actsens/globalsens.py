@@ -341,8 +341,10 @@ def vbs_tsi(family: FamilyEvaluation) -> GlobalResult:
 
     The parameter names, n and seed are those of ``family.matrices``.
 
-    Negative Monte-Carlo variance estimates are clipped at zero before the
-    ratios; times where V(t) falls below VARIANCE_FLOOR are flagged undefined.
+    Negative Monte-Carlo estimates of V_i and V_~i are clipped at zero before
+    the ratios, and V_~i at V(t) too, so TSI lies in [0, 1]; ``v_first`` and
+    ``v_complement`` keep the raw estimates. Times where V(t) falls below
+    VARIANCE_FLOOR are flagged undefined.
 
     With D_i = A_i - A and E_i = B_i - B, the pairings (B, A_i) and (A, B_i)
     give V_i = (B.D_i + A.E_i) / 2n, and (A, A_i) and (B, B_i) give
@@ -384,7 +386,7 @@ def vbs_tsi(family: FamilyEvaluation) -> GlobalResult:
     vbs = np.where(undefined[None, :], np.nan,
                    np.maximum(v_first, 0.0) / safe_v)
     tsi = np.where(undefined[None, :], np.nan,
-                   np.maximum(1.0 - v_complement / safe_v, 0.0))
+                   1.0 - np.clip(v_complement / safe_v, 0.0, 1.0))
     return GlobalResult(
         times=family.times, param_names=matrices.cuboid.names,
         v_total=v_total, v_first=v_first, v_complement=v_complement,

@@ -73,13 +73,11 @@ __all__ = [
     "in_domain",
     "zajac_rhs",
     "zajac_partials",
-    "zajac_steady_state",
     "hatze_rho",
     "hatze_q_of_gamma",
     "hatze_gamma_of_q",
     "hatze_rhs",
     "hatze_partials",
-    "hatze_steady_state",
     "simplified_zajac_solution",
     "simplified_zajac_sensitivities",
     "force_length",
@@ -446,13 +444,6 @@ def zajac_partials(q: float, p: ZajacParams, order: int = 2):
     return f, grad0 + q * grad1, hess
 
 
-def zajac_steady_state(p: ZajacParams) -> float:
-    """Saturation level q0 + (1-q0)/((1-beta) + beta/sigma); q0 for sigma = 0."""
-    if p.sigma == 0.0:
-        return p.q0
-    return p.q0 + (1.0 - p.q0) / ((1.0 - p.beta) + p.beta / p.sigma)
-
-
 # ---------------------------------------------------------------------------
 # nonlinear length-dependent model
 # ---------------------------------------------------------------------------
@@ -670,11 +661,6 @@ def hatze_partials(q: float, p: HatzeParams, order: int = 2):
               W * b * (b - 1.0) / dq**2, -(W / dq) * (1.0 + b * L) / nu**2,
               W * L / nu**3 * (L / nu - 2.0), 1.0]
     return f, grad, np.dot(terms, unique)[mirror]
-
-
-def hatze_steady_state(p: HatzeParams) -> float:
-    """Fixed point of the nonlinear model; gamma equals sigma in the isometric case."""
-    return float(hatze_q_of_gamma(p.sigma, p.ell_ce_rel, p))
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ __all__ = [
     "FitResult",
     "TableCell",
     "isometric_force",
-    "optimal_length_shift",
     "fit_error",
     "fit_shift_parameters",
     "run_table",
@@ -64,8 +63,7 @@ DEFAULT_LEVELS = (0.55, 0.28, 0.22, 0.17, 0.08)
 DEFAULT_RHO0_START = 6.0e4
 
 #: Search for the force-maximizing length: span in units of ell_opt and
-#: coarse grid points over it. The fit's predicted shifts and
-#: optimal_length_shift both read them.
+#: coarse grid points over it, read by every scan of _argmax_force.
 SHIFT_SEARCH_SPAN = (0.5, 1.5)
 SHIFT_SEARCH_COARSE = 201
 
@@ -299,25 +297,17 @@ def _argmax_force(gammas, p: HatzeParams, flr: ForceLengthRelation, jacobian: bo
     return peaks, (-flr.ell_opt / g_u) * np.concatenate([g_width, g_rho], axis=-1)
 
 
-def optimal_length_shift(
-    gamma: float, hatze_params: HatzeParams, flr: ForceLengthRelation,
-) -> float:
-    """Shift (mm) of the submaximal force optimum against the full-activation one.
-
-    The reference is argmax F(1, ell) rather than ell_opt itself: at full
-    activation the activity still depends on length, so the two differ
-    slightly.
-    """
-    here, ref = _argmax_force((gamma, 1.0), hatze_params, flr)
-    return float(here - ref)
-
-
 def predicted_shifts(width, rho0, problem: FitProblem, jacobian: bool = False):
     """Model shift at every target stimulation level for (width, rho0).
 
-    Scalars give one point's shifts, shape (L,). Arrays of F points give
-    shape (F, L), with a NaN row for a point without an interior force
-    maximum (see :func:`_argmax_force`). With ``jacobian`` it also returns
+    Each shift is measured against the force maximum at full activation,
+    not ell_opt itself: at full activation the activity still depends on
+    length, so the two differ slightly.
+
+    Scalars give one point's shifts, shape (L,), and raise NoInteriorMaximum
+    for a point without an interior force maximum. Arrays of F points give
+    shape (F, L), with a NaN row for such a point instead (see
+    :func:`_argmax_force`). With ``jacobian`` it also returns
     the shifts' derivatives in (log width, log rho0), shape (..., L, 2).
     """
     if np.ndim(width):  # F points: (F, 1, 1) fields, see _argmax_force

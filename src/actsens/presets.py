@@ -43,8 +43,6 @@ __all__ = [
     "zajac_scenario",
     "hatze_scenario",
     "simplified_zajac_scenario",
-    "all_zajac_scenarios",
-    "all_hatze_scenarios",
     "builtin_cuboid",
     "row_validity",
     "family_evaluator",
@@ -113,24 +111,6 @@ def simplified_zajac_scenario(row: str) -> ZajacParams:
     """One simplified linear-model panel: the row's linear panel at q0 = 0, beta = 1."""
     panel = zajac_scenario(row)
     return simplified_zajac_model().params_of(panel.q_init, panel.sigma, panel.tau)
-
-
-def all_zajac_scenarios() -> list[tuple[str, ZajacParams]]:
-    """The eight linear-model panels: rows (i)-(iv) x beta in {1, 1/3}."""
-    out = []
-    for beta, tag in ((1.0, "b1"), (1.0 / 3.0, "b13")):
-        for row in SCENARIO_ROWS:
-            out.append((f"{row}-{tag}", zajac_scenario(row, beta)))
-    return out
-
-
-def all_hatze_scenarios() -> list[tuple[str, HatzeParams]]:
-    """The eight nonlinear-model panels: rows (i)-(iv) x nu in {2, 3}."""
-    out = []
-    for nu in (2.0, 3.0):
-        for row in SCENARIO_ROWS:
-            out.append((f"{row}-nu{int(nu)}", hatze_scenario(row, nu)))
-    return out
 
 
 @dataclass(frozen=True)

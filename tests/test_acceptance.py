@@ -28,20 +28,15 @@ from actsens import (
     vbs_tsi,
     zajac_model,
 )
-from actsens.models import ForceLengthRelation, HatzeParams
 from actsens.optimize import (
-    CALCIUM_CEILING,
     DEFAULT_LEVELS,
+    FitProblem,
+    ShiftTargets,
     isometric_force,
-    optimal_length_shift,
+    predicted_shifts,
 )
-from actsens.presets import (
-    all_hatze_scenarios,
-    all_zajac_scenarios,
-    family_evaluator,
-    builtin_cuboid,
-    row_validity,
-)
+from actsens.presets import family_evaluator, builtin_cuboid, row_validity
+from references import all_hatze_scenarios, all_zajac_scenarios
 
 GLOBAL_SEED = 42
 GLOBAL_N = 2048
@@ -359,19 +354,19 @@ def test_criterion_8_shift_prediction_oracle():
     width = {"bell": 0.32, "parabola": 0.56}
     t0 = time.perf_counter()
     worst = 0.0
+    targets = ShiftTargets(DEFAULT_LEVELS, (0.0,) * len(DEFAULT_LEVELS))
     for nu in (2.0, 3.0, 4.0):
         for kind in ("bell", "parabola"):
-            flr = ForceLengthRelation(kind=kind, width=width[kind], ell_opt=14.8)
-            p = HatzeParams(sigma=1.0, q0=0.005, nu=nu,
-                            rho_c=rho0[nu] * CALCIUM_CEILING,
-                            ell_rho=2.9, q_init=0.5)
+            # the fit's own path: ell_opt = 14.8, q0 = 0.005 and ell_rho = 2.9
+            problem = FitProblem(targets=targets, flr_kind=kind, nu=nu)
+            refined = predicted_shifts(width[kind], rho0[nu], problem)
+            p, flr = problem.model(width[kind], rho0[nu])
             ells = np.arange(0.5 * 14.8, 1.5 * 14.8 + 1e-3, 1e-3)
             ref = ells[int(np.argmax(isometric_force(1.0, ells, p, flr)))]
-            for gamma in DEFAULT_LEVELS:
-                refined = optimal_length_shift(gamma, p, flr)
+            for gamma, shift in zip(DEFAULT_LEVELS, refined):
                 brute = ells[int(np.argmax(
                     isometric_force(gamma, ells, p, flr)))] - ref
-                worst = max(worst, abs(refined - brute))
+                worst = max(worst, abs(shift - brute))
     runtime = time.perf_counter() - t0
     _report(8, "shift-prediction oracle",
             worst < 2e-3 and runtime < 10.0,

@@ -48,7 +48,8 @@ def test_analytic_manifest_names_the_simplified_models_parameters(tmp_path):
     manifest = dict(line.split(" = ", 1)
                     for line in (out / "manifest.txt").read_text().splitlines())
     names = simplified_zajac_model().canonical_order
-    assert set(names) == set(manifest) - {"command", "t_end", "points", "version", "files"}
+    assert set(names) == set(manifest) - {"command", "t_end", "points", "version", "files",
+                                          "degenerate_points"}
     assert [float(manifest[n]) for n in names] == [0.05, 1 / 3, 0.025]
 
 
@@ -81,6 +82,20 @@ def test_analytic_command_without_an_initial_value(tmp_path):
     assert main(["analytic", "--q-init", "0", "--output", str(out)]) == 0
     _, data = _read_csv(out / "analytic_sensitivities.csv")
     assert np.isnan(data[0, 1:]).all() and np.isfinite(data[1:]).all()
+    assert "degenerate_points = 1" in (out / "manifest.txt").read_text().splitlines()
+
+
+def test_analytic_counts_its_undefined_rows_as_local_sens_does(tmp_path):
+    # without stimulation or initial value q(t) = 0 at every grid time
+    point = ["--sigma", "0", "--q-init", "0", "--points", "5"]
+    assert main(["analytic", *point, "--output", str(tmp_path / "analytic")]) == 0
+    assert main(["local-sens", "--model", "simplified-zajac", *point,
+                 "--output", str(tmp_path / "local")]) == 0
+    _, data = _read_csv(tmp_path / "analytic" / "analytic_sensitivities.csv")
+    assert np.isnan(data[:, 1:]).all()
+    for run in ("analytic", "local"):
+        manifest = (tmp_path / run / "manifest.txt").read_text().splitlines()
+        assert "degenerate_points = 5" in manifest, run
 
 
 def test_simulate_command(tmp_path):
@@ -180,6 +195,25 @@ def test_global_sens_custom_bounds_file(tmp_path):
                  "--output", str(out)])
     assert code == 0
     assert (out / "global.csv").exists()
+
+
+def test_manifests_and_fit_table_print_settings_at_fourteen_digits(tmp_path, monkeypatch):
+    bounds = tmp_path / "bounds.cfg"
+    bounds.write_text("q_Z0 = 0.01,1\nsigma = 0,1\nq0 = 0.001,0.005\n"
+                      "tau = 0.0123456789,0.05\nbeta = 0.1,1\n")
+    assert main(["global-sens", "--model", "zajac", "--preset", str(bounds), "--n", "4",
+                 *_TINY_GRID, "--output", str(tmp_path / "global")]) == 0
+    manifest = (tmp_path / "global" / "manifest.txt").read_text()
+    assert ";tau:[0.0123456789,0.05];" in manifest
+    targets = tmp_path / "targets.csv"
+    targets.write_text("gamma,shift_mm\n0.55,0.4\n0.123456789,0.9\n")
+    monkeypatch.setattr("actsens.optimize.DEFAULT_BELL_STARTS", (0.323456789,))
+    assert main(["optimize", "--targets", str(targets), "--nu", "2.123456789", "--kind",
+                 "bell", "--output", str(tmp_path / "fit")]) == 0
+    (row,) = (tmp_path / "fit" / "fit_table.csv").read_text().splitlines()[1:]
+    assert row.startswith("2.123456789,bell,0.323456789,")
+    manifest = (tmp_path / "fit" / "manifest.txt").read_text().splitlines()
+    assert "levels = 0.55,0.123456789" in manifest
 
 
 def test_optimize_command(tmp_path):
@@ -784,7 +818,8 @@ _HATZE_NAMES = BUILTIN_MODELS["hatze"].model().canonical_order
 
 
 @pytest.mark.parametrize("argv, files, keys", [
-    (["analytic"], ["analytic_sensitivities.csv"], {"q_Z0", "sigma", "tau"}),
+    (["analytic"], ["analytic_sensitivities.csv"],
+     {"q_Z0", "sigma", "tau", "degenerate_points"}),
     (["simulate", "--model", "zajac"], ["state.csv"], {"model", *_ZAJAC_NAMES}),
     (["local-sens", "--model", "hatze"], ["state.csv", "s_rel.csv"],
      {"model", *_HATZE_NAMES, *_LOCAL_KEYS}),

@@ -642,6 +642,15 @@ def test_degenerate_column_has_no_effect():
     assert res.vbs[0, 0] == pytest.approx(1.0, abs=0.05)
 
 
+@pytest.mark.parametrize("seed", [3, 4, 15])
+def test_a_parameter_that_alone_sets_the_output_has_a_total_index_of_at_most_one(seed):
+    # V_~i is 0 in exact arithmetic and a rounding below 0 on these seeds:
+    # it is clipped before the ratio, and kept raw in v_complement
+    res = _global(lambda rows: rows[:, 0], UNIT2, n=8, seed=seed)
+    assert np.all(res.v_complement[0] < 0.0)
+    assert np.all(res.tsi[0] == 1.0)
+
+
 def test_index_bounds_and_consistency():
     res = _global(lambda rows: rows[:, 0] + 0.3 * rows[:, 1] * rows[:, 2], UNIT3)
     assert np.all(res.v_total >= 0.0)

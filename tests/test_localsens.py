@@ -28,12 +28,8 @@ from actsens import (
 )
 from actsens import localsens
 from actsens.localsens import SensitivityResult
-from actsens.presets import (
-    all_hatze_scenarios,
-    all_zajac_scenarios,
-    hatze_scenario,
-    zajac_scenario,
-)
+from actsens.presets import hatze_scenario, zajac_scenario
+from references import PANELS, all_hatze_scenarios, all_zajac_scenarios
 
 FIG1 = simplified_zajac_model().params_of(0.05, 1.0, 0.025)
 
@@ -333,9 +329,7 @@ _ORACLES = {
 def test_fd_oracles_build_only_points_in_the_domain(oracle):
     # a perturbation that would leave the domain, joint constraints
     # included, is taken one-sided, on all 16 panels
-    panels = [(zajac_model(), p) for _, p in all_zajac_scenarios()]
-    panels += [(hatze_model(), p) for _, p in all_hatze_scenarios()]
-    for model, point in panels:
+    for model, point in PANELS.values():
         for x in _built_points(model, oracle, point):
             model.params_of(*x).validate()
 
@@ -525,8 +519,6 @@ def test_a_point_outside_the_domain_is_rejected_before_the_solve(model, point, f
 # ---------------------------------------------------------------------------
 
 PANEL_GRID = make_grid(0.5, 201)
-PANELS = {f"zajac-{tag}": (zajac_model(), p) for tag, p in all_zajac_scenarios()}
-PANELS.update({f"hatze-{tag}": (hatze_model(), p) for tag, p in all_hatze_scenarios()})
 
 
 def _copy_every_rhs_result(monkeypatch):

@@ -25,7 +25,6 @@ from actsens import (
     hatze_q_of_gamma,
     hatze_rho,
     hatze_rhs,
-    hatze_steady_state,
     integrate,
     make_grid,
     simplified_zajac_model,
@@ -34,7 +33,6 @@ from actsens import (
     zajac_model,
     zajac_partials,
     zajac_rhs,
-    zajac_steady_state,
 )
 from actsens import models
 from actsens.cli import _MODELS
@@ -47,12 +45,8 @@ from actsens.models import (
     _force_length_slope_root,
     _hatze_log_q_slopes,
 )
-from actsens.presets import (
-    all_hatze_scenarios,
-    all_zajac_scenarios,
-    builtin_cuboid,
-    simplified_zajac_scenario,
-)
+from actsens.presets import builtin_cuboid, simplified_zajac_scenario
+from references import PANELS, zajac_steady_state
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +248,7 @@ def test_hatze_rhs_decays_toward_basic_activity():
 
 def test_hatze_rhs_fixed_point_residual():
     p = HatzeParams(sigma=0.3, q0=0.005, m=10.0, nu=3.0, rho_c=7.24, q_init=0.01)
-    q_star = hatze_steady_state(p)
+    q_star = hatze_q_of_gamma(p.sigma, p.ell_ce_rel, p)  # the fixed point
     assert abs(hatze_rhs(q_star, p)) < 1e-12
 
 
@@ -564,9 +558,8 @@ def test_a_solve_runs_jet_arithmetic_only_to_build_each_basis(model, order, monk
         finally:
             inside.pop()
 
-    scenarios = all_zajac_scenarios() if model == "zajac" else all_hatze_scenarios()
-    analyze(dataclasses.replace(spec, derivs=derivs), scenarios[0][1], make_grid(0.5, 201),
-            order=order)
+    point = next(p for m, p in PANELS.values() if m.name == model)  # its row (i) panel
+    analyze(dataclasses.replace(spec, derivs=derivs), point, make_grid(0.5, 201), order=order)
     if order == 0:
         assert len(bound) > 100 and not built and not counts
         return
@@ -766,11 +759,15 @@ def test_cached_hatze_params_still_raise_at_the_pole():
 
 
 def test_hatze_steady_state():
+    # the fixed point is the saturation at gamma = sigma, the isometric case
+    def steady(p):
+        return hatze_q_of_gamma(p.sigma, p.ell_ce_rel, p)
+
     p = HatzeParams(sigma=0.0, q0=0.005, q_init=0.01)
-    assert hatze_steady_state(p) == pytest.approx(0.005, rel=1e-12)
+    assert steady(p) == pytest.approx(0.005, rel=1e-12)
     p = HatzeParams(sigma=0.1, q0=0.005, nu=3.0, rho_c=7.24, q_init=0.01)
-    assert hatze_steady_state(p) == pytest.approx(0.27872596567038315, rel=1e-12)
-    assert abs(hatze_rhs(hatze_steady_state(p), p)) < 1e-10
+    assert steady(p) == pytest.approx(0.27872596567038315, rel=1e-12)
+    assert abs(hatze_rhs(steady(p), p)) < 1e-10
 
 
 def test_hatze_params_validation():
@@ -955,8 +952,7 @@ _PANELS.update({f"simplified-zajac-{row}": {"q_Z0": q, "sigma": s, "tau": 0.025}
 
 
 def _scenario_points():
-    points = {f"zajac-{tag}": p for tag, p in all_zajac_scenarios()}
-    points.update((f"hatze-{tag}", p) for tag, p in all_hatze_scenarios())
+    points = {label: p for label, (_, p) in PANELS.items()}
     points.update((f"simplified-zajac-{row}", simplified_zajac_scenario(row)) for row in _ROWS)
     return points
 

@@ -11,18 +11,13 @@ from actsens import (
     Tolerances,
     ZajacParams,
     analyze,
-    hatze_gamma_of_q,
-    hatze_model,
-    hatze_q_of_gamma,
     integrate,
     make_grid,
     simplified_zajac_solution,
-    zajac_model,
     zajac_rhs,
-    zajac_steady_state,
 )
 from actsens import localsens, odecore
-from actsens.presets import all_hatze_scenarios, all_zajac_scenarios
+from references import PANELS, closed_form
 
 
 def test_zero_rhs_keeps_state_constant():
@@ -283,20 +278,6 @@ def test_make_grid():
 # ---------------------------------------------------------------------------
 
 PANEL_GRID = make_grid(0.5, 501)
-PANELS = {f"zajac-{tag}": (zajac_model(), pset) for tag, pset in all_zajac_scenarios()}
-PANELS.update({f"hatze-{tag}": (hatze_model(), pset) for tag, pset in all_hatze_scenarios()})
-
-
-def _closed_form(model, p, t):
-    """Exact activity at constant stimulation: linear decay to the steady
-    state (zajac), or linear calcium dynamics mapped through the saturation
-    (hatze)."""
-    if model.name == "zajac":
-        k = (p.sigma * (1.0 - p.beta) + p.beta) / (p.tau * (1.0 - p.q0))
-        q_ss = zajac_steady_state(p)
-        return q_ss + (p.q_init - q_ss) * np.exp(-k * t)
-    gamma0 = hatze_gamma_of_q(p.q_init, p.ell_ce_rel, p)
-    return hatze_q_of_gamma(p.sigma + (gamma0 - p.sigma) * np.exp(-p.m * t), p.ell_ce_rel, p)
 
 
 def _state_solve(model, pset, tol):
@@ -316,7 +297,7 @@ def test_panel_grid_error_meets_the_default_contract(model, pset):
     # the Tolerances contract: every grid value within 10 tolerance scales
     tol = Tolerances()
     state, _ = _state_solve(model, pset, tol)
-    exact = _closed_form(model, pset, PANEL_GRID)
+    exact = closed_form(model, pset, PANEL_GRID)
     bound = 10.0 * (tol.abs_tol + tol.rel_tol * np.abs(exact))
     assert np.all(np.abs(state - exact) <= bound)
 
@@ -328,7 +309,7 @@ def test_tolerances_docstring_states_the_measured_panel_errors():
         errors = []
         for model, pset in PANELS.values():
             state, _ = _state_solve(model, pset, tol)
-            exact = _closed_form(model, pset, PANEL_GRID)
+            exact = closed_form(model, pset, PANEL_GRID)
             scale = tol.abs_tol + tol.rel_tol * np.abs(exact)
             errors.append(np.max(np.abs(state - exact) / scale))
         return max(errors)

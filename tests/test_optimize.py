@@ -20,7 +20,6 @@ from actsens import (
     hatze_q_of_gamma,
     isometric_force,
     load_shift_targets,
-    optimal_length_shift,
     run_table,
     synthesize_targets,
 )
@@ -42,6 +41,13 @@ from actsens.optimize import (
 BELL = ForceLengthRelation(kind="bell", width=0.32, ell_opt=14.8)
 HATZE3 = HatzeParams(sigma=1.0, q0=0.005, nu=3.0, rho_c=3.25e4 * CALCIUM_CEILING,
                      ell_rho=2.9, q_init=0.5)
+
+
+def shifts_at(levels, width=0.32, rho0=3.25e4, kind="bell", nu=3.0):
+    """The fit's shifts (mm) at ``levels`` for one (width, rho0); the
+    defaults are the point of HATZE3 and BELL."""
+    targets = ShiftTargets(tuple(levels), (0.0,) * len(levels))
+    return predicted_shifts(width, rho0, FitProblem(targets=targets, flr_kind=kind, nu=nu))
 
 
 def brute_force_argmax(gamma, p, flr, resolution_mm=1e-3):
@@ -110,7 +116,9 @@ def test_isometric_force_continuous_in_length():
 
 
 def test_shift_is_zero_at_full_activation():
-    assert optimal_length_shift(1.0, HATZE3, BELL) == pytest.approx(0.0, abs=1e-9)
+    # a level's peak does not depend on the other levels of its scan
+    here, ref = _argmax_force((1.0, 1.0), HATZE3, BELL)
+    assert here - ref == pytest.approx(0.0, abs=1e-9)
 
 
 def test_shift_vanishes_without_length_dependent_activation():
@@ -122,20 +130,19 @@ def test_shift_vanishes_without_length_dependent_activation():
     for kind, width in (("bell", 0.32), ("parabola", 0.56)):
         flr = ForceLengthRelation(kind=kind, width=width, ell_opt=14.8)
         for gamma in (0.1, 0.4, 1.0):
-            peak = _argmax_force((gamma,), flat, flr)[0]
+            peak, ref = _argmax_force((gamma, 1.0), flat, flr)  # q0 is not the fit's
             assert peak == pytest.approx(14.8, abs=1e-3)
-            assert optimal_length_shift(gamma, flat, flr) == pytest.approx(0.0, abs=2e-4)
+            assert peak - ref == pytest.approx(0.0, abs=2e-4)
 
 
 def test_shift_positive_below_full_activation():
     for kind, width in (("bell", 0.32), ("parabola", 0.56)):
-        flr = ForceLengthRelation(kind=kind, width=width, ell_opt=14.8)
-        for gamma in DEFAULT_LEVELS:
-            assert optimal_length_shift(gamma, HATZE3, flr) > 0.0
+        assert (shifts_at(DEFAULT_LEVELS, width, kind=kind) > 0.0).all()
 
 
 def test_refined_shift_matches_micrometre_grid():
-    shift = optimal_length_shift(0.28, HATZE3, BELL)
+    assert FitProblem(ShiftTargets((), ())).model(0.32, 3.25e4) == (HATZE3, BELL)
+    (shift,) = shifts_at((0.28,))
     oracle = (brute_force_argmax(0.28, HATZE3, BELL)
               - brute_force_argmax(1.0, HATZE3, BELL))
     assert shift == pytest.approx(oracle, abs=2e-3)  # within 2 micrometres
@@ -159,7 +166,7 @@ def test_refined_peak_within_half_xtol_of_nanometre_grid(kind, width, nu, rho0):
 def test_boundary_maximum_raises(monkeypatch):
     monkeypatch.setattr("actsens.optimize.SHIFT_SEARCH_SPAN", (0.9, 1.001))
     with pytest.raises(NoInteriorMaximum):
-        optimal_length_shift(0.28, HATZE3, BELL)
+        shifts_at((0.28,))
 
 
 def test_boundary_maximum_in_one_row_raises(monkeypatch):
@@ -199,11 +206,8 @@ def test_maximum_the_scan_cannot_bracket_is_no_interior_maximum():
     # far along the nu = 2 parabola's degenerate valley the force is flat to
     # rounding over the scan, whose best point then need not bracket the
     # slope's root; the 0.22 level's does not here
-    flat = HatzeParams(sigma=1.0, q0=0.005, nu=2.0, rho_c=1.46e11 * CALCIUM_CEILING,
-                       ell_rho=2.9, q_init=0.5)
-    wide = ForceLengthRelation(kind="parabola", width=7.1e5, ell_opt=14.8)
     with pytest.raises(NoInteriorMaximum, match="not bracketed.*0.22"):
-        optimal_length_shift(0.22, flat, wide)
+        shifts_at((0.22,), width=7.1e5, rho0=1.46e11, kind="parabola", nu=2.0)
     # in a batch only that set's row is NaN
     rho_c = np.reshape([1.46e11 * CALCIUM_CEILING, HATZE3.rho_c], (-1, 1, 1))
     both = HatzeParams(sigma=1.0, q0=0.005, nu=2.0, rho_c=rho_c, ell_rho=2.9, q_init=0.5)
@@ -219,7 +223,7 @@ def test_span_outside_pole_interval_raises(span, monkeypatch):
     error = PoleViolation if span[0] > 0.0 else ParameterOutOfRange
     monkeypatch.setattr("actsens.optimize.SHIFT_SEARCH_SPAN", span)
     with pytest.raises(error):
-        optimal_length_shift(0.28, HATZE3, BELL)
+        shifts_at((0.28,))
 
 
 def test_scan_grid_follows_the_search_constants_and_is_read_only(monkeypatch):
@@ -234,18 +238,18 @@ def test_scan_grid_follows_the_search_constants_and_is_read_only(monkeypatch):
         return force(gamma, ell_ce, *args)
 
     monkeypatch.setattr(opt, "isometric_force", recording)
-    optimal_length_shift(0.28, HATZE3, BELL)
+    shifts_at((0.28,))
     assert scans[-1].size == SHIFT_SEARCH_COARSE
     monkeypatch.setattr(opt, "SHIFT_SEARCH_COARSE", 101)
-    optimal_length_shift(0.28, HATZE3, BELL)
+    shifts_at((0.28,))
     assert scans[-1].size == 101
     monkeypatch.setattr(opt, "SHIFT_SEARCH_SPAN", (0.6, 1.4))
-    optimal_length_shift(0.28, HATZE3, BELL)
+    shifts_at((0.28,))
     assert scans[-1].size == 101 and (scans[-1][0], scans[-1][-1]) == (0.6 * 14.8, 1.4 * 14.8)
     # scans with the same values share one grid, which no caller can write
     monkeypatch.setattr(opt, "SHIFT_SEARCH_SPAN", SHIFT_SEARCH_SPAN)
     monkeypatch.setattr(opt, "SHIFT_SEARCH_COARSE", SHIFT_SEARCH_COARSE)
-    optimal_length_shift(0.28, HATZE3, BELL)
+    shifts_at((0.28,))
     assert scans[-1] is scans[0]
     for shared in opt._scan_grid(*SHIFT_SEARCH_SPAN, SHIFT_SEARCH_COARSE, 14.8):
         assert not shared.flags.writeable

@@ -5,6 +5,7 @@ too: numpy is its one runtime dependency."""
 
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -159,6 +160,22 @@ def test_pyproject_version_is_the_package_version():
 
     with (PACKAGE.parents[1] / "pyproject.toml").open("rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == actsens.__version__
+
+
+def test_the_package_exports_exactly_the_public_api_readme_lists():
+    # every name of ``import actsens`` but its submodules, against the
+    # backquoted names of README's "Public API" section
+    import types
+
+    import actsens
+
+    exported = {name for name, value in vars(actsens).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"`(\w+)`", section)
+    assert len(listed) == len(set(listed)), "a name is listed twice"
+    assert set(listed) == exported
 
 
 def _bench_result(ref, rss, correct=True, failed=0):
