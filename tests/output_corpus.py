@@ -7,7 +7,8 @@
   points;
 - ``analytic`` at 51 points;
 - ``global-sens`` for zajac and hatze at n 256, seed 11, with each sampler
-  (pseudo, the default, and halton);
+  (pseudo, the default, and halton), and at n 1024, seed 11, whose two
+  chunks of row pairs pin the pooled reduction;
 - ``optimize``'s full table on acceptance criterion 7's targets, the input
   file ``tests/corpus/targets.csv`` (``synthesize_targets(width=0.32,
   rho0=3.25e4, nu=3.0, kind="bell")``).
@@ -81,6 +82,8 @@ def commands() -> list[tuple[str, list[str]]]:
     for case, sampler in (("global-sens", []), ("global-sens-halton", ["--sampler", "halton"])):
         out += [(f"{case}/{model}", ["global-sens", "--model", model, "--n", "256",
                                      "--seed", "11", *sampler]) for model in ("zajac", "hatze")]
+    out += [(f"global-sens-n1024/{model}", ["global-sens", "--model", model, "--n", "1024",
+                                            "--seed", "11"]) for model in ("zajac", "hatze")]
     out.append(("optimize", ["optimize", "--targets", TARGETS.name]))
     return out
 

@@ -258,8 +258,10 @@ def test_criterion_5_global_properties():
     ok &= dev < 0.05
     details.append(f"additive dev {dev:.3f}")
     r = run(lambda rows: (rows[:, 0] - 0.5) * (rows[:, 1] - 0.5), unit2)
+    # TSI from the raw V_~i: the clipped index reads 1 for any V_~i below 0
+    unclipped_tsi = 1.0 - r.v_complement[:, 0] / r.v_total[0]
     dev = max(abs(r.vbs[0, 0]), abs(r.vbs[1, 0]),
-              abs(r.tsi[0, 0] - 1), abs(r.tsi[1, 0] - 1))
+              abs(unclipped_tsi[0] - 1), abs(unclipped_tsi[1] - 1))
     ok &= dev < 0.05
     details.append(f"interaction dev {dev:.3f}")
 

@@ -772,3 +772,130 @@ def test_pseudo_sampler_error_falls_as_one_over_root_n(name):
     ])  # (len(ns), 2): VBS and TSI
     slopes = np.polyfit(np.log(ns), np.log(mean_errors), 1)[0]
     assert np.all(np.abs(slopes + 0.5) < 0.2), slopes
+
+
+# ---------------------------------------------------------------------------
+# analyze_global's chunks of row pairs
+# ---------------------------------------------------------------------------
+
+
+def _ishigami_evaluator(calls=None):
+    """Ishigami's values, constant in time, which do not depend on the batch;
+    ``calls`` collects the row count of each call."""
+    def evaluate(rows, grid):
+        if calls is not None:
+            calls.append(rows.shape[0])
+        return constant_in_time(ishigami(rows))
+    return evaluate
+
+
+def test_chunks_pool_to_the_whole_family():
+    # 1,100 pairs go in three chunks of 366, 367 and 367 pairs
+    n, seed, rows_per_pair = 1100, 5, 2 * (3 + 1)
+    calls = []
+    res = analyze_global(_ishigami_evaluator(calls), ISHIGAMI_CUBOID, n=n, seed=seed, grid=GRID)
+    assert calls == [rows_per_pair * k for k in (366, 367, 367)]
+    m = build_sample_matrices(ISHIGAMI_CUBOID, n=n, seed=seed)
+    whole = vbs_tsi(evaluate_family(_ishigami_evaluator(), m, GRID))
+    for key in ("v_total", "v_first", "v_complement"):
+        np.testing.assert_allclose(getattr(res, key), getattr(whole, key), rtol=1e-12,
+                                   atol=0.0, err_msg=key)
+    assert (res.n, res.seed, res.n_evaluations, res.resampled_rows) == (
+        n, seed, whole.n_evaluations, 0)
+
+
+@pytest.mark.parametrize("n", [2, 300, globalsens.PAIRS_PER_SOLVE])
+def test_one_chunk_is_the_whole_family_bit_for_bit(n):
+    calls = []
+    res = analyze_global(_ishigami_evaluator(calls), ISHIGAMI_CUBOID, n=n, seed=5, grid=GRID)
+    assert len(calls) == 1
+    m = build_sample_matrices(ISHIGAMI_CUBOID, n=n, seed=5)
+    whole = vbs_tsi(evaluate_family(_ishigami_evaluator(), m, GRID))
+    for key in ("v_total", "v_first", "v_complement", "vbs", "tsi", "undefined"):
+        assert getattr(res, key).tobytes() == getattr(whole, key).tobytes(), key
+
+
+@pytest.mark.parametrize("sampler", ["pseudo", "halton"])
+def test_a_chunk_redraws_a_row_as_the_whole_sample_does(sampler):
+    m = build_sample_matrices(UNIT3, n=40, seed=5, sampler=sampler)
+    start, stop, rows = 16, 32, np.array([0, 3, 15])
+    chunk = m.pairs(start, stop)
+    assert chunk.first_row == start and chunk.n == stop - start
+    whole = m
+    for _ in range(2):  # a second redraw continues each row's sequence
+        chunk, whole = chunk.redrawn(rows), whole.redrawn(start + rows)
+        for key in ("a", "b", "blocks_used"):
+            assert np.array_equal(getattr(chunk, key), getattr(whole, key)[start:stop]), key
+    assert chunk.first_row == start
+    assert not np.array_equal(chunk.a, m.a[start:stop])
+
+
+def test_a_failed_row_in_the_third_chunk_is_resampled_as_in_the_whole_family():
+    n, seed, bad = 1100, 5, 900  # chunks start at pairs 0, 366 and 733
+    m = build_sample_matrices(ISHIGAMI_CUBOID, n=n, seed=seed)
+
+    def failing_once():
+        failed = []
+
+        def evaluate(rows, grid):  # the solve of A's row `bad` fails the first time
+            out = constant_in_time(ishigami(rows))
+            hit = np.all(rows == m.a[bad], axis=1)
+            if hit.any() and not failed:
+                failed.append(bad)
+                out[:, hit] = np.nan
+            return out
+        return evaluate
+
+    whole_family = evaluate_family(failing_once(), m, GRID)
+    assert whole_family.resampled_rows == (bad,)
+    whole = vbs_tsi(whole_family)
+    res = analyze_global(failing_once(), ISHIGAMI_CUBOID, n=n, seed=seed, grid=GRID)
+    assert (res.resampled_rows, res.n_evaluations) == (1, whole.n_evaluations)
+    assert res.n_evaluations == 2 * n * 4 + 2 * 4
+    for key in ("v_total", "v_first", "v_complement"):
+        np.testing.assert_allclose(getattr(res, key), getattr(whole, key), rtol=1e-12,
+                                   atol=0.0, err_msg=key)
+    # the chunk's family names the row by its whole-sample index
+    chunk = evaluate_family(failing_once(), m.pairs(733, n), GRID)
+    assert chunk.resampled_rows == (bad,)
+    assert np.array_equal(chunk.matrices.a, whole_family.matrices.a[733:])
+
+
+def test_sampling_errors_name_rows_by_their_whole_sample_index(monkeypatch):
+    monkeypatch.setattr(globalsens, "MAX_DRAWS", 3)
+    monkeypatch.setattr(globalsens, "MAX_RETRIES", 2)
+    calls = []
+
+    def first_call_only(cols):
+        calls.append(1)
+        return np.full(len(cols["x1"]), len(calls) == 1)
+
+    chunk = build_sample_matrices(UNIT2, n=8, seed=9, validity=first_call_only).pairs(4, 8)
+    with pytest.raises(SamplingError, match="row 5: no valid sample within 3 draws"):
+        chunk.redrawn([1])
+
+    def broken(rows, grid):
+        return np.full((grid.size, rows.shape[0]), np.nan)
+
+    chunk = build_sample_matrices(UNIT2, n=8, seed=9).pairs(4, 8)
+    with pytest.raises(SamplingError, match="4 of 4 rows .* the first at index 4$"):
+        evaluate_family(broken, chunk, GRID)
+
+
+def test_analyze_global_holds_one_chunk_of_the_family():
+    # the seed-1 hatze family at n = 2048 is 36,864 rows: (101, 36,864)
+    # float64 is 29.8 MB, held whole by a one-batch solve (41.2 MB traced).
+    # The bound, set before measuring, is half that; four chunks of 512
+    # pairs hold one 7.4 MB chunk family and its solve's working set at a
+    # time, measured at 11.2 MB.
+    grid = make_grid(0.5, 101)
+    family_bytes = grid.size * 2 * 2048 * (8 + 1) * 8
+    tracemalloc.start()
+    try:
+        res = analyze_global(family_evaluator("hatze"), builtin_cuboid("hatze"), n=2048,
+                             seed=1, grid=grid, validity=row_validity("hatze"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.n_evaluations == 36_864
+    assert peak < family_bytes / 2, (peak, family_bytes)

@@ -13,7 +13,7 @@ def test_cli_outputs_match_the_corpus(tmp_path):
     print("\n" + summary(diffs))  # byte identity is reported, not required
     problems = [p for d in diffs for p in d.problems]
     assert not problems, "\n".join(problems)
-    assert len(diffs) == 192
+    assert len(diffs) == 196
 
 
 def _moved_copy(tmp_path, rel, column, by):
