@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ActsensError, ConfigError, ParameterOutOfRange
-from .globalsens import ParameterCuboid, analyze_global
+from .globalsens import HALTON_STRIDE, SAMPLERS, ParameterCuboid, analyze_global
 from .localsens import analyze, normalize
 from .models import (
     _upper_mirror,
@@ -49,7 +50,6 @@ from .presets import (
     builtin_cuboid,
     family_evaluator,
     hatze_scenario,
-    row_validity,
     simplified_zajac_scenario,
     zajac_scenario,
 )
@@ -170,9 +170,10 @@ def _load_config(path: str) -> dict[str, _FileValue]:
 
 
 def _load_bounds(path: str, model_name: str) -> ParameterCuboid:
-    """A bounds file: one 'name = lower,upper' line for each parameter of a model.
+    """A model's built-in cuboid, its domain included, with a bounds file's ranges.
 
-    Each range must be finite, and the model's declared domain
+    The file gives one 'name = lower,upper' line for each parameter. Each
+    range must be finite, and the model's declared domain
     (:func:`~actsens.models.domain_checks`) decides the rest. The sampler
     draws from [lower, upper), so a value lies between its lower end and the
     largest double below its upper end, its top; an upper end may thus
@@ -199,7 +200,8 @@ def _load_bounds(path: str, model_name: str) -> ParameterCuboid:
         if lo > hi:
             raise ConfigError(f"{text.where}: lower bound exceeds upper bound for {name!r}")
         pairs[name] = (lo, hi)
-    cuboid = ParameterCuboid.from_dict(pairs)
+    lower, upper = zip(*pairs.values())  # in canonical order
+    cuboid = replace(builtin_cuboid(model_name), lower=lower, upper=upper)
     lower, top = cuboid.lower, np.nextafter(cuboid.upper, cuboid.lower)
     corners = [spec.params_of(*lower), spec.params_of(*top)]
     # each joint constraint a op b where it is likeliest to hold
@@ -426,14 +428,16 @@ def _run_local(settings, order: int) -> int:
 def _cmd_global_sens(settings) -> int:
     """Variance-based indices VBS/TSI."""
     model_name, sampler = settings["model"], settings["sampler"]
+    if sampler == "halton" and settings["n"] > HALTON_STRIDE:
+        raise ConfigError(f"{_where(settings.given.get('n'))}n must be at most {HALTON_STRIDE} "
+                          f"with the halton sampler, got {settings['n']}")
     cuboid = builtin_cuboid(model_name)
     if settings["preset"] != "paper-bounds":
         cuboid = _load_bounds(settings["preset"], model_name)
     grid = make_grid(settings["t_end"], settings["points"])
     result = analyze_global(
         family_evaluator(model_name), cuboid,
-        n=settings["n"], seed=settings["seed"], grid=grid,
-        validity=row_validity(model_name), sampler=sampler,
+        n=settings["n"], seed=settings["seed"], grid=grid, sampler=sampler,
     )
     vbs = {f"VBS_{n}": result.vbs[i] for i, n in enumerate(result.param_names)}
     tsi = {f"TSI_{n}": result.tsi[i] for i, n in enumerate(result.param_names)}
@@ -538,7 +542,7 @@ _COMMANDS = {
         "preset": _Setting("paper-bounds", _parse_text, "paper-bounds or a bounds file"),
         "n": _Setting(2048, partial(_parse_count, minimum=2), "sample rows per base matrix"),
         "seed": _Setting(0, partial(_parse_count, minimum=0), "sampler seed"),
-        "sampler": _Setting("pseudo", partial(_parse_choice, options=("pseudo", "halton")),
+        "sampler": _Setting("pseudo", partial(_parse_choice, options=SAMPLERS),
                             "pseudo or halton"),
         **_grid_settings(0.5, 101), **_OUTPUT, **_PLOT,
     }),

@@ -21,7 +21,8 @@ and counter-based: every row owns its own sequence of draw blocks (a
 substream, or Halton indices, both keyed by the row's index in the whole
 sample), so rejection resampling of one row never disturbs any other row,
 a chunk redraws a row as the whole sample would, and results are
-bit-reproducible for a given (cuboid, n, seed, grid).
+bit-reproducible for a given (cuboid, n, seed, grid). The cuboid is the
+whole sampled region: its box, and the joint constraints every row meets.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ VARIANCE_FLOOR = 1e-12
 MAX_DRAWS = 10_000
 #: Resampling rounds for rows whose evaluation fails.
 MAX_RETRIES = 5
+#: The samplers of build_sample_matrices.
+SAMPLERS = ("pseudo", "halton")
+#: Block b of whole-sample row r is the Halton point of index 1 + r + b * HALTON_STRIDE:
+#: distinct over all rows and blocks while n <= HALTON_STRIDE, the halton sampler's limit.
+HALTON_STRIDE = 1_000_003
 #: Row pairs per solve of :func:`analyze_global`: n pairs go in
 #: ceil(n / PAIRS_PER_SOLVE) chunks of near-equal size. A hatze chunk of
 #: 512 pairs is 9,216 rows: its (101, rows) family is 7.4 MB and its
@@ -67,18 +73,20 @@ _TIMES_PER_BLOCK = 2
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                  59, 61, 67, 71)
 
-#: A joint constraint on sample rows: takes a dict of parameter columns (one
-#: array per cuboid name, one entry per row) and returns a boolean array.
-Validity = Callable[[dict[str, np.ndarray]], np.ndarray]
-
 
 @dataclass(frozen=True)
 class ParameterCuboid:
-    """Per-parameter [lower, upper] ranges with uniform sampling."""
+    """Per-parameter [lower, upper] ranges with uniform sampling, and the rows' joint constraints.
+
+    ``validity`` (None: the whole box) maps a dict of parameter columns to one
+    bool per row. A row pair is kept only if A, B and every single-column swap
+    between them pass it; the others are drawn again.
+    """
 
     names: tuple[str, ...]
     lower: np.ndarray
     upper: np.ndarray
+    validity: Callable[[dict[str, np.ndarray]], np.ndarray] | None = None
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
@@ -119,9 +127,7 @@ def _row_stream(seed: int, row: int) -> np.random.Generator:
 def _halton_points(indices: np.ndarray, dims: int) -> np.ndarray:
     """Halton points of the given indices, (len(indices), dims), van der Corput per prime base."""
     if dims > len(_FIRST_PRIMES):
-        raise ValueError(
-            f"halton sampler supports up to {len(_FIRST_PRIMES) // 2} parameters"
-        )
+        raise ValueError(f"halton sampler supports up to {len(_FIRST_PRIMES) // 2} parameters")
     out = np.zeros((len(indices), dims))
     for d in range(dims):
         base = _FIRST_PRIMES[d]
@@ -145,14 +151,13 @@ def _family_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                            np.where(swap, a, b).reshape(-1, N)])
 
 
-def _rows_valid(cuboid, validity, a, b) -> np.ndarray:
+def _rows_valid(cuboid: ParameterCuboid, a, b) -> np.ndarray:
     """Rows j whose pair (a[j], b[j]) stays valid in A, B and every single-column swap."""
-    n = a.shape[0]
-    if validity is None:
-        return np.ones(n, dtype=bool)
+    if cuboid.validity is None:
+        return np.ones(a.shape[0], dtype=bool)
     rows = _family_rows(a, b)
-    ok = np.broadcast_to(validity(dict(zip(cuboid.names, rows.T))), rows.shape[:1])
-    return ok.reshape(-1, n).all(axis=0)
+    ok = np.broadcast_to(cuboid.validity(dict(zip(cuboid.names, rows.T))), rows.shape[:1])
+    return ok.reshape(-1, a.shape[0]).all(axis=0)
 
 
 @dataclass(frozen=True)
@@ -175,12 +180,11 @@ class SampleMatrices:
     a: np.ndarray  # (n, N)
     b: np.ndarray  # (n, N)
     blocks_used: np.ndarray  # (n,)
-    validity: Validity | None = None
     sampler: str = "pseudo"
     first_row: int = 0  # the whole-sample index of row 0
 
     def __post_init__(self):
-        if self.sampler not in ("pseudo", "halton"):
+        if self.sampler not in SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         for name in ("a", "b", "blocks_used"):
             view = np.asarray(getattr(self, name)).view()
@@ -203,11 +207,11 @@ class SampleMatrices:
 
         Row j is row first_row + j of the whole sample. A pseudo row draws
         from that row's own substream, a halton row takes the Halton point
-        of index 1 + row + block * 1,000,003. Every row still without a
-        valid pair draws its next block each round, and one validity call
-        checks the round, so each row gets the pair it would get drawn
-        alone. A row still without one after MAX_DRAWS draws raises
-        SamplingError, which names it by its whole-sample index.
+        of index 1 + row + block * HALTON_STRIDE. Every row still without a
+        valid pair draws its next block each round, and one call of the
+        cuboid's validity checks the round, so each row gets the pair it
+        would get drawn alone. A row still without one after MAX_DRAWS
+        draws raises SamplingError, which names it by its whole-sample index.
         """
         N, rows = self.cuboid.n_params, np.asarray(rows, dtype=int)
         a, b, blocks = self.a.copy(), self.b.copy(), self.blocks_used.copy()
@@ -220,17 +224,15 @@ class SampleMatrices:
             if not todo.size:
                 break
             u = (np.array([gens[k].random(2 * N) for k in todo]) if pseudo else
-                 _halton_points(1 + whole[todo] + blocks[rows[todo]] * 1_000_003, 2 * N))
+                 _halton_points(1 + whole[todo] + blocks[rows[todo]] * HALTON_STRIDE, 2 * N))
             vals = self.cuboid.scale(u.reshape(-1, 2, N))
             blocks[rows[todo]] += 1
-            ok = _rows_valid(self.cuboid, self.validity, vals[:, 0], vals[:, 1])
+            ok = _rows_valid(self.cuboid, vals[:, 0], vals[:, 1])
             a[rows[todo[ok]]], b[rows[todo[ok]]] = vals[ok, 0], vals[ok, 1]
             todo = todo[~ok]
         if todo.size:
-            raise SamplingError(
-                f"row {whole[todo[0]]}: no valid sample within {MAX_DRAWS} draws; "
-                "check bounds and validity predicate"
-            )
+            raise SamplingError(f"row {whole[todo[0]]}: no valid sample within {MAX_DRAWS} "
+                                "draws; check bounds and validity predicate")
         return replace(self, a=a, b=b, blocks_used=blocks)
 
 
@@ -238,7 +240,6 @@ def build_sample_matrices(
     cuboid: ParameterCuboid,
     n: int,
     seed: int,
-    validity: Validity | None = None,
     sampler: str = "pseudo",
 ) -> SampleMatrices:
     """Draw the base blocks A and B of a 2n(N+1)-row family.
@@ -246,19 +247,23 @@ def build_sample_matrices(
     One first block for all rows at once (pseudo: one bulk stream, which
     uses no row's own blocks; halton: the points of indices 1..n, each row's
     block 0), then :meth:`SampleMatrices.redrawn` for the rows that violate
-    the validity predicate in any swap combination, so the result is
+    the cuboid's validity in any swap combination, so the result is
     deterministic in (cuboid, n, seed) and each row independent of the rest.
+    Bad settings raise ValueError before anything is drawn.
     """
+    if sampler not in SAMPLERS:
+        raise ValueError(f"unknown sampler {sampler!r}")
     if n < 2:
         raise ValueError(f"need at least two sample rows, got n={n}")
     N, halton = cuboid.n_params, sampler == "halton"
-    # an unknown sampler draws as pseudo here, and SampleMatrices rejects it
+    if halton and n > HALTON_STRIDE:
+        raise ValueError(f"the halton sampler takes at most n={HALTON_STRIDE} rows, got n={n}")
     u = (_halton_points(1 + np.arange(n), 2 * N) if halton else
          np.random.Generator(np.random.Philox(np.random.SeedSequence([seed]))).random((n, 2 * N)))
     scaled = cuboid.scale(u.reshape(n, 2, N))
     first = SampleMatrices(cuboid=cuboid, seed=seed, a=scaled[:, 0], b=scaled[:, 1],
-                           blocks_used=np.full(n, int(halton)), validity=validity, sampler=sampler)
-    return first.redrawn(np.nonzero(~_rows_valid(cuboid, validity, first.a, first.b))[0])
+                           blocks_used=np.full(n, int(halton)), sampler=sampler)
+    return first.redrawn(np.nonzero(~_rows_valid(cuboid, first.a, first.b))[0])
 
 
 @dataclass
@@ -480,7 +485,6 @@ def analyze_global(
     n: int,
     seed: int,
     grid,
-    validity: Validity | None = None,
     sampler: str = "pseudo",
 ) -> GlobalResult:
     """Sample, evaluate the family of solutions chunk by chunk, and reduce to VBS/TSI.
@@ -494,7 +498,7 @@ def analyze_global(
     :func:`vbs_tsi` of the whole family bit for bit. ``n_evaluations`` and
     ``resampled_rows`` sum over the chunks.
     """
-    matrices = build_sample_matrices(cuboid, n, seed, validity=validity, sampler=sampler)
+    matrices = build_sample_matrices(cuboid, n, seed, sampler=sampler)
     grid = np.asarray(grid, dtype=float)
     chunks = -(-n // PAIRS_PER_SOLVE)
     bounds = [n * k // chunks for k in range(chunks + 1)]

@@ -69,8 +69,6 @@ __all__ = [
     "HatzeParams",
     "ForceLengthRelation",
     "ModelSpec",
-    "domain_checks",
-    "in_domain",
     "zajac_rhs",
     "zajac_partials",
     "hatze_rho",

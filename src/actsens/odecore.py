@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NonFiniteState, StepBudgetExceeded, StepSizeUnderflow
 
-__all__ = ["OdeProblem", "Tolerances", "Trajectory", "integrate"]
+__all__ = ["OdeProblem", "Tolerances", "Trajectory", "integrate", "make_grid"]
 
 # Dormand-Prince 5(4) tableau.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)

@@ -9,19 +9,19 @@ each panel is its model's parameter object (``ZajacParams``,
 ``BUILTIN_MODELS`` declares each model of the global analysis once: its
 ModelSpec factory (canonical order, parameter map, and through that its
 parameter class), its bounds keyed by canonical name in canonical order, and
-its batched rhs; row validity is the domain its parameter class declares.
-The CLI offers its keys to ``global-sens``.
+its batched rhs; its cuboid's validity is the domain its parameter class
+declares. The CLI offers its keys to ``global-sens``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import IntegrationError
-from .globalsens import ParameterCuboid, Validity
+from .globalsens import ParameterCuboid
 from .models import (
     HatzeParams,
     ModelSpec,
@@ -44,7 +44,6 @@ __all__ = [
     "hatze_scenario",
     "simplified_zajac_scenario",
     "builtin_cuboid",
-    "row_validity",
     "family_evaluator",
     "GLOBAL_TOLERANCES",
 ]
@@ -148,19 +147,13 @@ def _builtin(model: str) -> _Builtin:
 
 
 def builtin_cuboid(model: str) -> ParameterCuboid:
-    """The built-in parameter bounds of a model, in its canonical order."""
-    return ParameterCuboid.from_dict(_builtin(model).bounds)
-
-
-def row_validity(model: str) -> Validity:
-    """The model's domain as a row predicate: a row is valid exactly where
-    ``params_of(*row).validate()`` passes (see :func:`~actsens.models.in_domain`).
-
-    It takes a dict of parameter columns (one array per name) and returns a
-    boolean array, one entry per row.
-    """
-    spec = _builtin(model).model()
-    return lambda cols: in_domain(spec.params_of(*(cols[n] for n in spec.canonical_order)))
+    """A model's built-in bounds, in its canonical order, and its domain: the cuboid's
+    ``validity`` passes a row exactly where ``params_of(*row).validate()`` does (see
+    :func:`~actsens.models.in_domain`)."""
+    b = _builtin(model)
+    spec = b.model()
+    return replace(ParameterCuboid.from_dict(b.bounds), validity=lambda cols: in_domain(
+        spec.params_of(*(cols[n] for n in spec.canonical_order))))
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,17 @@ and which SIMD path runs depends on the CPU.
 
 Run from the repository root::
 
-    python tests/output_corpus.py regenerate      # rewrite the corpus from this tree
+    python tests/output_corpus.py regenerate      # rewrite what moved in the corpus
     python tests/output_corpus.py compare OLD NEW # run the set in two checkouts, compare
 
 ``regenerate`` is for a change that moves numbers on purpose; it keeps the
-targets input as it is. ``compare`` runs the command set in a fresh process
-per checkout, each on its own ``src``, and prints the largest change per
-file kind and which files are byte-identical.
+targets input as it is. It runs the set into a temporary tree and writes
+into the corpus only the files that are new or that :func:`compare_file`
+reports a problem for, and deletes the files no command writes any more:
+a file whose numbers moved within ``REL_BOUND`` keeps its committed bytes,
+so the diff holds what the change moves. ``compare`` runs the command set
+in a fresh process per checkout, each on its own ``src``, and prints the
+largest change per file kind and which files are byte-identical.
 """
 
 from __future__ import annotations
@@ -185,12 +189,13 @@ def compare_file(old: Path, new: Path, path: str) -> FileDiff:
     return diff
 
 
+def _files(root: Path) -> set[str]:
+    return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+
 def compare_trees(old_root: Path, new_root: Path) -> list[FileDiff]:
     """Compare every file under two output roots; a file on one side only is a problem."""
-    def files(root):
-        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
-
-    old, new = files(old_root), files(new_root)
+    old, new = _files(old_root), _files(new_root)
     diffs = [compare_file(old_root / p, new_root / p, p) for p in sorted(old & new)]
     diffs += [FileDiff(p, problems=[f"{p}: missing"]) for p in sorted(old - new)]
     diffs += [FileDiff(p, problems=[f"{p}: not in the old tree"]) for p in sorted(new - old)]
@@ -216,6 +221,29 @@ def summary(diffs: list[FileDiff]) -> str:
 # ---------------------------------------------------------------------------
 
 
+def update_tree(fresh: Path, corpus: Path) -> tuple[list[str], list[str]]:
+    """Bring ``corpus`` to the outputs under ``fresh``, changing only what moved.
+
+    A file is copied over if it is new or :func:`compare_file` reports a
+    problem for it; a file that ``fresh`` lacks is deleted, and so is a
+    directory that leaves empty. Returns the written and the deleted paths.
+    """
+    new, old = _files(fresh), _files(corpus)
+    written = sorted(p for p in new
+                     if p not in old or compare_file(corpus / p, fresh / p, p).problems)
+    deleted = sorted(old - new)
+    for p in written:
+        (corpus / p).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(fresh / p, corpus / p)
+    for p in deleted:
+        (corpus / p).unlink()
+    # deepest first, so a directory is emptied before its parent is looked at
+    for d in sorted((d for d in corpus.rglob("*") if d.is_dir()), reverse=True):
+        if not any(d.iterdir()):
+            d.rmdir()
+    return written, deleted
+
+
 def _compare(old_tree: Path, new_tree: Path) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         roots = []
@@ -237,7 +265,7 @@ def _compare(old_tree: Path, new_tree: Path) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("regenerate", help="rewrite tests/corpus/outputs from this tree")
+    sub.add_parser("regenerate", help="rewrite what moved in tests/corpus/outputs")
     compare = sub.add_parser("compare", help="run the command set in two checkouts and compare")
     compare.add_argument("old", type=Path)
     compare.add_argument("new", type=Path)
@@ -248,10 +276,16 @@ def main(argv=None) -> int:
     if args.command == "compare":
         return _compare(args.old, args.new)
     if args.command == "regenerate":
-        args.src, args.out = CORPUS.parents[1] / "src", OUTPUTS
-        shutil.rmtree(OUTPUTS, ignore_errors=True)
+        args.src = CORPUS.parents[1] / "src"
     sys.path.insert(0, str(args.src))
-    write_outputs(args.out)
+    if args.command == "run":
+        write_outputs(args.out)
+        return 0
+    with tempfile.TemporaryDirectory() as tmp:
+        write_outputs(Path(tmp))
+        written, deleted = update_tree(Path(tmp), OUTPUTS)
+    print("".join(f"wrote {p}\n" for p in written) + "".join(f"deleted {p}\n" for p in deleted)
+          + f"{len(written)} files written, {len(deleted)} deleted")
     return 0
 
 

@@ -35,7 +35,7 @@ from actsens.optimize import (
     isometric_force,
     predicted_shifts,
 )
-from actsens.presets import family_evaluator, builtin_cuboid, row_validity
+from actsens.presets import family_evaluator, builtin_cuboid
 from references import all_hatze_scenarios, all_zajac_scenarios
 
 GLOBAL_SEED = 42
@@ -57,7 +57,6 @@ def _global_results():
             out[model] = analyze_global(
                 family_evaluator(model), builtin_cuboid(model),
                 n=GLOBAL_N, seed=GLOBAL_SEED, grid=grid,
-                validity=row_validity(model),
             )
         _cache["global"] = out
         _cache["global_runtime"] = time.perf_counter() - t0

@@ -525,6 +525,20 @@ def test_bounds_without_a_valid_row_exit_2(tmp_path, capsys, monkeypatch, model,
     assert not out.exists()
 
 
+def test_halton_past_its_stride_exits_2(tmp_path, capsys, monkeypatch):
+    # past 1,000,003 rows a halton redraw would repeat another row's point;
+    # rejected from the settings alone: no row is drawn
+    monkeypatch.setattr(cli, "analyze_global", None)
+    out = tmp_path / "x"
+    assert main(["global-sens", "--sampler", "halton", "--n", "1000004",
+                 "--output", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err)  # one record
+    assert record["error"] == "ConfigError"
+    assert record["message"] == ("n must be at most 1000003 with the halton sampler, "
+                                 "got 1000004")
+    assert not out.exists()
+
+
 _ZAJAC_BOUNDS = ["q_Z0 = 0.01,1", "sigma = 0,1", "q0 = 0.001,0.05", "tau = 0.01,0.05",
                  "beta = 0.1,1"]
 

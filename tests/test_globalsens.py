@@ -27,8 +27,9 @@ from actsens import (
 from actsens.globalsens import (
     _FIRST_PRIMES, FamilyEvaluation, _family_rows, _halton_points, _rows_valid,
 )
+from actsens.models import in_domain
 from actsens.odecore import make_grid
-from actsens.presets import family_evaluator, builtin_cuboid, row_validity
+from actsens.presets import family_evaluator, builtin_cuboid
 
 UNIT2 = ParameterCuboid.from_dict({"x1": (0.0, 1.0), "x2": (0.0, 1.0)})
 UNIT3 = ParameterCuboid.from_dict({"x1": (0.0, 1.0), "x2": (0.0, 1.0),
@@ -110,12 +111,11 @@ def test_builtin_cuboid_follows_canonical_order(name, factory):
 
 def test_validity_predicate_holds_for_all_swaps():
     for model in ("hatze", "zajac"):
-        validity = row_validity(model)
         cub = builtin_cuboid(model)
-        m = build_sample_matrices(cub, n=64, seed=7, validity=validity)
+        m = build_sample_matrices(cub, n=64, seed=7)
         names = cub.names
         for row in _family_rows(m.a, m.b):
-            assert validity(dict(zip(names, row)))
+            assert cub.validity(dict(zip(names, row)))
 
 
 # cuboids reaching past every limit of each model's field ranges (canonical order)
@@ -160,7 +160,7 @@ def test_row_validity_accepts_exactly_what_validate_accepts(model):
         return True
 
     expect = [validates(row) for row in rows]
-    validity = row_validity(model)
+    validity = builtin_cuboid(model).validity
     got = validity(dict(zip(cub.names, rows.T)))
     assert got.dtype == bool and got.tolist() == expect
     assert 50 < sum(expect) < len(expect) - 50  # both kinds of row are well represented
@@ -170,10 +170,8 @@ def test_row_validity_accepts_exactly_what_validate_accepts(model):
 
 def test_halton_sampler_deterministic_and_valid():
     cub = builtin_cuboid("zajac")
-    m1 = build_sample_matrices(cub, n=16, seed=5, sampler="halton",
-                               validity=row_validity("zajac"))
-    m2 = build_sample_matrices(cub, n=16, seed=5, sampler="halton",
-                               validity=row_validity("zajac"))
+    m1 = build_sample_matrices(cub, n=16, seed=5, sampler="halton")
+    m2 = build_sample_matrices(cub, n=16, seed=5, sampler="halton")
     assert np.array_equal(m1.a, m2.a)
     assert np.all(m1.a >= cub.lower) and np.all(m1.a <= cub.upper)
 
@@ -191,26 +189,28 @@ def _row_valid_per_row(names, validity, row_a, row_b):
 
 
 VALIDITY_CASES = {
-    "zajac": (builtin_cuboid("zajac"), row_validity("zajac")),
-    "hatze": (builtin_cuboid("hatze"), row_validity("hatze")),
+    "zajac": builtin_cuboid("zajac"),
+    "hatze": builtin_cuboid("hatze"),
     # three columns: a B swap is not an A swap in disguise
-    "sum-below-two": (UNIT3, lambda row: row["x1"] + row["x2"] + row["x3"] < 2.0),
+    "sum-below-two": dataclasses.replace(
+        UNIT3, validity=lambda row: row["x1"] + row["x2"] + row["x3"] < 2.0),
 }
 
 
 @pytest.mark.parametrize("case", list(VALIDITY_CASES))
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_rows_valid_equals_per_row_dict_evaluation(case, seed):
-    cub, validity = VALIDITY_CASES[case]
+    cub = VALIDITY_CASES[case]
     # raw draws, before any rejection: some rows are invalid
     u = np.random.default_rng(seed).random((400, 2, cub.n_params))
     a, b = cub.scale(u[:, 0]), cub.scale(u[:, 1])
-    expect = [_row_valid_per_row(cub.names, validity, ra, rb) for ra, rb in zip(a, b)]
-    got = _rows_valid(cub, validity, a, b)
+    expect = [_row_valid_per_row(cub.names, cub.validity, ra, rb) for ra, rb in zip(a, b)]
+    got = _rows_valid(cub, a, b)
     assert got.dtype == bool and got.tolist() == expect
     assert 0 < got.sum() < got.size
-    assert _rows_valid(cub, lambda row: False, a, b).tolist() == [False] * 400
-    assert _rows_valid(cub, None, a, b).all()
+    never = dataclasses.replace(cub, validity=lambda row: False)
+    assert _rows_valid(never, a, b).tolist() == [False] * 400
+    assert _rows_valid(dataclasses.replace(cub, validity=None), a, b).all()
 
 
 def test_halton_points_equal_the_scalar_van_der_corput_sequence():
@@ -232,9 +232,10 @@ def test_halton_points_equal_the_scalar_van_der_corput_sequence():
 
 def test_impossible_validity_raises(monkeypatch):
     monkeypatch.setattr(globalsens, "MAX_DRAWS", 50)
-    cub = ParameterCuboid.from_dict({"x": (0.0, 1.0)})
+    cub = dataclasses.replace(ParameterCuboid.from_dict({"x": (0.0, 1.0)}),
+                              validity=lambda row: False)
     with pytest.raises(SamplingError):
-        build_sample_matrices(cub, n=2, seed=0, validity=lambda row: False)
+        build_sample_matrices(cub, n=2, seed=0)
 
 
 def test_resampling_honours_the_draw_cap(monkeypatch):
@@ -252,7 +253,7 @@ def test_resampling_honours_the_draw_cap(monkeypatch):
         out[:, 3] = np.nan
         return out
 
-    m = build_sample_matrices(UNIT2, n=8, seed=9, validity=first_call_only)
+    m = build_sample_matrices(dataclasses.replace(UNIT2, validity=first_call_only), n=8, seed=9)
     with pytest.raises(SamplingError, match="row 3: no valid sample within 3 draws"):
         evaluate_family(one_failed_row, m, GRID)
     assert len(calls) == 1 + 3
@@ -263,6 +264,40 @@ def test_sample_matrices_reject_one_row_and_an_unknown_sampler():
         build_sample_matrices(UNIT2, n=1, seed=0)
     with pytest.raises(ValueError, match=r"unknown sampler 'sobol'"):
         build_sample_matrices(UNIT2, n=4, seed=0, sampler="sobol")
+
+
+class _Drew(Exception):
+    """Raised by a stand-in draw: sampling has begun."""
+
+
+def test_halton_takes_at_most_its_stride_of_rows_checked_before_any_draw(monkeypatch):
+    def drew(*args):
+        raise _Drew
+
+    monkeypatch.setattr(globalsens, "_halton_points", drew)
+    monkeypatch.setattr(ParameterCuboid, "scale", drew)
+    with pytest.raises(ValueError, match=r"^the halton sampler takes at most n=1000003 rows, "
+                                         r"got n=1000004$"):
+        build_sample_matrices(UNIT2, n=1_000_004, seed=0, sampler="halton")
+    with pytest.raises(_Drew):  # up to the stride, drawing begins
+        build_sample_matrices(UNIT2, n=1_000_003, seed=0, sampler="halton")
+    with pytest.raises(ValueError, match=r"unknown sampler 'sobol'"):
+        build_sample_matrices(UNIT2, n=4, seed=0, sampler="sobol")
+
+
+def test_halton_draws_repeat_no_point_up_to_the_stride(monkeypatch):
+    # with a stride of 8, the 8 rows' blocks 0-3 are Halton indices 1-32;
+    # a ninth row's block 0 would be row 0's block 1
+    monkeypatch.setattr(globalsens, "HALTON_STRIDE", 8)
+    with pytest.raises(ValueError, match=r"at most n=8 rows, got n=9"):
+        build_sample_matrices(UNIT2, n=9, seed=0, sampler="halton")
+    m = build_sample_matrices(UNIT2, n=8, seed=0, sampler="halton")
+    points = [np.hstack([m.a, m.b])]
+    for _ in range(3):
+        m = m.redrawn(np.arange(8))
+        points.append(np.hstack([m.a, m.b]))
+    assert np.array_equal(m.blocks_used, np.full(8, 4))
+    assert np.unique(np.vstack(points), axis=0).shape == (32, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +330,7 @@ def test_constant_model_gives_identical_trajectories_and_zero_variance():
 
 def test_evaluation_count_matches_sample_arithmetic():
     cub = builtin_cuboid("zajac")  # N = 5
-    m = build_sample_matrices(cub, n=16, seed=0, validity=row_validity("zajac"))
+    m = build_sample_matrices(cub, n=16, seed=0)
     fam = evaluate_family(family_evaluator("zajac"), m, np.linspace(0.0, 0.2, 5))
     assert fam.n_evaluations == 16 * 2 * (5 + 1)
 
@@ -303,7 +338,7 @@ def test_evaluation_count_matches_sample_arithmetic():
 @pytest.mark.parametrize("model", ["zajac", "hatze"])
 def test_fallback_returns_nan_for_the_failing_row_only(model, monkeypatch):
     cub = builtin_cuboid(model)
-    m = build_sample_matrices(cub, n=4, seed=3, validity=row_validity(model))
+    m = build_sample_matrices(cub, n=4, seed=3)
     rows, grid, bad = _family_rows(m.a, m.b), np.linspace(0.0, 0.2, 5), 5
     rows[bad, 0] = bad_q_init = 0.5123  # the one row that starts there
     assert np.count_nonzero(rows[:, 0] == bad_q_init) == 1
@@ -385,8 +420,7 @@ def test_time_major_evaluator_output_is_kept_without_a_copy():
         returned.append(evaluate(rows, grid))
         return returned[-1]
 
-    m = build_sample_matrices(builtin_cuboid("zajac"), n=16, seed=9,
-                              validity=row_validity("zajac"))
+    m = build_sample_matrices(builtin_cuboid("zajac"), n=16, seed=9)
     fam = evaluate_family(recorded, m, np.linspace(0.0, 0.2, 5))
     assert fam.values is returned[-1]
 
@@ -481,7 +515,7 @@ def test_columns_without_effect_at_the_start_have_exactly_zero_first_order_varia
     # at t = 0 every solution is its initial activity, the first column; on
     # this sample, hatze's products of undifferenced blocks leave 1e-17 there
     cub = builtin_cuboid(model)
-    m = build_sample_matrices(cub, n=512, seed=2, validity=row_validity(model))
+    m = build_sample_matrices(cub, n=512, seed=2)
     fam = evaluate_family(family_evaluator(model), m, make_grid(0.5, 101))
     for T in (1, 7, 101):  # the first T times, still time-major
         res = vbs_tsi(FamilyEvaluation(times=fam.times[:T], values=fam.values[:T],
@@ -513,8 +547,7 @@ def test_batched_solve_holds_a_fixed_working_set():
     # (y, k1..k7) array, the step's buffers and the rhs's two temporaries.
     # The bound leaves under one array of margin, so a new per-step
     # temporary of the state's size fails it.
-    m = build_sample_matrices(builtin_cuboid("hatze"), n=2048, seed=1,
-                              validity=row_validity("hatze"))
+    m = build_sample_matrices(builtin_cuboid("hatze"), n=2048, seed=1)
     rows, evaluate = _family_rows(m.a, m.b), family_evaluator("hatze")
     assert rows.shape[0] == 36_864
     tracemalloc.start()
@@ -661,10 +694,29 @@ def test_index_bounds_and_consistency():
     assert np.all(res.tsi[:, 0] >= res.vbs[:, 0] - 0.05)
 
 
+@pytest.mark.parametrize("model", ["zajac", "hatze"])
+def test_the_evaluator_never_sees_a_row_outside_the_domain(model):
+    # the built-in cuboid carries its model's domain, and so does a copy
+    # with narrower bounds: every row pair that leaves it is redrawn
+    spec, evaluate = presets.BUILTIN_MODELS[model].model(), family_evaluator(model)
+
+    def checked(rows, grid):
+        assert in_domain(spec.params_of(*rows.T)).all()
+        return evaluate(rows, grid)
+
+    cub = builtin_cuboid(model)
+    # the initial activity below 0.1, so that q0 exceeds it in more rows
+    narrow = dataclasses.replace(cub, upper=np.where(np.arange(cub.n_params) == 0, 0.1,
+                                                     cub.upper))
+    for cuboid in (cub, narrow):
+        res = analyze_global(checked, cuboid, n=256, seed=1, grid=make_grid(0.05, 3))
+        assert res.n_evaluations == 2 * 256 * (cub.n_params + 1)
+
+
 def test_global_analysis_is_bit_reproducible():
     cub = builtin_cuboid("zajac")
     grid = np.linspace(0.0, 0.2, 6)
-    kw = dict(n=32, seed=123, grid=grid, validity=row_validity("zajac"))
+    kw = dict(n=32, seed=123, grid=grid)
     r1 = analyze_global(family_evaluator("zajac"), cub, **kw)
     r2 = analyze_global(family_evaluator("zajac"), cub, **kw)
     assert np.array_equal(r1.vbs, r2.vbs)
@@ -870,7 +922,8 @@ def test_sampling_errors_name_rows_by_their_whole_sample_index(monkeypatch):
         calls.append(1)
         return np.full(len(cols["x1"]), len(calls) == 1)
 
-    chunk = build_sample_matrices(UNIT2, n=8, seed=9, validity=first_call_only).pairs(4, 8)
+    chunk = build_sample_matrices(dataclasses.replace(UNIT2, validity=first_call_only),
+                                  n=8, seed=9).pairs(4, 8)
     with pytest.raises(SamplingError, match="row 5: no valid sample within 3 draws"):
         chunk.redrawn([1])
 
@@ -893,7 +946,7 @@ def test_analyze_global_holds_one_chunk_of_the_family():
     tracemalloc.start()
     try:
         res = analyze_global(family_evaluator("hatze"), builtin_cuboid("hatze"), n=2048,
-                             seed=1, grid=grid, validity=row_validity("hatze"))
+                             seed=1, grid=grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,7 +1,9 @@
 """The benchmark reaches the package by attribute (tracer hooks) and checks
 its output with correctness gates; a change that breaks either must fail
 here, not only in a benchmark run. The package's imports are checked here
-too: numpy is its one runtime dependency."""
+too: numpy is its one runtime dependency, and each module's export list
+matches the package's. So are the tests' own tools: the benchmark pairs'
+summary and the corpus update."""
 
 import ast
 import importlib.util
@@ -13,6 +15,7 @@ import pytest
 
 from actsens import cli, localsens, optimize, presets
 from bench_pairs import summarize
+from output_corpus import compare_trees, update_tree
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "actsens"
@@ -176,6 +179,51 @@ def test_the_package_exports_exactly_the_public_api_readme_lists():
     listed = re.findall(r"`(\w+)`", section)
     assert len(listed) == len(set(listed)), "a name is listed twice"
     assert set(listed) == exported
+
+
+def test_each_module_exports_what_the_package_imports_from_it():
+    # a module's __all__ is the names ``import actsens`` takes from it
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {node.module: {alias.name for alias in node.names}
+                for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module}
+    declared = {}
+    for name in imported:
+        module = importlib.import_module(f"actsens.{name}")
+        if hasattr(module, "__all__"):
+            assert len(module.__all__) == len(set(module.__all__)), name
+            declared[name] = set(module.__all__)
+    assert set(declared) == {"globalsens", "localsens", "models", "odecore", "optimize"}
+    assert declared == {name: imported[name] for name in declared}
+
+
+def test_corpus_update_rewrites_only_what_moved(tmp_path):
+    corpus, fresh = tmp_path / "corpus", tmp_path / "fresh"
+
+    def write(root, rel, text):
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+
+    csv = "t_seconds,V\n0,1\n1,{}\n"
+    write(corpus, "kept/global.csv", csv.format(2))
+    write(fresh, "kept/global.csv", csv.format("2.0000000000000004"))  # within the bound
+    write(corpus, "kept/manifest.txt", "version = 0.1.0\nn = 4\n")
+    write(fresh, "kept/manifest.txt", "version = 0.2.0\nn = 4\n")  # not compared
+    write(corpus, "moved/global.csv", csv.format(2))
+    write(fresh, "moved/global.csv", csv.format(2.5))
+    write(fresh, "new/manifest.txt", "n = 8\n")
+    write(corpus, "gone/deeper/manifest.txt", "n = 4\n")
+    written, deleted = update_tree(fresh, corpus)
+    assert written == ["moved/global.csv", "new/manifest.txt"]
+    assert deleted == ["gone/deeper/manifest.txt"]
+    assert sorted(p.relative_to(corpus).as_posix() for p in corpus.rglob("*")) == [
+        "kept", "kept/global.csv", "kept/manifest.txt", "moved", "moved/global.csv",
+        "new", "new/manifest.txt"]
+    assert (corpus / "kept/global.csv").read_text() == csv.format(2)
+    assert (corpus / "kept/manifest.txt").read_text().startswith("version = 0.1.0")
+    assert (corpus / "moved/global.csv").read_bytes() == (fresh / "moved/global.csv").read_bytes()
+    assert not [p for d in compare_trees(corpus, fresh) for p in d.problems]
+    assert update_tree(fresh, corpus) == ([], [])
 
 
 def _bench_result(ref, rss, correct=True, failed=0):
